@@ -244,8 +244,9 @@ def check_param_identities(trace: Trace) -> CheckResult:
         variant = str(trace.meta.get("variant", ""))
         if variant == "practical-sec5":
             gamma = float(trace.meta["gamma_min"])
+            delta = float(trace.meta.get("delta", 0.5))
             for row in trace.rows:
-                alpha_e = _ipila_alpha_from_beta(row["beta_k"], 0.5, gamma)
+                alpha_e = _ipila_alpha_from_beta(row["beta_k"], delta, gamma)
                 if alpha_e is None:
                     continue
                 r = abs(row["alpha_k"] - alpha_e) / (1.0 + abs(alpha_e))

@@ -240,7 +240,7 @@ def _write_outputs(outdir: Path, trace: Trace, context: dict, cfg: dict):
     summary["problem"] = cfg["problem"]
     summary["stop_reason"] = trace.meta.get("stop_reason", "")
     if f_star is not None:
-        summary["rel_gap_final"] = (summary["f_final"] - f_star) / f_star
+        summary["rel_gap_final"] = (summary["f_final"] - f_star) / abs(f_star)
     lines = [f"{k}={summary[k]}" for k in sorted(summary)]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
     return report

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import convolve as _nd_convolve
 from scipy.ndimage import correlate as _nd_correlate
-from scipy.signal import convolve2d
 
 from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
                                ProxFunction, SmoothOracle, L1Norm,
@@ -25,16 +26,6 @@ from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
 
 # ---------------------------------------------------------------------------
 # convolution with reflective boundaries
-
-
-def _mirror_indices(length: int, pad: int) -> np.ndarray:
-    """Whole-sample reflection indices for range(-pad, length+pad)."""
-    if length == 1:
-        return np.zeros(2 * pad + 1, dtype=int)
-    idx = np.arange(-pad, length + pad)
-    period = 2 * length - 2
-    m = np.abs(idx) % period
-    return np.where(m >= length, period - m, m)
 
 
 class ConvOperator(LinearOp):
@@ -57,11 +48,8 @@ class ConvOperator(LinearOp):
         h, w = self.shape
         if kh > h or kw > w:
             raise ValueError("kernel larger than image")
+        # odd kh <= h implies kh // 2 <= h - 1: the mirror pad never wraps
         self._ph, self._pw = kh // 2, kw // 2
-        if self._ph > h - 1 or self._pw > w - 1:
-            raise ValueError("kernel too large for whole-sample reflection")
-        self._rows = _mirror_indices(h, self._ph)
-        self._cols = _mirror_indices(w, self._pw)
         self.in_dim = self.out_dim = h * w
 
     def matvec(self, x):
@@ -78,20 +66,18 @@ class ConvOperator(LinearOp):
             out[length - 1 - pad:length - 1] += z[length + pad:][::-1]
         return out
 
-    def rmatvec(self, y):
-        img = np.asarray(y, dtype=float).reshape(self.shape)
-        full = convolve2d(img, self.kernel, mode="full")
+    def _fold2d(self, full: np.ndarray) -> np.ndarray:
+        # transpose of whole-sample mirror padding along both axes, flat
         h, w = self.shape
         tmp = self._fold(full, h, self._ph)
         return self._fold(tmp.T, w, self._pw).T.ravel()
 
-
-def conv2_reflective(op: ConvOperator, x: np.ndarray) -> np.ndarray:
-    return op.matvec(np.asarray(x, dtype=float).ravel()).reshape(op.shape)
-
-
-def adjoint_conv2(op: ConvOperator, y: np.ndarray) -> np.ndarray:
-    return op.rmatvec(np.asarray(y, dtype=float).ravel()).reshape(op.shape)
+    def rmatvec(self, y):
+        img = np.asarray(y, dtype=float).reshape(self.shape)
+        # full convolution: zero-pad by the kernel radius, then 'same'
+        pads = ((self._ph, self._ph), (self._pw, self._pw))
+        full = _nd_convolve(np.pad(img, pads), self.kernel, mode="constant")
+        return self._fold2d(full)
 
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
@@ -210,6 +196,9 @@ class FilterBank:
             raise ValueError("filter weights must be positive")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        kshape, *others = {np.shape(k) for k, _ in self.filters}
+        if others or len(kshape) != 2 or not all(d % 2 for d in kshape):
+            raise ValueError("filter kernels must share one odd 2-D shape")
 
 
 def dct_filter_bank(rho: float = 0.08) -> FilterBank:
@@ -229,23 +218,38 @@ def dct_filter_bank(rho: float = 0.08) -> FilterBank:
 
 def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     """Smooth edge-preserving regularizer ``rho sum_l w_l sum_i
-    log(1 + (K_l x)_i^2)`` over a filter bank."""
-    ops = [(ConvOperator(k, shape), w) for k, w in bank.filters]
+    log(1 + (K_l x)_i^2)`` over a filter bank.
+
+    One mirror pad and one ``(filters, taps) @ (taps, pixels)`` product give
+    every filter response; the gradient folds one scatter-added adjoint.
+    """
+    op = ConvOperator(bank.filters[0][0], shape)  # validates the kernel size
+    h, w = op.shape
+    kh, kw = op.kernel.shape
+    kmat = np.stack([np.asarray(k, dtype=float).ravel()
+                     for k, _ in bank.filters])
+    wts = np.array([wt for _, wt in bank.filters], dtype=float)
+    pads = ((op._ph, op._ph), (op._pw, op._pw))
     rho = bank.rho
 
+    def responses(x):
+        pad = np.pad(np.asarray(x, dtype=float).reshape(h, w), pads,
+                     mode="reflect")
+        cols = sliding_window_view(pad, (h, w)).reshape(kh * kw, h * w)
+        return kmat @ cols
+
     def value(x):
-        total = 0.0
-        for op, w in ops:
-            u = op.matvec(x)
-            total += w * float(np.sum(np.log1p(u * u)))
-        return rho * total
+        u = responses(x)
+        return rho * float(wts @ np.log1p(u * u).sum(axis=1))
 
     def grad(x):
-        out = np.zeros(int(shape[0]) * int(shape[1]))
-        for op, w in ops:
-            u = op.matvec(x)
-            out += w * op.rmatvec(2.0 * u / (1.0 + u * u))
-        return rho * out
+        u = responses(x)
+        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
+        full = np.zeros((h + kh - 1, w + kw - 1))
+        for t, row in enumerate(taps):
+            i, j = divmod(t, kw)
+            full[i:i + h, j:j + w] += row.reshape(h, w)
+        return rho * op._fold2d(full)
 
     return SmoothOracle(value, grad)
 

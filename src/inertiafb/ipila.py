@@ -111,17 +111,18 @@ def compute_delta(h_val: float, gamma_k: float, x: np.ndarray,
 
 
 def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
-                      d_x: np.ndarray, d_s: np.ndarray, delta_k: float,
-                      sigma: float, ls_shrink: float, max_halvings: int):
+                      phi0: float, d_x: np.ndarray, d_s: np.ndarray,
+                      delta_k: float, sigma: float, ls_shrink: float,
+                      max_halvings: int):
     """Largest ``lambda`` in the backtracking grid passing the Armijo test.
 
+    ``phi0`` is the merit value ``Phi(x, s)`` the caller already holds.
     Returns ``(lambda, new_x, new_s, evals)`` where ``evals`` counts merit
     evaluations at trial points.  Termination is guaranteed for a genuine
     descent direction, so exhausting ``max_halvings`` is a hard error.
     """
     if delta_k >= 0:
         raise SolverError("armijo_linesearch requires delta_k < 0")
-    phi0 = phi_value(problem, x, s)
     lam = 1.0
     evals = 0
     for _ in range(max_halvings + 1):
@@ -231,7 +232,8 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     y_step = y - x
     y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(x - s, x - s))
-    phi_yx = eval_f(problem, y) + 0.5 * y_step_sq
+    f_y = eval_f(problem, y)
+    phi_yx = f_y + 0.5 * y_step_sq
 
     L_next = state.L_k
     if practical:
@@ -245,27 +247,29 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
             return IPilaState(x_curr=y, s_curr=x,
                               phi_val=phi_yx, delta_k=delta_k, lambda_k=1.0,
                               accepted_branch="inertial", backtracks=0,
-                              **{**common, "f_val": eval_f(problem, y)})
+                              **{**common, "f_val": f_y})
         L_next = state.L_k * cfg.eta
 
     d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
     lam, ls_x, ls_s, evals = armijo_linesearch(
-        problem, x, s, d_x, d_s, delta_k, cfg.sigma, cfg.ls_shrink,
-        cfg.max_halvings)
+        problem, x, s, state.phi_val, d_x, d_s, delta_k, cfg.sigma,
+        cfg.ls_shrink, cfg.max_halvings)
 
     if phi_yx <= state.phi_val + cfg.sigma * lam * delta_k:
         new_x, new_s, branch = y, x, "inertial"
-        phi_new = phi_yx
+        f_new, phi_new = f_y, phi_yx
     else:
         new_x, new_s, branch = ls_x, ls_s, "linesearch"
-        phi_new = phi_value(problem, new_x, new_s)
+        f_new = eval_f(problem, new_x)
+        d = new_x - new_s
+        phi_new = f_new + 0.5 * float(np.dot(d, d))
 
     if cfg.check_invariants:
         _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
                                y_step_sq, anchor_sq, d_x, d_s, phi_new, lam)
 
     common["L_k"] = L_next
-    common["f_val"] = eval_f(problem, new_x)
+    common["f_val"] = f_new
     return IPilaState(x_curr=new_x, s_curr=new_s, phi_val=phi_new,
                       delta_k=delta_k, lambda_k=lam, accepted_branch=branch,
                       backtracks=evals - 1, **common)
@@ -290,6 +294,7 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
         "ls_shrink": cfg.ls_shrink, "tau": cfg.tau, "theta": cfg.theta,
         "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
         "beta_max": cfg.beta_max, "L0": cfg.L0, "eta": cfg.eta,
+        "delta": cfg.delta,
         "stop_tol": cfg.stop_tol, "f_init": state.f_val,
         "phi_init": state.phi_val,
     })

@@ -59,7 +59,7 @@ class Trace:
                 vals = []
                 for col in columns:
                     if col == "rel_gap":
-                        vals.append(_fmt((row["f"] - f_star) / f_star))
+                        vals.append(_fmt((row["f"] - f_star) / abs(f_star)))
                     elif col in _INT_COLUMNS:
                         vals.append(str(int(row.get(col, 0))))
                     else:

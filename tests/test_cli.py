@@ -78,6 +78,17 @@ class TestRunCommand:
         trace = Trace.read_csv(out / "trace.csv")
         assert "rel_gap" in trace.rows[0]
 
+    def test_rel_gap_final_with_negative_f_star(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "10",
+                       "--f_star", "-1.0", "--out", str(out)) == 0
+        summary = dict(line.split("=", 1) for line in
+                       (out / "summary.txt").read_text().splitlines())
+        f_final = float(summary["f_final"])
+        assert float(summary["rel_gap_final"]) == f_final + 1.0 > 0.0
+        rows = Trace.read_csv(out / "trace.csv").rows
+        assert rows[-1]["rel_gap"] == f_final + 1.0
+
     def test_determinism_byte_identical_traces(self, tmp_path):
         args = ("run", "--solver", "ipila-practical", "--max_outer", "30",
                 "--seed", "3")
@@ -196,6 +207,20 @@ class TestCertifyCommand:
         capsys.readouterr()
         code = run_cli("certify", str(out / "trace.csv"))
         assert code == 0
+        assert "overall=pass" in capsys.readouterr().out
+
+    def test_ipila_practical_certifies_with_nondefault_delta(self, tmp_path,
+                                                            capsys):
+        # the certifier used to replay alpha_k(beta_k) with delta fixed at
+        # 0.5, so this honest run failed param-identities at k=0
+        out = tmp_path / "run"
+        assert run_cli("run", "--problem", "synthetic-quadratic-l1",
+                       "--solver", "ipila-practical", "--delta", "0.3",
+                       "--max_outer", "30", "--out", str(out)) == 0
+        assert "# delta=0.29999999999999999" in (out / "trace.csv").read_text()
+        assert "overall=pass" in (out / "report.txt").read_text()
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv")) == 0
         assert "overall=pass" in capsys.readouterr().out
 
     def test_certify_fails_on_corrupted_trace(self, tmp_path, capsys):

@@ -42,12 +42,26 @@ class TestConvOperator:
         op = imaging.ConvOperator(k, shape)
         assert adjoint_residual(op, rng) < 1e-12
 
-    def test_helper_wrappers_preserve_shape(self):
+    def test_matvec_and_rmatvec_preserve_size(self):
         rng = np.random.default_rng(3)
         img = rng.standard_normal((5, 6))
         op = imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), img.shape)
-        assert imaging.conv2_reflective(op, img).shape == (5, 6)
-        assert imaging.adjoint_conv2(op, img).shape == (5, 6)
+        assert op.matvec(img).shape == (30,)
+        assert op.rmatvec(img).shape == (30,)
+
+    @pytest.mark.parametrize("shape,kshape", [((7, 10), (3, 3)),
+                                              ((9, 6), (5, 5)),
+                                              ((6, 11), (3, 5))])
+    def test_rmatvec_is_dense_transpose_of_matvec(self, shape, kshape):
+        # independent construction: the dense matrix of matvec, one column
+        # per basis image, then its transpose applied to random data
+        rng = np.random.default_rng(6)
+        op = imaging.ConvOperator(rng.standard_normal(kshape), shape)
+        n = shape[0] * shape[1]
+        dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
+        y = rng.standard_normal(n)
+        np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, rtol=0,
+                                   atol=1e-12 * np.abs(dense.T @ y).max())
 
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
@@ -130,6 +144,34 @@ class TestRegularizerAndFidelities:
         rep = check_gradient(p, 10.0 * rng.standard_normal(36))
         assert rep.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("bank,shape", [
+        (imaging.dct_filter_bank(), (7, 11)),
+        (imaging.FilterBank(
+            filters=[(k, wt) for k, wt in zip(
+                np.random.default_rng(7).standard_normal((4, 5, 5)),
+                (0.5, 1.0, 0.25, 2.0))], rho=0.3), (9, 6)),
+    ])
+    def test_log_filter_matches_per_filter_sum(self, bank, shape):
+        # reference: one ConvOperator per filter, value and gradient summed
+        # filter by filter
+        ops = [(imaging.ConvOperator(k, shape), wt) for k, wt in bank.filters]
+        reg = imaging.log_filter_regularizer(bank, shape)
+        x = 5.0 * np.random.default_rng(8).standard_normal(shape[0] * shape[1])
+        want_v, want_g = 0.0, 0.0
+        for op, wt in ops:
+            u = op.matvec(x)
+            want_v += bank.rho * wt * np.sum(np.log1p(u * u))
+            want_g = want_g + bank.rho * wt * op.rmatvec(2.0 * u / (1 + u * u))
+        assert reg.value(x) == pytest.approx(want_v, rel=1e-12)
+        np.testing.assert_allclose(reg.grad(x), want_g, rtol=0,
+                                   atol=1e-12 * np.abs(want_g).max())
+
+    def test_log_filter_rejects_oversized_kernels(self):
+        bank = imaging.FilterBank(filters=[(np.ones((5, 5)), 1.0)])
+        for shape in ((3, 8), (8, 4)):
+            with pytest.raises(ValueError, match="larger than image"):
+                imaging.log_filter_regularizer(bank, shape)
+
     def test_gaussian_sd_value_examples(self):
         op = imaging.ConvOperator(np.array([[1.0]]), (1, 1))
         # exact fit with unit denominator: 0.5*0 + log 1 = 0
@@ -178,6 +220,13 @@ class TestRegularizerAndFidelities:
             imaging.FilterBank(filters=[(np.ones((3, 3)), -1.0)], rho=0.08)
         with pytest.raises(ValueError):
             imaging.FilterBank(filters=[(np.ones((3, 3)), 1.0)], rho=0.0)
+        with pytest.raises(ValueError):  # mixed kernel shapes
+            imaging.FilterBank(filters=[(np.ones((3, 3)), 1.0),
+                                        (np.ones((5, 5)), 1.0)])
+        with pytest.raises(ValueError):  # even kernel shape
+            imaging.FilterBank(filters=[(np.ones((2, 3)), 1.0)])
+        with pytest.raises(ValueError):  # not 2-D
+            imaging.FilterBank(filters=[(np.ones(3), 1.0)])
 
 
 class TestNoiseAndMetrics:

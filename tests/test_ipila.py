@@ -58,8 +58,8 @@ class TestArmijo:
         h = eval_h(p, x, s, 0.1, 0.0, y)
         delta = compute_delta(h, 1e-5, x, s)
         dx, ds = descent_direction(x, s, y, 0.1, 0.0, 1e-5)
-        lam, nx, ns, evals = armijo_linesearch(p, x, s, dx, ds, delta,
-                                               1e-4, 0.5, 60)
+        lam, nx, ns, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
+                                               dx, ds, delta, 1e-4, 0.5, 60)
         assert lam == 1.0
         assert evals == 1
 
@@ -78,15 +78,15 @@ class TestArmijo:
         delta = compute_delta(h, 1e-5, x, s)
         dx, ds = descent_direction(x, s, y, alpha, 0.0, 1e-5)
         assert phi_value(p, x + dx, s + ds) > phi_value(p, x, s) + 0.25 * delta
-        lam, _, _, evals = armijo_linesearch(p, x, s, dx, ds, delta,
-                                             0.25, 0.5, 60)
+        lam, _, _, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
+                                             dx, ds, delta, 0.25, 0.5, 60)
         assert lam == 0.5
         assert evals == 2
 
     def test_nonnegative_delta_rejected(self):
         p = smooth_only_problem(n=1)
         with pytest.raises(SolverError):
-            armijo_linesearch(p, np.zeros(1), np.zeros(1), np.zeros(1),
+            armijo_linesearch(p, np.zeros(1), np.zeros(1), 0.0, np.zeros(1),
                               np.zeros(1), 0.0, 1e-4, 0.5, 60)
 
     def test_exhaustion_is_hard_error(self):
@@ -95,7 +95,8 @@ class TestArmijo:
         x = np.array([1.0])
         d = np.array([10.0])
         with pytest.raises(SolverError):
-            armijo_linesearch(p, x, x, d, d, -1e-12, 0.9, 0.5, 20)
+            armijo_linesearch(p, x, x, phi_value(p, x, x), d, d, -1e-12,
+                              0.9, 0.5, 20)
 
 
 class TestStep:

@@ -79,6 +79,17 @@ class TestRelGap:
             assert row["rel_gap"] == pytest.approx(
                 (orig["f"] - 0.5) / 0.5, rel=1e-15)
 
+    def test_negative_f_star_keeps_the_sign_of_the_gap(self, tmp_path):
+        # f = 3.5 - k above f_star = -2: every gap is positive, f - f_star
+        # over |f_star|
+        t = small_trace()
+        path = tmp_path / "trace.csv"
+        t.write_csv(path, f_star=-2.0)
+        back = Trace.read_csv(path)
+        gaps = [row["rel_gap"] for row in back.rows]
+        assert gaps == pytest.approx([2.75, 2.25, 1.75, 1.25, 0.75],
+                                     rel=1e-15)
+
     def test_column_absent_by_default(self, tmp_path):
         t = small_trace()
         path = tmp_path / "trace.csv"
