@@ -38,7 +38,6 @@ from inertiafb.prox_engine import (
     EngineError,
     ProxQuery,
     ProxResult,
-    conjugate_prox,
     dual_objective,
     eval_h,
     solve_inexact_prox,
@@ -81,7 +80,6 @@ __all__ = [
     "check_gradient",
     "compute_delta",
     "compute_params",
-    "conjugate_prox",
     "descent_direction",
     "dual_objective",
     "eval_f",

@@ -32,8 +32,8 @@ from inertiafb.certify import summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               SmoothOracle, SolverError,
+from inertiafb.problem import (Block, CompositeProblem, DomainError,
+                               IdentityOp, L1Norm, SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.prox_engine import EngineError
 from inertiafb.trace import Trace
@@ -130,6 +130,9 @@ def build_settings(args, extra) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         cfg.update(load_config(args.config))
     cfg.update(parse_overrides(extra))
+    # relative gaps divide by |f_star|
+    if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
+        raise ConfigError("f_star must be nonzero")
     return cfg
 
 
@@ -252,7 +255,7 @@ def cmd_run(args, extra) -> int:
     outdir = Path(cfg["out"])
     try:
         trace = run_solver(problem, x0, cfg)
-    except (SolverError, EngineError) as exc:
+    except (SolverError, EngineError, DomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _write_outputs(outdir, trace, context, cfg)
@@ -309,7 +312,7 @@ def cmd_suite(args, extra, max_outer_override=None) -> int:
                 max_workers=_worker_cap(len(jobs)),
                 mp_context=multiprocessing.get_context(START_METHOD)) as pool:
             results = list(pool.map(_suite_worker, jobs))
-    except (SolverError, EngineError) as exc:
+    except (SolverError, EngineError, DomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     best = min(f for _, f in results)

@@ -107,16 +107,13 @@ class GradOp(LinearOp):
 
     def matvec(self, x):
         img = np.asarray(x, dtype=float).reshape(self.shape)
-        dv = np.zeros(self.shape)
-        dh = np.zeros(self.shape)
-        dv[:-1, :] = img[1:, :] - img[:-1, :]
-        dh[:, :-1] = img[:, 1:] - img[:, :-1]
-        return np.concatenate([dv.ravel(), dh.ravel()])
+        out = np.zeros((2,) + self.shape)
+        np.subtract(img[1:, :], img[:-1, :], out=out[0, :-1, :])
+        np.subtract(img[:, 1:], img[:, :-1], out=out[1, :, :-1])
+        return out.ravel()
 
     def rmatvec(self, y):
-        h, w = self.shape
-        dv = np.asarray(y[:h * w], dtype=float).reshape(self.shape)
-        dh = np.asarray(y[h * w:], dtype=float).reshape(self.shape)
+        dv, dh = np.asarray(y, dtype=float).reshape((2,) + self.shape)
         out = np.zeros(self.shape)
         out[:-1, :] -= dv[:-1, :]
         out[1:, :] += dv[:-1, :]
@@ -137,24 +134,30 @@ class GroupL2(ProxFunction):
             raise ValueError("rho must be positive")
         self.rho = float(rho)
 
-    def _norms(self, u):
-        a, b = np.split(np.asarray(u, dtype=float), 2)
+    @staticmethod
+    def _norms(pairs):
+        a, b = pairs
         return np.sqrt(a * a + b * b)
 
     def value(self, x):
-        return self.rho * float(np.sum(self._norms(x)))
+        pairs = np.asarray(x, dtype=float).reshape(2, -1)
+        return self.rho * float(np.sum(self._norms(pairs)))
 
     def prox(self, u, sigma):
-        u = np.asarray(u, dtype=float)
-        a, b = np.split(u, 2)
-        norms = np.sqrt(a * a + b * b)
-        scale = np.zeros_like(norms)
-        mask = norms > 0
-        scale[mask] = np.maximum(norms[mask] - sigma * self.rho, 0.0) / norms[mask]
-        return np.concatenate([a * scale, b * scale])
+        pairs = np.asarray(u, dtype=float).reshape(2, -1)
+        norms = self._norms(pairs)
+        scale = np.divide(np.maximum(norms - sigma * self.rho, 0.0), norms,
+                          out=np.zeros_like(norms), where=norms > 0)
+        return (pairs * scale).ravel()
+
+    def conjugate_prox(self, v, sigma):
+        """Per-pixel projection onto the ball of radius rho (any sigma)."""
+        pairs = np.asarray(v, dtype=float).reshape(2, -1)
+        return (pairs * (self.rho / np.maximum(self._norms(pairs), self.rho))
+                ).ravel()
 
     def conjugate(self, w):
-        norms = self._norms(w)
+        norms = self._norms(np.asarray(w, dtype=float).reshape(2, -1))
         if np.max(norms, initial=0.0) > self.rho * (1.0 + self.feas_rtol):
             return np.inf
         return 0.0

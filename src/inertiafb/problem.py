@@ -179,6 +179,13 @@ class ProxFunction:
     def conjugate(self, w: np.ndarray) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no conjugate oracle")
 
+    def conjugate_prox(self, v: np.ndarray, sigma: float) -> np.ndarray:
+        """``prox_{sigma g*}(v)`` through Moreau's identity."""
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        v = np.asarray(v, dtype=float)
+        return v - sigma * self.prox(v / sigma, 1.0 / sigma)
+
 
 class ZeroFunction(ProxFunction):
     def value(self, x):
@@ -279,12 +286,18 @@ class StructuredConvexTerm:
         self.op_norm_sq_bound = float(op_norm_sq_bound or 0.0)
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
+        if len(self.blocks) == 1:
+            return [w]
         return [w[self._offsets[i]:self._offsets[i + 1]]
                 for i in range(len(self.blocks))]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Stacked ``M x``; may be ``x`` itself (``IdentityOp``), so callers
+        must not write into the result."""
         if not self.blocks:
             return np.zeros(0)
+        if len(self.blocks) == 1:
+            return self.blocks[0].op.matvec(x)
         return np.concatenate([b.op.matvec(x) for b in self.blocks])
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
@@ -323,10 +336,6 @@ class _Stacked(LinearOp):
 
     def rmatvec(self, y):
         return self.term.rmatvec(y)
-
-
-def stacked_op(term: StructuredConvexTerm) -> LinearOp:
-    return _Stacked(term)
 
 
 @dataclass

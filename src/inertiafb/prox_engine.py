@@ -12,7 +12,17 @@ candidate ``y = prox_{alpha xi}(xbar - alpha M^T w)`` closes the gap test
 
 which certifies ``0 in eps-subdiff of h`` at y with
 ``eps = -(tau/2) h(y)``.  Weak duality ``psi <= h`` is asserted at every
-inner iterate.
+inner iterate.  With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
+``xbar = x - alpha v`` (v the linear coefficient of h) and
+``c = -(alpha/2) ||v||^2 - f1(x)``, the dual objective is
+
+    psi(w) = xi(z) + ||z - q||^2 / (2 alpha) + <M^T w, xbar + q> / 2
+             - sum_i g_i*(w_i) + c,
+
+free of the cancellation in ``(||xbar||^2 - ||q||^2) / (2 alpha)`` at small
+alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
+``M^T w`` per dual iterate, and only FISTA's extrapolated point takes its q
+from the last two iterates by linearity.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from inertiafb.problem import CompositeProblem, ProxFunction
+from inertiafb.problem import CompositeProblem
 
 
 class EngineError(RuntimeError):
@@ -83,14 +93,6 @@ def eval_h(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     return float(f1y - f1x + np.dot(v, d) + np.dot(d, d) / (2.0 * alpha))
 
 
-def conjugate_prox(g: ProxFunction, v: np.ndarray, sigma: float) -> np.ndarray:
-    """``prox_{sigma g*}(v)`` through Moreau's identity."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    v = np.asarray(v, dtype=float)
-    return v - sigma * g.prox(v / sigma, 1.0 / sigma)
-
-
 class _DualProblem:
     """Quantities of one subproblem instance, shared across inner iterates."""
 
@@ -107,11 +109,6 @@ class _DualProblem:
         self.v = problem.f0.grad(x) - (query.beta / query.alpha) * (x - s)
         self.xbar = x - self.alpha * self.v
         self.c = -0.5 * self.alpha * float(np.dot(self.v, self.v)) - f1x
-        self.xbar_sq = float(np.dot(self.xbar, self.xbar))
-
-    def primal(self, w: np.ndarray) -> np.ndarray:
-        q = self.xbar - self.alpha * self.f1.rmatvec(w)
-        return self.f1.xi.prox(q, self.alpha)
 
     def h(self, y: np.ndarray) -> float:
         f1y = self.f1.value(y)
@@ -122,16 +119,17 @@ class _DualProblem:
                      + np.dot(d, d) / (2.0 * self.alpha))
 
     def psi(self, w: np.ndarray):
-        q = self.xbar - self.alpha * self.f1.rmatvec(w)
+        """``(psi(w), z, q)``: q = xbar - alpha M^T w, z = prox(q)."""
+        mtw = self.f1.rmatvec(w)
+        q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
         conj = self.f1.conjugate_sum(w)
         if not np.isfinite(conj):
-            return -np.inf, z
+            return -np.inf, z, q
         r = z - q
-        val = (self.f1.xi.value(z)
-               + (np.dot(r, r) - np.dot(q, q) + self.xbar_sq) / (2.0 * self.alpha)
-               - conj + self.c)
-        return float(val), z
+        val = (self.f1.xi.value(z) + np.dot(r, r) / (2.0 * self.alpha)
+               + 0.5 * np.dot(mtw, self.xbar + q) - conj + self.c)
+        return float(val), z, q
 
 
 def dual_objective(problem: CompositeProblem, query: ProxQuery,
@@ -141,7 +139,8 @@ def dual_objective(problem: CompositeProblem, query: ProxQuery,
     Returns ``(psi, primal_candidate)``; ``psi`` is ``-inf`` when ``w`` is
     outside the dual domain (some conjugate value is infinite).
     """
-    return _DualProblem(problem, query).psi(np.asarray(w, dtype=float))
+    psi, z, _ = _DualProblem(problem, query).psi(np.asarray(w, dtype=float))
+    return psi, z
 
 
 def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
@@ -156,6 +155,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     engine instead requires ``h - psi <= abs_tol``; the same absolute branch
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
+    An inner iteration applies ``M`` and ``M^T`` once each.
     """
     dp = _DualProblem(problem, query)
     tau = query.tau
@@ -187,7 +187,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                           inner_iters=iters, converged=branch)
 
     # evaluate the starting dual point (iterate 0)
-    psi_best, y_best = dp.psi(w)
+    psi_best, y_best, q = dp.psi(w)
     h_best = dp.h(y_best)
     w_best = w
     if inner_hook is not None:
@@ -217,16 +217,16 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     t = 1.0
     u = w.copy()
     w_prev = w.copy()
+    q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
     since_improve = 0
     for it in range(1, query.max_inner + 1):
-        z_u = dp.primal(u)
+        z_u = problem.f1.xi.prox(q_u, query.alpha)
         w_new = np.asarray(u + sigma * problem.f1.matvec(z_u), dtype=float)
-        parts = []
-        for blk, vi in zip(problem.f1.blocks, problem.f1.split(w_new)):
-            parts.append(conjugate_prox(blk.fn, vi, sigma))
-        w_new = np.concatenate(parts)
+        parts = [b.fn.conjugate_prox(vi, sigma)
+                 for b, vi in zip(problem.f1.blocks, problem.f1.split(w_new))]
+        w_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        psi_l, y_l = dp.psi(w_new)
+        psi_l, y_l, q_new = dp.psi(w_new)
         h_l = dp.h(y_l)
         if inner_hook is not None:
             inner_hook(it, h_l, psi_l)
@@ -246,8 +246,10 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
             return finish(y_best, h_best, psi_best, w_best, it, "abs")
 
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        u = w_new + ((t - 1.0) / t_new) * (w_new - w_prev)
-        w_prev = w_new
+        mom = (t - 1.0) / t_new
+        u = w_new + mom * (w_new - w_prev)
+        q_u = q_new + mom * (q_new - q_prev)
+        w_prev, q_prev = w_new, q_new
         t = t_new
 
     return finish(y_best, h_best, psi_best, w_best, query.max_inner, "maxiter")

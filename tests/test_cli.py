@@ -6,6 +6,9 @@ import pytest
 from inertiafb import cli
 from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
                            main, parse_overrides)
+from inertiafb.problem import (Block, CompositeProblem, DomainError,
+                               IdentityOp, L1Norm, SmoothOracle,
+                               StructuredConvexTerm, ZeroFunction)
 from inertiafb.trace import Trace, csv_equal_ignoring_time
 
 
@@ -88,6 +91,34 @@ class TestRunCommand:
         assert float(summary["rel_gap_final"]) == f_final + 1.0 > 0.0
         rows = Trace.read_csv(out / "trace.csv").rows
         assert rows[-1]["rel_gap"] == f_final + 1.0
+
+    def test_zero_f_star_is_config_error(self, tmp_path, capsys):
+        # relative gaps divide by |f_star|; this used to end in a
+        # ZeroDivisionError traceback after the solve
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "5",
+                       "--f_star", "0", "--out", str(out)) == 2
+        assert "f_star" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def grad(x):
+            raise DomainError("point outside the smooth domain")
+
+        def build(cfg):
+            n = 4
+            f0 = SmoothOracle(lambda x: 0.0, grad)
+            f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(1.0))],
+                                      xi=ZeroFunction(), n=n,
+                                      op_norm_sq_bound=1.0)
+            return CompositeProblem(f0, f1, n), np.ones(n), {}
+
+        monkeypatch.setattr(cli, "build_problem", build)
+        for solver in SOLVERS:
+            assert run_cli("run", "--solver", solver, "--max_outer", "5",
+                           "--out", str(tmp_path / solver)) == 3
+            err = capsys.readouterr().err
+            assert "solver failure" in err and "Traceback" not in err
 
     def test_determinism_byte_identical_traces(self, tmp_path):
         args = ("run", "--solver", "ipila-practical", "--max_outer", "30",
@@ -219,6 +250,19 @@ class TestCertifyCommand:
                        "--max_outer", "30", "--out", str(out)) == 0
         assert "# delta=0.29999999999999999" in (out / "trace.csv").read_text()
         assert "overall=pass" in (out / "report.txt").read_text()
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv")) == 0
+        assert "overall=pass" in capsys.readouterr().out
+
+    def test_converged_ipila_practical_passes_the_duality_guard(self, tmp_path,
+                                                              capsys):
+        # psi used to cancel two terms of order ||xbar||^2 / alpha at
+        # alpha ~ 6e-7, and the weak-duality guard stopped this run with
+        # exit 3 (psi=7.84e-09 > h=4.81e-15)
+        out = tmp_path / "run"
+        assert run_cli("run", "--problem", "synthetic-quadratic-l1",
+                       "--solver", "ipila-practical", "--delta", "0.3",
+                       "--max_outer", "100", "--out", str(out)) == 0
         capsys.readouterr()
         assert run_cli("certify", str(out / "trace.csv")) == 0
         assert "overall=pass" in capsys.readouterr().out

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from inertiafb import imaging
-from inertiafb.problem import (CompositeProblem, StructuredConvexTerm,
-                               ZeroFunction, adjoint_residual, check_gradient,
+from inertiafb.problem import (CompositeProblem, ProxFunction,
+                               StructuredConvexTerm, ZeroFunction,
+                               adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
-from inertiafb.prox_engine import conjugate_prox
 
 
 class TestConvOperator:
@@ -91,6 +91,33 @@ class TestTotalVariation:
         rng = np.random.default_rng(4)
         assert adjoint_residual(imaging.GradOp((7, 9)), rng) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 4)])
+    def test_gradient_matches_dense_matrix(self, shape):
+        h, w = shape
+        n = h * w
+        dense = np.zeros((2 * n, n))
+        for i in range(h):
+            for j in range(w):
+                col = dense[:, i * w + j]
+                # vertical difference x[i+1, j] - x[i, j] sits in row
+                # (i, j) of the first field, horizontal in the second
+                if i + 1 < h:
+                    col[i * w + j] -= 1.0
+                if i > 0:
+                    col[(i - 1) * w + j] += 1.0
+                if j + 1 < w:
+                    col[n + i * w + j] -= 1.0
+                if j > 0:
+                    col[n + i * w + j - 1] += 1.0
+        op = imaging.GradOp(shape)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(2 * n)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, rtol=0,
+                                   atol=1e-14)
+
     def test_operator_norm_bound(self):
         est = power_iteration_sq_norm(imaging.GradOp((16, 16)), iters=300)
         assert est <= 8.01
@@ -109,8 +136,23 @@ class TestTotalVariation:
 
     def test_conjugate_prox_is_ball_projection(self):
         # prox of the conjugate (ball indicator) projects (3, 4) to (0.6, 0.8)
-        got = conjugate_prox(imaging.GroupL2(1.0), np.array([3.0, 4.0]), 1.7)
+        got = imaging.GroupL2(1.0).conjugate_prox(np.array([3.0, 4.0]), 1.7)
         np.testing.assert_allclose(got, [0.6, 0.8])
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.7, 5.0])
+    def test_conjugate_prox_matches_moreau_formula(self, sigma):
+        g = imaging.GroupL2(0.4)
+        rng = np.random.default_rng(3)
+        v = np.concatenate([rng.standard_normal(50), np.zeros(2),
+                            0.1 * rng.standard_normal(48)])
+        v = np.concatenate([v, np.roll(v, 7)])
+        got = g.conjugate_prox(v, sigma)
+        moreau = ProxFunction.conjugate_prox(g, v, sigma)
+        np.testing.assert_allclose(got, moreau, rtol=0.0, atol=1e-14)
+        a, b = got.reshape(2, -1)
+        # pairs projected onto the sphere keep a few ulps of roundoff
+        assert np.max(np.hypot(a, b)) <= 0.4 * (1.0 + 1e-15)
+        assert g.conjugate(got) == 0.0
 
     def test_group_conjugate_ball_indicator(self):
         g = imaging.GroupL2(0.5)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inertiafb import imaging
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               NonnegIndicator, SmoothOracle,
+                               LinearOp, NonnegIndicator, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
-from inertiafb.prox_engine import (EngineError, ProxQuery, conjugate_prox,
-                                   dual_objective, eval_h, solve_inexact_prox,
-                                   theta_from_tau)
+from inertiafb.prox_engine import (EngineError, ProxQuery, dual_objective,
+                                   eval_h, solve_inexact_prox, theta_from_tau)
 from tests.conftest import quadratic_l1_problem, scalar_l1_problem
 
 
@@ -70,19 +70,19 @@ class TestEvalH:
 
 class TestConjugateProx:
     def test_abs_projects_onto_interval(self):
-        got = conjugate_prox(L1Norm(1.0), np.array([2.0]), 1.0)
+        got = L1Norm(1.0).conjugate_prox(np.array([2.0]), 1.0)
         assert got[0] == pytest.approx(1.0)
 
     def test_shifted_l1(self):
         # prox of sigma*g* with g(u)=|u-3|: projection of v - sigma*3
         fn = L1Norm(1.0, shift=np.array([3.0]))
-        got = conjugate_prox(fn, np.array([0.0]), 2.0)
+        got = fn.conjugate_prox(np.array([0.0]), 2.0)
         assert got[0] == pytest.approx(-1.0)
 
     def test_nonneg_cone(self):
         fn = NonnegIndicator()
         v = np.array([2.0, -3.0])
-        np.testing.assert_allclose(conjugate_prox(fn, v, 1.7),
+        np.testing.assert_allclose(fn.conjugate_prox(v, 1.7),
                                    np.minimum(v, 0.0))
 
     @given(st.floats(-5, 5), st.floats(0.1, 5.0))
@@ -90,7 +90,7 @@ class TestConjugateProx:
     def test_matches_brute_force(self, v, sigma):
         # minimize sigma*g*(w) + 0.5 (w - v)^2 for g = |.|:
         # g* = indicator of [-1,1], so the prox is clip(v, -1, 1)
-        got = conjugate_prox(L1Norm(1.0), np.array([v]), sigma)[0]
+        got = L1Norm(1.0).conjugate_prox(np.array([v]), sigma)[0]
         assert got == pytest.approx(np.clip(v, -1.0, 1.0), abs=1e-12)
 
 
@@ -244,3 +244,57 @@ class TestSolveInexactProx:
                       beta=0.0, tau=0.0)
         with pytest.raises(EngineError):
             solve_inexact_prox(p, q)
+
+
+class _CountingOp(LinearOp):
+    def __init__(self, op):
+        self.op = op
+        self.in_dim, self.out_dim = op.in_dim, op.out_dim
+        self.rmatvecs = 0
+
+    def matvec(self, x):
+        return self.op.matvec(x)
+
+    def rmatvec(self, y):
+        self.rmatvecs += 1
+        return self.op.rmatvec(y)
+
+
+def _tv_denoising_problem(shape=(16, 16), seed=0):
+    """f0 = 0.5||x - b||^2, f1 = 0.25 TV(x) + nonnegativity, counted M."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    b = rng.uniform(0.0, 4.0, n)
+    op = _CountingOp(imaging.GradOp(shape))
+    f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
+                      lambda x: x - b)
+    f1 = StructuredConvexTerm([Block(op, imaging.GroupL2(0.25))],
+                              xi=NonnegIndicator(), n=n, op_norm_sq_bound=8.0)
+    return CompositeProblem(f0, f1, n), op, rng
+
+
+class TestOneAdjointPerInnerIteration:
+    def test_rmatvec_calls_are_inner_iters_plus_one(self):
+        p, op, rng = _tv_denoising_problem()
+        w, total = None, 0
+        for _ in range(4):
+            x = rng.uniform(0.0, 4.0, p.n)
+            q = ProxQuery(x=x, s=rng.uniform(0.0, 4.0, p.n), alpha=0.8,
+                          beta=0.2, tau=0.01)
+            op.rmatvecs = 0
+            res = solve_inexact_prox(p, q, warm_start=w)
+            assert res.ok
+            assert op.rmatvecs == res.inner_iters + 1
+            w, total = res.w_tilde, total + res.inner_iters
+        assert total > 0
+
+    def test_certificate_is_evaluated_at_the_returned_dual_point(self):
+        p, _, rng = _tv_denoising_problem(seed=1)
+        x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
+        q = ProxQuery(x=x, s=s, alpha=0.6, beta=0.3, tau=0.01)
+        res = solve_inexact_prox(p, q)
+        assert res.converged == "gap" and res.inner_iters > 1
+        psi, cand = dual_objective(p, q, res.w_tilde)
+        assert psi == res.psi_value
+        np.testing.assert_array_equal(cand, res.y_tilde)
+        assert res.h_value == eval_h(p, x, s, 0.6, 0.3, res.y_tilde)
