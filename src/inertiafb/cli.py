@@ -160,7 +160,7 @@ def build_problem(cfg: dict):
         b = rng.standard_normal(n)
         lam = _f(cfg, "l1_weight")
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
-                          lambda x: x - b, lipschitz_hint=1.0)
+                          lambda x: x - b)
         f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(lam))],
                                   xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
         return CompositeProblem(f0, f1, n), np.zeros(n), {"b": b, "lam": lam}

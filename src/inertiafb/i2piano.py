@@ -96,6 +96,8 @@ class I2PianoState:
     L_k: float
     f_val: float
     phi_val: float
+    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
+    f1_val: float
     b_k: float = 0.0
     beta_k: float = 0.0
     alpha_k: float = 0.0
@@ -105,6 +107,7 @@ class I2PianoState:
     inner_iters: int = 0
     backtracks: int = 0
     warm_dual: Optional[np.ndarray] = None
+    warm_mtw: Optional[np.ndarray] = None
     prox_branch: str = ""
 
 
@@ -115,7 +118,8 @@ def initial_state(problem: CompositeProblem, x0: np.ndarray,
     if not np.isfinite(f0):
         raise ValueError("x0 must lie in dom(f1)")
     return I2PianoState(x_curr=x0, x_prev=x0.copy(), L_k=cfg.L0,
-                        f_val=f0, phi_val=f0)
+                        f_val=f0, phi_val=f0, f0_val=problem.f0.value(x0),
+                        f1_val=problem.f1.value(x0))
 
 
 def i2piano_step(problem: CompositeProblem, state: I2PianoState,
@@ -123,15 +127,17 @@ def i2piano_step(problem: CompositeProblem, state: I2PianoState,
     x = state.x_curr
     s = state.x_prev
     g = problem.f0.grad(x)
-    f0x = problem.f0.value(x)
+    f0x = state.f0_val
     L = state.L_k
     backtracks = 0
     inner_total = 0
     while True:
         b, beta, alpha = compute_params(L, cfg)
         query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
-                          max_inner=cfg.max_inner, abs_tol=cfg.abs_tol)
-        res = solve_inexact_prox(problem, query, warm_start=state.warm_dual)
+                          max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
+                          f0_x=f0x, f1_x=state.f1_val, grad_x=g)
+        res = solve_inexact_prox(problem, query, warm_start=state.warm_dual,
+                                 warm_mtw=state.warm_mtw)
         inner_total += res.inner_iters
         if not res.ok:
             raise SolverError("prox engine hit max_inner without certificate")
@@ -153,7 +159,7 @@ def i2piano_step(problem: CompositeProblem, state: I2PianoState,
     # leave it a hair positive, which would push d_k below sqrt(gamma)*step
     h_eff = min(res.h_value, 0.0)
     d_sq = cfg.gamma * step_prev_sq - (1.0 - cfg.omega) * h_eff
-    f_new = eval_f(problem, y)
+    f_new = f0y + res.f1_y
     phi_new = f_new + cfg.delta * float(np.dot(dx, dx))
     if cfg.check_invariants:
         bound = (state.phi_val - cfg.gamma * step_prev_sq
@@ -163,11 +169,12 @@ def i2piano_step(problem: CompositeProblem, state: I2PianoState,
                 f"merit descent inequality violated: {phi_new} > {bound}")
 
     return I2PianoState(x_curr=y, x_prev=x, L_k=L, f_val=f_new,
-                        phi_val=phi_new, b_k=b, beta_k=beta, alpha_k=alpha,
-                        h_val=res.h_value, psi_val=res.psi_value,
-                        d_k_sq=max(d_sq, 0.0), inner_iters=inner_total,
+                        phi_val=phi_new, f0_val=f0y, f1_val=res.f1_y, b_k=b,
+                        beta_k=beta, alpha_k=alpha, h_val=res.h_value,
+                        psi_val=res.psi_value, d_k_sq=max(d_sq, 0.0),
+                        inner_iters=inner_total,
                         backtracks=backtracks, warm_dual=res.w_tilde,
-                        prox_branch=res.converged)
+                        warm_mtw=res.mtw_tilde, prox_branch=res.converged)
 
 
 def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -197,14 +204,14 @@ def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
         new = i2piano_step(problem, state, cfg)
         streak = streak + 1 if new.backtracks == 0 else 0
         d_k = float(np.sqrt(new.d_k_sq))
+        step = float(np.linalg.norm(new.x_curr - new.x_prev))
         trace.append(
             k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
             h=new.h_val, delta_k=float("nan"), d_k=d_k, alpha_k=new.alpha_k,
             beta_k=new.beta_k, L_or_gamma=new.L_k, lambda_k=float("nan"),
             inner_iters=new.inner_iters, backtracks=new.backtracks,
             psi=new.psi_val,
-            x_step_norm=float(np.linalg.norm(new.x_curr - new.x_prev)),
-            y_step_norm=float(np.linalg.norm(new.x_curr - new.x_prev)),
+            x_step_norm=step, y_step_norm=step,
             prox_branch=new.prox_branch,
         )
         state = new

@@ -50,37 +50,41 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
     f_val = eval_f(problem, x)
     if not np.isfinite(f_val):
         raise ValueError("x0 must lie in dom(f1)")
+    f0x, f1x = problem.f0.value(x), problem.f1.value(x)
     L = cfg.L0
-    warm: Optional[np.ndarray] = None
+    warm = warm_mtw = None
     trace = Trace(meta={"solver": "iista", "L0": cfg.L0, "eta": cfg.eta,
                         "tau": cfg.tau, "stop_tol": cfg.stop_tol,
                         "f_init": f_val, "phi_init": f_val})
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
         g = problem.f0.grad(x)
-        f0x = problem.f0.value(x)
         backtracks = 0
         inner_total = 0
         while True:
             alpha = 1.0 / L
             query = ProxQuery(x=x, s=x, alpha=alpha, beta=0.0, tau=cfg.tau,
-                              max_inner=cfg.max_inner, abs_tol=cfg.abs_tol)
-            res = solve_inexact_prox(problem, query, warm_start=warm)
+                              max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
+                              f0_x=f0x, f1_x=f1x, grad_x=g)
+            res = solve_inexact_prox(problem, query, warm_start=warm,
+                                     warm_mtw=warm_mtw)
             inner_total += res.inner_iters
             if not res.ok:
                 raise SolverError("prox engine hit max_inner without certificate")
             y = res.y_tilde
             dx = y - x
             rhs = f0x + float(np.dot(g, dx)) + 0.5 * L * float(np.dot(dx, dx))
-            if problem.f0.value(y) <= rhs + 1e-12 * (1.0 + abs(f0x)):
+            f0y = problem.f0.value(y)
+            if f0y <= rhs + 1e-12 * (1.0 + abs(f0x)):
                 break
             L *= cfg.eta
             backtracks += 1
             if L > cfg.L_max * cfg.eta:
                 raise SolverError("descent test still failing at L_max")
         step = float(np.linalg.norm(dx))
-        f_val = eval_f(problem, y)
-        warm = res.w_tilde
+        f0x, f1x = f0y, res.f1_y
+        f_val = f0x + f1x
+        warm, warm_mtw = res.w_tilde, res.mtw_tilde
         trace.append(
             k=k, time_s=time.monotonic() - t0, f=f_val, phi=f_val,
             h=res.h_value, delta_k=float("nan"), d_k=step, alpha_k=alpha,

@@ -113,13 +113,16 @@ def compute_delta(h_val: float, gamma_k: float, x: np.ndarray,
 def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
                       phi0: float, d_x: np.ndarray, d_s: np.ndarray,
                       delta_k: float, sigma: float, ls_shrink: float,
-                      max_halvings: int):
+                      max_halvings: int, *, y: np.ndarray, f_y: float):
     """Largest ``lambda`` in the backtracking grid passing the Armijo test.
 
-    ``phi0`` is the merit value ``Phi(x, s)`` the caller already holds.
+    ``phi0`` is the merit value ``Phi(x, s)`` the caller already holds, and
+    ``f_y = f(y)`` its value at the prox point ``y``: the ``lambda = 1``
+    trial reuses ``f_y`` when ``x + d_x`` equals ``y`` bit for bit.
     Returns ``(lambda, new_x, new_s, evals)`` where ``evals`` counts merit
-    evaluations at trial points.  Termination is guaranteed for a genuine
-    descent direction, so exhausting ``max_halvings`` is a hard error.
+    evaluations at trial points, a reused one included.  Termination is
+    guaranteed for a genuine descent direction, so exhausting
+    ``max_halvings`` is a hard error.
     """
     if delta_k >= 0:
         raise SolverError("armijo_linesearch requires delta_k < 0")
@@ -129,7 +132,11 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
         xt = x + lam * d_x
         st = s + lam * d_s
         evals += 1
-        if phi_value(problem, xt, st) <= phi0 + sigma * lam * delta_k:
+        reuse = lam == 1.0 and xt.tobytes() == y.tobytes()
+        d = xt - st
+        phi_t = (f_y if reuse else eval_f(problem, xt)) \
+            + 0.5 * float(np.dot(d, d))
+        if phi_t <= phi0 + sigma * lam * delta_k:
             return lam, xt, st, evals
         lam *= ls_shrink
     raise SolverError("Armijo search exhausted max_halvings; gradient or "
@@ -143,6 +150,8 @@ class IPilaState:
     f_val: float
     phi_val: float
     L_k: float
+    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
+    f1_val: float
     delta_k: float = 0.0
     lambda_k: float = 1.0
     alpha_k: float = 0.0
@@ -155,6 +164,7 @@ class IPilaState:
     backtracks: int = 0
     y_tilde: Optional[np.ndarray] = None
     warm_dual: Optional[np.ndarray] = None
+    warm_mtw: Optional[np.ndarray] = None
     prox_branch: str = ""
     extras: dict = field(default_factory=dict)
 
@@ -168,7 +178,8 @@ def initial_state(problem: CompositeProblem, x0: np.ndarray,
         raise ValueError("x0 must lie in dom(f1)")
     d = x0 - s0
     return IPilaState(x_curr=x0, s_curr=s0, f_val=f0,
-                      phi_val=f0 + 0.5 * float(np.dot(d, d)), L_k=cfg.L0)
+                      phi_val=f0 + 0.5 * float(np.dot(d, d)), L_k=cfg.L0,
+                      f0_val=problem.f0.value(x0), f1_val=problem.f1.value(x0))
 
 
 def _practical_params(L_k: float, cfg: IPilaConfig):
@@ -207,8 +218,11 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     gamma_k = cfg.gamma_min
 
     query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
-                      max_inner=cfg.max_inner, abs_tol=cfg.abs_tol)
-    res = engine(problem, query, warm_start=state.warm_dual)
+                      max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
+                      f0_x=state.f0_val, f1_x=state.f1_val,
+                      grad_x=problem.f0.grad(x))
+    res = engine(problem, query, warm_start=state.warm_dual,
+                 warm_mtw=state.warm_mtw)
     if not res.ok:
         raise SolverError("prox engine hit max_inner without certificate")
     y = res.y_tilde
@@ -219,10 +233,12 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
             h_val = 0.0
     delta_k = compute_delta(h_val, gamma_k, x, s)
 
-    common = dict(f_val=state.f_val, L_k=state.L_k, alpha_k=alpha,
+    common = dict(f_val=state.f_val, f0_val=state.f0_val,
+                  f1_val=state.f1_val, L_k=state.L_k, alpha_k=alpha,
                   beta_k=beta, gamma_k=gamma_k, h_val=h_val,
                   psi_val=res.psi_value, inner_iters=res.inner_iters,
-                  y_tilde=y, warm_dual=res.w_tilde, prox_branch=res.converged)
+                  y_tilde=y, warm_dual=res.w_tilde, warm_mtw=res.mtw_tilde,
+                  prox_branch=res.converged)
 
     if delta_k == 0.0:
         return IPilaState(x_curr=x, s_curr=s, phi_val=state.phi_val,
@@ -232,7 +248,9 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     y_step = y - x
     y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(x - s, x - s))
-    f_y = eval_f(problem, y)
+    f0_y = problem.f0.value(y)
+    f_y = f0_y + res.f1_y
+    at_y = dict(f_val=f_y, f0_val=f0_y, f1_val=res.f1_y)
     phi_yx = f_y + 0.5 * y_step_sq
 
     L_next = state.L_k
@@ -247,29 +265,30 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
             return IPilaState(x_curr=y, s_curr=x,
                               phi_val=phi_yx, delta_k=delta_k, lambda_k=1.0,
                               accepted_branch="inertial", backtracks=0,
-                              **{**common, "f_val": f_y})
+                              **{**common, **at_y})
         L_next = state.L_k * cfg.eta
 
     d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
     lam, ls_x, ls_s, evals = armijo_linesearch(
         problem, x, s, state.phi_val, d_x, d_s, delta_k, cfg.sigma,
-        cfg.ls_shrink, cfg.max_halvings)
+        cfg.ls_shrink, cfg.max_halvings, y=y, f_y=f_y)
 
     if phi_yx <= state.phi_val + cfg.sigma * lam * delta_k:
         new_x, new_s, branch = y, x, "inertial"
-        f_new, phi_new = f_y, phi_yx
+        common.update(at_y)
+        phi_new = phi_yx
     else:
         new_x, new_s, branch = ls_x, ls_s, "linesearch"
-        f_new = eval_f(problem, new_x)
+        f0_new, f1_new = problem.f0.value(new_x), problem.f1.value(new_x)
+        common.update(f_val=f0_new + f1_new, f0_val=f0_new, f1_val=f1_new)
         d = new_x - new_s
-        phi_new = f_new + 0.5 * float(np.dot(d, d))
+        phi_new = common["f_val"] + 0.5 * float(np.dot(d, d))
 
     if cfg.check_invariants:
         _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
                                y_step_sq, anchor_sq, d_x, d_s, phi_new, lam)
 
     common["L_k"] = L_next
-    common["f_val"] = f_new
     return IPilaState(x_curr=new_x, s_curr=new_s, phi_val=phi_new,
                       delta_k=delta_k, lambda_k=lam, accepted_branch=branch,
                       backtracks=evals - 1, **common)

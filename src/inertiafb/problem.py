@@ -33,54 +33,26 @@ class SolverError(RuntimeError):
 class SmoothOracle:
     """Value/gradient oracle for the smooth term.
 
+    Nothing is memoized: the solvers carry f0 and its gradient at the
+    current point themselves.
+
     Parameters
     ----------
     value_fn, grad_fn : callable
         Evaluate f0 and its gradient at a flat float64 array.
-    lipschitz_hint : float, optional
-        A priori Lipschitz constant of the gradient, if known.
     """
 
     def __init__(self, value_fn: Callable[[np.ndarray], float],
-                 grad_fn: Callable[[np.ndarray], np.ndarray],
-                 lipschitz_hint: Optional[float] = None):
+                 grad_fn: Callable[[np.ndarray], np.ndarray]):
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self.lipschitz_hint = lipschitz_hint
-        # solvers evaluate value and gradient repeatedly at the same point
-        # (descent tests, merit values, subproblem setup); memoize the last
-        # few points to avoid recomputing expensive oracles
-        self._value_cache: list = []
-        self._grad_cache: list = []
-
-    @staticmethod
-    def _lookup(cache: list, key: bytes):
-        for k, v in cache:
-            if k == key:
-                return v
-        return None
-
-    @staticmethod
-    def _store(cache: list, key: bytes, val, depth: int = 3):
-        cache.append((key, val))
-        if len(cache) > depth:
-            cache.pop(0)
 
     def value(self, x: np.ndarray) -> float:
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._lookup(self._value_cache, key)
-        if hit is None:
-            hit = float(self._value_fn(x))
-            self._store(self._value_cache, key, hit)
-        return hit
+        return float(self._value_fn(x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._lookup(self._grad_cache, key)
-        if hit is None:
-            hit = np.asarray(self._grad_fn(x), dtype=float)
-            self._store(self._grad_cache, key, hit)
-        return hit.copy()
+        """A fresh array, even when ``grad_fn`` returns its input or a view."""
+        return np.array(self._grad_fn(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ free of the cancellation in ``(||xbar||^2 - ||q||^2) / (2 alpha)`` at small
 alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
 ``M^T w`` per dual iterate, and only FISTA's extrapolated point takes its q
 from the last two iterates by linearity.
+Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query; the
+result returns ``f1(y_tilde)`` and ``M^T w_tilde``, which the next warm
+start reuses for iterate 0 (``M^T w`` does not depend on the query).
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class ProxQuery:
     tau: float
     max_inner: int = 2000
     abs_tol: Optional[float] = None
+    # f0(x), f1(x) and grad f0(x); the engine evaluates whichever is None
+    f0_x: Optional[float] = None
+    f1_x: Optional[float] = None
+    grad_x: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -73,6 +80,8 @@ class ProxResult:
     w_tilde: np.ndarray
     inner_iters: int
     converged: str  # "gap" | "abs" | "maxiter"
+    f1_y: float  # f1(y_tilde)
+    mtw_tilde: np.ndarray  # M^T w_tilde, the next call's warm_mtw
 
     @property
     def ok(self) -> bool:
@@ -97,30 +106,32 @@ class _DualProblem:
     """Quantities of one subproblem instance, shared across inner iterates."""
 
     def __init__(self, problem: CompositeProblem, query: ProxQuery):
-        self.problem = problem
         self.f1 = problem.f1
         self.alpha = query.alpha
         x, s = query.x, query.s
-        f1x = self.f1.value(x)
+        f1x = self.f1.value(x) if query.f1_x is None else query.f1_x
         if not np.isfinite(f1x):
             raise EngineError("prox query with x outside dom(f1)")
+        g = problem.f0.grad(x) if query.grad_x is None else query.grad_x
+        self.f0x = problem.f0.value(x) if query.f0_x is None else query.f0_x
         self.f1x = f1x
         self.x = x
-        self.v = problem.f0.grad(x) - (query.beta / query.alpha) * (x - s)
+        self.v = g - (query.beta / query.alpha) * (x - s)
         self.xbar = x - self.alpha * self.v
         self.c = -0.5 * self.alpha * float(np.dot(self.v, self.v)) - f1x
 
-    def h(self, y: np.ndarray) -> float:
+    def h(self, y: np.ndarray):
+        """``(h(y), f1(y))``."""
         f1y = self.f1.value(y)
         if not np.isfinite(f1y):
-            return np.inf
+            return np.inf, f1y
         d = y - self.x
         return float(f1y - self.f1x + np.dot(self.v, d)
-                     + np.dot(d, d) / (2.0 * self.alpha))
+                     + np.dot(d, d) / (2.0 * self.alpha)), f1y
 
-    def psi(self, w: np.ndarray):
-        """``(psi(w), z, q)``: q = xbar - alpha M^T w, z = prox(q)."""
-        mtw = self.f1.rmatvec(w)
+    def psi(self, w: np.ndarray, mtw: np.ndarray):
+        """``(psi(w), z, q)`` given ``mtw = M^T w``: q = xbar - alpha mtw,
+        z = prox(q)."""
         q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
         conj = self.f1.conjugate_sum(w)
@@ -139,12 +150,14 @@ def dual_objective(problem: CompositeProblem, query: ProxQuery,
     Returns ``(psi, primal_candidate)``; ``psi`` is ``-inf`` when ``w`` is
     outside the dual domain (some conjugate value is infinite).
     """
-    psi, z, _ = _DualProblem(problem, query).psi(np.asarray(w, dtype=float))
+    w = np.asarray(w, dtype=float)
+    psi, z, _ = _DualProblem(problem, query).psi(w, problem.f1.rmatvec(w))
     return psi, z
 
 
 def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                        warm_start: Optional[np.ndarray] = None,
+                       warm_mtw: Optional[np.ndarray] = None,
                        inner_hook: Optional[Callable[[int, float, float], None]] = None,
                        ) -> ProxResult:
     """Compute an inexact inertial proximal point with a gap certificate.
@@ -155,21 +168,23 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     engine instead requires ``h - psi <= abs_tol``; the same absolute branch
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
-    An inner iteration applies ``M`` and ``M^T`` once each.
+    An inner iteration applies ``M`` and ``M^T`` once each; iterate 0
+    applies ``M^T`` only when no ``warm_mtw = M^T warm_start`` is given.
     """
     dp = _DualProblem(problem, query)
     tau = query.tau
     eta_gap = 2.0 / (2.0 + tau)
     abs_tol = query.abs_tol
     if abs_tol is None:
-        fx = problem.f0.value(query.x) + dp.f1x
+        fx = dp.f0x + dp.f1x
         abs_tol = 1e-12 * (1.0 + abs(fx))
 
     m = problem.f1.dual_dim
     if warm_start is not None and warm_start.shape == (m,):
         w = np.array(warm_start, dtype=float)
     else:
-        w = np.zeros(m)
+        w, warm_mtw = np.zeros(m), None
+    mtw = problem.f1.rmatvec(w) if warm_mtw is None else warm_mtw
 
     # psi is a sum of terms on the scale of |c| and |f1(x)|, so its
     # cancellation noise is relative to that scale, not to |h|
@@ -180,16 +195,17 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
             raise EngineError(
                 f"weak duality violated: psi={psi_val!r} > h={h_val!r}")
 
-    def finish(y, h_val, psi_val, w_val, iters, branch):
-        eps = -(tau / 2.0) * h_val
-        return ProxResult(y_tilde=y, h_value=h_val, psi_value=psi_val,
-                          epsilon=max(eps, 0.0), w_tilde=w_val,
-                          inner_iters=iters, converged=branch)
+    def finish(iters, branch):
+        eps = -(tau / 2.0) * h_best
+        return ProxResult(y_tilde=y_best, h_value=h_best, psi_value=psi_best,
+                          epsilon=max(eps, 0.0), w_tilde=w_best,
+                          inner_iters=iters, converged=branch, f1_y=f1_best,
+                          mtw_tilde=mtw_best)
 
     # evaluate the starting dual point (iterate 0)
-    psi_best, y_best, q = dp.psi(w)
-    h_best = dp.h(y_best)
-    w_best = w
+    psi_best, y_best, q = dp.psi(w, mtw)
+    h_best, f1_best = dp.h(y_best)
+    w_best, mtw_best = w, mtw
     if inner_hook is not None:
         inner_hook(0, h_best, psi_best)
     duality_guard(h_best, psi_best)
@@ -207,7 +223,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     branch = stop_branch(h_best, psi_best)
     if branch or m == 0:
         # m == 0 means the primal candidate is the exact prox point
-        return finish(y_best, h_best, psi_best, w_best, 0, branch or "gap")
+        return finish(0, branch or "gap")
 
     # FISTA on -psi
     bound = problem.f1.op_norm_sq_bound
@@ -226,24 +242,26 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                  for b, vi in zip(problem.f1.blocks, problem.f1.split(w_new))]
         w_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        psi_l, y_l, q_new = dp.psi(w_new)
-        h_l = dp.h(y_l)
+        mtw_new = problem.f1.rmatvec(w_new)
+        psi_l, y_l, q_new = dp.psi(w_new, mtw_new)
+        h_l, f1_l = dp.h(y_l)
         if inner_hook is not None:
             inner_hook(it, h_l, psi_l)
         duality_guard(h_l, psi_l)
         if psi_l > psi_best:
-            psi_best, y_best, h_best, w_best = psi_l, y_l, h_l, w_new
+            psi_best, y_best, h_best, f1_best = psi_l, y_l, h_l, f1_l
+            w_best, mtw_best = w_new, mtw_new
             since_improve = 0
         else:
             since_improve += 1
         branch = stop_branch(h_best, psi_best)
         if branch:
-            return finish(y_best, h_best, psi_best, w_best, it, branch)
+            return finish(it, branch)
         # cancellation noise can pin the computed psi strictly below a
         # numerically stationary h ~ 0, leaving both tests unreachable;
         # a stalled dual with |h| <= abs_tol is accepted as stationary
         if since_improve >= 50 and abs(h_best) <= abs_tol:
-            return finish(y_best, h_best, psi_best, w_best, it, "abs")
+            return finish(it, "abs")
 
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
@@ -252,4 +270,4 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         w_prev, q_prev = w_new, q_new
         t = t_new
 
-    return finish(y_best, h_best, psi_best, w_best, query.max_inner, "maxiter")
+    return finish(query.max_inner, "maxiter")

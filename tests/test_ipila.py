@@ -5,7 +5,7 @@ from inertiafb.ipila import (IPilaConfig, SolverError, armijo_linesearch,
                              compute_delta, descent_direction, initial_state,
                              ipila_solve, ipila_step, phi_value)
 from inertiafb.problem import (CompositeProblem, SmoothOracle,
-                               StructuredConvexTerm, ZeroFunction)
+                               StructuredConvexTerm, ZeroFunction, eval_f)
 from tests.conftest import quadratic_l1_problem, smooth_only_problem
 
 
@@ -59,7 +59,8 @@ class TestArmijo:
         delta = compute_delta(h, 1e-5, x, s)
         dx, ds = descent_direction(x, s, y, 0.1, 0.0, 1e-5)
         lam, nx, ns, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
-                                               dx, ds, delta, 1e-4, 0.5, 60)
+                                               dx, ds, delta, 1e-4, 0.5, 60,
+                                               y=y, f_y=eval_f(p, y))
         assert lam == 1.0
         assert evals == 1
 
@@ -79,15 +80,34 @@ class TestArmijo:
         dx, ds = descent_direction(x, s, y, alpha, 0.0, 1e-5)
         assert phi_value(p, x + dx, s + ds) > phi_value(p, x, s) + 0.25 * delta
         lam, _, _, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
-                                             dx, ds, delta, 0.25, 0.5, 60)
+                                             dx, ds, delta, 0.25, 0.5, 60,
+                                             y=y, f_y=eval_f(p, y))
         assert lam == 0.5
         assert evals == 2
+
+    def test_unit_trial_reuses_f_y_only_at_the_same_bits(self):
+        calls = []
+        f0 = SmoothOracle(lambda x: (calls.append(1), 0.5 * float(x @ x))[1],
+                          lambda x: x)
+        p = CompositeProblem(f0, StructuredConvexTerm([], xi=ZeroFunction(),
+                                                      n=1), 1)
+        x = np.array([1.0])
+        d = np.array([-0.1])
+        phi0, f_y = phi_value(p, x, x), eval_f(p, x + d)
+        for y, f0_calls in ((x + d, 0), (np.nextafter(x + d, 2.0), 1)):
+            calls.clear()
+            lam, _, _, evals = armijo_linesearch(
+                p, x, x, phi0, d, np.zeros(1), -1e-3, 1e-4, 0.5, 60,
+                y=y, f_y=f_y)
+            assert (lam, evals) == (1.0, 1)
+            assert len(calls) == f0_calls
 
     def test_nonnegative_delta_rejected(self):
         p = smooth_only_problem(n=1)
         with pytest.raises(SolverError):
             armijo_linesearch(p, np.zeros(1), np.zeros(1), 0.0, np.zeros(1),
-                              np.zeros(1), 0.0, 1e-4, 0.5, 60)
+                              np.zeros(1), 0.0, 1e-4, 0.5, 60,
+                              y=np.zeros(1), f_y=eval_f(p, np.zeros(1)))
 
     def test_exhaustion_is_hard_error(self):
         # ascent direction with a fake negative delta can never pass
@@ -96,7 +116,7 @@ class TestArmijo:
         d = np.array([10.0])
         with pytest.raises(SolverError):
             armijo_linesearch(p, x, x, phi_value(p, x, x), d, d, -1e-12,
-                              0.9, 0.5, 20)
+                              0.9, 0.5, 20, y=x + d, f_y=eval_f(p, x + d))
 
 
 class TestStep:

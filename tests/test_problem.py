@@ -1,13 +1,19 @@
+import collections
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inertiafb import i2piano, iista, ipila
+from inertiafb.cli import DEFAULTS, SOLVERS, build_problem, run_solver
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                MatrixOp, NonnegIndicator, NonposIndicator,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction, adjoint_residual, check_gradient,
                                eval_f, power_iteration_sq_norm)
+from inertiafb.prox_engine import solve_inexact_prox
 from tests.conftest import quadratic_l1_problem, smooth_only_problem
 
 
@@ -183,14 +189,102 @@ class TestCheckGradient:
         assert rep.max_rel_error > 1e-2
 
 
-class TestSmoothOracleCache:
-    def test_cache_returns_fresh_copies(self):
+class TestSmoothOracle:
+    def test_grad_returns_fresh_arrays(self):
         calls = []
-        f0 = SmoothOracle(lambda x: 0.0,
-                          lambda x: (calls.append(1), np.array(x))[1])
         x = np.array([1.0, 2.0])
+        f0 = SmoothOracle(lambda x: 0.0,
+                          lambda x: (calls.append(1), x)[1])
         g1 = f0.grad(x)
         g1[0] = 99.0
         g2 = f0.grad(x)
-        assert g2[0] == 1.0
-        assert len(calls) == 1
+        assert g2[0] == 1.0 and x[0] == 1.0
+        assert len(calls) == 2
+
+
+def _counted(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestOneEvaluationPerPoint:
+    """The solvers evaluate f0, grad f0, f1 and M^T once per point.
+
+    Counting wrappers sit on ``f0.value``, ``f0.grad``, ``f1.value`` and the
+    block operator's ``rmatvec`` of a 16x16 impulse-l1 problem; every prox
+    call checks its own counts and compares the values it was handed and
+    returned with fresh, uncounted evaluations.
+    """
+
+    @pytest.mark.parametrize("tau", ["1e6", "1.0"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_counts_and_carried_values(self, monkeypatch, solver, tau):
+        cfg = dict(DEFAULTS, problem="impulse-l1", size="16", tau=tau,
+                   solver=solver, max_outer="15")
+        p, x0, _ = build_problem(cfg)
+        op = p.f1.blocks[0].op
+        fresh = dict(f0=p.f0.value, grad=p.f0.grad, f1=p.f1.value,
+                     rmatvec=op.rmatvec)
+        counts = collections.Counter()
+        p.f0.value = _counted(counts, "f0", p.f0.value)
+        p.f0.grad = _counted(counts, "grad", p.f0.grad)
+        p.f1.value = _counted(counts, "f1", p.f1.value)
+        op.rmatvec = _counted(counts, "rmatvec", op.rmatvec)
+        monkeypatch.setattr(ipila, "eval_f",
+                            _counted(counts, "eval_f", ipila.eval_f))
+
+        cold_calls = []
+
+        def engine(problem, query, warm_start=None, warm_mtw=None):
+            before = counts.copy()
+            res = solve_inexact_prox(problem, query, warm_start=warm_start,
+                                     warm_mtw=warm_mtw)
+            cold = warm_start is None
+            cold_calls.append(cold)
+            assert counts["f1"] - before["f1"] == 1 + res.inner_iters
+            assert counts["rmatvec"] - before["rmatvec"] \
+                == res.inner_iters + cold
+            assert counts["f0"] == before["f0"]
+            assert counts["grad"] == before["grad"]
+            assert query.f0_x == fresh["f0"](query.x)
+            assert query.f1_x == fresh["f1"](query.x)
+            np.testing.assert_array_equal(query.grad_x, fresh["grad"](query.x))
+            assert res.f1_y == fresh["f1"](res.y_tilde)
+            np.testing.assert_array_equal(res.mtw_tilde,
+                                          fresh["rmatvec"](res.w_tilde))
+            return res
+
+        for mod in (i2piano, iista):
+            monkeypatch.setattr(mod, "solve_inexact_prox", engine)
+        monkeypatch.setattr(ipila, "ipila_step",
+                            functools.partial(ipila.ipila_step, engine=engine))
+        tr = run_solver(p, x0, cfg)
+
+        rows = tr.rows
+        backtracks = sum(r["backtracks"] for r in rows)
+        if tau == "1.0":  # the per-inner-iteration counts are exercised
+            assert sum(r["inner_iters"] for r in rows) > 0
+        assert counts["grad"] == len(rows)
+        # the initial state evaluates f0 twice: once in eval_f for f(x0)
+        # and once for the carried f0(x0)
+        if solver.startswith("ipila"):
+            branches = collections.Counter(r["accepted_branch"]
+                                           for r in rows)
+            # one f0 at y per moving step, one at an accepted line-search
+            # point; eval_f counts the initial state and the Armijo trials
+            # that could not reuse f(y)
+            assert counts["f0"] == (1 + counts["eval_f"] + len(rows)
+                                    - branches["stationary"]
+                                    + branches["linesearch"])
+            assert len(cold_calls) == len(rows)
+            first_calls = 1
+        else:
+            assert counts["f0"] == 2 + len(rows) + backtracks
+            assert len(cold_calls) == len(rows) + backtracks
+            first_calls = 1 + rows[0]["backtracks"]
+        assert cold_calls == [True] * first_calls \
+            + [False] * (len(cold_calls) - first_calls)
+        x = tr.x_final
+        assert tr.meta["f_final"] == fresh["f0"](x) + fresh["f1"](x)
