@@ -98,7 +98,7 @@ class I2PianoState:
     phi_val: float
     f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
     f1_val: float
-    b_k: float = 0.0
+    f0_fwd: object = None  # problem.f0.forward(x_curr)
     beta_k: float = 0.0
     alpha_k: float = 0.0
     h_val: float = 0.0
@@ -117,22 +117,23 @@ def initial_state(problem: CompositeProblem, x0: np.ndarray,
     f0 = eval_f(problem, x0)
     if not np.isfinite(f0):
         raise ValueError("x0 must lie in dom(f1)")
-    return I2PianoState(x_curr=x0, x_prev=x0.copy(), L_k=cfg.L0,
-                        f_val=f0, phi_val=f0, f0_val=problem.f0.value(x0),
-                        f1_val=problem.f1.value(x0))
+    fwd = problem.f0.forward(x0)
+    return I2PianoState(x_curr=x0, x_prev=x0.copy(), L_k=cfg.L0, f_val=f0,
+                        phi_val=f0, f0_val=problem.f0.value(x0, fwd),
+                        f1_val=problem.f1.value(x0), f0_fwd=fwd)
 
 
 def i2piano_step(problem: CompositeProblem, state: I2PianoState,
                  cfg: I2PianoConfig) -> I2PianoState:
     x = state.x_curr
     s = state.x_prev
-    g = problem.f0.grad(x)
+    g = problem.f0.grad(x, state.f0_fwd)
     f0x = state.f0_val
     L = state.L_k
     backtracks = 0
     inner_total = 0
     while True:
-        b, beta, alpha = compute_params(L, cfg)
+        _, beta, alpha = compute_params(L, cfg)
         query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
                           max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
                           f0_x=f0x, f1_x=state.f1_val, grad_x=g)
@@ -143,7 +144,8 @@ def i2piano_step(problem: CompositeProblem, state: I2PianoState,
             raise SolverError("prox engine hit max_inner without certificate")
         y = res.y_tilde
         dx = y - x
-        f0y = problem.f0.value(y)
+        fwd_y = problem.f0.forward(y)
+        f0y = problem.f0.value(y, fwd_y)
         descent_rhs = (f0x + float(np.dot(g, dx))
                        + 0.5 * L * float(np.dot(dx, dx)))
         if f0y <= descent_rhs + 1e-12 * (1.0 + abs(f0x)):
@@ -169,10 +171,10 @@ def i2piano_step(problem: CompositeProblem, state: I2PianoState,
                 f"merit descent inequality violated: {phi_new} > {bound}")
 
     return I2PianoState(x_curr=y, x_prev=x, L_k=L, f_val=f_new,
-                        phi_val=phi_new, f0_val=f0y, f1_val=res.f1_y, b_k=b,
-                        beta_k=beta, alpha_k=alpha, h_val=res.h_value,
-                        psi_val=res.psi_value, d_k_sq=max(d_sq, 0.0),
-                        inner_iters=inner_total,
+                        phi_val=phi_new, f0_val=f0y, f1_val=res.f1_y,
+                        f0_fwd=fwd_y, beta_k=beta, alpha_k=alpha,
+                        h_val=res.h_value, psi_val=res.psi_value,
+                        d_k_sq=max(d_sq, 0.0), inner_iters=inner_total,
                         backtracks=backtracks, warm_dual=res.w_tilde,
                         warm_mtw=res.mtw_tilde, prox_branch=res.converged)
 

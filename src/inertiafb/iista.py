@@ -50,7 +50,8 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
     f_val = eval_f(problem, x)
     if not np.isfinite(f_val):
         raise ValueError("x0 must lie in dom(f1)")
-    f0x, f1x = problem.f0.value(x), problem.f1.value(x)
+    fwd = problem.f0.forward(x)
+    f0x, f1x = problem.f0.value(x, fwd), problem.f1.value(x)
     L = cfg.L0
     warm = warm_mtw = None
     trace = Trace(meta={"solver": "iista", "L0": cfg.L0, "eta": cfg.eta,
@@ -58,7 +59,7 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
                         "f_init": f_val, "phi_init": f_val})
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
-        g = problem.f0.grad(x)
+        g = problem.f0.grad(x, fwd)
         backtracks = 0
         inner_total = 0
         while True:
@@ -74,7 +75,8 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
             y = res.y_tilde
             dx = y - x
             rhs = f0x + float(np.dot(g, dx)) + 0.5 * L * float(np.dot(dx, dx))
-            f0y = problem.f0.value(y)
+            fwd_y = problem.f0.forward(y)
+            f0y = problem.f0.value(y, fwd_y)
             if f0y <= rhs + 1e-12 * (1.0 + abs(f0x)):
                 break
             L *= cfg.eta
@@ -82,7 +84,7 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
             if L > cfg.L_max * cfg.eta:
                 raise SolverError("descent test still failing at L_max")
         step = float(np.linalg.norm(dx))
-        f0x, f1x = f0y, res.f1_y
+        f0x, f1x, fwd = f0y, res.f1_y, fwd_y
         f_val = f0x + f1x
         warm, warm_mtw = res.w_tilde, res.mtw_tilde
         trace.append(

@@ -223,8 +223,11 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     """Smooth edge-preserving regularizer ``rho sum_l w_l sum_i
     log(1 + (K_l x)_i^2)`` over a filter bank.
 
-    One mirror pad and one ``(filters, taps) @ (taps, pixels)`` product give
-    every filter response; the gradient folds one scatter-added adjoint.
+    The forward pass gathers the mirror-padded ``(taps, pixels)`` columns by
+    precomputed indices, and one ``(filters, taps) @ (taps, pixels)`` product
+    gives every filter response; the gradient folds one scatter-added
+    adjoint.  Value and gradient write their large temporaries into the
+    oracle's own workspace, so one instance must not run concurrently.
     """
     op = ConvOperator(bank.filters[0][0], shape)  # validates the kernel size
     h, w = op.shape
@@ -233,28 +236,35 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
                      for k, _ in bank.filters])
     wts = np.array([wt for _, wt in bank.filters], dtype=float)
     pads = ((op._ph, op._ph), (op._pw, op._pw))
+    # row t: flat pixel indices of tap t's window on the mirror-padded image
+    idx = np.pad(np.arange(h * w).reshape(h, w), pads, mode="reflect")
+    idx = sliding_window_view(idx, (h, w)).reshape(kh * kw, h * w)
     rho = bank.rho
+    cols = np.empty(idx.shape)
+    ws, ws2 = np.empty((2, len(kmat), h * w))
 
-    def responses(x):
-        pad = np.pad(np.asarray(x, dtype=float).reshape(h, w), pads,
-                     mode="reflect")
-        cols = sliding_window_view(pad, (h, w)).reshape(kh * kw, h * w)
+    def forward(x):
+        # indices are in range; take buffers out= only in its default mode
+        np.take(np.asarray(x, dtype=float), idx, out=cols, mode="clip")
         return kmat @ cols
 
-    def value(x):
-        u = responses(x)
-        return rho * float(wts @ np.log1p(u * u).sum(axis=1))
+    def value(u):
+        np.log1p(np.multiply(u, u, out=ws), out=ws)
+        return rho * float(wts @ ws.sum(axis=1))
 
-    def grad(x):
-        u = responses(x)
-        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
+    def grad(u):
+        # wts * (2 u / (1 + u u)) in that operation order, so the bits match
+        den = np.add(1.0, np.multiply(u, u, out=ws), out=ws)
+        num = np.multiply(2.0, u, out=ws2)
+        np.multiply(wts[:, None], np.divide(num, den, out=num), out=num)
+        taps = np.matmul(kmat.T, num, out=cols)
         full = np.zeros((h + kh - 1, w + kw - 1))
         for t, row in enumerate(taps):
             i, j = divmod(t, kw)
             full[i:i + h, j:j + w] += row.reshape(h, w)
         return rho * op._fold2d(full)
 
-    return SmoothOracle(value, grad)
+    return SmoothOracle(value, grad, forward)
 
 
 def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a=0.01,
@@ -263,7 +273,7 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a=0.01,
     ``1/2 sum ((Hx)_i - g_i)^2 / (a_i (Hx)_i + c_i) + log(a_i (Hx)_i + c_i)``.
 
     Defined on the open set where every denominator is positive; the value is
-    ``+inf`` outside it and the gradient raises there.
+    ``+inf`` outside it and the gradient raises there; forward pass ``H x``.
     """
     g = np.asarray(g, dtype=float).ravel()
     a = np.broadcast_to(np.asarray(a, dtype=float).ravel(), g.shape).copy()
@@ -271,16 +281,14 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a=0.01,
     if np.any(a <= 0) or np.any(c <= 0):
         raise ValueError("a and c must be positive")
 
-    def value(x):
-        t = H.matvec(x)
+    def value(t):
         den = a * t + c
         if np.min(den) <= 0:
             return np.inf
         r = t - g
         return float(0.5 * np.sum(r * r / den) + np.sum(np.log(den)))
 
-    def grad(x):
-        t = H.matvec(x)
+    def grad(t):
         den = a * t + c
         if np.min(den) <= 0:
             raise DomainError("point outside the open domain of the fidelity")
@@ -288,7 +296,8 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a=0.01,
         dt = r / den - 0.5 * a * r * r / (den * den) + a / den
         return H.rmatvec(dt)
 
-    return SmoothOracle(value, grad)
+    # looked up per call, so wrappers on ConvOperator.matvec see it
+    return SmoothOracle(value, grad, lambda x: H.matvec(x))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ that test fails (without recomputing ``y`` in the same iteration).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,6 +152,7 @@ class IPilaState:
     L_k: float
     f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
     f1_val: float
+    f0_fwd: object = None  # problem.f0.forward(x_curr)
     delta_k: float = 0.0
     lambda_k: float = 1.0
     alpha_k: float = 0.0
@@ -166,7 +167,6 @@ class IPilaState:
     warm_dual: Optional[np.ndarray] = None
     warm_mtw: Optional[np.ndarray] = None
     prox_branch: str = ""
-    extras: dict = field(default_factory=dict)
 
 
 def initial_state(problem: CompositeProblem, x0: np.ndarray,
@@ -177,9 +177,11 @@ def initial_state(problem: CompositeProblem, x0: np.ndarray,
     if not np.isfinite(f0):
         raise ValueError("x0 must lie in dom(f1)")
     d = x0 - s0
+    fwd = problem.f0.forward(x0)
     return IPilaState(x_curr=x0, s_curr=s0, f_val=f0,
                       phi_val=f0 + 0.5 * float(np.dot(d, d)), L_k=cfg.L0,
-                      f0_val=problem.f0.value(x0), f1_val=problem.f1.value(x0))
+                      f0_val=problem.f0.value(x0, fwd),
+                      f1_val=problem.f1.value(x0), f0_fwd=fwd)
 
 
 def _practical_params(L_k: float, cfg: IPilaConfig):
@@ -220,7 +222,7 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
                       max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
                       f0_x=state.f0_val, f1_x=state.f1_val,
-                      grad_x=problem.f0.grad(x))
+                      grad_x=problem.f0.grad(x, state.f0_fwd))
     res = engine(problem, query, warm_start=state.warm_dual,
                  warm_mtw=state.warm_mtw)
     if not res.ok:
@@ -234,8 +236,8 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     delta_k = compute_delta(h_val, gamma_k, x, s)
 
     common = dict(f_val=state.f_val, f0_val=state.f0_val,
-                  f1_val=state.f1_val, L_k=state.L_k, alpha_k=alpha,
-                  beta_k=beta, gamma_k=gamma_k, h_val=h_val,
+                  f1_val=state.f1_val, f0_fwd=state.f0_fwd, L_k=state.L_k,
+                  alpha_k=alpha, beta_k=beta, gamma_k=gamma_k, h_val=h_val,
                   psi_val=res.psi_value, inner_iters=res.inner_iters,
                   y_tilde=y, warm_dual=res.w_tilde, warm_mtw=res.mtw_tilde,
                   prox_branch=res.converged)
@@ -248,9 +250,10 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
     y_step = y - x
     y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(x - s, x - s))
-    f0_y = problem.f0.value(y)
+    fwd_y = problem.f0.forward(y)
+    f0_y = problem.f0.value(y, fwd_y)
     f_y = f0_y + res.f1_y
-    at_y = dict(f_val=f_y, f0_val=f0_y, f1_val=res.f1_y)
+    at_y = dict(f_val=f_y, f0_val=f0_y, f1_val=res.f1_y, f0_fwd=fwd_y)
     phi_yx = f_y + 0.5 * y_step_sq
 
     L_next = state.L_k
@@ -279,8 +282,10 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
         phi_new = phi_yx
     else:
         new_x, new_s, branch = ls_x, ls_s, "linesearch"
-        f0_new, f1_new = problem.f0.value(new_x), problem.f1.value(new_x)
-        common.update(f_val=f0_new + f1_new, f0_val=f0_new, f1_val=f1_new)
+        fwd = problem.f0.forward(new_x)
+        f0_new, f1_new = problem.f0.value(new_x, fwd), problem.f1.value(new_x)
+        common.update(f_val=f0_new + f1_new, f0_val=f0_new, f1_val=f1_new,
+                      f0_fwd=fwd)
         d = new_x - new_s
         phi_new = common["f_val"] + 0.5 * float(np.dot(d, d))
 

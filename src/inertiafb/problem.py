@@ -31,28 +31,35 @@ class SolverError(RuntimeError):
 
 
 class SmoothOracle:
-    """Value/gradient oracle for the smooth term.
+    """Value/gradient oracle for the smooth term, split at a forward pass.
 
-    Nothing is memoized: the solvers carry f0 and its gradient at the
-    current point themselves.
-
-    Parameters
-    ----------
-    value_fn, grad_fn : callable
-        Evaluate f0 and its gradient at a flat float64 array.
+    ``forward(x)`` returns an opaque result (the filter responses ``K x``,
+    say), or None when there is no ``forward_fn``.  ``value(x, fwd)`` and
+    ``grad(x, fwd)`` finish from it, and run the forward pass themselves
+    without one.  Nothing is memoized: the solvers carry the forward result
+    of the current point with its f0 value.  ``value_fn`` and ``grad_fn``
+    read ``forward_fn(x)``, or the flat float64 ``x`` when there is none.
     """
 
-    def __init__(self, value_fn: Callable[[np.ndarray], float],
-                 grad_fn: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, value_fn: Callable, grad_fn: Callable,
+                 forward_fn: Optional[Callable] = None):
         self._value_fn = value_fn
         self._grad_fn = grad_fn
+        self._forward_fn = forward_fn
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self._value_fn(x))
+    def forward(self, x: np.ndarray):
+        return None if self._forward_fn is None else self._forward_fn(x)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def _fn_input(self, x, fwd):
+        fwd = self.forward(x) if fwd is None else fwd
+        return x if fwd is None else fwd
+
+    def value(self, x: np.ndarray, fwd=None) -> float:
+        return float(self._value_fn(self._fn_input(x, fwd)))
+
+    def grad(self, x: np.ndarray, fwd=None) -> np.ndarray:
         """A fresh array, even when ``grad_fn`` returns its input or a view."""
-        return np.array(self._grad_fn(x), dtype=float)
+        return np.array(self._grad_fn(self._fn_input(x, fwd)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

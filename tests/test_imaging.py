@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from inertiafb import imaging
+from inertiafb.cli import DEFAULTS, build_problem
 from inertiafb.problem import (CompositeProblem, ProxFunction,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient,
@@ -160,6 +164,15 @@ class TestTotalVariation:
         assert g.conjugate(np.array([0.4, 0.4])) == np.inf
 
 
+BANKS = [
+    (imaging.dct_filter_bank(), (7, 11)),
+    (imaging.FilterBank(
+        filters=[(k, wt) for k, wt in zip(
+            np.random.default_rng(7).standard_normal((4, 5, 5)),
+            (0.5, 1.0, 0.25, 2.0))], rho=0.3), (9, 6)),
+]
+
+
 class TestRegularizerAndFidelities:
     def test_dct_filter_bank_shape(self):
         bank = imaging.dct_filter_bank()
@@ -186,13 +199,23 @@ class TestRegularizerAndFidelities:
         rep = check_gradient(p, 10.0 * rng.standard_normal(36))
         assert rep.max_rel_error < 1e-4
 
-    @pytest.mark.parametrize("bank,shape", [
-        (imaging.dct_filter_bank(), (7, 11)),
-        (imaging.FilterBank(
-            filters=[(k, wt) for k, wt in zip(
-                np.random.default_rng(7).standard_normal((4, 5, 5)),
-                (0.5, 1.0, 0.25, 2.0))], rho=0.3), (9, 6)),
-    ])
+    @pytest.mark.parametrize("bank,shape", BANKS)
+    def test_log_filter_forward_matches_pad_and_sliding_window(self, bank,
+                                                               shape):
+        # reference: mirror pad, then a copy of every sliding window
+        h, w = shape
+        kh, kw = bank.filters[0][0].shape
+        kmat = np.stack([k.ravel() for k, _ in bank.filters])
+        reg = imaging.log_filter_regularizer(bank, shape)
+        rng = np.random.default_rng(9)
+        for _ in range(2):  # the gather buffer is reused between calls
+            x = 5.0 * rng.standard_normal(h * w)
+            pad = np.pad(x.reshape(h, w), ((kh // 2,) * 2, (kw // 2,) * 2),
+                         mode="reflect")
+            cols = sliding_window_view(pad, (h, w)).reshape(kh * kw, h * w)
+            np.testing.assert_array_equal(reg.forward(x), kmat @ cols)
+
+    @pytest.mark.parametrize("bank,shape", BANKS)
     def test_log_filter_matches_per_filter_sum(self, bank, shape):
         # reference: one ConvOperator per filter, value and gradient summed
         # filter by filter
@@ -207,6 +230,23 @@ class TestRegularizerAndFidelities:
         assert reg.value(x) == pytest.approx(want_v, rel=1e-12)
         np.testing.assert_allclose(reg.grad(x), want_g, rtol=0,
                                    atol=1e-12 * np.abs(want_g).max())
+
+    def test_log_filter_value_and_grad_allocate_less_than_one_response(self):
+        # the (filters, pixels) and (taps, pixels) temporaries live in the
+        # oracle's workspace; only the forward pass allocates
+        p, x, _ = build_problem(dict(DEFAULTS, problem="impulse-l1",
+                                     size="64"))
+        fwd = p.f0.forward(x)
+        assert fwd.shape == (8, 4096)
+        for call in (p.f0.value, p.f0.grad):
+            call(x, fwd)  # warm-up
+            tracemalloc.start()
+            try:
+                call(x, fwd)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < fwd.nbytes
 
     def test_log_filter_rejects_oversized_kernels(self):
         bank = imaging.FilterBank(filters=[(np.ones((5, 5)), 1.0)])

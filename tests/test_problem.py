@@ -201,6 +201,30 @@ class TestSmoothOracle:
         assert g2[0] == 1.0 and x[0] == 1.0
         assert len(calls) == 2
 
+    def test_without_forward_value_and_grad_read_x(self):
+        f0 = SmoothOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
+        x = np.array([1.0, -2.0])
+        assert f0.forward(x) is None
+        assert f0.value(x, f0.forward(x)) == f0.value(x) == 5.0
+        np.testing.assert_array_equal(f0.grad(x, None), [2.0, -4.0])
+
+    def test_given_forward_is_used_instead_of_a_new_pass(self):
+        passes = []
+
+        def forward(x):
+            passes.append(1)
+            return 3.0 * x
+
+        f0 = SmoothOracle(lambda u: float(u @ u), lambda u: 3.0 * u, forward)
+        x = np.array([1.0, 2.0])
+        assert f0.value(x) == 45.0 and len(passes) == 1
+        fwd = f0.forward(x)
+        assert f0.value(x, fwd) == 45.0
+        np.testing.assert_array_equal(f0.grad(x, fwd), [9.0, 18.0])
+        assert len(passes) == 2
+        # a forward result is what value and grad read, whatever x is
+        assert f0.value(np.zeros(2), fwd) == 45.0
+
 
 def _counted(counts, key, fn):
     def wrapper(*args, **kwargs):
@@ -210,26 +234,52 @@ def _counted(counts, key, fn):
 
 
 class TestOneEvaluationPerPoint:
-    """The solvers evaluate f0, grad f0, f1 and M^T once per point.
+    """The solvers evaluate f0, grad f0, f1 and M^T once per point, and take
+    one forward pass of f0 per point.
 
-    Counting wrappers sit on ``f0.value``, ``f0.grad``, ``f1.value`` and the
-    block operator's ``rmatvec`` of a 16x16 impulse-l1 problem; every prox
-    call checks its own counts and compares the values it was handed and
-    returned with fresh, uncounted evaluations.
+    Counting wrappers sit on ``f0.forward``, ``f0.value``, ``f0.grad``,
+    ``f1.value`` and the block operator's ``rmatvec`` of a 16x16 impulse-l1
+    problem; every prox call checks its own counts and compares the values
+    it was handed and returned with fresh evaluations on a second, uncounted
+    instance of the same problem.
     """
 
     @pytest.mark.parametrize("tau", ["1e6", "1.0"])
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_counts_and_carried_values(self, monkeypatch, solver, tau):
-        cfg = dict(DEFAULTS, problem="impulse-l1", size="16", tau=tau,
-                   solver=solver, max_outer="15")
+        self._run_counted(monkeypatch, solver, tau)
+
+    def test_linesearch_point_carries_its_own_forward(self, monkeypatch):
+        # iPila's line-search branch is rare; this run takes it mid-run
+        rows = self._run_counted(monkeypatch, "ipila-practical", "1e6",
+                                 size="24", max_outer="30")
+        assert "linesearch" in [r["accepted_branch"] for r in rows[:-1]]
+
+    @staticmethod
+    def _run_counted(monkeypatch, solver, tau, size="16", max_outer="15"):
+        cfg = dict(DEFAULTS, problem="impulse-l1", size=size, tau=tau,
+                   solver=solver, max_outer=max_outer)
         p, x0, _ = build_problem(cfg)
+        q, _, _ = build_problem(cfg)
         op = p.f1.blocks[0].op
-        fresh = dict(f0=p.f0.value, grad=p.f0.grad, f1=p.f1.value,
-                     rmatvec=op.rmatvec)
+        fresh = dict(f0=q.f0.value, grad=q.f0.grad, f1=q.f1.value,
+                     rmatvec=q.f1.blocks[0].op.rmatvec)
         counts = collections.Counter()
+        p.f0.forward = _counted(counts, "forward", p.f0.forward)
         p.f0.value = _counted(counts, "f0", p.f0.value)
-        p.f0.grad = _counted(counts, "grad", p.f0.grad)
+        counted_grad = _counted(counts, "grad", p.f0.grad)
+
+        def grad(x, fwd=None):
+            # the carried forward pass is at hand, equals a fresh one bit
+            # for bit, and grad takes no pass of its own
+            assert fwd is not None
+            np.testing.assert_array_equal(fwd, q.f0.forward(x))
+            before = counts["forward"]
+            g = counted_grad(x, fwd)
+            assert counts["forward"] == before
+            return g
+
+        p.f0.grad = grad
         p.f1.value = _counted(counts, "f1", p.f1.value)
         op.rmatvec = _counted(counts, "rmatvec", op.rmatvec)
         monkeypatch.setattr(ipila, "eval_f",
@@ -286,5 +336,9 @@ class TestOneEvaluationPerPoint:
             first_calls = 1 + rows[0]["backtracks"]
         assert cold_calls == [True] * first_calls \
             + [False] * (len(cold_calls) - first_calls)
+        # one forward pass per f0 evaluation: per trial point, plus eval_f's
+        # and the carried one at the initial point
+        assert counts["forward"] == counts["f0"]
         x = tr.x_final
         assert tr.meta["f_final"] == fresh["f0"](x) + fresh["f1"](x)
+        return rows
