@@ -39,7 +39,6 @@ from inertiafb.prox_engine import (
     ProxQuery,
     ProxResult,
     dual_objective,
-    eval_h,
     solve_inexact_prox,
     theta_from_tau,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "descent_direction",
     "dual_objective",
     "eval_f",
-    "eval_h",
     "i2piano_solve",
     "iista_solve",
     "ipila_solve",

@@ -106,20 +106,28 @@ class GradOp(LinearOp):
         self.out_dim = 2 * h * w
 
     def matvec(self, x):
-        img = np.asarray(x, dtype=float).reshape(self.shape)
-        out = np.zeros((2,) + self.shape)
-        np.subtract(img[1:, :], img[:-1, :], out=out[0, :-1, :])
-        np.subtract(img[:, 1:], img[:, :-1], out=out[1, :, :-1])
-        return out.ravel()
+        # flat differences; those across a row end become the Neumann zeros
+        x = np.asarray(x, dtype=float).reshape(-1)
+        n, w = x.size, self.shape[1]
+        out = np.zeros(2 * n)
+        np.subtract(x[w:], x[:-w], out=out[:n - w])
+        np.subtract(x[1:], x[:-1], out=out[n:-1])
+        out[n + w - 1::w] = 0.0
+        return out
 
     def rmatvec(self, y):
-        dv, dh = np.asarray(y, dtype=float).reshape((2,) + self.shape)
-        out = np.zeros(self.shape)
-        out[:-1, :] -= dv[:-1, :]
-        out[1:, :] += dv[:-1, :]
-        out[:, :-1] -= dh[:, :-1]
-        out[:, 1:] += dh[:, :-1]
-        return out.ravel()
+        # out starts at +0.0, so it never holds -0.0 and adding the zeroed
+        # last column of dh leaves its bits unchanged
+        y = np.asarray(y, dtype=float).reshape(-1)
+        n, w = y.size // 2, self.shape[1]
+        dh = y[n:].copy()
+        dh[w - 1::w] = 0.0
+        out = np.zeros(n)
+        np.subtract(0.0, y[:n - w], out=out[:n - w])
+        out[w:] += y[:n - w]
+        out[:-1] -= dh[:-1]
+        out[1:] += dh[:-1]
+        return out
 
 
 class GroupL2(ProxFunction):
@@ -137,7 +145,9 @@ class GroupL2(ProxFunction):
     @staticmethod
     def _norms(pairs):
         a, b = pairs
-        return np.sqrt(a * a + b * b)
+        t = a * a
+        t += b * b
+        return np.sqrt(t, out=t)
 
     def value(self, x):
         pairs = np.asarray(x, dtype=float).reshape(2, -1)
@@ -161,6 +171,9 @@ class GroupL2(ProxFunction):
         if np.max(norms, initial=0.0) > self.rho * (1.0 + self.feas_rtol):
             return np.inf
         return 0.0
+
+    def conjugate_at_prox(self, w):
+        return 0.0  # projected pairs have norms of rho (1 + a few ulp) at most
 
 
 def tv_term(rho: float, shape) -> StructuredConvexTerm:
@@ -239,6 +252,9 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     # row t: flat pixel indices of tap t's window on the mirror-padded image
     idx = np.pad(np.arange(h * w).reshape(h, w), pads, mode="reflect")
     idx = sliding_window_view(idx, (h, w)).reshape(kh * kw, h * w)
+    hp, wp = h + kh - 1, w + kw - 1  # the same windows, on the padded array
+    full_idx = sliding_window_view(np.arange(hp * wp).reshape(hp, wp),
+                                   (h, w)).reshape(-1)
     rho = bank.rho
     cols = np.empty(idx.shape)
     ws, ws2 = np.empty((2, len(kmat), h * w))
@@ -258,11 +274,9 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
         num = np.multiply(2.0, u, out=ws2)
         np.multiply(wts[:, None], np.divide(num, den, out=num), out=num)
         taps = np.matmul(kmat.T, num, out=cols)
-        full = np.zeros((h + kh - 1, w + kw - 1))
-        for t, row in enumerate(taps):
-            i, j = divmod(t, kw)
-            full[i:i + h, j:j + w] += row.reshape(h, w)
-        return rho * op._fold2d(full)
+        # sums into each padded element in tap order, as a loop over taps
+        full = np.bincount(full_idx, weights=taps.reshape(-1))
+        return rho * op._fold2d(full.reshape(hp, wp))
 
     return SmoothOracle(value, grad, forward)
 

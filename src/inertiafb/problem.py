@@ -165,6 +165,11 @@ class ProxFunction:
         v = np.asarray(v, dtype=float)
         return v - sigma * self.prox(v / sigma, 1.0 / sigma)
 
+    def conjugate_at_prox(self, w: np.ndarray) -> float:
+        """``conjugate(w)`` for a ``w`` that ``conjugate_prox`` returned; an
+        override may skip a feasibility test that such points always pass."""
+        return self.conjugate(w)
+
 
 class ZeroFunction(ProxFunction):
     def value(self, x):
@@ -225,16 +230,6 @@ class NonnegIndicator(ProxFunction):
         return np.inf
 
 
-class NonposIndicator(ProxFunction):
-    """Indicator of the nonpositive cone (used in conjugate-prox tests)."""
-
-    def value(self, x):
-        return 0.0 if np.max(x, initial=0.0) <= 0.0 else np.inf
-
-    def prox(self, u, sigma):
-        return np.minimum(u, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # structured convex term and composite problem
 
@@ -285,8 +280,9 @@ class StructuredConvexTerm:
             out += b.op.rmatvec(wi)
         return out
 
-    def value(self, x: np.ndarray) -> float:
-        total = self.xi.value(x)
+    def value(self, x: np.ndarray, xi_x: Optional[float] = None) -> float:
+        """``f1(x)``; a caller that holds ``xi(x)`` passes it as ``xi_x``."""
+        total = self.xi.value(x) if xi_x is None else xi_x
         if not np.isfinite(total):
             return np.inf
         for b in self.blocks:
@@ -295,10 +291,12 @@ class StructuredConvexTerm:
                 return np.inf
         return float(total)
 
-    def conjugate_sum(self, w: np.ndarray) -> float:
+    def conjugate_sum(self, w: np.ndarray, at_prox: bool = False) -> float:
+        """``at_prox``: each block of ``w`` came from its conjugate_prox."""
         total = 0.0
         for b, wi in zip(self.blocks, self.split(w)):
-            total += b.fn.conjugate(wi)
+            conj = b.fn.conjugate_at_prox if at_prox else b.fn.conjugate
+            total += conj(wi)
             if not np.isfinite(total):
                 return np.inf
         return total

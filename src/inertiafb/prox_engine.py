@@ -26,6 +26,10 @@ from the last two iterates by linearity.
 Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query; the
 result returns ``f1(y_tilde)`` and ``M^T w_tilde``, which the next warm
 start reuses for iterate 0 (``M^T w`` does not depend on the query).
+Iterate 0 (any warm start) checks each ``g_i*(w_i)`` for a finite value;
+later iterates use ``conjugate_at_prox``, where ``GroupL2``'s projection
+skips a test it always passes and ``L1Norm``, whose Moreau prox can leave
+its box at large ``|v|``, keeps it.  psi and h share each ``xi(z)``.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ class ProxResult:
     y_tilde: np.ndarray
     h_value: float
     psi_value: float
-    epsilon: float
     w_tilde: np.ndarray
     inner_iters: int
     converged: str  # "gap" | "abs" | "maxiter"
@@ -86,20 +89,6 @@ class ProxResult:
     @property
     def ok(self) -> bool:
         return self.converged != "maxiter"
-
-
-def eval_h(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
-           alpha: float, beta: float, y: np.ndarray) -> float:
-    """Subproblem objective; ``+inf`` iff y is outside dom(f1)."""
-    f1x = problem.f1.value(x)
-    if not np.isfinite(f1x):
-        raise ValueError("x must lie in dom(f1)")
-    f1y = problem.f1.value(y)
-    if not np.isfinite(f1y):
-        return np.inf
-    v = problem.f0.grad(x) - (beta / alpha) * (x - s)
-    d = y - x
-    return float(f1y - f1x + np.dot(v, d) + np.dot(d, d) / (2.0 * alpha))
 
 
 class _DualProblem:
@@ -120,27 +109,28 @@ class _DualProblem:
         self.xbar = x - self.alpha * self.v
         self.c = -0.5 * self.alpha * float(np.dot(self.v, self.v)) - f1x
 
-    def h(self, y: np.ndarray):
-        """``(h(y), f1(y))``."""
-        f1y = self.f1.value(y)
+    def h(self, y: np.ndarray, xi_y: Optional[float] = None):
+        """``(h(y), f1(y))``; ``xi_y``, when given, is ``xi(y)``."""
+        f1y = self.f1.value(y, xi_y)
         if not np.isfinite(f1y):
             return np.inf, f1y
         d = y - self.x
         return float(f1y - self.f1x + np.dot(self.v, d)
                      + np.dot(d, d) / (2.0 * self.alpha)), f1y
 
-    def psi(self, w: np.ndarray, mtw: np.ndarray):
-        """``(psi(w), z, q)`` given ``mtw = M^T w``: q = xbar - alpha mtw,
-        z = prox(q)."""
+    def psi(self, w: np.ndarray, mtw: np.ndarray, at_prox: bool = False):
+        """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
+        mtw, z = prox(q); ``at_prox`` as in ``conjugate_sum``."""
         q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
-        conj = self.f1.conjugate_sum(w)
+        xi_z = self.f1.xi.value(z)
+        conj = self.f1.conjugate_sum(w, at_prox)
         if not np.isfinite(conj):
-            return -np.inf, z, q
+            return -np.inf, z, q, xi_z
         r = z - q
-        val = (self.f1.xi.value(z) + np.dot(r, r) / (2.0 * self.alpha)
+        val = (xi_z + np.dot(r, r) / (2.0 * self.alpha)
                + 0.5 * np.dot(mtw, self.xbar + q) - conj + self.c)
-        return float(val), z, q
+        return float(val), z, q, xi_z
 
 
 def dual_objective(problem: CompositeProblem, query: ProxQuery,
@@ -151,7 +141,7 @@ def dual_objective(problem: CompositeProblem, query: ProxQuery,
     outside the dual domain (some conjugate value is infinite).
     """
     w = np.asarray(w, dtype=float)
-    psi, z, _ = _DualProblem(problem, query).psi(w, problem.f1.rmatvec(w))
+    psi, z, _, _ = _DualProblem(problem, query).psi(w, problem.f1.rmatvec(w))
     return psi, z
 
 
@@ -196,15 +186,13 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                 f"weak duality violated: psi={psi_val!r} > h={h_val!r}")
 
     def finish(iters, branch):
-        eps = -(tau / 2.0) * h_best
         return ProxResult(y_tilde=y_best, h_value=h_best, psi_value=psi_best,
-                          epsilon=max(eps, 0.0), w_tilde=w_best,
-                          inner_iters=iters, converged=branch, f1_y=f1_best,
-                          mtw_tilde=mtw_best)
+                          w_tilde=w_best, inner_iters=iters, converged=branch,
+                          f1_y=f1_best, mtw_tilde=mtw_best)
 
     # evaluate the starting dual point (iterate 0)
-    psi_best, y_best, q = dp.psi(w, mtw)
-    h_best, f1_best = dp.h(y_best)
+    psi_best, y_best, q, xi_y = dp.psi(w, mtw)
+    h_best, f1_best = dp.h(y_best, xi_y)
     w_best, mtw_best = w, mtw
     if inner_hook is not None:
         inner_hook(0, h_best, psi_best)
@@ -243,8 +231,8 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         w_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         mtw_new = problem.f1.rmatvec(w_new)
-        psi_l, y_l, q_new = dp.psi(w_new, mtw_new)
-        h_l, f1_l = dp.h(y_l)
+        psi_l, y_l, q_new, xi_y = dp.psi(w_new, mtw_new, at_prox=True)
+        h_l, f1_l = dp.h(y_l, xi_y)
         if inner_hook is not None:
             inner_hook(it, h_l, psi_l)
         duality_guard(h_l, psi_l)

@@ -4,6 +4,7 @@ import pytest
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction)
+from inertiafb.prox_engine import ProxQuery, _DualProblem
 
 
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):
@@ -34,6 +35,12 @@ def scalar_l1_problem(weight=1.0):
     f1 = StructuredConvexTerm([Block(IdentityOp(1), L1Norm(weight))],
                               xi=ZeroFunction(), n=1, op_norm_sq_bound=1.0)
     return CompositeProblem(f0, f1, 1)
+
+
+def eval_h(p, x, s, alpha, beta, y):
+    """The subproblem objective h(y; x, s), as the prox engine computes it."""
+    q = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=0.0)
+    return _DualProblem(p, q).h(y)[0]
 
 
 @pytest.fixture

@@ -122,6 +122,44 @@ class TestTotalVariation:
         np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, rtol=0,
                                    atol=1e-14)
 
+    @staticmethod
+    def _strided_gradient(x, shape):
+        # reference: zero-filled (2, h, w) fields and strided 2-D updates
+        img = x.reshape(shape)
+        out = np.zeros((2,) + shape)
+        np.subtract(img[1:, :], img[:-1, :], out=out[0, :-1, :])
+        np.subtract(img[:, 1:], img[:, :-1], out=out[1, :, :-1])
+        return out.ravel()
+
+    @staticmethod
+    def _strided_adjoint(y, shape):
+        dv, dh = y.reshape((2,) + shape)
+        out = np.zeros(shape)
+        out[:-1, :] -= dv[:-1, :]
+        out[1:, :] += dv[:-1, :]
+        out[:, :-1] -= dh[:, :-1]
+        out[:, 1:] += dh[:, :-1]
+        return out.ravel()
+
+    @pytest.mark.parametrize("shape", [(64, 64), (3, 5), (1, 4), (5, 1),
+                                       (2, 2)])
+    def test_gradient_bits_match_strided_reference(self, shape):
+        n = shape[0] * shape[1]
+        rng = np.random.default_rng(11)
+        op = imaging.GradOp(shape)
+        for _ in range(4):
+            # signed zeros and repeated values exercise -0.0 and exact
+            # cancellation; dh's last column (ignored) is nonzero
+            x = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], n)
+            x = np.where(rng.random(n) < 0.3, rng.standard_normal(n), x)
+            y = rng.choice([-0.0, 0.0, 3.0, -3.0], 2 * n)
+            y = np.where(rng.random(2 * n) < 0.5, rng.standard_normal(2 * n),
+                         y)
+            assert (op.matvec(x).tobytes()
+                    == self._strided_gradient(x, shape).tobytes())
+            assert (op.rmatvec(y).tobytes()
+                    == self._strided_adjoint(y, shape).tobytes())
+
     def test_operator_norm_bound(self):
         est = power_iteration_sq_norm(imaging.GradOp((16, 16)), iters=300)
         assert est <= 8.01
@@ -230,6 +268,26 @@ class TestRegularizerAndFidelities:
         assert reg.value(x) == pytest.approx(want_v, rel=1e-12)
         np.testing.assert_allclose(reg.grad(x), want_g, rtol=0,
                                    atol=1e-12 * np.abs(want_g).max())
+
+    @pytest.mark.parametrize("bank,shape", BANKS)
+    def test_log_filter_gradient_bits_match_tap_loop(self, bank, shape):
+        # reference: the same weighted responses, scattered tap by tap into
+        # the padded array, then folded
+        h, w = shape
+        kh, kw = bank.filters[0][0].shape
+        kmat = np.stack([k.ravel() for k, _ in bank.filters])
+        wts = np.array([wt for _, wt in bank.filters])
+        op = imaging.ConvOperator(bank.filters[0][0], shape)
+        reg = imaging.log_filter_regularizer(bank, shape)
+        x = 5.0 * np.random.default_rng(4).standard_normal(h * w)
+        u = reg.forward(x)
+        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
+        full = np.zeros((h + kh - 1, w + kw - 1))
+        for t, row in enumerate(taps):
+            i, j = divmod(t, kw)
+            full[i:i + h, j:j + w] += row.reshape(h, w)
+        want = bank.rho * op._fold2d(full)
+        assert reg.grad(x, u).tobytes() == want.tobytes()
 
     def test_log_filter_value_and_grad_allocate_less_than_one_response(self):
         # the (filters, pixels) and (taps, pixels) temporaries live in the

@@ -6,7 +6,8 @@ from inertiafb.ipila import (IPilaConfig, SolverError, armijo_linesearch,
                              ipila_solve, ipila_step, phi_value)
 from inertiafb.problem import (CompositeProblem, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction, eval_f)
-from tests.conftest import quadratic_l1_problem, smooth_only_problem
+from tests.conftest import (eval_h, quadratic_l1_problem,
+                            smooth_only_problem)
 
 
 class TestDescentDirection:
@@ -54,7 +55,6 @@ class TestArmijo:
         x = np.array([1.0])
         s = x.copy()
         y = np.array([0.9])  # small step on a 1-Lipschitz problem
-        from inertiafb.prox_engine import eval_h
         h = eval_h(p, x, s, 0.1, 0.0, y)
         delta = compute_delta(h, 1e-5, x, s)
         dx, ds = descent_direction(x, s, y, 0.1, 0.0, 1e-5)
@@ -74,7 +74,6 @@ class TestArmijo:
         s = x.copy()
         alpha = 0.12
         y = x - alpha * p.f0.grad(x)  # exact prox step, y = -0.92
-        from inertiafb.prox_engine import eval_h
         h = eval_h(p, x, s, alpha, 0.0, y)
         delta = compute_delta(h, 1e-5, x, s)
         dx, ds = descent_direction(x, s, y, alpha, 0.0, 1e-5)

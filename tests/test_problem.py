@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from inertiafb import i2piano, iista, ipila
 from inertiafb.cli import DEFAULTS, SOLVERS, build_problem, run_solver
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               MatrixOp, NonnegIndicator, NonposIndicator,
-                               SmoothOracle, StructuredConvexTerm,
-                               ZeroFunction, adjoint_residual, check_gradient,
-                               eval_f, power_iteration_sq_norm)
+                               MatrixOp, NonnegIndicator, SmoothOracle,
+                               StructuredConvexTerm, ZeroFunction,
+                               adjoint_residual, check_gradient, eval_f,
+                               power_iteration_sq_norm)
 from inertiafb.prox_engine import solve_inexact_prox
 from tests.conftest import quadratic_l1_problem, smooth_only_problem
 
@@ -75,11 +75,6 @@ class TestProxFunctions:
         fn = NonnegIndicator()
         assert fn.value(np.array([0.0, 1.0])) == 0.0
         assert fn.value(np.array([-1e-300])) == np.inf
-
-    def test_nonpos_prox(self):
-        fn = NonposIndicator()
-        np.testing.assert_allclose(fn.prox(np.array([-1.0, 2.0]), 1.0),
-                                   [-1.0, 0.0])
 
     def test_l1_conjugate_box(self):
         fn = L1Norm(0.5)
