@@ -12,7 +12,7 @@ but ``time_s`` (floats by their exact hex form), then the bytes of
 ``--src`` names a checkout or its ``src`` directory; the package is
 imported from there.  The runs are the 4 solvers on impulse-l1 at ``tau``
 1e6 and 1.0, gaussian-sd-tv at ``tau`` 0.01 and synthetic-quadratic-l1,
-at ``--size`` (default 64) and ``--iters`` outer iterations (default 80).
+at 64x64 and 80 outer iterations.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ def trace_digest(trace) -> str:
     return sha.hexdigest()
 
 
-def digests(size: int = 64, iters: int = 80, problems=PROBLEMS,
-            solvers=SOLVERS):
+def digests(size: int = 64, iters: int = 80):
     """``[(problem label, solver, digest)]``, one per run."""
     from inertiafb import cli
 
     out = []
-    for label, overrides in problems:
-        for solver in solvers:
+    for label, overrides in PROBLEMS:
+        for solver in SOLVERS:
             cfg = dict(cli.DEFAULTS, size=str(size), max_outer=str(iters),
                        solver=solver, **overrides)
             problem, x0, _ = cli.build_problem(cfg)
@@ -76,8 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve()
                                              .parent.parent / "src"),
                         help="checkout or src directory to import from")
-    parser.add_argument("--size", type=int, default=64)
-    parser.add_argument("--iters", type=int, default=80)
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     if (src / "src" / "inertiafb").is_dir():
@@ -85,7 +82,7 @@ def main(argv=None) -> int:
     if not (src / "inertiafb").is_dir():
         parser.error(f"no inertiafb package under {src}")
     sys.path.insert(0, str(src))
-    for label, solver, digest in digests(args.size, args.iters):
+    for label, solver, digest in digests():
         print(f"{label:24s} {solver:16s} {digest}")
     return 0
 
