@@ -219,7 +219,7 @@ def run_solver(problem, x0, cfg: dict) -> Trace:
             sigma=_f(cfg, "sigma"), ls_shrink=_f(cfg, "ls_shrink"),
             max_halvings=_i(cfg, "max_halvings"),
             alpha_max=_f(cfg, "alpha_max"), beta_max=_f(cfg, "beta_max"),
-            gamma_min=_f(cfg, "gamma"), gamma_max=_f(cfg, "gamma"),
+            gamma_min=_f(cfg, "gamma"),
             L0=_f(cfg, "L0"), eta=_f(cfg, "eta"), delta=_f(cfg, "delta"),
             variant=("strict-alg3" if name == "ipila-strict"
                      else "practical-sec5"),

@@ -1,0 +1,171 @@
+"""Forward-backward core shared by i2Piano, iPila and iISTA.
+
+Each step of the three solvers asks the prox engine for an inexact inertial
+proximal point ``y`` from a point ``x`` and merit anchor ``s`` with a step
+``alpha_k`` and inertia ``beta_k``; they differ only in how they choose
+these and in the test that accepts the step.  This module holds the rest:
+the :class:`Iterate`, the start at ``x0``, the certified prox call, the
+Lipschitz backtracking step of i2Piano and iISTA, and the outer loop.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
+
+import numpy as np
+
+from inertiafb.problem import CompositeProblem, SolverError
+from inertiafb.prox_engine import ProxQuery, ProxResult
+from inertiafb.trace import Trace
+
+
+@dataclass
+class Iterate:
+    x_curr: np.ndarray
+    # merit anchor: i2Piano's previous point, iPila's s, x itself for iISTA
+    s_curr: np.ndarray
+    f_val: float
+    phi_val: float
+    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
+    f1_val: float
+    f0_fwd: object  # problem.f0.forward(x_curr)
+    L_k: float
+    alpha_k: float = 0.0
+    beta_k: float = 0.0
+    h_val: float = 0.0
+    psi_val: float = 0.0
+    d_k: float = 0.0
+    delta_k: float = math.nan
+    lambda_k: float = math.nan
+    inner_iters: int = 0
+    backtracks: int = 0
+    prox_branch: str = ""
+    accepted_branch: str = ""  # iPila's "inertial", "linesearch", "stationary"
+    y_tilde: Optional[np.ndarray] = None
+    warm_dual: Optional[np.ndarray] = None
+    warm_mtw: Optional[np.ndarray] = None
+    streak: int = 0  # i2Piano: backtrack-free steps since L_k last shrank
+
+    def after_prox(self, res: ProxResult, alpha: float,
+                   beta: float) -> "Iterate":
+        """A copy that records the prox call ``res`` made from this point."""
+        return replace(self, alpha_k=alpha, beta_k=beta, h_val=res.h_value,
+                       psi_val=res.psi_value, inner_iters=res.inner_iters,
+                       prox_branch=res.converged, y_tilde=res.y_tilde,
+                       warm_dual=res.w_tilde, warm_mtw=res.mtw_tilde)
+
+    def move_to(self, x, s, fwd, f0: float, f1: float) -> None:
+        """Put this iterate at the pair ``(x, s)``; ``fwd`` is x's forward."""
+        self.x_curr, self.s_curr, self.f0_fwd = x, s, fwd
+        self.f0_val, self.f1_val, self.f_val = f0, f1, f0 + f1
+
+
+def start(problem: CompositeProblem, x0, eval_f, L0: float,
+          s0=None) -> Iterate:
+    """The iterate at ``x0`` with anchor ``s0`` (a copy of ``x0`` if None).
+
+    ``eval_f`` is the calling solver's, so that its calls are counted there.
+    Its merit value is ``f(x0)``; iPila adds its anchor term itself.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    f = eval_f(problem, x0)
+    if not np.isfinite(f):
+        raise ValueError("x0 must lie in dom(f1)")
+    s0 = x0.copy() if s0 is None else np.asarray(s0, dtype=float)
+    fwd = problem.f0.forward(x0)
+    return Iterate(x_curr=x0, s_curr=s0, f_val=f, phi_val=f,
+                   f0_val=problem.f0.value(x0, fwd),
+                   f1_val=problem.f1.value(x0), f0_fwd=fwd, L_k=L0)
+
+
+def prox(problem: CompositeProblem, it: Iterate, cfg, alpha: float,
+         beta: float, grad: np.ndarray, engine) -> ProxResult:
+    """The engine's certified prox point from ``(it.x_curr, it.s_curr)``."""
+    query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
+                      tau=cfg.tau, max_inner=cfg.max_inner,
+                      abs_tol=cfg.abs_tol, f0_x=it.f0_val, f1_x=it.f1_val,
+                      grad_x=grad)
+    res = engine(problem, query, warm_start=it.warm_dual,
+                 warm_mtw=it.warm_mtw)
+    if not res.ok:
+        raise SolverError("prox engine hit max_inner without certificate")
+    return res
+
+
+def backtrack(problem: CompositeProblem, it: Iterate, cfg,
+              params: Callable[[float], tuple], engine, L: float) -> Iterate:
+    """The step from ``it`` accepted by the local descent test.
+
+    Starting from the estimate ``L``, ``params(L)`` gives ``(alpha, beta)``
+    and ``L`` grows by ``cfg.eta`` until ``f0(y) <= f0(x) + <grad f0(x),
+    y - x> + (L/2) ||y - x||^2``.  The returned iterate sits at ``(y, x)``
+    with merit ``f(y)``; the caller sets its anchor, merit and ``d_k``.
+    """
+    x = it.x_curr
+    g = problem.f0.grad(x, it.f0_fwd)
+    backtracks = inner = 0
+    while True:
+        alpha, beta = params(L)
+        res = prox(problem, it, cfg, alpha, beta, g, engine)
+        inner += res.inner_iters
+        y = res.y_tilde
+        dx = y - x
+        fwd = problem.f0.forward(y)
+        f0y = problem.f0.value(y, fwd)
+        rhs = it.f0_val + float(np.dot(g, dx)) \
+            + 0.5 * L * float(np.dot(dx, dx))
+        if f0y <= rhs + 1e-12 * (1.0 + abs(it.f0_val)):
+            break
+        L *= cfg.eta
+        backtracks += 1
+        if L > cfg.L_max * cfg.eta:
+            raise SolverError("descent test still failing at L_max; "
+                              "gradient or domain broken")
+    new = it.after_prox(res, alpha, beta)
+    new.move_to(y, x, fwd, f0y, res.f1_y)
+    new.phi_val, new.L_k = new.f_val, L
+    new.inner_iters, new.backtracks = inner, backtracks
+    return new
+
+
+def run(state: Iterate, meta: dict, step: Callable[[Iterate], Iterate],
+        stop: Callable[[Iterate], Optional[str]], max_outer: int,
+        row: Optional[Callable[[Iterate, Iterate], dict]] = None,
+        on_step=None) -> Trace:
+    """Iterate ``step`` from ``state`` and record one trace row per step.
+
+    Stops when ``stop(new)`` names a reason or after ``max_outer`` steps.
+    ``row(before, after)`` adds or replaces solver-specific columns, and
+    ``on_step(k, before, after)`` observes each transition.
+    """
+    trace = Trace(meta={**meta, "f_init": state.f_val,
+                        "phi_init": state.phi_val})
+    t0 = time.monotonic()
+    for k in range(max_outer):
+        new = step(state)
+        fields = dict(
+            k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
+            h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
+            alpha_k=new.alpha_k, beta_k=new.beta_k, L_or_gamma=new.L_k,
+            lambda_k=new.lambda_k, inner_iters=new.inner_iters,
+            backtracks=new.backtracks, psi=new.psi_val,
+            x_step_norm=float(np.linalg.norm(new.x_curr - state.x_curr)),
+            y_step_norm=float(np.linalg.norm(new.y_tilde - state.x_curr)),
+            prox_branch=new.prox_branch)
+        if row is not None:
+            fields.update(row(state, new))
+        trace.append(**fields)
+        if on_step is not None:
+            on_step(k, state, new)
+        state = new
+        if reason := stop(new):
+            trace.meta["stop_reason"] = reason
+            break
+    else:
+        trace.meta["stop_reason"] = "max_outer"
+    trace.meta["f_final"] = state.f_val
+    trace.x_final = state.x_curr
+    return trace

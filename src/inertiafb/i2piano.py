@@ -1,18 +1,16 @@
 """Inertial inexact proximal solver with Lipschitz backtracking (i2Piano).
 
-Each iteration couples the local Lipschitz estimate L_k to the step size and
-inertial weight through
+The prox step, its backtracking on the Lipschitz estimate L_k and the outer
+loop are the shared core (:mod:`inertiafb.fb`).  What stays here is the
+parameter policy, which couples L_k to the step size and inertial weight,
 
     b_k     = (L_k + 2 delta) / (L_k + 2 gamma)
     beta_k  = (1 + theta*omega)/2 * (b_k - 1) / (b_k - 1/2)
     alpha_k = (1 + theta*omega - 2 beta_k) / (L_k + 2 gamma)
 
-then asks the prox engine for an inexact inertial proximal point and accepts
-it when the local descent inequality with constant L_k holds, scaling L_k up
-by eta otherwise.  The merit function ``Phi(x, x_prev) = f(x) +
-delta ||x - x_prev||^2`` decreases by at least
-``gamma ||x - x_prev||^2 - (1 - omega) h`` per accepted step, which the
-solver re-checks at runtime when ``check_invariants`` is on.
+and the merit check: ``Phi(x, x_prev) = f(x) + delta ||x - x_prev||^2``
+decreases by at least ``gamma ||x - x_prev||^2 - (1 - omega) h`` per
+accepted step, which the solver re-checks when ``check_invariants`` is on.
 
 The couplings and the merit inequality hold for any accepted L_k in
 ``[L_min, L_max]``, so the estimate may also shrink: with
@@ -25,14 +23,14 @@ nondecreasing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from inertiafb import fb
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
-from inertiafb.prox_engine import ProxQuery, solve_inexact_prox, theta_from_tau
+from inertiafb.prox_engine import solve_inexact_prox, theta_from_tau
 from inertiafb.trace import Trace
 
 
@@ -89,94 +87,39 @@ def compute_params(L_k: float, cfg: I2PianoConfig):
     return b, beta, alpha
 
 
-@dataclass
-class I2PianoState:
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    L_k: float
-    f_val: float
-    phi_val: float
-    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
-    f1_val: float
-    f0_fwd: object = None  # problem.f0.forward(x_curr)
-    beta_k: float = 0.0
-    alpha_k: float = 0.0
-    h_val: float = 0.0
-    psi_val: float = 0.0
-    d_k_sq: float = 0.0
-    inner_iters: int = 0
-    backtracks: int = 0
-    warm_dual: Optional[np.ndarray] = None
-    warm_mtw: Optional[np.ndarray] = None
-    prox_branch: str = ""
-
-
 def initial_state(problem: CompositeProblem, x0: np.ndarray,
-                  cfg: I2PianoConfig) -> I2PianoState:
-    x0 = np.asarray(x0, dtype=float)
-    f0 = eval_f(problem, x0)
-    if not np.isfinite(f0):
-        raise ValueError("x0 must lie in dom(f1)")
-    fwd = problem.f0.forward(x0)
-    return I2PianoState(x_curr=x0, x_prev=x0.copy(), L_k=cfg.L0, f_val=f0,
-                        phi_val=f0, f0_val=problem.f0.value(x0, fwd),
-                        f1_val=problem.f1.value(x0), f0_fwd=fwd)
+                  cfg: I2PianoConfig) -> fb.Iterate:
+    return fb.start(problem, x0, eval_f, cfg.L0)
 
 
-def i2piano_step(problem: CompositeProblem, state: I2PianoState,
-                 cfg: I2PianoConfig) -> I2PianoState:
-    x = state.x_curr
-    s = state.x_prev
-    g = problem.f0.grad(x, state.f0_fwd)
-    f0x = state.f0_val
-    L = state.L_k
-    backtracks = 0
-    inner_total = 0
-    while True:
-        _, beta, alpha = compute_params(L, cfg)
-        query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
-                          max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
-                          f0_x=f0x, f1_x=state.f1_val, grad_x=g)
-        res = solve_inexact_prox(problem, query, warm_start=state.warm_dual,
-                                 warm_mtw=state.warm_mtw)
-        inner_total += res.inner_iters
-        if not res.ok:
-            raise SolverError("prox engine hit max_inner without certificate")
-        y = res.y_tilde
-        dx = y - x
-        fwd_y = problem.f0.forward(y)
-        f0y = problem.f0.value(y, fwd_y)
-        descent_rhs = (f0x + float(np.dot(g, dx))
-                       + 0.5 * L * float(np.dot(dx, dx)))
-        if f0y <= descent_rhs + 1e-12 * (1.0 + abs(f0x)):
-            break
-        L *= cfg.eta
-        backtracks += 1
-        if L > cfg.L_max * cfg.eta:
-            raise SolverError(
-                "descent test still failing at L_max; gradient or domain broken")
+def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
+                 cfg: I2PianoConfig) -> fb.Iterate:
+    L, streak = state.L_k, state.streak
+    if cfg.allow_L_decrease and streak >= SHRINK_STREAK:
+        L, streak = max(cfg.L_min, L / cfg.eta), 0
 
+    def params(L_k):
+        _, beta, alpha = compute_params(L_k, cfg)
+        return alpha, beta
+
+    new = fb.backtrack(problem, state, cfg, params, solve_inexact_prox, L)
+    x, s = state.x_curr, state.s_curr
+    dx = new.x_curr - x
     step_prev_sq = float(np.dot(x - s, x - s))
     # h <= 0 in exact arithmetic; roundoff on the stationary branch can
     # leave it a hair positive, which would push d_k below sqrt(gamma)*step
-    h_eff = min(res.h_value, 0.0)
+    h_eff = min(new.h_val, 0.0)
     d_sq = cfg.gamma * step_prev_sq - (1.0 - cfg.omega) * h_eff
-    f_new = f0y + res.f1_y
-    phi_new = f_new + cfg.delta * float(np.dot(dx, dx))
+    new.phi_val = new.f_val + cfg.delta * float(np.dot(dx, dx))
     if cfg.check_invariants:
         bound = (state.phi_val - cfg.gamma * step_prev_sq
-                 + (1.0 - cfg.omega) * res.h_value)
-        if phi_new > bound + 1e-9 * (1.0 + abs(state.phi_val)):
+                 + (1.0 - cfg.omega) * new.h_val)
+        if new.phi_val > bound + 1e-9 * (1.0 + abs(state.phi_val)):
             raise SolverError(
-                f"merit descent inequality violated: {phi_new} > {bound}")
-
-    return I2PianoState(x_curr=y, x_prev=x, L_k=L, f_val=f_new,
-                        phi_val=phi_new, f0_val=f0y, f1_val=res.f1_y,
-                        f0_fwd=fwd_y, beta_k=beta, alpha_k=alpha,
-                        h_val=res.h_value, psi_val=res.psi_value,
-                        d_k_sq=max(d_sq, 0.0), inner_iters=inner_total,
-                        backtracks=backtracks, warm_dual=res.w_tilde,
-                        warm_mtw=res.mtw_tilde, prox_branch=res.converged)
+                f"merit descent inequality violated: {new.phi_val} > {bound}")
+    new.d_k = float(np.sqrt(max(d_sq, 0.0)))
+    new.streak = streak + 1 if new.backtracks == 0 else 0
+    return new
 
 
 def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -184,44 +127,12 @@ def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
     """Run i2Piano from ``x0`` (with ``x^{-1} = x0``) and emit a trace.
 
     Stops when ``sqrt(d_k^2) <= stop_tol`` or after ``max_outer`` iterations.
-    L_k carries over nondecreasing between iterations unless
-    ``allow_L_decrease`` is set; then every ``SHRINK_STREAK`` consecutive
-    backtrack-free iterations the next one starts its backtracking from
-    ``max(L_min, L_k / eta)``.
     """
     cfg = cfg or I2PianoConfig()
-    state = initial_state(problem, x0, cfg)
-    trace = Trace(meta={
-        "solver": "i2piano", "delta": cfg.delta, "gamma": cfg.gamma,
-        "eta": cfg.eta, "omega": cfg.omega, "tau": cfg.tau,
-        "theta": cfg.theta, "L0": cfg.L0, "stop_tol": cfg.stop_tol,
-        "f_init": state.f_val, "phi_init": state.phi_val,
-    })
-    t0 = time.monotonic()
-    streak = 0
-    for k in range(cfg.max_outer):
-        if cfg.allow_L_decrease and streak >= SHRINK_STREAK:
-            state.L_k = max(cfg.L_min, state.L_k / cfg.eta)
-            streak = 0
-        new = i2piano_step(problem, state, cfg)
-        streak = streak + 1 if new.backtracks == 0 else 0
-        d_k = float(np.sqrt(new.d_k_sq))
-        step = float(np.linalg.norm(new.x_curr - new.x_prev))
-        trace.append(
-            k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
-            h=new.h_val, delta_k=float("nan"), d_k=d_k, alpha_k=new.alpha_k,
-            beta_k=new.beta_k, L_or_gamma=new.L_k, lambda_k=float("nan"),
-            inner_iters=new.inner_iters, backtracks=new.backtracks,
-            psi=new.psi_val,
-            x_step_norm=step, y_step_norm=step,
-            prox_branch=new.prox_branch,
-        )
-        state = new
-        if d_k <= cfg.stop_tol:
-            trace.meta["stop_reason"] = "d_k"
-            break
-    else:
-        trace.meta["stop_reason"] = "max_outer"
-    trace.meta["f_final"] = state.f_val
-    trace.x_final = state.x_curr
-    return trace
+    meta = {"solver": "i2piano", "delta": cfg.delta, "gamma": cfg.gamma,
+            "eta": cfg.eta, "omega": cfg.omega, "tau": cfg.tau,
+            "theta": cfg.theta, "L0": cfg.L0, "stop_tol": cfg.stop_tol}
+    return fb.run(initial_state(problem, x0, cfg), meta,
+                  lambda st: i2piano_step(problem, st, cfg),
+                  lambda st: "d_k" if st.d_k <= cfg.stop_tol else None,
+                  cfg.max_outer)

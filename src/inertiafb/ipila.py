@@ -23,18 +23,22 @@ always runs the line search.  ``practical-sec5`` couples ``alpha_k, beta_k``
 to a running Lipschitz estimate ``L_k``, tests acceptance of ``(y, x)`` with
 ``lambda = 1`` before any line search, and scales ``L_k`` up by ``eta`` when
 that test fails (without recomputing ``y`` in the same iteration).
+
+The prox call, the iterate and the outer loop are the shared core
+(:mod:`inertiafb.fb`); this module keeps the two parameter policies, the
+merit, the Armijo search and the choice between its branches.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from inertiafb import fb
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
-from inertiafb.prox_engine import (ProxQuery, ProxResult, solve_inexact_prox,
+from inertiafb.prox_engine import (ProxResult, solve_inexact_prox,
                                    theta_from_tau)
 from inertiafb.trace import Trace
 
@@ -49,7 +53,6 @@ class IPilaConfig:
     alpha_max: float = 1.0
     beta_max: float = 0.5
     gamma_min: float = 1e-5
-    gamma_max: float = 1e-5
     tau: float = 1e6
     max_halvings: int = 60
     variant: str = "practical-sec5"
@@ -71,8 +74,8 @@ class IPilaConfig:
             raise ValueError("need 0 < alpha_min <= alpha_max")
         if self.beta_max < 0:
             raise ValueError("beta_max must be nonnegative")
-        if not (0.0 < self.gamma_min <= self.gamma_max):
-            raise ValueError("need 0 < gamma_min <= gamma_max")
+        if not self.gamma_min > 0:
+            raise ValueError("gamma_min must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.eta <= 1:
@@ -143,45 +146,12 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
                       "subproblem value is inconsistent")
 
 
-@dataclass
-class IPilaState:
-    x_curr: np.ndarray
-    s_curr: np.ndarray
-    f_val: float
-    phi_val: float
-    L_k: float
-    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
-    f1_val: float
-    f0_fwd: object = None  # problem.f0.forward(x_curr)
-    delta_k: float = 0.0
-    lambda_k: float = 1.0
-    alpha_k: float = 0.0
-    beta_k: float = 0.0
-    gamma_k: float = 0.0
-    accepted_branch: str = ""  # "inertial" | "linesearch" | "stationary"
-    h_val: float = 0.0
-    psi_val: float = 0.0
-    inner_iters: int = 0
-    backtracks: int = 0
-    y_tilde: Optional[np.ndarray] = None
-    warm_dual: Optional[np.ndarray] = None
-    warm_mtw: Optional[np.ndarray] = None
-    prox_branch: str = ""
-
-
 def initial_state(problem: CompositeProblem, x0: np.ndarray,
-                  s0: Optional[np.ndarray], cfg: IPilaConfig) -> IPilaState:
-    x0 = np.asarray(x0, dtype=float)
-    s0 = x0.copy() if s0 is None else np.asarray(s0, dtype=float)
-    f0 = eval_f(problem, x0)
-    if not np.isfinite(f0):
-        raise ValueError("x0 must lie in dom(f1)")
-    d = x0 - s0
-    fwd = problem.f0.forward(x0)
-    return IPilaState(x_curr=x0, s_curr=s0, f_val=f0,
-                      phi_val=f0 + 0.5 * float(np.dot(d, d)), L_k=cfg.L0,
-                      f0_val=problem.f0.value(x0, fwd),
-                      f1_val=problem.f1.value(x0), f0_fwd=fwd)
+                  s0: Optional[np.ndarray], cfg: IPilaConfig) -> fb.Iterate:
+    it = fb.start(problem, x0, eval_f, cfg.L0, s0)
+    d = it.x_curr - it.s_curr
+    it.phi_val = it.f_val + 0.5 * float(np.dot(d, d))
+    return it
 
 
 def _practical_params(L_k: float, cfg: IPilaConfig):
@@ -207,11 +177,10 @@ def _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
         raise SolverError("direction norm exceeds its theoretical bound")
 
 
-def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
+def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
                engine: Callable[..., ProxResult] = solve_inexact_prox,
-               ) -> IPilaState:
-    x = state.x_curr
-    s = state.s_curr
+               ) -> fb.Iterate:
+    x, s = state.x_curr, state.s_curr
     practical = cfg.variant == "practical-sec5"
     if practical:
         alpha, beta = _practical_params(state.L_k, cfg)
@@ -219,90 +188,69 @@ def ipila_step(problem: CompositeProblem, state: IPilaState, cfg: IPilaConfig,
         alpha, beta = cfg.alpha_max, cfg.beta_max
     gamma_k = cfg.gamma_min
 
-    query = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=cfg.tau,
-                      max_inner=cfg.max_inner, abs_tol=cfg.abs_tol,
-                      f0_x=state.f0_val, f1_x=state.f1_val,
-                      grad_x=problem.f0.grad(x, state.f0_fwd))
-    res = engine(problem, query, warm_start=state.warm_dual,
-                 warm_mtw=state.warm_mtw)
-    if not res.ok:
-        raise SolverError("prox engine hit max_inner without certificate")
+    res = fb.prox(problem, state, cfg, alpha, beta,
+                  problem.f0.grad(x, state.f0_fwd), engine)
+    new = state.after_prox(res, alpha, beta)
+    new.lambda_k, new.backtracks = 1.0, 0
     y = res.y_tilde
-    h_val = res.h_value
-    if h_val > 0:
-        # roundoff on the abs branch can leave h a hair above zero
-        if h_val <= 1e-10 * (1.0 + abs(state.f_val)):
-            h_val = 0.0
-    delta_k = compute_delta(h_val, gamma_k, x, s)
+    # roundoff on the abs branch can leave h a hair above zero
+    if 0 < new.h_val <= 1e-10 * (1.0 + abs(state.f_val)):
+        new.h_val = 0.0
+    new.delta_k = compute_delta(new.h_val, gamma_k, x, s)
+    if new.delta_k == 0.0:
+        # the pair (x, s) stays put
+        new.delta_k, new.accepted_branch = 0.0, "stationary"
+    else:
+        _accept(problem, state, new, cfg, practical, gamma_k, res.f1_y)
+    new.d_k = float(np.sqrt(max(-new.delta_k, 0.0)))
+    return new
 
-    common = dict(f_val=state.f_val, f0_val=state.f0_val,
-                  f1_val=state.f1_val, f0_fwd=state.f0_fwd, L_k=state.L_k,
-                  alpha_k=alpha, beta_k=beta, gamma_k=gamma_k, h_val=h_val,
-                  psi_val=res.psi_value, inner_iters=res.inner_iters,
-                  y_tilde=y, warm_dual=res.w_tilde, warm_mtw=res.mtw_tilde,
-                  prox_branch=res.converged)
 
-    if delta_k == 0.0:
-        return IPilaState(x_curr=x, s_curr=s, phi_val=state.phi_val,
-                          delta_k=0.0, lambda_k=1.0,
-                          accepted_branch="stationary", **common)
-
+def _accept(problem, state, new, cfg, practical, gamma_k, f1_y):
+    """Move ``new`` to ``(y, x)`` or to the Armijo point from ``state``."""
+    x, s, y = state.x_curr, state.s_curr, new.y_tilde
+    alpha, beta, delta_k = new.alpha_k, new.beta_k, new.delta_k
     y_step = y - x
     y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(x - s, x - s))
     fwd_y = problem.f0.forward(y)
     f0_y = problem.f0.value(y, fwd_y)
-    f_y = f0_y + res.f1_y
-    at_y = dict(f_val=f_y, f0_val=f0_y, f1_val=res.f1_y, f0_fwd=fwd_y)
-    phi_yx = f_y + 0.5 * y_step_sq
+    phi_yx = f0_y + f1_y + 0.5 * y_step_sq
 
-    L_next = state.L_k
-    if practical:
-        # lambda = 1 acceptance test, tried before any line search
-        if phi_yx <= state.phi_val + cfg.sigma * delta_k:
-            if cfg.check_invariants:
-                d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
-                _check_step_invariants(cfg, state, alpha, beta, gamma_k,
-                                       delta_k, y_step_sq, anchor_sq,
-                                       d_x, d_s, phi_yx, 1.0)
-            return IPilaState(x_curr=y, s_curr=x,
-                              phi_val=phi_yx, delta_k=delta_k, lambda_k=1.0,
-                              accepted_branch="inertial", backtracks=0,
-                              **{**common, **at_y})
-        L_next = state.L_k * cfg.eta
+    # practical: lambda = 1 acceptance test, tried before any line search
+    inertial = practical and phi_yx <= state.phi_val + cfg.sigma * delta_k
+    if practical and not inertial:
+        new.L_k = state.L_k * cfg.eta
+    if not inertial or cfg.check_invariants:
+        d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
+    if not inertial:
+        lam, ls_x, ls_s, evals = armijo_linesearch(
+            problem, x, s, state.phi_val, d_x, d_s, delta_k, cfg.sigma,
+            cfg.ls_shrink, cfg.max_halvings, y=y, f_y=f0_y + f1_y)
+        new.lambda_k, new.backtracks = lam, evals - 1
+        inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
 
-    d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
-    lam, ls_x, ls_s, evals = armijo_linesearch(
-        problem, x, s, state.phi_val, d_x, d_s, delta_k, cfg.sigma,
-        cfg.ls_shrink, cfg.max_halvings, y=y, f_y=f_y)
-
-    if phi_yx <= state.phi_val + cfg.sigma * lam * delta_k:
-        new_x, new_s, branch = y, x, "inertial"
-        common.update(at_y)
-        phi_new = phi_yx
+    if inertial:
+        new.move_to(y, x, fwd_y, f0_y, f1_y)
+        new.phi_val, new.accepted_branch = phi_yx, "inertial"
     else:
-        new_x, new_s, branch = ls_x, ls_s, "linesearch"
-        fwd = problem.f0.forward(new_x)
-        f0_new, f1_new = problem.f0.value(new_x, fwd), problem.f1.value(new_x)
-        common.update(f_val=f0_new + f1_new, f0_val=f0_new, f1_val=f1_new,
-                      f0_fwd=fwd)
-        d = new_x - new_s
-        phi_new = common["f_val"] + 0.5 * float(np.dot(d, d))
-
+        fwd = problem.f0.forward(ls_x)
+        new.move_to(ls_x, ls_s, fwd, problem.f0.value(ls_x, fwd),
+                    problem.f1.value(ls_x))
+        d = ls_x - ls_s
+        new.phi_val = new.f_val + 0.5 * float(np.dot(d, d))
+        new.accepted_branch = "linesearch"
     if cfg.check_invariants:
         _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
-                               y_step_sq, anchor_sq, d_x, d_s, phi_new, lam)
-
-    common["L_k"] = L_next
-    return IPilaState(x_curr=new_x, s_curr=new_s, phi_val=phi_new,
-                      delta_k=delta_k, lambda_k=lam, accepted_branch=branch,
-                      backtracks=evals - 1, **common)
+                               y_step_sq, anchor_sq, d_x, d_s, new.phi_val,
+                               new.lambda_k)
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
                 s0: Optional[np.ndarray] = None,
                 cfg: Optional[IPilaConfig] = None,
-                on_step: Optional[Callable[[int, IPilaState, IPilaState], None]] = None,
+                on_step: Optional[Callable[[int, fb.Iterate, fb.Iterate],
+                                           None]] = None,
                 ) -> Trace:
     """Run iPila from ``(x0, s0)`` (``s0 = x0`` by default) and emit a trace.
 
@@ -311,46 +259,25 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
     after)``, when given, observes each accepted transition.
     """
     cfg = cfg or IPilaConfig()
-    state = initial_state(problem, x0, s0, cfg)
-    trace = Trace(meta={
-        "solver": f"ipila-{'practical' if cfg.variant == 'practical-sec5' else 'strict'}",
-        "variant": cfg.variant, "sigma": cfg.sigma,
-        "ls_shrink": cfg.ls_shrink, "tau": cfg.tau, "theta": cfg.theta,
-        "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
-        "beta_max": cfg.beta_max, "L0": cfg.L0, "eta": cfg.eta,
-        "delta": cfg.delta,
-        "stop_tol": cfg.stop_tol, "f_init": state.f_val,
-        "phi_init": state.phi_val,
-    })
-    t0 = time.monotonic()
-    for k in range(cfg.max_outer):
-        new = ipila_step(problem, state, cfg)
-        d_k = float(np.sqrt(max(-new.delta_k, 0.0)))
-        l_or_g = new.L_k if cfg.variant == "practical-sec5" else new.gamma_k
-        y_step = (np.linalg.norm(new.y_tilde - state.x_curr)
-                  if new.y_tilde is not None else 0.0)
-        trace.append(
-            k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
-            h=new.h_val, delta_k=new.delta_k, d_k=d_k, alpha_k=new.alpha_k,
-            beta_k=new.beta_k, L_or_gamma=l_or_g, lambda_k=new.lambda_k,
-            inner_iters=new.inner_iters, backtracks=new.backtracks,
-            psi=new.psi_val,
-            x_step_norm=float(np.linalg.norm(new.x_curr - state.x_curr)),
-            y_step_norm=float(y_step),
-            s_step_norm=float(np.linalg.norm(new.s_curr - state.s_curr)),
-            prox_branch=new.prox_branch,
-            accepted_branch=new.accepted_branch,
-        )
-        if on_step is not None:
-            on_step(k, state, new)
-        state = new
-        if new.accepted_branch == "stationary" or d_k <= cfg.stop_tol:
-            trace.meta["stop_reason"] = ("stationary"
-                                         if new.accepted_branch == "stationary"
-                                         else "d_k")
-            break
-    else:
-        trace.meta["stop_reason"] = "max_outer"
-    trace.meta["f_final"] = state.f_val
-    trace.x_final = state.x_curr
-    return trace
+    practical = cfg.variant == "practical-sec5"
+    meta = {"solver": f"ipila-{'practical' if practical else 'strict'}",
+            "variant": cfg.variant, "sigma": cfg.sigma,
+            "ls_shrink": cfg.ls_shrink, "tau": cfg.tau, "theta": cfg.theta,
+            "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
+            "beta_max": cfg.beta_max, "L0": cfg.L0, "eta": cfg.eta,
+            "delta": cfg.delta, "stop_tol": cfg.stop_tol}
+
+    def row(before: fb.Iterate, after: fb.Iterate) -> dict:
+        return dict(
+            s_step_norm=float(np.linalg.norm(after.s_curr - before.s_curr)),
+            accepted_branch=after.accepted_branch,
+            L_or_gamma=after.L_k if practical else cfg.gamma_min)
+
+    def stop(st: fb.Iterate) -> Optional[str]:
+        if st.accepted_branch == "stationary":
+            return "stationary"
+        return "d_k" if st.d_k <= cfg.stop_tol else None
+
+    return fb.run(initial_state(problem, x0, s0, cfg), meta,
+                  lambda st: ipila_step(problem, st, cfg), stop,
+                  cfg.max_outer, row=row, on_step=on_step)

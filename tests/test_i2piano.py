@@ -117,7 +117,7 @@ class TestStep:
         st = initial_state(p, np.zeros(20), cfg)
         for _ in range(30):
             new = i2piano_step(p, st, cfg)
-            dstep = np.dot(st.x_curr - st.x_prev, st.x_curr - st.x_prev)
+            dstep = np.dot(st.x_curr - st.s_curr, st.x_curr - st.s_curr)
             bound = (st.phi_val - cfg.gamma * dstep
                      + (1 - cfg.omega) * new.h_val)
             assert new.phi_val <= bound + 1e-9 * (1 + abs(st.phi_val))

@@ -14,8 +14,27 @@ _spec.loader.exec_module(trace_digest)
 def test_digests_repeat_and_cover_every_run():
     first = trace_digest.digests(size=16, iters=5)
     assert first == trace_digest.digests(size=16, iters=5)
-    assert len(first) == 16
-    assert len({d for _, _, d in first}) == 16
+    assert len(first) == 24
+    # cut to 5 iterations, the 80- and 200-iteration synthetic runs coincide
+    assert len({d for _, _, d in first}) == 20
+
+
+def test_runs_reach_every_stop_reason_and_branch():
+    runs = trace_digest.traces()
+    assert {t.meta["stop_reason"] for _, _, t in runs} \
+        >= {"max_outer", "d_k", "x_step", "stationary"}
+    assert {r["accepted_branch"] for _, solver, t in runs
+            if solver.startswith("ipila") for r in t.rows} \
+        == {"inertial", "linesearch", "stationary"}
+    by_solver = {}
+    for _, solver, t in runs:
+        by_solver.setdefault(solver, []).append(t)
+    assert any(b < a for t in by_solver["i2piano"]
+               for a, b in zip(t.column("L_or_gamma"),
+                               t.column("L_or_gamma")[1:]))
+    for solver in ("i2piano", "iista"):
+        assert sum(sum(t.column("backtracks"))
+                   for t in by_solver[solver]) > 0, solver
 
 
 def test_changed_f_changes_the_digest():
@@ -27,4 +46,13 @@ def test_changed_f_changes_the_digest():
     trace.rows[2]["time_s"] += 1.0
     assert trace_digest.trace_digest(trace) == before
     trace.rows[2]["f"] = np.nextafter(trace.rows[2]["f"], np.inf)
+    assert trace_digest.trace_digest(trace) != before
+
+
+def test_changed_meta_changes_the_digest():
+    cfg = dict(cli.DEFAULTS, size="16", max_outer="5", solver="i2piano")
+    problem, x0, _ = cli.build_problem(cfg)
+    trace = cli.run_solver(problem, x0, cfg)
+    before = trace_digest.trace_digest(trace)
+    trace.meta["stop_reason"] = "d_k"
     assert trace_digest.trace_digest(trace) != before

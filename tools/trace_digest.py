@@ -2,17 +2,22 @@
 
 A change that must not move any arithmetic should leave every digest
 unchanged.  Each digest covers the run's in-memory trace rows, every field
-but ``time_s`` (floats by their exact hex form), then the bytes of
-``x_final``.  Compare a checkout with a clone of its parent commit::
+but ``time_s`` (floats by their exact hex form), then its ``meta`` (sorted
+keys, floats by hex), then the bytes of ``x_final``.  Compare a checkout
+with a clone of its parent commit::
 
     python3 tools/trace_digest.py > after.txt
     python3 tools/trace_digest.py --src /path/to/parent-clone > before.txt
     diff before.txt after.txt
 
 ``--src`` names a checkout or its ``src`` directory; the package is
-imported from there.  The runs are the 4 solvers on impulse-l1 at ``tau``
-1e6 and 1.0, gaussian-sd-tv at ``tau`` 0.01 and synthetic-quadratic-l1,
-at 64x64 and 80 outer iterations.
+imported from there.  The runs are the 4 solvers at 64x64 on impulse-l1 at
+``tau`` 1e6 and 1.0, gaussian-sd-tv at ``tau`` 0.01 and
+synthetic-quadratic-l1 for 80 outer iterations, then synthetic-quadratic-l1
+for 200, at ``L0`` 1 and 0.1.  The 200-iteration runs reach what the
+others never do: every stop reason (iPila-practical stops ``stationary``,
+i2Piano on ``d_k``, iISTA on ``x_step``) and, at ``L0 = 0.1``, backtracking
+in i2Piano and iISTA.
 """
 
 from __future__ import annotations
@@ -24,12 +29,16 @@ import sys
 from pathlib import Path
 
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
-# (label, CLI overrides)
-PROBLEMS = (
-    ("impulse-l1 tau=1e6", {"problem": "impulse-l1", "tau": "1e6"}),
-    ("impulse-l1 tau=1.0", {"problem": "impulse-l1", "tau": "1.0"}),
-    ("gaussian-sd-tv tau=0.01", {"problem": "gaussian-sd-tv", "tau": "0.01"}),
-    ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}),
+# (label, CLI overrides, outer iterations)
+RUNS = (
+    ("impulse-l1 tau=1e6", {"problem": "impulse-l1", "tau": "1e6"}, 80),
+    ("impulse-l1 tau=1.0", {"problem": "impulse-l1", "tau": "1.0"}, 80),
+    ("gaussian-sd-tv tau=0.01", {"problem": "gaussian-sd-tv", "tau": "0.01"},
+     80),
+    ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}, 80),
+    ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}, 200),
+    ("synthetic-quadratic-l1 L0=0.1",
+     {"problem": "synthetic-quadratic-l1", "L0": "0.1"}, 200),
 )
 
 
@@ -41,33 +50,47 @@ def _encode(value) -> str:
     return repr(value)
 
 
+def _fields(mapping, skip=()) -> bytes:
+    return (";".join(f"{k}={_encode(v)}" for k, v in sorted(mapping.items())
+                     if k not in skip) + "\n").encode()
+
+
 def trace_digest(trace) -> str:
-    """sha256 of the trace rows without ``time_s``, then ``x_final``."""
+    """sha256 of the trace rows without ``time_s``, its meta, ``x_final``."""
     import numpy as np
 
     sha = hashlib.sha256()
     for row in trace.rows:
-        fields = (f"{k}={_encode(v)}" for k, v in sorted(row.items())
-                  if k != "time_s")
-        sha.update((";".join(fields) + "\n").encode())
+        sha.update(_fields(row, skip=("time_s",)))
+    sha.update(_fields(trace.meta))
     if trace.x_final is not None:
         sha.update(np.ascontiguousarray(trace.x_final, dtype="<f8").tobytes())
     return sha.hexdigest()
 
 
-def digests(size: int = 64, iters: int = 80):
-    """``[(problem label, solver, digest)]``, one per run."""
+def traces(size: int = 64, iters=None):
+    """``[(label, solver, trace)]``, one per run.
+
+    ``iters``, when given, replaces every run's outer-iteration count.
+    """
     from inertiafb import cli
 
     out = []
-    for label, overrides in PROBLEMS:
+    for label, overrides, run_iters in RUNS:
         for solver in SOLVERS:
-            cfg = dict(cli.DEFAULTS, size=str(size), max_outer=str(iters),
-                       solver=solver, **overrides)
+            cfg = dict(cli.DEFAULTS, size=str(size),
+                       max_outer=str(iters or run_iters), solver=solver,
+                       **overrides)
             problem, x0, _ = cli.build_problem(cfg)
-            out.append((label, solver,
-                        trace_digest(cli.run_solver(problem, x0, cfg))))
+            out.append((f"{label} k={run_iters}", solver,
+                        cli.run_solver(problem, x0, cfg)))
     return out
+
+
+def digests(size: int = 64, iters=None):
+    """``[(run label, solver, digest)]``, one per run."""
+    return [(label, solver, trace_digest(trace))
+            for label, solver, trace in traces(size, iters)]
 
 
 def main(argv=None) -> int:
@@ -83,7 +106,7 @@ def main(argv=None) -> int:
         parser.error(f"no inertiafb package under {src}")
     sys.path.insert(0, str(src))
     for label, solver, digest in digests():
-        print(f"{label:24s} {solver:16s} {digest}")
+        print(f"{label:36s} {solver:16s} {digest}")
     return 0
 
 
