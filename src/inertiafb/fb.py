@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,17 +45,23 @@ class Iterate:
     prox_branch: str = ""
     accepted_branch: str = ""  # iPila's "inertial", "linesearch", "stationary"
     y_tilde: Optional[np.ndarray] = None
+    y_step_sq: float = math.nan  # ||y_tilde - x||^2, x where the step began
     warm_dual: Optional[np.ndarray] = None
     warm_mtw: Optional[np.ndarray] = None
     streak: int = 0  # i2Piano: backtrack-free steps since L_k last shrank
 
     def after_prox(self, res: ProxResult, alpha: float,
                    beta: float) -> "Iterate":
-        """A copy that records the prox call ``res`` made from this point."""
-        return replace(self, alpha_k=alpha, beta_k=beta, h_val=res.h_value,
-                       psi_val=res.psi_value, inner_iters=res.inner_iters,
-                       prox_branch=res.converged, y_tilde=res.y_tilde,
-                       warm_dual=res.w_tilde, warm_mtw=res.mtw_tilde)
+        """A copy that records the prox call ``res`` made from this point;
+        the step that made the call sets ``y_step_sq``."""
+        new = object.__new__(Iterate)  # a shallow copy at a third of the
+        new.__dict__.update(self.__dict__)  # cost of dataclasses.replace
+        new.alpha_k, new.beta_k = alpha, beta
+        new.h_val, new.psi_val = res.h_value, res.psi_value
+        new.inner_iters, new.prox_branch = res.inner_iters, res.converged
+        new.y_tilde, new.y_step_sq = res.y_tilde, math.nan
+        new.warm_dual, new.warm_mtw = res.w_tilde, res.mtw_tilde
+        return new
 
     def move_to(self, x, s, fwd, f0: float, f1: float) -> None:
         """Put this iterate at the pair ``(x, s)``; ``fwd`` is x's forward."""
@@ -113,10 +119,10 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg,
         inner += res.inner_iters
         y = res.y_tilde
         dx = y - x
+        dx_sq = float(np.dot(dx, dx))
         fwd = problem.f0.forward(y)
         f0y = problem.f0.value(y, fwd)
-        rhs = it.f0_val + float(np.dot(g, dx)) \
-            + 0.5 * L * float(np.dot(dx, dx))
+        rhs = it.f0_val + float(np.dot(g, dx)) + 0.5 * L * dx_sq
         if f0y <= rhs + 1e-12 * (1.0 + abs(it.f0_val)):
             break
         L *= cfg.eta
@@ -126,7 +132,7 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg,
                               "gradient or domain broken")
     new = it.after_prox(res, alpha, beta)
     new.move_to(y, x, fwd, f0y, res.f1_y)
-    new.phi_val, new.L_k = new.f_val, L
+    new.phi_val, new.L_k, new.y_step_sq = new.f_val, L, dx_sq
     new.inner_iters, new.backtracks = inner, backtracks
     return new
 
@@ -137,7 +143,9 @@ def run(state: Iterate, meta: dict, step: Callable[[Iterate], Iterate],
         on_step=None) -> Trace:
     """Iterate ``step`` from ``state`` and record one trace row per step.
 
-    Stops when ``stop(new)`` names a reason or after ``max_outer`` steps.
+    ``step`` returns an iterate made by :meth:`Iterate.after_prox` with
+    ``y_step_sq`` set.  Stops when ``stop(new)`` names a reason or after
+    ``max_outer`` steps.
     ``row(before, after)`` adds or replaces solver-specific columns, and
     ``on_step(k, before, after)`` observes each transition.
     """
@@ -146,15 +154,17 @@ def run(state: Iterate, meta: dict, step: Callable[[Iterate], Iterate],
     t0 = time.monotonic()
     for k in range(max_outer):
         new = step(state)
+        # sqrt of the dot product is np.linalg.norm's own formula
+        y_step = math.sqrt(new.y_step_sq)
+        x_step = y_step if new.x_curr is new.y_tilde \
+            else float(np.linalg.norm(new.x_curr - state.x_curr))
         fields = dict(
             k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
             h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
             alpha_k=new.alpha_k, beta_k=new.beta_k, L_or_gamma=new.L_k,
             lambda_k=new.lambda_k, inner_iters=new.inner_iters,
-            backtracks=new.backtracks, psi=new.psi_val,
-            x_step_norm=float(np.linalg.norm(new.x_curr - state.x_curr)),
-            y_step_norm=float(np.linalg.norm(new.y_tilde - state.x_curr)),
-            prox_branch=new.prox_branch)
+            backtracks=new.backtracks, psi=new.psi_val, x_step_norm=x_step,
+            y_step_norm=y_step, prox_branch=new.prox_branch)
         if row is not None:
             fields.update(row(state, new))
         trace.append(**fields)

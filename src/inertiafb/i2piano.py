@@ -104,13 +104,12 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
 
     new = fb.backtrack(problem, state, cfg, params, solve_inexact_prox, L)
     x, s = state.x_curr, state.s_curr
-    dx = new.x_curr - x
     step_prev_sq = float(np.dot(x - s, x - s))
     # h <= 0 in exact arithmetic; roundoff on the stationary branch can
     # leave it a hair positive, which would push d_k below sqrt(gamma)*step
     h_eff = min(new.h_val, 0.0)
     d_sq = cfg.gamma * step_prev_sq - (1.0 - cfg.omega) * h_eff
-    new.phi_val = new.f_val + cfg.delta * float(np.dot(dx, dx))
+    new.phi_val = new.f_val + cfg.delta * new.y_step_sq
     if cfg.check_invariants:
         bound = (state.phi_val - cfg.gamma * step_prev_sq
                  + (1.0 - cfg.omega) * new.h_val)

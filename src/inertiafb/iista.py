@@ -10,6 +10,7 @@ two inertial solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +53,7 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
         new = fb.backtrack(problem, state, cfg, lambda L: (1.0 / L, 0.0),
                            solve_inexact_prox, state.L_k)
         new.s_curr = new.x_curr
-        new.d_k = float(np.linalg.norm(new.x_curr - state.x_curr))
+        new.d_k = math.sqrt(new.y_step_sq)  # x^{k+1} is the prox point
         return new
 
     meta = {"solver": "iista", "L0": cfg.L0, "eta": cfg.eta, "tau": cfg.tau,

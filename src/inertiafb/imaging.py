@@ -109,21 +109,23 @@ class GradOp(LinearOp):
         # flat differences; those across a row end become the Neumann zeros
         x = np.asarray(x, dtype=float).reshape(-1)
         n, w = x.size, self.shape[1]
-        out = np.zeros(2 * n)
+        out = np.empty(2 * n)
         np.subtract(x[w:], x[:-w], out=out[:n - w])
+        out[n - w:n] = 0.0
         np.subtract(x[1:], x[:-1], out=out[n:-1])
-        out[n + w - 1::w] = 0.0
+        out[n + w - 1::w] = 0.0  # includes out[-1]
         return out
 
     def rmatvec(self, y):
-        # out starts at +0.0, so it never holds -0.0 and adding the zeroed
-        # last column of dh leaves its bits unchanged
+        # out starts as 0.0 - dv and +0.0, so it never holds -0.0 and adding
+        # the zeroed last column of dh leaves its bits unchanged
         y = np.asarray(y, dtype=float).reshape(-1)
         n, w = y.size // 2, self.shape[1]
         dh = y[n:].copy()
         dh[w - 1::w] = 0.0
-        out = np.zeros(n)
+        out = np.empty(n)
         np.subtract(0.0, y[:n - w], out=out[:n - w])
+        out[n - w:] = 0.0
         out[w:] += y[:n - w]
         out[:-1] -= dh[:-1]
         out[1:] += dh[:-1]

@@ -13,9 +13,12 @@ gamma_k ||x - s||^2 <= 0``, and the search direction
 
 then backtracks ``lambda`` until the generalized Armijo inequality
 ``Phi(x + lambda d_x, s + lambda d_s) <= Phi(x, s) + sigma lambda Delta_k``
-holds.  The pair ``(y, x)`` is accepted instead of the line-search point
-whenever it satisfies the same inequality, which turns the following
-iteration into an actual inertial step.
+holds.  The first trial, ``lambda = 1``, is the prox point ``y`` itself with
+the ``f(y)`` already in hand, so it costs no objective evaluation; only
+``lambda < 1`` builds and evaluates ``x + lambda d_x``.  The pair ``(y, x)``
+is accepted instead of the line-search point whenever it satisfies the same
+inequality, which turns the following iteration into an actual inertial
+step.
 
 Two parameter policies are provided.  ``strict-alg3`` keeps ``alpha_k =
 alpha_max``, ``beta_k = beta_max``, ``gamma_k = gamma_min`` constant and
@@ -92,25 +95,22 @@ def phi_value(problem: CompositeProblem, x: np.ndarray,
     return eval_f(problem, x) + 0.5 * float(np.dot(d, d))
 
 
-def descent_direction(x: np.ndarray, s: np.ndarray, y_tilde: np.ndarray,
-                      alpha: float, beta: float, gamma_k: float):
-    """Search direction ``(d_x, d_s)`` in the joint ``(x, s)`` space."""
-    step = y_tilde - x
-    d_x = step
-    d_s = (1.0 + beta / alpha) * step + gamma_k * (x - s)
-    return d_x, d_s
+def descent_direction(y_step: np.ndarray, anchor: np.ndarray, alpha: float,
+                      beta: float, gamma_k: float):
+    """Search direction ``(d_x, d_s)`` in the joint ``(x, s)`` space from
+    ``y_step = y - x`` and ``anchor = x - s``; ``d_x`` is ``y_step``."""
+    return y_step, (1.0 + beta / alpha) * y_step + gamma_k * anchor
 
 
-def compute_delta(h_val: float, gamma_k: float, x: np.ndarray,
-                  s: np.ndarray) -> float:
-    """Predicted merit decrease ``Delta_k = h - gamma_k ||x-s||^2 <= 0``."""
+def compute_delta(h_val: float, gamma_k: float, anchor_sq: float) -> float:
+    """Predicted merit decrease ``Delta_k = h - gamma_k ||x-s||^2 <= 0``
+    from ``anchor_sq = ||x - s||^2``."""
     if h_val > 0:
         raise SolverError(f"subproblem value h={h_val} > 0 breaks the "
                           "engine contract")
     if gamma_k <= 0:
         raise ValueError("gamma_k must be positive")
-    d = x - s
-    return float(h_val - gamma_k * np.dot(d, d))
+    return float(h_val - gamma_k * anchor_sq)
 
 
 def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
@@ -120,10 +120,11 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     """Largest ``lambda`` in the backtracking grid passing the Armijo test.
 
     ``phi0`` is the merit value ``Phi(x, s)`` the caller already holds, and
-    ``f_y = f(y)`` its value at the prox point ``y``: the ``lambda = 1``
-    trial reuses ``f_y`` when ``x + d_x`` equals ``y`` bit for bit.
+    ``f_y = f(y)`` its value at the prox point ``y = x + d_x``.  The
+    ``lambda = 1`` trial is ``y`` itself (returned as that object) with
+    ``f_y``; each ``lambda < 1`` evaluates ``f`` at ``x + lambda d_x``.
     Returns ``(lambda, new_x, new_s, evals)`` where ``evals`` counts merit
-    evaluations at trial points, a reused one included.  Termination is
+    evaluations at trial points, the unit trial included.  Termination is
     guaranteed for a genuine descent direction, so exhausting
     ``max_halvings`` is a hard error.
     """
@@ -132,13 +133,15 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     lam = 1.0
     evals = 0
     for _ in range(max_halvings + 1):
-        xt = x + lam * d_x
+        if lam == 1.0:
+            xt, f_t = y, f_y
+        else:
+            xt = x + lam * d_x
+            f_t = eval_f(problem, xt)
         st = s + lam * d_s
         evals += 1
-        reuse = lam == 1.0 and xt.tobytes() == y.tobytes()
         d = xt - st
-        phi_t = (f_y if reuse else eval_f(problem, xt)) \
-            + 0.5 * float(np.dot(d, d))
+        phi_t = f_t + 0.5 * float(np.dot(d, d))
         if phi_t <= phi0 + sigma * lam * delta_k:
             return lam, xt, st, evals
         lam *= ls_shrink
@@ -192,27 +195,30 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
                   problem.f0.grad(x, state.f0_fwd), engine)
     new = state.after_prox(res, alpha, beta)
     new.lambda_k, new.backtracks = 1.0, 0
-    y = res.y_tilde
+    y_step, anchor = res.y_tilde - x, x - s
+    new.y_step_sq = float(np.dot(y_step, y_step))
+    anchor_sq = float(np.dot(anchor, anchor))
     # roundoff on the abs branch can leave h a hair above zero
     if 0 < new.h_val <= 1e-10 * (1.0 + abs(state.f_val)):
         new.h_val = 0.0
-    new.delta_k = compute_delta(new.h_val, gamma_k, x, s)
+    new.delta_k = compute_delta(new.h_val, gamma_k, anchor_sq)
     if new.delta_k == 0.0:
         # the pair (x, s) stays put
         new.delta_k, new.accepted_branch = 0.0, "stationary"
     else:
-        _accept(problem, state, new, cfg, practical, gamma_k, res.f1_y)
+        _accept(problem, state, new, cfg, practical, gamma_k, res.f1_y,
+                y_step, anchor, anchor_sq)
     new.d_k = float(np.sqrt(max(-new.delta_k, 0.0)))
     return new
 
 
-def _accept(problem, state, new, cfg, practical, gamma_k, f1_y):
-    """Move ``new`` to ``(y, x)`` or to the Armijo point from ``state``."""
-    x, s, y = state.x_curr, state.s_curr, new.y_tilde
+def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
+            anchor, anchor_sq):
+    """Move ``new`` to ``(y, x)`` or to the Armijo point from ``state``;
+    ``y_step = y - x`` and ``anchor = x - s`` with its squared norm."""
+    x, y = state.x_curr, new.y_tilde
     alpha, beta, delta_k = new.alpha_k, new.beta_k, new.delta_k
-    y_step = y - x
-    y_step_sq = float(np.dot(y_step, y_step))
-    anchor_sq = float(np.dot(x - s, x - s))
+    y_step_sq = new.y_step_sq
     fwd_y = problem.f0.forward(y)
     f0_y = problem.f0.value(y, fwd_y)
     phi_yx = f0_y + f1_y + 0.5 * y_step_sq
@@ -222,11 +228,12 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y):
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
     if not inertial or cfg.check_invariants:
-        d_x, d_s = descent_direction(x, s, y, alpha, beta, gamma_k)
+        d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
     if not inertial:
         lam, ls_x, ls_s, evals = armijo_linesearch(
-            problem, x, s, state.phi_val, d_x, d_s, delta_k, cfg.sigma,
-            cfg.ls_shrink, cfg.max_halvings, y=y, f_y=f0_y + f1_y)
+            problem, x, state.s_curr, state.phi_val, d_x, d_s, delta_k,
+            cfg.sigma, cfg.ls_shrink, cfg.max_halvings, y=y,
+            f_y=f0_y + f1_y)
         new.lambda_k, new.backtracks = lam, evals - 1
         inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
 
@@ -234,9 +241,12 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y):
         new.move_to(y, x, fwd_y, f0_y, f1_y)
         new.phi_val, new.accepted_branch = phi_yx, "inertial"
     else:
-        fwd = problem.f0.forward(ls_x)
-        new.move_to(ls_x, ls_s, fwd, problem.f0.value(ls_x, fwd),
-                    problem.f1.value(ls_x))
+        if ls_x is y:  # the unit trial: y keeps its forward pass and f
+            new.move_to(y, ls_s, fwd_y, f0_y, f1_y)
+        else:
+            fwd = problem.f0.forward(ls_x)
+            new.move_to(ls_x, ls_s, fwd, problem.f0.value(ls_x, fwd),
+                        problem.f1.value(ls_x))
         d = ls_x - ls_s
         new.phi_val = new.f_val + 0.5 * float(np.dot(d, d))
         new.accepted_branch = "linesearch"

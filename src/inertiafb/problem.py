@@ -275,6 +275,13 @@ class StructuredConvexTerm:
         return np.concatenate([b.op.matvec(x) for b in self.blocks])
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """Stacked ``M^T w`` summed into zeros: a fresh array, never -0.0."""
+        if len(self.blocks) == 1:
+            # 0.0 + r, the zero-filled sum's bits, without the zero fill
+            r = self.blocks[0].op.rmatvec(w)
+            if np.may_share_memory(r, w):  # IdentityOp returns its input
+                return 0.0 + r
+            return np.add(0.0, r, out=r)
         out = np.zeros(self.n)
         for b, wi in zip(self.blocks, self.split(w)):
             out += b.op.rmatvec(wi)

@@ -219,16 +219,25 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         raise EngineError("op_norm_sq_bound must be positive with blocks present")
     sigma = 1.0 / (query.alpha * bound)
     t = 1.0
-    u = w.copy()
-    w_prev = w.copy()
+    blocks = problem.f1.blocks
+    # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
+    # w and every w_new may be returned, so none of them is ever written to
+    u, v = w.copy(), np.empty(m)
+    w_prev = w
     q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
+    q_buf = np.empty_like(q)
     since_improve = 0
     for it in range(1, query.max_inner + 1):
         z_u = problem.f1.xi.prox(q_u, query.alpha)
-        w_new = np.asarray(u + sigma * problem.f1.matvec(z_u), dtype=float)
-        parts = [b.fn.conjugate_prox(vi, sigma)
-                 for b, vi in zip(problem.f1.blocks, problem.f1.split(w_new))]
-        w_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        np.multiply(sigma, problem.f1.matvec(z_u), out=v)
+        np.add(u, v, out=v)
+        if len(blocks) == 1:
+            w_new = blocks[0].fn.conjugate_prox(v, sigma)
+            if np.may_share_memory(w_new, v):
+                w_new = w_new.copy()
+        else:
+            w_new = np.concatenate([b.fn.conjugate_prox(vi, sigma) for b, vi
+                                    in zip(blocks, problem.f1.split(v))])
 
         mtw_new = problem.f1.rmatvec(w_new)
         psi_l, y_l, q_new, xi_y = dp.psi(w_new, mtw_new, at_prox=True)
@@ -253,8 +262,12 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
 
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        u = w_new + mom * (w_new - w_prev)
-        q_u = q_new + mom * (q_new - q_prev)
+        # u = w_new + mom * (w_new - w_prev), q_u likewise, in that order
+        for new_, prev, out in ((w_new, w_prev, u), (q_new, q_prev, q_buf)):
+            np.subtract(new_, prev, out=out)
+            np.multiply(mom, out, out=out)
+            np.add(new_, out, out=out)
+        q_u = q_buf
         w_prev, q_prev = w_new, q_new
         t = t_new
 

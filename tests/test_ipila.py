@@ -13,35 +13,35 @@ from tests.conftest import (eval_h, quadratic_l1_problem,
 class TestDescentDirection:
     def test_stationary_gives_zero(self):
         x = np.ones(3)
-        dx, ds = descent_direction(x, x, x, 0.5, 0.2, 1.0)
+        dx, ds = descent_direction(x - x, x - x, 0.5, 0.2, 1.0)
         np.testing.assert_allclose(dx, 0.0)
         np.testing.assert_allclose(ds, 0.0)
 
     def test_hand_example(self):
-        dx, ds = descent_direction(np.array([1.0]), np.array([0.0]),
-                                   np.array([0.0]), 1.0, 0.5, 2.0)
+        # x = 1, s = 0, y = 0
+        dx, ds = descent_direction(np.array([-1.0]), np.array([1.0]),
+                                   1.0, 0.5, 2.0)
         assert dx[0] == pytest.approx(-1.0)
         assert ds[0] == pytest.approx(0.5)  # 1.5*(-1) + 2*1
 
     def test_degenerate_anchor(self):
         x = np.array([2.0, -1.0])
         y = np.array([0.5, 0.5])
-        dx, ds = descent_direction(x, x, y, 0.7, 0.0, 3.0)
+        dx, ds = descent_direction(y - x, x - x, 0.7, 0.0, 3.0)
         np.testing.assert_allclose(ds, dx)
 
 
 class TestComputeDelta:
     def test_zero_at_stationarity(self):
-        x = np.ones(2)
-        assert compute_delta(0.0, 2.0, x, x) == 0.0
+        assert compute_delta(0.0, 2.0, 0.0) == 0.0
 
     def test_hand_example(self):
-        assert compute_delta(-1.5, 2.0, np.array([1.0]),
-                             np.array([0.0])) == pytest.approx(-3.5)
+        # ||x - s||^2 = 1
+        assert compute_delta(-1.5, 2.0, 1.0) == pytest.approx(-3.5)
 
     def test_positive_h_is_hard_error(self):
         with pytest.raises(SolverError):
-            compute_delta(0.1, 1.0, np.ones(1), np.ones(1))
+            compute_delta(0.1, 1.0, 0.0)
 
     def test_dist33_bound_example(self):
         # h = -1.5, theta = 1 (tau=0), alpha = 1, ||y-x||^2 = 1:
@@ -56,8 +56,8 @@ class TestArmijo:
         s = x.copy()
         y = np.array([0.9])  # small step on a 1-Lipschitz problem
         h = eval_h(p, x, s, 0.1, 0.0, y)
-        delta = compute_delta(h, 1e-5, x, s)
-        dx, ds = descent_direction(x, s, y, 0.1, 0.0, 1e-5)
+        delta = compute_delta(h, 1e-5, 0.0)
+        dx, ds = descent_direction(y - x, x - s, 0.1, 0.0, 1e-5)
         lam, nx, ns, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
                                                dx, ds, delta, 1e-4, 0.5, 60,
                                                y=y, f_y=eval_f(p, y))
@@ -75,8 +75,8 @@ class TestArmijo:
         alpha = 0.12
         y = x - alpha * p.f0.grad(x)  # exact prox step, y = -0.92
         h = eval_h(p, x, s, alpha, 0.0, y)
-        delta = compute_delta(h, 1e-5, x, s)
-        dx, ds = descent_direction(x, s, y, alpha, 0.0, 1e-5)
+        delta = compute_delta(h, 1e-5, 0.0)
+        dx, ds = descent_direction(y - x, x - s, alpha, 0.0, 1e-5)
         assert phi_value(p, x + dx, s + ds) > phi_value(p, x, s) + 0.25 * delta
         lam, _, _, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
                                              dx, ds, delta, 0.25, 0.5, 60,
@@ -84,22 +84,24 @@ class TestArmijo:
         assert lam == 0.5
         assert evals == 2
 
-    def test_unit_trial_reuses_f_y_only_at_the_same_bits(self):
+    def test_unit_trial_is_y_itself(self):
+        # x + (y - x) rounds away from y here, and the unit trial must
+        # still be y with the caller's f(y), not a fresh evaluation
         calls = []
         f0 = SmoothOracle(lambda x: (calls.append(1), 0.5 * float(x @ x))[1],
                           lambda x: x)
         p = CompositeProblem(f0, StructuredConvexTerm([], xi=ZeroFunction(),
                                                       n=1), 1)
-        x = np.array([1.0])
-        d = np.array([-0.1])
-        phi0, f_y = phi_value(p, x, x), eval_f(p, x + d)
-        for y, f0_calls in ((x + d, 0), (np.nextafter(x + d, 2.0), 1)):
-            calls.clear()
-            lam, _, _, evals = armijo_linesearch(
-                p, x, x, phi0, d, np.zeros(1), -1e-3, 1e-4, 0.5, 60,
-                y=y, f_y=f_y)
-            assert (lam, evals) == (1.0, 1)
-            assert len(calls) == f0_calls
+        x, y = np.array([0.4]), np.array([0.1])
+        d = y - x
+        assert (x + d).tobytes() != y.tobytes()
+        phi0, f_y = phi_value(p, x, x), eval_f(p, y)
+        calls.clear()
+        lam, new_x, _, evals = armijo_linesearch(
+            p, x, x, phi0, d, np.zeros(1), -1e-3, 1e-4, 0.5, 60, y=y, f_y=f_y)
+        assert (lam, evals) == (1.0, 1)
+        assert new_x is y
+        assert calls == []
 
     def test_nonnegative_delta_rejected(self):
         p = smooth_only_problem(n=1)

@@ -245,15 +245,21 @@ class TestOneEvaluationPerPoint:
         self._run_counted(monkeypatch, solver, tau)
 
     def test_linesearch_point_carries_its_own_forward(self, monkeypatch):
-        # iPila's line-search branch is rare; this run takes it mid-run
-        rows = self._run_counted(monkeypatch, "ipila-practical", "1e6",
-                                 size="24", max_outer="30")
-        assert "linesearch" in [r["accepted_branch"] for r in rows[:-1]]
+        # iPila's line-search branch is rare and its lambda < 1 points
+        # rarer; with a long step this run accepts both the unit trial y
+        # and a backtracked point mid-run
+        rows = self._run_counted(monkeypatch, "ipila-strict", "1e6",
+                                 problem="gaussian-sd-tv", alpha_max="3")
+        lams = {r["lambda_k"] for r in rows[:-1]
+                if r["accepted_branch"] == "linesearch"}
+        assert 1.0 in lams
+        assert min(lams) < 1.0
 
     @staticmethod
-    def _run_counted(monkeypatch, solver, tau, size="16", max_outer="15"):
-        cfg = dict(DEFAULTS, problem="impulse-l1", size=size, tau=tau,
-                   solver=solver, max_outer=max_outer)
+    def _run_counted(monkeypatch, solver, tau, problem="impulse-l1",
+                     **overrides):
+        cfg = dict(DEFAULTS, problem=problem, size="16", tau=tau,
+                   solver=solver, max_outer="15", **overrides)
         p, x0, _ = build_problem(cfg)
         q, _, _ = build_problem(cfg)
         op = p.f1.blocks[0].op
@@ -315,14 +321,17 @@ class TestOneEvaluationPerPoint:
         # the initial state evaluates f0 twice: once in eval_f for f(x0)
         # and once for the carried f0(x0)
         if solver.startswith("ipila"):
-            branches = collections.Counter(r["accepted_branch"]
-                                           for r in rows)
+            stationary = sum(r["accepted_branch"] == "stationary"
+                             for r in rows)
+            fresh_points = sum(r["accepted_branch"] == "linesearch"
+                               and r["lambda_k"] < 1.0 for r in rows)
+            # eval_f counts the initial state and the Armijo trials at
+            # lambda < 1; the unit trial is y with the f(y) in hand
+            assert counts["eval_f"] == 1 + backtracks
             # one f0 at y per moving step, one at an accepted line-search
-            # point; eval_f counts the initial state and the Armijo trials
-            # that could not reuse f(y)
+            # point other than y
             assert counts["f0"] == (1 + counts["eval_f"] + len(rows)
-                                    - branches["stationary"]
-                                    + branches["linesearch"])
+                                    - stationary + fresh_points)
             assert len(cold_calls) == len(rows)
             first_calls = 1
         else:

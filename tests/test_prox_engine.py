@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from inertiafb import imaging
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               LinearOp, NonnegIndicator, SmoothOracle,
-                               StructuredConvexTerm, ZeroFunction)
+                               LinearOp, NonnegIndicator, ProxFunction,
+                               SmoothOracle, StructuredConvexTerm,
+                               ZeroFunction)
 from inertiafb.prox_engine import (EngineError, ProxQuery, dual_objective,
                                    solve_inexact_prox, theta_from_tau)
 from tests.conftest import eval_h, quadratic_l1_problem, scalar_l1_problem
@@ -354,3 +355,139 @@ class TestConjugateOfProjectedIterates:
         fn = L1Norm(1.0)
         w = fn.conjugate_prox(np.array([2.0 ** 53 + 2.0]), 1.0)
         assert w[0] == 2.0 and fn.conjugate(w) == np.inf
+
+
+class _ConjugateIsIdentity(ProxFunction):
+    """Indicator of ``{0}``: ``g* = 0`` and ``prox_{sigma g*}`` returns its
+    input, the very array the engine handed it."""
+
+    def value(self, x):
+        return 0.0 if not np.any(x) else np.inf
+
+    def prox(self, u, sigma):
+        return np.zeros_like(u)
+
+    def conjugate(self, w):
+        return 0.0
+
+    def conjugate_prox(self, v, sigma):
+        return v
+
+
+class _ConjugateIsCopy(_ConjugateIsIdentity):
+    def conjugate_prox(self, v, sigma):
+        return v.copy()
+
+
+class _NegateOp(LinearOp):
+    """``-I``: a fresh adjoint that turns every +0.0 into -0.0."""
+
+    def __init__(self, n):
+        self.in_dim = self.out_dim = n
+
+    def matvec(self, x):
+        return -x
+
+    def rmatvec(self, y):
+        return -y
+
+
+class TestReusedBuffers:
+    """The dual loop and ``M^T`` skip fresh arrays without moving a bit."""
+
+    @pytest.mark.parametrize("op", [
+        imaging.GradOp((6, 7)),
+        imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), (6, 7)),
+        IdentityOp(42), _NegateOp(42)],
+        ids=["grad", "conv", "identity", "negate"])
+    def test_one_block_rmatvec_is_the_zero_filled_sum(self, op):
+        term = StructuredConvexTerm([Block(op, ZeroFunction())],
+                                    xi=ZeroFunction(), n=op.in_dim,
+                                    op_norm_sq_bound=8.0)
+        rng = np.random.default_rng(5)
+        m = op.out_dim
+        mixed = rng.choice([-0.0, 0.0, 1.5, -2.25], m)
+        mixed = np.where(rng.random(m) < 0.3, rng.standard_normal(m), mixed)
+        for w in (mixed, np.full(m, -0.0), np.zeros(m)):
+            before = w.copy()
+            ref = np.zeros(op.in_dim)
+            ref += op.rmatvec(w)
+            out = term.rmatvec(w)
+            assert out.tobytes() == ref.tobytes()
+            assert not np.may_share_memory(out, w)
+            assert w.tobytes() == before.tobytes()
+        # identity and negation hand back -0.0, which the sum turns +0.0
+        raw = op.rmatvec(mixed)
+        assert np.any((raw == 0.0) & np.signbit(raw)) \
+            == isinstance(op, (IdentityOp, _NegateOp))
+
+    @staticmethod
+    def _returned_arrays_survive(p, queries, max_inner=2000):
+        kept, warm, warm_mtw = [], None, None
+        for q in queries:
+            q.max_inner = max_inner
+            res = solve_inexact_prox(p, q, warm_start=warm, warm_mtw=warm_mtw)
+            # w_tilde was not rewritten after M^T w_tilde was taken
+            assert (res.mtw_tilde.tobytes()
+                    == p.f1.rmatvec(res.w_tilde).tobytes())
+            kept.append((res, [a.copy() for a in (res.y_tilde, res.w_tilde,
+                                                  res.mtw_tilde)]))
+            warm, warm_mtw = res.w_tilde, res.mtw_tilde
+        for res, copies in kept:
+            for a, c in zip((res.y_tilde, res.w_tilde, res.mtw_tilde),
+                            copies):
+                assert a.tobytes() == c.tobytes()
+        return [res for res, _ in kept]
+
+    def test_tv_results_unchanged_by_later_calls(self):
+        p, _, rng = _tv_denoising_problem(seed=3)
+        queries = [ProxQuery(x=rng.uniform(0.0, 4.0, p.n),
+                             s=rng.uniform(0.0, 4.0, p.n), alpha=0.8,
+                             beta=0.2, tau=0.01) for _ in range(3)]
+        results = self._returned_arrays_survive(p, queries)
+        assert all(r.ok and r.inner_iters > 1 for r in results)
+
+    def test_unimproved_warm_start_is_returned_intact(self):
+        # from a dual point FISTA cannot improve on, the engine returns its
+        # own iterate 0 after extrapolating past it three times
+        p, _, rng = _tv_denoising_problem(shape=(8, 8), seed=3)
+        x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
+        q = ProxQuery(x=x, s=s, alpha=0.8, beta=0.2, tau=0.0, abs_tol=0.0,
+                      max_inner=1000)
+        first = solve_inexact_prox(p, q)
+        assert (first.converged, first.inner_iters) == ("maxiter", 1000)
+        q.max_inner = 3
+        res = solve_inexact_prox(p, q, warm_start=first.w_tilde,
+                                 warm_mtw=first.mtw_tilde)
+        assert (res.converged, res.inner_iters) == ("maxiter", 3)
+        assert res.w_tilde.tobytes() == first.w_tilde.tobytes()
+        assert (res.mtw_tilde.tobytes()
+                == p.f1.rmatvec(res.w_tilde).tobytes())
+
+    def test_aliasing_prox_results_unchanged_by_later_calls(self):
+        # xi's prox, M, M^T and the block's conjugate prox all return their
+        # input here, so any reused buffer that leaks would show; the loose
+        # norm bound keeps h infinite and the dual climbing for every step
+        results = {}
+        for fn in (_ConjugateIsIdentity(), _ConjugateIsCopy()):
+            n = 12
+            b = np.linspace(-1.0, 1.0, n)
+            f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
+                              lambda x: x - b)
+            f1 = StructuredConvexTerm([Block(IdentityOp(n), fn)],
+                                      xi=ZeroFunction(), n=n,
+                                      op_norm_sq_bound=4.0)
+            p = CompositeProblem(f0, f1, n)
+            queries = [ProxQuery(x=np.zeros(n), s=np.full(n, 0.1 * k),
+                                 alpha=0.5, beta=0.3, tau=0.01)
+                       for k in range(3)]
+            results[type(fn)] = self._returned_arrays_survive(p, queries,
+                                                              max_inner=6)
+        aliased, fresh = results.values()
+        for ra, rf in zip(aliased, fresh):
+            assert (ra.converged, ra.inner_iters) == ("maxiter", 6)
+            # FISTA's momentum saw the same iterates either way
+            for name in ("y_tilde", "w_tilde", "mtw_tilde"):
+                assert (getattr(ra, name).tobytes()
+                        == getattr(rf, name).tobytes())
+            assert ra.psi_value == rf.psi_value
