@@ -19,6 +19,7 @@ failure, 4 certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import os
 import sys
@@ -89,6 +90,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _config_values(build):
+    """Wraps ``build(cfg)`` so that a ValueError from checking the configured
+    values is a ConfigError; a DomainError stays a solver failure."""
+    @functools.wraps(build)
+    def checked(cfg):
+        try:
+            return build(cfg)
+        except (ConfigError, DomainError):
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return checked
+
+
 def load_config(path) -> dict:
     cfg = {}
     with open(path) as fh:
@@ -150,8 +165,11 @@ def _i(cfg, key) -> int:
         raise ConfigError(f"bad integer value for {key!r}") from exc
 
 
+@_config_values
 def build_problem(cfg: dict):
-    """Returns ``(problem, x0, context)`` for the configured benchmark."""
+    """Returns ``(problem, x0, context)`` for the configured benchmark; a
+    value the problem rejects (an even ``blur_size``, say) is a ConfigError.
+    """
     name = cfg["problem"]
     seed = _i(cfg, "seed")
     if name == "synthetic-quadratic-l1":
@@ -205,17 +223,17 @@ def build_problem(cfg: dict):
     raise ConfigError(f"unknown problem {name!r}; choose from {PROBLEMS}")
 
 
-def run_solver(problem, x0, cfg: dict) -> Trace:
+@_config_values
+def _solver_config(cfg: dict):
     name = cfg["solver"]
     common = dict(tau=_f(cfg, "tau"), max_outer=_i(cfg, "max_outer"),
                   stop_tol=_f(cfg, "stop_tol"), max_inner=_i(cfg, "max_inner"))
     if name == "i2piano":
-        sc = I2PianoConfig(delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
-                           eta=_f(cfg, "eta"), omega=_f(cfg, "omega"),
-                           L0=_f(cfg, "L0"), allow_L_decrease=True, **common)
-        return i2piano_solve(problem, x0, sc)
+        return I2PianoConfig(delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
+                             eta=_f(cfg, "eta"), omega=_f(cfg, "omega"),
+                             L0=_f(cfg, "L0"), allow_L_decrease=True, **common)
     if name in ("ipila-strict", "ipila-practical"):
-        sc = IPilaConfig(
+        return IPilaConfig(
             sigma=_f(cfg, "sigma"), ls_shrink=_f(cfg, "ls_shrink"),
             max_halvings=_i(cfg, "max_halvings"),
             alpha_max=_f(cfg, "alpha_max"), beta_max=_f(cfg, "beta_max"),
@@ -224,11 +242,18 @@ def run_solver(problem, x0, cfg: dict) -> Trace:
             variant=("strict-alg3" if name == "ipila-strict"
                      else "practical-sec5"),
             **common)
-        return ipila_solve(problem, x0, cfg=sc)
     if name == "iista":
-        sc = IistaConfig(L0=_f(cfg, "L0"), eta=_f(cfg, "eta"), **common)
-        return iista_solve(problem, x0, sc)
+        return IistaConfig(L0=_f(cfg, "L0"), eta=_f(cfg, "eta"), **common)
     raise ConfigError(f"unknown solver {name!r}; choose from {SOLVERS}")
+
+
+def run_solver(problem, x0, cfg: dict) -> Trace:
+    sc = _solver_config(cfg)
+    if isinstance(sc, I2PianoConfig):
+        return i2piano_solve(problem, x0, sc)
+    if isinstance(sc, IistaConfig):
+        return iista_solve(problem, x0, sc)
+    return ipila_solve(problem, x0, cfg=sc)
 
 
 def _write_outputs(outdir: Path, trace: Trace, context: dict, cfg: dict):
@@ -337,7 +362,11 @@ def cmd_certify(args, extra) -> int:
     if not path.exists():
         print(f"trace file not found: {path}", file=sys.stderr)
         return EXIT_CONFIG
-    trace = Trace.read_csv(path)
+    try:
+        trace = Trace.read_csv(path)
+    except ValueError as exc:
+        print(f"bad trace file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not trace.rows:
         print("empty trace", file=sys.stderr)
         return EXIT_CONFIG

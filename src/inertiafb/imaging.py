@@ -34,7 +34,9 @@ class ConvOperator(LinearOp):
     The forward map mirrors the image across its border pixels before a
     valid-mode correlation with the kernel; the adjoint is the exact
     transpose of that composition (full convolution followed by folding the
-    padded border back onto its source pixels).
+    padded border back onto its source pixels).  The adjoint works in two
+    padded arrays the instance keeps, so one instance must not run
+    concurrently; every returned array is fresh.
     """
 
     def __init__(self, kernel: np.ndarray, shape):
@@ -51,33 +53,42 @@ class ConvOperator(LinearOp):
         # odd kh <= h implies kh // 2 <= h - 1: the mirror pad never wraps
         self._ph, self._pw = kh // 2, kw // 2
         self.in_dim = self.out_dim = h * w
+        # rmatvec's zero-bordered input (only the interior is ever written)
+        # and its full-convolution output
+        self._padded, self._full = np.zeros((2, h + kh - 1, w + kw - 1))
+
+    def _interior(self, padded: np.ndarray) -> np.ndarray:
+        h, w = self.shape
+        return padded[self._ph:self._ph + h, self._pw:self._pw + w]
+
+    def _fold_border(self, full: np.ndarray) -> np.ndarray:
+        """Transpose of whole-sample mirror padding, in place on ``full``.
+
+        Adds each border row, then each border column of the padded
+        ``full`` onto its mirror source, and returns the interior view.
+        """
+        h, w = self.shape
+        ph, pw = self._ph, self._pw
+        if ph:
+            full[ph + 1:2 * ph + 1] += full[:ph][::-1]
+            full[h - 1:h + ph - 1] += full[h + ph:][::-1]
+        if pw:
+            rows = full[ph:ph + h]
+            rows[:, pw + 1:2 * pw + 1] += rows[:, :pw][:, ::-1]
+            rows[:, w - 1:w + pw - 1] += rows[:, w + pw:][:, ::-1]
+        return self._interior(full)
 
     def matvec(self, x):
         img = np.asarray(x, dtype=float).reshape(self.shape)
         # equals valid correlation of the whole-sample mirrored image
         return _nd_correlate(img, self.kernel, mode="mirror").ravel()
 
-    @staticmethod
-    def _fold(z: np.ndarray, length: int, pad: int) -> np.ndarray:
-        # transpose of whole-sample mirror padding along axis 0
-        out = z[pad:pad + length].copy()
-        if pad:
-            out[1:pad + 1] += z[:pad][::-1]
-            out[length - 1 - pad:length - 1] += z[length + pad:][::-1]
-        return out
-
-    def _fold2d(self, full: np.ndarray) -> np.ndarray:
-        # transpose of whole-sample mirror padding along both axes, flat
-        h, w = self.shape
-        tmp = self._fold(full, h, self._ph)
-        return self._fold(tmp.T, w, self._pw).T.ravel()
-
     def rmatvec(self, y):
-        img = np.asarray(y, dtype=float).reshape(self.shape)
         # full convolution: zero-pad by the kernel radius, then 'same'
-        pads = ((self._ph, self._ph), (self._pw, self._pw))
-        full = _nd_convolve(np.pad(img, pads), self.kernel, mode="constant")
-        return self._fold2d(full)
+        self._interior(self._padded)[...] = np.reshape(y, self.shape)
+        _nd_convolve(self._padded, self.kernel, mode="constant",
+                     output=self._full)
+        return self._fold_border(self._full).flatten()
 
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
@@ -238,32 +249,39 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     """Smooth edge-preserving regularizer ``rho sum_l w_l sum_i
     log(1 + (K_l x)_i^2)`` over a filter bank.
 
-    The forward pass gathers the mirror-padded ``(taps, pixels)`` columns by
-    precomputed indices, and one ``(filters, taps) @ (taps, pixels)`` product
-    gives every filter response; the gradient folds one scatter-added
-    adjoint.  Value and gradient write their large temporaries into the
-    oracle's own workspace, so one instance must not run concurrently.
+    The forward pass mirror-pads the image into a workspace and copies its
+    ``(taps, pixels)`` windows into columns, and one ``(filters, taps) @
+    (taps, pixels)`` product gives every filter response; the gradient folds
+    one scatter-added adjoint.  Forward, value and gradient write their
+    large temporaries into the oracle's own workspace, so one instance must
+    not run concurrently.
     """
     op = ConvOperator(bank.filters[0][0], shape)  # validates the kernel size
     h, w = op.shape
     kh, kw = op.kernel.shape
+    ph, pw = op._ph, op._pw
     kmat = np.stack([np.asarray(k, dtype=float).ravel()
                      for k, _ in bank.filters])
     wts = np.array([wt for _, wt in bank.filters], dtype=float)
-    pads = ((op._ph, op._ph), (op._pw, op._pw))
-    # row t: flat pixel indices of tap t's window on the mirror-padded image
-    idx = np.pad(np.arange(h * w).reshape(h, w), pads, mode="reflect")
-    idx = sliding_window_view(idx, (h, w)).reshape(kh * kw, h * w)
-    hp, wp = h + kh - 1, w + kw - 1  # the same windows, on the padded array
+    hp, wp = h + kh - 1, w + kw - 1
+    # tap t's window on the padded array, as flat indices, in tap order
     full_idx = sliding_window_view(np.arange(hp * wp).reshape(hp, wp),
                                    (h, w)).reshape(-1)
     rho = bank.rho
-    cols = np.empty(idx.shape)
+    padded = np.empty((hp, wp))
+    cols = np.empty((kh * kw, h * w))
+    img = op._interior(padded)
+    windows = sliding_window_view(padded, (h, w))  # (kh, kw, h, w) view
     ws, ws2 = np.empty((2, len(kmat), h * w))
 
     def forward(x):
-        # indices are in range; take buffers out= only in its default mode
-        np.take(np.asarray(x, dtype=float), idx, out=cols, mode="clip")
+        # whole-sample mirror: rows first, then columns across every row
+        img[...] = np.reshape(x, (h, w))
+        padded[:ph, pw:pw + w] = img[1:ph + 1][::-1]
+        padded[ph + h:, pw:pw + w] = img[h - 1 - ph:h - 1][::-1]
+        padded[:, :pw] = padded[:, pw + 1:2 * pw + 1][:, ::-1]
+        padded[:, pw + w:] = padded[:, w - 1:w + pw - 1][:, ::-1]
+        cols.reshape(kh, kw, h, w)[...] = windows
         return kmat @ cols
 
     def value(u):
@@ -278,7 +296,7 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
         taps = np.matmul(kmat.T, num, out=cols)
         # sums into each padded element in tap order, as a loop over taps
         full = np.bincount(full_idx, weights=taps.reshape(-1))
-        return rho * op._fold2d(full.reshape(hp, wp))
+        return (rho * op._fold_border(full.reshape(hp, wp))).ravel()
 
     return SmoothOracle(value, grad, forward)
 

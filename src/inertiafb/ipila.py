@@ -83,6 +83,9 @@ class IPilaConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.eta <= 1:
             raise ValueError("eta must exceed 1")
+        # the practical coupling's beta is nonnegative only for these
+        if self.variant == "practical-sec5" and self.delta < self.gamma_min:
+            raise ValueError("practical-sec5 needs delta >= gamma_min")
 
     @property
     def theta(self) -> float:

@@ -117,17 +117,22 @@ def adjoint_residual(op: LinearOp, rng: np.random.Generator,
 
 def power_iteration_sq_norm(op: LinearOp, iters: int = 50,
                             seed: int = 0) -> float:
-    """Estimate of lambda_max(M^T M) by power iteration."""
+    """Estimate of lambda_max(M^T M) by power iteration.
+
+    Each ``M^T M v`` is normalised in place, so ``op.rmatvec`` must return
+    an array it does not keep.  ``sqrt(w.w)`` is ``np.linalg.norm``'s own
+    formula for a real vector.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        w = op.rmatvec(op.matvec(v))
-        lam = float(np.linalg.norm(w))
+        v = op.rmatvec(op.matvec(v))
+        lam = float(np.sqrt(v.dot(v)))
         if lam == 0.0:
             return 0.0
-        v = w / lam
+        v /= lam
     return lam
 
 

@@ -68,10 +68,12 @@ class Trace:
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
+        """Raises ValueError, naming the line, on a header without every
+        ``CSV_COLUMNS`` column, a row of the wrong width or a bad number."""
         trace = cls()
         header: Optional[list] = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -81,14 +83,23 @@ class Trace:
                     continue
                 parts = line.split(",")
                 if header is None:
+                    missing = [c for c in CSV_COLUMNS if c not in parts]
+                    if missing:
+                        raise ValueError(f"{path}:{lineno}: header lacks "
+                                         f"{', '.join(missing)}")
                     header = parts
                     continue
+                if len(parts) != len(header):
+                    raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
+                                     f"header has {len(header)}")
                 row = {}
                 for col, raw in zip(header, parts):
-                    if col in _INT_COLUMNS:
-                        row[col] = int(raw)
-                    else:
-                        row[col] = float(raw)
+                    cast = int if col in _INT_COLUMNS else float
+                    try:
+                        row[col] = cast(raw)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: bad {col} value "
+                                         f"{raw!r}") from None
                 trace.rows.append(row)
         return trace
 

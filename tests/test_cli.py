@@ -166,6 +166,51 @@ class TestRunCommand:
         assert (out / "restored.pgm").exists()
 
 
+# values the problem or solver rejects: (overrides, words of the message)
+BAD_VALUES = {
+    "even_blur_size": (("--problem", "impulse-l1", "--blur_size", "4"),
+                       "odd"),
+    "negative_delta": (("--delta", "-1"), "delta"),
+    # used to reach the prox engine: "beta must be nonnegative"
+    "negative_delta_ipila_practical": (
+        ("--problem", "impulse-l1", "--size", "16", "--solver",
+         "ipila-practical", "--solvers", "ipila-practical", "--delta", "-1"),
+        "delta"),
+    "noise_fraction_above_one": (("--problem", "impulse-l1",
+                                  "--noise_fraction", "2"), "fraction"),
+    "image_smaller_than_blur": (("--problem", "impulse-l1", "--size", "2"),
+                                "kernel larger"),
+}
+
+
+class TestBadValuesAreConfigErrors:
+    """Each used to end in a ValueError traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_exits_2(self, tmp_path, capsys, command, case):
+        overrides, words = BAD_VALUES[case]
+        out = tmp_path / "out"
+        code = run_cli(command, "--solvers", "i2piano", "--max_outer", "3",
+                       "--fstar_iters", "3", *overrides, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error:" in err and words in err
+        assert "Traceback" not in err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
+    def test_sixteen_bit_pgm_exits_2(self, tmp_path, capsys, command):
+        image = tmp_path / "deep.pgm"
+        image.write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
+        code = run_cli(command, "--problem", "impulse-l1", "--solvers",
+                       "i2piano", "--image", str(image), "--max_outer", "3",
+                       "--fstar_iters", "3", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error:" in err and "maxval" in err
+
+
 class TestSuiteAndFstar:
     def test_suite_writes_fstar_consistent_with_finals(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -278,6 +323,38 @@ class TestCertifyCommand:
         code = run_cli("certify", str(out / "trace.csv"))
         assert code == 4
         assert "overall=fail" in capsys.readouterr().out
+
+    def test_certify_unparsable_value_exits_2(self, tmp_path, capsys):
+        # used to end in "could not convert string to float"
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "5",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        text = path.read_text().replace("\n1,", "\n1,oops", 1)
+        path.write_text(text)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "bad trace file" in err and "'oops" in err
+        assert "Traceback" not in err
+
+    def test_certify_missing_column_exits_2(self, tmp_path, capsys):
+        # used to end in KeyError: 'd_k'
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "5",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        col = lines[header].split(",").index("d_k")
+        for i in range(header, len(lines)):
+            parts = lines[i].split(",")
+            lines[i] = ",".join(parts[:col] + parts[col + 1:])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "bad trace file" in err and "d_k" in err
 
     def test_certify_missing_file(self, tmp_path, capsys):
         code = run_cli("certify", str(tmp_path / "none.csv"))

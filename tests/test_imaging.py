@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from inertiafb import imaging
 from inertiafb.cli import DEFAULTS, build_problem
@@ -10,6 +11,50 @@ from inertiafb.problem import (CompositeProblem, ProxFunction,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
+
+
+# Reference formulas the convolution layer must reproduce bit for bit: the
+# adjoint as np.pad, full convolution and two out-of-place folds, and the
+# log-filter columns as a gather by precomputed indices.
+
+def _fold_reference(z, length, pad):
+    # transpose of whole-sample mirror padding along axis 0
+    out = z[pad:pad + length].copy()
+    if pad:
+        out[1:pad + 1] += z[:pad][::-1]
+        out[length - 1 - pad:length - 1] += z[length + pad:][::-1]
+    return out
+
+
+def _fold2d_reference(full, shape, kshape):
+    # rows first, then columns; flat
+    tmp = _fold_reference(full, shape[0], kshape[0] // 2)
+    return _fold_reference(tmp.T, shape[1], kshape[1] // 2).T.ravel()
+
+
+def _rmatvec_reference(kernel, shape, y):
+    pads = ((kernel.shape[0] // 2,) * 2, (kernel.shape[1] // 2,) * 2)
+    full = ndimage.convolve(np.pad(np.reshape(y, shape), pads), kernel,
+                            mode="constant")
+    return _fold2d_reference(full, shape, kernel.shape)
+
+
+def _log_filter_forward_reference(bank, shape, x):
+    h, w = shape
+    kh, kw = bank.filters[0][0].shape
+    kmat = np.stack([k.ravel() for k, _ in bank.filters])
+    pads = ((kh // 2,) * 2, (kw // 2,) * 2)
+    idx = np.pad(np.arange(h * w).reshape(h, w), pads, mode="reflect")
+    idx = sliding_window_view(idx, (h, w)).reshape(kh * kw, h * w)
+    return kmat @ np.take(x, idx)
+
+
+def _signed_zero_samples(rng, n):
+    # random data with -0.0 and +0.0 sprinkled in, and an all -0.0 vector
+    y = rng.standard_normal(n)
+    y[::7] = -0.0
+    y[3::11] = 0.0
+    return [y, np.full(n, -0.0)]
 
 
 class TestConvOperator:
@@ -82,6 +127,114 @@ class TestConvOperator:
         assert np.argmax(k) == 12  # peak at the center
         with pytest.raises(ValueError):
             imaging.gaussian_kernel(4, 1.0)
+
+
+def _bank(kshape, count=3, seed=11):
+    kernels = np.random.default_rng(seed).standard_normal((count,) + kshape)
+    return imaging.FilterBank(filters=[(k, 0.5 + i)
+                                       for i, k in enumerate(kernels)],
+                              rho=0.3)
+
+
+# (image shape, kernel shape): the two row folds meet at (5, 5) with 5x5,
+# the two column folds at (7, 3) with 3x3
+FOLD_CASES = [((5, 5), (5, 5)), ((17, 9), (5, 5)), ((7, 3), (3, 3)),
+              ((6, 11), (3, 5)), ((64, 64), (5, 5))]
+
+
+class TestReusedWorkspaces:
+    """The adjoint and the log-filter oracle work in padded arrays each
+    instance keeps; their results must keep the reference bits and stay
+    fresh."""
+
+    @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
+    def test_rmatvec_bits_match_pad_and_fold(self, shape, kshape):
+        rng = np.random.default_rng(21)
+        kernel = rng.standard_normal(kshape)
+        op = imaging.ConvOperator(kernel, shape)
+        for _ in range(2):  # the workspaces are reused between calls
+            for y in _signed_zero_samples(rng, op.in_dim):
+                got = op.rmatvec(y)
+                want = _rmatvec_reference(kernel, shape, y)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
+    def test_log_filter_forward_bits_match_index_gather(self, shape, kshape):
+        bank = _bank(kshape)
+        reg = imaging.log_filter_regularizer(bank, shape)
+        rng = np.random.default_rng(22)
+        for _ in range(2):
+            for x in _signed_zero_samples(rng, shape[0] * shape[1]):
+                want = _log_filter_forward_reference(bank, shape, x)
+                assert reg.forward(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
+    def test_log_filter_gradient_bits_match_pad_and_fold(self, shape, kshape):
+        # the per-filter adjoints, summed in filter order, then folded once
+        bank = _bank(kshape)
+        h, w = shape
+        kh, kw = kshape
+        kmat = np.stack([k.ravel() for k, _ in bank.filters])
+        wts = np.array([wt for _, wt in bank.filters])
+        reg = imaging.log_filter_regularizer(bank, shape)
+        x = 5.0 * np.random.default_rng(23).standard_normal(h * w)
+        u = reg.forward(x)
+        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
+        full = np.bincount(
+            sliding_window_view(np.arange((h + kh - 1) * (w + kw - 1))
+                                .reshape(h + kh - 1, w + kw - 1),
+                                (h, w)).reshape(-1),
+            weights=taps.reshape(-1))
+        want = bank.rho * _fold2d_reference(
+            full.reshape(h + kh - 1, w + kw - 1), shape, kshape)
+        assert reg.grad(x, u).tobytes() == want.tobytes()
+
+    def test_returned_arrays_survive_later_calls(self):
+        shape, kshape = (17, 9), (5, 5)
+        rng = np.random.default_rng(24)
+        op = imaging.ConvOperator(rng.standard_normal(kshape), shape)
+        reg = imaging.log_filter_regularizer(_bank(kshape), shape)
+        n = op.in_dim
+        x1, x2 = rng.standard_normal((2, n))
+        kept = [op.rmatvec(x1), op.matvec(x1), reg.forward(x1)]
+        kept.append(reg.grad(x1, kept[2]))
+        snapshot = [a.copy() for a in kept]
+        op.rmatvec(x2)
+        op.matvec(x2)
+        reg.grad(x2, reg.forward(x2))
+        for a, b in zip(kept, snapshot):
+            assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(kept[0], op.rmatvec(x1))
+
+    def test_operators_of_different_shapes_share_no_state(self):
+        kernel = np.random.default_rng(25).standard_normal((5, 5))
+        shapes = [(17, 9), (9, 17), (5, 5)]
+        ops = [imaging.ConvOperator(kernel, s) for s in shapes]
+        regs = [imaging.log_filter_regularizer(_bank((5, 5)), s)
+                for s in shapes]
+        rng = np.random.default_rng(26)
+        for _ in range(2):  # interleaved calls on every instance
+            for shape, op, reg in zip(shapes, ops, regs):
+                y = rng.standard_normal(op.in_dim)
+                got = op.rmatvec(y)
+                fwd = reg.forward(y)
+                assert got.tobytes() == _rmatvec_reference(
+                    kernel, shape, y).tobytes()
+                assert fwd.tobytes() == _log_filter_forward_reference(
+                    _bank((5, 5)), shape, y).tobytes()
+
+    def test_power_iteration_keeps_the_norm_bits(self):
+        # 50 steps on the 64x64 blur, against np.linalg.norm and v = w / lam
+        op = imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (64, 64))
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(op.in_dim)
+        v /= np.linalg.norm(v)
+        for _ in range(50):
+            w = _rmatvec_reference(op.kernel, op.shape, op.matvec(v))
+            lam = float(np.linalg.norm(w))
+            v = w / lam
+        assert power_iteration_sq_norm(op).hex() == lam.hex()
 
 
 class TestTotalVariation:
@@ -277,7 +430,6 @@ class TestRegularizerAndFidelities:
         kh, kw = bank.filters[0][0].shape
         kmat = np.stack([k.ravel() for k, _ in bank.filters])
         wts = np.array([wt for _, wt in bank.filters])
-        op = imaging.ConvOperator(bank.filters[0][0], shape)
         reg = imaging.log_filter_regularizer(bank, shape)
         x = 5.0 * np.random.default_rng(4).standard_normal(h * w)
         u = reg.forward(x)
@@ -286,7 +438,7 @@ class TestRegularizerAndFidelities:
         for t, row in enumerate(taps):
             i, j = divmod(t, kw)
             full[i:i + h, j:j + w] += row.reshape(h, w)
-        want = bank.rho * op._fold2d(full)
+        want = bank.rho * _fold2d_reference(full, shape, (kh, kw))
         assert reg.grad(x, u).tobytes() == want.tobytes()
 
     def test_log_filter_value_and_grad_allocate_less_than_one_response(self):

@@ -211,6 +211,10 @@ class TestSolve:
             IPilaConfig(alpha_min=2.0, alpha_max=1.0)
         with pytest.raises(ValueError):
             IPilaConfig(variant="bogus")
+        # below gamma_min the practical coupling's beta turns negative
+        with pytest.raises(ValueError, match="delta"):
+            IPilaConfig(variant="practical-sec5", delta=-1.0)
+        IPilaConfig(variant="strict-alg3", delta=-1.0)  # strict ignores it
 
     def test_phi_nonincreasing(self):
         p, _, _ = quadratic_l1_problem(n=30, seed=8)

@@ -110,6 +110,21 @@ class TestHelpers:
         assert math.isnan(t.column("lambda_k")[0])
         assert t.column("f") == [1.0]
 
+    @pytest.mark.parametrize("edit,words", [
+        (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]], "header has 15"),
+        (lambda ls: ls[:-1] + [ls[-1].replace(",", ",x", 1)], "bad time_s"),
+        (lambda ls: [ls[0].replace("psi,", "")] + ls[1:], "lacks psi"),
+    ], ids=["short_row", "bad_number", "missing_column"])
+    def test_malformed_file_names_its_line(self, tmp_path, edit, words):
+        path = tmp_path / "trace.csv"
+        small_trace().write_csv(path)
+        lines = path.read_text().splitlines()
+        meta = [line for line in lines if line.startswith("#")]
+        table = edit(lines[len(meta):])
+        path.write_text("\n".join(meta + table) + "\n")
+        with pytest.raises(ValueError, match=words):
+            Trace.read_csv(path)
+
     def test_x_final_not_serialized(self, tmp_path):
         t = small_trace()
         t.x_final = np.ones(3)
