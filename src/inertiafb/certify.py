@@ -6,12 +6,14 @@ quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
 gap certificates of the inexact prox engine, the algebraic couplings between
 alpha_k, beta_k and the Lipschitz estimate, the Armijo inequality, and weak
 duality psi <= h.  Checks are pure functions over a trace: same rows in,
-same verdicts out.  A check that lacks the columns it needs reports
-``incomplete`` rather than failing.
+same verdicts out.  A check that lacks the header keys it needs reports
+``incomplete`` rather than failing; a header value that is not a number
+raises ValueError naming its key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +60,36 @@ class CertReport:
         return "\n".join(lines) + "\n"
 
 
+class _Missing(Exception):
+    """The trace header lacks the key a check needs."""
+
+
+def _meta(trace: Trace, key: str) -> float:
+    """The header value ``key`` as a float."""
+    if key not in trace.meta:
+        raise _Missing(key)
+    try:
+        return float(trace.meta[key])
+    except ValueError:
+        raise ValueError(f"bad {key} value {trace.meta[key]!r}") from None
+
+
+def _check(name: str):
+    """A trace check named ``name``: it rejects an empty trace, and reports
+    ``incomplete`` when the header lacks a key it reads."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def checked(trace: Trace, *args) -> CheckResult:
+            if not trace.rows:
+                raise ValueError("empty trace")
+            try:
+                return fn(trace, *args)
+            except _Missing as exc:
+                return CheckResult(name, "incomplete", detail=f"missing {exc}")
+        return checked
+    return wrap
+
+
 def _solver_kind(trace: Trace) -> str:
     name = str(trace.meta.get("solver", ""))
     if name.startswith("ipila"):
@@ -77,39 +109,31 @@ def _worst(name: str, residuals) -> CheckResult:
                        worst_k=worst_k)
 
 
-def check_H1(trace: Trace, a_k_rule=None) -> CheckResult:
+@_check("H1")
+def check_H1(trace: Trace) -> CheckResult:
     """Sufficient decrease: ``phi_{k+1} + a_k d_{k+1}^2 <= phi_k``.
 
-    ``a_k_rule`` maps a row dict to the constant a_k; by default it is chosen
-    from the trace metadata (1 for the backtracking solver, sigma times the
-    smallest observed lambda_k for the line-search solver, 0 for the
-    baseline, whose d_k is a plain step norm).
+    The constant a_k follows the solver: 1 for the backtracking solver,
+    sigma times the smallest observed lambda_k for the line-search solver,
+    0 for the baseline, whose d_k is a plain step norm.
     """
-    if not trace.rows:
-        raise ValueError("empty trace")
-    if a_k_rule is None:
-        kind = _solver_kind(trace)
-        if kind == "i2piano":
-            a_k_rule = lambda row: 1.0
-        elif kind == "ipila":
-            lam_min = min((r.get("lambda_k", 1.0) for r in trace.rows),
-                          default=1.0)
-            if not math.isfinite(lam_min):
-                lam_min = 1.0
-            sigma = float(trace.meta.get("sigma", 1e-4))
-            a_k_rule = lambda row, a=sigma * lam_min: a
-        else:
-            a_k_rule = lambda row: 0.0
+    kind = _solver_kind(trace)
+    a_k = 0.0
+    if kind == "i2piano":
+        a_k = 1.0
+    elif kind == "ipila":
+        lam_min = min((r.get("lambda_k", 1.0) for r in trace.rows),
+                      default=1.0)
+        if not math.isfinite(lam_min):
+            lam_min = 1.0
+        a_k = _meta(trace, "sigma") * lam_min
 
-    phis = [float(trace.meta["phi_init"])] if "phi_init" in trace.meta else []
-    if not phis:
-        return CheckResult("H1", "incomplete", detail="missing phi_init")
+    prev = _meta(trace, "phi_init")
     residuals = []
-    prev = phis[0]
     for row in trace.rows:
         phi = row["phi"]
         d = row.get("d_k", 0.0)
-        lhs = phi + a_k_rule(row) * d * d
+        lhs = phi + a_k * d * d
         tol = _REL_TOL * (1.0 + abs(prev))
         residuals.append((row["k"], (lhs - prev - tol) / (1.0 + abs(prev))))
         prev = phi
@@ -120,21 +144,18 @@ def h4_constants(trace: Trace):
     """Solver-specific ``(p, k_shift)`` for the step-norm bound."""
     kind = _solver_kind(trace)
     if kind == "i2piano":
-        gamma = float(trace.meta["gamma"])
-        return 1.0 / math.sqrt(gamma), 1
+        return 1.0 / math.sqrt(_meta(trace, "gamma")), 1
     if kind == "ipila":
-        theta = float(trace.meta.get("theta",
-                                     theta_from_tau(float(trace.meta["tau"]))))
+        theta = _meta(trace, "theta")
         alphas = [r.get("alpha_k", math.nan) for r in trace.rows]
         alpha_max = max((a for a in alphas if math.isfinite(a)), default=1.0)
         return math.sqrt(2.0 * alpha_max / theta), 0
     return 1.0, 0
 
 
+@_check("H4")
 def check_H4(trace: Trace, p: float, k_shift: int) -> CheckResult:
     """Step-norm relates to d: ``||x^{k+1} - x^k|| <= p * d_{k+k'}``."""
-    if not trace.rows:
-        raise ValueError("empty trace")
     residuals = []
     n = len(trace.rows)
     for i, row in enumerate(trace.rows):
@@ -148,7 +169,13 @@ def check_H4(trace: Trace, p: float, k_shift: int) -> CheckResult:
     return _worst("H4", residuals)
 
 
-def check_prox_certificates(trace: Trace, tau=None) -> CheckResult:
+@_check("H4")
+def _check_H4_from_meta(trace: Trace) -> CheckResult:
+    return check_H4(trace, *h4_constants(trace))
+
+
+@_check("prox")
+def check_prox_certificates(trace: Trace) -> CheckResult:
     """Distance and gap certificates of the inexact prox computation.
 
     Row-wise: ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 /
@@ -156,15 +183,10 @@ def check_prox_certificates(trace: Trace, tau=None) -> CheckResult:
     branch is allowed.  Uses ``y_step_norm`` when the rows carry it and the
     (never larger) ``x_step_norm`` otherwise.
     """
-    if not trace.rows:
-        raise ValueError("empty trace")
-    if tau is None:
-        if "tau" not in trace.meta:
-            return CheckResult("prox", "incomplete", detail="missing tau")
-        tau = float(trace.meta["tau"])
+    tau = _meta(trace, "tau")
     theta = theta_from_tau(tau)
     eta_gap = 2.0 / (2.0 + tau)
-    f0 = abs(float(trace.meta.get("f_init", 0.0)))
+    f0 = abs(_meta(trace, "f_init"))
     slack = 1e-10 * (1.0 + f0)
     residuals = []
     for row in trace.rows:
@@ -184,6 +206,7 @@ def check_prox_certificates(trace: Trace, tau=None) -> CheckResult:
     return _worst("prox", residuals)
 
 
+@_check("duality-gap")
 def check_duality_gap(trace: Trace) -> CheckResult:
     """Weak duality along the trace: ``psi <= h``.
 
@@ -191,9 +214,7 @@ def check_duality_gap(trace: Trace) -> CheckResult:
     objective magnitude, so the check allows the same absolute slack as the
     gap certificate.
     """
-    if not trace.rows:
-        raise ValueError("empty trace")
-    f0 = abs(float(trace.meta.get("f_init", 0.0)))
+    f0 = abs(_meta(trace, "f_init"))
     slack = 1e-10 * (1.0 + f0)
     residuals = []
     for row in trace.rows:
@@ -216,17 +237,14 @@ def _ipila_alpha_from_beta(beta: float, delta: float, gamma: float):
     return 2.0 * (1.0 - beta) / (L + 2.0 * gamma)
 
 
+@_check("param-identities")
 def check_param_identities(trace: Trace) -> CheckResult:
     """Replays the algebraic coupling between alpha_k, beta_k and L_k."""
-    if not trace.rows:
-        raise ValueError("empty trace")
     kind = _solver_kind(trace)
     residuals = []
     if kind == "i2piano":
-        delta = float(trace.meta["delta"])
-        gamma = float(trace.meta["gamma"])
-        omega = float(trace.meta["omega"])
-        theta = float(trace.meta["theta"])
+        delta, gamma = _meta(trace, "delta"), _meta(trace, "gamma")
+        omega, theta = _meta(trace, "omega"), _meta(trace, "theta")
         top = 1.0 + theta * omega
         for row in trace.rows:
             L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
@@ -243,8 +261,8 @@ def check_param_identities(trace: Trace) -> CheckResult:
     elif kind == "ipila":
         variant = str(trace.meta.get("variant", ""))
         if variant == "practical-sec5":
-            gamma = float(trace.meta["gamma_min"])
-            delta = float(trace.meta.get("delta", 0.5))
+            gamma = _meta(trace, "gamma_min")
+            delta = _meta(trace, "delta")
             for row in trace.rows:
                 alpha_e = _ipila_alpha_from_beta(row["beta_k"], delta, gamma)
                 if alpha_e is None:
@@ -252,8 +270,8 @@ def check_param_identities(trace: Trace) -> CheckResult:
                 r = abs(row["alpha_k"] - alpha_e) / (1.0 + abs(alpha_e))
                 residuals.append((row["k"], r - _REL_TOL))
         else:
-            a_max = float(trace.meta["alpha_max"])
-            b_max = float(trace.meta["beta_max"])
+            a_max = _meta(trace, "alpha_max")
+            b_max = _meta(trace, "beta_max")
             for row in trace.rows:
                 r = max(abs(row["alpha_k"] - a_max) / (1.0 + a_max),
                         abs(row["beta_k"] - b_max) / (1.0 + b_max))
@@ -266,17 +284,13 @@ def check_param_identities(trace: Trace) -> CheckResult:
     return _worst("param-identities", residuals)
 
 
+@_check("armijo")
 def check_armijo(trace: Trace) -> CheckResult:
     """Merit Armijo inequality on accepted line-search steps."""
-    if not trace.rows:
-        raise ValueError("empty trace")
     if _solver_kind(trace) != "ipila":
         return CheckResult("armijo", "incomplete",
                            detail="solver has no line search")
-    if "phi_init" not in trace.meta:
-        return CheckResult("armijo", "incomplete", detail="missing phi_init")
-    sigma = float(trace.meta.get("sigma", 1e-4))
-    prev = float(trace.meta["phi_init"])
+    sigma, prev = _meta(trace, "sigma"), _meta(trace, "phi_init")
     residuals = []
     for row in trace.rows:
         lam, delta_k = row.get("lambda_k", math.nan), row.get("delta_k", 0.0)
@@ -295,8 +309,7 @@ def summarize(trace: Trace) -> CertReport:
     if not trace.rows:
         raise ValueError("empty trace")
     report = CertReport()
-    p, k_shift = h4_constants(trace)
-    for result in (check_H1(trace), check_H4(trace, p, k_shift),
+    for result in (check_H1(trace), _check_H4_from_meta(trace),
                    check_prox_certificates(trace), check_duality_gap(trace),
                    check_param_identities(trace), check_armijo(trace)):
         report.checks[result.name] = result

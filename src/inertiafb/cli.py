@@ -145,6 +145,8 @@ def build_settings(args, extra) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         cfg.update(load_config(args.config))
     cfg.update(parse_overrides(extra))
+    if unknown := sorted(cfg.keys() - DEFAULTS.keys() - {"image", "f_star"}):
+        raise ConfigError(f"unknown key {', '.join(unknown)}")
     # relative gaps divide by |f_star|
     if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
         raise ConfigError("f_star must be nonzero")
@@ -225,38 +227,36 @@ def build_problem(cfg: dict):
 
 @_config_values
 def _solver_config(cfg: dict):
+    """``(solve, config)`` for the configured solver; the solve functions
+    are looked up here at call time."""
     name = cfg["solver"]
-    common = dict(tau=_f(cfg, "tau"), max_outer=_i(cfg, "max_outer"),
-                  stop_tol=_f(cfg, "stop_tol"), max_inner=_i(cfg, "max_inner"))
+    shared = dict(tau=_f(cfg, "tau"), L0=_f(cfg, "L0"), eta=_f(cfg, "eta"),
+                  max_outer=_i(cfg, "max_outer"), stop_tol=_f(cfg, "stop_tol"),
+                  max_inner=_i(cfg, "max_inner"))
     if name == "i2piano":
-        return I2PianoConfig(delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
-                             eta=_f(cfg, "eta"), omega=_f(cfg, "omega"),
-                             L0=_f(cfg, "L0"), allow_L_decrease=True, **common)
+        return i2piano_solve, I2PianoConfig(
+            delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
+            omega=_f(cfg, "omega"), allow_L_decrease=True, **shared)
     if name in ("ipila-strict", "ipila-practical"):
-        return IPilaConfig(
+        return ipila_solve, IPilaConfig(
             sigma=_f(cfg, "sigma"), ls_shrink=_f(cfg, "ls_shrink"),
             max_halvings=_i(cfg, "max_halvings"),
             alpha_max=_f(cfg, "alpha_max"), beta_max=_f(cfg, "beta_max"),
-            gamma_min=_f(cfg, "gamma"),
-            L0=_f(cfg, "L0"), eta=_f(cfg, "eta"), delta=_f(cfg, "delta"),
+            gamma_min=_f(cfg, "gamma"), delta=_f(cfg, "delta"),
             variant=("strict-alg3" if name == "ipila-strict"
                      else "practical-sec5"),
-            **common)
+            **shared)
     if name == "iista":
-        return IistaConfig(L0=_f(cfg, "L0"), eta=_f(cfg, "eta"), **common)
+        return iista_solve, IistaConfig(**shared)
     raise ConfigError(f"unknown solver {name!r}; choose from {SOLVERS}")
 
 
 def run_solver(problem, x0, cfg: dict) -> Trace:
-    sc = _solver_config(cfg)
-    if isinstance(sc, I2PianoConfig):
-        return i2piano_solve(problem, x0, sc)
-    if isinstance(sc, IistaConfig):
-        return iista_solve(problem, x0, sc)
-    return ipila_solve(problem, x0, cfg=sc)
+    solve, config = _solver_config(cfg)
+    return solve(problem, x0, cfg=config)
 
 
-def _write_outputs(outdir: Path, trace: Trace, context: dict, cfg: dict):
+def _write_outputs(outdir: Path, trace: Trace, cfg: dict):
     outdir.mkdir(parents=True, exist_ok=True)
     f_star = float(cfg["f_star"]) if "f_star" in cfg else None
     trace.write_csv(outdir / "trace.csv", f_star=f_star)
@@ -271,19 +271,13 @@ def _write_outputs(outdir: Path, trace: Trace, context: dict, cfg: dict):
         summary["rel_gap_final"] = (summary["f_final"] - f_star) / abs(f_star)
     lines = [f"{k}={summary[k]}" for k in sorted(summary)]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-    return report
 
 
-def cmd_run(args, extra) -> int:
-    cfg = build_settings(args, extra)
+def cmd_run(cfg: dict) -> int:
     problem, x0, context = build_problem(cfg)
     outdir = Path(cfg["out"])
-    try:
-        trace = run_solver(problem, x0, cfg)
-    except (SolverError, EngineError, DomainError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    _write_outputs(outdir, trace, context, cfg)
+    trace = run_solver(problem, x0, cfg)
+    _write_outputs(outdir, trace, cfg)
 
     if "shape" in context and trace.x_final is not None:
         shape, peak = context["shape"], context["peak"]
@@ -294,15 +288,15 @@ def cmd_run(args, extra) -> int:
             val = imaging.psnr(img, context["truth"], peak=peak)
             with open(outdir / "summary.txt", "a") as fh:
                 fh.write(f"psnr_db={val}\n")
-    print(f"wrote {outdir}/trace.csv ({len(Trace.read_csv(outdir / 'trace.csv'))} rows)")
+    print(f"wrote {outdir}/trace.csv ({len(trace)} rows)")
     return EXIT_OK
 
 
 def _suite_worker(item):
     cfg, outdir = item
-    problem, x0, context = build_problem(cfg)
+    problem, x0, _ = build_problem(cfg)
     trace = run_solver(problem, x0, cfg)
-    _write_outputs(outdir, trace, context, cfg)
+    _write_outputs(outdir, trace, cfg)
     return cfg["solver"], float(trace.meta["f_final"])
 
 
@@ -318,28 +312,17 @@ def _worker_cap(n_jobs: int) -> int:
     return max(1, cap)
 
 
-def cmd_suite(args, extra, max_outer_override=None) -> int:
-    cfg = build_settings(args, extra)
+def cmd_suite(cfg: dict) -> int:
     solvers = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
     for s in solvers:
         if s not in SOLVERS:
             raise ConfigError(f"unknown solver {s!r}; choose from {SOLVERS}")
     base = Path(cfg["out"])
-    jobs = []
-    for s in solvers:
-        sub = dict(cfg)
-        sub["solver"] = s
-        if max_outer_override is not None:
-            sub["max_outer"] = str(max_outer_override)
-        jobs.append((sub, base / s))
-    try:
-        with ProcessPoolExecutor(
-                max_workers=_worker_cap(len(jobs)),
-                mp_context=multiprocessing.get_context(START_METHOD)) as pool:
-            results = list(pool.map(_suite_worker, jobs))
-    except (SolverError, EngineError, DomainError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    jobs = [(dict(cfg, solver=s), base / s) for s in solvers]
+    with ProcessPoolExecutor(
+            max_workers=_worker_cap(len(jobs)),
+            mp_context=multiprocessing.get_context(START_METHOD)) as pool:
+        results = list(pool.map(_suite_worker, jobs))
     best = min(f for _, f in results)
     base.mkdir(parents=True, exist_ok=True)
     with open(base / "fstar.txt", "w") as fh:
@@ -352,25 +335,20 @@ def cmd_suite(args, extra, max_outer_override=None) -> int:
     return EXIT_OK
 
 
-def cmd_fstar(args, extra) -> int:
-    cfg = build_settings(args, extra)
-    return cmd_suite(args, extra, max_outer_override=_i(cfg, "fstar_iters"))
+def cmd_fstar(cfg: dict) -> int:
+    return cmd_suite(dict(cfg, max_outer=str(_i(cfg, "fstar_iters"))))
 
 
-def cmd_certify(args, extra) -> int:
-    path = Path(args.trace)
+def cmd_certify(path: Path) -> int:
     if not path.exists():
         print(f"trace file not found: {path}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        trace = Trace.read_csv(path)
-    except ValueError as exc:
+        report = summarize(Trace.read_csv(path))
+    except (ValueError, ArithmeticError) as exc:
+        # a malformed or empty file, or a header value the checks cannot use
         print(f"bad trace file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not trace.rows:
-        print("empty trace", file=sys.stderr)
-        return EXIT_CONFIG
-    report = summarize(trace)
     sys.stdout.write(report.format())
     return EXIT_OK if report.ok else EXIT_CERTIFY
 
@@ -394,18 +372,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args, extra = parser.parse_known_args(argv)
-    handlers = {"run": cmd_run, "suite": cmd_suite, "fstar": cmd_fstar,
-                "certify": cmd_certify}
+    args, extra = make_parser().parse_known_args(argv)
     try:
-        return handlers[args.command](args, extra)
-    except ConfigError as exc:
+        if args.command == "certify":
+            return cmd_certify(Path(args.trace))
+        handlers = {"run": cmd_run, "suite": cmd_suite, "fstar": cmd_fstar}
+        return handlers[args.command](build_settings(args, extra))
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (SolverError, EngineError, DomainError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

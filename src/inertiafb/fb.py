@@ -4,8 +4,9 @@ Each step of the three solvers asks the prox engine for an inexact inertial
 proximal point ``y`` from a point ``x`` and merit anchor ``s`` with a step
 ``alpha_k`` and inertia ``beta_k``; they differ only in how they choose
 these and in the test that accepts the step.  This module holds the rest:
-the :class:`Iterate`, the start at ``x0``, the certified prox call, the
-Lipschitz backtracking step of i2Piano and iISTA, and the outer loop.
+the settings every solver reads (:class:`Config`), the :class:`Iterate`,
+the start at ``x0``, the certified prox call, the Lipschitz backtracking
+step of i2Piano and iISTA, and the outer loop.
 """
 
 from __future__ import annotations
@@ -18,8 +19,35 @@ from typing import Callable, Optional
 import numpy as np
 
 from inertiafb.problem import CompositeProblem, SolverError
-from inertiafb.prox_engine import ProxQuery, ProxResult
+from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import Trace
+
+
+@dataclass(kw_only=True)
+class Config:
+    """Settings every solver reads; each solver's config adds its policy
+    fields.  ``tau``, ``max_inner`` and ``abs_tol`` go to the prox engine."""
+    tau: float = 1e6
+    L0: float = 1.0
+    eta: float = 1.5
+    max_outer: int = 1000
+    stop_tol: float = 0.0
+    max_inner: int = 2000
+    abs_tol: Optional[float] = None
+
+    def __post_init__(self):
+        if self.tau < 0:
+            raise ValueError("tau must be nonnegative")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
+        if self.eta <= 1:
+            raise ValueError("eta must exceed 1")
+        if self.L0 <= 0:
+            raise ValueError("L0 must be positive")
+
+    @property
+    def theta(self) -> float:
+        return theta_from_tau(self.tau)
 
 
 @dataclass
@@ -87,7 +115,7 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float,
                    f1_val=problem.f1.value(x0), f0_fwd=fwd, L_k=L0)
 
 
-def prox(problem: CompositeProblem, it: Iterate, cfg, alpha: float,
+def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
          beta: float, grad: np.ndarray, engine) -> ProxResult:
     """The engine's certified prox point from ``(it.x_curr, it.s_curr)``."""
     query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
@@ -101,7 +129,7 @@ def prox(problem: CompositeProblem, it: Iterate, cfg, alpha: float,
     return res
 
 
-def backtrack(problem: CompositeProblem, it: Iterate, cfg,
+def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
               params: Callable[[float], tuple], engine, L: float) -> Iterate:
     """The step from ``it`` accepted by the local descent test.
 
@@ -137,22 +165,25 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg,
     return new
 
 
-def run(state: Iterate, meta: dict, step: Callable[[Iterate], Iterate],
-        stop: Callable[[Iterate], Optional[str]], max_outer: int,
+def run(state: Iterate, cfg: Config, meta: dict,
+        step: Callable[[Iterate], Iterate],
+        stop: Callable[[Iterate], Optional[str]],
         row: Optional[Callable[[Iterate, Iterate], dict]] = None,
         on_step=None) -> Trace:
     """Iterate ``step`` from ``state`` and record one trace row per step.
 
     ``step`` returns an iterate made by :meth:`Iterate.after_prox` with
     ``y_step_sq`` set.  Stops when ``stop(new)`` names a reason or after
-    ``max_outer`` steps.
+    ``cfg.max_outer`` steps.  The trace's meta is ``meta`` with ``cfg``'s
+    ``tau``, ``L0``, ``eta`` and ``stop_tol``.
     ``row(before, after)`` adds or replaces solver-specific columns, and
     ``on_step(k, before, after)`` observes each transition.
     """
-    trace = Trace(meta={**meta, "f_init": state.f_val,
+    trace = Trace(meta={**meta, "tau": cfg.tau, "L0": cfg.L0, "eta": cfg.eta,
+                        "stop_tol": cfg.stop_tol, "f_init": state.f_val,
                         "phi_init": state.phi_val})
     t0 = time.monotonic()
-    for k in range(max_outer):
+    for k in range(cfg.max_outer):
         new = step(state)
         # sqrt of the dot product is np.linalg.norm's own formula
         y_step = math.sqrt(new.y_step_sq)

@@ -10,7 +10,7 @@ parameter policy, which couples L_k to the step size and inertial weight,
 
 and the merit check: ``Phi(x, x_prev) = f(x) + delta ||x - x_prev||^2``
 decreases by at least ``gamma ||x - x_prev||^2 - (1 - omega) h`` per
-accepted step, which the solver re-checks when ``check_invariants`` is on.
+accepted step, which the solver re-checks at every step.
 
 The couplings and the merit inequality hold for any accepted L_k in
 ``[L_min, L_max]``, so the estimate may also shrink: with
@@ -30,7 +30,7 @@ import numpy as np
 
 from inertiafb import fb
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
-from inertiafb.prox_engine import solve_inexact_prox, theta_from_tau
+from inertiafb.prox_engine import solve_inexact_prox
 from inertiafb.trace import Trace
 
 
@@ -40,39 +40,26 @@ from inertiafb.trace import Trace
 SHRINK_STREAK = 10
 
 
-@dataclass
-class I2PianoConfig:
+@dataclass(kw_only=True)
+class I2PianoConfig(fb.Config):
     delta: float = 0.5
     gamma: float = 1e-5
-    eta: float = 1.5
     omega: float = 0.95
-    tau: float = 1e6
-    L0: float = 1.0
     L_min: float = 1e-8
     L_max: float = 1e12
-    max_outer: int = 1000
-    stop_tol: float = 0.0
-    max_inner: int = 2000
-    abs_tol: Optional[float] = None
-    check_invariants: bool = True
     # after SHRINK_STREAK backtrack-free iterations, start the next
     # backtracking from max(L_min, L_k / eta) instead of L_k
     allow_L_decrease: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.delta >= self.gamma > 0):
             raise ValueError("need delta >= gamma > 0")
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
         if not (self.L_min <= self.L0 <= self.L_max):
             raise ValueError("need L_min <= L0 <= L_max")
         hi = 1.0 if self.tau == 0 else np.nextafter(1.0, 0.0)
         if not (0.0 <= self.omega <= hi):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")
-
-    @property
-    def theta(self) -> float:
-        return theta_from_tau(self.tau)
 
 
 def compute_params(L_k: float, cfg: I2PianoConfig):
@@ -110,12 +97,11 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
     h_eff = min(new.h_val, 0.0)
     d_sq = cfg.gamma * step_prev_sq - (1.0 - cfg.omega) * h_eff
     new.phi_val = new.f_val + cfg.delta * new.y_step_sq
-    if cfg.check_invariants:
-        bound = (state.phi_val - cfg.gamma * step_prev_sq
-                 + (1.0 - cfg.omega) * new.h_val)
-        if new.phi_val > bound + 1e-9 * (1.0 + abs(state.phi_val)):
-            raise SolverError(
-                f"merit descent inequality violated: {new.phi_val} > {bound}")
+    bound = (state.phi_val - cfg.gamma * step_prev_sq
+             + (1.0 - cfg.omega) * new.h_val)
+    if new.phi_val > bound + 1e-9 * (1.0 + abs(state.phi_val)):
+        raise SolverError(
+            f"merit descent inequality violated: {new.phi_val} > {bound}")
     new.d_k = float(np.sqrt(max(d_sq, 0.0)))
     new.streak = streak + 1 if new.backtracks == 0 else 0
     return new
@@ -129,9 +115,7 @@ def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
     """
     cfg = cfg or I2PianoConfig()
     meta = {"solver": "i2piano", "delta": cfg.delta, "gamma": cfg.gamma,
-            "eta": cfg.eta, "omega": cfg.omega, "tau": cfg.tau,
-            "theta": cfg.theta, "L0": cfg.L0, "stop_tol": cfg.stop_tol}
-    return fb.run(initial_state(problem, x0, cfg), meta,
+            "omega": cfg.omega, "theta": cfg.theta}
+    return fb.run(initial_state(problem, x0, cfg), cfg, meta,
                   lambda st: i2piano_step(problem, st, cfg),
-                  lambda st: "d_k" if st.d_k <= cfg.stop_tol else None,
-                  cfg.max_outer)
+                  lambda st: "d_k" if st.d_k <= cfg.stop_tol else None)

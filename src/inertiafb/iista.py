@@ -22,22 +22,9 @@ from inertiafb.prox_engine import solve_inexact_prox
 from inertiafb.trace import Trace
 
 
-@dataclass
-class IistaConfig:
-    L0: float = 1.0
-    eta: float = 1.5
-    tau: float = 1e6
+@dataclass(kw_only=True)
+class IistaConfig(fb.Config):
     L_max: float = 1e12
-    max_outer: int = 1000
-    stop_tol: float = 0.0
-    max_inner: int = 2000
-    abs_tol: Optional[float] = None
-
-    def __post_init__(self):
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be positive")
 
 
 def iista_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -56,8 +43,6 @@ def iista_solve(problem: CompositeProblem, x0: np.ndarray,
         new.d_k = math.sqrt(new.y_step_sq)  # x^{k+1} is the prox point
         return new
 
-    meta = {"solver": "iista", "L0": cfg.L0, "eta": cfg.eta, "tau": cfg.tau,
-            "stop_tol": cfg.stop_tol}
-    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), meta, step,
-                  lambda st: "x_step" if st.d_k <= cfg.stop_tol else None,
-                  cfg.max_outer)
+    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg,
+                  {"solver": "iista"}, step,
+                  lambda st: "x_step" if st.d_k <= cfg.stop_tol else None)

@@ -28,6 +28,25 @@ from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
 # convolution with reflective boundaries
 
 
+def _fold_border(full: np.ndarray, shape) -> np.ndarray:
+    """Transpose of whole-sample mirror padding of a ``shape`` image into
+    ``full``, in place on ``full``.
+
+    Adds each border row, then each border column of the padded ``full``
+    onto its mirror source, and returns the interior view.
+    """
+    h, w = shape
+    ph, pw = (full.shape[0] - h) // 2, (full.shape[1] - w) // 2
+    if ph:
+        full[ph + 1:2 * ph + 1] += full[:ph][::-1]
+        full[h - 1:h + ph - 1] += full[h + ph:][::-1]
+    if pw:
+        rows = full[ph:ph + h]
+        rows[:, pw + 1:2 * pw + 1] += rows[:, :pw][:, ::-1]
+        rows[:, w - 1:w + pw - 1] += rows[:, w + pw:][:, ::-1]
+    return full[ph:ph + h, pw:pw + w]
+
+
 class ConvOperator(LinearOp):
     """2-D convolution with whole-sample reflective boundary handling.
 
@@ -51,32 +70,12 @@ class ConvOperator(LinearOp):
         if kh > h or kw > w:
             raise ValueError("kernel larger than image")
         # odd kh <= h implies kh // 2 <= h - 1: the mirror pad never wraps
-        self._ph, self._pw = kh // 2, kw // 2
+        ph, pw = kh // 2, kw // 2
         self.in_dim = self.out_dim = h * w
         # rmatvec's zero-bordered input (only the interior is ever written)
         # and its full-convolution output
-        self._padded, self._full = np.zeros((2, h + kh - 1, w + kw - 1))
-
-    def _interior(self, padded: np.ndarray) -> np.ndarray:
-        h, w = self.shape
-        return padded[self._ph:self._ph + h, self._pw:self._pw + w]
-
-    def _fold_border(self, full: np.ndarray) -> np.ndarray:
-        """Transpose of whole-sample mirror padding, in place on ``full``.
-
-        Adds each border row, then each border column of the padded
-        ``full`` onto its mirror source, and returns the interior view.
-        """
-        h, w = self.shape
-        ph, pw = self._ph, self._pw
-        if ph:
-            full[ph + 1:2 * ph + 1] += full[:ph][::-1]
-            full[h - 1:h + ph - 1] += full[h + ph:][::-1]
-        if pw:
-            rows = full[ph:ph + h]
-            rows[:, pw + 1:2 * pw + 1] += rows[:, :pw][:, ::-1]
-            rows[:, w - 1:w + pw - 1] += rows[:, w + pw:][:, ::-1]
-        return self._interior(full)
+        self._padded, self._full = np.zeros((2, h + 2 * ph, w + 2 * pw))
+        self._interior = self._padded[ph:ph + h, pw:pw + w]
 
     def matvec(self, x):
         img = np.asarray(x, dtype=float).reshape(self.shape)
@@ -85,10 +84,10 @@ class ConvOperator(LinearOp):
 
     def rmatvec(self, y):
         # full convolution: zero-pad by the kernel radius, then 'same'
-        self._interior(self._padded)[...] = np.reshape(y, self.shape)
+        self._interior[...] = np.reshape(y, self.shape)
         _nd_convolve(self._padded, self.kernel, mode="constant",
                      output=self._full)
-        return self._fold_border(self._full).flatten()
+        return _fold_border(self._full, self.shape).flatten()
 
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
@@ -256,10 +255,11 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     large temporaries into the oracle's own workspace, so one instance must
     not run concurrently.
     """
-    op = ConvOperator(bank.filters[0][0], shape)  # validates the kernel size
-    h, w = op.shape
-    kh, kw = op.kernel.shape
-    ph, pw = op._ph, op._pw
+    h, w = shape = (int(shape[0]), int(shape[1]))
+    kh, kw = np.shape(bank.filters[0][0])  # odd, as FilterBank checks
+    if kh > h or kw > w:
+        raise ValueError("kernel larger than image")
+    ph, pw = kh // 2, kw // 2
     kmat = np.stack([np.asarray(k, dtype=float).ravel()
                      for k, _ in bank.filters])
     wts = np.array([wt for _, wt in bank.filters], dtype=float)
@@ -270,7 +270,7 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     rho = bank.rho
     padded = np.empty((hp, wp))
     cols = np.empty((kh * kw, h * w))
-    img = op._interior(padded)
+    img = padded[ph:ph + h, pw:pw + w]
     windows = sliding_window_view(padded, (h, w))  # (kh, kw, h, w) view
     ws, ws2 = np.empty((2, len(kmat), h * w))
 
@@ -296,7 +296,7 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
         taps = np.matmul(kmat.T, num, out=cols)
         # sums into each padded element in tap order, as a loop over taps
         full = np.bincount(full_idx, weights=taps.reshape(-1))
-        return (rho * op._fold_border(full.reshape(hp, wp))).ravel()
+        return (rho * _fold_border(full.reshape(hp, wp), shape)).ravel()
 
     return SmoothOracle(value, grad, forward)
 

@@ -41,34 +41,26 @@ import numpy as np
 
 from inertiafb import fb
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
-from inertiafb.prox_engine import (ProxResult, solve_inexact_prox,
-                                   theta_from_tau)
+from inertiafb.prox_engine import ProxResult, solve_inexact_prox
 from inertiafb.trace import Trace
 
 VARIANTS = ("strict-alg3", "practical-sec5")
 
 
-@dataclass
-class IPilaConfig:
+@dataclass(kw_only=True)
+class IPilaConfig(fb.Config):
     sigma: float = 1e-4
     ls_shrink: float = 0.5
     alpha_min: float = 1e-12
     alpha_max: float = 1.0
     beta_max: float = 0.5
     gamma_min: float = 1e-5
-    tau: float = 1e6
     max_halvings: int = 60
     variant: str = "practical-sec5"
-    L0: float = 1.0
-    eta: float = 1.5
     delta: float = 0.5
-    max_outer: int = 1000
-    stop_tol: float = 0.0
-    max_inner: int = 2000
-    abs_tol: Optional[float] = None
-    check_invariants: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 < self.sigma < 1.0):
             raise ValueError("sigma must lie in (0,1)")
         if not (0.0 < self.ls_shrink < 1.0):
@@ -81,15 +73,9 @@ class IPilaConfig:
             raise ValueError("gamma_min must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
         # the practical coupling's beta is nonnegative only for these
         if self.variant == "practical-sec5" and self.delta < self.gamma_min:
             raise ValueError("practical-sec5 needs delta >= gamma_min")
-
-    @property
-    def theta(self) -> float:
-        return theta_from_tau(self.tau)
 
 
 def phi_value(problem: CompositeProblem, x: np.ndarray,
@@ -230,8 +216,7 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
     inertial = practical and phi_yx <= state.phi_val + cfg.sigma * delta_k
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
-    if not inertial or cfg.check_invariants:
-        d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
+    d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
     if not inertial:
         lam, ls_x, ls_s, evals = armijo_linesearch(
             problem, x, state.s_curr, state.phi_val, d_x, d_s, delta_k,
@@ -253,10 +238,9 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
         d = ls_x - ls_s
         new.phi_val = new.f_val + 0.5 * float(np.dot(d, d))
         new.accepted_branch = "linesearch"
-    if cfg.check_invariants:
-        _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
-                               y_step_sq, anchor_sq, d_x, d_s, new.phi_val,
-                               new.lambda_k)
+    _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
+                           y_step_sq, anchor_sq, d_x, d_s, new.phi_val,
+                           new.lambda_k)
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
@@ -275,10 +259,9 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
     practical = cfg.variant == "practical-sec5"
     meta = {"solver": f"ipila-{'practical' if practical else 'strict'}",
             "variant": cfg.variant, "sigma": cfg.sigma,
-            "ls_shrink": cfg.ls_shrink, "tau": cfg.tau, "theta": cfg.theta,
+            "ls_shrink": cfg.ls_shrink, "theta": cfg.theta,
             "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
-            "beta_max": cfg.beta_max, "L0": cfg.L0, "eta": cfg.eta,
-            "delta": cfg.delta, "stop_tol": cfg.stop_tol}
+            "beta_max": cfg.beta_max, "delta": cfg.delta}
 
     def row(before: fb.Iterate, after: fb.Iterate) -> dict:
         return dict(
@@ -291,6 +274,6 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
             return "stationary"
         return "d_k" if st.d_k <= cfg.stop_tol else None
 
-    return fb.run(initial_state(problem, x0, s0, cfg), meta,
-                  lambda st: ipila_step(problem, st, cfg), stop,
-                  cfg.max_outer, row=row, on_step=on_step)
+    return fb.run(initial_state(problem, x0, s0, cfg), cfg, meta,
+                  lambda st: ipila_step(problem, st, cfg), stop, row=row,
+                  on_step=on_step)

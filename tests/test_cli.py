@@ -51,6 +51,16 @@ class TestConfigHandling:
         assert cfg["max_outer"] == "7"
         assert cfg["problem"] == "synthetic-quadratic-l1"  # default kept
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt key used to be ignored, leaving max_outer at 1000
+        path = tmp_path / "run.cfg"
+        path.write_text("max_outr=5\n")
+        for args in (("--max_outr", "5"), ("-c", str(path))):
+            out = tmp_path / "out"
+            assert run_cli("run", *args, "--out", str(out)) == 2
+            assert "max_outr" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         class Args:
             config = str(tmp_path / "nope.cfg")
@@ -180,6 +190,15 @@ BAD_VALUES = {
                                   "--noise_fraction", "2"), "fraction"),
     "image_smaller_than_blur": (("--problem", "impulse-l1", "--size", "2"),
                                 "kernel larger"),
+    # used to end in "math domain error" or "tau must be nonnegative"
+    "negative_tau": (("--tau", "-1"), "tau"),
+    # used to end in "empty trace" from summarize
+    "zero_max_outer": (("--max_outer", "0", "--fstar_iters", "0"),
+                       "max_outer"),
+    # used to end in ZeroDivisionError
+    "negative_L0_ipila_practical": (
+        ("--solver", "ipila-practical", "--solvers", "ipila-practical",
+         "--L0", "-2e-5"), "L0"),
 }
 
 
@@ -355,6 +374,57 @@ class TestCertifyCommand:
         assert run_cli("certify", str(path)) == 2
         err = capsys.readouterr().err
         assert "bad trace file" in err and "d_k" in err
+
+    @pytest.mark.parametrize("solver,key,checks", [
+        ("i2piano", "gamma", ("H4", "param-identities")),
+        ("i2piano", "delta", ("param-identities",)),
+        ("i2piano", "theta", ("param-identities",)),
+        ("ipila-strict", "alpha_max", ("param-identities",)),
+        ("ipila-strict", "tau", ("prox",)),
+    ])
+    def test_certify_missing_header_key_is_incomplete(
+            self, tmp_path, capsys, solver, key, checks):
+        # each used to end in a KeyError traceback
+        path = self._run_and_edit_header(tmp_path, solver, key, None)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 0
+        out = capsys.readouterr().out
+        for check in checks:
+            assert f"{check}.status=incomplete" in out
+            assert f"{check}.detail=missing {key}" in out
+        assert out.count("status=incomplete") == len(checks) + (
+            solver == "i2piano")  # armijo does not apply to i2piano
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_certify_unusable_header_value_exits_2(self, tmp_path, capsys,
+                                                   value):
+        # used to end in "could not convert string to float" or
+        # ZeroDivisionError tracebacks
+        path = self._run_and_edit_header(tmp_path, "i2piano", "gamma", value)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "bad trace file:" in err and "Traceback" not in err
+        if value == "abc":
+            assert "gamma" in err
+
+    @staticmethod
+    def _run_and_edit_header(tmp_path, solver, key, value):
+        """A short run's trace.csv with header ``key`` set to ``value``, or
+        dropped when ``value`` is None."""
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--max_outer", "5",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"# {key}="))
+        if value is None:
+            del lines[i]
+        else:
+            lines[i] = f"# {key}={value}"
+        path.write_text("\n".join(lines) + "\n")
+        return path
 
     def test_certify_missing_file(self, tmp_path, capsys):
         code = run_cli("certify", str(tmp_path / "none.csv"))

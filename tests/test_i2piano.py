@@ -67,6 +67,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             I2PianoConfig(eta=1.0)
 
+    def test_tau_must_be_nonnegative(self):
+        # used to fail at the first theta: "math domain error"
+        with pytest.raises(ValueError, match="tau"):
+            I2PianoConfig(tau=-1.0)
+
 
 class TestStep:
     def test_first_step_hand_simulation(self):
@@ -106,7 +111,7 @@ class TestStep:
                           lambda x: -x)  # wrong sign
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
-        cfg = I2PianoConfig(L_max=1e4, check_invariants=False)
+        cfg = I2PianoConfig(L_max=1e4)
         st = initial_state(p, np.ones(2), cfg)
         with pytest.raises(SolverError):
             i2piano_step(p, st, cfg)

@@ -103,3 +103,6 @@ class TestSolve:
             IistaConfig(eta=1.0)
         with pytest.raises(ValueError):
             IistaConfig(L0=0.0)
+        # an empty trace that certify could not summarize
+        with pytest.raises(ValueError, match="max_outer"):
+            IistaConfig(max_outer=0)

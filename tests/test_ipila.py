@@ -215,6 +215,9 @@ class TestSolve:
         with pytest.raises(ValueError, match="delta"):
             IPilaConfig(variant="practical-sec5", delta=-1.0)
         IPilaConfig(variant="strict-alg3", delta=-1.0)  # strict ignores it
+        # used to end in ZeroDivisionError or a negative beta mid-run
+        with pytest.raises(ValueError, match="L0"):
+            IPilaConfig(L0=0.0)
 
     def test_phi_nonincreasing(self):
         p, _, _ = quadratic_l1_problem(n=30, seed=8)
