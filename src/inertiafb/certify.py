@@ -6,9 +6,11 @@ quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
 gap certificates of the inexact prox engine, the algebraic couplings between
 alpha_k, beta_k and the Lipschitz estimate, the Armijo inequality, and weak
 duality psi <= h.  Checks are pure functions over a trace: same rows in,
-same verdicts out.  A check that lacks the header keys it needs reports
-``incomplete`` rather than failing; a header value that is not a number
-raises ValueError naming its key.
+same verdicts out.  Rows hold every ``trace.CSV_COLUMNS`` column, whether
+a solver wrote them or ``Trace.read_csv`` read them, so a trace and its
+``trace.csv`` get the same verdicts.  A check that lacks the header keys it
+needs reports ``incomplete`` rather than failing; a header value that is not
+a number raises ValueError naming its key.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ def check_H1(trace: Trace) -> CheckResult:
     if kind == "i2piano":
         a_k = 1.0
     elif kind == "ipila":
-        lam_min = min((r.get("lambda_k", 1.0) for r in trace.rows),
-                      default=1.0)
+        lam_min = min(r["lambda_k"] for r in trace.rows)
         if not math.isfinite(lam_min):
             lam_min = 1.0
         a_k = _meta(trace, "sigma") * lam_min
@@ -132,7 +133,7 @@ def check_H1(trace: Trace) -> CheckResult:
     residuals = []
     for row in trace.rows:
         phi = row["phi"]
-        d = row.get("d_k", 0.0)
+        d = row["d_k"]
         lhs = phi + a_k * d * d
         tol = _REL_TOL * (1.0 + abs(prev))
         residuals.append((row["k"], (lhs - prev - tol) / (1.0 + abs(prev))))
@@ -147,7 +148,7 @@ def h4_constants(trace: Trace):
         return 1.0 / math.sqrt(_meta(trace, "gamma")), 1
     if kind == "ipila":
         theta = _meta(trace, "theta")
-        alphas = [r.get("alpha_k", math.nan) for r in trace.rows]
+        alphas = [r["alpha_k"] for r in trace.rows]
         alpha_max = max((a for a in alphas if math.isfinite(a)), default=1.0)
         return math.sqrt(2.0 * alpha_max / theta), 0
     return 1.0, 0
@@ -162,7 +163,7 @@ def check_H4(trace: Trace, p: float, k_shift: int) -> CheckResult:
         j = i + k_shift
         if j >= n:
             continue
-        step = row.get("x_step_norm", 0.0)
+        step = row["x_step_norm"]
         bound = p * trace.rows[j]["d_k"]
         tol = _REL_TOL * (1.0 + bound)
         residuals.append((row["k"], (step - bound - tol) / (1.0 + bound)))
@@ -180,8 +181,7 @@ def check_prox_certificates(trace: Trace) -> CheckResult:
 
     Row-wise: ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 /
     (2 + tau)) psi`` up to the absolute slack that the engine's stationary
-    branch is allowed.  Uses ``y_step_norm`` when the rows carry it and the
-    (never larger) ``x_step_norm`` otherwise.
+    branch is allowed; ``||y - x||`` is the row's ``y_step_norm``.
     """
     tau = _meta(trace, "tau")
     theta = theta_from_tau(tau)
@@ -191,9 +191,9 @@ def check_prox_certificates(trace: Trace) -> CheckResult:
     residuals = []
     for row in trace.rows:
         h = row["h"]
-        psi = row.get("psi", math.nan)
-        alpha = row.get("alpha_k", math.nan)
-        step = row.get("y_step_norm", row.get("x_step_norm", 0.0))
+        psi = row["psi"]
+        alpha = row["alpha_k"]
+        step = row["y_step_norm"]
         if not (math.isfinite(alpha) and alpha > 0):
             continue
         dist = (theta / (2.0 * alpha)) * step * step
@@ -218,7 +218,7 @@ def check_duality_gap(trace: Trace) -> CheckResult:
     slack = 1e-10 * (1.0 + f0)
     residuals = []
     for row in trace.rows:
-        h, psi = row["h"], row.get("psi", math.nan)
+        h, psi = row["h"], row["psi"]
         if not math.isfinite(psi):
             continue
         tol = slack + 1e-10 * (1.0 + abs(h))
@@ -293,7 +293,7 @@ def check_armijo(trace: Trace) -> CheckResult:
     sigma, prev = _meta(trace, "sigma"), _meta(trace, "phi_init")
     residuals = []
     for row in trace.rows:
-        lam, delta_k = row.get("lambda_k", math.nan), row.get("delta_k", 0.0)
+        lam, delta_k = row["lambda_k"], row["delta_k"]
         if not math.isfinite(lam) or lam <= 0.0:
             return CheckResult("armijo", "fail", worst_k=row["k"],
                                detail="nonpositive lambda_k")

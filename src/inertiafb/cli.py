@@ -187,6 +187,8 @@ def build_problem(cfg: dict):
 
     size = _i(cfg, "size")
     peak = _f(cfg, "peak")
+    if not peak > 0:
+        raise ConfigError("peak must be positive")
     if "image" in cfg:
         path = cfg["image"]
         if not Path(path).exists():
@@ -314,6 +316,8 @@ def _worker_cap(n_jobs: int) -> int:
 
 def cmd_suite(cfg: dict) -> int:
     solvers = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
+    if not solvers:
+        raise ConfigError("no solvers")
     for s in solvers:
         if s not in SOLVERS:
             raise ConfigError(f"unknown solver {s!r}; choose from {SOLVERS}")

@@ -167,16 +167,14 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
 
 def run(state: Iterate, cfg: Config, meta: dict,
         step: Callable[[Iterate], Iterate],
-        stop: Callable[[Iterate], Optional[str]],
-        row: Optional[Callable[[Iterate, Iterate], dict]] = None,
-        on_step=None) -> Trace:
+        stop: Callable[[Iterate], Optional[str]], on_step=None) -> Trace:
     """Iterate ``step`` from ``state`` and record one trace row per step.
 
     ``step`` returns an iterate made by :meth:`Iterate.after_prox` with
     ``y_step_sq`` set.  Stops when ``stop(new)`` names a reason or after
-    ``cfg.max_outer`` steps.  The trace's meta is ``meta`` with ``cfg``'s
-    ``tau``, ``L0``, ``eta`` and ``stop_tol``.
-    ``row(before, after)`` adds or replaces solver-specific columns, and
+    ``cfg.max_outer`` steps.  Each row holds every ``CSV_COLUMNS`` column;
+    ``L_or_gamma`` is the iterate's ``L_k``.  The trace's meta is ``meta``
+    with ``cfg``'s ``tau``, ``L0``, ``eta`` and ``stop_tol``.
     ``on_step(k, before, after)`` observes each transition.
     """
     trace = Trace(meta={**meta, "tau": cfg.tau, "L0": cfg.L0, "eta": cfg.eta,
@@ -189,16 +187,15 @@ def run(state: Iterate, cfg: Config, meta: dict,
         y_step = math.sqrt(new.y_step_sq)
         x_step = y_step if new.x_curr is new.y_tilde \
             else float(np.linalg.norm(new.x_curr - state.x_curr))
-        fields = dict(
+        trace.append(
             k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
             h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
             alpha_k=new.alpha_k, beta_k=new.beta_k, L_or_gamma=new.L_k,
             lambda_k=new.lambda_k, inner_iters=new.inner_iters,
             backtracks=new.backtracks, psi=new.psi_val, x_step_norm=x_step,
-            y_step_norm=y_step, prox_branch=new.prox_branch)
-        if row is not None:
-            fields.update(row(state, new))
-        trace.append(**fields)
+            y_step_norm=y_step,
+            s_step_norm=float(np.linalg.norm(new.s_curr - state.s_curr)),
+            prox_branch=new.prox_branch, accepted_branch=new.accepted_branch)
         if on_step is not None:
             on_step(k, state, new)
         state = new

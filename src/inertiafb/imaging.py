@@ -94,6 +94,8 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
     """Normalized truncated Gaussian blur kernel of odd ``size``."""
     if size % 2 == 0:
         raise ValueError("size must be odd")
+    if not sigma > 0:
+        raise ValueError("blur sigma must be positive")
     r = np.arange(size) - size // 2
     g = np.exp(-0.5 * (r / sigma) ** 2)
     k = np.outer(g, g)

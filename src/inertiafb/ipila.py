@@ -184,6 +184,8 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
                   problem.f0.grad(x, state.f0_fwd), engine)
     new = state.after_prox(res, alpha, beta)
     new.lambda_k, new.backtracks = 1.0, 0
+    if not practical:
+        new.L_k = gamma_k  # strict never reads L_k; its trace shows gamma_k
     y_step, anchor = res.y_tilde - x, x - s
     new.y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(anchor, anchor))
@@ -263,17 +265,11 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
             "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
             "beta_max": cfg.beta_max, "delta": cfg.delta}
 
-    def row(before: fb.Iterate, after: fb.Iterate) -> dict:
-        return dict(
-            s_step_norm=float(np.linalg.norm(after.s_curr - before.s_curr)),
-            accepted_branch=after.accepted_branch,
-            L_or_gamma=after.L_k if practical else cfg.gamma_min)
-
     def stop(st: fb.Iterate) -> Optional[str]:
         if st.accepted_branch == "stationary":
             return "stationary"
         return "d_k" if st.d_k <= cfg.stop_tol else None
 
     return fb.run(initial_state(problem, x0, s0, cfg), cfg, meta,
-                  lambda st: ipila_step(problem, st, cfg), stop, row=row,
+                  lambda st: ipila_step(problem, st, cfg), stop,
                   on_step=on_step)

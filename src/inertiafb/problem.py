@@ -248,20 +248,22 @@ class Block:
 class StructuredConvexTerm:
     """``f1(x) = sum_i g_i(M_i x) + xi(x)`` with stacked dual variables.
 
-    ``op_norm_sq_bound`` must upper-bound ``||M||^2`` for the stacked operator
-    ``M``; when omitted it is estimated by 50 power iterations times a 1.05
-    safety factor (the dual step size relies on the bound being valid).
+    The term is the stacked operator ``M`` itself: ``in_dim``, ``out_dim``
+    (the dual size), ``matvec`` and ``rmatvec``.  ``op_norm_sq_bound`` must
+    upper-bound ``||M||^2``; when omitted it is estimated by 50 power
+    iterations times a 1.05 safety factor (the dual step size relies on the
+    bound being valid).
     """
 
     def __init__(self, blocks: Sequence[Block], xi: ProxFunction, n: int,
                  op_norm_sq_bound: Optional[float] = None):
         self.blocks = list(blocks)
         self.xi = xi
-        self.n = int(n)
-        self.dual_dim = sum(b.op.out_dim for b in self.blocks)
+        self.in_dim = int(n)
+        self.out_dim = sum(b.op.out_dim for b in self.blocks)
         self._offsets = np.cumsum([0] + [b.op.out_dim for b in self.blocks])
         if op_norm_sq_bound is None and self.blocks:
-            op_norm_sq_bound = 1.05 * power_iteration_sq_norm(_Stacked(self))
+            op_norm_sq_bound = 1.05 * power_iteration_sq_norm(self)
         self.op_norm_sq_bound = float(op_norm_sq_bound or 0.0)
 
     def split(self, w: np.ndarray) -> list[np.ndarray]:
@@ -287,7 +289,7 @@ class StructuredConvexTerm:
             if np.may_share_memory(r, w):  # IdentityOp returns its input
                 return 0.0 + r
             return np.add(0.0, r, out=r)
-        out = np.zeros(self.n)
+        out = np.zeros(self.in_dim)
         for b, wi in zip(self.blocks, self.split(w)):
             out += b.op.rmatvec(wi)
         return out
@@ -314,19 +316,6 @@ class StructuredConvexTerm:
         return total
 
 
-class _Stacked(LinearOp):
-    def __init__(self, term: StructuredConvexTerm):
-        self.term = term
-        self.in_dim = term.n
-        self.out_dim = term.dual_dim
-
-    def matvec(self, x):
-        return self.term.matvec(x)
-
-    def rmatvec(self, y):
-        return self.term.rmatvec(y)
-
-
 @dataclass
 class CompositeProblem:
     f0: SmoothOracle
@@ -334,7 +323,7 @@ class CompositeProblem:
     n: int
 
     def __post_init__(self):
-        if self.f1.n != self.n:
+        if self.f1.in_dim != self.n:
             raise ValueError("f1 dimension does not match problem dimension")
 
 

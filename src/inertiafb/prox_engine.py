@@ -169,7 +169,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         fx = dp.f0x + dp.f1x
         abs_tol = 1e-12 * (1.0 + abs(fx))
 
-    m = problem.f1.dual_dim
+    m = problem.f1.out_dim
     if warm_start is not None and warm_start.shape == (m,):
         w = np.array(warm_start, dtype=float)
     else:

@@ -1,8 +1,9 @@
 """Append-only solver traces and their CSV serialization.
 
-One row per outer iteration.  The CSV column set is fixed (it is the wire
-format the certifier parses); in-memory rows may carry extra fields such as
-``y_step_norm`` or ``prox_branch`` which are not serialized.  Run-level
+One row per outer iteration.  ``CSV_COLUMNS`` is the row: every solver row
+holds exactly these keys, the CSV writes each of them and the reader
+requires each of them, so the certifier sees the same rows in memory and
+from a file.  ``prox_branch`` and ``accepted_branch`` are text.  Run-level
 metadata travels as ``# key=value`` comment lines at the top of the file.
 """
 
@@ -13,12 +14,16 @@ from typing import Iterable, Optional
 
 CSV_COLUMNS = ["k", "time_s", "f", "phi", "h", "delta_k", "d_k", "alpha_k",
                "beta_k", "L_or_gamma", "lambda_k", "inner_iters", "backtracks",
-               "psi", "x_step_norm"]
+               "psi", "x_step_norm", "y_step_norm", "s_step_norm",
+               "prox_branch", "accepted_branch"]
 
 _INT_COLUMNS = {"k", "inner_iters", "backtracks"}
+_STR_COLUMNS = {"prox_branch", "accepted_branch"}
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int,)) and not isinstance(value, bool):
         return str(value)
     v = float(value)
@@ -61,9 +66,9 @@ class Trace:
                     if col == "rel_gap":
                         vals.append(_fmt((row["f"] - f_star) / abs(f_star)))
                     elif col in _INT_COLUMNS:
-                        vals.append(str(int(row.get(col, 0))))
+                        vals.append(str(int(row[col])))
                     else:
-                        vals.append(_fmt(row.get(col, math.nan)))
+                        vals.append(_fmt(row[col]))
                 fh.write(",".join(vals) + "\n")
 
     @classmethod
@@ -94,7 +99,8 @@ class Trace:
                                      f"header has {len(header)}")
                 row = {}
                 for col, raw in zip(header, parts):
-                    cast = int if col in _INT_COLUMNS else float
+                    cast = (int if col in _INT_COLUMNS else
+                            str if col in _STR_COLUMNS else float)
                     try:
                         row[col] = cast(raw)
                     except ValueError:

@@ -21,6 +21,9 @@ def traces():
     return {
         "i2piano": i2piano_solve(p, x0, I2PianoConfig(max_outer=60)),
         "ipila": ipila_solve(p, x0, cfg=IPilaConfig(max_outer=60)),
+        # strict always line-searches; some of its rows step short of y
+        "ipila-strict": ipila_solve(
+            p, x0, cfg=IPilaConfig(max_outer=60, variant="strict-alg3")),
         # conservative L0 keeps the baseline from converging in two steps,
         # so the trace has enough rows to corrupt
         "iista": iista_solve(p, x0, IistaConfig(max_outer=60, L0=50.0)),
@@ -34,9 +37,17 @@ class TestHonestTracesPass:
         assert report.ok, report.format()
 
     def test_pass_survives_csv_round_trip(self, traces, tmp_path):
-        path = tmp_path / "trace.csv"
-        traces["i2piano"].write_csv(path)
-        assert summarize(Trace.read_csv(path)).ok
+        strict = traces["ipila-strict"].rows
+        assert any(r["accepted_branch"] == "linesearch"
+                   and r["x_step_norm"] != r["y_step_norm"] for r in strict)
+        for name, trace in traces.items():
+            path = tmp_path / f"{name}.csv"
+            trace.write_csv(path)
+            in_memory, from_csv = summarize(trace), summarize(
+                Trace.read_csv(path))
+            assert from_csv.ok, name
+            assert from_csv.checks == in_memory.checks, name
+            np.testing.assert_equal(from_csv.summary, in_memory.summary)
 
     def test_summary_statistics_arithmetic(self, traces):
         t = traces["iista"]

@@ -199,6 +199,12 @@ BAD_VALUES = {
     "negative_L0_ipila_practical": (
         ("--solver", "ipila-practical", "--solvers", "ipila-practical",
          "--L0", "-2e-5"), "L0"),
+    # used to write trace.csv, then end in ZeroDivisionError in write_pgm
+    "zero_peak": (("--problem", "gaussian-sd-tv", "--size", "16",
+                   "--peak", "0"), "peak"),
+    # used to build a NaN kernel and exit 3 as a solver failure
+    "zero_blur_sigma": (("--problem", "impulse-l1", "--size", "16",
+                         "--blur_sigma", "0"), "sigma"),
 }
 
 
@@ -252,6 +258,16 @@ class TestSuiteAndFstar:
     def test_suite_rejects_unknown_solver(self, tmp_path):
         assert run_cli("suite", "--solvers", "iista,bogus",
                        "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command", ["suite", "fstar"])
+    def test_empty_solver_list_is_config_error(self, tmp_path, capsys,
+                                               command):
+        # used to end in "min() arg is an empty sequence"
+        out = tmp_path / "out"
+        assert run_cli(command, "--solvers", ",", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error: no solvers" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_fstar_uses_long_iteration_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INERTIAFB_THREADS", "2")
@@ -359,21 +375,40 @@ class TestCertifyCommand:
 
     def test_certify_missing_column_exits_2(self, tmp_path, capsys):
         # used to end in KeyError: 'd_k'
-        out = tmp_path / "run"
-        assert run_cli("run", "--solver", "iista", "--max_outer", "5",
-                       "--out", str(out)) == 0
-        path = out / "trace.csv"
-        lines = path.read_text().splitlines()
-        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-        col = lines[header].split(",").index("d_k")
-        for i in range(header, len(lines)):
-            parts = lines[i].split(",")
-            lines[i] = ",".join(parts[:col] + parts[col + 1:])
-        path.write_text("\n".join(lines) + "\n")
+        path = self._run_and_drop_columns(tmp_path, "iista", ["d_k"])
         capsys.readouterr()
         assert run_cli("certify", str(path)) == 2
         err = capsys.readouterr().err
         assert "bad trace file" in err and "d_k" in err
+
+    def test_certify_trace_without_step_and_branch_columns_exits_2(
+            self, tmp_path, capsys):
+        # the columns trace.csv used to leave out; without y_step_norm the
+        # prox check fell back to x_step_norm and certified a smaller step
+        cols = ["y_step_norm", "s_step_norm", "prox_branch", "accepted_branch"]
+        path = self._run_and_drop_columns(tmp_path, "ipila-strict", cols)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"bad trace file: {path}" in err and "Traceback" not in err
+        assert ", ".join(cols) in err
+
+    @staticmethod
+    def _run_and_drop_columns(tmp_path, solver, cols):
+        """A short run's trace.csv without the columns ``cols``."""
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--max_outer", "5",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        keep = [i for i, c in enumerate(lines[header].split(","))
+                if c not in cols]
+        for i in range(header, len(lines)):
+            parts = lines[i].split(",")
+            lines[i] = ",".join(parts[j] for j in keep)
+        path.write_text("\n".join(lines) + "\n")
+        return path
 
     @pytest.mark.parametrize("solver,key,checks", [
         ("i2piano", "gamma", ("H4", "param-identities")),

@@ -16,7 +16,8 @@ def small_trace():
                  alpha_k=0.5, beta_k=0.0, L_or_gamma=2.0,
                  lambda_k=float("nan"), inner_iters=k + 1, backtracks=0,
                  psi=-1.0, x_step_norm=rng.uniform(),
-                 y_step_norm=0.1, prox_branch="gap")
+                 y_step_norm=0.1, s_step_norm=0.2, prox_branch="gap",
+                 accepted_branch="")
     return t
 
 
@@ -44,20 +45,26 @@ class TestRoundTrip:
         val = 1.0 / 3.0 + 1e-17
         t.append(time_s=0.0, f=val, phi=val, h=0.0, delta_k=0.0, d_k=0.0,
                  alpha_k=val, beta_k=0.0, L_or_gamma=1.0, lambda_k=1.0,
-                 inner_iters=0, backtracks=0, psi=0.0, x_step_norm=0.0)
+                 inner_iters=0, backtracks=0, psi=0.0, x_step_norm=0.0,
+                 y_step_norm=0.0, s_step_norm=0.0, prox_branch="abs",
+                 accepted_branch="inertial")
         path = tmp_path / "t.csv"
         t.write_csv(path)
         assert Trace.read_csv(path).rows[0]["f"] == val
 
-    def test_extra_fields_not_serialized(self, tmp_path):
+    def test_every_row_column_serialized(self, tmp_path):
         t = small_trace()
         path = tmp_path / "trace.csv"
         t.write_csv(path)
         header = [l for l in path.read_text().splitlines()
                   if not l.startswith("#")][0]
         assert header.split(",") == CSV_COLUMNS
-        assert "y_step_norm" not in header
-        assert "prox_branch" not in header
+        assert set(t.rows[0]) == set(CSV_COLUMNS)
+        row = Trace.read_csv(path).rows[0]
+        assert set(row) == set(CSV_COLUMNS)
+        # the branch columns are text, the empty string included
+        assert row["prox_branch"] == "gap"
+        assert row["accepted_branch"] == ""
 
     def test_int_columns_read_as_int(self, tmp_path):
         t = small_trace()
@@ -111,7 +118,7 @@ class TestHelpers:
         assert t.column("f") == [1.0]
 
     @pytest.mark.parametrize("edit,words", [
-        (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]], "header has 15"),
+        (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]], "header has 19"),
         (lambda ls: ls[:-1] + [ls[-1].replace(",", ",x", 1)], "bad time_s"),
         (lambda ls: [ls[0].replace("psi,", "")] + ls[1:], "lacks psi"),
     ], ids=["short_row", "bad_number", "missing_column"])

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 
 from inertiafb import cli
+from inertiafb.certify import summarize
+from inertiafb.trace import CSV_COLUMNS, Trace
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
 _spec = importlib.util.spec_from_file_location("trace_digest", _PATH)
@@ -19,8 +21,16 @@ def test_digests_repeat_and_cover_every_run():
     assert len({d for _, _, d in first}) == 20
 
 
-def test_runs_reach_every_stop_reason_and_branch():
+def test_runs_reach_every_stop_reason_and_branch(tmp_path):
     runs = trace_digest.traces()
+    # each row is the trace.csv schema, and the file gets the same verdicts
+    for label, solver, t in runs:
+        assert all(r.keys() == set(CSV_COLUMNS) for r in t.rows), solver
+        path = tmp_path / "trace.csv"
+        t.write_csv(path)
+        in_memory, from_csv = summarize(t), summarize(Trace.read_csv(path))
+        assert from_csv.checks == in_memory.checks, (label, solver)
+        np.testing.assert_equal(from_csv.summary, in_memory.summary)
     assert {t.meta["stop_reason"] for _, _, t in runs} \
         >= {"max_outer", "d_k", "x_step", "stationary"}
     assert {r["accepted_branch"] for _, solver, t in runs
