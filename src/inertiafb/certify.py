@@ -8,9 +8,10 @@ alpha_k, beta_k and the Lipschitz estimate, the Armijo inequality, and weak
 duality psi <= h.  Checks are pure functions over a trace: same rows in,
 same verdicts out.  Rows hold every ``trace.CSV_COLUMNS`` column, whether
 a solver wrote them or ``Trace.read_csv`` read them, so a trace and its
-``trace.csv`` get the same verdicts.  A check that lacks the header keys it
-needs reports ``incomplete`` rather than failing; a header value that is not
-a number raises ValueError naming its key.
+``trace.csv`` get the same verdicts.  Each verdict is ``pass`` or ``fail``.
+The header's ``solver`` must name one of ``SOLVERS``, and a check raises
+ValueError naming the key when the header lacks a value it reads or holds
+one that is not a number; the Armijo check applies to iPila traces only.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from inertiafb.trace import Trace
 
 _REL_TOL = 1e-9
 
+SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
+
 
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "incomplete"
+    status: str  # "pass" | "fail"
     worst_residual: float = 0.0
     worst_k: int = -1
     detail: str = ""
@@ -45,7 +48,7 @@ class CertReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks.values())
+        return all(c.ok for c in self.checks.values())
 
     def format(self) -> str:
         lines = []
@@ -62,41 +65,34 @@ class CertReport:
         return "\n".join(lines) + "\n"
 
 
-class _Missing(Exception):
-    """The trace header lacks the key a check needs."""
-
-
 def _meta(trace: Trace, key: str) -> float:
     """The header value ``key`` as a float."""
     if key not in trace.meta:
-        raise _Missing(key)
+        raise ValueError(f"header lacks {key}")
     try:
         return float(trace.meta[key])
     except ValueError:
         raise ValueError(f"bad {key} value {trace.meta[key]!r}") from None
 
 
-def _check(name: str):
-    """A trace check named ``name``: it rejects an empty trace, and reports
-    ``incomplete`` when the header lacks a key it reads."""
-    def wrap(fn):
-        @functools.wraps(fn)
-        def checked(trace: Trace, *args) -> CheckResult:
-            if not trace.rows:
-                raise ValueError("empty trace")
-            try:
-                return fn(trace, *args)
-            except _Missing as exc:
-                return CheckResult(name, "incomplete", detail=f"missing {exc}")
-        return checked
-    return wrap
-
-
-def _solver_kind(trace: Trace) -> str:
-    name = str(trace.meta.get("solver", ""))
-    if name.startswith("ipila"):
-        return "ipila"
+def _solver(trace: Trace) -> str:
+    """The header's ``solver``, one of ``SOLVERS``."""
+    if "solver" not in trace.meta:
+        raise ValueError("header lacks solver")
+    name = trace.meta["solver"]
+    if name not in SOLVERS:
+        raise ValueError(f"bad solver value {name!r}")
     return name
+
+
+def _nonempty(check):
+    """``check`` with an empty trace rejected."""
+    @functools.wraps(check)
+    def checked(trace: Trace) -> CheckResult:
+        if not trace.rows:
+            raise ValueError("empty trace")
+        return check(trace)
+    return checked
 
 
 def _worst(name: str, residuals) -> CheckResult:
@@ -111,7 +107,7 @@ def _worst(name: str, residuals) -> CheckResult:
                        worst_k=worst_k)
 
 
-@_check("H1")
+@_nonempty
 def check_H1(trace: Trace) -> CheckResult:
     """Sufficient decrease: ``phi_{k+1} + a_k d_{k+1}^2 <= phi_k``.
 
@@ -119,11 +115,11 @@ def check_H1(trace: Trace) -> CheckResult:
     sigma times the smallest observed lambda_k for the line-search solver,
     0 for the baseline, whose d_k is a plain step norm.
     """
-    kind = _solver_kind(trace)
+    kind = _solver(trace)
     a_k = 0.0
     if kind == "i2piano":
         a_k = 1.0
-    elif kind == "ipila":
+    elif kind.startswith("ipila"):
         lam_min = min(r["lambda_k"] for r in trace.rows)
         if not math.isfinite(lam_min):
             lam_min = 1.0
@@ -143,10 +139,10 @@ def check_H1(trace: Trace) -> CheckResult:
 
 def h4_constants(trace: Trace):
     """Solver-specific ``(p, k_shift)`` for the step-norm bound."""
-    kind = _solver_kind(trace)
+    kind = _solver(trace)
     if kind == "i2piano":
         return 1.0 / math.sqrt(_meta(trace, "gamma")), 1
-    if kind == "ipila":
+    if kind.startswith("ipila"):
         theta = _meta(trace, "theta")
         alphas = [r["alpha_k"] for r in trace.rows]
         alpha_max = max((a for a in alphas if math.isfinite(a)), default=1.0)
@@ -154,9 +150,11 @@ def h4_constants(trace: Trace):
     return 1.0, 0
 
 
-@_check("H4")
-def check_H4(trace: Trace, p: float, k_shift: int) -> CheckResult:
-    """Step-norm relates to d: ``||x^{k+1} - x^k|| <= p * d_{k+k'}``."""
+@_nonempty
+def check_H4(trace: Trace) -> CheckResult:
+    """Step-norm relates to d: ``||x^{k+1} - x^k|| <= p * d_{k+k'}``, with
+    ``(p, k')`` from :func:`h4_constants`."""
+    p, k_shift = h4_constants(trace)
     residuals = []
     n = len(trace.rows)
     for i, row in enumerate(trace.rows):
@@ -170,12 +168,7 @@ def check_H4(trace: Trace, p: float, k_shift: int) -> CheckResult:
     return _worst("H4", residuals)
 
 
-@_check("H4")
-def _check_H4_from_meta(trace: Trace) -> CheckResult:
-    return check_H4(trace, *h4_constants(trace))
-
-
-@_check("prox")
+@_nonempty
 def check_prox_certificates(trace: Trace) -> CheckResult:
     """Distance and gap certificates of the inexact prox computation.
 
@@ -206,7 +199,7 @@ def check_prox_certificates(trace: Trace) -> CheckResult:
     return _worst("prox", residuals)
 
 
-@_check("duality-gap")
+@_nonempty
 def check_duality_gap(trace: Trace) -> CheckResult:
     """Weak duality along the trace: ``psi <= h``.
 
@@ -237,10 +230,10 @@ def _ipila_alpha_from_beta(beta: float, delta: float, gamma: float):
     return 2.0 * (1.0 - beta) / (L + 2.0 * gamma)
 
 
-@_check("param-identities")
+@_nonempty
 def check_param_identities(trace: Trace) -> CheckResult:
     """Replays the algebraic coupling between alpha_k, beta_k and L_k."""
-    kind = _solver_kind(trace)
+    kind = _solver(trace)
     residuals = []
     if kind == "i2piano":
         delta, gamma = _meta(trace, "delta"), _meta(trace, "gamma")
@@ -258,24 +251,22 @@ def check_param_identities(trace: Trace) -> CheckResult:
                     abs(lhs - delta) / (1.0 + abs(delta)),
                     abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
             residuals.append((row["k"], r - _REL_TOL))
-    elif kind == "ipila":
-        variant = str(trace.meta.get("variant", ""))
-        if variant == "practical-sec5":
-            gamma = _meta(trace, "gamma_min")
-            delta = _meta(trace, "delta")
-            for row in trace.rows:
-                alpha_e = _ipila_alpha_from_beta(row["beta_k"], delta, gamma)
-                if alpha_e is None:
-                    continue
-                r = abs(row["alpha_k"] - alpha_e) / (1.0 + abs(alpha_e))
-                residuals.append((row["k"], r - _REL_TOL))
-        else:
-            a_max = _meta(trace, "alpha_max")
-            b_max = _meta(trace, "beta_max")
-            for row in trace.rows:
-                r = max(abs(row["alpha_k"] - a_max) / (1.0 + a_max),
-                        abs(row["beta_k"] - b_max) / (1.0 + b_max))
-                residuals.append((row["k"], r - _REL_TOL))
+    elif kind == "ipila-practical":
+        gamma = _meta(trace, "gamma_min")
+        delta = _meta(trace, "delta")
+        for row in trace.rows:
+            alpha_e = _ipila_alpha_from_beta(row["beta_k"], delta, gamma)
+            if alpha_e is None:
+                continue
+            r = abs(row["alpha_k"] - alpha_e) / (1.0 + abs(alpha_e))
+            residuals.append((row["k"], r - _REL_TOL))
+    elif kind == "ipila-strict":
+        a_max = _meta(trace, "alpha_max")
+        b_max = _meta(trace, "beta_max")
+        for row in trace.rows:
+            r = max(abs(row["alpha_k"] - a_max) / (1.0 + a_max),
+                    abs(row["beta_k"] - b_max) / (1.0 + b_max))
+            residuals.append((row["k"], r - _REL_TOL))
     else:
         for row in trace.rows:
             L, a = row["L_or_gamma"], row["alpha_k"]
@@ -284,12 +275,11 @@ def check_param_identities(trace: Trace) -> CheckResult:
     return _worst("param-identities", residuals)
 
 
-@_check("armijo")
+@_nonempty
 def check_armijo(trace: Trace) -> CheckResult:
-    """Merit Armijo inequality on accepted line-search steps."""
-    if _solver_kind(trace) != "ipila":
-        return CheckResult("armijo", "incomplete",
-                           detail="solver has no line search")
+    """Merit Armijo inequality on accepted steps of an iPila trace."""
+    if not _solver(trace).startswith("ipila"):
+        raise ValueError("armijo applies to iPila traces only")
     sigma, prev = _meta(trace, "sigma"), _meta(trace, "phi_init")
     residuals = []
     for row in trace.rows:
@@ -305,13 +295,17 @@ def check_armijo(trace: Trace) -> CheckResult:
 
 
 def summarize(trace: Trace) -> CertReport:
-    """Runs every applicable check and aggregates convergence statistics."""
+    """Runs every check that applies to the trace's solver, the Armijo
+    check on iPila traces only, and aggregates convergence statistics."""
     if not trace.rows:
         raise ValueError("empty trace")
+    checks = [check_H1, check_H4, check_prox_certificates,
+              check_duality_gap, check_param_identities]
+    if _solver(trace).startswith("ipila"):
+        checks.append(check_armijo)
     report = CertReport()
-    for result in (check_H1(trace), _check_H4_from_meta(trace),
-                   check_prox_certificates(trace), check_duality_gap(trace),
-                   check_param_identities(trace), check_armijo(trace)):
+    for check in checks:
+        result = check(trace)
         report.checks[result.name] = result
 
     d = trace.column("d_k")

@@ -6,7 +6,7 @@ Subcommands:
                report.txt, summary.txt and restored images.
 * ``suite``    run several solvers on the same problem concurrently (one
                worker process each, at most ``INERTIAFB_THREADS`` and the
-               CPU count at once).
+               CPU count at once), each writing a ``run`` directory.
 * ``fstar``    long suite run that records the smallest final objective
                value, for later relative-gap reporting.
 * ``certify``  replay the certifier over an existing trace.csv.
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from inertiafb import imaging
-from inertiafb.certify import summarize
+from inertiafb.certify import SOLVERS, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
@@ -40,7 +40,6 @@ from inertiafb.prox_engine import EngineError
 from inertiafb.trace import Trace
 
 PROBLEMS = ("impulse-l1", "gaussian-sd-tv", "synthetic-quadratic-l1")
-SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,47 +257,44 @@ def run_solver(problem, x0, cfg: dict) -> Trace:
     return solve(problem, x0, cfg=config)
 
 
-def _write_outputs(outdir: Path, trace: Trace, cfg: dict):
+def _solve_and_write(cfg: dict, outdir: Path) -> Trace:
+    """Builds the configured problem, solves it and writes the run
+    directory: trace.csv, report.txt, summary.txt and, for an imaging
+    problem, the restored image with its PSNR in summary.txt."""
+    problem, x0, context = build_problem(cfg)
+    trace = run_solver(problem, x0, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     f_star = float(cfg["f_star"]) if "f_star" in cfg else None
     trace.write_csv(outdir / "trace.csv", f_star=f_star)
     report = summarize(trace)
     (outdir / "report.txt").write_text(report.format())
 
-    summary = dict(report.summary)
-    summary["solver"] = trace.meta.get("solver", cfg["solver"])
-    summary["problem"] = cfg["problem"]
-    summary["stop_reason"] = trace.meta.get("stop_reason", "")
+    summary = dict(report.summary, solver=trace.meta["solver"],
+                   problem=cfg["problem"],
+                   stop_reason=trace.meta["stop_reason"])
     if f_star is not None:
         summary["rel_gap_final"] = (summary["f_final"] - f_star) / abs(f_star)
+    if "shape" in context:
+        peak = context["peak"]
+        img = trace.x_final.reshape(context["shape"])
+        imaging.write_pgm(outdir / "restored.pgm", img, peak=peak)
+        imaging.write_raw(outdir / "restored.raw", img)
+        summary["psnr_db"] = imaging.psnr(img, context["truth"], peak=peak)
     lines = [f"{k}={summary[k]}" for k in sorted(summary)]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    return trace
 
 
 def cmd_run(cfg: dict) -> int:
-    problem, x0, context = build_problem(cfg)
     outdir = Path(cfg["out"])
-    trace = run_solver(problem, x0, cfg)
-    _write_outputs(outdir, trace, cfg)
-
-    if "shape" in context and trace.x_final is not None:
-        shape, peak = context["shape"], context["peak"]
-        img = trace.x_final.reshape(shape)
-        imaging.write_pgm(outdir / "restored.pgm", img, peak=peak)
-        imaging.write_raw(outdir / "restored.raw", img)
-        if "truth" in context:
-            val = imaging.psnr(img, context["truth"], peak=peak)
-            with open(outdir / "summary.txt", "a") as fh:
-                fh.write(f"psnr_db={val}\n")
+    trace = _solve_and_write(cfg, outdir)
     print(f"wrote {outdir}/trace.csv ({len(trace)} rows)")
     return EXIT_OK
 
 
 def _suite_worker(item):
     cfg, outdir = item
-    problem, x0, _ = build_problem(cfg)
-    trace = run_solver(problem, x0, cfg)
-    _write_outputs(outdir, trace, cfg)
+    trace = _solve_and_write(cfg, outdir)
     return cfg["solver"], float(trace.meta["f_final"])
 
 

@@ -22,6 +22,9 @@ from inertiafb.problem import CompositeProblem, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import Trace
 
+# the backtracking step gives up once its Lipschitz estimate passes this
+L_MAX = 1e12
+
 
 @dataclass(kw_only=True)
 class Config:
@@ -40,6 +43,8 @@ class Config:
             raise ValueError("tau must be nonnegative")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.max_inner < 0:
+            raise ValueError("max_inner must be nonnegative")
         if self.eta <= 1:
             raise ValueError("eta must exceed 1")
         if self.L0 <= 0:
@@ -155,7 +160,7 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
             break
         L *= cfg.eta
         backtracks += 1
-        if L > cfg.L_max * cfg.eta:
+        if L > L_MAX * cfg.eta:
             raise SolverError("descent test still failing at L_max; "
                               "gradient or domain broken")
     new = it.after_prox(res, alpha, beta)

@@ -13,7 +13,7 @@ decreases by at least ``gamma ||x - x_prev||^2 - (1 - omega) h`` per
 accepted step, which the solver re-checks at every step.
 
 The couplings and the merit inequality hold for any accepted L_k in
-``[L_min, L_max]``, so the estimate may also shrink: with
+``[L_min, fb.L_MAX]``, so the estimate may also shrink: with
 ``allow_L_decrease`` the backtracking starts from ``max(L_min, L_{k-1}/eta)``
 after ``SHRINK_STREAK`` consecutive backtrack-free iterations, which lets
 the step grow towards ``(1 + theta*omega) / (4 delta - 2 gamma)`` where the
@@ -46,7 +46,6 @@ class I2PianoConfig(fb.Config):
     gamma: float = 1e-5
     omega: float = 0.95
     L_min: float = 1e-8
-    L_max: float = 1e12
     # after SHRINK_STREAK backtrack-free iterations, start the next
     # backtracking from max(L_min, L_k / eta) instead of L_k
     allow_L_decrease: bool = False
@@ -55,8 +54,8 @@ class I2PianoConfig(fb.Config):
         super().__post_init__()
         if not (self.delta >= self.gamma > 0):
             raise ValueError("need delta >= gamma > 0")
-        if not (self.L_min <= self.L0 <= self.L_max):
-            raise ValueError("need L_min <= L0 <= L_max")
+        if not (self.L_min <= self.L0 <= fb.L_MAX):
+            raise ValueError(f"need L_min <= L0 <= {fb.L_MAX:g}")
         hi = 1.0 if self.tau == 0 else np.nextafter(1.0, 0.0)
         if not (0.0 <= self.omega <= hi):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")

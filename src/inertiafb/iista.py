@@ -11,7 +11,6 @@ two inertial solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,9 +21,8 @@ from inertiafb.prox_engine import solve_inexact_prox
 from inertiafb.trace import Trace
 
 
-@dataclass(kw_only=True)
 class IistaConfig(fb.Config):
-    L_max: float = 1e12
+    """iISTA has no policy fields: it reads the shared settings only."""
 
 
 def iista_solve(problem: CompositeProblem, x0: np.ndarray,

@@ -76,8 +76,9 @@ class TestCorruptionDetected:
     def test_H4_flags_overlong_step(self, traces):
         t = self._copy(traces["i2piano"])
         t.rows[4]["x_step_norm"] *= 1e6
-        p, k_shift = h4_constants(t)
-        assert check_H4(t, p, k_shift).status == "fail"
+        res = check_H4(t)
+        assert res.status == "fail"
+        assert res.worst_k == 4
 
     def test_prox_flags_distance_violation(self, traces):
         t = self._copy(traces["ipila"])
@@ -121,13 +122,41 @@ class TestEdgeCases:
             check_H1(Trace())
 
     def test_missing_phi_init_reports_incomplete(self, traces):
+        # a header without a value a check reads is a bad trace, not a
+        # third verdict
         t = Trace(meta={"solver": "i2piano"})
         t.rows = [dict(r) for r in traces["i2piano"].rows]
-        assert check_H1(t).status == "incomplete"
+        with pytest.raises(ValueError, match="header lacks phi_init"):
+            check_H1(t)
+        with pytest.raises(ValueError, match="header lacks phi_init"):
+            summarize(t)
 
     def test_armijo_not_applicable_to_backtracking_solver(self, traces):
-        res = check_armijo(traces["i2piano"])
-        assert res.status == "incomplete"
+        # summarize runs armijo on iPila traces only
+        for name in ("i2piano", "iista"):
+            with pytest.raises(ValueError, match="iPila"):
+                check_armijo(traces[name])
+            assert "armijo" not in summarize(traces[name]).checks, name
+        for name in ("ipila", "ipila-strict"):
+            assert summarize(traces[name]).checks["armijo"].ok, name
+
+    @pytest.mark.parametrize("solver", [None, "", "ipila", "fista"])
+    def test_header_must_name_a_known_solver(self, traces, solver):
+        # a trace without the solver's name used to be judged by iISTA's
+        # rules, which failed an honest i2Piano or iPila run
+        t = Trace(meta=dict(traces["ipila"].meta))
+        t.rows = [dict(r) for r in traces["ipila"].rows]
+        if solver is None:
+            del t.meta["solver"]
+        else:
+            t.meta["solver"] = solver
+        with pytest.raises(ValueError, match="solver"):
+            summarize(t)
+
+    def test_every_verdict_is_pass_or_fail(self, traces):
+        for name, trace in traces.items():
+            for result in summarize(trace).checks.values():
+                assert result.status in ("pass", "fail"), (name, result)
 
     def test_h4_constants_per_solver(self, traces):
         p, shift = h4_constants(traces["i2piano"])

@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from inertiafb import cli
+from inertiafb import certify, cli
 from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
                            main, parse_overrides)
 from inertiafb.problem import (Block, CompositeProblem, DomainError,
@@ -195,6 +195,8 @@ BAD_VALUES = {
     # used to end in "empty trace" from summarize
     "zero_max_outer": (("--max_outer", "0", "--fstar_iters", "0"),
                        "max_outer"),
+    # used to run until a prox call needed an inner iteration, then exit 3
+    "negative_max_inner": (("--max_inner", "-1"), "max_inner"),
     # used to end in ZeroDivisionError
     "negative_L0_ipila_practical": (
         ("--solver", "ipila-practical", "--solvers", "ipila-practical",
@@ -254,6 +256,26 @@ class TestSuiteAndFstar:
             assert f == pytest.approx(f_star, rel=1e-6), name
         for name in finals:
             assert (out / name / "trace.csv").exists()
+
+    def test_suite_directories_match_run_directories(self, tmp_path,
+                                                      monkeypatch):
+        # suite directories used to lack restored.pgm/.raw and psnr_db,
+        # which run added after writing summary.txt
+        monkeypatch.setenv("INERTIAFB_THREADS", "1")
+        args = ("--problem", "impulse-l1", "--size", "16", "--max_outer", "3")
+        assert run_cli("suite", "--solvers", "iista", *args,
+                       "--out", str(tmp_path / "suite")) == 0
+        assert run_cli("run", "--solver", "iista", *args,
+                       "--out", str(tmp_path / "run")) == 0
+        suite, run = tmp_path / "suite" / "iista", tmp_path / "run"
+        for name in ("trace.csv", "report.txt", "summary.txt",
+                     "restored.pgm", "restored.raw"):
+            assert (suite / name).exists(), name
+        for name in ("report.txt", "summary.txt", "restored.raw"):
+            assert (suite / name).read_bytes() == (run / name).read_bytes()
+        summary = (suite / "summary.txt").read_text().splitlines()
+        assert summary == sorted(summary)
+        assert [l.split("=")[0] for l in summary].count("psnr_db") == 1
 
     def test_suite_rejects_unknown_solver(self, tmp_path):
         assert run_cli("suite", "--solvers", "iista,bogus",
@@ -410,6 +432,9 @@ class TestCertifyCommand:
         path.write_text("\n".join(lines) + "\n")
         return path
 
+    CHECKS = {"H4": certify.check_H4, "prox": certify.check_prox_certificates,
+              "param-identities": certify.check_param_identities}
+
     @pytest.mark.parametrize("solver,key,checks", [
         ("i2piano", "gamma", ("H4", "param-identities")),
         ("i2piano", "delta", ("param-identities",)),
@@ -419,16 +444,49 @@ class TestCertifyCommand:
     ])
     def test_certify_missing_header_key_is_incomplete(
             self, tmp_path, capsys, solver, key, checks):
-        # each used to end in a KeyError traceback
+        # each used to end in a KeyError traceback, then in exit 0 with
+        # the checks that read the key skipped as "incomplete"; now the
+        # file is bad, as it is without a column
         path = self._run_and_edit_header(tmp_path, solver, key, None)
         capsys.readouterr()
-        assert run_cli("certify", str(path)) == 0
-        out = capsys.readouterr().out
+        assert run_cli("certify", str(path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bad trace file: header lacks {key}" in err
+        assert "Traceback" not in err
+        trace = Trace.read_csv(path)
         for check in checks:
-            assert f"{check}.status=incomplete" in out
-            assert f"{check}.detail=missing {key}" in out
-        assert out.count("status=incomplete") == len(checks) + (
-            solver == "i2piano")  # armijo does not apply to i2piano
+            with pytest.raises(ValueError, match=f"header lacks {key}"):
+                self.CHECKS[check](trace)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_certify_without_any_header_key_keeps_report_or_exits_2(
+            self, tmp_path, capsys, solver):
+        # deleting "# solver=" used to judge an honest i2Piano or iPila
+        # trace by iISTA's rules (exit 4), deleting iPila-practical's
+        # "# variant=" made it use the strict identities (exit 4), and
+        # deleting a key a check reads skipped that check (exit 0)
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--max_outer", "40",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 0
+        intact = capsys.readouterr().out
+        keys = [i for i, line in enumerate(lines) if line.startswith("# ")]
+        assert len(keys) >= 8
+        for i in keys:
+            key = lines[i][2:].partition("=")[0]
+            edited = tmp_path / f"no-{key}.csv"
+            edited.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+            code = run_cli("certify", str(edited))
+            report, err = capsys.readouterr()
+            if code == 2:
+                assert f"bad trace file: header lacks {key}" in err, key
+                assert report == "", key
+            else:
+                assert (code, report) == (0, intact), key
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_certify_unusable_header_value_exits_2(self, tmp_path, capsys,

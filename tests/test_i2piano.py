@@ -111,7 +111,7 @@ class TestStep:
                           lambda x: -x)  # wrong sign
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
-        cfg = I2PianoConfig(L_max=1e4)
+        cfg = I2PianoConfig()
         st = initial_state(p, np.ones(2), cfg)
         with pytest.raises(SolverError):
             i2piano_step(p, st, cfg)

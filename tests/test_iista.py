@@ -61,7 +61,7 @@ class TestBacktracking:
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
         with pytest.raises(SolverError):
-            iista_solve(p, np.ones(2), IistaConfig(L_max=1e4))
+            iista_solve(p, np.ones(2), IistaConfig())
 
 
 class TestSolve:

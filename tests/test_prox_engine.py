@@ -139,6 +139,31 @@ class TestSolveInexactProx:
         assert res.ok
         np.testing.assert_allclose(res.y_tilde, ref, atol=1e-6)
 
+    def test_two_blocks_match_their_summed_soft_threshold(self):
+        # 0.1|x| + 0.2|x| as two identity blocks is 0.3|x|; each block's
+        # half of the dual point w lies in its own box
+        n = 50
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal(n)
+        f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
+                          lambda x: x - b)
+        f1 = StructuredConvexTerm(
+            [Block(IdentityOp(n), L1Norm(0.1)),
+             Block(IdentityOp(n), L1Norm(0.2))],
+            xi=ZeroFunction(), n=n, op_norm_sq_bound=2.0)
+        p = CompositeProblem(f0, f1, n)
+        x = rng.standard_normal(n)
+        # at tau > 0 iterate 0 already certifies and no dual step is taken
+        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0,
+                      abs_tol=1e-10, max_inner=5000)
+        res = solve_inexact_prox(p, q)
+        assert res.ok and res.inner_iters > 0
+        ref = np.sign(b) * np.maximum(np.abs(b) - 0.3, 0.0)
+        np.testing.assert_allclose(res.y_tilde, ref, rtol=0, atol=1e-12)
+        w1, w2 = f1.split(res.w_tilde)
+        assert np.max(np.abs(w1)) == pytest.approx(0.1, abs=1e-12)
+        assert np.max(np.abs(w2)) == pytest.approx(0.2, abs=1e-12)
+
     def test_stationary_point_fires_abs_branch(self):
         p = scalar_l1_problem()
         x = np.array([0.0])
