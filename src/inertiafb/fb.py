@@ -39,6 +39,9 @@ class Config:
     abs_tol: Optional[float] = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.max_outer < 1:
@@ -102,9 +105,8 @@ class Iterate:
         self.f0_val, self.f1_val, self.f_val = f0, f1, f0 + f1
 
 
-def start(problem: CompositeProblem, x0, eval_f, L0: float,
-          s0=None) -> Iterate:
-    """The iterate at ``x0`` with anchor ``s0`` (a copy of ``x0`` if None).
+def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
+    """The iterate at ``x0`` with a copy of ``x0`` as its anchor.
 
     ``eval_f`` is the calling solver's, so that its calls are counted there.
     Its merit value is ``f(x0)``; iPila adds its anchor term itself.
@@ -113,9 +115,8 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float,
     f = eval_f(problem, x0)
     if not np.isfinite(f):
         raise ValueError("x0 must lie in dom(f1)")
-    s0 = x0.copy() if s0 is None else np.asarray(s0, dtype=float)
     fwd = problem.f0.forward(x0)
-    return Iterate(x_curr=x0, s_curr=s0, f_val=f, phi_val=f,
+    return Iterate(x_curr=x0, s_curr=x0.copy(), f_val=f, phi_val=f,
                    f0_val=problem.f0.value(x0, fwd),
                    f1_val=problem.f1.value(x0), f0_fwd=fwd, L_k=L0)
 

@@ -13,8 +13,8 @@ decreases by at least ``gamma ||x - x_prev||^2 - (1 - omega) h`` per
 accepted step, which the solver re-checks at every step.
 
 The couplings and the merit inequality hold for any accepted L_k in
-``[L_min, fb.L_MAX]``, so the estimate may also shrink: with
-``allow_L_decrease`` the backtracking starts from ``max(L_min, L_{k-1}/eta)``
+``[L_MIN, fb.L_MAX]``, so the estimate may also shrink: with
+``allow_L_decrease`` the backtracking starts from ``max(L_MIN, L_{k-1}/eta)``
 after ``SHRINK_STREAK`` consecutive backtrack-free iterations, which lets
 the step grow towards ``(1 + theta*omega) / (4 delta - 2 gamma)`` where the
 local curvature is below the current estimate.  By default L_k is
@@ -38,6 +38,8 @@ from inertiafb.trace import Trace
 # shrink that overshoots the local curvature costs one extra backtrack, and
 # trying at every iteration cost 0.66 of them per iteration on impulse-l1
 SHRINK_STREAK = 10
+# allow_L_decrease never shrinks the Lipschitz estimate below this
+L_MIN = 1e-8
 
 
 @dataclass(kw_only=True)
@@ -45,17 +47,16 @@ class I2PianoConfig(fb.Config):
     delta: float = 0.5
     gamma: float = 1e-5
     omega: float = 0.95
-    L_min: float = 1e-8
     # after SHRINK_STREAK backtrack-free iterations, start the next
-    # backtracking from max(L_min, L_k / eta) instead of L_k
+    # backtracking from max(L_MIN, L_k / eta) instead of L_k
     allow_L_decrease: bool = False
 
     def __post_init__(self):
         super().__post_init__()
         if not (self.delta >= self.gamma > 0):
             raise ValueError("need delta >= gamma > 0")
-        if not (self.L_min <= self.L0 <= fb.L_MAX):
-            raise ValueError(f"need L_min <= L0 <= {fb.L_MAX:g}")
+        if not (L_MIN <= self.L0 <= fb.L_MAX):
+            raise ValueError(f"need {L_MIN:g} <= L0 <= {fb.L_MAX:g}")
         hi = 1.0 if self.tau == 0 else np.nextafter(1.0, 0.0)
         if not (0.0 <= self.omega <= hi):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")
@@ -82,7 +83,7 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
                  cfg: I2PianoConfig) -> fb.Iterate:
     L, streak = state.L_k, state.streak
     if cfg.allow_L_decrease and streak >= SHRINK_STREAK:
-        L, streak = max(cfg.L_min, L / cfg.eta), 0
+        L, streak = max(L_MIN, L / cfg.eta), 0
 
     def params(L_k):
         _, beta, alpha = compute_params(L_k, cfg)

@@ -45,13 +45,14 @@ from inertiafb.prox_engine import ProxResult, solve_inexact_prox
 from inertiafb.trace import Trace
 
 VARIANTS = ("strict-alg3", "practical-sec5")
+# the practical coupling's alpha_k never falls below this
+ALPHA_MIN = 1e-12
 
 
 @dataclass(kw_only=True)
 class IPilaConfig(fb.Config):
     sigma: float = 1e-4
     ls_shrink: float = 0.5
-    alpha_min: float = 1e-12
     alpha_max: float = 1.0
     beta_max: float = 0.5
     gamma_min: float = 1e-5
@@ -65,8 +66,10 @@ class IPilaConfig(fb.Config):
             raise ValueError("sigma must lie in (0,1)")
         if not (0.0 < self.ls_shrink < 1.0):
             raise ValueError("ls_shrink must lie in (0,1)")
-        if not (0.0 < self.alpha_min <= self.alpha_max):
-            raise ValueError("need 0 < alpha_min <= alpha_max")
+        if self.alpha_max < ALPHA_MIN:
+            raise ValueError(f"alpha_max must be at least {ALPHA_MIN:g}")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
         if self.beta_max < 0:
             raise ValueError("beta_max must be nonnegative")
         if not self.gamma_min > 0:
@@ -139,8 +142,8 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
 
 
 def initial_state(problem: CompositeProblem, x0: np.ndarray,
-                  s0: Optional[np.ndarray], cfg: IPilaConfig) -> fb.Iterate:
-    it = fb.start(problem, x0, eval_f, cfg.L0, s0)
+                  cfg: IPilaConfig) -> fb.Iterate:
+    it = fb.start(problem, x0, eval_f, cfg.L0)
     d = it.x_curr - it.s_curr
     it.phi_val = it.f_val + 0.5 * float(np.dot(d, d))
     return it
@@ -150,7 +153,7 @@ def _practical_params(L_k: float, cfg: IPilaConfig):
     b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma_min)
     beta = (b - 1.0) / (b - 0.5)
     alpha = 2.0 * (1.0 - beta) / (L_k + 2.0 * cfg.gamma_min)
-    alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
+    alpha = min(max(alpha, ALPHA_MIN), cfg.alpha_max)
     return alpha, beta
 
 
@@ -246,12 +249,11 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
-                s0: Optional[np.ndarray] = None,
                 cfg: Optional[IPilaConfig] = None,
                 on_step: Optional[Callable[[int, fb.Iterate, fb.Iterate],
                                            None]] = None,
                 ) -> Trace:
-    """Run iPila from ``(x0, s0)`` (``s0 = x0`` by default) and emit a trace.
+    """Run iPila from ``(x0, x0)`` and emit a trace.
 
     Stops when ``sqrt(-Delta_k) <= stop_tol``, when an iteration is exactly
     stationary, or after ``max_outer`` iterations.  ``on_step(k, before,
@@ -270,6 +272,6 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
             return "stationary"
         return "d_k" if st.d_k <= cfg.stop_tol else None
 
-    return fb.run(initial_state(problem, x0, s0, cfg), cfg, meta,
+    return fb.run(initial_state(problem, x0, cfg), cfg, meta,
                   lambda st: ipila_step(problem, st, cfg), stop,
                   on_step=on_step)

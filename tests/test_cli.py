@@ -207,6 +207,21 @@ BAD_VALUES = {
     # used to build a NaN kernel and exit 3 as a solver failure
     "zero_blur_sigma": (("--problem", "impulse-l1", "--size", "16",
                          "--blur_sigma", "0"), "sigma"),
+    # non-finite settings used to end in a traceback ("alpha must be
+    # positive", "sigma must be positive") or in exit 3 after a full
+    # prox engine run
+    "inf_eta": (("--eta", "inf"), "eta must be finite"),
+    "inf_L0_iista": (("--solver", "iista", "--solvers", "iista",
+                      "--L0", "inf"), "L0 must be finite"),
+    "inf_delta": (("--delta", "inf"), "delta must be finite"),
+    "nan_tau": (("--tau", "nan"), "tau must be finite"),
+    "inf_alpha_max_ipila_strict": (
+        ("--solver", "ipila-strict", "--solvers", "ipila-strict",
+         "--alpha_max", "inf"), "alpha_max must be finite"),
+    # used to exit 3 with "Armijo search exhausted max_halvings"
+    "negative_max_halvings_ipila_strict": (
+        ("--solver", "ipila-strict", "--solvers", "ipila-strict",
+         "--max_halvings", "-1"), "max_halvings"),
 }
 
 

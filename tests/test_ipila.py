@@ -124,7 +124,7 @@ class TestStep:
     def test_stationary_short_circuit(self):
         p = smooth_only_problem(n=2, target=0.0)
         cfg = IPilaConfig(tau=0.0, abs_tol=1e-13)
-        st = initial_state(p, np.zeros(2), None, cfg)
+        st = initial_state(p, np.zeros(2), cfg)
         new = ipila_step(p, st, cfg)
         assert new.accepted_branch == "stationary"
         np.testing.assert_allclose(new.x_curr, st.x_curr)
@@ -133,7 +133,7 @@ class TestStep:
         p = smooth_only_problem(n=1, target=3.0)
         cfg = IPilaConfig(variant="strict-alg3", beta_max=0.0,
                           alpha_max=0.5, tau=0.0, abs_tol=1e-13)
-        st = initial_state(p, np.zeros(1), None, cfg)
+        st = initial_state(p, np.zeros(1), cfg)
         new = ipila_step(p, st, cfg)
         assert new.phi_val < st.phi_val
         assert new.lambda_k > 0.0
@@ -142,7 +142,7 @@ class TestStep:
         p, _, _ = quadratic_l1_problem(n=15, seed=3)
         for variant in ("strict-alg3", "practical-sec5"):
             cfg = IPilaConfig(variant=variant)
-            st = initial_state(p, np.zeros(15), None, cfg)
+            st = initial_state(p, np.zeros(15), cfg)
             for _ in range(25):
                 new = ipila_step(p, st, cfg)
                 if new.accepted_branch == "stationary":
@@ -164,7 +164,7 @@ class TestStep:
         p = CompositeProblem(f0, f1, 2)
         cfg = IPilaConfig(variant="practical-sec5", L0=1.0, tau=0.0,
                           abs_tol=1e-13)
-        st = initial_state(p, np.ones(2), None, cfg)
+        st = initial_state(p, np.ones(2), cfg)
         new = ipila_step(p, st, cfg)
         if new.backtracks > 0 or new.accepted_branch == "linesearch":
             assert new.L_k == pytest.approx(st.L_k * cfg.eta)
@@ -208,7 +208,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             IPilaConfig(ls_shrink=0.0)
         with pytest.raises(ValueError):
-            IPilaConfig(alpha_min=2.0, alpha_max=1.0)
+            IPilaConfig(alpha_max=1e-13)  # below ipila.ALPHA_MIN
         with pytest.raises(ValueError):
             IPilaConfig(variant="bogus")
         # below gamma_min the practical coupling's beta turns negative

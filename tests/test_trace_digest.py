@@ -66,3 +66,14 @@ def test_changed_meta_changes_the_digest():
     before = trace_digest.trace_digest(trace)
     trace.meta["stop_reason"] = "d_k"
     assert trace_digest.trace_digest(trace) != before
+
+
+def test_against_prints_each_differing_run(monkeypatch, capsys):
+    # the subprocess digests this checkout, so only the altered run differs
+    real = trace_digest.digests()
+    label, solver, _ = real[3]
+    monkeypatch.setattr(trace_digest, "digests", lambda: [
+        *real[:3], (label, solver, "0" * 64), *real[4:]])
+    assert trace_digest.main(["--against", str(_PATH.parent.parent)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: {label} {solver}", "23 of 24 runs equal"]

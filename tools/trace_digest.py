@@ -6,18 +6,19 @@ but ``time_s`` (floats by their exact hex form), then its ``meta`` (sorted
 keys, floats by hex), then the bytes of ``x_final``.  Compare a checkout
 with a clone of its parent commit::
 
-    python3 tools/trace_digest.py > after.txt
-    python3 tools/trace_digest.py --src /path/to/parent-clone > before.txt
-    diff before.txt after.txt
+    python3 tools/trace_digest.py --against /path/to/parent-clone
 
-``--src`` names a checkout or its ``src`` directory; the package is
-imported from there.  The runs are the 4 solvers at 64x64 on impulse-l1 at
-``tau`` 1e6 and 1.0, gaussian-sd-tv at ``tau`` 0.01 and
-synthetic-quadratic-l1 for 80 outer iterations, then synthetic-quadratic-l1
-for 200, at ``L0`` 1 and 0.1.  The 200-iteration runs reach what the
-others never do: every stop reason (iPila-practical stops ``stationary``,
-i2Piano on ``d_k``, iISTA on ``x_step``) and, at ``L0 = 0.1``, backtracking
-in i2Piano and iISTA.
+``--against`` computes that checkout's digests in a subprocess (with
+``--src``) while this one computes its own, prints each run whose digest
+differs and how many are equal, and exits 1 if any differs.  Without it
+the script prints one line per run.  ``--src`` names a checkout or its
+``src`` directory; the package is imported from there.  The runs are the 4
+solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0, gaussian-sd-tv at
+``tau`` 0.01 and synthetic-quadratic-l1 for 80 outer iterations, then
+synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.  The 200-iteration
+runs reach what the others never do: every stop reason (iPila-practical
+stops ``stationary``, i2Piano on ``d_k``, iISTA on ``x_step``) and, at
+``L0 = 0.1``, backtracking in i2Piano and iISTA.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import numbers
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,6 +100,9 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve()
                                              .parent.parent / "src"),
                         help="checkout or src directory to import from")
+    parser.add_argument("--against", metavar="PATH",
+                        help="checkout to compare with; exit 1 if any "
+                             "digest differs")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     if (src / "src" / "inertiafb").is_dir():
@@ -105,9 +110,27 @@ def main(argv=None) -> int:
     if not (src / "inertiafb").is_dir():
         parser.error(f"no inertiafb package under {src}")
     sys.path.insert(0, str(src))
-    for label, solver, digest in digests():
-        print(f"{label:36s} {solver:16s} {digest}")
-    return 0
+    if args.against is None:
+        for label, solver, digest in digests():
+            print(f"{label:36s} {solver:16s} {digest}")
+        return 0
+
+    other = subprocess.Popen([sys.executable, __file__, "--src", args.against],
+                             stdout=subprocess.PIPE, text=True)
+    ours = {(label, solver): digest for label, solver, digest in digests()}
+    out, _ = other.communicate()
+    if other.returncode:
+        return other.returncode
+    theirs = {}
+    for line in out.splitlines():
+        *label, solver, digest = line.split()
+        theirs[(" ".join(label), solver)] = digest
+    differ = [run for run in {**ours, **theirs}
+              if ours.get(run) != theirs.get(run)]
+    for label, solver in differ:
+        print(f"differs: {label} {solver}")
+    print(f"{len(ours) - len(differ)} of {len(ours)} runs equal")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
