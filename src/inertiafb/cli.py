@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import multiprocessing
 import os
 import sys
@@ -154,16 +155,16 @@ def build_settings(args, extra) -> dict:
 
 def _f(cfg, key) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad numeric value for {key!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
+    return value
 
 
 def _i(cfg, key) -> int:
-    try:
-        return int(float(cfg[key]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad integer value for {key!r}") from exc
+    return int(_f(cfg, key))
 
 
 @_config_values
@@ -237,7 +238,7 @@ def _solver_config(cfg: dict):
     if name == "i2piano":
         return i2piano_solve, I2PianoConfig(
             delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
-            omega=_f(cfg, "omega"), allow_L_decrease=True, **shared)
+            omega=_f(cfg, "omega"), **shared)
     if name in ("ipila-strict", "ipila-practical"):
         return ipila_solve, IPilaConfig(
             sigma=_f(cfg, "sigma"), ls_shrink=_f(cfg, "ls_shrink"),
@@ -264,7 +265,7 @@ def _solve_and_write(cfg: dict, outdir: Path) -> Trace:
     problem, x0, context = build_problem(cfg)
     trace = run_solver(problem, x0, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    f_star = float(cfg["f_star"]) if "f_star" in cfg else None
+    f_star = _f(cfg, "f_star") if "f_star" in cfg else None
     trace.write_csv(outdir / "trace.csv", f_star=f_star)
     report = summarize(trace)
     (outdir / "report.txt").write_text(report.format())
@@ -354,8 +355,10 @@ def cmd_certify(path: Path) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # without allow_abbrev=False, a key that prefixes an option (``--c``
+    # for ``--config``) would be read as that option
     parser = argparse.ArgumentParser(
-        prog="inertiafb",
+        prog="inertiafb", allow_abbrev=False,
         description="Inertial inexact forward-backward solver benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -363,10 +366,11 @@ def make_parser() -> argparse.ArgumentParser:
             ("run", "run one solver on one problem"),
             ("suite", "run several solvers on the same problem"),
             ("fstar", "long suite run recording the best objective value")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("-c", "--config", help="key=value config file")
 
-    p = sub.add_parser("certify", help="verify an existing trace.csv")
+    p = sub.add_parser("certify", help="verify an existing trace.csv",
+                       allow_abbrev=False)
     p.add_argument("trace", help="path to trace.csv")
     return parser
 

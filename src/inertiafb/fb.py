@@ -29,14 +29,13 @@ L_MAX = 1e12
 @dataclass(kw_only=True)
 class Config:
     """Settings every solver reads; each solver's config adds its policy
-    fields.  ``tau``, ``max_inner`` and ``abs_tol`` go to the prox engine."""
+    fields.  ``tau`` and ``max_inner`` go to the prox engine."""
     tau: float = 1e6
     L0: float = 1.0
     eta: float = 1.5
     max_outer: int = 1000
     stop_tol: float = 0.0
     max_inner: int = 2000
-    abs_tol: Optional[float] = None
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -109,7 +108,8 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
     """The iterate at ``x0`` with a copy of ``x0`` as its anchor.
 
     ``eval_f`` is the calling solver's, so that its calls are counted there.
-    Its merit value is ``f(x0)``; iPila adds its anchor term itself.
+    Its merit value is ``f(x0)``: with the anchor at ``x0``, every solver's
+    merit reduces to ``f``.
     """
     x0 = np.asarray(x0, dtype=float)
     f = eval_f(problem, x0)
@@ -125,9 +125,8 @@ def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
          beta: float, grad: np.ndarray, engine) -> ProxResult:
     """The engine's certified prox point from ``(it.x_curr, it.s_curr)``."""
     query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
-                      tau=cfg.tau, max_inner=cfg.max_inner,
-                      abs_tol=cfg.abs_tol, f0_x=it.f0_val, f1_x=it.f1_val,
-                      grad_x=grad)
+                      tau=cfg.tau, max_inner=cfg.max_inner, f0_x=it.f0_val,
+                      f1_x=it.f1_val, grad_x=grad)
     res = engine(problem, query, warm_start=it.warm_dual,
                  warm_mtw=it.warm_mtw)
     if not res.ok:

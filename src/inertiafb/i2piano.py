@@ -13,12 +13,12 @@ decreases by at least ``gamma ||x - x_prev||^2 - (1 - omega) h`` per
 accepted step, which the solver re-checks at every step.
 
 The couplings and the merit inequality hold for any accepted L_k in
-``[L_MIN, fb.L_MAX]``, so the estimate may also shrink: with
-``allow_L_decrease`` the backtracking starts from ``max(L_MIN, L_{k-1}/eta)``
-after ``SHRINK_STREAK`` consecutive backtrack-free iterations, which lets
-the step grow towards ``(1 + theta*omega) / (4 delta - 2 gamma)`` where the
-local curvature is below the current estimate.  By default L_k is
-nondecreasing.
+``[L_MIN, fb.L_MAX]``, so the estimate follows the local curvature both
+ways: the backtracking raises it by ``eta`` until the descent test holds,
+and after ``SHRINK_STREAK`` consecutive backtrack-free iterations it starts
+from ``max(L_MIN, L_{k-1}/eta)`` instead, which lets the step grow towards
+``(1 + theta*omega) / (4 delta - 2 gamma)`` where the local curvature is
+below the current estimate.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from inertiafb.prox_engine import solve_inexact_prox
 from inertiafb.trace import Trace
 
 
-# backtrack-free iterations before allow_L_decrease tries L_{k-1}/eta; a
+# backtrack-free iterations before the backtracking tries L_{k-1}/eta; a
 # shrink that overshoots the local curvature costs one extra backtrack, and
 # trying at every iteration cost 0.66 of them per iteration on impulse-l1
 SHRINK_STREAK = 10
-# allow_L_decrease never shrinks the Lipschitz estimate below this
+# the shrink never takes the Lipschitz estimate below this
 L_MIN = 1e-8
 
 
@@ -47,9 +47,6 @@ class I2PianoConfig(fb.Config):
     delta: float = 0.5
     gamma: float = 1e-5
     omega: float = 0.95
-    # after SHRINK_STREAK backtrack-free iterations, start the next
-    # backtracking from max(L_MIN, L_k / eta) instead of L_k
-    allow_L_decrease: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -74,15 +71,10 @@ def compute_params(L_k: float, cfg: I2PianoConfig):
     return b, beta, alpha
 
 
-def initial_state(problem: CompositeProblem, x0: np.ndarray,
-                  cfg: I2PianoConfig) -> fb.Iterate:
-    return fb.start(problem, x0, eval_f, cfg.L0)
-
-
 def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
                  cfg: I2PianoConfig) -> fb.Iterate:
     L, streak = state.L_k, state.streak
-    if cfg.allow_L_decrease and streak >= SHRINK_STREAK:
+    if streak >= SHRINK_STREAK:
         L, streak = max(L_MIN, L / cfg.eta), 0
 
     def params(L_k):
@@ -116,6 +108,6 @@ def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
     cfg = cfg or I2PianoConfig()
     meta = {"solver": "i2piano", "delta": cfg.delta, "gamma": cfg.gamma,
             "omega": cfg.omega, "theta": cfg.theta}
-    return fb.run(initial_state(problem, x0, cfg), cfg, meta,
+    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg, meta,
                   lambda st: i2piano_step(problem, st, cfg),
                   lambda st: "d_k" if st.d_k <= cfg.stop_tol else None)

@@ -141,14 +141,6 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
                       "subproblem value is inconsistent")
 
 
-def initial_state(problem: CompositeProblem, x0: np.ndarray,
-                  cfg: IPilaConfig) -> fb.Iterate:
-    it = fb.start(problem, x0, eval_f, cfg.L0)
-    d = it.x_curr - it.s_curr
-    it.phi_val = it.f_val + 0.5 * float(np.dot(d, d))
-    return it
-
-
 def _practical_params(L_k: float, cfg: IPilaConfig):
     b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma_min)
     beta = (b - 1.0) / (b - 0.5)
@@ -272,6 +264,6 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
             return "stationary"
         return "d_k" if st.d_k <= cfg.stop_tol else None
 
-    return fb.run(initial_state(problem, x0, cfg), cfg, meta,
+    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg, meta,
                   lambda st: ipila_step(problem, st, cfg), stop,
                   on_step=on_step)

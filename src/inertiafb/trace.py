@@ -22,14 +22,9 @@ _STR_COLUMNS = {"prox_branch", "accepted_branch"}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
+    """A float with 17 significant digits, which read back exactly;
+    anything else by ``str``."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 class Trace:
@@ -58,17 +53,12 @@ class Trace:
             columns.append("rel_gap")
         with open(path, "w") as fh:
             for key in sorted(self.meta):
-                fh.write(f"# {key}={_fmt_meta(self.meta[key])}\n")
+                fh.write(f"# {key}={_fmt(self.meta[key])}\n")
             fh.write(",".join(columns) + "\n")
             for row in self.rows:
-                vals = []
-                for col in columns:
-                    if col == "rel_gap":
-                        vals.append(_fmt((row["f"] - f_star) / abs(f_star)))
-                    elif col in _INT_COLUMNS:
-                        vals.append(str(int(row[col])))
-                    else:
-                        vals.append(_fmt(row[col]))
+                vals = [_fmt(row[col]) for col in CSV_COLUMNS]
+                if f_star is not None:
+                    vals.append(_fmt((row["f"] - f_star) / abs(f_star)))
                 fh.write(",".join(vals) + "\n")
 
     @classmethod
@@ -108,12 +98,6 @@ class Trace:
                                          f"{raw!r}") from None
                 trace.rows.append(row)
         return trace
-
-
-def _fmt_meta(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _parse_meta(raw: str):

@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestConfigHandling:
             assert run_cli("run", *args, "--out", str(out)) == 2
             assert "max_outr" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_key_that_prefixes_an_option_is_a_key(self, tmp_path):
+        # --c used to be read as --config: "config file not found: 2.0"
+        path = tmp_path / "c.cfg"
+        path.write_text("c=2.0\n")
+        args = ("run", "--problem", "gaussian-sd-tv", "--size", "16",
+                "--solver", "iista", "--max_outer", "3")
+        for name, extra in (("flag", ("--c", "2.0")), ("joined", ("--c=2.0",)),
+                            ("file", ("-c", str(path))), ("default", ())):
+            assert run_cli(*args, *extra,
+                           "--out", str(tmp_path / name)) == 0, name
+        trace = {name: tmp_path / name / "trace.csv"
+                 for name in ("flag", "joined", "file", "default")}
+        assert csv_equal_ignoring_time(trace["flag"], trace["file"])
+        assert csv_equal_ignoring_time(trace["joined"], trace["file"])
+        assert not csv_equal_ignoring_time(trace["flag"], trace["default"])
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         class Args:
@@ -176,7 +193,8 @@ class TestRunCommand:
         assert (out / "restored.pgm").exists()
 
 
-# values the problem or solver rejects: (overrides, words of the message)
+# values the problem or solver rejects: (overrides, a pattern the message
+# matches after "config error:")
 BAD_VALUES = {
     "even_blur_size": (("--problem", "impulse-l1", "--blur_size", "4"),
                        "odd"),
@@ -222,6 +240,26 @@ BAD_VALUES = {
     "negative_max_halvings_ipila_strict": (
         ("--solver", "ipila-strict", "--solvers", "ipila-strict",
          "--max_halvings", "-1"), "max_halvings"),
+    # non-finite problem settings used to end in a traceback, "x0 must lie
+    # in dom(f1)"
+    "nan_l1_weight": (("--l1_weight", "nan"), "l1_weight must be finite"),
+    "nan_rho": (("--problem", "impulse-l1", "--size", "16", "--rho", "nan"),
+                "rho must be finite"),
+    "nan_a": (("--problem", "gaussian-sd-tv", "--size", "16", "--a", "nan"),
+              "a must be finite"),
+    "inf_peak": (("--problem", "impulse-l1", "--size", "16",
+                  "--peak", "inf"), "peak must be finite"),
+    "inf_rho_tv": (("--problem", "gaussian-sd-tv", "--size", "16",
+                    "--rho_tv", "inf"), "rho_tv must be finite"),
+    # infinite integer settings used to end in an OverflowError traceback;
+    # fstar reads fstar_iters in place of max_outer
+    "inf_max_outer_and_fstar_iters": (
+        ("--max_outer", "inf", "--fstar_iters", "inf"),
+        "(max_outer|fstar_iters) must be finite"),
+    "inf_seed": (("--seed", "inf"), "seed must be finite"),
+    "inf_max_inner": (("--max_inner", "inf"), "max_inner must be finite"),
+    # used to write a NaN rel_gap column and exit 0
+    "nan_f_star": (("--f_star", "nan"), "f_star must be finite"),
 }
 
 
@@ -237,7 +275,7 @@ class TestBadValuesAreConfigErrors:
                        "--fstar_iters", "3", *overrides, "--out", str(out))
         err = capsys.readouterr().err
         assert code == 2
-        assert "config error:" in err and words in err
+        assert re.search(f"config error: .*{words}", err)
         assert "Traceback" not in err
         assert not (out / "trace.csv").exists()
 

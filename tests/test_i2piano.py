@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from inertiafb import fb
 from inertiafb.certify import summarize
 from inertiafb.i2piano import (L_MIN, I2PianoConfig, SolverError,
-                               compute_params, i2piano_solve, i2piano_step,
-                               initial_state)
+                               compute_params, i2piano_solve, i2piano_step)
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction, eval_f)
@@ -79,7 +79,7 @@ class TestStep:
         # 1-D f0 = x^2/2, f1 = 0, x0 = 1: no inertia at k=0, y = 1 - alpha
         p = smooth_only_problem(n=1, target=0.0)
         cfg = cfg_exact(delta=0.5, gamma=1e-5, L0=1.0)
-        st = initial_state(p, np.array([1.0]), cfg)
+        st = fb.start(p, np.array([1.0]), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
         _, _, alpha = compute_params(1.0, cfg)
         assert new.x_curr[0] == pytest.approx(1.0 - alpha, abs=1e-8)
@@ -89,7 +89,7 @@ class TestStep:
     def test_no_backtracks_when_L_dominates(self):
         p, _, _ = quadratic_l1_problem(n=10)
         cfg = I2PianoConfig(L0=2.0)  # true L is 1
-        st = initial_state(p, np.zeros(10), cfg)
+        st = fb.start(p, np.zeros(10), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
         assert new.backtracks == 0
         assert new.L_k == 2.0
@@ -102,7 +102,7 @@ class TestStep:
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=4)
         p = CompositeProblem(f0, f1, 4)
         cfg = I2PianoConfig(L0=1.0)
-        st = initial_state(p, np.ones(4), cfg)
+        st = fb.start(p, np.ones(4), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
         assert new.backtracks >= 1
         assert new.L_k >= 1.5
@@ -113,14 +113,14 @@ class TestStep:
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
         cfg = I2PianoConfig()
-        st = initial_state(p, np.ones(2), cfg)
+        st = fb.start(p, np.ones(2), eval_f, cfg.L0)
         with pytest.raises(SolverError):
             i2piano_step(p, st, cfg)
 
     def test_merit_descent_inequality_every_step(self):
         p, _, _ = quadratic_l1_problem(n=20, seed=2)
         cfg = I2PianoConfig(max_outer=100)
-        st = initial_state(p, np.zeros(20), cfg)
+        st = fb.start(p, np.zeros(20), eval_f, cfg.L0)
         for _ in range(30):
             new = i2piano_step(p, st, cfg)
             dstep = np.dot(st.x_curr - st.s_curr, st.x_curr - st.s_curr)
@@ -157,12 +157,6 @@ class TestSolve:
         for a, b in zip(phis, phis[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
 
-    def test_L_nondecreasing_by_default(self):
-        p, _, _ = quadratic_l1_problem(n=30, seed=7)
-        trace = i2piano_solve(p, np.zeros(30), I2PianoConfig(max_outer=50))
-        Ls = trace.column("L_or_gamma")
-        assert all(b >= a for a, b in zip(Ls, Ls[1:]))
-
     def test_L_decrease_below_L0_keeps_certificates(self):
         # a linear f0 has no curvature, so every shrink passes the descent
         # test until L_MIN stops it
@@ -172,10 +166,7 @@ class TestSolve:
                                   xi=ZeroFunction(), n=20,
                                   op_norm_sq_bound=1.0)
         p = CompositeProblem(f0, f1, 20)
-        fixed = i2piano_solve(p, np.zeros(20), I2PianoConfig(max_outer=600))
-        assert set(fixed.column("L_or_gamma")) == {1.0}
-
-        cfg = I2PianoConfig(allow_L_decrease=True, max_outer=600)
+        cfg = I2PianoConfig(max_outer=600)
         trace = i2piano_solve(p, np.zeros(20), cfg)
         Ls = trace.column("L_or_gamma")
         assert Ls[0] == cfg.L0
@@ -189,7 +180,6 @@ class TestSolve:
             assert row["phi"] <= bound + 1e-9 * (1 + abs(phi_prev))
             phi_prev, step_prev = row["phi"], row["x_step_norm"]
         assert summarize(trace).ok
-        assert trace.meta["f_final"] < fixed.meta["f_final"]
 
     def test_x0_outside_domain_rejected(self):
         from inertiafb.problem import NonnegIndicator

@@ -18,7 +18,7 @@ class TestStepEquivalence:
         # x1 = soft(x0 - grad f0(x0), weight)
         p, b, _ = quadratic_l1_problem(n=20, seed=1, weight=0.3)
         x0 = np.zeros(20)
-        cfg = IistaConfig(L0=1.0, tau=0.0, abs_tol=1e-12, max_outer=1)
+        cfg = IistaConfig(L0=1.0, tau=0.0, max_outer=1)
         trace = iista_solve(p, x0, cfg)
         ref = soft(x0 - (x0 - b), 0.3)
         np.testing.assert_allclose(trace.x_final, ref, atol=1e-8)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from inertiafb import fb
 from inertiafb.ipila import (IPilaConfig, SolverError, armijo_linesearch,
-                             compute_delta, descent_direction, initial_state,
-                             ipila_solve, ipila_step, phi_value)
+                             compute_delta, descent_direction, ipila_solve,
+                             ipila_step, phi_value)
 from inertiafb.problem import (CompositeProblem, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction, eval_f)
 from tests.conftest import (eval_h, quadratic_l1_problem,
@@ -123,8 +124,8 @@ class TestArmijo:
 class TestStep:
     def test_stationary_short_circuit(self):
         p = smooth_only_problem(n=2, target=0.0)
-        cfg = IPilaConfig(tau=0.0, abs_tol=1e-13)
-        st = initial_state(p, np.zeros(2), cfg)
+        cfg = IPilaConfig(tau=0.0)
+        st = fb.start(p, np.zeros(2), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)
         assert new.accepted_branch == "stationary"
         np.testing.assert_allclose(new.x_curr, st.x_curr)
@@ -132,8 +133,8 @@ class TestStep:
     def test_strict_fb_reduces_merit(self):
         p = smooth_only_problem(n=1, target=3.0)
         cfg = IPilaConfig(variant="strict-alg3", beta_max=0.0,
-                          alpha_max=0.5, tau=0.0, abs_tol=1e-13)
-        st = initial_state(p, np.zeros(1), cfg)
+                          alpha_max=0.5, tau=0.0)
+        st = fb.start(p, np.zeros(1), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)
         assert new.phi_val < st.phi_val
         assert new.lambda_k > 0.0
@@ -142,7 +143,7 @@ class TestStep:
         p, _, _ = quadratic_l1_problem(n=15, seed=3)
         for variant in ("strict-alg3", "practical-sec5"):
             cfg = IPilaConfig(variant=variant)
-            st = initial_state(p, np.zeros(15), cfg)
+            st = fb.start(p, np.zeros(15), eval_f, cfg.L0)
             for _ in range(25):
                 new = ipila_step(p, st, cfg)
                 if new.accepted_branch == "stationary":
@@ -162,9 +163,8 @@ class TestStep:
                           lambda x: 40.0 * np.asarray(x, dtype=float))
         f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
-        cfg = IPilaConfig(variant="practical-sec5", L0=1.0, tau=0.0,
-                          abs_tol=1e-13)
-        st = initial_state(p, np.ones(2), cfg)
+        cfg = IPilaConfig(variant="practical-sec5", L0=1.0, tau=0.0)
+        st = fb.start(p, np.ones(2), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)
         if new.backtracks > 0 or new.accepted_branch == "linesearch":
             assert new.L_k == pytest.approx(st.L_k * cfg.eta)

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 
 from inertiafb import cli
+from inertiafb import trace as trace_module
 from inertiafb.certify import summarize
+from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.trace import CSV_COLUMNS, Trace
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
@@ -47,6 +49,16 @@ def test_runs_reach_every_stop_reason_and_branch(tmp_path):
                    for t in by_solver[solver]) > 0, solver
 
 
+def test_library_and_cli_run_the_same_i2piano():
+    # the CLI used to turn on a Lipschitz shrink that the library's default
+    # left off: 83 rows against the library's 72, whose L_k stayed >= 1
+    cfg = dict(cli.DEFAULTS, max_outer="200", solver="i2piano")
+    problem, x0, _ = cli.build_problem(cfg)
+    lib = i2piano_solve(problem, x0, I2PianoConfig(max_outer=200))
+    run = cli.run_solver(problem, x0, cfg)
+    assert trace_digest.trace_digest(lib) == trace_digest.trace_digest(run)
+
+
 def test_changed_f_changes_the_digest():
     cfg = dict(cli.DEFAULTS, problem="gaussian-sd-tv", tau="0.01", size="16",
                max_outer="5", solver="iista")
@@ -56,6 +68,16 @@ def test_changed_f_changes_the_digest():
     trace.rows[2]["time_s"] += 1.0
     assert trace_digest.trace_digest(trace) == before
     trace.rows[2]["f"] = np.nextafter(trace.rows[2]["f"], np.inf)
+    assert trace_digest.trace_digest(trace) != before
+
+
+def test_changed_float_format_changes_the_digest(monkeypatch):
+    cfg = dict(cli.DEFAULTS, size="16", max_outer="5", solver="iista")
+    problem, x0, _ = cli.build_problem(cfg)
+    trace = cli.run_solver(problem, x0, cfg)
+    before = trace_digest.trace_digest(trace)
+    monkeypatch.setattr(trace_module, "_fmt", lambda v: format(v, ".16g")
+                        if isinstance(v, float) else str(v))
     assert trace_digest.trace_digest(trace) != before
 
 

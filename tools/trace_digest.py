@@ -3,7 +3,10 @@
 A change that must not move any arithmetic should leave every digest
 unchanged.  Each digest covers the run's in-memory trace rows, every field
 but ``time_s`` (floats by their exact hex form), then its ``meta`` (sorted
-keys, floats by hex), then the bytes of ``x_final``.  Compare a checkout
+keys, floats by hex), then the bytes of ``x_final``, then the ``trace.csv``
+the trace writes with ``f_star = f_final`` (so with a ``rel_gap`` column)
+and its ``time_s`` fields blanked, so that the CSV writer's formatting is
+gated too.  Compare a checkout
 with a clone of its parent commit::
 
     python3 tools/trace_digest.py --against /path/to/parent-clone
@@ -28,6 +31,7 @@ import hashlib
 import numbers
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
@@ -57,8 +61,20 @@ def _fields(mapping, skip=()) -> bytes:
                      if k not in skip) + "\n").encode()
 
 
+def csv_without_time(trace) -> bytes:
+    """The ``trace.csv`` that ``trace`` writes with ``f_star = f_final``,
+    its ``time_s`` fields blanked as ``csv_equal_ignoring_time`` does."""
+    from inertiafb.trace import _strip_time
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace.write_csv(path, f_star=trace.meta["f_final"])
+        return "\n".join(_strip_time(path)).encode()
+
+
 def trace_digest(trace) -> str:
-    """sha256 of the trace rows without ``time_s``, its meta, ``x_final``."""
+    """sha256 of the trace rows without ``time_s``, its meta, ``x_final``
+    and its written CSV without ``time_s``."""
     import numpy as np
 
     sha = hashlib.sha256()
@@ -67,6 +83,7 @@ def trace_digest(trace) -> str:
     sha.update(_fields(trace.meta))
     if trace.x_final is not None:
         sha.update(np.ascontiguousarray(trace.x_final, dtype="<f8").tobytes())
+    sha.update(csv_without_time(trace))
     return sha.hexdigest()
 
 
