@@ -84,6 +84,10 @@ DEFAULTS = {
     "solvers": "i2piano,ipila-practical,ipila-strict,iista",
     "fstar_iters": "20000",
 }
+# keys read as text; _i reads INT_KEYS and _f every other key
+TEXT_KEYS = {"problem", "solver", "out", "solvers", "image"}
+INT_KEYS = {"size", "n", "seed", "max_outer", "max_inner", "max_halvings",
+            "blur_size", "fstar_iters"}
 
 
 class ConfigError(ValueError):
@@ -147,6 +151,10 @@ def build_settings(args, extra) -> dict:
     cfg.update(parse_overrides(extra))
     if unknown := sorted(cfg.keys() - DEFAULTS.keys() - {"image", "f_star"}):
         raise ConfigError(f"unknown key {', '.join(unknown)}")
+    # every value is checked, not only those the command reads
+    for key in sorted(cfg.keys() - TEXT_KEYS):
+        (_i if key in INT_KEYS else _f)(cfg, key)
+    _solver_names(cfg)
     # relative gaps divide by |f_star|
     if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
         raise ConfigError("f_star must be nonzero")
@@ -164,7 +172,21 @@ def _f(cfg, key) -> float:
 
 
 def _i(cfg, key) -> int:
-    return int(_f(cfg, key))
+    value = _f(cfg, key)
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be an integer")
+    return int(value)
+
+
+def _solver_names(cfg) -> list:
+    """The ``solvers`` list, after checking it and ``solver``."""
+    solvers = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
+    if not solvers:
+        raise ConfigError("no solvers")
+    for s in solvers + [cfg["solver"]]:
+        if s not in SOLVERS:
+            raise ConfigError(f"unknown solver {s!r}; choose from {SOLVERS}")
+    return solvers
 
 
 @_config_values
@@ -176,13 +198,15 @@ def build_problem(cfg: dict):
     seed = _i(cfg, "seed")
     if name == "synthetic-quadratic-l1":
         n = _i(cfg, "n")
+        if n < 1:
+            raise ConfigError("n must be positive")
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(n)
         lam = _f(cfg, "l1_weight")
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                           lambda x: x - b)
-        f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(lam))],
-                                  xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(lam)),
+                                 xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
         return CompositeProblem(f0, f1, n), np.zeros(n), {"b": b, "lam": lam}
 
     size = _i(cfg, "size")
@@ -312,14 +336,8 @@ def _worker_cap(n_jobs: int) -> int:
 
 
 def cmd_suite(cfg: dict) -> int:
-    solvers = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
-    if not solvers:
-        raise ConfigError("no solvers")
-    for s in solvers:
-        if s not in SOLVERS:
-            raise ConfigError(f"unknown solver {s!r}; choose from {SOLVERS}")
     base = Path(cfg["out"])
-    jobs = [(dict(cfg, solver=s), base / s) for s in solvers]
+    jobs = [(dict(cfg, solver=s), base / s) for s in _solver_names(cfg)]
     with ProcessPoolExecutor(
             max_workers=_worker_cap(len(jobs)),
             mp_context=multiprocessing.get_context(START_METHOD)) as pool:

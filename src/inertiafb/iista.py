@@ -1,11 +1,12 @@
 """Inexact forward-backward baseline (iISTA).
 
 Plain proximal-gradient iteration without inertia on the shared core
-(:mod:`inertiafb.fb`): the same inexact prox engine, local descent test and
-nondecreasing backtracking on ``L_k`` as i2Piano.  What stays here is the
-parameter policy ``alpha_k = 1/L_k``, ``beta_k = 0``, with ``f`` as merit
-and ``||x^{k+1} - x^k||`` as ``d_k``.  Serves as the comparator against the
-two inertial solvers.
+(:mod:`inertiafb.fb`): the same inexact prox engine and local descent test
+as i2Piano, with backtracking that keeps ``L_k`` nondecreasing (i2Piano's
+also shrinks it).  What stays here is the parameter policy
+``alpha_k = 1/L_k``, ``beta_k = 0``, with ``f`` as merit and
+``||x^{k+1} - x^k||`` as ``d_k``.  Serves as the comparator against the two
+inertial solvers.
 """
 
 from __future__ import annotations

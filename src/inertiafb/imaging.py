@@ -1,6 +1,6 @@
 """Image deblurring problem library.
 
-Provides the building blocks of the benchmark problems: convolution with
+Provides the pieces of the benchmark problems: convolution with
 whole-sample reflective boundaries and its exact adjoint, a forward
 difference gradient with Neumann boundaries for total variation, an l1 data
 fidelity with a nonnegativity constraint, a smooth log-filter regularizer on
@@ -193,9 +193,9 @@ class GroupL2(ProxFunction):
 def tv_term(rho: float, shape) -> StructuredConvexTerm:
     """Total variation plus nonnegativity as a structured convex term."""
     op = GradOp(shape)
-    return StructuredConvexTerm([Block(op, GroupL2(rho))],
-                                xi=NonnegIndicator(), n=op.in_dim,
-                                op_norm_sq_bound=8.0)
+    return StructuredConvexTerm(Block(op, GroupL2(rho)),
+                               xi=NonnegIndicator(), n=op.in_dim,
+                               op_norm_sq_bound=8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,9 @@ def l1_fidelity_term(H: ConvOperator, g: np.ndarray) -> StructuredConvexTerm:
     g = np.asarray(g, dtype=float).ravel()
     if g.size != H.out_dim:
         raise ValueError("data size does not match operator output")
-    return StructuredConvexTerm([Block(H, L1Norm(1.0, shift=g))],
-                                xi=NonnegIndicator(), n=H.in_dim,
-                                op_norm_sq_bound=None)
+    return StructuredConvexTerm(Block(H, L1Norm(1.0, shift=g)),
+                               xi=NonnegIndicator(), n=H.in_dim,
+                               op_norm_sq_bound=None)
 
 
 @dataclass

@@ -3,17 +3,17 @@
 ``f0`` is a smooth (possibly nonconvex) term exposed through value/gradient
 oracles.  ``f1`` is a convex term with the structure
 
-    f1(x) = sum_i g_i(M_i x) + xi(x),
+    f1(x) = g(M x) + xi(x),
 
-where each ``g_i`` and ``xi`` admit closed-form proximity operators and the
-``M_i`` are linear operators with exact adjoints.  Points are dense float64
-arrays; extended-real values use ``numpy.inf``.
+where ``g`` and ``xi`` admit closed-form proximity operators and ``M`` is a
+linear operator with an exact adjoint.  Points are dense float64 arrays;
+extended-real values use ``numpy.inf``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -141,7 +141,7 @@ class ProxFunction:
     """Convex function with a closed-form proximity operator.
 
     ``prox(u, sigma)`` returns the minimizer of ``value(y) + ||y-u||^2 /
-    (2 sigma)``.  Functions used as a block term ``g_i`` additionally expose
+    (2 sigma)``.  Functions used as the block term ``g`` additionally expose
     ``conjugate(w)``, the convex conjugate value, which the dual engine needs
     to evaluate the dual objective.  Indicator-type conjugates accept a small
     relative feasibility slack so that dual iterates touched by roundoff do
@@ -243,74 +243,53 @@ class Block:
 
 
 class StructuredConvexTerm:
-    """``f1(x) = sum_i g_i(M_i x) + xi(x)`` with stacked dual variables.
+    """``f1(x) = g(M x) + xi(x)``, or ``xi(x)`` alone without a block.
 
-    The term is the stacked operator ``M`` itself: ``in_dim``, ``out_dim``
-    (the dual size), ``matvec`` and ``rmatvec``.  ``op_norm_sq_bound`` must
-    upper-bound ``||M||^2``; when omitted it is estimated by 50 power
-    iterations times a 1.05 safety factor (the dual step size relies on the
-    bound being valid).
+    The term is the operator ``M`` itself: ``in_dim``, ``out_dim`` (the
+    dual size, 0 without a block), ``matvec`` and ``rmatvec``.  A sum
+    ``sum_i g_i(M_i x)`` is one block: stack the ``M_i`` into ``M`` and let
+    ``g`` be separable.  ``op_norm_sq_bound`` must upper-bound ``||M||^2``;
+    when omitted it is estimated by 50 power iterations times a 1.05 safety
+    factor (the dual step size relies on the bound being valid).
     """
 
-    def __init__(self, blocks: Sequence[Block], xi: ProxFunction, n: int,
+    def __init__(self, block: Optional[Block], xi: ProxFunction, n: int,
                  op_norm_sq_bound: Optional[float] = None):
-        self.blocks = list(blocks)
+        self.block = block
         self.xi = xi
         self.in_dim = int(n)
-        self.out_dim = sum(b.op.out_dim for b in self.blocks)
-        self._offsets = np.cumsum([0] + [b.op.out_dim for b in self.blocks])
-        if op_norm_sq_bound is None and self.blocks:
+        self.out_dim = 0 if block is None else block.op.out_dim
+        if op_norm_sq_bound is None and block is not None:
             op_norm_sq_bound = 1.05 * power_iteration_sq_norm(self)
         self.op_norm_sq_bound = float(op_norm_sq_bound or 0.0)
 
-    def split(self, w: np.ndarray) -> list[np.ndarray]:
-        if len(self.blocks) == 1:
-            return [w]
-        return [w[self._offsets[i]:self._offsets[i + 1]]
-                for i in range(len(self.blocks))]
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Stacked ``M x``; may be ``x`` itself (``IdentityOp``), so callers
-        must not write into the result."""
-        if not self.blocks:
+        """``M x``; may be ``x`` itself (``IdentityOp``), so callers must
+        not write into the result."""
+        if self.block is None:
             return np.zeros(0)
-        if len(self.blocks) == 1:
-            return self.blocks[0].op.matvec(x)
-        return np.concatenate([b.op.matvec(x) for b in self.blocks])
+        return self.block.op.matvec(x)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """Stacked ``M^T w`` summed into zeros: a fresh array, never -0.0."""
-        if len(self.blocks) == 1:
-            # 0.0 + r, the zero-filled sum's bits, without the zero fill
-            r = self.blocks[0].op.rmatvec(w)
-            if np.may_share_memory(r, w):  # IdentityOp returns its input
-                return 0.0 + r
-            return np.add(0.0, r, out=r)
-        out = np.zeros(self.in_dim)
-        for b, wi in zip(self.blocks, self.split(w)):
-            out += b.op.rmatvec(wi)
-        return out
+        """``M^T w``: a fresh array, never -0.0."""
+        if self.block is None:
+            return np.zeros(self.in_dim)
+        # 0.0 + r turns each -0.0 into +0.0
+        r = self.block.op.rmatvec(w)
+        if np.may_share_memory(r, w):  # IdentityOp returns its input
+            return 0.0 + r
+        return np.add(0.0, r, out=r)
 
     def value(self, x: np.ndarray, xi_x: Optional[float] = None) -> float:
         """``f1(x)``; a caller that holds ``xi(x)`` passes it as ``xi_x``."""
         total = self.xi.value(x) if xi_x is None else xi_x
         if not np.isfinite(total):
             return np.inf
-        for b in self.blocks:
-            total += b.fn.value(b.op.matvec(x))
+        if self.block is not None:
+            total += self.block.fn.value(self.block.op.matvec(x))
             if not np.isfinite(total):
                 return np.inf
         return float(total)
-
-    def conjugate_sum(self, w: np.ndarray, at_prox: bool = False) -> float:
-        """``at_prox``: each block of ``w`` came from its conjugate_prox."""
-        total = 0.0
-        for b, wi in zip(self.blocks, self.split(w)):
-            conj = b.fn.conjugate_at_prox if at_prox else b.fn.conjugate
-            total += conj(wi)
-            if not np.isfinite(total):
-                return np.inf
-        return total
 
 
 @dataclass

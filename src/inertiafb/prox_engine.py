@@ -17,7 +17,7 @@ inner iterate.  With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
 ``c = -(alpha/2) ||v||^2 - f1(x)``, the dual objective is
 
     psi(w) = xi(z) + ||z - q||^2 / (2 alpha) + <M^T w, xbar + q> / 2
-             - sum_i g_i*(w_i) + c,
+             - g*(w) + c,
 
 free of the cancellation in ``(||xbar||^2 - ||q||^2) / (2 alpha)`` at small
 alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
@@ -26,7 +26,7 @@ from the last two iterates by linearity.
 Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query; the
 result returns ``f1(y_tilde)`` and ``M^T w_tilde``, which the next warm
 start reuses for iterate 0 (``M^T w`` does not depend on the query).
-Iterate 0 (any warm start) checks each ``g_i*(w_i)`` for a finite value;
+Iterate 0 (any warm start) checks ``g*(w)`` for a finite value;
 later iterates use ``conjugate_at_prox``, where ``GroupL2``'s projection
 skips a test it always passes and ``L1Norm``, whose Moreau prox can leave
 its box at large ``|v|``, keeps it.  psi and h share each ``xi(z)``.
@@ -120,11 +120,14 @@ class _DualProblem:
 
     def psi(self, w: np.ndarray, mtw: np.ndarray, at_prox: bool = False):
         """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
-        mtw, z = prox(q); ``at_prox`` as in ``conjugate_sum``."""
+        mtw, z = prox(q); ``at_prox``: ``w`` came from ``conjugate_prox``."""
         q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
         xi_z = self.f1.xi.value(z)
-        conj = self.f1.conjugate_sum(w, at_prox)
+        conj = 0.0
+        if self.f1.block is not None:
+            g = self.f1.block.fn
+            conj += (g.conjugate_at_prox if at_prox else g.conjugate)(w)
         if not np.isfinite(conj):
             return -np.inf, z, q, xi_z
         r = z - q
@@ -216,10 +219,10 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     # FISTA on -psi
     bound = problem.f1.op_norm_sq_bound
     if bound <= 0:
-        raise EngineError("op_norm_sq_bound must be positive with blocks present")
+        raise EngineError("op_norm_sq_bound must be positive with a block")
     sigma = 1.0 / (query.alpha * bound)
     t = 1.0
-    blocks = problem.f1.blocks
+    g = problem.f1.block.fn
     # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
     # w and every w_new may be returned, so none of them is ever written to
     u, v = w.copy(), np.empty(m)
@@ -231,13 +234,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         z_u = problem.f1.xi.prox(q_u, query.alpha)
         np.multiply(sigma, problem.f1.matvec(z_u), out=v)
         np.add(u, v, out=v)
-        if len(blocks) == 1:
-            w_new = blocks[0].fn.conjugate_prox(v, sigma)
-            if np.may_share_memory(w_new, v):
-                w_new = w_new.copy()
-        else:
-            w_new = np.concatenate([b.fn.conjugate_prox(vi, sigma) for b, vi
-                                    in zip(blocks, problem.f1.split(v))])
+        w_new = g.conjugate_prox(v, sigma)
+        if np.may_share_memory(w_new, v):
+            w_new = w_new.copy()
 
         mtw_new = problem.f1.rmatvec(w_new)
         psi_l, y_l, q_new, xi_y = dp.psi(w_new, mtw_new, at_prox=True)

@@ -13,18 +13,18 @@ def quadratic_l1_problem(n=50, seed=0, weight=0.3):
     b = rng.standard_normal(n)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                       lambda x: x - b)
-    f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(weight))],
-                              xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+    f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(weight)),
+                             xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
     minimizer = np.sign(b) * np.maximum(np.abs(b) - weight, 0.0)
     return CompositeProblem(f0, f1, n), b, minimizer
 
 
 def smooth_only_problem(n=1, target=3.0):
-    """f0 = 0.5||x - target||^2, f1 = 0 (no blocks)."""
+    """f0 = 0.5||x - target||^2, f1 = 0 (no block)."""
     t = np.full(n, target, dtype=float)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - t, x - t)),
                       lambda x: x - t)
-    f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=n)
+    f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=n)
     return CompositeProblem(f0, f1, n)
 
 
@@ -32,8 +32,8 @@ def scalar_l1_problem(weight=1.0):
     """1-D f0 = 0.5 x^2, f1 = weight*|x|."""
     f0 = SmoothOracle(lambda x: 0.5 * float(x[0] ** 2),
                       lambda x: np.asarray(x, dtype=float))
-    f1 = StructuredConvexTerm([Block(IdentityOp(1), L1Norm(weight))],
-                              xi=ZeroFunction(), n=1, op_norm_sq_bound=1.0)
+    f1 = StructuredConvexTerm(Block(IdentityOp(1), L1Norm(weight)),
+                             xi=ZeroFunction(), n=1, op_norm_sq_bound=1.0)
     return CompositeProblem(f0, f1, 1)
 
 

@@ -239,13 +239,13 @@ def test_criterion_07_gradient_checks(capfd):
     shape = (8, 8)
     reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), shape)
     preg = CompositeProblem(
-        reg, StructuredConvexTerm([], xi=ZeroFunction(), n=64), 64)
+        reg, StructuredConvexTerm(None, xi=ZeroFunction(), n=64), 64)
     op = imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), (5, 5))
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(25)) + 1.0
     fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
     pfid = CompositeProblem(
-        fid, StructuredConvexTerm([], xi=ZeroFunction(), n=25), 25)
+        fid, StructuredConvexTerm(None, xi=ZeroFunction(), n=25), 25)
     worst = 0.0
     for trial in range(20):
         x = 50.0 * rng.standard_normal(64)

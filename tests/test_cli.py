@@ -135,9 +135,9 @@ class TestRunCommand:
         def build(cfg):
             n = 4
             f0 = SmoothOracle(lambda x: 0.0, grad)
-            f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(1.0))],
-                                      xi=ZeroFunction(), n=n,
-                                      op_norm_sq_bound=1.0)
+            f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(1.0)),
+                                     xi=ZeroFunction(), n=n,
+                                     op_norm_sq_bound=1.0)
             return CompositeProblem(f0, f1, n), np.ones(n), {}
 
         monkeypatch.setattr(cli, "build_problem", build)
@@ -289,6 +289,60 @@ class TestBadValuesAreConfigErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error:" in err and "maxval" in err
+
+
+# values of keys the command does not read; each used to run and exit 0
+UNREAD_BAD_VALUES = {
+    "fstar_iters_abc": (("--fstar_iters", "abc"),
+                        "bad numeric value for 'fstar_iters'"),
+    "unknown_solver_in_list": (("--solvers", "i2piano,bogus"),
+                               "unknown solver 'bogus'"),
+    "unknown_solver": (("--solver", "bogus"), "unknown solver 'bogus'"),
+    "delta_abc_for_iista": (("--solver", "iista", "--solvers", "iista",
+                             "--delta", "abc"),
+                            "bad numeric value for 'delta'"),
+}
+
+
+class TestEveryValueIsChecked:
+    @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
+    @pytest.mark.parametrize("case", sorted(UNREAD_BAD_VALUES))
+    def test_bad_value_exits_2_before_a_solve(self, tmp_path, capsys,
+                                              command, case):
+        overrides, words = UNREAD_BAD_VALUES[case]
+        out = tmp_path / "out"
+        code = run_cli(command, "--solvers", "i2piano", "--max_outer", "3",
+                       "--fstar_iters", "3", *overrides, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: {words}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["size", "n", "seed", "max_outer",
+                                     "max_inner", "max_halvings",
+                                     "blur_size", "fstar_iters"])
+    def test_fractional_integer_exits_2(self, tmp_path, capsys, key):
+        # --max_outer 2.9 used to write 2 rows and exit 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--max_outer", "3", f"--{key}", "2.9",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be an integer" in err
+        assert not out.exists()
+
+    def test_integer_in_exponent_form_is_valid(self, tmp_path):
+        assert cli._i({"max_outer": "2e4"}, "max_outer") == 20000
+        assert run_cli("run", "--max_outer", "3e0",
+                       "--out", str(tmp_path)) == 0
+        assert len(Trace.read_csv(tmp_path / "trace.csv")) == 3
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_synthetic_problem_exits_2(self, tmp_path, capsys, n):
+        # --n 0 used to run a 0-dimensional problem and exit 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--n", n, "--out", str(out)) == 2
+        assert "config error: n must be positive" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
 
 class TestSuiteAndFstar:

@@ -99,7 +99,7 @@ class TestStep:
         t = np.zeros(4)
         f0 = SmoothOracle(lambda x: 5.0 * float(np.dot(x - t, x - t)),
                           lambda x: 10.0 * (x - t))
-        f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=4)
+        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=4)
         p = CompositeProblem(f0, f1, 4)
         cfg = I2PianoConfig(L0=1.0)
         st = fb.start(p, np.ones(4), eval_f, cfg.L0)
@@ -110,7 +110,7 @@ class TestStep:
     def test_broken_gradient_hits_L_max(self):
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)),
                           lambda x: -x)  # wrong sign
-        f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
+        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
         cfg = I2PianoConfig()
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)
@@ -162,9 +162,9 @@ class TestSolve:
         # test until L_MIN stops it
         c = np.full(20, 0.1)
         f0 = SmoothOracle(lambda x: float(np.dot(c, x)), lambda x: c.copy())
-        f1 = StructuredConvexTerm([Block(IdentityOp(20), L1Norm(0.01))],
-                                  xi=ZeroFunction(), n=20,
-                                  op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(Block(IdentityOp(20), L1Norm(0.01)),
+                                 xi=ZeroFunction(), n=20,
+                                 op_norm_sq_bound=1.0)
         p = CompositeProblem(f0, f1, 20)
         cfg = I2PianoConfig(max_outer=600)
         trace = i2piano_solve(p, np.zeros(20), cfg)
@@ -184,7 +184,7 @@ class TestSolve:
     def test_x0_outside_domain_rejected(self):
         from inertiafb.problem import NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=1)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
         p = CompositeProblem(f0, f1, 1)
         with pytest.raises(ValueError):
             i2piano_solve(p, np.array([-1.0]), I2PianoConfig())

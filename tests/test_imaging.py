@@ -385,7 +385,7 @@ class TestRegularizerAndFidelities:
     def test_log_filter_gradient(self):
         reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), (6, 6))
         p = CompositeProblem(
-            reg, StructuredConvexTerm([], xi=ZeroFunction(), n=36), 36)
+            reg, StructuredConvexTerm(None, xi=ZeroFunction(), n=36), 36)
         rng = np.random.default_rng(5)
         rep = check_gradient(p, 10.0 * rng.standard_normal(36))
         assert rep.max_rel_error < 1e-4
@@ -491,7 +491,7 @@ class TestRegularizerAndFidelities:
         g = np.abs(rng.standard_normal(25)) + 1.0
         fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
         p = CompositeProblem(
-            fid, StructuredConvexTerm([], xi=ZeroFunction(), n=25), 25)
+            fid, StructuredConvexTerm(None, xi=ZeroFunction(), n=25), 25)
         rep = check_gradient(p, np.abs(rng.standard_normal(25)) + 1.0)
         assert rep.max_rel_error < 1e-4
 

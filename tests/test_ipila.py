@@ -69,7 +69,7 @@ class TestArmijo:
         # f0 = 8x^2 is stiff; a unit direction from x=1 overshoots
         f0 = SmoothOracle(lambda x: 8.0 * float(x[0] ** 2),
                           lambda x: 16.0 * np.asarray(x, dtype=float))
-        f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=1)
+        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=1)
         p = CompositeProblem(f0, f1, 1)
         x = np.array([1.0])
         s = x.copy()
@@ -91,7 +91,7 @@ class TestArmijo:
         calls = []
         f0 = SmoothOracle(lambda x: (calls.append(1), 0.5 * float(x @ x))[1],
                           lambda x: x)
-        p = CompositeProblem(f0, StructuredConvexTerm([], xi=ZeroFunction(),
+        p = CompositeProblem(f0, StructuredConvexTerm(None, xi=ZeroFunction(),
                                                       n=1), 1)
         x, y = np.array([0.4]), np.array([0.1])
         d = y - x
@@ -161,7 +161,7 @@ class TestStep:
         # stiff smooth part makes the lambda=1 test fail early on
         f0 = SmoothOracle(lambda x: 20.0 * float(np.dot(x, x)),
                           lambda x: 40.0 * np.asarray(x, dtype=float))
-        f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=2)
+        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=2)
         p = CompositeProblem(f0, f1, 2)
         cfg = IPilaConfig(variant="practical-sec5", L0=1.0, tau=0.0)
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)

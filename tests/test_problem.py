@@ -28,14 +28,14 @@ class TestEvalF:
     def test_hand_example(self):
         n = 2
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
-        f1 = StructuredConvexTerm([Block(IdentityOp(n), L1Norm(1.0))],
-                                  xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(1.0)),
+                                 xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
         p = CompositeProblem(f0, f1, n)
         assert eval_f(p, np.array([1.0, -2.0])) == pytest.approx(5.5)
 
     def test_indicator_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=1)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
         p = CompositeProblem(f0, f1, 1)
         assert eval_f(p, np.array([-1.0])) == np.inf
         assert eval_f(p, np.array([2.0])) == 0.0
@@ -129,42 +129,49 @@ class TestLinearOps:
     def test_default_norm_bound_is_valid(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 8))
-        term = StructuredConvexTerm([Block(MatrixOp(a), L1Norm(1.0))],
-                                    xi=ZeroFunction(), n=8)
+        term = StructuredConvexTerm(Block(MatrixOp(a), L1Norm(1.0)),
+                                   xi=ZeroFunction(), n=8)
         assert term.op_norm_sq_bound >= float(np.linalg.norm(a, 2) ** 2)
 
 
 class TestStructuredTerm:
     def test_value_sums_blocks(self):
+        # 2||a x||_1 + ||x||_1 as one stacked block: M = [2a; I], g = ||.||_1
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 5))
         term = StructuredConvexTerm(
-            [Block(MatrixOp(a), L1Norm(2.0)), Block(IdentityOp(5), L1Norm(1.0))],
+            Block(MatrixOp(np.vstack([2.0 * a, np.eye(5)])), L1Norm(1.0)),
             xi=NonnegIndicator(), n=5)
         x = np.abs(rng.standard_normal(5))
         expected = 2.0 * np.sum(np.abs(a @ x)) + np.sum(np.abs(x))
         assert term.value(x) == pytest.approx(expected)
         assert term.value(-x) == np.inf
 
-    def test_split_roundtrip(self):
-        term = StructuredConvexTerm(
-            [Block(IdentityOp(3), L1Norm(1.0)), Block(IdentityOp(3), L1Norm(1.0))],
-            xi=ZeroFunction(), n=3, op_norm_sq_bound=2.0)
-        w = np.arange(6.0)
-        parts = term.split(w)
-        np.testing.assert_allclose(np.concatenate(parts), w)
-
     def test_stacked_matvec_rmatvec_adjoint(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 6))
         term = StructuredConvexTerm(
-            [Block(MatrixOp(a), L1Norm(1.0)), Block(IdentityOp(6), L1Norm(1.0))],
+            Block(MatrixOp(np.vstack([a, np.eye(6)])), L1Norm(1.0)),
             xi=ZeroFunction(), n=6)
         x = rng.standard_normal(6)
         w = rng.standard_normal(10)
         lhs = float(np.dot(term.matvec(x), w))
         rhs = float(np.dot(x, term.rmatvec(w)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_block_free_term_is_xi(self):
+        term = StructuredConvexTerm(None, xi=NonnegIndicator(), n=3)
+        assert term.out_dim == 0 and term.op_norm_sq_bound == 0.0
+        x = np.array([1.0, 0.0, 2.0])
+        mx = term.matvec(x)
+        assert mx.shape == (0,)
+        r1, r2 = term.rmatvec(mx), term.rmatvec(mx)
+        assert r1.shape == (3,) and r1 is not r2
+        assert not np.any(r1) and not np.any(np.signbit(r1))
+        r1[0] = 5.0
+        assert not np.any(term.rmatvec(mx))
+        assert term.value(x) == NonnegIndicator().value(x) == 0.0
+        assert term.value(-x) == np.inf
 
 
 class TestCheckGradient:
@@ -178,7 +185,7 @@ class TestCheckGradient:
     def test_detects_wrong_gradient(self):
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)),
                           lambda x: 2.0 * x)
-        f1 = StructuredConvexTerm([], xi=ZeroFunction(), n=3)
+        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=3)
         p = CompositeProblem(f0, f1, 3)
         rep = check_gradient(p, np.array([1.0, 2.0, 3.0]))
         assert rep.max_rel_error > 1e-2
@@ -262,9 +269,9 @@ class TestOneEvaluationPerPoint:
                    solver=solver, max_outer="15", **overrides)
         p, x0, _ = build_problem(cfg)
         q, _, _ = build_problem(cfg)
-        op = p.f1.blocks[0].op
+        op = p.f1.block.op
         fresh = dict(f0=q.f0.value, grad=q.f0.grad, f1=q.f1.value,
-                     rmatvec=q.f1.blocks[0].op.rmatvec)
+                     rmatvec=q.f1.block.op.rmatvec)
         counts = collections.Counter()
         p.f0.forward = _counted(counts, "forward", p.f0.forward)
         p.f0.value = _counted(counts, "f0", p.f0.value)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from inertiafb import imaging
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               LinearOp, NonnegIndicator, ProxFunction,
-                               SmoothOracle, StructuredConvexTerm,
-                               ZeroFunction)
+                               LinearOp, MatrixOp, NonnegIndicator,
+                               ProxFunction, SmoothOracle,
+                               StructuredConvexTerm, ZeroFunction)
 from inertiafb.prox_engine import (EngineError, ProxQuery, dual_objective,
                                    solve_inexact_prox, theta_from_tau)
 from tests.conftest import eval_h, quadratic_l1_problem, scalar_l1_problem
@@ -55,14 +55,14 @@ class TestEvalH:
 
     def test_infinite_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=1)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
         p = CompositeProblem(f0, f1, 1)
         assert eval_h(p, np.array([1.0]), np.array([1.0]), 1.0, 0.0,
                       np.array([-1.0])) == np.inf
 
     def test_x_outside_domain_is_hard_error(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=1)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
         p = CompositeProblem(f0, f1, 1)
         with pytest.raises(EngineError):
             eval_h(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0,
@@ -140,17 +140,17 @@ class TestSolveInexactProx:
         np.testing.assert_allclose(res.y_tilde, ref, atol=1e-6)
 
     def test_two_blocks_match_their_summed_soft_threshold(self):
-        # 0.1|x| + 0.2|x| as two identity blocks is 0.3|x|; each block's
-        # half of the dual point w lies in its own box
+        # 0.1|x| + 0.2|x| as one block over M = [0.1 I; 0.2 I] with
+        # g = ||.||_1 is 0.3|x|; each half of the dual point w lies in the
+        # unit box
         n = 50
         rng = np.random.default_rng(3)
         b = rng.standard_normal(n)
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                           lambda x: x - b)
-        f1 = StructuredConvexTerm(
-            [Block(IdentityOp(n), L1Norm(0.1)),
-             Block(IdentityOp(n), L1Norm(0.2))],
-            xi=ZeroFunction(), n=n, op_norm_sq_bound=2.0)
+        op = MatrixOp(np.vstack([0.1 * np.eye(n), 0.2 * np.eye(n)]))
+        f1 = StructuredConvexTerm(Block(op, L1Norm(1.0)), xi=ZeroFunction(),
+                                  n=n, op_norm_sq_bound=0.05)
         p = CompositeProblem(f0, f1, n)
         x = rng.standard_normal(n)
         # at tau > 0 iterate 0 already certifies and no dual step is taken
@@ -160,9 +160,9 @@ class TestSolveInexactProx:
         assert res.ok and res.inner_iters > 0
         ref = np.sign(b) * np.maximum(np.abs(b) - 0.3, 0.0)
         np.testing.assert_allclose(res.y_tilde, ref, rtol=0, atol=1e-12)
-        w1, w2 = f1.split(res.w_tilde)
-        assert np.max(np.abs(w1)) == pytest.approx(0.1, abs=1e-12)
-        assert np.max(np.abs(w2)) == pytest.approx(0.2, abs=1e-12)
+        w1, w2 = res.w_tilde[:n], res.w_tilde[n:]
+        assert np.max(np.abs(w1)) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(w2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_stationary_point_fires_abs_branch(self):
         p = scalar_l1_problem()
@@ -244,7 +244,7 @@ class TestSolveInexactProx:
 
     def test_no_blocks_returns_exact_point(self):
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=2)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=2)
         p = CompositeProblem(f0, f1, 2)
         x = np.array([1.0, -0.0])
         q = ProxQuery(x=x, s=x, alpha=0.5, beta=0.0, tau=1e6)
@@ -263,7 +263,7 @@ class TestSolveInexactProx:
 
     def test_x_outside_domain_is_engine_error(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm([], xi=NonnegIndicator(), n=1)
+        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
         p = CompositeProblem(f0, f1, 1)
         q = ProxQuery(x=np.array([-1.0]), s=np.array([0.0]), alpha=1.0,
                       beta=0.0, tau=0.0)
@@ -293,8 +293,8 @@ def _tv_denoising_problem(shape=(16, 16), seed=0):
     op = _CountingOp(imaging.GradOp(shape))
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                       lambda x: x - b)
-    f1 = StructuredConvexTerm([Block(op, imaging.GroupL2(0.25))],
-                              xi=NonnegIndicator(), n=n, op_norm_sq_bound=8.0)
+    f1 = StructuredConvexTerm(Block(op, imaging.GroupL2(0.25)),
+                             xi=NonnegIndicator(), n=n, op_norm_sq_bound=8.0)
     return CompositeProblem(f0, f1, n), op, rng
 
 
@@ -348,7 +348,7 @@ class TestConjugateOfProjectedIterates:
     def _check(self, p, q):
         """Solves once; returns (inner iterations, conjugate calls), after
         checking every inner psi against ``dual_objective`` bit for bit."""
-        iterates, calls = _record_dual_iterates(p.f1.blocks[0].fn)
+        iterates, calls = _record_dual_iterates(p.f1.block.fn)
         psis = []
         res = solve_inexact_prox(p, q, inner_hook=lambda l, h, psi:
                                  psis.append(psi) if l else None)
@@ -426,9 +426,9 @@ class TestReusedBuffers:
         IdentityOp(42), _NegateOp(42)],
         ids=["grad", "conv", "identity", "negate"])
     def test_one_block_rmatvec_is_the_zero_filled_sum(self, op):
-        term = StructuredConvexTerm([Block(op, ZeroFunction())],
-                                    xi=ZeroFunction(), n=op.in_dim,
-                                    op_norm_sq_bound=8.0)
+        term = StructuredConvexTerm(Block(op, ZeroFunction()),
+                                   xi=ZeroFunction(), n=op.in_dim,
+                                   op_norm_sq_bound=8.0)
         rng = np.random.default_rng(5)
         m = op.out_dim
         mixed = rng.choice([-0.0, 0.0, 1.5, -2.25], m)
@@ -499,9 +499,9 @@ class TestReusedBuffers:
             b = np.linspace(-1.0, 1.0, n)
             f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                               lambda x: x - b)
-            f1 = StructuredConvexTerm([Block(IdentityOp(n), fn)],
-                                      xi=ZeroFunction(), n=n,
-                                      op_norm_sq_bound=4.0)
+            f1 = StructuredConvexTerm(Block(IdentityOp(n), fn),
+                                     xi=ZeroFunction(), n=n,
+                                     op_norm_sq_bound=4.0)
             p = CompositeProblem(f0, f1, n)
             queries = [ProxQuery(x=np.zeros(n), s=np.full(n, 0.1 * k),
                                  alpha=0.5, beta=0.3, tau=0.01)
