@@ -8,7 +8,8 @@ alpha_k, beta_k and the Lipschitz estimate, the Armijo inequality, and weak
 duality psi <= h.  Checks are pure functions over a trace: same rows in,
 same verdicts out.  Rows hold every ``trace.CSV_COLUMNS`` column, whether
 a solver wrote them or ``Trace.read_csv`` read them, so a trace and its
-``trace.csv`` get the same verdicts.  Each verdict is ``pass`` or ``fail``.
+``trace.csv`` get the same verdicts.  Each verdict is ``pass`` or ``fail``,
+and a check passes only when each residual it computes is a number ``<= 0``.
 The header's ``solver`` must name one of ``SOLVERS``, and a check raises
 ValueError naming the key when the header lacks a value it reads or holds
 one that is not a number; the Armijo check applies to iPila traces only.
@@ -20,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+from inertiafb.ipila import ALPHA_MIN
 from inertiafb.prox_engine import theta_from_tau
 from inertiafb.trace import Trace
 
@@ -96,10 +98,14 @@ def _nonempty(check):
 
 
 def _worst(name: str, residuals) -> CheckResult:
+    """Passes when every ``(k, r)`` has a residual ``r`` that is a number
+    ``<= 0``; a failure names the largest residual, or the first NaN."""
     worst, worst_k = -math.inf, -1
     for k, r in residuals:
-        if r > worst:
+        if not r <= worst:
             worst, worst_k = r, k
+            if math.isnan(r):
+                break
     if worst_k < 0:
         return CheckResult(name=name, status="pass")
     status = "pass" if worst <= 0.0 else "fail"
@@ -121,8 +127,6 @@ def check_H1(trace: Trace) -> CheckResult:
         a_k = 1.0
     elif kind.startswith("ipila"):
         lam_min = min(r["lambda_k"] for r in trace.rows)
-        if not math.isfinite(lam_min):
-            lam_min = 1.0
         a_k = _meta(trace, "sigma") * lam_min
 
     prev = _meta(trace, "phi_init")
@@ -144,8 +148,7 @@ def h4_constants(trace: Trace):
         return 1.0 / math.sqrt(_meta(trace, "gamma")), 1
     if kind.startswith("ipila"):
         theta = _meta(trace, "theta")
-        alphas = [r["alpha_k"] for r in trace.rows]
-        alpha_max = max((a for a in alphas if math.isfinite(a)), default=1.0)
+        alpha_max = max(r["alpha_k"] for r in trace.rows)
         return math.sqrt(2.0 * alpha_max / theta), 0
     return 1.0, 0
 
@@ -187,15 +190,11 @@ def check_prox_certificates(trace: Trace) -> CheckResult:
         psi = row["psi"]
         alpha = row["alpha_k"]
         step = row["y_step_norm"]
-        if not (math.isfinite(alpha) and alpha > 0):
-            continue
         dist = (theta / (2.0 * alpha)) * step * step
         tol = _REL_TOL * (1.0 + abs(h))
-        r1 = (dist - (-h) - tol) / (1.0 + abs(h))
-        r2 = -math.inf
-        if math.isfinite(psi):
-            r2 = (h - eta_gap * psi - slack - tol) / (1.0 + abs(h))
-        residuals.append((row["k"], max(r1, r2)))
+        residuals.append((row["k"], (dist - (-h) - tol) / (1.0 + abs(h))))
+        residuals.append((row["k"], (h - eta_gap * psi - slack - tol)
+                          / (1.0 + abs(h))))
     return _worst("prox", residuals)
 
 
@@ -212,22 +211,9 @@ def check_duality_gap(trace: Trace) -> CheckResult:
     residuals = []
     for row in trace.rows:
         h, psi = row["h"], row["psi"]
-        if not math.isfinite(psi):
-            continue
         tol = slack + 1e-10 * (1.0 + abs(h))
         residuals.append((row["k"], (psi - h - tol) / (1.0 + abs(h))))
     return _worst("duality-gap", residuals)
-
-
-def _ipila_alpha_from_beta(beta: float, delta: float, gamma: float):
-    # invert beta = (b-1)/(b-1/2), b = (L+2 delta)/(L+2 gamma)
-    if beta <= 0.0 or beta >= 1.0:
-        return None
-    b = (1.0 - 0.5 * beta) / (1.0 - beta)
-    if b <= 1.0:
-        return None
-    L = (2.0 * delta - 2.0 * gamma * b) / (b - 1.0)
-    return 2.0 * (1.0 - beta) / (L + 2.0 * gamma)
 
 
 @_nonempty
@@ -235,6 +221,10 @@ def check_param_identities(trace: Trace) -> CheckResult:
     """Replays the algebraic coupling between alpha_k, beta_k and L_k."""
     kind = _solver(trace)
     residuals = []
+
+    def add(k, *errors):  # the relative error of each identity on row k
+        residuals.extend((k, e - _REL_TOL) for e in errors)
+
     if kind == "i2piano":
         delta, gamma = _meta(trace, "delta"), _meta(trace, "gamma")
         omega, theta = _meta(trace, "omega"), _meta(trace, "theta")
@@ -246,32 +236,31 @@ def check_param_identities(trace: Trace) -> CheckResult:
             alpha_e = (top - 2.0 * beta_e) / (L + 2.0 * gamma)
             # identity chain: (1+theta*omega)/(2a) - L/2 - beta/(2a) = delta
             lhs = top / (2.0 * a) - L / 2.0 - bta / (2.0 * a)
-            r = max(abs(bta - beta_e) / (1.0 + abs(beta_e)),
-                    abs(a - alpha_e) / (1.0 + abs(alpha_e)),
-                    abs(lhs - delta) / (1.0 + abs(delta)),
-                    abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
-            residuals.append((row["k"], r - _REL_TOL))
+            add(row["k"], abs(bta - beta_e) / (1.0 + abs(beta_e)),
+                abs(a - alpha_e) / (1.0 + abs(alpha_e)),
+                abs(lhs - delta) / (1.0 + abs(delta)),
+                abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
     elif kind == "ipila-practical":
-        gamma = _meta(trace, "gamma_min")
-        delta = _meta(trace, "delta")
-        for row in trace.rows:
-            alpha_e = _ipila_alpha_from_beta(row["beta_k"], delta, gamma)
-            if alpha_e is None:
-                continue
-            r = abs(row["alpha_k"] - alpha_e) / (1.0 + abs(alpha_e))
-            residuals.append((row["k"], r - _REL_TOL))
+        gamma, delta = _meta(trace, "gamma_min"), _meta(trace, "delta")
+        a_max, L = _meta(trace, "alpha_max"), _meta(trace, "L0")
+        for row in trace.rows:  # each step reads the L_k its last row left
+            b = (L + 2.0 * delta) / (L + 2.0 * gamma)
+            beta_e = (b - 1.0) / (b - 0.5)
+            alpha_e = min(max(2.0 * (1.0 - beta_e) / (L + 2.0 * gamma),
+                              ALPHA_MIN), a_max)
+            add(row["k"], abs(row["alpha_k"] - alpha_e) / (1.0 + alpha_e),
+                abs(row["beta_k"] - beta_e) / (1.0 + abs(beta_e)))
+            L = row["L_or_gamma"]
     elif kind == "ipila-strict":
         a_max = _meta(trace, "alpha_max")
         b_max = _meta(trace, "beta_max")
         for row in trace.rows:
-            r = max(abs(row["alpha_k"] - a_max) / (1.0 + a_max),
-                    abs(row["beta_k"] - b_max) / (1.0 + b_max))
-            residuals.append((row["k"], r - _REL_TOL))
+            add(row["k"], abs(row["alpha_k"] - a_max) / (1.0 + a_max),
+                abs(row["beta_k"] - b_max) / (1.0 + b_max))
     else:
         for row in trace.rows:
             L, a = row["L_or_gamma"], row["alpha_k"]
-            r = max(abs(a * L - 1.0), abs(row["beta_k"]))
-            residuals.append((row["k"], r - _REL_TOL))
+            add(row["k"], abs(a * L - 1.0), abs(row["beta_k"]))
     return _worst("param-identities", residuals)
 
 

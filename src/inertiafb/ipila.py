@@ -14,11 +14,11 @@ gamma_k ||x - s||^2 <= 0``, and the search direction
 then backtracks ``lambda`` until the generalized Armijo inequality
 ``Phi(x + lambda d_x, s + lambda d_s) <= Phi(x, s) + sigma lambda Delta_k``
 holds.  The first trial, ``lambda = 1``, is the prox point ``y`` itself with
-the ``f(y)`` already in hand, so it costs no objective evaluation; only
-``lambda < 1`` builds and evaluates ``x + lambda d_x``.  The pair ``(y, x)``
-is accepted instead of the line-search point whenever it satisfies the same
-inequality, which turns the following iteration into an actual inertial
-step.
+its values already in hand; each ``lambda < 1`` evaluates ``x + lambda d_x``
+once, as the search hands back the point it accepts with its values.  The
+pair ``(y, x)`` is accepted instead of the line-search point whenever it
+satisfies the same inequality, which turns the following iteration into an
+actual inertial step.
 
 Two parameter policies are provided.  ``strict-alg3`` keeps ``alpha_k =
 alpha_max``, ``beta_k = beta_max``, ``gamma_k = gamma_min`` constant and
@@ -108,17 +108,18 @@ def compute_delta(h_val: float, gamma_k: float, anchor_sq: float) -> float:
 def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
                       phi0: float, d_x: np.ndarray, d_s: np.ndarray,
                       delta_k: float, sigma: float, ls_shrink: float,
-                      max_halvings: int, *, y: np.ndarray, f_y: float):
+                      max_halvings: int, *, y: np.ndarray, fwd_y, f0_y: float,
+                      f1_y: float):
     """Largest ``lambda`` in the backtracking grid passing the Armijo test.
 
-    ``phi0`` is the merit value ``Phi(x, s)`` the caller already holds, and
-    ``f_y = f(y)`` its value at the prox point ``y = x + d_x``.  The
-    ``lambda = 1`` trial is ``y`` itself (returned as that object) with
-    ``f_y``; each ``lambda < 1`` evaluates ``f`` at ``x + lambda d_x``.
-    Returns ``(lambda, new_x, new_s, evals)`` where ``evals`` counts merit
-    evaluations at trial points, the unit trial included.  Termination is
-    guaranteed for a genuine descent direction, so exhausting
-    ``max_halvings`` is a hard error.
+    ``phi0`` is ``Phi(x, s)``; ``fwd_y``, ``f0_y``, ``f1_y`` are the forward
+    pass and values at the prox point ``y = x + d_x``, the ``lambda = 1``
+    trial (returned as that object).  Each ``lambda < 1`` evaluates ``f1`` at
+    ``x + lambda d_x``, then the forward pass and ``f0`` if ``f1`` is finite.
+    Returns ``(lambda, new_x, new_s, evals, fwd, f0, f1, phi)``: the accepted
+    pair, new_x's forward pass and values, the pair's merit, and ``evals``
+    merit evaluations at trial points, the unit trial included.  Exhausting
+    ``max_halvings`` is a hard error: a genuine descent direction ends it.
     """
     if delta_k >= 0:
         raise SolverError("armijo_linesearch requires delta_k < 0")
@@ -126,16 +127,20 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
     evals = 0
     for _ in range(max_halvings + 1):
         if lam == 1.0:
-            xt, f_t = y, f_y
+            xt, fwd, f0, f1 = y, fwd_y, f0_y, f1_y
         else:
             xt = x + lam * d_x
-            f_t = eval_f(problem, xt)
+            f1 = problem.f1.value(xt)
+            fwd, f0 = None, np.inf  # outside dom(f1) the trial fails
+            if np.isfinite(f1):
+                fwd = problem.f0.forward(xt)
+                f0 = problem.f0.value(xt, fwd)
         st = s + lam * d_s
         evals += 1
         d = xt - st
-        phi_t = f_t + 0.5 * float(np.dot(d, d))
+        phi_t = f0 + f1 + 0.5 * float(np.dot(d, d))
         if phi_t <= phi0 + sigma * lam * delta_k:
-            return lam, xt, st, evals
+            return lam, xt, st, evals, fwd, f0, f1, phi_t
         lam *= ls_shrink
     raise SolverError("Armijo search exhausted max_halvings; gradient or "
                       "subproblem value is inconsistent")
@@ -215,10 +220,10 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
         new.L_k = state.L_k * cfg.eta
     d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
     if not inertial:
-        lam, ls_x, ls_s, evals = armijo_linesearch(
+        lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
             problem, x, state.s_curr, state.phi_val, d_x, d_s, delta_k,
-            cfg.sigma, cfg.ls_shrink, cfg.max_halvings, y=y,
-            f_y=f0_y + f1_y)
+            cfg.sigma, cfg.ls_shrink, cfg.max_halvings, y=y, fwd_y=fwd_y,
+            f0_y=f0_y, f1_y=f1_y)
         new.lambda_k, new.backtracks = lam, evals - 1
         inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
 
@@ -226,15 +231,8 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
         new.move_to(y, x, fwd_y, f0_y, f1_y)
         new.phi_val, new.accepted_branch = phi_yx, "inertial"
     else:
-        if ls_x is y:  # the unit trial: y keeps its forward pass and f
-            new.move_to(y, ls_s, fwd_y, f0_y, f1_y)
-        else:
-            fwd = problem.f0.forward(ls_x)
-            new.move_to(ls_x, ls_s, fwd, problem.f0.value(ls_x, fwd),
-                        problem.f1.value(ls_x))
-        d = ls_x - ls_s
-        new.phi_val = new.f_val + 0.5 * float(np.dot(d, d))
-        new.accepted_branch = "linesearch"
+        new.move_to(ls_x, ls_s, fwd, f0, f1)
+        new.phi_val, new.accepted_branch = phi, "linesearch"
     _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
                            y_step_sq, anchor_sq, d_x, d_s, new.phi_val,
                            new.lambda_k)

@@ -101,6 +101,24 @@ class TestCorruptionDetected:
             t.rows[2]["alpha_k"] *= 1.5
             assert check_param_identities(t).status == "fail", name
 
+    @pytest.mark.parametrize("check,name,key", [
+        (check_prox_certificates, "ipila", "psi"),
+        (check_param_identities, "i2piano", "alpha_k"),
+        (check_param_identities, "ipila", "beta_k"),
+        (check_param_identities, "ipila-strict", "beta_k"),
+        (check_param_identities, "iista", "beta_k"),
+    ])
+    def test_nan_in_any_residual_of_a_row_fails(self, traces, check, name,
+                                                key):
+        # a NaN that is not the first of a row's residuals used to vanish
+        # in the row's max(), and a NaN worst residual passed
+        t = self._copy(traces[name])
+        t.rows[3][key] = math.nan
+        res = check(t)
+        assert res.status == "fail"
+        assert res.worst_k == t.rows[3]["k"]
+        assert math.isnan(res.worst_residual)
+
     def test_armijo_flags_nonpositive_lambda(self, traces):
         t = self._copy(traces["ipila"])
         t.rows[6]["lambda_k"] = 0.0

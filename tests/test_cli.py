@@ -488,6 +488,49 @@ class TestCertifyCommand:
         assert code == 4
         assert "overall=fail" in capsys.readouterr().out
 
+    def test_certify_fails_on_nan_residuals(self, tmp_path, capsys):
+        # a NaN residual used to pass, as nan > worst is false, and the
+        # psi checks skipped a non-finite psi: this trace certified
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "ipila-strict", "--max_outer", "20",
+                       "--out", str(out)) == 0
+        trace = Trace.read_csv(out / "trace.csv")
+        for row in trace.rows:
+            for key in ("phi", "h", "psi", "d_k", "x_step_norm",
+                        "y_step_norm"):
+                row[key] = float("nan")
+        trace.write_csv(out / "trace.csv")
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv")) == 4
+        report = capsys.readouterr().out
+        assert "overall=fail" in report
+        for name in ("H1", "H4", "prox", "duality-gap", "armijo"):
+            assert f"{name}.status=fail" in report, name
+
+    def test_certify_replays_the_practical_coupling_forward(self, tmp_path,
+                                                            capsys):
+        # at delta = gamma_min every beta_k is 0, and the certifier used to
+        # skip each such row as it inverted beta_k to find alpha_k's L_k
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "ipila-practical", "--delta",
+                       "1e-5", "--gamma", "1e-5", "--max_outer", "20",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        trace = Trace.read_csv(path)
+        assert {r["beta_k"] for r in trace.rows} == {0.0}
+        # row 0 read L0, and each later row the L_k its previous row left
+        assert trace.rows[0]["L_or_gamma"] != trace.meta["L0"]
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 0
+        assert "overall=pass" in capsys.readouterr().out
+        for row in trace.rows:
+            row["alpha_k"] *= 3.0
+        trace.write_csv(path)
+        assert run_cli("certify", str(path)) == 4
+        report = capsys.readouterr().out
+        assert "param-identities.status=fail" in report
+        assert "param-identities.worst_k=0" in report
+
     def test_certify_unparsable_value_exits_2(self, tmp_path, capsys):
         # used to end in "could not convert string to float"
         out = tmp_path / "run"

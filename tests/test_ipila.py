@@ -50,6 +50,13 @@ class TestComputeDelta:
         assert 0.5 <= 1.5
 
 
+def _at_y(p, y):
+    """``armijo_linesearch``'s keywords for the prox point ``y``."""
+    fwd = p.f0.forward(y)
+    return {"y": y, "fwd_y": fwd, "f0_y": p.f0.value(y, fwd),
+            "f1_y": p.f1.value(y)}
+
+
 class TestArmijo:
     def test_full_step_accepted_on_mild_quadratic(self):
         p = smooth_only_problem(n=1, target=0.0)
@@ -59,11 +66,13 @@ class TestArmijo:
         h = eval_h(p, x, s, 0.1, 0.0, y)
         delta = compute_delta(h, 1e-5, 0.0)
         dx, ds = descent_direction(y - x, x - s, 0.1, 0.0, 1e-5)
-        lam, nx, ns, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
-                                               dx, ds, delta, 1e-4, 0.5, 60,
-                                               y=y, f_y=eval_f(p, y))
+        lam, nx, ns, evals, _, f0, f1, phi = armijo_linesearch(
+            p, x, s, phi_value(p, x, s), dx, ds, delta, 1e-4, 0.5, 60,
+            **_at_y(p, y))
         assert lam == 1.0
         assert evals == 1
+        assert (f0, f1) == (p.f0.value(y), p.f1.value(y))
+        assert phi == phi_value(p, nx, ns)
 
     def test_overshoot_halves_once(self):
         # f0 = 8x^2 is stiff; a unit direction from x=1 overshoots
@@ -79,11 +88,15 @@ class TestArmijo:
         delta = compute_delta(h, 1e-5, 0.0)
         dx, ds = descent_direction(y - x, x - s, alpha, 0.0, 1e-5)
         assert phi_value(p, x + dx, s + ds) > phi_value(p, x, s) + 0.25 * delta
-        lam, _, _, evals = armijo_linesearch(p, x, s, phi_value(p, x, s),
-                                             dx, ds, delta, 0.25, 0.5, 60,
-                                             y=y, f_y=eval_f(p, y))
+        lam, nx, ns, evals, _, f0, f1, phi = armijo_linesearch(
+            p, x, s, phi_value(p, x, s), dx, ds, delta, 0.25, 0.5, 60,
+            **_at_y(p, y))
         assert lam == 0.5
         assert evals == 2
+        # the accepted trial's values, as a fresh evaluation gives them
+        np.testing.assert_array_equal(nx, x + 0.5 * dx)
+        assert (f0, f1) == (p.f0.value(nx), p.f1.value(nx))
+        assert phi == phi_value(p, nx, ns)
 
     def test_unit_trial_is_y_itself(self):
         # x + (y - x) rounds away from y here, and the unit trial must
@@ -96,12 +109,13 @@ class TestArmijo:
         x, y = np.array([0.4]), np.array([0.1])
         d = y - x
         assert (x + d).tobytes() != y.tobytes()
-        phi0, f_y = phi_value(p, x, x), eval_f(p, y)
+        phi0, at_y = phi_value(p, x, x), _at_y(p, y)
         calls.clear()
-        lam, new_x, _, evals = armijo_linesearch(
-            p, x, x, phi0, d, np.zeros(1), -1e-3, 1e-4, 0.5, 60, y=y, f_y=f_y)
+        lam, new_x, _, evals, _, f0, f1, _ = armijo_linesearch(
+            p, x, x, phi0, d, np.zeros(1), -1e-3, 1e-4, 0.5, 60, **at_y)
         assert (lam, evals) == (1.0, 1)
         assert new_x is y
+        assert (f0, f1) == (at_y["f0_y"], at_y["f1_y"])
         assert calls == []
 
     def test_nonnegative_delta_rejected(self):
@@ -109,7 +123,7 @@ class TestArmijo:
         with pytest.raises(SolverError):
             armijo_linesearch(p, np.zeros(1), np.zeros(1), 0.0, np.zeros(1),
                               np.zeros(1), 0.0, 1e-4, 0.5, 60,
-                              y=np.zeros(1), f_y=eval_f(p, np.zeros(1)))
+                              **_at_y(p, np.zeros(1)))
 
     def test_exhaustion_is_hard_error(self):
         # ascent direction with a fake negative delta can never pass
@@ -118,10 +132,34 @@ class TestArmijo:
         d = np.array([10.0])
         with pytest.raises(SolverError):
             armijo_linesearch(p, x, x, phi_value(p, x, x), d, d, -1e-12,
-                              0.9, 0.5, 20, y=x + d, f_y=eval_f(p, x + d))
+                              0.9, 0.5, 20, **_at_y(p, x + d))
 
 
 class TestStep:
+    def test_linesearch_evaluates_each_trial_point_once(self):
+        # f0 = 8x^2 from x = 1 with alpha = 0.5: y = -7, and the search
+        # tries -7, -3 and -1 before it accepts lambda = 1/8 at 0
+        seen = []
+        f0 = SmoothOracle(lambda v: 8.0 * float(v[0] ** 2),
+                          lambda v: 16.0 * v,
+                          forward_fn=lambda x: (seen.append(x.tobytes()),
+                                                x.copy())[1])
+        p = CompositeProblem(f0, StructuredConvexTerm(None, xi=ZeroFunction(),
+                                                      n=1), 1)
+        cfg = IPilaConfig(variant="strict-alg3", alpha_max=0.5, beta_max=0.0,
+                          tau=0.0)
+        st = fb.start(p, np.ones(1), eval_f, cfg.L0)
+        seen.clear()
+        new = ipila_step(p, st, cfg)
+        assert new.accepted_branch == "linesearch"
+        assert (new.lambda_k, new.backtracks) == (0.125, 3)
+        # one forward pass at y, then one per lambda < 1 trial
+        assert len(seen) == 1 + new.backtracks
+        assert len(set(seen)) == len(seen)
+        assert seen[-1] == new.x_curr.tobytes()
+        assert new.f0_val == p.f0.value(new.x_curr)
+        assert new.phi_val == phi_value(p, new.x_curr, new.s_curr)
+
     def test_stationary_short_circuit(self):
         p = smooth_only_problem(n=2, target=0.0)
         cfg = IPilaConfig(tau=0.0)

@@ -330,15 +330,13 @@ class TestOneEvaluationPerPoint:
         if solver.startswith("ipila"):
             stationary = sum(r["accepted_branch"] == "stationary"
                              for r in rows)
-            fresh_points = sum(r["accepted_branch"] == "linesearch"
-                               and r["lambda_k"] < 1.0 for r in rows)
-            # eval_f counts the initial state and the Armijo trials at
-            # lambda < 1; the unit trial is y with the f(y) in hand
-            assert counts["eval_f"] == 1 + backtracks
-            # one f0 at y per moving step, one at an accepted line-search
-            # point other than y
-            assert counts["f0"] == (1 + counts["eval_f"] + len(rows)
-                                    - stationary + fresh_points)
+            # eval_f counts the initial state only: the Armijo search
+            # evaluates each lambda < 1 trial itself and hands back the
+            # values of the point it accepts; the unit trial is y
+            assert counts["eval_f"] == 1
+            # one f0 at y per moving step, one per lambda < 1 trial, and
+            # none again at an accepted line-search point
+            assert counts["f0"] == 2 + len(rows) - stationary + backtracks
             assert len(cold_calls) == len(rows)
             first_calls = 1
         else:

@@ -7,6 +7,8 @@ from inertiafb import cli
 from inertiafb import trace as trace_module
 from inertiafb.certify import summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
+from inertiafb.iista import IistaConfig, iista_solve
+from inertiafb.ipila import IPilaConfig, ipila_solve
 from inertiafb.trace import CSV_COLUMNS, Trace
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
@@ -18,9 +20,10 @@ _spec.loader.exec_module(trace_digest)
 def test_digests_repeat_and_cover_every_run():
     first = trace_digest.digests(size=16, iters=5)
     assert first == trace_digest.digests(size=16, iters=5)
-    assert len(first) == 24
-    # cut to 5 iterations, the 80- and 200-iteration synthetic runs coincide
-    assert len({d for _, _, d in first}) == 20
+    assert len(first) == 28
+    # cut to 5 iterations, the 80- and 200-iteration synthetic runs coincide,
+    # and i2Piano and iISTA do not read alpha_max
+    assert len({d for _, _, d in first}) == 22
 
 
 def test_runs_reach_every_stop_reason_and_branch(tmp_path):
@@ -31,6 +34,7 @@ def test_runs_reach_every_stop_reason_and_branch(tmp_path):
         path = tmp_path / "trace.csv"
         t.write_csv(path)
         in_memory, from_csv = summarize(t), summarize(Trace.read_csv(path))
+        assert in_memory.ok, (label, solver)
         assert from_csv.checks == in_memory.checks, (label, solver)
         np.testing.assert_equal(from_csv.summary, in_memory.summary)
     assert {t.meta["stop_reason"] for _, _, t in runs} \
@@ -38,6 +42,12 @@ def test_runs_reach_every_stop_reason_and_branch(tmp_path):
     assert {r["accepted_branch"] for _, solver, t in runs
             if solver.startswith("ipila") for r in t.rows} \
         == {"inertial", "linesearch", "stationary"}
+    # the line search steps short of y on a problem with a forward pass
+    assert any(r["accepted_branch"] == "linesearch" and r["lambda_k"] < 1
+               for label, solver, t in runs
+               if solver.startswith("ipila")
+               and not label.startswith("synthetic-quadratic-l1")
+               for r in t.rows)
     by_solver = {}
     for _, solver, t in runs:
         by_solver.setdefault(solver, []).append(t)
@@ -49,7 +59,7 @@ def test_runs_reach_every_stop_reason_and_branch(tmp_path):
                    for t in by_solver[solver]) > 0, solver
 
 
-def test_library_and_cli_run_the_same_i2piano():
+def test_library_and_cli_run_the_same_solvers():
     # the CLI used to turn on a Lipschitz shrink that the library's default
     # left off: 83 rows against the library's 72, whose L_k stayed >= 1
     cfg = dict(cli.DEFAULTS, max_outer="200", solver="i2piano")
@@ -57,6 +67,24 @@ def test_library_and_cli_run_the_same_i2piano():
     lib = i2piano_solve(problem, x0, I2PianoConfig(max_outer=200))
     run = cli.run_solver(problem, x0, cfg)
     assert trace_digest.trace_digest(lib) == trace_digest.trace_digest(run)
+    # each solver's library defaults are the CLI's
+    library = {
+        "i2piano": lambda p, x0: i2piano_solve(
+            p, x0, I2PianoConfig(max_outer=60)),
+        "ipila-strict": lambda p, x0: ipila_solve(
+            p, x0, IPilaConfig(max_outer=60, variant="strict-alg3")),
+        "ipila-practical": lambda p, x0: ipila_solve(
+            p, x0, IPilaConfig(max_outer=60, variant="practical-sec5")),
+        "iista": lambda p, x0: iista_solve(p, x0, IistaConfig(max_outer=60)),
+    }
+    for name in ("synthetic-quadratic-l1", "impulse-l1"):
+        for solver, solve in library.items():
+            cfg = dict(cli.DEFAULTS, problem=name, size="16",
+                       max_outer="60", solver=solver)
+            problem, x0, _ = cli.build_problem(cfg)
+            assert (trace_digest.trace_digest(solve(problem, x0))
+                    == trace_digest.trace_digest(
+                        cli.run_solver(problem, x0, cfg))), (name, solver)
 
 
 def test_changed_f_changes_the_digest():
@@ -98,4 +126,4 @@ def test_against_prints_each_differing_run(monkeypatch, capsys):
         *real[:3], (label, solver, "0" * 64), *real[4:]])
     assert trace_digest.main(["--against", str(_PATH.parent.parent)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"differs: {label} {solver}", "23 of 24 runs equal"]
+        f"differs: {label} {solver}", "27 of 28 runs equal"]

@@ -11,17 +11,20 @@ with a clone of its parent commit::
 
     python3 tools/trace_digest.py --against /path/to/parent-clone
 
-``--against`` computes that checkout's digests in a subprocess (with
-``--src``) while this one computes its own, prints each run whose digest
-differs and how many are equal, and exits 1 if any differs.  Without it
-the script prints one line per run.  ``--src`` names a checkout or its
-``src`` directory; the package is imported from there.  The runs are the 4
+``--against`` computes that checkout's digests in a subprocess (this
+script with ``--src``, so both sides run this script's ``RUNS``) while this
+one computes its own, prints each run whose digest differs and how many are
+equal, and exits 1 if any differs.  Without it the script prints one line
+per run.  ``--src`` names a checkout or its ``src`` directory; the package
+is imported from there.  The runs are the 4
 solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0, gaussian-sd-tv at
-``tau`` 0.01 and synthetic-quadratic-l1 for 80 outer iterations, then
-synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.  The 200-iteration
-runs reach what the others never do: every stop reason (iPila-practical
-stops ``stationary``, i2Piano on ``d_k``, iISTA on ``x_step``) and, at
-``L0 = 0.1``, backtracking in i2Piano and iISTA.
+``tau`` 0.01 (also with ``alpha_max`` 5) and synthetic-quadratic-l1 for 80
+outer iterations, then synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.
+The 200-iteration runs reach what the others never do: every stop reason
+(iPila-practical stops ``stationary``, i2Piano on ``d_k``, iISTA on
+``x_step``) and, at ``L0 = 0.1``, backtracking in i2Piano and iISTA.  At
+``alpha_max`` 5, iPila's line search steps short of ``y`` on a problem with
+a forward pass.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ RUNS = (
     ("impulse-l1 tau=1.0", {"problem": "impulse-l1", "tau": "1.0"}, 80),
     ("gaussian-sd-tv tau=0.01", {"problem": "gaussian-sd-tv", "tau": "0.01"},
      80),
+    ("gaussian-sd-tv tau=0.01 alpha_max=5",
+     {"problem": "gaussian-sd-tv", "tau": "0.01", "alpha_max": "5"}, 80),
     ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}, 80),
     ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}, 200),
     ("synthetic-quadratic-l1 L0=0.1",
