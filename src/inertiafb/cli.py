@@ -19,11 +19,13 @@ failure, 4 certification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import multiprocessing
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -51,6 +53,7 @@ EXIT_CERTIFY = 4
 # name, so nothing they compute depends on the parent process's state
 START_METHOD = "spawn"
 
+# the problem and run keys; the solver keys are SOLVER_KEYS
 DEFAULTS = {
     "problem": "synthetic-quadratic-l1",
     "solver": "i2piano",
@@ -67,27 +70,18 @@ DEFAULTS = {
     "rho_tv": "0.25",
     "a": "0.01",
     "c": "1.0",
-    "tau": "1e6",
-    "L0": "1.0",
-    "eta": "1.5",
-    "delta": "0.5",
-    "gamma": "1e-5",
-    "omega": "0.95",
-    "sigma": "1e-4",
-    "ls_shrink": "0.5",
-    "max_halvings": "60",
-    "alpha_max": "1.0",
-    "beta_max": "0.5",
-    "max_outer": "1000",
-    "max_inner": "2000",
-    "stop_tol": "0",
     "solvers": "i2piano,ipila-practical,ipila-strict,iista",
     "fstar_iters": "20000",
 }
+# the solver settings and their types: the fields of the solver config
+# classes, which hold their defaults; the solver name sets iPila's variant
+SOLVER_KEYS = {key: typ for cls in (I2PianoConfig, IPilaConfig, IistaConfig)
+               for key, typ in typing.get_type_hints(cls).items()
+               if key != "variant"}
 # keys read as text; _i reads INT_KEYS and _f every other key
 TEXT_KEYS = {"problem", "solver", "out", "solvers", "image"}
-INT_KEYS = {"size", "n", "seed", "max_outer", "max_inner", "max_halvings",
-            "blur_size", "fstar_iters"}
+INT_KEYS = {"size", "n", "seed", "blur_size", "fstar_iters",
+            *(key for key, typ in SOLVER_KEYS.items() if typ is int)}
 
 
 class ConfigError(ValueError):
@@ -149,12 +143,18 @@ def build_settings(args, extra) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         cfg.update(load_config(args.config))
     cfg.update(parse_overrides(extra))
-    if unknown := sorted(cfg.keys() - DEFAULTS.keys() - {"image", "f_star"}):
+    if unknown := sorted(cfg.keys() - DEFAULTS.keys() - SOLVER_KEYS.keys()
+                         - {"image", "f_star"}):
         raise ConfigError(f"unknown key {', '.join(unknown)}")
     # every value is checked, not only those the command reads
     for key in sorted(cfg.keys() - TEXT_KEYS):
-        (_i if key in INT_KEYS else _f)(cfg, key)
+        _number(cfg, key)
     _solver_names(cfg)
+    # an output path that cannot be a directory fails before any solve
+    out = Path(cfg["out"])
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"out {out}: {found} is not a directory")
     # relative gaps divide by |f_star|
     if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
         raise ConfigError("f_star must be nonzero")
@@ -178,11 +178,17 @@ def _i(cfg, key) -> int:
     return int(value)
 
 
+def _number(cfg, key):
+    return (_i if key in INT_KEYS else _f)(cfg, key)
+
+
 def _solver_names(cfg) -> list:
     """The ``solvers`` list, after checking it and ``solver``."""
     solvers = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
     if not solvers:
         raise ConfigError("no solvers")
+    if repeated := sorted({s for s in solvers if solvers.count(s) > 1}):
+        raise ConfigError(f"solver {', '.join(repeated)} listed twice")
     for s in solvers + [cfg["solver"]]:
         if s not in SOLVERS:
             raise ConfigError(f"unknown solver {s!r}; choose from {SOLVERS}")
@@ -253,28 +259,21 @@ def build_problem(cfg: dict):
 
 @_config_values
 def _solver_config(cfg: dict):
-    """``(solve, config)`` for the configured solver; the solve functions
-    are looked up here at call time."""
+    """``(solve, config)`` for the configured solver; each config field
+    ``cfg`` holds is read from it, the others keep their defaults.  The
+    solve functions are looked up here at call time."""
     name = cfg["solver"]
-    shared = dict(tau=_f(cfg, "tau"), L0=_f(cfg, "L0"), eta=_f(cfg, "eta"),
-                  max_outer=_i(cfg, "max_outer"), stop_tol=_f(cfg, "stop_tol"),
-                  max_inner=_i(cfg, "max_inner"))
-    if name == "i2piano":
-        return i2piano_solve, I2PianoConfig(
-            delta=_f(cfg, "delta"), gamma=_f(cfg, "gamma"),
-            omega=_f(cfg, "omega"), **shared)
-    if name in ("ipila-strict", "ipila-practical"):
-        return ipila_solve, IPilaConfig(
-            sigma=_f(cfg, "sigma"), ls_shrink=_f(cfg, "ls_shrink"),
-            max_halvings=_i(cfg, "max_halvings"),
-            alpha_max=_f(cfg, "alpha_max"), beta_max=_f(cfg, "beta_max"),
-            gamma_min=_f(cfg, "gamma"), delta=_f(cfg, "delta"),
-            variant=("strict-alg3" if name == "ipila-strict"
-                     else "practical-sec5"),
-            **shared)
-    if name == "iista":
-        return iista_solve, IistaConfig(**shared)
-    raise ConfigError(f"unknown solver {name!r}; choose from {SOLVERS}")
+    if name not in SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}; choose from {SOLVERS}")
+    solve, cls = {"i2piano": (i2piano_solve, I2PianoConfig),
+                  "iista": (iista_solve, IistaConfig)}.get(
+                      name, (ipila_solve, IPilaConfig))
+    values = {f.name: _number(cfg, f.name) for f in dataclasses.fields(cls)
+              if f.name in cfg and f.name in SOLVER_KEYS}
+    if cls is IPilaConfig:
+        values["variant"] = ("strict-alg3" if name == "ipila-strict"
+                             else "practical-sec5")
+    return solve, cls(**values)
 
 
 def run_solver(problem, x0, cfg: dict) -> Trace:
@@ -364,8 +363,8 @@ def cmd_certify(path: Path) -> int:
         return EXIT_CONFIG
     try:
         report = summarize(Trace.read_csv(path))
-    except (ValueError, ArithmeticError) as exc:
-        # a malformed or empty file, or a header value the checks cannot use
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # an unreadable path, a malformed or empty file, or a bad header
         print(f"bad trace file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sys.stdout.write(report.format())

@@ -21,7 +21,7 @@ satisfies the same inequality, which turns the following iteration into an
 actual inertial step.
 
 Two parameter policies are provided.  ``strict-alg3`` keeps ``alpha_k =
-alpha_max``, ``beta_k = beta_max``, ``gamma_k = gamma_min`` constant and
+alpha_max``, ``beta_k = beta_max``, ``gamma_k = gamma`` constant and
 always runs the line search.  ``practical-sec5`` couples ``alpha_k, beta_k``
 to a running Lipschitz estimate ``L_k``, tests acceptance of ``(y, x)`` with
 ``lambda = 1`` before any line search, and scales ``L_k`` up by ``eta`` when
@@ -55,7 +55,7 @@ class IPilaConfig(fb.Config):
     ls_shrink: float = 0.5
     alpha_max: float = 1.0
     beta_max: float = 0.5
-    gamma_min: float = 1e-5
+    gamma: float = 1e-5
     max_halvings: int = 60
     variant: str = "practical-sec5"
     delta: float = 0.5
@@ -72,13 +72,13 @@ class IPilaConfig(fb.Config):
             raise ValueError("max_halvings must be nonnegative")
         if self.beta_max < 0:
             raise ValueError("beta_max must be nonnegative")
-        if not self.gamma_min > 0:
-            raise ValueError("gamma_min must be positive")
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         # the practical coupling's beta is nonnegative only for these
-        if self.variant == "practical-sec5" and self.delta < self.gamma_min:
-            raise ValueError("practical-sec5 needs delta >= gamma_min")
+        if self.variant == "practical-sec5" and self.delta < self.gamma:
+            raise ValueError("practical-sec5 needs delta >= gamma")
 
 
 def phi_value(problem: CompositeProblem, x: np.ndarray,
@@ -147,9 +147,9 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
 
 
 def _practical_params(L_k: float, cfg: IPilaConfig):
-    b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma_min)
+    b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma)
     beta = (b - 1.0) / (b - 0.5)
-    alpha = 2.0 * (1.0 - beta) / (L_k + 2.0 * cfg.gamma_min)
+    alpha = 2.0 * (1.0 - beta) / (L_k + 2.0 * cfg.gamma)
     alpha = min(max(alpha, ALPHA_MIN), cfg.alpha_max)
     return alpha, beta
 
@@ -178,7 +178,7 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
         alpha, beta = _practical_params(state.L_k, cfg)
     else:
         alpha, beta = cfg.alpha_max, cfg.beta_max
-    gamma_k = cfg.gamma_min
+    gamma_k = cfg.gamma
 
     res = fb.prox(problem, state, cfg, alpha, beta,
                   problem.f0.grad(x, state.f0_fwd), engine)
@@ -254,8 +254,8 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
     meta = {"solver": f"ipila-{'practical' if practical else 'strict'}",
             "variant": cfg.variant, "sigma": cfg.sigma,
             "ls_shrink": cfg.ls_shrink, "theta": cfg.theta,
-            "gamma_min": cfg.gamma_min, "alpha_max": cfg.alpha_max,
-            "beta_max": cfg.beta_max, "delta": cfg.delta}
+            "alpha_max": cfg.alpha_max, "beta_max": cfg.beta_max,
+            "delta": cfg.delta, "gamma_min": cfg.gamma}  # gamma's header key
 
     def stop(st: fb.Iterate) -> Optional[str]:
         if st.accepted_branch == "stationary":

@@ -9,7 +9,6 @@ metadata travels as ``# key=value`` comment lines at the top of the file.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional
 
 CSV_COLUMNS = ["k", "time_s", "f", "phi", "h", "delta_k", "d_k", "alpha_k",
@@ -45,7 +44,8 @@ class Trace:
         return len(self.rows)
 
     def column(self, name: str) -> list:
-        return [r.get(name, math.nan) for r in self.rows]
+        """Raises KeyError for a column a row lacks."""
+        return [r[name] for r in self.rows]
 
     def write_csv(self, path, f_star: Optional[float] = None) -> None:
         columns = list(CSV_COLUMNS)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def eval_h(p, x, s, alpha, beta, y):
     """The subproblem objective h(y; x, s), as the prox engine computes it."""
     q = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=0.0)
     return _DualProblem(p, q).h(y)[0]
+
+
+def scaled_h_engine(engine, factor):
+    """``engine`` with its subproblem value ``h`` times ``factor``: a prox
+    engine that misreports the decrease it certifies."""
+    def scaled(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        return dataclasses.replace(res, h_value=factor * res.h_value)
+    return scaled
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import re
 
@@ -7,6 +8,9 @@ import pytest
 from inertiafb import certify, cli
 from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
                            main, parse_overrides)
+from inertiafb.i2piano import I2PianoConfig
+from inertiafb.iista import IistaConfig
+from inertiafb.ipila import IPilaConfig
 from inertiafb.problem import (Block, CompositeProblem, DomainError,
                                IdentityOp, L1Norm, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
@@ -84,6 +88,93 @@ class TestConfigHandling:
 
         with pytest.raises(ConfigError):
             build_settings(Args(), [])
+
+
+class TestSolverSettings:
+    def test_solver_keys_are_the_config_fields(self):
+        fields = {f.name for cls in (I2PianoConfig, IPilaConfig, IistaConfig)
+                  for f in dataclasses.fields(cls)}
+        assert cli.SOLVER_KEYS.keys() == fields - {"variant"}
+        assert cli.SOLVER_KEYS.keys().isdisjoint(cli.DEFAULTS)
+        assert cli.DEFAULTS.keys() | cli.SOLVER_KEYS.keys() == {
+            "problem", "solver", "out", "size", "n", "l1_weight",
+            "blur_size", "blur_sigma", "noise_fraction", "seed", "peak",
+            "rho", "rho_tv", "a", "c", "solvers", "fstar_iters", "tau", "L0",
+            "eta", "delta", "gamma", "omega", "sigma", "ls_shrink",
+            "max_halvings", "alpha_max", "beta_max", "max_outer",
+            "max_inner", "stop_tol"}
+        assert {k for k, t in cli.SOLVER_KEYS.items() if t is int} == {
+            "max_outer", "max_inner", "max_halvings"} <= cli.INT_KEYS
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_each_key_reaches_its_field(self, solver):
+        # every solver setting off its default, as its CLI text
+        values = {"tau": 2.0, "L0": 0.5, "eta": 2.0, "delta": 0.25,
+                  "gamma": 2e-5, "omega": 0.9, "sigma": 1e-3,
+                  "ls_shrink": 0.6, "max_halvings": 40, "alpha_max": 0.8,
+                  "beta_max": 0.4, "max_outer": 80, "max_inner": 1500,
+                  "stop_tol": 1e-9}
+        assert values.keys() == cli.SOLVER_KEYS.keys()
+        cfg = dict(cli.DEFAULTS, solver=solver,
+                   **{key: str(v) for key, v in values.items()})
+        solve, config = cli._solver_config(cfg)
+        _, default = cli._solver_config(dict(cli.DEFAULTS, solver=solver))
+        assert solve.__name__ == f"{solver.split('-')[0]}_solve"
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            if field.name == "variant":
+                assert value == default.variant == {
+                    "ipila-strict": "strict-alg3",
+                    "ipila-practical": "practical-sec5"}[solver]
+                continue
+            assert value == values[field.name] != field.default
+            assert type(value) is cli.SOLVER_KEYS[field.name]
+            # a key the settings leave out keeps the class's default
+            assert getattr(default, field.name) == field.default
+
+    def test_gamma_reaches_ipila(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "ipila-strict", "--gamma", "2e-5",
+                       "--max_outer", "3", "--out", str(out)) == 0
+        trace = Trace.read_csv(out / "trace.csv")
+        assert trace.meta["gamma_min"] == 2e-5
+        assert trace.column("L_or_gamma") == [2e-5] * 3  # strict's gamma_k
+
+    def test_practical_delta_below_gamma_names_gamma(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "ipila-practical", "--delta", "1e-6",
+                       "--out", str(out)) == 2
+        assert ("config error: practical-sec5 needs delta >= gamma"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestUnusableOutputPath:
+    """Each used to end in a traceback; ``run`` solved first."""
+
+    @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, command, sub):
+        def no_solve(cfg):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(cli, "build_problem", no_solve)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / sub if sub else blocker
+        code = run_cli(command, "--max_outer", "3", "--fstar_iters", "3",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: out {out}: {blocker} is not a directory" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
+    def test_certify_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("certify", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "bad trace file:" in err and "Traceback" not in err
 
 
 class TestRunCommand:
@@ -396,6 +487,16 @@ class TestSuiteAndFstar:
         assert run_cli(command, "--solvers", ",", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "config error: no solvers" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["suite", "fstar"])
+    def test_repeated_solver_is_config_error(self, tmp_path, capsys, command):
+        # used to solve twice into one directory and list f_final.iista twice
+        out = tmp_path / "out"
+        assert run_cli(command, "--solvers", "iista,ipila-strict,iista",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error: solver iista listed twice" in err
         assert not out.exists()
 
     def test_fstar_uses_long_iteration_override(self, tmp_path, monkeypatch):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from inertiafb import fb
+from inertiafb import fb, i2piano
 from inertiafb.certify import summarize
 from inertiafb.i2piano import (L_MIN, I2PianoConfig, SolverError,
                                compute_params, i2piano_solve, i2piano_step)
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction, eval_f)
-from tests.conftest import quadratic_l1_problem, smooth_only_problem
+from tests.conftest import (quadratic_l1_problem, scaled_h_engine,
+                            smooth_only_problem)
 
 
 def cfg_exact(**kw):
@@ -128,6 +129,17 @@ class TestStep:
                      + (1 - cfg.omega) * new.h_val)
             assert new.phi_val <= bound + 1e-9 * (1 + abs(st.phi_val))
             st = new
+
+    def test_merit_descent_violation_is_hard_error(self, monkeypatch):
+        # an engine that overstates h lowers the bound below the merit
+        monkeypatch.setattr(i2piano, "solve_inexact_prox", scaled_h_engine(
+            i2piano.solve_inexact_prox, 100.0))
+        p, _, _ = quadratic_l1_problem(n=15, seed=3)
+        cfg = I2PianoConfig()
+        st = fb.start(p, np.zeros(15), eval_f, cfg.L0)
+        with pytest.raises(SolverError,
+                           match="merit descent inequality violated"):
+            i2piano_step(p, st, cfg)
 
 
 class TestSolve:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from inertiafb import fb
-from inertiafb.ipila import (IPilaConfig, SolverError, armijo_linesearch,
-                             compute_delta, descent_direction, ipila_solve,
-                             ipila_step, phi_value)
+from inertiafb import fb, ipila
+from inertiafb.ipila import (VARIANTS, IPilaConfig, SolverError,
+                             armijo_linesearch, compute_delta,
+                             descent_direction, ipila_solve, ipila_step,
+                             phi_value)
 from inertiafb.problem import (CompositeProblem, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction, eval_f)
-from tests.conftest import (eval_h, quadratic_l1_problem,
+from inertiafb.prox_engine import solve_inexact_prox
+from tests.conftest import (eval_h, quadratic_l1_problem, scaled_h_engine,
                             smooth_only_problem)
 
 
@@ -208,6 +210,46 @@ class TestStep:
             assert new.L_k == pytest.approx(st.L_k * cfg.eta)
 
 
+class TestStepChecks:
+    """Each injected fault trips the check that guards against it."""
+
+    @staticmethod
+    def _start(cfg):
+        p, _, _ = quadratic_l1_problem(n=15, seed=3)
+        return p, fb.start(p, np.zeros(15), eval_f, cfg.L0)
+
+    def test_weak_predicted_decrease_is_hard_error(self):
+        # at tau = 0 the bound asks for the exact prox point's full
+        # strong-convexity decrease, which half of h falls short of here
+        cfg = IPilaConfig(variant="strict-alg3", tau=0.0)
+        p, st = self._start(cfg)
+        with pytest.raises(SolverError, match="predicted decrease weaker"):
+            ipila_step(p, st, cfg,
+                       engine=scaled_h_engine(solve_inexact_prox, 0.5))
+
+    def test_armijo_violation_on_accepted_step_is_hard_error(self,
+                                                             monkeypatch):
+        # a search that reports the starting merit at the point it accepts
+        real = ipila.armijo_linesearch
+        monkeypatch.setattr(ipila, "armijo_linesearch",
+                            lambda *a, **k: (*real(*a, **k)[:7], a[3]))
+        cfg = IPilaConfig(variant="strict-alg3")
+        p, st = self._start(cfg)
+        with pytest.raises(SolverError,
+                           match="merit Armijo inequality violated"):
+            ipila_step(p, st, cfg)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_oversized_direction_is_hard_error(self, monkeypatch, variant):
+        real = ipila.descent_direction
+        monkeypatch.setattr(ipila, "descent_direction",
+                            lambda *a: tuple(10.0 * d for d in real(*a)))
+        cfg = IPilaConfig(variant=variant)
+        p, st = self._start(cfg)
+        with pytest.raises(SolverError, match="direction norm exceeds"):
+            ipila_step(p, st, cfg)
+
+
 class TestSolve:
     def test_converges_both_variants(self):
         p, _, ref = quadratic_l1_problem(n=40, seed=4)
@@ -249,7 +291,7 @@ class TestSolve:
             IPilaConfig(alpha_max=1e-13)  # below ipila.ALPHA_MIN
         with pytest.raises(ValueError):
             IPilaConfig(variant="bogus")
-        # below gamma_min the practical coupling's beta turns negative
+        # below gamma the practical coupling's beta turns negative
         with pytest.raises(ValueError, match="delta"):
             IPilaConfig(variant="practical-sec5", delta=-1.0)
         IPilaConfig(variant="strict-alg3", delta=-1.0)  # strict ignores it

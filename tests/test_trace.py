@@ -111,10 +111,12 @@ class TestHelpers:
         t.append(f=2.0)
         assert [r["k"] for r in t.rows] == [0, 1]
 
-    def test_column_fills_nan_for_missing(self):
+    def test_column_missing_from_the_rows_raises(self):
+        # used to return [nan]; every solver row holds every column
         t = Trace()
         t.append(f=1.0)
-        assert math.isnan(t.column("lambda_k")[0])
+        with pytest.raises(KeyError):
+            t.column("lambda_k")
         assert t.column("f") == [1.0]
 
     @pytest.mark.parametrize("edit,words", [
