@@ -1,33 +1,37 @@
-"""Post-hoc verification of solver traces.
+"""Verification of solver traces, written once as row functions.
 
 Each check replays one of the inequalities the solvers are supposed to
 maintain: sufficient decrease of the merit value against the per-iteration
 quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
-gap certificates of the inexact prox engine, the algebraic couplings between
-alpha_k, beta_k and the Lipschitz estimate, the Armijo inequality, and weak
-duality psi <= h.  Checks are pure functions over a trace: same rows in,
-same verdicts out.  Rows hold every ``trace.CSV_COLUMNS`` column, whether
-a solver wrote them or ``Trace.read_csv`` read them, so a trace and its
-``trace.csv`` get the same verdicts.  Each verdict is ``pass`` or ``fail``,
-and a check passes only when each residual it computes is a number ``<= 0``.
-The header's ``solver`` must name one of ``SOLVERS``, and a check raises
-ValueError naming the key when the header lacks a value it reads or holds
-one that is not a number; the Armijo check applies to iPila traces only.
+gap certificates of the inexact prox engine, weak duality psi <= h, the
+algebraic couplings between alpha_k, beta_k and the Lipschitz estimate, and
+the Armijo inequality.  Each is a row function ``(meta, prev, row)`` that
+returns the residuals ``(k, r)`` of ``row``, the step after ``prev`` (None
+for the first step), and a residual passes only when it is a number ``<=
+0``.  ``fb.run`` calls these functions on every row it appends and raises
+on the first that fails, so a run that completes passes every check;
+:func:`summarize` and the ``check_*`` functions fold the same functions over
+a trace.  Rows hold every ``trace.CSV_COLUMNS`` column, whether a solver
+wrote them or ``Trace.read_csv`` read them, so ``certify trace.csv``
+reproduces every verdict of the run.  The header's ``solver`` must name one
+of ``SOLVERS``, and a check raises ValueError naming the key when the
+header lacks a value it reads or holds one that is not a number; the Armijo
+check applies to iPila traces only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-from inertiafb.ipila import ALPHA_MIN
 from inertiafb.prox_engine import theta_from_tau
 from inertiafb.trace import Trace
 
 _REL_TOL = 1e-9
 
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
+# iPila's practical coupling never takes alpha_k below this
+ALPHA_MIN = 1e-12
 
 
 @dataclass
@@ -36,7 +40,6 @@ class CheckResult:
     status: str  # "pass" | "fail"
     worst_residual: float = 0.0
     worst_k: int = -1
-    detail: str = ""
 
     @property
     def ok(self) -> bool:
@@ -59,42 +62,35 @@ class CertReport:
             lines.append(f"{name}.status={c.status}")
             lines.append(f"{name}.worst_residual={c.worst_residual:.6e}")
             lines.append(f"{name}.worst_k={c.worst_k}")
-            if c.detail:
-                lines.append(f"{name}.detail={c.detail}")
         for key in sorted(self.summary):
             lines.append(f"summary.{key}={self.summary[key]}")
         lines.append(f"overall={'pass' if self.ok else 'fail'}")
         return "\n".join(lines) + "\n"
 
 
-def _meta(trace: Trace, key: str) -> float:
+def _meta(meta: dict, key: str) -> float:
     """The header value ``key`` as a float."""
-    if key not in trace.meta:
+    if key not in meta:
         raise ValueError(f"header lacks {key}")
     try:
-        return float(trace.meta[key])
+        return float(meta[key])
     except ValueError:
-        raise ValueError(f"bad {key} value {trace.meta[key]!r}") from None
+        raise ValueError(f"bad {key} value {meta[key]!r}") from None
 
 
-def _solver(trace: Trace) -> str:
+def _solver(meta: dict) -> str:
     """The header's ``solver``, one of ``SOLVERS``."""
-    if "solver" not in trace.meta:
+    if "solver" not in meta:
         raise ValueError("header lacks solver")
-    name = trace.meta["solver"]
+    name = meta["solver"]
     if name not in SOLVERS:
         raise ValueError(f"bad solver value {name!r}")
     return name
 
 
-def _nonempty(check):
-    """``check`` with an empty trace rejected."""
-    @functools.wraps(check)
-    def checked(trace: Trace) -> CheckResult:
-        if not trace.rows:
-            raise ValueError("empty trace")
-        return check(trace)
-    return checked
+def _phi_before(meta: dict, prev) -> float:
+    """The merit value the step after ``prev`` starts from."""
+    return _meta(meta, "phi_init") if prev is None else prev["phi"]
 
 
 def _worst(name: str, residuals) -> CheckResult:
@@ -113,174 +109,177 @@ def _worst(name: str, residuals) -> CheckResult:
                        worst_k=worst_k)
 
 
-@_nonempty
-def check_H1(trace: Trace) -> CheckResult:
+def row_H1(meta, prev, row):
     """Sufficient decrease: ``phi_{k+1} + a_k d_{k+1}^2 <= phi_k``.
 
     The constant a_k follows the solver: 1 for the backtracking solver,
-    sigma times the smallest observed lambda_k for the line-search solver,
-    0 for the baseline, whose d_k is a plain step norm.
+    sigma times the row's lambda_k for the line-search solver, 0 for the
+    baseline, whose d_k is a plain step norm.
     """
-    kind = _solver(trace)
+    kind = _solver(meta)
     a_k = 0.0
     if kind == "i2piano":
         a_k = 1.0
     elif kind.startswith("ipila"):
-        lam_min = min(r["lambda_k"] for r in trace.rows)
-        a_k = _meta(trace, "sigma") * lam_min
-
-    prev = _meta(trace, "phi_init")
-    residuals = []
-    for row in trace.rows:
-        phi = row["phi"]
-        d = row["d_k"]
-        lhs = phi + a_k * d * d
-        tol = _REL_TOL * (1.0 + abs(prev))
-        residuals.append((row["k"], (lhs - prev - tol) / (1.0 + abs(prev))))
-        prev = phi
-    return _worst("H1", residuals)
+        a_k = _meta(meta, "sigma") * row["lambda_k"]
+    phi0 = _phi_before(meta, prev)
+    d = row["d_k"]
+    lhs = row["phi"] + a_k * d * d
+    tol = _REL_TOL * (1.0 + abs(phi0))
+    return [(row["k"], (lhs - phi0 - tol) / (1.0 + abs(phi0)))]
 
 
-def h4_constants(trace: Trace):
-    """Solver-specific ``(p, k_shift)`` for the step-norm bound."""
-    kind = _solver(trace)
+def h4_constants(meta, row):
+    """Solver-specific ``(p, k_shift)`` of the step-norm bound read on
+    ``row``; iPila's ``p`` takes the row's ``alpha_k``."""
+    kind = _solver(meta)
     if kind == "i2piano":
-        return 1.0 / math.sqrt(_meta(trace, "gamma")), 1
+        return 1.0 / math.sqrt(_meta(meta, "gamma")), 1
     if kind.startswith("ipila"):
-        theta = _meta(trace, "theta")
-        alpha_max = max(r["alpha_k"] for r in trace.rows)
-        return math.sqrt(2.0 * alpha_max / theta), 0
+        return math.sqrt(2.0 * row["alpha_k"] / _meta(meta, "theta")), 0
     return 1.0, 0
 
 
-@_nonempty
-def check_H4(trace: Trace) -> CheckResult:
+def row_H4(meta, prev, row):
     """Step-norm relates to d: ``||x^{k+1} - x^k|| <= p * d_{k+k'}``, with
-    ``(p, k')`` from :func:`h4_constants`."""
-    p, k_shift = h4_constants(trace)
-    residuals = []
-    n = len(trace.rows)
-    for i, row in enumerate(trace.rows):
-        j = i + k_shift
-        if j >= n:
-            continue
-        step = row["x_step_norm"]
-        bound = p * trace.rows[j]["d_k"]
-        tol = _REL_TOL * (1.0 + bound)
-        residuals.append((row["k"], (step - bound - tol) / (1.0 + bound)))
-    return _worst("H4", residuals)
+    ``(p, k')`` from :func:`h4_constants`.  With ``k' = 1`` the row checks
+    the step of ``prev`` against its own d_k, so a trace's last step goes
+    unchecked."""
+    p, k_shift = h4_constants(meta, row)
+    stepped = prev if k_shift else row
+    if stepped is None:
+        return []
+    step = stepped["x_step_norm"]
+    bound = p * row["d_k"]
+    tol = _REL_TOL * (1.0 + bound)
+    return [(stepped["k"], (step - bound - tol) / (1.0 + bound))]
 
 
-@_nonempty
-def check_prox_certificates(trace: Trace) -> CheckResult:
-    """Distance and gap certificates of the inexact prox computation.
-
-    Row-wise: ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 /
-    (2 + tau)) psi`` up to the absolute slack that the engine's stationary
-    branch is allowed; ``||y - x||`` is the row's ``y_step_norm``.
+def row_prox(meta, prev, row):
+    """Distance and gap certificates of the inexact prox computation:
+    ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 / (2 + tau))
+    psi`` up to the absolute slack that the engine's stationary branch is
+    allowed; ``||y - x||`` is the row's ``y_step_norm``.
     """
-    tau = _meta(trace, "tau")
-    theta = theta_from_tau(tau)
-    eta_gap = 2.0 / (2.0 + tau)
-    f0 = abs(_meta(trace, "f_init"))
-    slack = 1e-10 * (1.0 + f0)
-    residuals = []
-    for row in trace.rows:
-        h = row["h"]
-        psi = row["psi"]
-        alpha = row["alpha_k"]
-        step = row["y_step_norm"]
-        dist = (theta / (2.0 * alpha)) * step * step
-        tol = _REL_TOL * (1.0 + abs(h))
-        residuals.append((row["k"], (dist - (-h) - tol) / (1.0 + abs(h))))
-        residuals.append((row["k"], (h - eta_gap * psi - slack - tol)
-                          / (1.0 + abs(h))))
-    return _worst("prox", residuals)
+    tau = _meta(meta, "tau")
+    slack = 1e-10 * (1.0 + abs(_meta(meta, "f_init")))
+    h = row["h"]
+    step = row["y_step_norm"]
+    dist = (theta_from_tau(tau) / (2.0 * row["alpha_k"])) * step * step
+    tol = _REL_TOL * (1.0 + abs(h))
+    return [(row["k"], (dist - (-h) - tol) / (1.0 + abs(h))),
+            (row["k"], (h - 2.0 / (2.0 + tau) * row["psi"] - slack - tol)
+             / (1.0 + abs(h)))]
 
 
-@_nonempty
-def check_duality_gap(trace: Trace) -> CheckResult:
-    """Weak duality along the trace: ``psi <= h``.
+def row_duality_gap(meta, prev, row):
+    """Weak duality: ``psi <= h``.
 
     The recorded psi carries cancellation noise proportional to the
     objective magnitude, so the check allows the same absolute slack as the
     gap certificate.
     """
-    f0 = abs(_meta(trace, "f_init"))
-    slack = 1e-10 * (1.0 + f0)
-    residuals = []
-    for row in trace.rows:
-        h, psi = row["h"], row["psi"]
-        tol = slack + 1e-10 * (1.0 + abs(h))
-        residuals.append((row["k"], (psi - h - tol) / (1.0 + abs(h))))
-    return _worst("duality-gap", residuals)
+    slack = 1e-10 * (1.0 + abs(_meta(meta, "f_init")))
+    h, psi = row["h"], row["psi"]
+    tol = slack + 1e-10 * (1.0 + abs(h))
+    return [(row["k"], (psi - h - tol) / (1.0 + abs(h)))]
 
 
-@_nonempty
-def check_param_identities(trace: Trace) -> CheckResult:
-    """Replays the algebraic coupling between alpha_k, beta_k and L_k."""
-    kind = _solver(trace)
-    residuals = []
-
-    def add(k, *errors):  # the relative error of each identity on row k
-        residuals.extend((k, e - _REL_TOL) for e in errors)
-
+def row_param_identities(meta, prev, row):
+    """Replays the algebraic coupling between alpha_k, beta_k and L_k;
+    iPila-practical's step reads the ``L_k`` that ``prev`` left, or the
+    header's ``L0``."""
+    kind = _solver(meta)
+    L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
     if kind == "i2piano":
-        delta, gamma = _meta(trace, "delta"), _meta(trace, "gamma")
-        omega, theta = _meta(trace, "omega"), _meta(trace, "theta")
-        top = 1.0 + theta * omega
-        for row in trace.rows:
-            L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
-            b = (L + 2.0 * delta) / (L + 2.0 * gamma)
-            beta_e = 0.5 * top * (b - 1.0) / (b - 0.5)
-            alpha_e = (top - 2.0 * beta_e) / (L + 2.0 * gamma)
-            # identity chain: (1+theta*omega)/(2a) - L/2 - beta/(2a) = delta
-            lhs = top / (2.0 * a) - L / 2.0 - bta / (2.0 * a)
-            add(row["k"], abs(bta - beta_e) / (1.0 + abs(beta_e)),
-                abs(a - alpha_e) / (1.0 + abs(alpha_e)),
-                abs(lhs - delta) / (1.0 + abs(delta)),
-                abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
+        delta, gamma = _meta(meta, "delta"), _meta(meta, "gamma")
+        top = 1.0 + _meta(meta, "theta") * _meta(meta, "omega")
+        b = (L + 2.0 * delta) / (L + 2.0 * gamma)
+        beta_e = 0.5 * top * (b - 1.0) / (b - 0.5)
+        alpha_e = (top - 2.0 * beta_e) / (L + 2.0 * gamma)
+        # identity chain: (1+theta*omega)/(2a) - L/2 - beta/(2a) = delta
+        lhs = top / (2.0 * a) - L / 2.0 - bta / (2.0 * a)
+        errors = (abs(bta - beta_e) / (1.0 + abs(beta_e)),
+                  abs(a - alpha_e) / (1.0 + abs(alpha_e)),
+                  abs(lhs - delta) / (1.0 + abs(delta)),
+                  abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
     elif kind == "ipila-practical":
-        gamma, delta = _meta(trace, "gamma_min"), _meta(trace, "delta")
-        a_max, L = _meta(trace, "alpha_max"), _meta(trace, "L0")
-        for row in trace.rows:  # each step reads the L_k its last row left
-            b = (L + 2.0 * delta) / (L + 2.0 * gamma)
-            beta_e = (b - 1.0) / (b - 0.5)
-            alpha_e = min(max(2.0 * (1.0 - beta_e) / (L + 2.0 * gamma),
-                              ALPHA_MIN), a_max)
-            add(row["k"], abs(row["alpha_k"] - alpha_e) / (1.0 + alpha_e),
-                abs(row["beta_k"] - beta_e) / (1.0 + abs(beta_e)))
-            L = row["L_or_gamma"]
+        gamma, delta = _meta(meta, "gamma_min"), _meta(meta, "delta")
+        L = _meta(meta, "L0") if prev is None else prev["L_or_gamma"]
+        b = (L + 2.0 * delta) / (L + 2.0 * gamma)
+        beta_e = (b - 1.0) / (b - 0.5)
+        alpha_e = min(max(2.0 * (1.0 - beta_e) / (L + 2.0 * gamma),
+                          ALPHA_MIN), _meta(meta, "alpha_max"))
+        errors = (abs(a - alpha_e) / (1.0 + alpha_e),
+                  abs(bta - beta_e) / (1.0 + abs(beta_e)))
     elif kind == "ipila-strict":
-        a_max = _meta(trace, "alpha_max")
-        b_max = _meta(trace, "beta_max")
-        for row in trace.rows:
-            add(row["k"], abs(row["alpha_k"] - a_max) / (1.0 + a_max),
-                abs(row["beta_k"] - b_max) / (1.0 + b_max))
+        a_max, b_max = _meta(meta, "alpha_max"), _meta(meta, "beta_max")
+        errors = (abs(a - a_max) / (1.0 + a_max),
+                  abs(bta - b_max) / (1.0 + b_max))
     else:
-        for row in trace.rows:
-            L, a = row["L_or_gamma"], row["alpha_k"]
-            add(row["k"], abs(a * L - 1.0), abs(row["beta_k"]))
-    return _worst("param-identities", residuals)
+        errors = (abs(a * L - 1.0), abs(bta))
+    return [(row["k"], e - _REL_TOL) for e in errors]
 
 
-@_nonempty
-def check_armijo(trace: Trace) -> CheckResult:
-    """Merit Armijo inequality on accepted steps of an iPila trace."""
-    if not _solver(trace).startswith("ipila"):
+def row_armijo(meta, prev, row):
+    """Merit Armijo inequality on an accepted iPila step; a lambda_k that
+    is not a positive number gives a NaN residual."""
+    if not _solver(meta).startswith("ipila"):
         raise ValueError("armijo applies to iPila traces only")
-    sigma, prev = _meta(trace, "sigma"), _meta(trace, "phi_init")
-    residuals = []
-    for row in trace.rows:
-        lam, delta_k = row["lambda_k"], row["delta_k"]
-        if not math.isfinite(lam) or lam <= 0.0:
-            return CheckResult("armijo", "fail", worst_k=row["k"],
-                               detail="nonpositive lambda_k")
-        bound = prev + sigma * lam * delta_k
-        tol = _REL_TOL * (1.0 + abs(prev))
-        residuals.append((row["k"], (row["phi"] - bound - tol) / (1.0 + abs(prev))))
-        prev = row["phi"]
-    return _worst("armijo", residuals)
+    phi0 = _phi_before(meta, prev)
+    lam = row["lambda_k"]
+    if not (math.isfinite(lam) and lam > 0.0):
+        return [(row["k"], math.nan)]
+    bound = phi0 + _meta(meta, "sigma") * lam * row["delta_k"]
+    tol = _REL_TOL * (1.0 + abs(phi0))
+    return [(row["k"], (row["phi"] - bound - tol) / (1.0 + abs(phi0)))]
+
+
+ROW_CHECKS = {"H1": row_H1, "H4": row_H4, "prox": row_prox,
+              "duality-gap": row_duality_gap,
+              "param-identities": row_param_identities, "armijo": row_armijo}
+
+
+def row_checks(meta: dict) -> dict:
+    """The ``ROW_CHECKS`` that apply to ``meta``'s solver: armijo on iPila
+    traces only."""
+    if _solver(meta).startswith("ipila"):
+        return ROW_CHECKS
+    return {n: f for n, f in ROW_CHECKS.items() if n != "armijo"}
+
+
+def _fold(trace: Trace, name: str) -> CheckResult:
+    """The check ``name``, its row function run on each row of ``trace``."""
+    if not trace.rows:
+        raise ValueError("empty trace")
+    fn, rows = ROW_CHECKS[name], trace.rows
+    return _worst(name, (kr for prev, row in zip([None, *rows], rows)
+                         for kr in fn(trace.meta, prev, row)))
+
+
+# each check over a whole trace, by the names the acceptance criteria call
+def check_H1(trace: Trace) -> CheckResult:
+    return _fold(trace, "H1")
+
+
+def check_H4(trace: Trace) -> CheckResult:
+    return _fold(trace, "H4")
+
+
+def check_prox_certificates(trace: Trace) -> CheckResult:
+    return _fold(trace, "prox")
+
+
+def check_duality_gap(trace: Trace) -> CheckResult:
+    return _fold(trace, "duality-gap")
+
+
+def check_param_identities(trace: Trace) -> CheckResult:
+    return _fold(trace, "param-identities")
+
+
+def check_armijo(trace: Trace) -> CheckResult:
+    return _fold(trace, "armijo")
 
 
 def summarize(trace: Trace) -> CertReport:
@@ -288,14 +287,9 @@ def summarize(trace: Trace) -> CertReport:
     check on iPila traces only, and aggregates convergence statistics."""
     if not trace.rows:
         raise ValueError("empty trace")
-    checks = [check_H1, check_H4, check_prox_certificates,
-              check_duality_gap, check_param_identities]
-    if _solver(trace).startswith("ipila"):
-        checks.append(check_armijo)
     report = CertReport()
-    for check in checks:
-        result = check(trace)
-        report.checks[result.name] = result
+    for name in row_checks(trace.meta):
+        report.checks[name] = _fold(trace, name)
 
     d = trace.column("d_k")
     lams = [v for v in trace.column("lambda_k") if math.isfinite(v)]

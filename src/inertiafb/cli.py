@@ -13,7 +13,8 @@ Subcommands:
 
 Configs are flat ``key=value`` text files; any ``--key value`` pair on the
 command line overrides the file.  Exit codes: 0 ok, 2 config error, 3 solver
-failure, 4 certification failure.
+failure (a step that fails a certificate during the run included), 4
+certification failure of ``certify``.
 """
 
 from __future__ import annotations
@@ -149,12 +150,15 @@ def build_settings(args, extra) -> dict:
     # every value is checked, not only those the command reads
     for key in sorted(cfg.keys() - TEXT_KEYS):
         _number(cfg, key)
-    _solver_names(cfg)
-    # an output path that cannot be a directory fails before any solve
+    solvers = _solver_names(cfg)
+    # an output path that cannot be a directory fails before any solve;
+    # suite and fstar write one directory per solver under out
     out = Path(cfg["out"])
-    found = next(p for p in (out, *out.parents) if p.exists())
-    if not found.is_dir():
-        raise ConfigError(f"out {out}: {found} is not a directory")
+    runs = [] if getattr(args, "command", "run") == "run" else solvers
+    for path in (out, *(out / s for s in runs)):
+        found = next(p for p in (path, *path.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"out {path}: {found} is not a directory")
     # relative gaps divide by |f_star|
     if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
         raise ConfigError("f_star must be nonzero")

@@ -6,7 +6,9 @@ proximal point ``y`` from a point ``x`` and merit anchor ``s`` with a step
 these and in the test that accepts the step.  This module holds the rest:
 the settings every solver reads (:class:`Config`), the :class:`Iterate`,
 the start at ``x0``, the certified prox call, the Lipschitz backtracking
-step of i2Piano and iISTA, and the outer loop.
+step of i2Piano and iISTA, and the outer loop, which checks every row it
+appends with the row functions :mod:`inertiafb.certify` replays, so each
+inequality is written once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from inertiafb.certify import row_checks
 from inertiafb.problem import CompositeProblem, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import Trace
@@ -180,11 +183,15 @@ def run(state: Iterate, cfg: Config, meta: dict,
     ``cfg.max_outer`` steps.  Each row holds every ``CSV_COLUMNS`` column;
     ``L_or_gamma`` is the iterate's ``L_k``.  The trace's meta is ``meta``
     with ``cfg``'s ``tau``, ``L0``, ``eta`` and ``stop_tol``.
-    ``on_step(k, before, after)`` observes each transition.
+    ``on_step(k, before, after)`` observes each transition.  Each row is
+    checked as it is appended, by the row functions of :mod:`certify` that
+    apply to ``meta``'s solver; a positive or NaN residual raises
+    SolverError naming the check and ``k``.
     """
     trace = Trace(meta={**meta, "tau": cfg.tau, "L0": cfg.L0, "eta": cfg.eta,
                         "stop_tol": cfg.stop_tol, "f_init": state.f_val,
                         "phi_init": state.phi_val})
+    checks, prev = row_checks(trace.meta), None
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
         new = step(state)
@@ -192,7 +199,7 @@ def run(state: Iterate, cfg: Config, meta: dict,
         y_step = math.sqrt(new.y_step_sq)
         x_step = y_step if new.x_curr is new.y_tilde \
             else float(np.linalg.norm(new.x_curr - state.x_curr))
-        trace.append(
+        row = trace.append(
             k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
             h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
             alpha_k=new.alpha_k, beta_k=new.beta_k, L_or_gamma=new.L_k,
@@ -201,6 +208,11 @@ def run(state: Iterate, cfg: Config, meta: dict,
             y_step_norm=y_step,
             s_step_norm=float(np.linalg.norm(new.s_curr - state.s_curr)),
             prox_branch=new.prox_branch, accepted_branch=new.accepted_branch)
+        if failed := [f"{name} at k={j} (residual {r:.3e})"
+                      for name, fn in checks.items()
+                      for j, r in fn(trace.meta, prev, row) if not r <= 0.0]:
+            raise SolverError(f"certificate failed: {', '.join(failed)}")
+        prev = row
         if on_step is not None:
             on_step(k, state, new)
         state = new

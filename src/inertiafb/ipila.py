@@ -40,13 +40,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from inertiafb import fb
+from inertiafb.certify import ALPHA_MIN
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
 from inertiafb.prox_engine import ProxResult, solve_inexact_prox
 from inertiafb.trace import Trace
 
 VARIANTS = ("strict-alg3", "practical-sec5")
-# the practical coupling's alpha_k never falls below this
-ALPHA_MIN = 1e-12
 
 
 @dataclass(kw_only=True)
@@ -154,21 +153,6 @@ def _practical_params(L_k: float, cfg: IPilaConfig):
     return alpha, beta
 
 
-def _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
-                           y_step_sq, anchor_sq, d_x, d_s, phi_new, lam):
-    tol = 1e-9 * (1.0 + abs(state.phi_val))
-    a = cfg.theta / (2.0 * alpha)
-    if delta_k > -a * y_step_sq - gamma_k * anchor_sq + tol:
-        raise SolverError("predicted decrease weaker than the certified bound")
-    if phi_new > state.phi_val + cfg.sigma * lam * delta_k + tol:
-        raise SolverError("merit Armijo inequality violated on accepted step")
-    dbar = 1.0 + beta / alpha
-    cap = max((1.0 + dbar * dbar + dbar * gamma_k) / a, gamma_k + dbar)
-    d_sq = float(np.dot(d_x, d_x) + np.dot(d_s, d_s))
-    if d_sq > cap * (a * y_step_sq + gamma_k * anchor_sq) + tol:
-        raise SolverError("direction norm exceeds its theoretical bound")
-
-
 def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
                engine: Callable[..., ProxResult] = solve_inexact_prox,
                ) -> fb.Iterate:
@@ -189,9 +173,6 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
     y_step, anchor = res.y_tilde - x, x - s
     new.y_step_sq = float(np.dot(y_step, y_step))
     anchor_sq = float(np.dot(anchor, anchor))
-    # roundoff on the abs branch can leave h a hair above zero
-    if 0 < new.h_val <= 1e-10 * (1.0 + abs(state.f_val)):
-        new.h_val = 0.0
     new.delta_k = compute_delta(new.h_val, gamma_k, anchor_sq)
     if new.delta_k == 0.0:
         # the pair (x, s) stays put
@@ -219,6 +200,14 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
     d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
+    # the direction's norm bound; fb.run checks the step's other
+    # inequalities on its trace row
+    a, dbar = cfg.theta / (2.0 * alpha), 1.0 + beta / alpha
+    cap = max((1.0 + dbar * dbar + dbar * gamma_k) / a, gamma_k + dbar)
+    if (float(np.dot(d_x, d_x) + np.dot(d_s, d_s))
+            > cap * (a * y_step_sq + gamma_k * anchor_sq)
+            + 1e-9 * (1.0 + abs(state.phi_val))):
+        raise SolverError("direction norm exceeds its theoretical bound")
     if not inertial:
         lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
             problem, x, state.s_curr, state.phi_val, d_x, d_s, delta_k,
@@ -233,9 +222,6 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
     else:
         new.move_to(ls_x, ls_s, fwd, f0, f1)
         new.phi_val, new.accepted_branch = phi, "linesearch"
-    _check_step_invariants(cfg, state, alpha, beta, gamma_k, delta_k,
-                           y_step_sq, anchor_sq, d_x, d_s, new.phi_val,
-                           new.lambda_k)
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,

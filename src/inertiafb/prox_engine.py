@@ -11,7 +11,9 @@ candidate ``y = prox_{alpha xi}(xbar - alpha M^T w)`` closes the gap test
     h(y) <= (2 / (2 + tau)) * psi(w),
 
 which certifies ``0 in eps-subdiff of h`` at y with
-``eps = -(tau/2) h(y)``.  Weak duality ``psi <= h`` is asserted at every
+``eps = -(tau/2) h(y)``; psi is capped at 0 there, as ``psi <= h(x) = 0``.
+An absolute stop with ``|h| <= abs_tol`` certifies x itself, and the result
+stays at x with ``h = 0``.  Weak duality ``psi <= h`` is asserted at every
 inner iterate.  With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
 ``xbar = x - alpha v`` (v the linear coefficient of h) and
 ``c = -(alpha/2) ||v||^2 - f1(x)``, the dual objective is
@@ -159,7 +161,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     stopping test uses the best dual value seen so far together with its
     primal candidate.  When ``tau == 0`` the gap test degenerates, so the
     engine instead requires ``h - psi <= abs_tol``; the same absolute branch
-    also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``.
+    also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``, and
+    any such stop with ``|h| <= abs_tol``, a stalled dual's included, stays
+    at a copy of ``x``, so every zero decrease comes with a zero step.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
     An inner iteration applies ``M`` and ``M^T`` once each; iterate 0
     applies ``M^T`` only when no ``warm_mtw = M^T warm_start`` is given.
@@ -189,9 +193,13 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                 f"weak duality violated: psi={psi_val!r} > h={h_val!r}")
 
     def finish(iters, branch):
-        return ProxResult(y_tilde=y_best, h_value=h_best, psi_value=psi_best,
-                          w_tilde=w_best, inner_iters=iters, converged=branch,
-                          f1_y=f1_best, mtw_tilde=mtw_best)
+        y, h, psi, f1_y = y_best, h_best, psi_best, f1_best
+        if branch == "abs" and abs(h) <= abs_tol:
+            # x is an abs_tol-minimiser of h: stay there, with h(x) = 0
+            y, h, psi, f1_y = dp.x.copy(), 0.0, min(psi, 0.0), dp.f1x
+        return ProxResult(y_tilde=y, h_value=h, psi_value=psi, w_tilde=w_best,
+                          inner_iters=iters, converged=branch, f1_y=f1_y,
+                          mtw_tilde=mtw_best)
 
     # evaluate the starting dual point (iterate 0)
     psi_best, y_best, q, xi_y = dp.psi(w, mtw)
@@ -203,7 +211,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
 
     def stop_branch(h_val, psi_val):
         gap = h_val - psi_val
-        if tau > 0 and h_val <= eta_gap * psi_val:
+        # psi <= min h <= h(x) = 0 in exact arithmetic, so the cap keeps
+        # a psi that cancellation left above 0 from accepting an h > 0
+        if tau > 0 and h_val <= eta_gap * min(psi_val, 0.0):
             return "gap"
         if tau == 0 and gap <= abs_tol:
             return "abs"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from inertiafb import certify
 from inertiafb.certify import (CertReport, check_H1, check_H4, check_armijo,
                                check_duality_gap, check_param_identities,
                                check_prox_certificates, h4_constants,
@@ -10,6 +11,7 @@ from inertiafb.certify import (CertReport, check_H1, check_H4, check_armijo,
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
+from inertiafb.problem import SolverError
 from inertiafb.trace import Trace
 from tests.conftest import quadratic_l1_problem
 
@@ -124,12 +126,46 @@ class TestCorruptionDetected:
         t.rows[6]["lambda_k"] = 0.0
         res = check_armijo(t)
         assert res.status == "fail"
-        assert "lambda" in res.detail
+        assert res.worst_k == t.rows[6]["k"]
+        assert math.isnan(res.worst_residual)
+
+    def test_ipila_H1_reads_the_rows_own_lambda(self, traces):
+        # a row at lambda_k = 1 whose merit falls only by sigma times the
+        # trace's smallest lambda_k, which the check used to read
+        t = self._copy(traces["ipila-strict"])
+        lam_min = min(t.column("lambda_k"))
+        assert lam_min < 1.0
+        i = next(i for i, r in enumerate(t.rows) if i and r["lambda_k"] == 1)
+        d = t.rows[i]["d_k"]
+        t.rows[i]["phi"] = (t.rows[i - 1]["phi"]
+                            - float(t.meta["sigma"]) * lam_min * d * d)
+        res = check_H1(t)
+        assert res.status == "fail"
+        assert res.worst_k == t.rows[i]["k"]
 
     def test_armijo_flags_insufficient_decrease(self, traces):
         t = self._copy(traces["ipila"])
         t.rows[6]["phi"] = t.rows[5]["phi"] + 1.0
         assert check_armijo(t).status == "fail"
+
+
+class TestRunChecksEachRow:
+    def test_run_and_summarize_call_the_same_row_functions(self, traces,
+                                                           monkeypatch):
+        real = certify.ROW_CHECKS["H1"]
+
+        def failing_at_2(meta, prev, row):
+            return [(k, 1.0 if k == 2 else r)
+                    for k, r in real(meta, prev, row)]
+
+        monkeypatch.setitem(certify.ROW_CHECKS, "H1", failing_at_2)
+        res = summarize(traces["iista"]).checks["H1"]
+        assert (res.status, res.worst_k, res.worst_residual) == ("fail", 2,
+                                                                  1.0)
+        p, _, _ = quadratic_l1_problem(n=25, seed=1)
+        with pytest.raises(SolverError, match=r"^certificate failed: H1 at "
+                           r"k=2 \(residual 1\.000e\+00\)$"):
+            iista_solve(p, np.zeros(25), IistaConfig(max_outer=60, L0=50.0))
 
 
 class TestEdgeCases:
@@ -177,13 +213,17 @@ class TestEdgeCases:
                 assert result.status in ("pass", "fail"), (name, result)
 
     def test_h4_constants_per_solver(self, traces):
-        p, shift = h4_constants(traces["i2piano"])
-        gamma = float(traces["i2piano"].meta["gamma"])
+        t = traces["i2piano"]
+        p, shift = h4_constants(t.meta, t.rows[3])
+        gamma = float(t.meta["gamma"])
         assert p == pytest.approx(1.0 / math.sqrt(gamma))
         assert shift == 1
-        p, shift = h4_constants(traces["iista"])
-        assert (p, shift) == (1.0, 0)
-        _, shift = h4_constants(traces["ipila"])
+        t = traces["iista"]
+        assert h4_constants(t.meta, t.rows[3]) == (1.0, 0)
+        # iPila's p reads the row's own alpha_k
+        t = traces["ipila"]
+        p, shift = h4_constants(t.meta, t.rows[3])
+        assert p == math.sqrt(2.0 * t.rows[3]["alpha_k"] / t.meta["theta"])
         assert shift == 0
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from inertiafb import certify, cli
+from inertiafb import certify, cli, i2piano
 from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
                            main, parse_overrides)
 from inertiafb.i2piano import I2PianoConfig
@@ -15,6 +15,7 @@ from inertiafb.problem import (Block, CompositeProblem, DomainError,
                                IdentityOp, L1Norm, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.trace import Trace, csv_equal_ignoring_time
+from tests.conftest import scaled_h_engine
 
 
 def run_cli(*argv):
@@ -171,6 +172,27 @@ class TestUnusableOutputPath:
         assert "Traceback" not in err
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["suite", "fstar"])
+    def test_solver_directory_that_is_a_file_exits_2(self, tmp_path, capsys,
+                                                    command):
+        # the worker used to solve, then die with a FileExistsError
+        # traceback (exit 1)
+        blocker = tmp_path / "iista"
+        blocker.write_text("")
+        code = run_cli(command, "--solvers", "i2piano,iista", "--max_outer",
+                       "3", "--fstar_iters", "3", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (f"config error: out {blocker}: {blocker} is not a directory"
+                in err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "i2piano").exists()
+
+    def test_run_ignores_solver_directories(self, tmp_path):
+        (tmp_path / "iista").write_text("")
+        assert run_cli("run", "--solver", "iista", "--max_outer", "3",
+                       "--out", str(tmp_path)) == 0
+
     def test_certify_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("certify", str(tmp_path)) == 2
         err = capsys.readouterr().err
@@ -237,6 +259,20 @@ class TestRunCommand:
                            "--out", str(tmp_path / solver)) == 3
             err = capsys.readouterr().err
             assert "solver failure" in err and "Traceback" not in err
+
+    def test_step_failing_a_certificate_exits_3(self, tmp_path, monkeypatch,
+                                                capsys):
+        # an engine that overstates h: the run used to finish, write
+        # overall=fail to report.txt and exit 0
+        monkeypatch.setattr(i2piano, "solve_inexact_prox", scaled_h_engine(
+            i2piano.solve_inexact_prox, 100.0))
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "i2piano", "--max_outer", "10",
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: certificate failed: H1 at k=0 " in err
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
 
     def test_determinism_byte_identical_traces(self, tmp_path):
         args = ("run", "--solver", "ipila-practical", "--max_outer", "30",
@@ -538,6 +574,35 @@ class TestSuiteAndFstar:
                        "--out", str(tmp_path))
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestNearStationarity:
+    """The prox engine stays at an x it certifies as stationary."""
+
+    # every solver setting off its default; rows with h = 0 and a step of
+    # 4.4e-8 used to fail H4 for both iPilas, and the run exited 0
+    OFF_DEFAULT = ("--tau", "2", "--L0", "0.5", "--eta", "2", "--delta",
+                   "0.25", "--gamma", "2e-5", "--omega", "0.9", "--sigma",
+                   "1e-3", "--ls_shrink", "0.6", "--max_halvings", "40",
+                   "--alpha_max", "0.8", "--beta_max", "0.4", "--max_inner",
+                   "1500", "--max_outer", "80")
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_off_default_run_certifies(self, tmp_path, solver):
+        out = tmp_path / solver
+        assert run_cli("run", "--solver", solver, *self.OFF_DEFAULT,
+                       "--out", str(out)) == 0
+        assert (out / "report.txt").read_text().endswith("overall=pass\n")
+
+    def test_ipila_strict_stops_stationary(self):
+        # it used to run all 200 rows, the last ones with a zero step and
+        # 27 Armijo halvings each (3566 in all)
+        cfg = dict(cli.DEFAULTS, solver="ipila-strict", max_outer="200")
+        problem, x0, _ = cli.build_problem(cfg)
+        trace = cli.run_solver(problem, x0, cfg)
+        assert trace.meta["stop_reason"] == "stationary"
+        assert len(trace) < 200
+        assert sum(trace.column("backtracks")) == 0
 
 
 class TestCertifyCommand:

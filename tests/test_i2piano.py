@@ -3,10 +3,10 @@ import pytest
 
 from inertiafb import fb, i2piano
 from inertiafb.certify import summarize
-from inertiafb.i2piano import (L_MIN, I2PianoConfig, SolverError,
-                               compute_params, i2piano_solve, i2piano_step)
+from inertiafb.i2piano import (L_MIN, I2PianoConfig, compute_params,
+                               i2piano_solve, i2piano_step)
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               SmoothOracle, StructuredConvexTerm,
+                               SmoothOracle, SolverError, StructuredConvexTerm,
                                ZeroFunction, eval_f)
 from tests.conftest import (quadratic_l1_problem, scaled_h_engine,
                             smooth_only_problem)
@@ -131,15 +131,14 @@ class TestStep:
             st = new
 
     def test_merit_descent_violation_is_hard_error(self, monkeypatch):
-        # an engine that overstates h lowers the bound below the merit
+        # an engine that overstates h lowers the bound below the merit;
+        # the run checks the step's row with certify's H1
         monkeypatch.setattr(i2piano, "solve_inexact_prox", scaled_h_engine(
             i2piano.solve_inexact_prox, 100.0))
         p, _, _ = quadratic_l1_problem(n=15, seed=3)
-        cfg = I2PianoConfig()
-        st = fb.start(p, np.zeros(15), eval_f, cfg.L0)
         with pytest.raises(SolverError,
-                           match="merit descent inequality violated"):
-            i2piano_step(p, st, cfg)
+                           match=r"certificate failed: H1 at k=0 "):
+            i2piano_solve(p, np.zeros(15), I2PianoConfig())
 
 
 class TestSolve:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from inertiafb.i2piano import SolverError
 from inertiafb.iista import IistaConfig, iista_solve
-from inertiafb.problem import (CompositeProblem, SmoothOracle,
+from inertiafb.problem import (CompositeProblem, SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
 from tests.conftest import quadratic_l1_problem, smooth_only_problem
 

@@ -211,21 +211,26 @@ class TestStep:
 
 
 class TestStepChecks:
-    """Each injected fault trips the check that guards against it."""
+    """Each injected fault stops the run at the check that guards against
+    it: the direction-norm bound in the step, the others on the row that
+    ``fb.run`` checks with certify's row functions."""
 
     @staticmethod
-    def _start(cfg):
+    def _solve(cfg):
         p, _, _ = quadratic_l1_problem(n=15, seed=3)
-        return p, fb.start(p, np.zeros(15), eval_f, cfg.L0)
+        return ipila_solve(p, np.zeros(15), cfg)
 
-    def test_weak_predicted_decrease_is_hard_error(self):
-        # at tau = 0 the bound asks for the exact prox point's full
-        # strong-convexity decrease, which half of h falls short of here
-        cfg = IPilaConfig(variant="strict-alg3", tau=0.0)
-        p, st = self._start(cfg)
-        with pytest.raises(SolverError, match="predicted decrease weaker"):
-            ipila_step(p, st, cfg,
-                       engine=scaled_h_engine(solve_inexact_prox, 0.5))
+    def test_weak_predicted_decrease_is_hard_error(self, monkeypatch):
+        # at tau = 0 the distance certificate asks for the exact prox
+        # point's full strong-convexity decrease, which half of h falls
+        # short of here; H4 fails with it, as d_k reads the same h
+        real, engine = ipila.ipila_step, scaled_h_engine(solve_inexact_prox,
+                                                         0.5)
+        monkeypatch.setattr(ipila, "ipila_step", lambda p, st, cfg: real(
+            p, st, cfg, engine=engine))
+        with pytest.raises(SolverError,
+                           match=r"H4 at k=0 .*, prox at k=0 "):
+            self._solve(IPilaConfig(variant="strict-alg3", tau=0.0))
 
     def test_armijo_violation_on_accepted_step_is_hard_error(self,
                                                              monkeypatch):
@@ -233,21 +238,16 @@ class TestStepChecks:
         real = ipila.armijo_linesearch
         monkeypatch.setattr(ipila, "armijo_linesearch",
                             lambda *a, **k: (*real(*a, **k)[:7], a[3]))
-        cfg = IPilaConfig(variant="strict-alg3")
-        p, st = self._start(cfg)
-        with pytest.raises(SolverError,
-                           match="merit Armijo inequality violated"):
-            ipila_step(p, st, cfg)
+        with pytest.raises(SolverError, match=r"armijo at k=\d+ "):
+            self._solve(IPilaConfig(variant="strict-alg3"))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_oversized_direction_is_hard_error(self, monkeypatch, variant):
         real = ipila.descent_direction
         monkeypatch.setattr(ipila, "descent_direction",
                             lambda *a: tuple(10.0 * d for d in real(*a)))
-        cfg = IPilaConfig(variant=variant)
-        p, st = self._start(cfg)
         with pytest.raises(SolverError, match="direction norm exceeds"):
-            ipila_step(p, st, cfg)
+            self._solve(IPilaConfig(variant=variant))
 
 
 class TestSolve:

@@ -173,6 +173,18 @@ class TestSolveInexactProx:
         assert abs(res.y_tilde[0]) < 1e-10
         assert res.h_value == pytest.approx(0.0, abs=1e-12)
 
+    def test_abs_stop_stays_at_x(self):
+        # |h| <= abs_tol certifies x itself; the engine used to return its
+        # candidate y = 0 with h = -1e-13, a step the solvers took
+        p = scalar_l1_problem()
+        x = np.array([1e-13])
+        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0, abs_tol=1e-11)
+        res = solve_inexact_prox(p, q)
+        assert res.converged == "abs"
+        assert res.y_tilde is not x and res.y_tilde[0] == x[0]
+        assert (res.h_value, res.f1_y) == (0.0, p.f1.value(x))
+        assert res.psi_value <= 0.0
+
     def test_gap_branch_with_positive_tau(self):
         p, _, _ = quadratic_l1_problem(n=30, seed=1)
         rng = np.random.default_rng(2)

@@ -20,10 +20,10 @@ _spec.loader.exec_module(trace_digest)
 def test_digests_repeat_and_cover_every_run():
     first = trace_digest.digests(size=16, iters=5)
     assert first == trace_digest.digests(size=16, iters=5)
-    assert len(first) == 28
+    assert len(first) == 32
     # cut to 5 iterations, the 80- and 200-iteration synthetic runs coincide,
     # and i2Piano and iISTA do not read alpha_max
-    assert len({d for _, _, d in first}) == 22
+    assert len({d for _, _, d in first}) == 26
 
 
 def test_runs_reach_every_stop_reason_and_branch(tmp_path):
@@ -126,4 +126,4 @@ def test_against_prints_each_differing_run(monkeypatch, capsys):
         *real[:3], (label, solver, "0" * 64), *real[4:]])
     assert trace_digest.main(["--against", str(_PATH.parent.parent)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"differs: {label} {solver}", "27 of 28 runs equal"]
+        f"differs: {label} {solver}", "31 of 32 runs equal"]

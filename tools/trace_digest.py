@@ -24,7 +24,10 @@ The 200-iteration runs reach what the others never do: every stop reason
 (iPila-practical stops ``stationary``, i2Piano on ``d_k``, iISTA on
 ``x_step``) and, at ``L0 = 0.1``, backtracking in i2Piano and iISTA.  At
 ``alpha_max`` 5, iPila's line search steps short of ``y`` on a problem with
-a forward pass.
+a forward pass.  The last run, synthetic-quadratic-l1 for 80 outer
+iterations with every other solver setting off its default, comes near
+stationarity with ``tau`` 2, where the prox engine must stay at ``x``
+rather than step to a point whose certified decrease is zero.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ RUNS = (
     ("synthetic-quadratic-l1", {"problem": "synthetic-quadratic-l1"}, 200),
     ("synthetic-quadratic-l1 L0=0.1",
      {"problem": "synthetic-quadratic-l1", "L0": "0.1"}, 200),
+    ("synthetic-quadratic-l1 off-default",
+     {"problem": "synthetic-quadratic-l1", "tau": "2", "L0": "0.5",
+      "eta": "2", "delta": "0.25", "gamma": "2e-5", "omega": "0.9",
+      "sigma": "1e-3", "ls_shrink": "0.6", "max_halvings": "40",
+      "alpha_max": "0.8", "beta_max": "0.4", "max_inner": "1500"}, 80),
 )
 
 
