@@ -78,6 +78,11 @@ def _meta(meta: dict, key: str) -> float:
         raise ValueError(f"bad {key} value {meta[key]!r}") from None
 
 
+def _theta(meta: dict) -> float:
+    """``theta`` from the header's ``tau``; its ``theta`` is not read."""
+    return theta_from_tau(_meta(meta, "tau"))
+
+
 def _solver(meta: dict) -> str:
     """The header's ``solver``, one of ``SOLVERS``."""
     if "solver" not in meta:
@@ -136,7 +141,7 @@ def h4_constants(meta, row):
     if kind == "i2piano":
         return 1.0 / math.sqrt(_meta(meta, "gamma")), 1
     if kind.startswith("ipila"):
-        return math.sqrt(2.0 * row["alpha_k"] / _meta(meta, "theta")), 0
+        return math.sqrt(2.0 * row["alpha_k"] / _theta(meta)), 0
     return 1.0, 0
 
 
@@ -165,7 +170,7 @@ def row_prox(meta, prev, row):
     slack = 1e-10 * (1.0 + abs(_meta(meta, "f_init")))
     h = row["h"]
     step = row["y_step_norm"]
-    dist = (theta_from_tau(tau) / (2.0 * row["alpha_k"])) * step * step
+    dist = (_theta(meta) / (2.0 * row["alpha_k"])) * step * step
     tol = _REL_TOL * (1.0 + abs(h))
     return [(row["k"], (dist - (-h) - tol) / (1.0 + abs(h))),
             (row["k"], (h - 2.0 / (2.0 + tau) * row["psi"] - slack - tol)
@@ -193,7 +198,7 @@ def row_param_identities(meta, prev, row):
     L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
     if kind == "i2piano":
         delta, gamma = _meta(meta, "delta"), _meta(meta, "gamma")
-        top = 1.0 + _meta(meta, "theta") * _meta(meta, "omega")
+        top = 1.0 + _theta(meta) * _meta(meta, "omega")
         b = (L + 2.0 * delta) / (L + 2.0 * gamma)
         beta_e = 0.5 * top * (b - 1.0) / (b - 0.5)
         alpha_e = (top - 2.0 * beta_e) / (L + 2.0 * gamma)

@@ -5,8 +5,8 @@ Subcommands:
 * ``run``      build one problem/solver pair from a config, write trace.csv,
                report.txt, summary.txt and restored images.
 * ``suite``    run several solvers on the same problem concurrently (one
-               worker process each, at most ``INERTIAFB_THREADS`` and the
-               CPU count at once), each writing a ``run`` directory.
+               worker process each, at most the CPU count at once), each
+               writing a ``run`` directory.
 * ``fstar``    long suite run that records the smallest final objective
                value, for later relative-gap reporting.
 * ``certify``  replay the certifier over an existing trace.csv.
@@ -79,6 +79,9 @@ DEFAULTS = {
 SOLVER_KEYS = {key: typ for cls in (I2PianoConfig, IPilaConfig, IistaConfig)
                for key, typ in typing.get_type_hints(cls).items()
                if key != "variant"}
+# the files _solve_and_write writes into each run directory
+RUN_FILES = ("trace.csv", "report.txt", "summary.txt", "restored.pgm",
+             "restored.npy")
 # keys read as text; _i reads INT_KEYS and _f every other key
 TEXT_KEYS = {"problem", "solver", "out", "solvers", "image"}
 INT_KEYS = {"size", "n", "seed", "blur_size", "fstar_iters",
@@ -151,14 +154,20 @@ def build_settings(args, extra) -> dict:
     for key in sorted(cfg.keys() - TEXT_KEYS):
         _number(cfg, key)
     solvers = _solver_names(cfg)
-    # an output path that cannot be a directory fails before any solve;
-    # suite and fstar write one directory per solver under out
+    # an output path that cannot be a directory, or a file to write that
+    # is one, fails before any solve; suite and fstar write one run
+    # directory per solver under out, and fstar.txt
     out = Path(cfg["out"])
-    runs = [] if getattr(args, "command", "run") == "run" else solvers
-    for path in (out, *(out / s for s in runs)):
+    suite = getattr(args, "command", "run") != "run"
+    runs = [out / s for s in solvers] if suite else [out]
+    files = [out / "fstar.txt"] if suite else []
+    for path in (out, *runs):
         found = next(p for p in (path, *path.parents) if p.exists())
         if not found.is_dir():
             raise ConfigError(f"out {path}: {found} is not a directory")
+    for path in (*files, *(run / name for run in runs for name in RUN_FILES)):
+        if path.is_dir():
+            raise ConfigError(f"out {path} is a directory")
     # relative gaps divide by |f_star|
     if "f_star" in cfg and _f(cfg, "f_star") == 0.0:
         raise ConfigError("f_star must be nonzero")
@@ -306,7 +315,7 @@ def _solve_and_write(cfg: dict, outdir: Path) -> Trace:
         peak = context["peak"]
         img = trace.x_final.reshape(context["shape"])
         imaging.write_pgm(outdir / "restored.pgm", img, peak=peak)
-        imaging.write_raw(outdir / "restored.raw", img)
+        np.save(outdir / "restored.npy", img)
         summary["psnr_db"] = imaging.psnr(img, context["truth"], peak=peak)
     lines = [f"{k}={summary[k]}" for k in sorted(summary)]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
@@ -326,23 +335,12 @@ def _suite_worker(item):
     return cfg["solver"], float(trace.meta["f_final"])
 
 
-def _worker_cap(n_jobs: int) -> int:
-    """Worker processes for ``n_jobs`` GIL-bound solver runs."""
-    cap = min(n_jobs, os.cpu_count() or 1)
-    env = os.environ.get("INERTIAFB_THREADS")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            raise ConfigError("INERTIAFB_THREADS must be an integer")
-    return max(1, cap)
-
-
 def cmd_suite(cfg: dict) -> int:
     base = Path(cfg["out"])
     jobs = [(dict(cfg, solver=s), base / s) for s in _solver_names(cfg)]
+    # one worker process per GIL-bound solver run, at most one per CPU
     with ProcessPoolExecutor(
-            max_workers=_worker_cap(len(jobs)),
+            max_workers=min(len(jobs), os.cpu_count() or 1),
             mp_context=multiprocessing.get_context(START_METHOD)) as pool:
         results = list(pool.map(_suite_worker, jobs))
     best = min(f for _, f in results)

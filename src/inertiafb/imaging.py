@@ -5,12 +5,11 @@ whole-sample reflective boundaries and its exact adjoint, a forward
 difference gradient with Neumann boundaries for total variation, an l1 data
 fidelity with a nonnegativity constraint, a smooth log-filter regularizer on
 a small DCT filter bank, a signal-dependent Gaussian fidelity, impulse noise
-simulation, PSNR, and simple image I/O (8-bit PGM and raw float64).
+simulation, PSNR, and 8-bit PGM image I/O.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -148,7 +147,8 @@ class GroupL2(ProxFunction):
     """``rho * sum_i ||(u_i, v_i)||_2`` over per-pixel difference pairs.
 
     The input vector stacks the two difference fields; the conjugate is the
-    indicator of the per-pixel l2-ball of radius rho.
+    indicator of the per-pixel l2-ball of radius rho.  The prox engine uses
+    only the conjugate's prox, a projection, so ``prox`` itself is left out.
     """
 
     def __init__(self, rho: float):
@@ -166,13 +166,6 @@ class GroupL2(ProxFunction):
     def value(self, x):
         pairs = np.asarray(x, dtype=float).reshape(2, -1)
         return self.rho * float(np.sum(self._norms(pairs)))
-
-    def prox(self, u, sigma):
-        pairs = np.asarray(u, dtype=float).reshape(2, -1)
-        norms = self._norms(pairs)
-        scale = np.divide(np.maximum(norms - sigma * self.rho, 0.0), norms,
-                          out=np.zeros_like(norms), where=norms > 0)
-        return (pairs * scale).ravel()
 
     def conjugate_prox(self, v, sigma):
         """Per-pixel projection onto the ball of radius rho (any sigma)."""
@@ -389,9 +382,6 @@ def phantom(size: int = 64, peak: float = 255.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # image I/O
 
-_RAW_MAGIC = b"IFBRAW64"
-
-
 def write_pgm(path, img: np.ndarray, peak: float = 255.0) -> None:
     """8-bit binary PGM (P5, maxval 255); values scaled from [0, peak]."""
     img = np.asarray(img, dtype=float)
@@ -426,28 +416,4 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError("only maxval 255 supported")
     pos += 1  # single whitespace after maxval
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
-    return data.reshape(h, w).astype(float)
-
-
-def write_raw(path, img: np.ndarray) -> None:
-    """Lossless float64 dump: 16-byte header (magic, height, width), then
-    row-major little-endian float64 samples."""
-    img = np.ascontiguousarray(np.asarray(img, dtype="<f8"))
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
-    with open(path, "wb") as fh:
-        fh.write(_RAW_MAGIC)
-        fh.write(struct.pack("<II", img.shape[0], img.shape[1]))
-        fh.write(img.tobytes())
-
-
-def read_raw(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if head[:8] != _RAW_MAGIC:
-            raise ValueError("bad raw image magic")
-        h, w = struct.unpack("<II", head[8:])
-        data = np.frombuffer(fh.read(8 * h * w), dtype="<f8")
-    if data.size != h * w:
-        raise ValueError("truncated raw image")
     return data.reshape(h, w).astype(float)

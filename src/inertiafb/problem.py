@@ -90,18 +90,6 @@ class IdentityOp(LinearOp):
         return np.asarray(y, dtype=float)
 
 
-class MatrixOp(LinearOp):
-    def __init__(self, a: np.ndarray):
-        self.a = np.asarray(a, dtype=float)
-        self.out_dim, self.in_dim = self.a.shape
-
-    def matvec(self, x):
-        return self.a @ x
-
-    def rmatvec(self, y):
-        return self.a.T @ y
-
-
 def adjoint_residual(op: LinearOp, rng: np.random.Generator) -> float:
     """Worst relative defect of <Mx, y> = <x, M^T y> on 5 random pairs."""
     worst = 0.0
@@ -180,11 +168,6 @@ class ZeroFunction(ProxFunction):
     def prox(self, u, sigma):
         return np.asarray(u, dtype=float)
 
-    def conjugate(self, w):
-        if np.max(np.abs(w), initial=0.0) <= self.feas_rtol:
-            return 0.0
-        return np.inf
-
 
 class L1Norm(ProxFunction):
     """``weight * ||u - shift||_1``; conjugate is linear on a box."""
@@ -224,12 +207,6 @@ class NonnegIndicator(ProxFunction):
 
     def prox(self, u, sigma):
         return np.maximum(u, 0.0)
-
-    def conjugate(self, w):
-        # support function of the cone {w <= 0}
-        if np.max(w, initial=0.0) <= self.feas_rtol:
-            return 0.0
-        return np.inf
 
 
 # ---------------------------------------------------------------------------

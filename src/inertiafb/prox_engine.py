@@ -138,18 +138,6 @@ class _DualProblem:
         return float(val), z, q, xi_z
 
 
-def dual_objective(problem: CompositeProblem, query: ProxQuery,
-                   w: np.ndarray):
-    """Dual value and primal candidate at ``w``.
-
-    Returns ``(psi, primal_candidate)``; ``psi`` is ``-inf`` when ``w`` is
-    outside the dual domain (some conjugate value is infinite).
-    """
-    w = np.asarray(w, dtype=float)
-    psi, z, _, _ = _DualProblem(problem, query).psi(w, problem.f1.rmatvec(w))
-    return psi, z
-
-
 def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                        warm_start: Optional[np.ndarray] = None,
                        warm_mtw: Optional[np.ndarray] = None,

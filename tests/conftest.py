@@ -4,9 +4,23 @@ import numpy as np
 import pytest
 
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               SmoothOracle, StructuredConvexTerm,
+                               LinearOp, SmoothOracle, StructuredConvexTerm,
                                ZeroFunction)
 from inertiafb.prox_engine import ProxQuery, _DualProblem
+
+
+class MatrixOp(LinearOp):
+    """A dense matrix as a linear operator."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = np.asarray(a, dtype=float)
+        self.out_dim, self.in_dim = self.a.shape
+
+    def matvec(self, x):
+        return self.a @ x
+
+    def rmatvec(self, y):
+        return self.a.T @ y
 
 
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):
@@ -43,6 +57,14 @@ def eval_h(p, x, s, alpha, beta, y):
     """The subproblem objective h(y; x, s), as the prox engine computes it."""
     q = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=0.0)
     return _DualProblem(p, q).h(y)[0]
+
+
+def dual_objective(p, query, w):
+    """``(psi(w), z)``, the dual value at ``w`` and its primal candidate, as
+    the prox engine computes them; psi is ``-inf`` outside the dual domain."""
+    w = np.asarray(w, dtype=float)
+    psi, z, _, _ = _DualProblem(p, query).psi(w, p.f1.rmatvec(w))
+    return psi, z
 
 
 def scaled_h_engine(engine, factor):

@@ -153,14 +153,15 @@ class TestSolverSettings:
 class TestUnusableOutputPath:
     """Each used to end in a traceback; ``run`` solved first."""
 
+    @staticmethod
+    def _no_solve(cfg):
+        raise AssertionError("solved before the output path was checked")
+
     @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys,
                                             monkeypatch, command, sub):
-        def no_solve(cfg):
-            raise AssertionError("solved before the output path was checked")
-
-        monkeypatch.setattr(cli, "build_problem", no_solve)
+        monkeypatch.setattr(cli, "build_problem", self._no_solve)
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         out = blocker / sub if sub else blocker
@@ -187,6 +188,24 @@ class TestUnusableOutputPath:
                 in err)
         assert "Traceback" not in err
         assert not (tmp_path / "i2piano").exists()
+
+    @pytest.mark.parametrize("command,name", [
+        *(("run", name) for name in cli.RUN_FILES),
+        ("suite", "fstar.txt"), ("fstar", "fstar.txt"),
+        ("suite", "iista/restored.npy")])
+    def test_output_file_that_is_a_directory_exits_2(
+            self, tmp_path, capsys, monkeypatch, command, name):
+        # each used to solve, then end in an IsADirectoryError traceback
+        # (exit 1), with the files written before it left behind
+        monkeypatch.setattr(cli, "build_problem", self._no_solve)
+        (tmp_path / name).mkdir(parents=True)
+        code = run_cli(command, "--solvers", "iista", "--max_outer", "3",
+                       "--fstar_iters", "3", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: out {tmp_path / name} is a directory" in err
+        assert "Traceback" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     def test_run_ignores_solver_directories(self, tmp_path):
         (tmp_path / "iista").write_text("")
@@ -289,7 +308,7 @@ class TestRunCommand:
                        "--out", str(out))
         assert code == 0
         assert (out / "restored.pgm").exists()
-        assert (out / "restored.raw").exists()
+        assert (out / "restored.npy").exists()
         assert "psnr_db=" in (out / "summary.txt").read_text()
 
     def test_unknown_solver_exit_code(self, tmp_path, capsys):
@@ -473,9 +492,7 @@ class TestEveryValueIsChecked:
 
 
 class TestSuiteAndFstar:
-    def test_suite_writes_fstar_consistent_with_finals(self, tmp_path,
-                                                       monkeypatch, capsys):
-        monkeypatch.setenv("INERTIAFB_THREADS", "2")
+    def test_suite_writes_fstar_consistent_with_finals(self, tmp_path):
         out = tmp_path / "suite"
         code = run_cli("suite", "--max_outer", "60", "--out", str(out))
         assert code == 0
@@ -491,11 +508,9 @@ class TestSuiteAndFstar:
         for name in finals:
             assert (out / name / "trace.csv").exists()
 
-    def test_suite_directories_match_run_directories(self, tmp_path,
-                                                      monkeypatch):
-        # suite directories used to lack restored.pgm/.raw and psnr_db,
+    def test_suite_directories_match_run_directories(self, tmp_path):
+        # suite directories used to lack the restored images and psnr_db,
         # which run added after writing summary.txt
-        monkeypatch.setenv("INERTIAFB_THREADS", "1")
         args = ("--problem", "impulse-l1", "--size", "16", "--max_outer", "3")
         assert run_cli("suite", "--solvers", "iista", *args,
                        "--out", str(tmp_path / "suite")) == 0
@@ -503,9 +518,9 @@ class TestSuiteAndFstar:
                        "--out", str(tmp_path / "run")) == 0
         suite, run = tmp_path / "suite" / "iista", tmp_path / "run"
         for name in ("trace.csv", "report.txt", "summary.txt",
-                     "restored.pgm", "restored.raw"):
+                     "restored.pgm", "restored.npy"):
             assert (suite / name).exists(), name
-        for name in ("report.txt", "summary.txt", "restored.raw"):
+        for name in ("report.txt", "summary.txt", "restored.npy"):
             assert (suite / name).read_bytes() == (run / name).read_bytes()
         summary = (suite / "summary.txt").read_text().splitlines()
         assert summary == sorted(summary)
@@ -535,27 +550,21 @@ class TestSuiteAndFstar:
         assert "config error: solver iista listed twice" in err
         assert not out.exists()
 
-    def test_fstar_uses_long_iteration_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INERTIAFB_THREADS", "2")
+    def test_fstar_uses_long_iteration_override(self, tmp_path):
         out = tmp_path / "fs"
         code = run_cli("fstar", "--solvers", "iista", "--fstar_iters", "12",
                        "--stop_tol", "-1", "--out", str(out))
         assert code == 0
         assert len(Trace.read_csv(out / "iista" / "trace.csv")) == 12
 
-    def test_bad_thread_cap_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INERTIAFB_THREADS", "many")
-        assert run_cli("suite", "--max_outer", "5",
-                       "--out", str(tmp_path)) == 2
-
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_suite_workers_match_single_worker(self, tmp_path, monkeypatch,
                                                method):
         args = ("suite", "--problem", "impulse-l1", "--size", "16",
                 "--max_outer", "25")
-        monkeypatch.setenv("INERTIAFB_THREADS", "1")
-        assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
-        monkeypatch.setenv("INERTIAFB_THREADS", "4")
+        with monkeypatch.context() as m:
+            m.setattr(cli.os, "cpu_count", lambda: 1)
+            assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
         monkeypatch.setattr(cli, "START_METHOD", method)
         assert run_cli(*args, "--out", str(tmp_path / "many")) == 0
         assert ((tmp_path / "one" / "fstar.txt").read_bytes()
@@ -754,7 +763,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("solver,key,checks", [
         ("i2piano", "gamma", ("H4", "param-identities")),
         ("i2piano", "delta", ("param-identities",)),
-        ("i2piano", "theta", ("param-identities",)),
+        ("i2piano", "tau", ("prox", "param-identities")),
         ("ipila-strict", "alpha_max", ("param-identities",)),
         ("ipila-strict", "tau", ("prox",)),
     ])
@@ -803,6 +812,27 @@ class TestCertifyCommand:
                 assert report == "", key
             else:
                 assert (code, report) == (0, intact), key
+
+    def test_certify_derives_theta_from_tau(self, tmp_path, capsys):
+        # H4 used to read "# theta=", so a header edited to a tiny theta
+        # passed a step 100 times too long
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "ipila-strict", "--tau", "1.0",
+                       "--max_outer", "5", "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        col = lines[header].split(",").index("x_step_norm")
+        parts = lines[header + 3].split(",")
+        parts[col] = repr(100.0 * float(parts[col]))
+        lines[header + 3] = ",".join(parts)
+        i = next(i for i, l in enumerate(lines) if l.startswith("# theta="))
+        lines[i] = "# theta=1e-12"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 4
+        report = capsys.readouterr().out
+        assert "H4.status=fail" in report and "H4.worst_k=2" in report
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_certify_unusable_header_value_exits_2(self, tmp_path, capsys,

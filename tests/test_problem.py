@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from inertiafb import i2piano, iista, ipila
 from inertiafb.cli import DEFAULTS, SOLVERS, build_problem, run_solver
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               MatrixOp, NonnegIndicator, SmoothOracle,
+                               NonnegIndicator, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient, eval_f,
                                power_iteration_sq_norm)
 from inertiafb.prox_engine import solve_inexact_prox
-from tests.conftest import quadratic_l1_problem, smooth_only_problem
+from tests.conftest import (MatrixOp, quadratic_l1_problem,
+                            smooth_only_problem)
 
 
 def brute_force_prox_1d(fn, u, sigma, lo=-10.0, hi=10.0, steps=200001):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from inertiafb import imaging
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               LinearOp, MatrixOp, NonnegIndicator,
-                               ProxFunction, SmoothOracle,
-                               StructuredConvexTerm, ZeroFunction)
-from inertiafb.prox_engine import (EngineError, ProxQuery, dual_objective,
+                               LinearOp, NonnegIndicator, ProxFunction,
+                               SmoothOracle, StructuredConvexTerm,
+                               ZeroFunction)
+from inertiafb.prox_engine import (EngineError, ProxQuery,
                                    solve_inexact_prox, theta_from_tau)
-from tests.conftest import eval_h, quadratic_l1_problem, scalar_l1_problem
+from tests.conftest import (MatrixOp, dual_objective, eval_h,
+                            quadratic_l1_problem, scalar_l1_problem)
 
 
 class TestTheta:
