@@ -198,7 +198,8 @@ def run(state: Iterate, cfg: Config, meta: dict,
         # sqrt of the dot product is np.linalg.norm's own formula
         y_step = math.sqrt(new.y_step_sq)
         x_step = y_step if new.x_curr is new.y_tilde \
-            else float(np.linalg.norm(new.x_curr - state.x_curr))
+            else math.sqrt((dx := new.x_curr - state.x_curr).dot(dx))
+        ds = new.s_curr - state.s_curr
         row = trace.append(
             k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
             h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
@@ -206,7 +207,7 @@ def run(state: Iterate, cfg: Config, meta: dict,
             lambda_k=new.lambda_k, inner_iters=new.inner_iters,
             backtracks=new.backtracks, psi=new.psi_val, x_step_norm=x_step,
             y_step_norm=y_step,
-            s_step_norm=float(np.linalg.norm(new.s_curr - state.s_curr)),
+            s_step_norm=math.sqrt(ds.dot(ds)),
             prox_branch=new.prox_branch, accepted_branch=new.accepted_branch)
         if failed := [f"{name} at k={j} (residual {r:.3e})"
                       for name, fn in checks.items()

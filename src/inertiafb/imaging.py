@@ -165,7 +165,7 @@ class GroupL2(ProxFunction):
 
     def value(self, x):
         pairs = np.asarray(x, dtype=float).reshape(2, -1)
-        return self.rho * float(np.sum(self._norms(pairs)))
+        return self.rho * float(self._norms(pairs).sum())
 
     def conjugate_prox(self, v, sigma):
         """Per-pixel projection onto the ball of radius rho (any sigma)."""

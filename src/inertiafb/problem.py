@@ -12,6 +12,7 @@ extended-real values use ``numpy.inf``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,7 +68,9 @@ class SmoothOracle:
 
 
 class LinearOp:
-    """Linear operator with an exact adjoint, acting on flat arrays."""
+    """Linear operator with an exact adjoint, acting on flat arrays.
+    ``rmatvec`` returns a fresh array (callers keep it or write into it)
+    that holds no -0.0, as a sum accumulated from +0.0 never does."""
 
     in_dim: int
     out_dim: int
@@ -87,7 +90,7 @@ class IdentityOp(LinearOp):
         return np.asarray(x, dtype=float)
 
     def rmatvec(self, y):
-        return np.asarray(y, dtype=float)
+        return 0.0 + np.asarray(y, dtype=float)  # 0.0 + (-0.0) is +0.0
 
 
 def adjoint_residual(op: LinearOp, rng: np.random.Generator) -> float:
@@ -105,9 +108,8 @@ def adjoint_residual(op: LinearOp, rng: np.random.Generator) -> float:
 def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
     """Estimate of lambda_max(M^T M) by power iteration.
 
-    Each ``M^T M v`` is normalised in place, so ``op.rmatvec`` must return
-    an array it does not keep.  ``sqrt(w.w)`` is ``np.linalg.norm``'s own
-    formula for a real vector.
+    Each ``M^T M v`` is normalised in place, as ``LinearOp.rmatvec``
+    allows; ``sqrt(w.w)`` is ``np.linalg.norm``'s own formula.
     """
     v = np.random.default_rng(0).standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
@@ -182,7 +184,7 @@ class L1Norm(ProxFunction):
         return u if self.shift is None else u - self.shift
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(self._centered(x))))
+        return self.weight * float(np.abs(self._centered(x)).sum())
 
     def prox(self, u, sigma):
         t = sigma * self.weight
@@ -203,7 +205,7 @@ class NonnegIndicator(ProxFunction):
     """Indicator of the nonnegative orthant; feasibility test is exact."""
 
     def value(self, x):
-        return 0.0 if np.min(x, initial=0.0) >= 0.0 else np.inf
+        return 0.0 if x.min(initial=0.0) >= 0.0 else np.inf
 
     def prox(self, u, sigma):
         return np.maximum(u, 0.0)
@@ -248,23 +250,19 @@ class StructuredConvexTerm:
         return self.block.op.matvec(x)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """``M^T w``: a fresh array, never -0.0."""
+        """``M^T w``: a fresh array, never -0.0 (``LinearOp.rmatvec``)."""
         if self.block is None:
             return np.zeros(self.in_dim)
-        # 0.0 + r turns each -0.0 into +0.0
-        r = self.block.op.rmatvec(w)
-        if np.may_share_memory(r, w):  # IdentityOp returns its input
-            return 0.0 + r
-        return np.add(0.0, r, out=r)
+        return self.block.op.rmatvec(w)
 
     def value(self, x: np.ndarray, xi_x: Optional[float] = None) -> float:
         """``f1(x)``; a caller that holds ``xi(x)`` passes it as ``xi_x``."""
         total = self.xi.value(x) if xi_x is None else xi_x
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             return np.inf
         if self.block is not None:
             total += self.block.fn.value(self.block.op.matvec(x))
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 return np.inf
         return float(total)
 

@@ -101,7 +101,7 @@ class _DualProblem:
         self.alpha = query.alpha
         x, s = query.x, query.s
         f1x = self.f1.value(x) if query.f1_x is None else query.f1_x
-        if not np.isfinite(f1x):
+        if not math.isfinite(f1x):
             raise EngineError("prox query with x outside dom(f1)")
         g = problem.f0.grad(x) if query.grad_x is None else query.grad_x
         self.f0x = problem.f0.value(x) if query.f0_x is None else query.f0_x
@@ -109,16 +109,16 @@ class _DualProblem:
         self.x = x
         self.v = g - (query.beta / query.alpha) * (x - s)
         self.xbar = x - self.alpha * self.v
-        self.c = -0.5 * self.alpha * float(np.dot(self.v, self.v)) - f1x
+        self.c = -0.5 * self.alpha * float(self.v.dot(self.v)) - f1x
 
     def h(self, y: np.ndarray, xi_y: Optional[float] = None):
         """``(h(y), f1(y))``; ``xi_y``, when given, is ``xi(y)``."""
         f1y = self.f1.value(y, xi_y)
-        if not np.isfinite(f1y):
+        if not math.isfinite(f1y):
             return np.inf, f1y
         d = y - self.x
-        return float(f1y - self.f1x + np.dot(self.v, d)
-                     + np.dot(d, d) / (2.0 * self.alpha)), f1y
+        return float(f1y - self.f1x + self.v.dot(d)
+                     + d.dot(d) / (2.0 * self.alpha)), f1y
 
     def psi(self, w: np.ndarray, mtw: np.ndarray, at_prox: bool = False):
         """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
@@ -130,11 +130,11 @@ class _DualProblem:
         if self.f1.block is not None:
             g = self.f1.block.fn
             conj += (g.conjugate_at_prox if at_prox else g.conjugate)(w)
-        if not np.isfinite(conj):
+        if not math.isfinite(conj):
             return -np.inf, z, q, xi_z
         r = z - q
-        val = (xi_z + np.dot(r, r) / (2.0 * self.alpha)
-               + 0.5 * np.dot(mtw, self.xbar + q) - conj + self.c)
+        val = (xi_z + r.dot(r) / (2.0 * self.alpha)
+               + 0.5 * mtw.dot(self.xbar + q) - conj + self.c)
         return float(val), z, q, xi_z
 
 

@@ -20,7 +20,7 @@ class MatrixOp(LinearOp):
         return self.a @ x
 
     def rmatvec(self, y):
-        return self.a.T @ y
+        return 0.0 + self.a.T @ y  # LinearOp.rmatvec holds no -0.0
 
 
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):

@@ -1,7 +1,9 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from inertiafb import cli
 from inertiafb import trace as trace_module
@@ -127,3 +129,27 @@ def test_against_prints_each_differing_run(monkeypatch, capsys):
     assert trace_digest.main(["--against", str(_PATH.parent.parent)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"differs: {label} {solver}", "31 of 32 runs equal"]
+
+
+def test_against_stops_the_other_side_when_this_side_fails(monkeypatch):
+    # an error in this side's digests used to leave the child that digests
+    # the other checkout running to its end
+    children, popen = [], subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        children.append(popen(*args, **kwargs))
+        return children[-1]
+
+    def broken():
+        raise RuntimeError("this side failed")
+
+    monkeypatch.setattr(trace_digest.subprocess, "Popen", spawn)
+    monkeypatch.setattr(trace_digest, "digests", broken)
+    try:
+        with pytest.raises(RuntimeError, match="this side failed"):
+            trace_digest.main(["--against", str(_PATH.parent.parent)])
+        assert [child.poll() is not None for child in children] == [True]
+    finally:
+        for child in children:
+            child.kill()
+            child.wait(timeout=10)

@@ -1,0 +1,206 @@
+"""Run perfbench on two checkouts in alternating pairs and judge each metric.
+
+The one harness for a speed claim.  Compare a checkout with a clone of its
+parent commit::
+
+    python3 tools/bench_pairs.py --against /path/to/parent-clone \\
+        --workload tv-tight-prox --seed-base 701 --out BENCH_x.json
+
+Pair ``i`` of ``PAIRS`` runs ``perfbench/run.py --workload W --seed B+i
+--seconds S --trace 0`` in each checkout, one run at a time, the parent
+first when ``i`` is even; ``S`` is ``run_seconds`` of this checkout's
+``BENCHMARK.json``.  Every run's result line (the last line it prints) is
+kept, with its ``# key: value`` lines and its ``# error:`` lines, and
+``--out`` is rewritten after each pair, so a failing run loses none of the
+pairs before it.  For each end-to-end metric that ``BENCHMARK.json`` lists,
+the summary holds both medians and quartiles, the ratio of the medians, the
+pairs in which the change read lower and the ties, and a verdict:
+
+- ``missing``: some run reported no value for the metric; the statistics
+  cover the values there are;
+- ``gain``: the change reads better in at least nine tenths of the pairs,
+  ties counting for neither, its median is better than the parent's by
+  more than the parent's interquartile range, and no more of its
+  operations failed than the parent's;
+- ``worse``: its median is worse than the parent's by more than the
+  metric's bound;
+- ``unresolved``: none of these, and the parent's interquartile range is
+  wider than the bound, unless every change run reads better than every
+  parent run;
+- ``within bound``: otherwise.
+
+The script prints one line per metric when all pairs are done.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # the fewest pairs the nine-tenths rule can judge
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its result line, its ``# key: value`` lines and
+    its ``# error:`` lines."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    notes, errors = {}, []
+    for line in lines[:-1]:
+        if line.startswith("# error: "):
+            errors.append(line[len("# error: "):])
+        elif line.startswith("# ") and ": " in line:
+            key, value = line[2:].split(": ", 1)
+            notes[key] = value
+    return {"result": json.loads(lines[-1]), "notes": notes,
+            "errors": errors}
+
+
+def _quartiles(xs):
+    if len(xs) == 1:
+        return [xs[0], xs[0]]
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def verdict(entry: dict, better: str, bound: float,
+            more_failed: bool = False) -> str:
+    """The ``gain`` / ``worse`` / ``unresolved`` / ``within bound`` rule
+    of the module docstring for one metric's summary ``entry`` with every
+    value present; ``more_failed`` says that more of the change's
+    operations failed than the parent's."""
+    lower = better == "lower"
+    parent, change = entry["parent_median"], entry["change_median"]
+    pairs, ties = entry["pairs"], entry["ties"]
+    wins = entry["change_lower_in"] if lower \
+        else pairs - ties - entry["change_lower_in"]
+    q1, q3 = entry["parent_q1_q3"]
+    gap = parent - change if lower else change - parent  # > 0: better
+    if wins >= 0.9 * pairs and gap > q3 - q1 and not more_failed:
+        return "gain"
+    if -gap > bound * abs(parent):
+        return "worse"
+    (c_lo, c_hi), (p_lo, p_hi) = entry["change_min_max"], \
+        entry["parent_min_max"]
+    every_run_better = c_hi < p_lo if lower else c_lo > p_hi
+    if q3 - q1 > bound * abs(parent) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list, end_to_end: list) -> dict:
+    """Per metric of ``end_to_end`` (``BENCHMARK.json``'s entries), the
+    medians, quartiles and extremes of the values reported over ``pairs``,
+    the runs that reported none, the lower-in and tie counts over the pairs
+    with both values, and the verdict."""
+    ops = operations(pairs)
+    more_failed = ops["change"]["failed"] > ops["parent"]["failed"]
+    summary = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        values = {side: [pair[side]["result"]["metrics"][name]["value"]
+                         for pair in pairs]
+                  for side in ("parent", "change")}
+        entry = {"pairs": len(pairs),
+                 "missing": {side: xs.count(None)
+                             for side, xs in values.items()}}
+        for side, xs in values.items():
+            xs = [x for x in xs if x is not None]
+            entry[f"{side}_median"] = statistics.median(xs) if xs else None
+            entry[f"{side}_q1_q3"] = _quartiles(xs) if xs else None
+            entry[f"{side}_min_max"] = [min(xs), max(xs)] if xs else None
+        both = [(a, b) for a, b in zip(values["parent"], values["change"])
+                if a is not None and b is not None]
+        entry["change_lower_in"] = sum(b < a for a, b in both)
+        entry["ties"] = sum(b == a for a, b in both)
+        entry["ratio"] = (entry["change_median"] / entry["parent_median"]
+                          if entry["parent_median"]
+                          and entry["change_median"] is not None else None)
+        entry["verdict"] = (
+            "missing" if any(entry["missing"].values())
+            else verdict(entry, spec["better"], spec["bound"], more_failed))
+        summary[name] = entry
+    return summary
+
+
+def operations(pairs: list) -> dict:
+    """Attempted and failed operations per side, and whether every run
+    reported ``correct``."""
+    out = {}
+    for side in ("parent", "change"):
+        results = [pair[side]["result"] for pair in pairs]
+        out[side] = {"attempted": sum(r["attempted"] for r in results),
+                     "failed": sum(r["failed"] for r in results),
+                     "all_correct": all(r["correct"] for r in results)}
+    return out
+
+
+def _revision(checkout: Path):
+    done = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, metavar="PARENT",
+                        help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    parent = Path(args.against).resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        parser.error(f"no perfbench/run.py under {parent}")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+
+    record = {
+        "harness": f"tools/bench_pairs.py: perfbench/run.py --workload "
+                   f"{args.workload} --seed {args.seed_base}+i --seconds "
+                   f"{seconds:g} --trace 0, one run at a time, the parent "
+                   f"first on even pairs i",
+        "workload": args.workload,
+        "revisions": {"parent": _revision(parent), "change": _revision(ROOT)},
+        "operations": None, "summary": None, "pairs": []}
+    pairs = record["pairs"]
+    for i in range(PAIRS):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = _run(parent if side == "parent" else ROOT,
+                              args.workload, seed, seconds)
+        pairs.append(pair)
+        record["operations"] = operations(pairs)
+        record["summary"] = summarize(pairs, bench["end_to_end"])
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+        print(f"# pair {i + 1}/{PAIRS} seed {seed} done", flush=True)
+
+    for name, e in record["summary"].items():
+        if e["verdict"] == "missing":
+            print(f"{name}: no value in {e['missing']['parent']} parent and "
+                  f"{e['missing']['change']} change runs: missing")
+            continue
+        print(f"{name}: median {e['parent_median']:.6g} -> "
+              f"{e['change_median']:.6g}, parent quartiles "
+              f"{e['parent_q1_q3'][0]:.6g}..{e['parent_q1_q3'][1]:.6g}, "
+              f"change lower in {e['change_lower_in']} of {e['pairs']} "
+              f"({e['ties']} ties): {e['verdict']}")
+    ops = record["operations"]
+    print(f"failed operations: parent {ops['parent']['failed']} of "
+          f"{ops['parent']['attempted']}, change {ops['change']['failed']} "
+          f"of {ops['change']['attempted']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -145,10 +145,14 @@ def main(argv=None) -> int:
             print(f"{label:36s} {solver:16s} {digest}")
         return 0
 
-    other = subprocess.Popen([sys.executable, __file__, "--src", args.against],
-                             stdout=subprocess.PIPE, text=True)
-    ours = {(label, solver): digest for label, solver, digest in digests()}
-    out, _ = other.communicate()
+    with subprocess.Popen([sys.executable, __file__, "--src", args.against],
+                          stdout=subprocess.PIPE, text=True) as other:
+        try:
+            ours = {(label, solver): digest
+                    for label, solver, digest in digests()}
+            out, _ = other.communicate()
+        finally:
+            other.kill()  # a no-op once it has exited; the exit waits for it
     if other.returncode:
         return other.returncode
     theirs = {}
