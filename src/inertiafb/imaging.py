@@ -88,6 +88,13 @@ class ConvOperator(LinearOp):
                      output=self._full)
         return _fold_border(self._full, self.shape).flatten()
 
+    @property
+    def key(self):
+        """The matrix is fixed by the kernel and the image shape; read at
+        each call, so a kernel edited in place gives a new key."""
+        return (type(self), self.shape, self.kernel.shape,
+                self.kernel.tobytes())
+
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
     """Normalized truncated Gaussian blur kernel of odd ``size``."""

@@ -70,10 +70,17 @@ class SmoothOracle:
 class LinearOp:
     """Linear operator with an exact adjoint, acting on flat arrays.
     ``rmatvec`` returns a fresh array (callers keep it or write into it)
-    that holds no -0.0, as a sum accumulated from +0.0 never does."""
+    that holds no -0.0, as a sum accumulated from +0.0 never does.
+
+    ``key`` names the matrix for ``power_iteration_sq_norm``'s memo: a
+    hashable value, read at each call, that two operators share only when
+    their matrices are equal.  The default ``None`` means the operator is
+    never memoised.
+    """
 
     in_dim: int
     out_dim: int
+    key = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -105,12 +112,25 @@ def adjoint_residual(op: LinearOp, rng: np.random.Generator) -> float:
     return worst
 
 
+# (op.key, iters) -> lambda: one float per distinct operator and step count
+_SQ_NORMS = {}
+
+
 def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
     """Estimate of lambda_max(M^T M) by power iteration.
 
     Each ``M^T M v`` is normalised in place, as ``LinearOp.rmatvec``
-    allows; ``sqrt(w.w)`` is ``np.linalg.norm``'s own formula.
+    allows; ``sqrt(w.w)`` is ``np.linalg.norm``'s own formula.  The
+    iteration is deterministic, so an operator whose ``key`` is not None
+    runs it once per process: a later call with an equal key and ``iters``
+    returns the stored value, bit for bit.  Processes that build many
+    problems on one blur gain (perfbench, ``tools/trace_digest.py``, the
+    tests, a ``suite`` worker that runs more than one solver); a single
+    ``run`` does not.
     """
+    key = op.key
+    if key is not None and (key, iters) in _SQ_NORMS:
+        return _SQ_NORMS[key, iters]
     v = np.random.default_rng(0).standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -118,8 +138,10 @@ def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
         v = op.rmatvec(op.matvec(v))
         lam = float(np.sqrt(v.dot(v)))
         if lam == 0.0:
-            return 0.0
+            break
         v /= lam
+    if key is not None:
+        _SQ_NORMS[key, iters] = lam
     return lam
 
 
@@ -194,11 +216,11 @@ class L1Norm(ProxFunction):
 
     def conjugate(self, w):
         w = np.asarray(w, dtype=float)
-        if np.max(np.abs(w), initial=0.0) > self.weight * (1.0 + self.feas_rtol):
+        if np.abs(w).max(initial=0.0) > self.weight * (1.0 + self.feas_rtol):
             return np.inf
         if self.shift is None:
             return 0.0
-        return float(np.dot(w, self.shift))
+        return float(w.dot(self.shift))
 
 
 class NonnegIndicator(ProxFunction):
@@ -229,7 +251,10 @@ class StructuredConvexTerm:
     ``sum_i g_i(M_i x)`` is one block: stack the ``M_i`` into ``M`` and let
     ``g`` be separable.  ``op_norm_sq_bound`` must upper-bound ``||M||^2``;
     when omitted it is estimated by 50 power iterations times a 1.05 safety
-    factor (the dual step size relies on the bound being valid).
+    factor (the dual step size relies on the bound being valid).  Every
+    build calls ``power_iteration_sq_norm``, which iterates once per
+    distinct operator (the block operator's ``key``) per process, so a
+    process that builds many problems on one blur pays for it once.
     """
 
     def __init__(self, block: Optional[Block], xi: ProxFunction, n: int,
@@ -241,6 +266,11 @@ class StructuredConvexTerm:
         if op_norm_sq_bound is None and block is not None:
             op_norm_sq_bound = 1.05 * power_iteration_sq_norm(self)
         self.op_norm_sq_bound = float(op_norm_sq_bound or 0.0)
+
+    @property
+    def key(self):
+        """The block operator's ``LinearOp.key``; None without a block."""
+        return None if self.block is None else self.block.op.key
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``M x``; may be ``x`` itself (``IdentityOp``), so callers must

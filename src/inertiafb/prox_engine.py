@@ -153,8 +153,10 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     any such stop with ``|h| <= abs_tol``, a stalled dual's included, stays
     at a copy of ``x``, so every zero decrease comes with a zero step.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
-    An inner iteration applies ``M`` and ``M^T`` once each; iterate 0
-    applies ``M^T`` only when no ``warm_mtw = M^T warm_start`` is given.
+    An inner iteration applies ``M`` twice (on FISTA's ``z_u``, and in
+    ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once, in
+    ``f1(y)``, and ``M^T`` only when no ``warm_mtw = M^T warm_start`` is
+    given.
     """
     dp = _DualProblem(problem, query)
     tau = query.tau

@@ -152,8 +152,8 @@ def test_main_alternates_sides_and_keeps_every_result_line(monkeypatch,
     names = [spec["name"] for spec in bench["end_to_end"]]
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds):
-        calls.append((checkout, seed, seconds))
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout, seed, seconds, trace))
         value = 3.0 if checkout == _ROOT else 4.0
         return {"result": {"correct": True, "attempted": 24, "failed": 0,
                            "metrics": {n: {"value": value + seed, "unit": ""}
@@ -167,10 +167,11 @@ def test_main_alternates_sides_and_keeps_every_result_line(monkeypatch,
                              "--seed-base", "70", "--out", str(out)]) == 0
     seeds = range(70, 70 + bench_pairs.PAIRS)
     assert bench_pairs.PAIRS == 10
-    # the run length is the benchmark's own
+    # the run length is the benchmark's own; the traced run comes last
     assert calls == [
-        (side, s, bench["run_seconds"]) for s in seeds
-        for side in ((parent, _ROOT) if s % 2 == 0 else (_ROOT, parent))]
+        (side, s, bench["run_seconds"], 0) for s in seeds
+        for side in ((parent, _ROOT) if s % 2 == 0 else (_ROOT, parent))] \
+        + [(_ROOT, 70, bench["run_seconds"], 1)]
     record = json.loads(out.read_text())
     assert [p["first"] for p in record["pairs"]] == ["parent", "change"] * 5
     assert [p[side] for p in record["pairs"] for side in ("parent", "change")] \
@@ -183,7 +184,7 @@ def test_main_keeps_the_pairs_run_before_a_run_fails(monkeypatch, tmp_path):
     names = [spec["name"] for spec in json.loads(
         (_ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
-    def fake_run(checkout, workload, seed, seconds):
+    def fake_run(checkout, workload, seed, seconds, trace=0):
         if seed == 72:
             raise subprocess.CalledProcessError(1, "perfbench/run.py")
         return {"result": {"correct": True, "attempted": 24, "failed": 0,
@@ -201,3 +202,64 @@ def test_main_keeps_the_pairs_run_before_a_run_fails(monkeypatch, tmp_path):
     assert [p["seed"] for p in record["pairs"]] == [70, 71]
     assert record["operations"]["change"]["attempted"] == 48
     assert record["summary"]["setup_s"]["pairs"] == 2
+
+
+def _traced_main(monkeypatch, tmp_path, traced_result, traced_errors):
+    """``main`` with every paired run correct and the traced run returning
+    ``traced_result`` and ``traced_errors``; its exit code and record."""
+    names = [spec["name"] for spec in json.loads(
+        (_ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        if trace:
+            assert (checkout, seed) == (_ROOT, 70)
+            return {"result": traced_result, "notes": {},
+                    "errors": traced_errors}
+        return {"result": {"correct": True, "attempted": 24, "failed": 0,
+                           "metrics": {n: {"value": 1.0, "unit": ""}
+                                       for n in names}},
+                "notes": {}, "errors": []}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--against", str(_fake_parent(tmp_path)),
+                             "--workload", "w", "--seed-base", "70",
+                             "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_main_stores_a_correct_traced_run(monkeypatch, tmp_path):
+    code, record = _traced_main(
+        monkeypatch, tmp_path,
+        {"correct": True, "attempted": 48, "failed": 0, "metrics": {}}, [])
+    assert code == 0
+    assert record["traced"] == {"seed": 70, "correct": True, "failed": 0,
+                                "errors": []}
+    assert len(record["pairs"]) == bench_pairs.PAIRS
+
+
+def test_main_exits_1_when_the_traced_run_is_not_correct(monkeypatch,
+                                                         tmp_path, capsys):
+    # a change that drops a span perfbench requires reads correct in
+    # every --trace 0 run and fails only the traced one
+    error = "layer problem.power_iteration recorded no spans"
+    code, record = _traced_main(
+        monkeypatch, tmp_path,
+        {"correct": False, "attempted": 48, "failed": 0, "metrics": {}},
+        [error])
+    assert code == 1
+    assert record["traced"] == {"seed": 70, "correct": False, "failed": 0,
+                                "errors": [error]}
+    assert record["operations"]["change"]["all_correct"]
+    assert f"# error: {error}" in capsys.readouterr().out
+
+
+def test_run_passes_the_trace_flag(monkeypatch):
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd[-2:] == ["--trace", "1"]
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=json.dumps(_line(4.0)["result"]) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs._run(_ROOT, "w", 7, 45, trace=1)["result"] \
+        == _line(4.0)["result"]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from inertiafb import certify, cli, i2piano
+from inertiafb import certify, cli, i2piano, imaging, problem
 from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
                            main, parse_overrides)
 from inertiafb.i2piano import I2PianoConfig
@@ -300,6 +300,25 @@ class TestRunCommand:
         assert run_cli(*args, "--out", str(tmp_path / "b")) == 0
         assert csv_equal_ignoring_time(tmp_path / "a" / "trace.csv",
                                        tmp_path / "b" / "trace.csv")
+
+    def test_cold_and_warm_norm_memo_write_equal_traces(self, tmp_path,
+                                                        monkeypatch):
+        # the second build takes impulse-l1's ||H||^2 from the memo, so its
+        # run applies H^T 50 times less than the first
+        args = ("run", "--problem", "impulse-l1", "--size", "16",
+                "--solver", "ipila-practical", "--max_outer", "20")
+        calls = []
+        rmatvec = imaging.ConvOperator.rmatvec
+        monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
+                            lambda op, y: calls.append(1) or rmatvec(op, y))
+        problem._SQ_NORMS.clear()
+        assert run_cli(*args, "--out", str(tmp_path / "cold")) == 0
+        cold_calls = len(calls)
+        assert len(problem._SQ_NORMS) == 1
+        assert run_cli(*args, "--out", str(tmp_path / "warm")) == 0
+        assert len(calls) - cold_calls == cold_calls - 50
+        assert csv_equal_ignoring_time(tmp_path / "cold" / "trace.csv",
+                                       tmp_path / "warm" / "trace.csv")
 
     def test_imaging_run_writes_restored_images(self, tmp_path):
         out = tmp_path / "img"

@@ -5,11 +5,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from inertiafb import imaging
+from inertiafb import imaging, problem
 from inertiafb.cli import DEFAULTS, build_problem
-from inertiafb.problem import (CompositeProblem, StructuredConvexTerm,
-                               ZeroFunction, adjoint_residual,
-                               check_gradient, power_iteration_sq_norm)
+from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+                               StructuredConvexTerm, ZeroFunction,
+                               adjoint_residual, check_gradient,
+                               power_iteration_sq_norm)
+from tests.conftest import MatrixOp
 
 
 # Reference formulas the convolution layer must reproduce bit for bit: the
@@ -225,6 +227,7 @@ class TestReusedWorkspaces:
 
     def test_power_iteration_keeps_the_norm_bits(self):
         # 50 steps on the 64x64 blur, against np.linalg.norm and v = w / lam
+        problem._SQ_NORMS.clear()  # the iteration runs, not the memo
         op = imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (64, 64))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.in_dim)
@@ -234,6 +237,97 @@ class TestReusedWorkspaces:
             lam = float(np.linalg.norm(w))
             v = w / lam
         assert power_iteration_sq_norm(op).hex() == lam.hex()
+
+
+def _blur(shape=(64, 64), sigma=1.0):
+    return imaging.ConvOperator(imaging.gaussian_kernel(5, sigma), shape)
+
+
+def _count_calls(op):
+    """Wraps ``op``'s matvec and rmatvec; returns the list of their names,
+    one per call."""
+    calls = []
+    for name in ("matvec", "rmatvec"):
+        def counted(v, fn=getattr(op, name), name=name):
+            calls.append(name)
+            return fn(v)
+        setattr(op, name, counted)
+    return calls
+
+
+class TestNormMemo:
+    """``power_iteration_sq_norm`` runs once per operator key and step
+    count, and returns what a fresh iteration returns, bit for bit."""
+
+    LAM = "0x1.033cd4dfbad94p+0"  # 50 steps on the 5x5 sigma=1 64x64 blur
+    BOUND = "0x1.103312b7b7642p+0"  # impulse-l1's 1.05 * LAM at 64x64
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        problem._SQ_NORMS.clear()
+
+    def test_a_stored_bound_has_the_bits_of_a_fresh_one(self):
+        op = _blur()
+        calls = _count_calls(op)
+        assert power_iteration_sq_norm(op).hex() == self.LAM
+        assert calls == ["matvec", "rmatvec"] * 50
+        g = np.zeros(64 * 64)
+        assert imaging.l1_fidelity_term(_blur(), g).op_norm_sq_bound.hex() \
+            == self.BOUND
+        problem._SQ_NORMS.clear()
+        cold = imaging.l1_fidelity_term(_blur(), g)
+        assert cold.op_norm_sq_bound.hex() == self.BOUND
+        assert cold.key == _blur().key
+        assert list(problem._SQ_NORMS.values())[0].hex() == self.LAM
+
+    def test_an_equal_operator_applies_nothing(self):
+        power_iteration_sq_norm(_blur())
+        again = _blur()
+        calls = _count_calls(again)
+        assert power_iteration_sq_norm(again).hex() == self.LAM
+        assert calls == []
+        assert len(problem._SQ_NORMS) == 1
+
+    @pytest.mark.parametrize("change", ["kernel", "shape", "iters",
+                                        "edited kernel"])
+    def test_another_matrix_or_step_count_recomputes(self, change):
+        base = _blur((16, 16))
+        lam = power_iteration_sq_norm(base)
+        iters = 30 if change == "iters" else 50
+        if change == "kernel":
+            op = _blur((16, 16), sigma=2.0)
+        elif change == "shape":
+            op = _blur((16, 17))
+        elif change == "edited kernel":
+            op = base
+            op.kernel[2, 2] *= 2.0
+        else:
+            op = _blur((16, 16))
+        calls = _count_calls(op)
+        got = power_iteration_sq_norm(op, iters)
+        assert calls == ["matvec", "rmatvec"] * iters
+        assert len(problem._SQ_NORMS) == 2
+        if change != "iters":
+            assert got != lam
+        # the new value is stored under its own key
+        assert power_iteration_sq_norm(op, iters) == got
+        assert len(calls) == 2 * iters
+
+    def test_operators_without_a_key_are_never_stored(self):
+        rng = np.random.default_rng(5)
+        ops = [MatrixOp(rng.standard_normal((6, 4))),
+               imaging.GradOp((8, 8)), IdentityOp(5)]
+        for op in ops:
+            assert op.key is None
+            calls = _count_calls(op)
+            first = power_iteration_sq_norm(op, 20)
+            assert power_iteration_sq_norm(op, 20) == first
+            assert calls == ["matvec", "rmatvec"] * 40
+        term = StructuredConvexTerm(Block(ops[0], L1Norm(1.0)),
+                                    xi=ZeroFunction(), n=4)
+        assert term.key is None
+        assert StructuredConvexTerm(None, xi=ZeroFunction(), n=4).key is None
+        assert problem._SQ_NORMS == {}
 
 
 class TestTotalVariation:

@@ -29,7 +29,11 @@ pairs in which the change read lower and the ties, and a verdict:
   parent run;
 - ``within bound``: otherwise.
 
-The script prints one line per metric when all pairs are done.
+The script prints one line per metric when all pairs are done.  It then
+runs the change once more with ``--trace 1`` at the first seed, which also
+checks that every layer perfbench requires still records spans, stores
+that run's ``correct``, ``failed`` and ``# error:`` lines under ``traced``
+in ``--out``, and exits 1 when the run is not correct.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs the nine-tenths rule can judge
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int = 0) -> dict:
     """One perfbench run: its result line, its ``# key: value`` lines and
     its ``# error:`` lines."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     notes, errors = {}, []
@@ -167,10 +173,11 @@ def main(argv=None) -> int:
         "harness": f"tools/bench_pairs.py: perfbench/run.py --workload "
                    f"{args.workload} --seed {args.seed_base}+i --seconds "
                    f"{seconds:g} --trace 0, one run at a time, the parent "
-                   f"first on even pairs i",
+                   f"first on even pairs i; then the change once with "
+                   f"--seed {args.seed_base} --trace 1",
         "workload": args.workload,
         "revisions": {"parent": _revision(parent), "change": _revision(ROOT)},
-        "operations": None, "summary": None, "pairs": []}
+        "operations": None, "summary": None, "pairs": [], "traced": None}
     pairs = record["pairs"]
     for i in range(PAIRS):
         seed = args.seed_base + i
@@ -199,7 +206,18 @@ def main(argv=None) -> int:
     print(f"failed operations: parent {ops['parent']['failed']} of "
           f"{ops['parent']['attempted']}, change {ops['change']['failed']} "
           f"of {ops['change']['attempted']}")
-    return 0
+
+    run = _run(ROOT, args.workload, args.seed_base, seconds, trace=1)
+    traced = record["traced"] = {"seed": args.seed_base,
+                                 "correct": run["result"]["correct"],
+                                 "failed": run["result"]["failed"],
+                                 "errors": run["errors"]}
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    for line in traced["errors"]:
+        print(f"# error: {line}")
+    print(f"traced run of the change, seed {args.seed_base}: correct "
+          f"{traced['correct']}, {traced['failed']} failed operations")
+    return 0 if traced["correct"] else 1
 
 
 if __name__ == "__main__":
