@@ -232,18 +232,19 @@ class FilterBank:
 
 
 def dct_filter_bank(rho: float = 0.08) -> FilterBank:
-    """The 8 non-constant 3x3 DCT-II basis filters with equal weights."""
-    def basis(p):
-        c = np.sqrt(1.0 / 3.0) if p == 0 else np.sqrt(2.0 / 3.0)
-        return c * np.cos(np.pi * (2.0 * np.arange(3) + 1.0) * p / 6.0)
+    """The 8 non-constant 3x3 DCT-II basis filters with equal weights.
 
-    filters = []
-    for p in range(3):
-        for q in range(3):
-            if p == 0 and q == 0:
-                continue
-            filters.append((np.outer(basis(p), basis(q)), 1.0 / 8.0))
-    return FilterBank(filters=filters, rho=rho)
+    Filter ``(p, q)`` is the outer product of 1-D basis rows ``p`` and
+    ``q``, taken from one broadcast product, in row-major order of
+    ``(p, q)`` without ``(0, 0)``.
+    """
+    c = np.sqrt(np.array([1.0, 2.0, 2.0]) / 3.0)
+    p = np.arange(3)[:, None]
+    basis = c[:, None] * np.cos(np.pi * (2.0 * np.arange(3) + 1.0) * p / 6.0)
+    kernels = basis[:, None, :, None] * basis[None, :, None, :]
+    return FilterBank(filters=[(k, 1.0 / 8.0)
+                               for k in kernels.reshape(9, 3, 3)[1:]],
+                      rho=rho)
 
 
 def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
@@ -252,8 +253,10 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
 
     The forward pass mirror-pads the image into a workspace and copies its
     ``(taps, pixels)`` windows into columns, and one ``(filters, taps) @
-    (taps, pixels)`` product gives every filter response; the gradient folds
-    one scatter-added adjoint.  Forward, value and gradient write their
+    (taps, pixels)`` product gives every filter response.  The gradient
+    maps the weighted responses back to one ``(taps, pixels)`` product, adds
+    each tap row in tap order into the flat padded array as one contiguous
+    slice, and folds the border.  Forward, value and gradient write their
     large temporaries into the oracle's own workspace, so one instance must
     not run concurrently.
     """
@@ -266,15 +269,21 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
                      for k, _ in bank.filters])
     wts = np.array([wt for _, wt in bank.filters], dtype=float)
     hp, wp = h + kh - 1, w + kw - 1
-    # tap t's window on the padded array, as flat indices, in tap order
-    full_idx = sliding_window_view(np.arange(hp * wp).reshape(hp, wp),
-                                   (h, w)).reshape(-1)
     rho = bank.rho
     padded = np.empty((hp, wp))
     cols = np.empty((kh * kw, h * w))
     img = padded[ph:ph + h, pw:pw + w]
     windows = sliding_window_view(padded, (h, w))  # (kh, kw, h, w) view
     ws, ws2 = np.empty((2, len(kmat), h * w))
+    # the gradient's tap rows, widened to the padded width by +0.0 columns
+    # that are never written, and the flat padded array they are added into:
+    # tap (i, j)'s window starts at i * wp + j, its rows joined by those zeros
+    taps_wide = np.zeros((kh * kw, h, wp))
+    full = np.empty(hp * wp)
+    span = (h - 1) * wp + w
+    adds = [(full[i * wp + j:i * wp + j + span], row[:span])
+            for (i, j), row in zip(np.ndindex(kh, kw),
+                                   taps_wide.reshape(kh * kw, -1))]
 
     def forward(x):
         # whole-sample mirror: rows first, then columns across every row
@@ -296,8 +305,12 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
         num = np.multiply(2.0, u, out=ws2)
         np.multiply(wts[:, None], np.divide(num, den, out=num), out=num)
         taps = np.matmul(kmat.T, num, out=cols)
-        # sums into each padded element in tap order, as a loop over taps
-        full = np.bincount(full_idx, weights=taps.reshape(-1))
+        taps_wide[:, :, :w] = taps.reshape(-1, h, w)
+        # each padded element sums its taps in tap order from +0.0, so it
+        # never holds -0.0 and the added +0.0 columns leave its bits alone
+        full.fill(0.0)
+        for window, row in adds:
+            window += row
         return (rho * _fold_border(full.reshape(hp, wp), shape)).ravel()
 
     return SmoothOracle(value, grad, forward)
@@ -378,8 +391,8 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
 
 def phantom(size: int = 64, peak: float = 255.0) -> np.ndarray:
     """Piecewise-smooth synthetic test image in ``[0, peak]``."""
-    i, j = np.meshgrid(np.linspace(-1, 1, size), np.linspace(-1, 1, size),
-                       indexing="ij")
+    j = np.linspace(-1, 1, size)
+    i = j[:, None]  # row coordinate; j broadcasts along the columns
     img = 0.25 + 0.45 * np.exp(-((i + 0.3) ** 2 + (j + 0.3) ** 2) / 0.08)
     img += 0.35 * ((np.abs(i - 0.35) < 0.3) & (np.abs(j - 0.25) < 0.35))
     img += 0.15 * ((i ** 2 + (j - 0.45) ** 2) < 0.04)

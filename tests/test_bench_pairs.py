@@ -2,6 +2,7 @@ import importlib.util
 import json
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,7 +161,14 @@ def test_main_alternates_sides_and_keeps_every_result_line(monkeypatch,
                                        for n in names}},
                 "notes": {"seed": str(seed)}, "errors": []}
 
+    def fake_cold_build(checkout, workload):
+        assert workload == "w"
+        cold.append(checkout)
+        return 0.02 if checkout == _ROOT else 0.03
+
+    cold = []
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_cold_build", fake_cold_build)
     parent = _fake_parent(tmp_path)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--against", str(parent), "--workload", "w",
@@ -172,12 +180,17 @@ def test_main_alternates_sides_and_keeps_every_result_line(monkeypatch,
         (side, s, bench["run_seconds"], 0) for s in seeds
         for side in ((parent, _ROOT) if s % 2 == 0 else (_ROOT, parent))] \
         + [(_ROOT, 70, bench["run_seconds"], 1)]
+    # one cold build after each paired run, in that run's checkout
+    assert cold == [c for c, _, _, trace in calls if not trace]
     record = json.loads(out.read_text())
     assert [p["first"] for p in record["pairs"]] == ["parent", "change"] * 5
     assert [p[side] for p in record["pairs"] for side in ("parent", "change")] \
-        == [fake_run(c, "w", s, 45) for s in seeds for c in (parent, _ROOT)]
-    assert list(record["summary"]) == names
-    assert all(e["change_lower_in"] == 10 for e in record["summary"].values())
+        == [dict(fake_run(c, "w", s, 45), cold_build_s=fake_cold_build(c, "w"))
+            for s in seeds for c in (parent, _ROOT)]
+    assert list(record["summary"]) == names + ["cold_build_s"]
+    assert all(record["summary"][n]["change_lower_in"] == 10 for n in names)
+    assert record["summary"]["cold_build_s"] == {"parent_median": 0.03,
+                                                 "change_median": 0.02}
 
 
 def test_main_keeps_the_pairs_run_before_a_run_fails(monkeypatch, tmp_path):
@@ -193,6 +206,7 @@ def test_main_keeps_the_pairs_run_before_a_run_fails(monkeypatch, tmp_path):
                 "notes": {}, "errors": []}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_cold_build", lambda c, w: 0.02)
     out = tmp_path / "bench.json"
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.main(["--against", str(_fake_parent(tmp_path)),
@@ -221,6 +235,7 @@ def _traced_main(monkeypatch, tmp_path, traced_result, traced_errors):
                 "notes": {}, "errors": []}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_cold_build", lambda c, w: 0.02)
     out = tmp_path / "bench.json"
     code = bench_pairs.main(["--against", str(_fake_parent(tmp_path)),
                              "--workload", "w", "--seed-base", "70",
@@ -263,3 +278,34 @@ def test_run_passes_the_trace_flag(monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     assert bench_pairs._run(_ROOT, "w", 7, 45, trace=1)["result"] \
         == _line(4.0)["result"]
+
+
+def test_cold_build_times_one_build_in_a_fresh_interpreter(monkeypatch,
+                                                          tmp_path):
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd[:3] == [sys.executable, "-B", "-c"]
+        assert cmd[3] == bench_pairs._COLD_BUILD and cmd[4:] == ["w"]
+        assert kwargs["cwd"] == tmp_path and kwargs["check"]
+        return subprocess.CompletedProcess(cmd, 0, stdout="0.0215\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs._cold_build(tmp_path, "w") == 0.0215
+
+
+def test_cold_build_script_builds_a_workload_problem():
+    # the script reads the workload from this checkout's perfbench/run.py
+    seconds = bench_pairs._cold_build(_ROOT, "tv-tight-prox")
+    assert 0.0 < seconds < 60.0
+
+
+def test_summary_takes_cold_build_medians_without_a_verdict():
+    pairs = _pairs([4.0, 4.1, 4.2], [3.0, 3.1, 3.2])
+    for pair, (p, c) in zip(pairs, [(0.03, 0.02), (0.05, 0.01),
+                                    (0.04, None)]):
+        pair["parent"]["cold_build_s"] = p
+        pair["change"]["cold_build_s"] = c
+    cold = bench_pairs.summarize(pairs, _SPECS)["cold_build_s"]
+    assert cold == {"parent_median": 0.04, "change_median": 0.015}
+    # pairs from before the cold build was timed have none
+    assert bench_pairs.summarize(_pairs([4.0], [3.0]), _SPECS)[
+        "cold_build_s"] == {"parent_median": None, "change_median": None}

@@ -14,9 +14,10 @@ from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
 from tests.conftest import MatrixOp
 
 
-# Reference formulas the convolution layer must reproduce bit for bit: the
-# adjoint as np.pad, full convolution and two out-of-place folds, and the
-# log-filter columns as a gather by precomputed indices.
+# Reference formulas the imaging layer must reproduce bit for bit: the
+# adjoint as np.pad, full convolution and two out-of-place folds, the
+# log-filter columns as a gather by precomputed indices, and the phantom and
+# the DCT filters as they were first written.
 
 def _fold_reference(z, length, pad):
     # transpose of whole-sample mirror padding along axis 0
@@ -48,6 +49,26 @@ def _log_filter_forward_reference(bank, shape, x):
     idx = np.pad(np.arange(h * w).reshape(h, w), pads, mode="reflect")
     idx = sliding_window_view(idx, (h, w)).reshape(kh * kw, h * w)
     return kmat @ np.take(x, idx)
+
+
+def _phantom_reference(size, peak):
+    # the test image on two meshgrid coordinate arrays
+    i, j = np.meshgrid(np.linspace(-1, 1, size), np.linspace(-1, 1, size),
+                       indexing="ij")
+    img = 0.25 + 0.45 * np.exp(-((i + 0.3) ** 2 + (j + 0.3) ** 2) / 0.08)
+    img += 0.35 * ((np.abs(i - 0.35) < 0.3) & (np.abs(j - 0.25) < 0.35))
+    img += 0.15 * ((i ** 2 + (j - 0.45) ** 2) < 0.04)
+    return np.clip(img, 0.0, 1.0) * peak
+
+
+def _dct_filters_reference():
+    # one np.outer of two 1-D DCT-II basis rows per (p, q) != (0, 0)
+    def basis(p):
+        c = np.sqrt(1.0 / 3.0) if p == 0 else np.sqrt(2.0 / 3.0)
+        return c * np.cos(np.pi * (2.0 * np.arange(3) + 1.0) * p / 6.0)
+
+    return [(np.outer(basis(p), basis(q)), 1.0 / 8.0)
+            for p in range(3) for q in range(3) if (p, q) != (0, 0)]
 
 
 def _signed_zero_samples(rng, n):
@@ -469,6 +490,15 @@ class TestRegularizerAndFidelities:
             assert w == pytest.approx(1.0 / 8.0)
             assert abs(k.sum()) < 1e-12  # non-constant basis: zero mean
 
+    def test_dct_filter_bank_bits_match_outer_products(self):
+        got = imaging.dct_filter_bank().filters
+        want = _dct_filters_reference()
+        assert len(got) == len(want)
+        for (k, wt), (k_ref, wt_ref) in zip(got, want):
+            assert k.shape == k_ref.shape
+            assert k.tobytes() == k_ref.tobytes()
+            assert wt == wt_ref
+
     def test_log_filter_scalar_example(self):
         # single identity filter, weight 1, rho 1, on a one-pixel image of 1:
         # value = log(1 + 1^2) = log 2
@@ -654,6 +684,14 @@ class TestNoiseAndMetrics:
         assert imaging.psnr(img, img, peak=255.0) == 300.0
         with pytest.raises(ValueError):
             imaging.psnr(np.zeros((2, 2)), np.zeros((3, 3)), peak=1.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 17, 64, 65])
+    @pytest.mark.parametrize("peak", [255.0, 1.0])
+    def test_phantom_bits_match_meshgrid(self, size, peak):
+        img = imaging.phantom(size, peak=peak)
+        want = _phantom_reference(size, peak)
+        assert img.shape == want.shape == (size, size)
+        assert img.tobytes() == want.tobytes()
 
     def test_phantom_range(self):
         img = imaging.phantom(32, peak=255.0)

@@ -29,6 +29,15 @@ pairs in which the change read lower and the ties, and a verdict:
   parent run;
 - ``within bound``: otherwise.
 
+After each run the script also times one cold build in the same checkout:
+the workload's problem at perfbench's 64x64 size, CLI defaults otherwise,
+built once in a fresh interpreter after its imports.  perfbench's
+``setup_s`` is a median over the builds of one process, so it misses what
+only a process's first build pays, such as the blur norm's power iteration.
+The time is kept as ``cold_build_s`` next to the run's result, and the
+summary adds each side's median under ``cold_build_s``; it is informational
+and gets no verdict.
+
 The script prints one line per metric when all pairs are done.  It then
 runs the change once more with ``--trace 1`` at the first seed, which also
 checks that every layer perfbench requires still records spans, stores
@@ -70,6 +79,29 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float,
             "errors": errors}
 
 
+# importing perfbench/run.py pins the BLAS threads as a perfbench run does
+_COLD_BUILD = """
+import sys, time
+sys.path[:0] = ["perfbench", "src"]
+import run
+from inertiafb import cli
+cfg = dict(cli.DEFAULTS, problem=run.WORKLOADS[sys.argv[1]]["problem"],
+           size=run.SIZE)
+start = time.perf_counter()
+cli.build_problem(cfg)
+print(time.perf_counter() - start)
+"""
+
+
+def _cold_build(checkout: Path, workload: str) -> float:
+    """Seconds one cold build of ``workload``'s problem takes in
+    ``checkout``."""
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", _COLD_BUILD, workload], cwd=checkout,
+        capture_output=True, text=True, check=True).stdout
+    return float(out.splitlines()[-1])
+
+
 def _quartiles(xs):
     if len(xs) == 1:
         return [xs[0], xs[0]]
@@ -106,7 +138,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     """Per metric of ``end_to_end`` (``BENCHMARK.json``'s entries), the
     medians, quartiles and extremes of the values reported over ``pairs``,
     the runs that reported none, the lower-in and tie counts over the pairs
-    with both values, and the verdict."""
+    with both values, and the verdict; then, under ``cold_build_s``, each
+    side's median cold build, with no verdict."""
     ops = operations(pairs)
     more_failed = ops["change"]["failed"] > ops["parent"]["failed"]
     summary = {}
@@ -134,6 +167,12 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "missing" if any(entry["missing"].values())
             else verdict(entry, spec["better"], spec["bound"], more_failed))
         summary[name] = entry
+    cold = {side: [pair[side]["cold_build_s"] for pair in pairs
+                   if pair[side].get("cold_build_s") is not None]
+            for side in ("parent", "change")}
+    summary["cold_build_s"] = {
+        f"{side}_median": statistics.median(xs) if xs else None
+        for side, xs in cold.items()}
     return summary
 
 
@@ -173,8 +212,9 @@ def main(argv=None) -> int:
         "harness": f"tools/bench_pairs.py: perfbench/run.py --workload "
                    f"{args.workload} --seed {args.seed_base}+i --seconds "
                    f"{seconds:g} --trace 0, one run at a time, the parent "
-                   f"first on even pairs i; then the change once with "
-                   f"--seed {args.seed_base} --trace 1",
+                   f"first on even pairs i, each run followed by one cold "
+                   f"build in a fresh interpreter; then the change once "
+                   f"with --seed {args.seed_base} --trace 1",
         "workload": args.workload,
         "revisions": {"parent": _revision(parent), "change": _revision(ROOT)},
         "operations": None, "summary": None, "pairs": [], "traced": None}
@@ -184,15 +224,18 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = _run(parent if side == "parent" else ROOT,
-                              args.workload, seed, seconds)
+            checkout = parent if side == "parent" else ROOT
+            pair[side] = _run(checkout, args.workload, seed, seconds)
+            pair[side]["cold_build_s"] = _cold_build(checkout, args.workload)
         pairs.append(pair)
         record["operations"] = operations(pairs)
         record["summary"] = summarize(pairs, bench["end_to_end"])
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
         print(f"# pair {i + 1}/{PAIRS} seed {seed} done", flush=True)
 
-    for name, e in record["summary"].items():
+    summary = dict(record["summary"])
+    cold = summary.pop("cold_build_s")
+    for name, e in summary.items():
         if e["verdict"] == "missing":
             print(f"{name}: no value in {e['missing']['parent']} parent and "
                   f"{e['missing']['change']} change runs: missing")
@@ -202,6 +245,8 @@ def main(argv=None) -> int:
               f"{e['parent_q1_q3'][0]:.6g}..{e['parent_q1_q3'][1]:.6g}, "
               f"change lower in {e['change_lower_in']} of {e['pairs']} "
               f"({e['ties']} ties): {e['verdict']}")
+    print(f"cold_build_s: median {cold['parent_median']:.6g} -> "
+          f"{cold['change_median']:.6g} (informational, no verdict)")
     ops = record["operations"]
     print(f"failed operations: parent {ops['parent']['failed']} of "
           f"{ops['parent']['attempted']}, change {ops['change']['failed']} "
