@@ -240,9 +240,9 @@ def build_problem(cfg: dict):
     else:
         truth = imaging.phantom(size, peak=peak)
     shape = truth.shape
-    H = imaging.ConvOperator(
-        imaging.gaussian_kernel(_i(cfg, "blur_size"), _f(cfg, "blur_sigma")),
-        shape)
+    blur = imaging.gaussian_kernel(_i(cfg, "blur_size"),
+                                   _f(cfg, "blur_sigma"))
+    H = imaging.ConvOperator(blur, blur, shape)
     blurred = H.matvec(truth.ravel())
 
     if name == "impulse-l1":

@@ -1,6 +1,6 @@
 """Image deblurring problem library.
 
-Provides the pieces of the benchmark problems: convolution with
+Provides the pieces of the benchmark problems: separable convolution with
 whole-sample reflective boundaries and its exact adjoint, a forward
 difference gradient with Neumann boundaries for total variation, an l1 data
 fidelity with a nonnegativity constraint, a smooth log-filter regularizer on
@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import convolve as _nd_convolve
-from scipy.ndimage import correlate as _nd_correlate
+from scipy.ndimage import convolve1d as _nd_convolve1d
+from scipy.ndimage import correlate1d as _nd_correlate1d
 
 from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
                                ProxFunction, SmoothOracle, L1Norm,
@@ -47,65 +47,86 @@ def _fold_border(full: np.ndarray, shape) -> np.ndarray:
 
 
 class ConvOperator(LinearOp):
-    """2-D convolution with whole-sample reflective boundary handling.
+    """2-D convolution by the separable kernel ``outer(col, row)`` with
+    whole-sample reflective boundary handling.
 
     The forward map mirrors the image across its border pixels before a
-    valid-mode correlation with the kernel; the adjoint is the exact
-    transpose of that composition (full convolution followed by folding the
-    padded border back onto its source pixels).  The adjoint works in two
-    padded arrays the instance keeps, so one instance must not run
+    valid-mode correlation with the kernel, done as one 1-D pass along the
+    rows (``row``) and one along the columns (``col``).  The adjoint is the
+    exact transpose of that composition: the same two passes as full
+    convolutions on a zero-bordered copy, then the padded border folded
+    back onto its source pixels.  The factors define the operator and its
+    ``key``; ``kernel`` is their outer product at construction, read-only
+    and kept for reporting.  Both
+    maps work in arrays the instance keeps, so one instance must not run
     concurrently; every returned array is fresh.
     """
 
-    def __init__(self, kernel: np.ndarray, shape):
-        self.kernel = np.asarray(kernel, dtype=float)
-        if self.kernel.ndim != 2:
-            raise ValueError("kernel must be 2-D")
-        kh, kw = self.kernel.shape
+    def __init__(self, col: np.ndarray, row: np.ndarray, shape):
+        self.col = np.array(col, dtype=float)
+        self.row = np.array(row, dtype=float)
+        if self.col.ndim != 1 or self.row.ndim != 1:
+            raise ValueError("kernel factors must be 1-D")
+        kh, kw = self.col.size, self.row.size
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("kernel dimensions must be odd")
         self.shape = (int(shape[0]), int(shape[1]))
         h, w = self.shape
         if kh > h or kw > w:
             raise ValueError("kernel larger than image")
+        self.kernel = np.outer(self.col, self.row)
+        self.kernel.flags.writeable = False
         # odd kh <= h implies kh // 2 <= h - 1: the mirror pad never wraps
         ph, pw = kh // 2, kw // 2
         self.in_dim = self.out_dim = h * w
-        # rmatvec's zero-bordered input (only the interior is ever written)
+        # matvec's row pass; rmatvec's zero-bordered input (only the
+        # interior is ever written), its row pass (only the interior rows)
         # and its full-convolution output
-        self._padded, self._full = np.zeros((2, h + 2 * ph, w + 2 * pw))
+        self._row_pass = np.empty((h, w))
+        self._padded, self._wide, self._full = np.zeros(
+            (3, h + 2 * ph, w + 2 * pw))
         self._interior = self._padded[ph:ph + h, pw:pw + w]
+        self._row_band = slice(ph, ph + h)
 
     def matvec(self, x):
         img = np.asarray(x, dtype=float).reshape(self.shape)
         # equals valid correlation of the whole-sample mirrored image
-        return _nd_correlate(img, self.kernel, mode="mirror").ravel()
+        _nd_correlate1d(img, self.row, axis=1, mode="mirror",
+                        output=self._row_pass)
+        return _nd_correlate1d(self._row_pass, self.col, axis=0,
+                               mode="mirror").ravel()
 
     def rmatvec(self, y):
-        # full convolution: zero-pad by the kernel radius, then 'same'
+        # full convolution: zero-pad by the kernel radius, then 'same'; the
+        # zero border rows stay zero under the row pass, so it skips them
+        band = self._row_band
         self._interior[...] = np.reshape(y, self.shape)
-        _nd_convolve(self._padded, self.kernel, mode="constant",
-                     output=self._full)
-        return _fold_border(self._full, self.shape).flatten()
+        _nd_convolve1d(self._padded[band], self.row, axis=1, mode="constant",
+                       output=self._wide[band])
+        _nd_convolve1d(self._wide, self.col, axis=0, mode="constant",
+                       output=self._full)
+        # a symmetric 1-D pass starts each sum from its centre product, not
+        # from +0.0, so it can leave -0.0; adding to +0.0 clears it
+        return np.add(0.0, _fold_border(self._full, self.shape)).ravel()
 
     @property
     def key(self):
-        """The matrix is fixed by the kernel and the image shape; read at
-        each call, so a kernel edited in place gives a new key."""
-        return (type(self), self.shape, self.kernel.shape,
-                self.kernel.tobytes())
+        """The matrix is fixed by the two factors and the image shape; read
+        at each call, so a factor edited in place gives a new key."""
+        return (type(self), self.shape, self.col.tobytes(),
+                self.row.tobytes())
 
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
-    """Normalized truncated Gaussian blur kernel of odd ``size``."""
+    """Normalized truncated 1-D Gaussian of odd ``size``: the factor ``g``
+    of the blur kernel ``outer(g, g)``."""
     if size % 2 == 0:
         raise ValueError("size must be odd")
     if not sigma > 0:
         raise ValueError("blur sigma must be positive")
     r = np.arange(size) - size // 2
     g = np.exp(-0.5 * (r / sigma) ** 2)
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 # ---------------------------------------------------------------------------

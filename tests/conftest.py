@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, SmoothOracle, StructuredConvexTerm,
@@ -21,6 +22,44 @@ class MatrixOp(LinearOp):
 
     def rmatvec(self, y):
         return 0.0 + self.a.T @ y  # LinearOp.rmatvec holds no -0.0
+
+
+def _fold_reference(z, length, pad):
+    # transpose of whole-sample mirror padding along axis 0
+    out = z[pad:pad + length].copy()
+    if pad:
+        out[1:pad + 1] += z[:pad][::-1]
+        out[length - 1 - pad:length - 1] += z[length + pad:][::-1]
+    return out
+
+
+def fold2d_reference(full, shape, kshape):
+    """Transpose of whole-sample mirror padding by ``kshape``'s radii of a
+    ``shape`` image: the rows folded first, then the columns; flat."""
+    tmp = _fold_reference(full, shape[0], kshape[0] // 2)
+    return _fold_reference(tmp.T, shape[1], kshape[1] // 2).T.ravel()
+
+
+class MirrorConv2D(LinearOp):
+    """The 2-D reference for ``imaging.ConvOperator`` and the log-filter
+    oracle: correlation of the whole-sample mirrored image with any odd 2-D
+    ``kernel`` by ``ndimage.correlate``, and its adjoint as ``np.pad``, full
+    convolution by ``ndimage.convolve`` and two out-of-place folds."""
+
+    def __init__(self, kernel, shape):
+        self.kernel = np.asarray(kernel, dtype=float)
+        self.shape = tuple(shape)
+        self.in_dim = self.out_dim = self.shape[0] * self.shape[1]
+
+    def matvec(self, x):
+        return ndimage.correlate(np.reshape(x, self.shape), self.kernel,
+                                 mode="mirror").ravel()
+
+    def rmatvec(self, y):
+        pads = tuple((k // 2, k // 2) for k in self.kernel.shape)
+        full = ndimage.convolve(np.pad(np.reshape(y, self.shape), pads),
+                                self.kernel, mode="constant")
+        return fold2d_reference(full, self.shape, self.kernel.shape)
 
 
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):

@@ -240,7 +240,8 @@ def test_criterion_07_gradient_checks(capfd):
     reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), shape)
     preg = CompositeProblem(
         reg, StructuredConvexTerm(None, xi=ZeroFunction(), n=64), 64)
-    op = imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), (5, 5))
+    blur = imaging.gaussian_kernel(3, 1.0)
+    op = imaging.ConvOperator(blur, blur, (5, 5))
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(25)) + 1.0
     fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
@@ -262,8 +263,8 @@ def test_criterion_08_adjoints_and_operator_norm(capfd):
     rng = np.random.default_rng(9)
     worst = 0.0
     for shape, ksize in (((64, 64), 5), ((32, 48), 3), ((17, 9), 5)):
-        op = imaging.ConvOperator(
-            imaging.gaussian_kernel(ksize, 1.0), shape)
+        blur = imaging.gaussian_kernel(ksize, 1.0)
+        op = imaging.ConvOperator(blur, blur, shape)
         worst = max(worst, adjoint_residual(op, rng))
     worst = max(worst, adjoint_residual(imaging.GradOp((64, 64)), rng))
     tv_norm = power_iteration_sq_norm(imaging.GradOp((64, 64)), iters=200)

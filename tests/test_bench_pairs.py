@@ -292,6 +292,26 @@ def test_cold_build_times_one_build_in_a_fresh_interpreter(monkeypatch,
     assert bench_pairs._cold_build(tmp_path, "w") == 0.0215
 
 
+def test_cold_build_keeps_the_fastest_of_five_fresh_interpreters(
+        monkeypatch, tmp_path):
+    # a bimodal build time: the slow mode must not reach cold_build_s
+    times = iter(["0.0203\n", "0.0121\n", "0.0197\n", "0.0124\n",
+                  "0.0210\n"])
+    calls = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd == [sys.executable, "-B", "-c", bench_pairs._COLD_BUILD,
+                       "w"]
+        assert kwargs["cwd"] == tmp_path and kwargs["check"]
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(times))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.COLD_BUILDS == 5
+    assert bench_pairs._cold_build(tmp_path, "w") == 0.0121
+    assert len(calls) == 5
+
+
 def test_cold_build_script_builds_a_workload_problem():
     # the script reads the workload from this checkout's perfbench/run.py
     seconds = bench_pairs._cold_build(_ROOT, "tv-tight-prox")

@@ -11,34 +11,25 @@ from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
-from tests.conftest import MatrixOp
+from tests.conftest import MatrixOp, MirrorConv2D, fold2d_reference
 
 
 # Reference formulas the imaging layer must reproduce bit for bit: the
-# adjoint as np.pad, full convolution and two out-of-place folds, the
-# log-filter columns as a gather by precomputed indices, and the phantom and
-# the DCT filters as they were first written.
+# blur's adjoint as np.pad, two full 1-D convolutions, two out-of-place
+# folds and a +0.0 added, the log-filter columns as a gather by precomputed
+# indices, and the phantom and the DCT filters as they were first written.
 
-def _fold_reference(z, length, pad):
-    # transpose of whole-sample mirror padding along axis 0
-    out = z[pad:pad + length].copy()
-    if pad:
-        out[1:pad + 1] += z[:pad][::-1]
-        out[length - 1 - pad:length - 1] += z[length + pad:][::-1]
-    return out
-
-
-def _fold2d_reference(full, shape, kshape):
-    # rows first, then columns; flat
-    tmp = _fold_reference(full, shape[0], kshape[0] // 2)
-    return _fold_reference(tmp.T, shape[1], kshape[1] // 2).T.ravel()
+def _rmatvec_reference(col, row, shape, y):
+    pads = ((col.size // 2,) * 2, (row.size // 2,) * 2)
+    full = ndimage.convolve1d(
+        ndimage.convolve1d(np.pad(np.reshape(y, shape), pads), row, axis=1,
+                           mode="constant"), col, axis=0, mode="constant")
+    return 0.0 + fold2d_reference(full, shape, (col.size, row.size))
 
 
-def _rmatvec_reference(kernel, shape, y):
-    pads = ((kernel.shape[0] // 2,) * 2, (kernel.shape[1] // 2,) * 2)
-    full = ndimage.convolve(np.pad(np.reshape(y, shape), pads), kernel,
-                            mode="constant")
-    return _fold2d_reference(full, shape, kernel.shape)
+def _factors(rng, kshape):
+    # random unequal factors of a kh x kw kernel
+    return rng.standard_normal(kshape[0]), rng.standard_normal(kshape[1])
 
 
 def _log_filter_forward_reference(bank, shape, x):
@@ -83,11 +74,12 @@ class TestConvOperator:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         img = rng.standard_normal((6, 7))
-        op = imaging.ConvOperator(np.array([[1.0]]), img.shape)
+        op = imaging.ConvOperator([1.0], [1.0], img.shape)
         np.testing.assert_allclose(op.matvec(img.ravel()), img.ravel())
 
     def test_constant_image_preserved_by_normalized_kernel(self):
-        op = imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (10, 10))
+        g = imaging.gaussian_kernel(5, 1.0)
+        op = imaging.ConvOperator(g, g, (10, 10))
         out = op.matvec(np.full(100, 3.7))
         np.testing.assert_allclose(out, 3.7, atol=1e-12)
 
@@ -95,8 +87,9 @@ class TestConvOperator:
         # independent construction: whole-sample reflect pad + valid correlation
         rng = np.random.default_rng(1)
         img = rng.standard_normal((9, 12))
-        k = rng.standard_normal((3, 5))
-        op = imaging.ConvOperator(k, img.shape)
+        col, row = _factors(rng, (3, 5))
+        k = np.outer(col, row)
+        op = imaging.ConvOperator(col, row, img.shape)
         padded = np.pad(img, ((1, 1), (2, 2)), mode="reflect")
         ref = np.empty_like(img)
         for i in range(9):
@@ -109,14 +102,14 @@ class TestConvOperator:
                                              ((7, 11), 3), ((16, 5), 5)])
     def test_adjoint_exact(self, shape, ksize):
         rng = np.random.default_rng(2)
-        k = rng.standard_normal((ksize, ksize))
-        op = imaging.ConvOperator(k, shape)
+        op = imaging.ConvOperator(*_factors(rng, (ksize, ksize)), shape)
         assert adjoint_residual(op, rng) < 1e-12
 
     def test_matvec_and_rmatvec_preserve_size(self):
         rng = np.random.default_rng(3)
         img = rng.standard_normal((5, 6))
-        op = imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), img.shape)
+        g = imaging.gaussian_kernel(3, 1.0)
+        op = imaging.ConvOperator(g, g, img.shape)
         assert op.matvec(img).shape == (30,)
         assert op.rmatvec(img).shape == (30,)
 
@@ -127,7 +120,7 @@ class TestConvOperator:
         # independent construction: the dense matrix of matvec, one column
         # per basis image, then its transpose applied to random data
         rng = np.random.default_rng(6)
-        op = imaging.ConvOperator(rng.standard_normal(kshape), shape)
+        op = imaging.ConvOperator(*_factors(rng, kshape), shape)
         n = shape[0] * shape[1]
         dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         y = rng.standard_normal(n)
@@ -135,20 +128,75 @@ class TestConvOperator:
                                    atol=1e-12 * np.abs(dense.T @ y).max())
 
     def test_kernel_validation(self):
-        with pytest.raises(ValueError):
-            imaging.ConvOperator(np.ones((2, 3)), (8, 8))  # even dimension
-        with pytest.raises(ValueError):
-            imaging.ConvOperator(np.ones((9, 9)), (4, 4))  # larger than image
-        with pytest.raises(ValueError):
-            imaging.ConvOperator(np.ones(3), (8, 8))  # not 2-D
+        with pytest.raises(ValueError, match="odd"):
+            imaging.ConvOperator(np.ones(2), np.ones(3), (8, 8))
+        with pytest.raises(ValueError, match="odd"):
+            imaging.ConvOperator(np.ones(3), np.ones(4), (8, 8))
+        with pytest.raises(ValueError, match="larger than image"):
+            imaging.ConvOperator(np.ones(9), np.ones(9), (4, 4))
+        with pytest.raises(ValueError, match="larger than image"):
+            imaging.ConvOperator(np.ones(3), np.ones(5), (8, 4))
+        for col, row in ((np.ones((3, 3)), np.ones(3)),
+                         (np.ones(3), np.ones((1, 3))),
+                         (np.ones((3, 3)), np.ones((3, 3)))):
+            with pytest.raises(ValueError, match="1-D"):  # 2-D factors
+                imaging.ConvOperator(col, row, (8, 8))
 
     def test_gaussian_kernel_normalized(self):
-        k = imaging.gaussian_kernel(5, 1.3)
-        assert k.shape == (5, 5)
-        assert k.sum() == pytest.approx(1.0)
-        assert np.argmax(k) == 12  # peak at the center
+        g = imaging.gaussian_kernel(5, 1.3)
+        assert g.shape == (5,)
+        assert g.sum() == pytest.approx(1.0)
+        assert np.argmax(g) == 2  # peak at the center
+        assert g.tobytes() == g[::-1].tobytes()
         with pytest.raises(ValueError):
             imaging.gaussian_kernel(4, 1.0)
+
+    def test_kernel_is_the_read_only_outer_product(self):
+        rng = np.random.default_rng(7)
+        col, row = _factors(rng, (3, 5))
+        op = imaging.ConvOperator(col, row, (6, 11))
+        assert op.kernel.shape == (3, 5)
+        assert op.kernel.tobytes() == np.outer(col, row).tobytes()
+        with pytest.raises(ValueError):
+            op.kernel[1, 2] = 0.0
+        col[1] = 0.0  # the operator keeps copies of its factors
+        assert op.kernel.tobytes() == np.outer(op.col, op.row).tobytes()
+
+    @pytest.mark.parametrize("shape,kshape", [((8, 8), (5, 5)),
+                                              ((6, 11), (3, 5)),
+                                              ((17, 9), (5, 3)),
+                                              ((64, 64), (5, 5))])
+    def test_matches_the_2d_reference(self, shape, kshape):
+        # the two 1-D passes against a 2-D correlation with outer(col, row),
+        # and the adjoint against its pad-and-fold transpose
+        rng = np.random.default_rng(8)
+        col, row = _factors(rng, kshape)
+        op = imaging.ConvOperator(col, row, shape)
+        ref = MirrorConv2D(np.outer(col, row), shape)
+        for _ in range(2):
+            v = rng.standard_normal(op.in_dim)
+            for got, want in ((op.matvec(v), ref.matvec(v)),
+                              (op.rmatvec(v), ref.rmatvec(v))):
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape,kshape", [((8, 8), (5, 5)),
+                                              ((6, 11), (3, 5))])
+    def test_returned_arrays_are_fresh_and_rmatvec_holds_no_negative_zero(
+            self, shape, kshape):
+        rng = np.random.default_rng(9)
+        g = imaging.gaussian_kernel(kshape[0], 1.0)
+        for col, row in ((g, g), _factors(rng, kshape)):
+            op = imaging.ConvOperator(col, row, shape)
+            for y in _signed_zero_samples(rng, op.in_dim):
+                kept = [op.matvec(y), op.rmatvec(y)]
+                back = kept[1]
+                assert not np.any(np.signbit(back) & (back == 0.0))
+                snapshot = [a.tobytes() for a in kept]
+                later = [op.matvec(-y), op.rmatvec(-y)]
+                assert [a.tobytes() for a in kept] == snapshot
+                for a, b in zip(kept, later):
+                    assert not np.shares_memory(a, b)
 
 
 def _bank(kshape, count=3, seed=11):
@@ -172,12 +220,12 @@ class TestReusedWorkspaces:
     @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
     def test_rmatvec_bits_match_pad_and_fold(self, shape, kshape):
         rng = np.random.default_rng(21)
-        kernel = rng.standard_normal(kshape)
-        op = imaging.ConvOperator(kernel, shape)
+        col, row = _factors(rng, kshape)
+        op = imaging.ConvOperator(col, row, shape)
         for _ in range(2):  # the workspaces are reused between calls
             for y in _signed_zero_samples(rng, op.in_dim):
                 got = op.rmatvec(y)
-                want = _rmatvec_reference(kernel, shape, y)
+                want = _rmatvec_reference(col, row, shape, y)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -208,14 +256,14 @@ class TestReusedWorkspaces:
                                 .reshape(h + kh - 1, w + kw - 1),
                                 (h, w)).reshape(-1),
             weights=taps.reshape(-1))
-        want = bank.rho * _fold2d_reference(
+        want = bank.rho * fold2d_reference(
             full.reshape(h + kh - 1, w + kw - 1), shape, kshape)
         assert reg.grad(x, u).tobytes() == want.tobytes()
 
     def test_returned_arrays_survive_later_calls(self):
         shape, kshape = (17, 9), (5, 5)
         rng = np.random.default_rng(24)
-        op = imaging.ConvOperator(rng.standard_normal(kshape), shape)
+        op = imaging.ConvOperator(*_factors(rng, kshape), shape)
         reg = imaging.log_filter_regularizer(_bank(kshape), shape)
         n = op.in_dim
         x1, x2 = rng.standard_normal((2, n))
@@ -230,9 +278,9 @@ class TestReusedWorkspaces:
         assert not np.shares_memory(kept[0], op.rmatvec(x1))
 
     def test_operators_of_different_shapes_share_no_state(self):
-        kernel = np.random.default_rng(25).standard_normal((5, 5))
+        col, row = _factors(np.random.default_rng(25), (5, 5))
         shapes = [(17, 9), (9, 17), (5, 5)]
-        ops = [imaging.ConvOperator(kernel, s) for s in shapes]
+        ops = [imaging.ConvOperator(col, row, s) for s in shapes]
         regs = [imaging.log_filter_regularizer(_bank((5, 5)), s)
                 for s in shapes]
         rng = np.random.default_rng(26)
@@ -242,26 +290,27 @@ class TestReusedWorkspaces:
                 got = op.rmatvec(y)
                 fwd = reg.forward(y)
                 assert got.tobytes() == _rmatvec_reference(
-                    kernel, shape, y).tobytes()
+                    col, row, shape, y).tobytes()
                 assert fwd.tobytes() == _log_filter_forward_reference(
                     _bank((5, 5)), shape, y).tobytes()
 
     def test_power_iteration_keeps_the_norm_bits(self):
         # 50 steps on the 64x64 blur, against np.linalg.norm and v = w / lam
         problem._SQ_NORMS.clear()  # the iteration runs, not the memo
-        op = imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (64, 64))
+        op = _blur()
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.in_dim)
         v /= np.linalg.norm(v)
         for _ in range(50):
-            w = _rmatvec_reference(op.kernel, op.shape, op.matvec(v))
+            w = _rmatvec_reference(op.col, op.row, op.shape, op.matvec(v))
             lam = float(np.linalg.norm(w))
             v = w / lam
         assert power_iteration_sq_norm(op).hex() == lam.hex()
 
 
 def _blur(shape=(64, 64), sigma=1.0):
-    return imaging.ConvOperator(imaging.gaussian_kernel(5, sigma), shape)
+    g = imaging.gaussian_kernel(5, sigma)
+    return imaging.ConvOperator(g, g, shape)
 
 
 def _count_calls(op):
@@ -280,8 +329,8 @@ class TestNormMemo:
     """``power_iteration_sq_norm`` runs once per operator key and step
     count, and returns what a fresh iteration returns, bit for bit."""
 
-    LAM = "0x1.033cd4dfbad94p+0"  # 50 steps on the 5x5 sigma=1 64x64 blur
-    BOUND = "0x1.103312b7b7642p+0"  # impulse-l1's 1.05 * LAM at 64x64
+    LAM = "0x1.033cd4dfbad93p+0"  # 50 steps on the 5x5 sigma=1 64x64 blur
+    BOUND = "0x1.103312b7b7641p+0"  # impulse-l1's 1.05 * LAM at 64x64
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
@@ -319,9 +368,9 @@ class TestNormMemo:
             op = _blur((16, 16), sigma=2.0)
         elif change == "shape":
             op = _blur((16, 17))
-        elif change == "edited kernel":
+        elif change == "edited kernel":  # a factor edited in place
             op = base
-            op.kernel[2, 2] *= 2.0
+            op.row[2] *= 2.0
         else:
             op = _blur((16, 16))
         calls = _count_calls(op)
@@ -533,9 +582,9 @@ class TestRegularizerAndFidelities:
 
     @pytest.mark.parametrize("bank,shape", BANKS)
     def test_log_filter_matches_per_filter_sum(self, bank, shape):
-        # reference: one ConvOperator per filter, value and gradient summed
-        # filter by filter
-        ops = [(imaging.ConvOperator(k, shape), wt) for k, wt in bank.filters]
+        # reference: one 2-D mirror convolution per filter, value and
+        # gradient summed filter by filter
+        ops = [(MirrorConv2D(k, shape), wt) for k, wt in bank.filters]
         reg = imaging.log_filter_regularizer(bank, shape)
         x = 5.0 * np.random.default_rng(8).standard_normal(shape[0] * shape[1])
         want_v, want_g = 0.0, 0.0
@@ -563,7 +612,7 @@ class TestRegularizerAndFidelities:
         for t, row in enumerate(taps):
             i, j = divmod(t, kw)
             full[i:i + h, j:j + w] += row.reshape(h, w)
-        want = bank.rho * _fold2d_reference(full, shape, (kh, kw))
+        want = bank.rho * fold2d_reference(full, shape, (kh, kw))
         assert reg.grad(x, u).tobytes() == want.tobytes()
 
     def test_log_filter_value_and_grad_allocate_less_than_one_response(self):
@@ -590,7 +639,7 @@ class TestRegularizerAndFidelities:
                 imaging.log_filter_regularizer(bank, shape)
 
     def test_gaussian_sd_value_examples(self):
-        op = imaging.ConvOperator(np.array([[1.0]]), (1, 1))
+        op = imaging.ConvOperator([1.0], [1.0], (1, 1))
         # exact fit with unit denominator: 0.5*0 + log 1 = 0
         fid = imaging.gaussian_sd_fidelity(op, np.array([0.0]), a=0.01, c=1.0)
         assert fid.value(np.array([0.0])) == pytest.approx(0.0)
@@ -601,7 +650,7 @@ class TestRegularizerAndFidelities:
         assert fid.value(np.array([2.0])) == pytest.approx(1.26528, abs=1e-5)
 
     def test_gaussian_sd_domain(self):
-        op = imaging.ConvOperator(np.array([[1.0]]), (1, 1))
+        op = imaging.ConvOperator([1.0], [1.0], (1, 1))
         fid = imaging.gaussian_sd_fidelity(op, np.array([0.0]), a=1.0, c=1.0)
         assert fid.value(np.array([-2.0])) == np.inf
         from inertiafb.problem import DomainError
@@ -612,7 +661,8 @@ class TestRegularizerAndFidelities:
 
     def test_gaussian_sd_gradient(self):
         rng = np.random.default_rng(6)
-        op = imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), (5, 5))
+        k = imaging.gaussian_kernel(3, 1.0)
+        op = imaging.ConvOperator(k, k, (5, 5))
         g = np.abs(rng.standard_normal(25)) + 1.0
         fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
         p = CompositeProblem(
@@ -621,7 +671,7 @@ class TestRegularizerAndFidelities:
         assert rep.max_rel_error < 1e-4
 
     def test_l1_fidelity_value(self):
-        op = imaging.ConvOperator(np.array([[1.0]]), (2, 2))
+        op = imaging.ConvOperator([1.0], [1.0], (2, 2))
         g = np.array([1.0, 0.0, -1.0, 2.0])
         term = imaging.l1_fidelity_term(op, g)
         x = np.zeros(4)

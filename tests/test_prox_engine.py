@@ -417,14 +417,17 @@ class _ConjugateIsCopy(_ConjugateIsIdentity):
         return v.copy()
 
 
+def _blur(size, shape):
+    g = imaging.gaussian_kernel(size, 1.0)
+    return imaging.ConvOperator(g, g, shape)
+
+
 class TestReusedBuffers:
     """The dual loop and ``M^T`` skip fresh arrays without moving a bit."""
 
     @pytest.mark.parametrize("op", [
         imaging.GradOp((6, 7)), imaging.GradOp((64, 64)),
-        imaging.ConvOperator(imaging.gaussian_kernel(3, 1.0), (6, 7)),
-        imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (17, 9)),
-        imaging.ConvOperator(imaging.gaussian_kernel(5, 1.0), (64, 64)),
+        _blur(3, (6, 7)), _blur(5, (17, 9)), _blur(5, (64, 64)),
         IdentityOp(42)],
         ids=["grad", "grad-64x64", "conv", "conv-17x9", "conv-64x64",
              "identity"])
