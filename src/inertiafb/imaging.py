@@ -27,23 +27,25 @@ from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
 # convolution with reflective boundaries
 
 
-def _fold_border(full: np.ndarray, shape) -> np.ndarray:
+def _fold_plan(full: np.ndarray, shape):
     """Transpose of whole-sample mirror padding of a ``shape`` image into
-    ``full``, in place on ``full``.
+    ``full``, as views of ``full`` made once.
 
-    Adds each border row, then each border column of the padded ``full``
-    onto its mirror source, and returns the interior view.
+    Returns ``(adds, interior)``: running ``dst += src`` over ``adds`` in
+    order adds each border row, then each border column of the padded
+    ``full`` onto its mirror source, and ``interior`` views the result.
     """
     h, w = shape
     ph, pw = (full.shape[0] - h) // 2, (full.shape[1] - w) // 2
+    adds = []
     if ph:
-        full[ph + 1:2 * ph + 1] += full[:ph][::-1]
-        full[h - 1:h + ph - 1] += full[h + ph:][::-1]
+        adds += [(full[ph + 1:2 * ph + 1], full[:ph][::-1]),
+                 (full[h - 1:h + ph - 1], full[h + ph:][::-1])]
     if pw:
         rows = full[ph:ph + h]
-        rows[:, pw + 1:2 * pw + 1] += rows[:, :pw][:, ::-1]
-        rows[:, w - 1:w + pw - 1] += rows[:, w + pw:][:, ::-1]
-    return full[ph:ph + h, pw:pw + w]
+        adds += [(rows[:, pw + 1:2 * pw + 1], rows[:, :pw][:, ::-1]),
+                 (rows[:, w - 1:w + pw - 1], rows[:, w + pw:][:, ::-1])]
+    return adds, full[ph:ph + h, pw:pw + w]
 
 
 class ConvOperator(LinearOp):
@@ -87,6 +89,7 @@ class ConvOperator(LinearOp):
             (3, h + 2 * ph, w + 2 * pw))
         self._interior = self._padded[ph:ph + h, pw:pw + w]
         self._row_band = slice(ph, ph + h)
+        self._fold, self._folded = _fold_plan(self._full, self.shape)
 
     def matvec(self, x):
         img = np.asarray(x, dtype=float).reshape(self.shape)
@@ -105,9 +108,11 @@ class ConvOperator(LinearOp):
                        output=self._wide[band])
         _nd_convolve1d(self._wide, self.col, axis=0, mode="constant",
                        output=self._full)
+        for dst, src in self._fold:
+            dst += src
         # a symmetric 1-D pass starts each sum from its centre product, not
         # from +0.0, so it can leave -0.0; adding to +0.0 clears it
-        return np.add(0.0, _fold_border(self._full, self.shape)).ravel()
+        return np.add(0.0, self._folded).ravel()
 
     @property
     def key(self):
@@ -235,7 +240,8 @@ def l1_fidelity_term(H: ConvOperator, g: np.ndarray) -> StructuredConvexTerm:
 
 @dataclass
 class FilterBank:
-    """Filter kernels with positive weights and a global weight rho."""
+    """Finite filter kernels with finite positive weights and a finite
+    positive global weight rho."""
 
     filters: Sequence  # (kernel, weight) pairs
     rho: float = 0.08
@@ -243,13 +249,16 @@ class FilterBank:
     def __post_init__(self):
         if not self.filters:
             raise ValueError("filter bank must be nonempty")
-        if any(w <= 0 for _, w in self.filters):
-            raise ValueError("filter weights must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        # written so that NaN fails: every weight enters every tap row
+        if not all(0 < w < np.inf for _, w in self.filters):
+            raise ValueError("filter weights must be positive and finite")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         kshape, *others = {np.shape(k) for k, _ in self.filters}
         if others or len(kshape) != 2 or not all(d % 2 for d in kshape):
             raise ValueError("filter kernels must share one odd 2-D shape")
+        if not all(np.isfinite(k).all() for k, _ in self.filters):
+            raise ValueError("filter kernels must be finite")
 
 
 def dct_filter_bank(rho: float = 0.08) -> FilterBank:
@@ -275,11 +284,13 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     The forward pass mirror-pads the image into a workspace and copies its
     ``(taps, pixels)`` windows into columns, and one ``(filters, taps) @
     (taps, pixels)`` product gives every filter response.  The gradient
-    maps the weighted responses back to one ``(taps, pixels)`` product, adds
-    each tap row in tap order into the flat padded array as one contiguous
-    slice, and folds the border.  Forward, value and gradient write their
-    large temporaries into the oracle's own workspace, so one instance must
-    not run concurrently.
+    writes the quotients ``u / (1 + u u)`` into rows of the padded width,
+    whose extra columns hold +0.0, and one product with the transposed
+    filters, each scaled by twice its weight, gives the tap rows at the
+    padded width.  It adds each tap row in tap order into the flat padded
+    array as one contiguous slice, and folds the border.  Forward, value
+    and gradient write their large temporaries into the oracle's own
+    workspace, so one instance must not run concurrently.
     """
     h, w = shape = (int(shape[0]), int(shape[1]))
     kh, kw = np.shape(bank.filters[0][0])  # odd, as FilterBank checks
@@ -289,22 +300,33 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     kmat = np.stack([np.asarray(k, dtype=float).ravel()
                      for k, _ in bank.filters])
     wts = np.array([wt for _, wt in bank.filters], dtype=float)
+    # the filters scaled by twice their weights, transposed: for the DCT
+    # bank's 2 w = 1/4 the scaling is exact, so the gradient keeps the bits
+    # of K^T (w (2 u / (1 + u u)))
+    kt = (kmat * (2.0 * wts)[:, None]).T
+    nf, nt = len(kmat), kh * kw
     hp, wp = h + kh - 1, w + kw - 1
     rho = bank.rho
     padded = np.empty((hp, wp))
-    cols = np.empty((kh * kw, h * w))
     img = padded[ph:ph + h, pw:pw + w]
     windows = sliding_window_view(padded, (h, w))  # (kh, kw, h, w) view
-    ws, ws2 = np.empty((2, len(kmat), h * w))
-    # the gradient's tap rows, widened to the padded width by +0.0 columns
-    # that are never written, and the flat padded array they are added into:
-    # tap (i, j)'s window starts at i * wp + j, its rows joined by those zeros
-    taps_wide = np.zeros((kh * kw, h, wp))
+    # the responses' log1p of squares (value) or denominators (gradient),
+    # and the quotients at the padded width
+    block = np.empty(nf * h * (w + wp))
+    ws = block[:nf * h * w].reshape(nf, h * w)
+    quot = block[nf * h * w:].reshape(nf, h, wp)
+    # the gradient's tap rows at the padded width, and the flat padded
+    # array they are added into: tap (i, j)'s window starts at i * wp + j,
+    # its rows joined by the pad columns, which add zeros; the forward
+    # pass's (taps, pixels) columns share the tap rows' memory
+    taps_wide = np.empty((nt, h * wp))
+    cols = taps_wide.reshape(-1)[:nt * h * w].reshape(nt, h * w)
     full = np.empty(hp * wp)
     span = (h - 1) * wp + w
-    adds = [(full[i * wp + j:i * wp + j + span], row[:span])
-            for (i, j), row in zip(np.ndindex(kh, kw),
-                                   taps_wide.reshape(kh * kw, -1))]
+    scatter = [(full[i * wp + j:i * wp + j + span], row[:span])
+               for (i, j), row in zip(np.ndindex(kh, kw), taps_wide)]
+    fold, interior = _fold_plan(full.reshape(hp, wp), shape)
+    adds = scatter + fold
 
     def forward(x):
         # whole-sample mirror: rows first, then columns across every row
@@ -321,18 +343,19 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
         return rho * float(wts @ ws.sum(axis=1))
 
     def grad(u):
-        # wts * (2 u / (1 + u u)) in that operation order, so the bits match
         den = np.add(1.0, np.multiply(u, u, out=ws), out=ws)
-        num = np.multiply(2.0, u, out=ws2)
-        np.multiply(wts[:, None], np.divide(num, den, out=num), out=num)
-        taps = np.matmul(kmat.T, num, out=cols)
-        taps_wide[:, :, :w] = taps.reshape(-1, h, w)
+        np.divide(u.reshape(nf, h, w), den.reshape(nf, h, w),
+                  out=quot[:, :, :w])
+        quot[:, :, w:] = 0.0  # per call, so that a build writes no page
+        # every entry of the tap rows, the pad columns as +-0.0
+        np.matmul(kt, quot.reshape(nf, h * wp), out=taps_wide)
         # each padded element sums its taps in tap order from +0.0, so it
-        # never holds -0.0 and the added +0.0 columns leave its bits alone
+        # never holds -0.0 and the added pad zeros leave its bits alone;
+        # then the border folds onto its mirror sources
         full.fill(0.0)
-        for window, row in adds:
-            window += row
-        return (rho * _fold_border(full.reshape(hp, wp), shape)).ravel()
+        for dst, src in adds:
+            dst += src
+        return (rho * interior).ravel()
 
     return SmoothOracle(value, grad, forward)
 

@@ -187,10 +187,15 @@ def test_main_alternates_sides_and_keeps_every_result_line(monkeypatch,
     assert [p[side] for p in record["pairs"] for side in ("parent", "change")] \
         == [dict(fake_run(c, "w", s, 45), cold_build_s=fake_cold_build(c, "w"))
             for s in seeds for c in (parent, _ROOT)]
-    assert list(record["summary"]) == names + ["cold_build_s"]
+    assert list(record["summary"]) == names + ["cold_build_s", "slowdown",
+                                               "as_timed"]
     assert all(record["summary"][n]["change_lower_in"] == 10 for n in names)
     assert record["summary"]["cold_build_s"] == {"parent_median": 0.03,
                                                  "change_median": 0.02}
+    # these runs note no slowdown and no as-timed timings
+    assert record["summary"]["slowdown"] == {"parent_median": None,
+                                             "change_median": None}
+    assert record["summary"]["as_timed"] == {}
 
 
 def test_main_keeps_the_pairs_run_before_a_run_fails(monkeypatch, tmp_path):
@@ -329,3 +334,73 @@ def test_summary_takes_cold_build_medians_without_a_verdict():
     # pairs from before the cold build was timed have none
     assert bench_pairs.summarize(_pairs([4.0], [3.0]), _SPECS)[
         "cold_build_s"] == {"parent_median": None, "change_median": None}
+
+
+def _noted(line, slowdown, timed):
+    """``line`` with perfbench's ``# slowdown:`` note and its as-timed
+    ``# ms_per_iter.<solver>:`` notes."""
+    line["notes"] = {
+        "slowdown": f"{slowdown} (reference kernel against its nominal 8.0 "
+                    f"ms); timings below are divided by it",
+        **{f"ms_per_iter.{solver}": f"as timed {ms} ms, p95 {2 * ms} ms "
+                                    f"over 180 iterations, each the fastest "
+                                    f"of 9 rounds"
+           for solver, ms in timed.items()}}
+    return line
+
+
+def test_summary_takes_slowdown_and_as_timed_medians_without_a_verdict():
+    pairs = _pairs([4.0, 4.1, 4.2], [3.0, 3.1, 3.2])
+    notes = [((0.57, {"i2piano": 0.452, "iista": 0.41}),
+              (0.61, {"i2piano": 0.426, "iista": 0.40})),
+             ((0.88, {"i2piano": 0.484, "iista": 0.43}),
+              (0.55, {"i2piano": 0.428, "iista": 0.38})),
+             ((0.70, {"i2piano": 0.468, "iista": 0.42}),
+              (0.66, {"i2piano": 0.405, "iista": 0.39}))]
+    for pair, (parent, change) in zip(pairs, notes):
+        _noted(pair["parent"], *parent)
+        _noted(pair["change"], *change)
+    summary = bench_pairs.summarize(pairs, _SPECS)
+    assert summary["slowdown"] == {"parent_median": 0.70,
+                                   "change_median": 0.61}
+    assert summary["as_timed"] == {
+        "ms_per_iter.i2piano": {"parent_median": 0.468,
+                                "change_median": 0.426},
+        "ms_per_iter.iista": {"parent_median": 0.42, "change_median": 0.39}}
+    # the notes add no verdict and leave the metrics' entries alone
+    plain = bench_pairs.summarize(_pairs([4.0, 4.1, 4.2], [3.0, 3.1, 3.2]),
+                                  _SPECS)
+    assert [summary[spec["name"]] for spec in _SPECS] \
+        == [plain[spec["name"]] for spec in _SPECS]
+    assert "verdict" not in summary["slowdown"]
+    # a run without the notes counts for neither median
+    pairs[2]["change"]["notes"] = {}
+    summary = bench_pairs.summarize(pairs, _SPECS)
+    assert summary["slowdown"]["change_median"] == pytest.approx(0.58)
+    assert summary["as_timed"]["ms_per_iter.i2piano"]["change_median"] \
+        == pytest.approx(0.427)
+
+
+def test_main_prints_the_informational_medians(monkeypatch, tmp_path,
+                                               capsys):
+    names = [spec["name"] for spec in json.loads(
+        (_ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        slow = 0.5 if checkout == _ROOT else 0.6
+        return _noted({"result": {"correct": True, "attempted": 24,
+                                  "failed": 0,
+                                  "metrics": {n: {"value": 1.0, "unit": ""}
+                                              for n in names}},
+                       "errors": []}, slow, {"i2piano": slow / 2})
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "_cold_build", lambda c, w: 0.02)
+    assert bench_pairs.main(["--against", str(_fake_parent(tmp_path)),
+                             "--workload", "w", "--seed-base", "70",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    out = capsys.readouterr().out
+    assert "slowdown: median 0.6 -> 0.5 (informational, no verdict)" in out
+    assert ("ms_per_iter.i2piano as timed: median 0.3 -> 0.25 "
+            "(informational, no verdict)") in out
+    assert "cold_build_s: median 0.02 -> 0.02 (informational" in out

@@ -199,6 +199,35 @@ class TestConvOperator:
                     assert not np.shares_memory(a, b)
 
 
+def _filters_and_weights(bank):
+    return (np.stack([np.ravel(k) for k, _ in bank.filters]),
+            np.array([wt for _, wt in bank.filters]))
+
+
+def _response_weight_taps(bank, u):
+    # the tap rows K^T (w * (2 u / (1 + u u))): the weights on the responses
+    kmat, wts = _filters_and_weights(bank)
+    return kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
+
+
+def _folded_weight_taps(bank, u):
+    # the tap rows (2 w K)^T (u / (1 + u u)): the weights in the filters
+    kmat, wts = _filters_and_weights(bank)
+    return (kmat * (2.0 * wts)[:, None]).T @ (u / (1.0 + u * u))
+
+
+def _tap_loop_gradient(bank, shape, u):
+    """The log-filter gradient with the weights on the responses, its tap
+    rows scattered tap by tap into the padded array, then folded."""
+    h, w = shape
+    kh, kw = np.shape(bank.filters[0][0])
+    full = np.zeros((h + kh - 1, w + kw - 1))
+    for t, row in enumerate(_response_weight_taps(bank, u)):
+        i, j = divmod(t, kw)
+        full[i:i + h, j:j + w] += row.reshape(h, w)
+    return bank.rho * fold2d_reference(full, shape, (kh, kw))
+
+
 def _bank(kshape, count=3, seed=11):
     kernels = np.random.default_rng(seed).standard_normal((count,) + kshape)
     return imaging.FilterBank(filters=[(k, 0.5 + i)
@@ -241,24 +270,31 @@ class TestReusedWorkspaces:
 
     @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
     def test_log_filter_gradient_bits_match_pad_and_fold(self, shape, kshape):
-        # the per-filter adjoints, summed in filter order, then folded once
+        # the per-filter adjoints, each filter scaled by twice its weight,
+        # summed in filter order, then folded once
         bank = _bank(kshape)
         h, w = shape
         kh, kw = kshape
-        kmat = np.stack([k.ravel() for k, _ in bank.filters])
-        wts = np.array([wt for _, wt in bank.filters])
         reg = imaging.log_filter_regularizer(bank, shape)
         x = 5.0 * np.random.default_rng(23).standard_normal(h * w)
         u = reg.forward(x)
-        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
-        full = np.bincount(
-            sliding_window_view(np.arange((h + kh - 1) * (w + kw - 1))
-                                .reshape(h + kh - 1, w + kw - 1),
-                                (h, w)).reshape(-1),
-            weights=taps.reshape(-1))
-        want = bank.rho * fold2d_reference(
-            full.reshape(h + kh - 1, w + kw - 1), shape, kshape)
-        assert reg.grad(x, u).tobytes() == want.tobytes()
+        index = sliding_window_view(
+            np.arange((h + kh - 1) * (w + kw - 1))
+            .reshape(h + kh - 1, w + kw - 1), (h, w)).reshape(-1)
+
+        def scattered_and_folded(taps):
+            full = np.bincount(index, weights=taps.reshape(-1))
+            return bank.rho * fold2d_reference(
+                full.reshape(h + kh - 1, w + kw - 1), shape, kshape)
+
+        got = reg.grad(x, u)
+        want = scattered_and_folded(_folded_weight_taps(bank, u))
+        assert got.tobytes() == want.tobytes()
+        # this bank's doubled weights 1, 3 and 5 are not all powers of two,
+        # so with the weights on the responses the bits move by rounding
+        applied = scattered_and_folded(_response_weight_taps(bank, u))
+        np.testing.assert_allclose(got, applied, rtol=0,
+                                   atol=1e-14 * np.abs(applied).max())
 
     def test_returned_arrays_survive_later_calls(self):
         shape, kshape = (17, 9), (5, 5)
@@ -528,6 +564,10 @@ BANKS = [
             (0.5, 1.0, 0.25, 2.0))], rho=0.3), (9, 6)),
 ]
 
+# the DCT bank at more shapes, for the gradient's bits
+GRADIENT_BANKS = BANKS + [(imaging.dct_filter_bank(), (17, 9)),
+                          (imaging.dct_filter_bank(), (64, 64))]
+
 
 class TestRegularizerAndFidelities:
     def test_dct_filter_bank_shape(self):
@@ -596,24 +636,59 @@ class TestRegularizerAndFidelities:
         np.testing.assert_allclose(reg.grad(x), want_g, rtol=0,
                                    atol=1e-12 * np.abs(want_g).max())
 
-    @pytest.mark.parametrize("bank,shape", BANKS)
+    @pytest.mark.parametrize("bank,shape", GRADIENT_BANKS)
     def test_log_filter_gradient_bits_match_tap_loop(self, bank, shape):
-        # reference: the same weighted responses, scattered tap by tap into
-        # the padded array, then folded
-        h, w = shape
-        kh, kw = bank.filters[0][0].shape
-        kmat = np.stack([k.ravel() for k, _ in bank.filters])
-        wts = np.array([wt for _, wt in bank.filters])
+        # reference: the weighted responses mapped back, scattered tap by
+        # tap into the padded array, then folded; every doubled weight here
+        # is a power of two, so 2 w k times u / (1 + u u) rounds as k times
+        # w (2 u / (1 + u u)) does, summed in the same order
         reg = imaging.log_filter_regularizer(bank, shape)
-        x = 5.0 * np.random.default_rng(4).standard_normal(h * w)
+        x = 5.0 * np.random.default_rng(4).standard_normal(shape[0]
+                                                           * shape[1])
         u = reg.forward(x)
-        taps = kmat.T @ (wts[:, None] * (2.0 * u / (1.0 + u * u)))
-        full = np.zeros((h + kh - 1, w + kw - 1))
-        for t, row in enumerate(taps):
-            i, j = divmod(t, kw)
-            full[i:i + h, j:j + w] += row.reshape(h, w)
-        want = bank.rho * fold2d_reference(full, shape, (kh, kw))
-        assert reg.grad(x, u).tobytes() == want.tobytes()
+        assert reg.grad(x, u).tobytes() \
+            == _tap_loop_gradient(bank, shape, u).tobytes()
+
+    @pytest.mark.parametrize("bank,shape", GRADIENT_BANKS)
+    def test_log_filter_reads_no_workspace_entry_before_writing_it(
+            self, bank, shape, monkeypatch):
+        # the build's np.empty arrays come filled with NaN: a pad column or
+        # a tap row read before it is written puts NaN into the gradient
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(imaging.np, "empty", nan_empty)
+            reg = imaging.log_filter_regularizer(bank, shape)
+        rng = np.random.default_rng(13)
+        for _ in range(2):
+            x = 5.0 * rng.standard_normal(shape[0] * shape[1])
+            u = reg.forward(x)
+            assert u.tobytes() == _log_filter_forward_reference(
+                bank, shape, x).tobytes()
+            assert reg.grad(x, u).tobytes() \
+                == _tap_loop_gradient(bank, shape, u).tobytes()
+
+    def test_log_filter_build_allocates_no_more_than_separate_workspaces(
+            self):
+        # 64x64 with the 3x3 DCT bank: the padded image and the flat padded
+        # array (66 x 66 each), the (9, 4096) columns, the tap rows at the
+        # padded width (9 x 64 x 66) and two (8, 4096) response arrays, each
+        # its own array; the quotients' pad columns must fit in that room
+        separate = 8 * (2 * 66 * 66 + 9 * 4096 + 9 * 64 * 66 + 2 * 8 * 4096)
+        bank = imaging.dct_filter_bank()
+        imaging.log_filter_regularizer(bank, (64, 64))  # warm-up
+        tracemalloc.start()
+        try:
+            imaging.log_filter_regularizer(bank, (64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= separate
 
     def test_log_filter_value_and_grad_allocate_less_than_one_response(self):
         # the (filters, pixels) and (taps, pixels) temporaries live in the
@@ -694,6 +769,22 @@ class TestRegularizerAndFidelities:
             imaging.FilterBank(filters=[(np.ones((2, 3)), 1.0)])
         with pytest.raises(ValueError):  # not 2-D
             imaging.FilterBank(filters=[(np.ones(3), 1.0)])
+
+    @pytest.mark.parametrize("entry", ["weight", "rho", "kernel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_filter_bank_rejects_non_finite_entries(self, entry, bad):
+        # NaN passed the `<= 0` checks; a weight or kernel entry enters
+        # every tap row of the gradient
+        kernel, weight, rho = np.ones((3, 3)), 1.0, 0.08
+        if entry == "weight":
+            weight = bad
+        elif entry == "rho":
+            rho = bad
+        else:
+            kernel[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            imaging.FilterBank(filters=[(np.ones((3, 3)), 1.0),
+                                        (kernel, weight)], rho=rho)
 
 
 class TestNoiseAndMetrics:

@@ -36,8 +36,12 @@ imports.  perfbench's ``setup_s`` is a median over the builds of one
 process, so it misses what only a process's first build pays, such as the
 blur norm's power iteration.  The fastest of those builds is kept as
 ``cold_build_s`` next to the run's result, since one cold build reads
-bimodally, and the summary adds each side's median under ``cold_build_s``;
-it is informational and gets no verdict.
+bimodally, and the summary adds each side's median under ``cold_build_s``.
+Next to it go each side's median ``slowdown``, the reference kernel's
+reading that perfbench divides every timing by, under ``slowdown``, and
+each side's median of the undivided ``ms_per_iter.*`` that perfbench notes
+as timed, under ``as_timed``.  These medians are informational and get no
+verdict.
 
 The script prints one line per metric when all pairs are done.  It then
 runs the change once more with ``--trace 1`` at the first seed, which also
@@ -58,6 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs the nine-tenths rule can judge
 COLD_BUILDS = 5  # fresh interpreters per run; the fastest build is kept
+SIDES = ("parent", "change")
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
@@ -143,8 +148,9 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     """Per metric of ``end_to_end`` (``BENCHMARK.json``'s entries), the
     medians, quartiles and extremes of the values reported over ``pairs``,
     the runs that reported none, the lower-in and tie counts over the pairs
-    with both values, and the verdict; then, under ``cold_build_s``, each
-    side's median cold build, with no verdict."""
+    with both values, and the verdict; then, with no verdict, each side's
+    median cold build under ``cold_build_s``, median ``slowdown`` under
+    ``slowdown`` and median as-timed ``ms_per_iter.*`` under ``as_timed``."""
     ops = operations(pairs)
     more_failed = ops["change"]["failed"] > ops["parent"]["failed"]
     summary = {}
@@ -152,7 +158,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         name = spec["name"]
         values = {side: [pair[side]["result"]["metrics"][name]["value"]
                          for pair in pairs]
-                  for side in ("parent", "change")}
+                  for side in SIDES}
         entry = {"pairs": len(pairs),
                  "missing": {side: xs.count(None)
                              for side, xs in values.items()}}
@@ -172,25 +178,53 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "missing" if any(entry["missing"].values())
             else verdict(entry, spec["better"], spec["bound"], more_failed))
         summary[name] = entry
-    cold = {side: [pair[side]["cold_build_s"] for pair in pairs
-                   if pair[side].get("cold_build_s") is not None]
-            for side in ("parent", "change")}
-    summary["cold_build_s"] = {
-        f"{side}_median": statistics.median(xs) if xs else None
-        for side, xs in cold.items()}
+    summary["cold_build_s"] = _side_medians(
+        pairs, lambda run: run.get("cold_build_s"))
+    summary["slowdown"] = _side_medians(
+        pairs, lambda run: _note_number(run, "slowdown"))
+    timed = dict.fromkeys(key for pair in pairs for side in SIDES
+                          for key in pair[side].get("notes", {})
+                          if key.startswith("ms_per_iter."))
+    summary["as_timed"] = {
+        key: _side_medians(pairs, lambda run, key=key: _note_number(run, key))
+        for key in timed}
     return summary
+
+
+def _note_number(run: dict, key: str):
+    """The number that ``run``'s ``# key: value`` note starts with, after
+    an ``as timed`` label; None without the note."""
+    note = run.get("notes", {}).get(key)
+    if note is None:
+        return None
+    return float(note.removeprefix("as timed ").split()[0])
+
+
+def _side_medians(pairs: list, value) -> dict:
+    """Each side's median of ``value(run)`` over the runs where it is not
+    None; None where no run has one."""
+    out = {}
+    for side in SIDES:
+        xs = [x for x in (value(pair[side]) for pair in pairs)
+              if x is not None]
+        out[f"{side}_median"] = statistics.median(xs) if xs else None
+    return out
 
 
 def operations(pairs: list) -> dict:
     """Attempted and failed operations per side, and whether every run
     reported ``correct``."""
     out = {}
-    for side in ("parent", "change"):
+    for side in SIDES:
         results = [pair[side]["result"] for pair in pairs]
         out[side] = {"attempted": sum(r["attempted"] for r in results),
                      "failed": sum(r["failed"] for r in results),
                      "all_correct": all(r["correct"] for r in results)}
     return out
+
+
+def _fmt(x) -> str:
+    return "none" if x is None else f"{x:.6g}"
 
 
 def _revision(checkout: Path):
@@ -240,7 +274,10 @@ def main(argv=None) -> int:
         print(f"# pair {i + 1}/{PAIRS} seed {seed} done", flush=True)
 
     summary = dict(record["summary"])
-    cold = summary.pop("cold_build_s")
+    informational = {"cold_build_s": summary.pop("cold_build_s"),
+                     "slowdown": summary.pop("slowdown")}
+    informational.update((f"{key} as timed", medians) for key, medians
+                         in summary.pop("as_timed").items())
     for name, e in summary.items():
         if e["verdict"] == "missing":
             print(f"{name}: no value in {e['missing']['parent']} parent and "
@@ -251,8 +288,9 @@ def main(argv=None) -> int:
               f"{e['parent_q1_q3'][0]:.6g}..{e['parent_q1_q3'][1]:.6g}, "
               f"change lower in {e['change_lower_in']} of {e['pairs']} "
               f"({e['ties']} ties): {e['verdict']}")
-    print(f"cold_build_s: median {cold['parent_median']:.6g} -> "
-          f"{cold['change_median']:.6g} (informational, no verdict)")
+    for name, e in informational.items():
+        print(f"{name}: median {_fmt(e['parent_median'])} -> "
+              f"{_fmt(e['change_median'])} (informational, no verdict)")
     ops = record["operations"]
     print(f"failed operations: parent {ops['parent']['failed']} of "
           f"{ops['parent']['attempted']}, change {ops['change']['failed']} "
