@@ -185,8 +185,8 @@ class GroupL2(ProxFunction):
     """
 
     def __init__(self, rho: float):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         self.rho = float(rho)
 
     @staticmethod
@@ -360,19 +360,19 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     return SmoothOracle(value, grad, forward)
 
 
-def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a=0.01,
-                         c=1.0) -> SmoothOracle:
+def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float = 0.01,
+                         c: float = 1.0) -> SmoothOracle:
     """Signal-dependent Gaussian discrepancy
-    ``1/2 sum ((Hx)_i - g_i)^2 / (a_i (Hx)_i + c_i) + log(a_i (Hx)_i + c_i)``.
+    ``1/2 sum ((Hx)_i - g_i)^2 / (a (Hx)_i + c) + log(a (Hx)_i + c)``.
 
-    Defined on the open set where every denominator is positive; the value is
-    ``+inf`` outside it and the gradient raises there; forward pass ``H x``.
+    Scalars ``a, c`` are positive and finite.  The value is ``+inf`` where
+    a denominator is not positive, and the gradient raises there; forward
+    pass ``H x``.
     """
     g = np.asarray(g, dtype=float).ravel()
-    a = np.broadcast_to(np.asarray(a, dtype=float).ravel(), g.shape).copy()
-    c = np.broadcast_to(np.asarray(c, dtype=float).ravel(), g.shape).copy()
-    if np.any(a <= 0) or np.any(c <= 0):
-        raise ValueError("a and c must be positive")
+    a, c = float(a), float(c)
+    if not (0 < a < np.inf and 0 < c < np.inf):
+        raise ValueError("a and c must be positive and finite")
 
     def value(t):
         den = a * t + c

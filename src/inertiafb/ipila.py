@@ -180,7 +180,8 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
     else:
         _accept(problem, state, new, cfg, practical, gamma_k, res.f1_y,
                 y_step, anchor, anchor_sq)
-    new.d_k = float(np.sqrt(max(-new.delta_k, 0.0)))
+    # max keeps its first argument on a tie, so a stationary row gets +0.0
+    new.d_k = float(np.sqrt(max(0.0, -new.delta_k)))
     return new
 
 

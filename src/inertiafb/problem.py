@@ -40,6 +40,8 @@ class SmoothOracle:
     without one.  Nothing is memoized: the solvers carry the forward result
     of the current point with its f0 value.  ``value_fn`` and ``grad_fn``
     read ``forward_fn(x)``, or the flat float64 ``x`` when there is none.
+    ``grad`` returns ``grad_fn``'s array uncopied, so that must be a fresh
+    float64 array; callers keep it but never write into it.
     """
 
     def __init__(self, value_fn: Callable, grad_fn: Callable,
@@ -59,8 +61,7 @@ class SmoothOracle:
         return float(self._value_fn(self._fn_input(x, fwd)))
 
     def grad(self, x: np.ndarray, fwd=None) -> np.ndarray:
-        """A fresh array, even when ``grad_fn`` returns its input or a view."""
-        return np.array(self._grad_fn(self._fn_input(x, fwd)), dtype=float)
+        return self._grad_fn(self._fn_input(x, fwd))
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +151,17 @@ def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
 
 
 class ProxFunction:
-    """Convex function with a closed-form proximity operator.
+    """Convex function with closed-form oracles, in one of two roles.
 
-    ``prox(u, sigma)`` returns the minimizer of ``value(y) + ||y-u||^2 /
-    (2 sigma)``.  Functions used as the block term ``g`` additionally expose
-    ``conjugate(w)``, the convex conjugate value, which the dual engine needs
-    to evaluate the dual objective.  Indicator-type conjugates accept a small
-    relative feasibility slack so that dual iterates touched by roundoff do
-    not flip to ``-inf``.
+    A block function ``g`` (``L1Norm``, ``imaging.GroupL2``) exposes
+    ``value``, the conjugate value ``conjugate(w)``, ``conjugate_prox(v,
+    sigma)``, the minimizer of ``sigma g*(w) + ||w - v||^2 / 2``, and
+    ``conjugate_at_prox(w)``, ``conjugate(w)`` without the feasibility
+    test for a ``w`` that ``conjugate_prox`` returned.  Indicator-type
+    conjugates accept a small relative slack, so that a warm start touched
+    by roundoff does not flip to ``-inf``.  An ``xi`` function exposes
+    ``value`` and ``prox(u, sigma)``, the minimizer of ``value(y) +
+    ||y - u||^2 / (2 sigma)``.
     """
 
     #: relative feasibility slack for indicator-type conjugates
@@ -172,18 +176,6 @@ class ProxFunction:
     def conjugate(self, w: np.ndarray) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no conjugate oracle")
 
-    def conjugate_prox(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        """``prox_{sigma g*}(v)`` through Moreau's identity."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        v = np.asarray(v, dtype=float)
-        return v - sigma * self.prox(v / sigma, 1.0 / sigma)
-
-    def conjugate_at_prox(self, w: np.ndarray) -> float:
-        """``conjugate(w)`` for a ``w`` that ``conjugate_prox`` returned; an
-        override may skip a feasibility test that such points always pass."""
-        return self.conjugate(w)
-
 
 class ZeroFunction(ProxFunction):
     def value(self, x):
@@ -194,33 +186,37 @@ class ZeroFunction(ProxFunction):
 
 
 class L1Norm(ProxFunction):
-    """``weight * ||u - shift||_1``; conjugate is linear on a box."""
+    """``weight * ||u - shift||_1``, a block function.
+
+    The conjugate is ``<w, shift>`` (0 without a shift) on the box
+    ``|w_i| <= weight`` and ``+inf`` off it, so ``prox_{sigma g*}(v)`` is
+    the projection of ``v - sigma shift`` onto the box.  A clip is exact:
+    each projected point lies in the box bit for bit.
+    """
 
     def __init__(self, weight: float = 1.0, shift: Optional[np.ndarray] = None):
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < weight < np.inf:
+            raise ValueError("weight must be positive and finite")
         self.weight = float(weight)
         self.shift = None if shift is None else np.asarray(shift, dtype=float)
 
-    def _centered(self, u):
-        return u if self.shift is None else u - self.shift
-
     def value(self, x):
-        return self.weight * float(np.abs(self._centered(x)).sum())
-
-    def prox(self, u, sigma):
-        t = sigma * self.weight
-        z = self._centered(np.asarray(u, dtype=float))
-        out = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-        return out if self.shift is None else out + self.shift
+        z = x if self.shift is None else x - self.shift
+        return self.weight * float(np.abs(z).sum())
 
     def conjugate(self, w):
         w = np.asarray(w, dtype=float)
         if np.abs(w).max(initial=0.0) > self.weight * (1.0 + self.feas_rtol):
             return np.inf
-        if self.shift is None:
-            return 0.0
-        return float(w.dot(self.shift))
+        return self.conjugate_at_prox(w)
+
+    def conjugate_prox(self, v, sigma):
+        if self.shift is not None:
+            v = v - sigma * self.shift
+        return np.clip(v, -self.weight, self.weight)
+
+    def conjugate_at_prox(self, w):
+        return 0.0 if self.shift is None else float(w.dot(self.shift))
 
 
 class NonnegIndicator(ProxFunction):

@@ -28,10 +28,10 @@ from the last two iterates by linearity.
 Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query; the
 result returns ``f1(y_tilde)`` and ``M^T w_tilde``, which the next warm
 start reuses for iterate 0 (``M^T w`` does not depend on the query).
-Iterate 0 (any warm start) checks ``g*(w)`` for a finite value;
-later iterates use ``conjugate_at_prox``, where ``GroupL2``'s projection
-skips a test it always passes and ``L1Norm``, whose Moreau prox can leave
-its box at large ``|v|``, keeps it.  psi and h share each ``xi(z)``.
+Iterate 0 (any warm start) checks ``g*(w)`` for a finite value; later
+iterates are projections onto the domain of ``g*`` by the block's
+``conjugate_prox``, which ``conjugate_at_prox`` values without the test.
+psi and h share each ``xi(z)``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import re
 
@@ -631,6 +632,20 @@ class TestNearStationarity:
         assert trace.meta["stop_reason"] == "stationary"
         assert len(trace) < 200
         assert sum(trace.column("backtracks")) == 0
+
+    @pytest.mark.parametrize("solver", ["ipila-strict", "ipila-practical"])
+    def test_stationary_rows_record_positive_zero_d_k(self, tmp_path, solver):
+        # d_k was sqrt(max(-delta_k, 0.0)), and max(-0.0, 0.0) is -0.0,
+        # so stationary rows wrote d_k = -0
+        cfg = dict(cli.DEFAULTS, solver=solver, max_outer="200")
+        problem, x0, _ = cli.build_problem(cfg)
+        trace = cli.run_solver(problem, x0, cfg)
+        trace.write_csv(tmp_path / "trace.csv")
+        for rows in (trace.rows, Trace.read_csv(tmp_path / "trace.csv").rows):
+            d_k = [r["d_k"] for r in rows
+                   if r["accepted_branch"] == "stationary"]
+            assert d_k == [0.0]
+            assert math.copysign(1.0, d_k[0]) == 1.0
 
 
 class TestCertifyCommand:

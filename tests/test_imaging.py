@@ -526,6 +526,11 @@ class TestTotalVariation:
         got = imaging.GroupL2(1.0).conjugate_prox(np.array([3.0, 4.0]), 1.7)
         np.testing.assert_allclose(got, [0.6, 0.8])
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_group_l2_rejects_non_positive_or_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match="positive and finite"):
+            imaging.GroupL2(rho)
+
     @pytest.mark.parametrize("sigma", [1e-3, 0.7, 5.0])
     def test_conjugate_prox_matches_moreau_formula(self, sigma):
         g = imaging.GroupL2(0.4)
@@ -733,6 +738,16 @@ class TestRegularizerAndFidelities:
             fid.grad(np.array([-2.0]))
         with pytest.raises(ValueError):
             imaging.gaussian_sd_fidelity(op, np.array([0.0]), a=-1.0)
+
+    @pytest.mark.parametrize("a,c", [(np.nan, 1.0), (np.inf, 1.0),
+                                     (0.0, 1.0), (0.01, np.nan),
+                                     (0.01, np.inf), (0.01, 0.0)])
+    def test_gaussian_sd_rejects_non_positive_or_non_finite_a_and_c(self, a,
+                                                                    c):
+        # NaN passed the old `<= 0` test, and value then returned NaN
+        op = imaging.ConvOperator([1.0], [1.0], (1, 1))
+        with pytest.raises(ValueError, match="positive and finite"):
+            imaging.gaussian_sd_fidelity(op, np.array([0.0]), a=a, c=c)
 
     def test_gaussian_sd_gradient(self):
         rng = np.random.default_rng(6)

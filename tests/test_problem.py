@@ -1,5 +1,6 @@
 import collections
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inertiafb import i2piano, iista, ipila
-from inertiafb.cli import DEFAULTS, SOLVERS, build_problem, run_solver
+from inertiafb.cli import (DEFAULTS, PROBLEMS, SOLVERS, build_problem,
+                           run_solver)
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                NonnegIndicator, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction,
@@ -18,11 +20,17 @@ from tests.conftest import (MatrixOp, quadratic_l1_problem,
                             smooth_only_problem)
 
 
-def brute_force_prox_1d(fn, u, sigma, lo=-10.0, hi=10.0, steps=200001):
-    grid = np.linspace(lo, hi, steps)
-    vals = np.array([fn.value(np.array([g])) + (g - u) ** 2 / (2 * sigma)
-                     for g in grid])
+def brute_force_conjugate_prox_1d(fn, v, sigma, steps=20001):
+    """Grid minimizer of ``sigma g*(z) + (z - v)^2 / 2`` for a 1-D ``fn``;
+    the grid spans twice the box, where ``g*`` is ``+inf``."""
+    grid = np.linspace(-2.0 * fn.weight, 2.0 * fn.weight, steps)
+    vals = np.array([sigma * fn.conjugate(np.array([z])) + 0.5 * (z - v) ** 2
+                     for z in grid])
     return grid[np.argmin(vals)]
+
+
+def _conjugate_prox_objective(fn, z, v, sigma):
+    return sigma * fn.conjugate(z) + 0.5 * float(np.dot(z - v, z - v))
 
 
 class TestEvalF:
@@ -53,19 +61,14 @@ class TestEvalF:
 
 
 class TestProxFunctions:
-    @pytest.mark.parametrize("u,sigma", [(2.0, 1.0), (-0.7, 0.3), (0.1, 2.0)])
-    def test_l1_prox_against_brute_force(self, u, sigma):
-        fn = L1Norm(1.3)
-        got = fn.prox(np.array([u]), sigma)[0]
-        ref = brute_force_prox_1d(fn, u, sigma)
-        assert got == pytest.approx(ref, abs=2e-4)
-
-    def test_l1_prox_with_shift(self):
-        g0 = np.array([2.0])
-        fn = L1Norm(1.0, shift=g0)
-        got = fn.prox(np.array([4.0]), 0.5)[0]
-        ref = brute_force_prox_1d(fn, 4.0, 0.5)
-        assert got == pytest.approx(ref, abs=2e-4)
+    @pytest.mark.parametrize("shift", [None, 2.0, -0.4])
+    @pytest.mark.parametrize("v,sigma", [(2.0, 1.0), (-0.7, 0.3), (0.1, 2.0),
+                                         (4.0, 0.5)])
+    def test_l1_conjugate_prox_against_brute_force(self, v, sigma, shift):
+        fn = L1Norm(1.3, shift=None if shift is None else np.array([shift]))
+        got = fn.conjugate_prox(np.array([v]), sigma)[0]
+        ref = brute_force_conjugate_prox_1d(fn, v, sigma)
+        assert got == pytest.approx(ref, abs=3e-4)
 
     def test_nonneg_prox_clamps(self):
         fn = NonnegIndicator()
@@ -90,23 +93,33 @@ class TestProxFunctions:
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
            st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-           st.floats(0.01, 10.0))
+           st.floats(0.01, 10.0), st.booleans())
     @settings(max_examples=50, deadline=None)
-    def test_prox_nonexpansive(self, u, v, sigma):
+    def test_conjugate_prox_nonexpansive(self, u, v, sigma, shifted):
         m = min(len(u), len(v))
         u, v = np.array(u[:m]), np.array(v[:m])
-        fn = L1Norm(1.0)
-        pu, pv = fn.prox(u, sigma), fn.prox(v, sigma)
+        shift = np.linspace(-3.0, 3.0, m) if shifted else None
+        fn = L1Norm(1.0, shift=shift)
+        pu, pv = fn.conjugate_prox(u, sigma), fn.conjugate_prox(v, sigma)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
-    @given(st.floats(-5, 5), st.floats(0.05, 5.0))
+    @given(st.floats(-5, 5), st.floats(0.05, 5.0), st.floats(-1.0, 1.0),
+           st.sampled_from([None, -2.5, 0.0, 3.0]))
     @settings(max_examples=50, deadline=None)
-    def test_prox_decreases_moreau_objective(self, u, sigma):
-        fn = L1Norm(1.0)
-        uu = np.array([u])
-        p = fn.prox(uu, sigma)
-        lhs = fn.value(p) + float(np.dot(p - uu, p - uu)) / (2 * sigma)
-        assert lhs <= fn.value(uu) + 1e-12
+    def test_conjugate_prox_minimizes_its_objective(self, v, sigma, z,
+                                                     shift):
+        # no point z of the box does better than the prox
+        fn = L1Norm(1.0, shift=None if shift is None else np.array([shift]))
+        vv = np.array([v])
+        p = fn.conjugate_prox(vv, sigma)
+        lhs = _conjugate_prox_objective(fn, p, vv, sigma)
+        assert lhs <= _conjugate_prox_objective(fn, np.array([z]), vv,
+                                                sigma) + 1e-12
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan])
+    def test_l1_rejects_non_positive_or_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            L1Norm(weight)
 
 
 class TestLinearOps:
@@ -192,17 +205,51 @@ class TestCheckGradient:
         assert rep.max_rel_error > 1e-2
 
 
+def _held_arrays(root):
+    """Every ndarray that ``root`` reaches through function closures,
+    bound methods, containers and the attributes of package objects."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        elif type(obj).__module__.startswith("inertiafb."):
+            stack.extend(vars(obj).values())
+    return found
+
+
 class TestSmoothOracle:
-    def test_grad_returns_fresh_arrays(self):
-        calls = []
-        x = np.array([1.0, 2.0])
-        f0 = SmoothOracle(lambda x: 0.0,
-                          lambda x: (calls.append(1), x)[1])
-        g1 = f0.grad(x)
-        g1[0] = 99.0
-        g2 = f0.grad(x)
-        assert g2[0] == 1.0 and x[0] == 1.0
-        assert len(calls) == 2
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_grad_shares_no_memory(self, problem):
+        # grad hands grad_fn's array on uncopied: each call's array must be
+        # fresh, apart from x, the forward result, the other call's array
+        # and every workspace the oracle keeps
+        cfg = dict(DEFAULTS, problem=problem, size="16", n="40")
+        p, x0, _ = build_problem(cfg)
+        x = x0 + 1.0
+        fwd = p.f0.forward(x)
+        held = _held_arrays(p.f0)
+        if problem != "synthetic-quadratic-l1":
+            assert sum(a.size for a in held) > 3 * x.size
+        g1, g2 = p.f0.grad(x), p.f0.grad(x, fwd)
+        np.testing.assert_array_equal(g1, g2)
+        for g in (g1, g2):
+            assert g.dtype == np.float64 and g.shape == x.shape
+            others = [x, g2 if g is g1 else g1, *held]
+            if fwd is not None:
+                others.append(fwd)
+            assert not any(np.shares_memory(g, a) for a in others)
 
     def test_without_forward_value_and_grad_read_x(self):
         f0 = SmoothOracle(lambda x: float(x @ x), lambda x: 2.0 * x)

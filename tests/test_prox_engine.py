@@ -81,12 +81,6 @@ class TestConjugateProx:
         got = fn.conjugate_prox(np.array([0.0]), 2.0)
         assert got[0] == pytest.approx(-1.0)
 
-    def test_nonneg_cone(self):
-        fn = NonnegIndicator()
-        v = np.array([2.0, -3.0])
-        np.testing.assert_allclose(fn.conjugate_prox(v, 1.7),
-                                   np.minimum(v, 0.0))
-
     @given(st.floats(-5, 5), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, v, sigma):
@@ -379,20 +373,33 @@ class TestConjugateOfProjectedIterates:
         _, calls = self._check(p, q)
         assert calls == 1
 
-    def test_l1_conjugate_checked_at_every_iterate(self):
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_l1_conjugate_checked_at_iterate_zero_only(self, shifted):
         p, _, _ = quadratic_l1_problem(n=30, seed=1)
         rng = np.random.default_rng(2)
+        if shifted:
+            p.f1.block.fn.shift = rng.standard_normal(30)
         x, s = rng.standard_normal(30), rng.standard_normal(30)
         q = ProxQuery(x=x, s=s, alpha=0.5, beta=0.3, tau=0.01)
-        inner, calls = self._check(p, q)
-        assert calls == inner + 1
+        _, calls = self._check(p, q)
+        assert calls == 1
 
-    def test_l1_moreau_prox_can_leave_the_box(self):
-        # prox of |.| at 2^53 + 2 rounds 2^53 + 1 down to 2^53, so Moreau's
-        # identity returns 2, outside the dual box [-1, 1]
-        fn = L1Norm(1.0)
-        w = fn.conjugate_prox(np.array([2.0 ** 53 + 2.0]), 1.0)
-        assert w[0] == 2.0 and fn.conjugate(w) == np.inf
+    @pytest.mark.parametrize("weight", [1.0, 0.3])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_l1_conjugate_prox_stays_in_the_box(self, weight, shifted):
+        # Moreau's identity v - prox(v) returned 2 at 2^53 + 2, outside
+        # [-1, 1]; a clip returns the bound itself
+        rng = np.random.default_rng(5)
+        v = np.concatenate([[2.0 ** 53 + 2.0, -(2.0 ** 53 + 2.0)],
+                            rng.standard_normal(200)
+                            * 10.0 ** rng.uniform(0.0, 300.0, 200)])
+        shift = rng.uniform(0.0, 255.0, v.size) if shifted else None
+        fn = L1Norm(weight, shift=shift)
+        for sigma in (1.0, 1e-6, 1e6):
+            w = fn.conjugate_prox(v, sigma)
+            assert np.abs(w).max() == weight
+            assert w[0] == weight and w[1] == -weight
+            assert math.isfinite(fn.conjugate(w))
 
 
 class _ConjugateIsIdentity(ProxFunction):
@@ -406,6 +413,9 @@ class _ConjugateIsIdentity(ProxFunction):
         return np.zeros_like(u)
 
     def conjugate(self, w):
+        return 0.0
+
+    def conjugate_at_prox(self, w):
         return 0.0
 
     def conjugate_prox(self, v, sigma):
