@@ -79,7 +79,7 @@ def _meta(meta: dict, key: str) -> float:
 
 
 def _theta(meta: dict) -> float:
-    """``theta`` from the header's ``tau``; its ``theta`` is not read."""
+    """``theta`` from the header's ``tau``."""
     return theta_from_tau(_meta(meta, "tau"))
 
 
@@ -209,7 +209,7 @@ def row_param_identities(meta, prev, row):
                   abs(lhs - delta) / (1.0 + abs(delta)),
                   abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
     elif kind == "ipila-practical":
-        gamma, delta = _meta(meta, "gamma_min"), _meta(meta, "delta")
+        gamma, delta = _meta(meta, "gamma"), _meta(meta, "delta")
         L = _meta(meta, "L0") if prev is None else prev["L_or_gamma"]
         b = (L + 2.0 * delta) / (L + 2.0 * gamma)
         beta_e = (b - 1.0) / (b - 0.5)

@@ -6,13 +6,16 @@ proximal point ``y`` from a point ``x`` and merit anchor ``s`` with a step
 these and in the test that accepts the step.  This module holds the rest:
 the settings every solver reads (:class:`Config`), the :class:`Iterate`,
 the start at ``x0``, the certified prox call, the Lipschitz backtracking
-step of i2Piano and iISTA, and the outer loop, which checks every row it
-appends with the row functions :mod:`inertiafb.certify` replays, so each
-inequality is written once.
+step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
+the trace header from the solver's config, applies the stop rule and checks
+every row it appends with the row functions :mod:`inertiafb.certify`
+replays, so each inequality is written once.  A solver module is its config
+class and its step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from inertiafb.certify import row_checks
-from inertiafb.problem import CompositeProblem, SolverError
+from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import Trace
 
@@ -46,6 +49,10 @@ class Config:
                 raise ValueError(f"{name} must be finite")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        try:
+            theta_from_tau(self.tau)
+        except OverflowError:
+            raise ValueError("tau is too large: theta overflows") from None
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.max_inner < 0:
@@ -112,16 +119,18 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
 
     ``eval_f`` is the calling solver's, so that its calls are counted there.
     Its merit value is ``f(x0)``: with the anchor at ``x0``, every solver's
-    merit reduces to ``f``.
+    merit reduces to ``f``.  When ``f(x0)`` is not finite, a DomainError
+    gives the value of each term.
     """
     x0 = np.asarray(x0, dtype=float)
     f = eval_f(problem, x0)
-    if not np.isfinite(f):
-        raise ValueError("x0 must lie in dom(f1)")
     fwd = problem.f0.forward(x0)
+    f0, f1 = problem.f0.value(x0, fwd), problem.f1.value(x0)
+    if not np.isfinite(f):
+        raise DomainError(f"f(x0) is not finite: f0(x0) = {f0!r}, "
+                          f"f1(x0) = {f1!r}")
     return Iterate(x_curr=x0, s_curr=x0.copy(), f_val=f, phi_val=f,
-                   f0_val=problem.f0.value(x0, fwd),
-                   f1_val=problem.f1.value(x0), f0_fwd=fwd, L_k=L0)
+                   f0_val=f0, f1_val=f1, f0_fwd=fwd, L_k=L0)
 
 
 def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
@@ -173,28 +182,31 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
     return new
 
 
-def run(state: Iterate, cfg: Config, meta: dict,
-        step: Callable[[Iterate], Iterate],
-        stop: Callable[[Iterate], Optional[str]], on_step=None) -> Trace:
-    """Iterate ``step`` from ``state`` and record one trace row per step.
+def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
+        step: Callable[[CompositeProblem, Iterate, Config], Iterate],
+        on_step=None) -> Trace:
+    """Run ``solver`` from :func:`start` at ``x0``, one trace row per
+    ``step(problem, state, cfg)``.
 
     ``step`` returns an iterate made by :meth:`Iterate.after_prox` with
-    ``y_step_sq`` set.  Stops when ``stop(new)`` names a reason or after
-    ``cfg.max_outer`` steps.  Each row holds every ``CSV_COLUMNS`` column;
-    ``L_or_gamma`` is the iterate's ``L_k``.  The trace's meta is ``meta``
-    with ``cfg``'s ``tau``, ``L0``, ``eta`` and ``stop_tol``.
-    ``on_step(k, before, after)`` observes each transition.  Each row is
-    checked as it is appended, by the row functions of :mod:`certify` that
-    apply to ``meta``'s solver; a positive or NaN residual raises
-    SolverError naming the check and ``k``.
+    ``y_step_sq`` set.  The ``stop_reason`` is ``stationary`` after a row
+    whose accepted branch is ``stationary``, ``d_k`` once ``d_k <=
+    cfg.stop_tol``, and ``max_outer`` after ``cfg.max_outer`` steps.  The
+    meta is ``solver``, each field of ``cfg`` under its own name,
+    ``f_init``, ``phi_init``, ``f_final`` and ``stop_reason``.  Each row
+    holds every ``CSV_COLUMNS`` column, ``L_or_gamma`` being ``L_k``, and
+    is checked as it is appended, by the :mod:`certify` row functions that
+    apply to ``solver``; a positive or NaN residual raises SolverError
+    naming the check and ``k``.  ``on_step(k, before, after)`` observes
+    each transition.
     """
-    trace = Trace(meta={**meta, "tau": cfg.tau, "L0": cfg.L0, "eta": cfg.eta,
-                        "stop_tol": cfg.stop_tol, "f_init": state.f_val,
-                        "phi_init": state.phi_val})
+    state = start(problem, x0, eval_f, cfg.L0)
+    trace = Trace(meta={"solver": solver, **dataclasses.asdict(cfg),
+                        "f_init": state.f_val, "phi_init": state.phi_val})
     checks, prev = row_checks(trace.meta), None
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
-        new = step(state)
+        new = step(problem, state, cfg)
         # sqrt of the dot product is np.linalg.norm's own formula
         y_step = math.sqrt(new.y_step_sq)
         x_step = y_step if new.x_curr is new.y_tilde \
@@ -217,11 +229,11 @@ def run(state: Iterate, cfg: Config, meta: dict,
         if on_step is not None:
             on_step(k, state, new)
         state = new
-        if reason := stop(new):
-            trace.meta["stop_reason"] = reason
+        if reason := ("stationary" if new.accepted_branch == "stationary"
+                      else "d_k" if new.d_k <= cfg.stop_tol else ""):
             break
     else:
-        trace.meta["stop_reason"] = "max_outer"
-    trace.meta["f_final"] = state.f_val
+        reason = "max_outer"
+    trace.meta["f_final"], trace.meta["stop_reason"] = state.f_val, reason
     trace.x_final = state.x_curr
     return trace

@@ -1,7 +1,8 @@
 """Inertial inexact proximal solver with Lipschitz backtracking (i2Piano).
 
-The prox step, its backtracking on the Lipschitz estimate L_k and the outer
-loop are the shared core (:mod:`inertiafb.fb`).  What stays here is the
+The prox step, its backtracking on the Lipschitz estimate L_k and the
+driver, with its stop rule and trace header, are the shared core
+(:mod:`inertiafb.fb`).  What stays here is the config and the step: the
 parameter policy, which couples L_k to the step size and inertial weight,
 
     b_k     = (L_k + 2 delta) / (L_k + 2 gamma)
@@ -93,13 +94,7 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
 
 def i2piano_solve(problem: CompositeProblem, x0: np.ndarray,
                   cfg: Optional[I2PianoConfig] = None) -> Trace:
-    """Run i2Piano from ``x0`` (with ``x^{-1} = x0``) and emit a trace.
-
-    Stops when ``sqrt(d_k^2) <= stop_tol`` or after ``max_outer`` iterations.
-    """
-    cfg = cfg or I2PianoConfig()
-    meta = {"solver": "i2piano", "delta": cfg.delta, "gamma": cfg.gamma,
-            "omega": cfg.omega, "theta": cfg.theta}
-    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg, meta,
-                  lambda st: i2piano_step(problem, st, cfg),
-                  lambda st: "d_k" if st.d_k <= cfg.stop_tol else None)
+    """Run i2Piano from ``x0`` (with ``x^{-1} = x0``) and emit a trace;
+    :func:`fb.run` stops it on ``d_k`` or after ``max_outer`` iterations."""
+    return fb.run(problem, x0, eval_f, cfg or I2PianoConfig(), "i2piano",
+                  i2piano_step)

@@ -1,10 +1,10 @@
 """Inexact forward-backward baseline (iISTA).
 
 Plain proximal-gradient iteration without inertia on the shared core
-(:mod:`inertiafb.fb`): the same inexact prox engine and local descent test
-as i2Piano, with backtracking that keeps ``L_k`` nondecreasing (i2Piano's
-also shrinks it).  What stays here is the parameter policy
-``alpha_k = 1/L_k``, ``beta_k = 0``, with ``f`` as merit and
+(:mod:`inertiafb.fb`): the same inexact prox engine, local descent test and
+driver as i2Piano, with backtracking that keeps ``L_k`` nondecreasing
+(i2Piano's also shrinks it).  What stays here is the step: the parameter
+policy ``alpha_k = 1/L_k``, ``beta_k = 0``, with ``f`` as merit and
 ``||x^{k+1} - x^k||`` as ``d_k``.  Serves as the comparator against the two
 inertial solvers.
 """
@@ -26,22 +26,19 @@ class IistaConfig(fb.Config):
     """iISTA has no policy fields: it reads the shared settings only."""
 
 
+def iista_step(problem: CompositeProblem, state: fb.Iterate,
+               cfg: IistaConfig) -> fb.Iterate:
+    new = fb.backtrack(problem, state, cfg, lambda L: (1.0 / L, 0.0),
+                       solve_inexact_prox, state.L_k)
+    new.s_curr = new.x_curr
+    new.d_k = math.sqrt(new.y_step_sq)  # x^{k+1} is the prox point
+    return new
+
+
 def iista_solve(problem: CompositeProblem, x0: np.ndarray,
                 cfg: Optional[IistaConfig] = None) -> Trace:
-    """Run iISTA from ``x0`` and emit a trace.
-
-    Stops when ``||x^{k+1} - x^k|| <= stop_tol`` or after ``max_outer``
-    iterations; ``f`` is monotone nonincreasing along the iterates.
-    """
-    cfg = cfg or IistaConfig()
-
-    def step(state: fb.Iterate) -> fb.Iterate:
-        new = fb.backtrack(problem, state, cfg, lambda L: (1.0 / L, 0.0),
-                           solve_inexact_prox, state.L_k)
-        new.s_curr = new.x_curr
-        new.d_k = math.sqrt(new.y_step_sq)  # x^{k+1} is the prox point
-        return new
-
-    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg,
-                  {"solver": "iista"}, step,
-                  lambda st: "x_step" if st.d_k <= cfg.stop_tol else None)
+    """Run iISTA from ``x0`` and emit a trace; :func:`fb.run` stops it once
+    ``d_k = ||x^{k+1} - x^k|| <= stop_tol`` or after ``max_outer``
+    iterations.  ``f`` is monotone nonincreasing along the iterates."""
+    return fb.run(problem, x0, eval_f, cfg or IistaConfig(), "iista",
+                  iista_step)

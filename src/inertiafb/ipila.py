@@ -27,9 +27,10 @@ to a running Lipschitz estimate ``L_k``, tests acceptance of ``(y, x)`` with
 ``lambda = 1`` before any line search, and scales ``L_k`` up by ``eta`` when
 that test fails (without recomputing ``y`` in the same iteration).
 
-The prox call, the iterate and the outer loop are the shared core
-(:mod:`inertiafb.fb`); this module keeps the two parameter policies, the
-merit, the Armijo search and the choice between its branches.
+The prox call, the iterate and the driver, with its stop rule and trace
+header, are the shared core (:mod:`inertiafb.fb`); this module keeps the
+config and the step: the two parameter policies, the merit, the Armijo
+search and the choice between its branches.
 """
 
 from __future__ import annotations
@@ -226,29 +227,13 @@ def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
-                cfg: Optional[IPilaConfig] = None,
-                on_step: Optional[Callable[[int, fb.Iterate, fb.Iterate],
-                                           None]] = None,
-                ) -> Trace:
-    """Run iPila from ``(x0, x0)`` and emit a trace.
-
-    Stops when ``sqrt(-Delta_k) <= stop_tol``, when an iteration is exactly
-    stationary, or after ``max_outer`` iterations.  ``on_step(k, before,
+                cfg: Optional[IPilaConfig] = None, on_step=None) -> Trace:
+    """Run iPila from ``(x0, x0)`` and emit a trace; :func:`fb.run` stops
+    it on an exactly stationary iteration, once ``d_k = sqrt(-Delta_k) <=
+    stop_tol``, or after ``max_outer`` iterations.  ``on_step(k, before,
     after)``, when given, observes each accepted transition.
     """
     cfg = cfg or IPilaConfig()
-    practical = cfg.variant == "practical-sec5"
-    meta = {"solver": f"ipila-{'practical' if practical else 'strict'}",
-            "variant": cfg.variant, "sigma": cfg.sigma,
-            "ls_shrink": cfg.ls_shrink, "theta": cfg.theta,
-            "alpha_max": cfg.alpha_max, "beta_max": cfg.beta_max,
-            "delta": cfg.delta, "gamma_min": cfg.gamma}  # gamma's header key
-
-    def stop(st: fb.Iterate) -> Optional[str]:
-        if st.accepted_branch == "stationary":
-            return "stationary"
-        return "d_k" if st.d_k <= cfg.stop_tol else None
-
-    return fb.run(fb.start(problem, x0, eval_f, cfg.L0), cfg, meta,
-                  lambda st: ipila_step(problem, st, cfg), stop,
-                  on_step=on_step)
+    solver = ("ipila-strict" if cfg.variant == "strict-alg3"
+              else "ipila-practical")
+    return fb.run(problem, x0, eval_f, cfg, solver, ipila_step, on_step)

@@ -12,6 +12,7 @@ from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
 from inertiafb.problem import SolverError
+from inertiafb.prox_engine import theta_from_tau
 from inertiafb.trace import Trace
 from tests.conftest import quadratic_l1_problem
 
@@ -223,7 +224,8 @@ class TestEdgeCases:
         # iPila's p reads the row's own alpha_k
         t = traces["ipila"]
         p, shift = h4_constants(t.meta, t.rows[3])
-        assert p == math.sqrt(2.0 * t.rows[3]["alpha_k"] / t.meta["theta"])
+        assert p == math.sqrt(2.0 * t.rows[3]["alpha_k"]
+                              / theta_from_tau(t.meta["tau"]))
         assert shift == 0
 
 

@@ -139,7 +139,7 @@ class TestSolverSettings:
         assert run_cli("run", "--solver", "ipila-strict", "--gamma", "2e-5",
                        "--max_outer", "3", "--out", str(out)) == 0
         trace = Trace.read_csv(out / "trace.csv")
-        assert trace.meta["gamma_min"] == 2e-5
+        assert trace.meta["gamma"] == 2e-5
         assert trace.column("L_or_gamma") == [2e-5] * 3  # strict's gamma_k
 
     def test_practical_delta_below_gamma_names_gamma(self, tmp_path, capsys):
@@ -280,6 +280,30 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert "solver failure" in err and "Traceback" not in err
 
+    # finite settings whose f(x0) overflows used to end in a traceback,
+    # "x0 must lie in dom(f1)", whichever term was not finite; at --rho
+    # 1e308 only f0(x0) is
+    @pytest.mark.parametrize("overrides, words", [
+        (("--problem", "gaussian-sd-tv", "--a", "1e308"),
+         r"f0\(x0\) = nan, f1\(x0\) = inf"),
+        (("--problem", "gaussian-sd-tv", "--c", "1e308"),
+         r"f0\(x0\) = inf, f1\(x0\) = inf"),
+        (("--problem", "gaussian-sd-tv", "--rho_tv", "1e308"),
+         r"f0\(x0\) = [0-9.]+, f1\(x0\) = inf"),
+        (("--problem", "impulse-l1", "--rho", "1e308"),
+         r"f0\(x0\) = inf, f1\(x0\) = [0-9.]+"),
+    ], ids=["a", "c", "rho_tv", "rho"])
+    def test_nonfinite_f_at_x0_names_the_term(self, tmp_path, capsys,
+                                              overrides, words):
+        out = tmp_path / "run"
+        assert run_cli("run", *overrides, "--size", "16", "--max_outer", "3",
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert re.search(rf"solver failure: f\(x0\) is not finite: {words}$",
+                         err, re.M)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_step_failing_a_certificate_exits_3(self, tmp_path, monkeypatch,
                                                 capsys):
         # an engine that overstates h: the run used to finish, write
@@ -399,6 +423,8 @@ BAD_VALUES = {
                       "--L0", "inf"), "L0 must be finite"),
     "inf_delta": (("--delta", "inf"), "delta must be finite"),
     "nan_tau": (("--tau", "nan"), "tau must be finite"),
+    # used to end in an OverflowError traceback from theta_from_tau
+    "huge_tau": (("--tau", "1e308"), "tau is too large"),
     "inf_alpha_max_ipila_strict": (
         ("--solver", "ipila-strict", "--solvers", "ipila-strict",
          "--alpha_max", "inf"), "alpha_max must be finite"),
@@ -849,7 +875,8 @@ class TestCertifyCommand:
 
     def test_certify_derives_theta_from_tau(self, tmp_path, capsys):
         # H4 used to read "# theta=", so a header edited to a tiny theta
-        # passed a step 100 times too long
+        # passed a step 100 times too long; the header no longer holds
+        # theta, and a stray theta line must not loosen H4
         out = tmp_path / "run"
         assert run_cli("run", "--solver", "ipila-strict", "--tau", "1.0",
                        "--max_outer", "5", "--out", str(out)) == 0
@@ -860,8 +887,8 @@ class TestCertifyCommand:
         parts = lines[header + 3].split(",")
         parts[col] = repr(100.0 * float(parts[col]))
         lines[header + 3] = ",".join(parts)
-        i = next(i for i, l in enumerate(lines) if l.startswith("# theta="))
-        lines[i] = "# theta=1e-12"
+        assert not any(l.startswith("# theta=") for l in lines)
+        lines.insert(0, "# theta=1e-12")
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("certify", str(path)) == 4

@@ -81,7 +81,7 @@ class TestSolve:
         p, _, _ = quadratic_l1_problem(n=10, seed=6)
         done = iista_solve(p, np.zeros(10),
                            IistaConfig(max_outer=5000, stop_tol=1e-9))
-        assert done.meta["stop_reason"] == "x_step"
+        assert done.meta["stop_reason"] == "d_k"
         assert len(done) < 5000
         # a conservative L estimate keeps the steps short enough that the
         # iteration cap binds before stationarity

@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from inertiafb.i2piano import I2PianoConfig, i2piano_solve
+from inertiafb.iista import IistaConfig, iista_solve
+from inertiafb.ipila import IPilaConfig, ipila_solve
 from inertiafb.trace import CSV_COLUMNS, Trace, csv_equal_ignoring_time
+from tests.conftest import quadratic_l1_problem
 
 
 def small_trace():
@@ -74,6 +79,41 @@ class TestRoundTrip:
         assert isinstance(row["k"], int)
         assert isinstance(row["inner_iters"], int)
         assert row["inner_iters"] == 3
+
+
+# every setting off its default, so that a value read back from its own key
+# cannot be a default
+SHARED = dict(tau=2.0, L0=0.5, eta=2.0, max_outer=7, stop_tol=1e-30,
+              max_inner=1500)
+SOLVES = {
+    "i2piano": (i2piano_solve, I2PianoConfig(
+        **SHARED, delta=0.25, gamma=2e-5, omega=0.9)),
+    "ipila-strict": (ipila_solve, IPilaConfig(
+        **SHARED, sigma=1e-3, ls_shrink=0.6, alpha_max=0.8, beta_max=0.4,
+        gamma=2e-5, max_halvings=40, variant="strict-alg3", delta=0.25)),
+    "ipila-practical": (ipila_solve, IPilaConfig(
+        **SHARED, sigma=1e-3, ls_shrink=0.6, alpha_max=0.8, beta_max=0.4,
+        gamma=2e-5, max_halvings=40, delta=0.25)),
+    "iista": (iista_solve, IistaConfig(**SHARED)),
+}
+
+
+class TestSolverHeader:
+    @pytest.mark.parametrize("solver", sorted(SOLVES))
+    def test_header_is_the_config_under_its_own_names(self, tmp_path,
+                                                       solver):
+        solve, cfg = SOLVES[solver]
+        p, _, _ = quadratic_l1_problem(n=20, seed=2)
+        trace = solve(p, np.ones(20), cfg)
+        trace.write_csv(tmp_path / "trace.csv")
+        meta = Trace.read_csv(tmp_path / "trace.csv").meta
+        fields = dataclasses.asdict(cfg)
+        assert meta.keys() == {"solver", *fields, "f_init", "phi_init",
+                               "f_final", "stop_reason"}
+        run = ("f_init", "phi_init", "f_final", "stop_reason")
+        assert meta == {"solver": solver, **fields,
+                        **{key: trace.meta[key] for key in run}}
+        assert meta["f_final"] == trace.rows[-1]["f"]
 
 
 class TestRelGap:

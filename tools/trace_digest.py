@@ -21,8 +21,8 @@ solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0, gaussian-sd-tv at
 ``tau`` 0.01 (also with ``alpha_max`` 5) and synthetic-quadratic-l1 for 80
 outer iterations, then synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.
 The 200-iteration runs reach what the others never do: every stop reason
-(iPila-practical stops ``stationary``, i2Piano on ``d_k``, iISTA on
-``x_step``) and, at ``L0 = 0.1``, backtracking in i2Piano and iISTA.  At
+(both iPila variants stop ``stationary``, i2Piano and iISTA on ``d_k``)
+and, at ``L0 = 0.1``, backtracking in i2Piano and iISTA.  At
 ``alpha_max`` 5, iPila's line search steps short of ``y`` on a problem with
 a forward pass.  The last run, synthetic-quadratic-l1 for 80 outer
 iterations with every other solver setting off its default, comes near
