@@ -258,6 +258,9 @@ def build_problem(cfg: dict):
 
     if name == "gaussian-sd-tv":
         a, c = _f(cfg, "a"), _f(cfg, "c")
+        if not math.isfinite(a * float(np.max(blurred)) + c):
+            raise ConfigError(f"a = {a!r}, c = {c!r}: the noise variance "
+                              "a*(Hx) + c overflows")
         rng = np.random.default_rng(seed)
         std = np.sqrt(np.clip(a * blurred + c, 0.0, None))
         g = blurred + std * rng.standard_normal(blurred.size)

@@ -10,7 +10,8 @@ step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
 the trace header from the solver's config, applies the stop rule and checks
 every row it appends with the row functions :mod:`inertiafb.certify`
 replays, so each inequality is written once.  A solver module is its config
-class and its step.
+class and its step.  The prox call evaluates each prox point once for all
+three solvers.
 """
 
 from __future__ import annotations
@@ -90,22 +91,26 @@ class Iterate:
     prox_branch: str = ""
     accepted_branch: str = ""  # iPila's "inertial", "linesearch", "stationary"
     y_tilde: Optional[np.ndarray] = None
-    y_step_sq: float = math.nan  # ||y_tilde - x||^2, x where the step began
+    y_step: Optional[np.ndarray] = None  # y_tilde - x, x where it began
+    y_step_sq: float = 0.0  # ||y_step||^2; 0.0 at the start
     warm_dual: Optional[np.ndarray] = None
     warm_mtw: Optional[np.ndarray] = None
     streak: int = 0  # i2Piano: backtrack-free steps since L_k last shrank
 
-    def after_prox(self, res: ProxResult, alpha: float,
-                   beta: float) -> "Iterate":
-        """A copy that records the prox call ``res`` made from this point;
-        the step that made the call sets ``y_step_sq``."""
+    def after_prox(self, res: ProxResult, alpha: float, beta: float,
+                   fwd, f0: float) -> "Iterate":
+        """A copy at ``(y_tilde, x)`` that records the prox call ``res``
+        made from this point, ``fwd`` and ``f0`` being ``y_tilde``'s forward
+        pass and ``f0`` value; its ``phi_val`` is still this iterate's."""
         new = object.__new__(Iterate)  # a shallow copy at a third of the
         new.__dict__.update(self.__dict__)  # cost of dataclasses.replace
         new.alpha_k, new.beta_k = alpha, beta
         new.h_val, new.psi_val = res.h_value, res.psi_value
         new.inner_iters, new.prox_branch = res.inner_iters, res.converged
-        new.y_tilde, new.y_step_sq = res.y_tilde, math.nan
+        new.y_tilde, new.y_step, new.y_step_sq = (res.y_tilde, res.y_step,
+                                                  res.y_step_sq)
         new.warm_dual, new.warm_mtw = res.w_tilde, res.mtw_tilde
+        new.move_to(res.y_tilde, self.x_curr, fwd, f0, res.f1_y)
         return new
 
     def move_to(self, x, s, fwd, f0: float, f1: float) -> None:
@@ -120,12 +125,13 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
     ``eval_f`` is the calling solver's, so that its calls are counted there.
     Its merit value is ``f(x0)``: with the anchor at ``x0``, every solver's
     merit reduces to ``f``.  When ``f(x0)`` is not finite, a DomainError
-    gives the value of each term.
+    gives the value of each term, and no NumPy overflow warning precedes it.
     """
     x0 = np.asarray(x0, dtype=float)
-    f = eval_f(problem, x0)
-    fwd = problem.f0.forward(x0)
-    f0, f1 = problem.f0.value(x0, fwd), problem.f1.value(x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        f = eval_f(problem, x0)
+        fwd = problem.f0.forward(x0)
+        f0, f1 = problem.f0.value(x0, fwd), problem.f1.value(x0)
     if not np.isfinite(f):
         raise DomainError(f"f(x0) is not finite: f0(x0) = {f0!r}, "
                           f"f1(x0) = {f1!r}")
@@ -134,8 +140,10 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
 
 
 def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
-         beta: float, grad: np.ndarray, engine) -> ProxResult:
-    """The engine's certified prox point from ``(it.x_curr, it.s_curr)``."""
+         beta: float, grad: np.ndarray, engine) -> Iterate:
+    """``it.after_prox`` of the engine's certified prox point ``y`` from
+    ``(it.x_curr, it.s_curr)``, with ``y``'s forward pass and ``f0(y)``:
+    every solver's one evaluation of a prox point."""
     query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
                       tau=cfg.tau, max_inner=cfg.max_inner, f0_x=it.f0_val,
                       f1_x=it.f1_val, grad_x=grad)
@@ -143,7 +151,9 @@ def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
                  warm_mtw=it.warm_mtw)
     if not res.ok:
         raise SolverError("prox engine hit max_inner without certificate")
-    return res
+    fwd = problem.f0.forward(res.y_tilde)
+    return it.after_prox(res, alpha, beta, fwd,
+                         problem.f0.value(res.y_tilde, fwd))
 
 
 def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
@@ -160,24 +170,18 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
     backtracks = inner = 0
     while True:
         alpha, beta = params(L)
-        res = prox(problem, it, cfg, alpha, beta, g, engine)
-        inner += res.inner_iters
-        y = res.y_tilde
-        dx = y - x
-        dx_sq = float(np.dot(dx, dx))
-        fwd = problem.f0.forward(y)
-        f0y = problem.f0.value(y, fwd)
-        rhs = it.f0_val + float(np.dot(g, dx)) + 0.5 * L * dx_sq
-        if f0y <= rhs + 1e-12 * (1.0 + abs(it.f0_val)):
+        new = prox(problem, it, cfg, alpha, beta, g, engine)
+        inner += new.inner_iters
+        rhs = (it.f0_val + float(np.dot(g, new.y_step))
+               + 0.5 * L * new.y_step_sq)
+        if new.f0_val <= rhs + 1e-12 * (1.0 + abs(it.f0_val)):
             break
         L *= cfg.eta
         backtracks += 1
         if L > L_MAX * cfg.eta:
             raise SolverError("descent test still failing at L_max; "
                               "gradient or domain broken")
-    new = it.after_prox(res, alpha, beta)
-    new.move_to(y, x, fwd, f0y, res.f1_y)
-    new.phi_val, new.L_k, new.y_step_sq = new.f_val, L, dx_sq
+    new.phi_val, new.L_k = new.f_val, L
     new.inner_iters, new.backtracks = inner, backtracks
     return new
 
@@ -188,9 +192,9 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     """Run ``solver`` from :func:`start` at ``x0``, one trace row per
     ``step(problem, state, cfg)``.
 
-    ``step`` returns an iterate made by :meth:`Iterate.after_prox` with
-    ``y_step_sq`` set.  The ``stop_reason`` is ``stationary`` after a row
-    whose accepted branch is ``stationary``, ``d_k`` once ``d_k <=
+    ``step`` returns an iterate made by :func:`prox`, which carries the
+    row's ``y_step_norm``.  The ``stop_reason`` is ``stationary`` after a
+    row whose accepted branch is ``stationary``, ``d_k`` once ``d_k <=
     cfg.stop_tol``, and ``max_outer`` after ``cfg.max_outer`` steps.  The
     meta is ``solver``, each field of ``cfg`` under its own name,
     ``f_init``, ``phi_init``, ``f_final`` and ``stop_reason``.  Each row

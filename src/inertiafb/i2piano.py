@@ -83,9 +83,8 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
         return alpha, beta
 
     new = fb.backtrack(problem, state, cfg, params, solve_inexact_prox, L)
-    step_prev = state.x_curr - state.s_curr
-    step_prev_sq = float(np.dot(step_prev, step_prev))
-    d_sq = cfg.gamma * step_prev_sq - (1.0 - cfg.omega) * new.h_val
+    # ||x - s||^2: x is the last prox point and s the point its step began
+    d_sq = cfg.gamma * state.y_step_sq - (1.0 - cfg.omega) * new.h_val
     new.phi_val = new.f_val + cfg.delta * new.y_step_sq
     new.d_k = float(np.sqrt(max(d_sq, 0.0)))
     new.streak = streak + 1 if new.backtracks == 0 else 0

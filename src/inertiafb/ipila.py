@@ -13,12 +13,12 @@ gamma_k ||x - s||^2 <= 0``, and the search direction
 
 then backtracks ``lambda`` until the generalized Armijo inequality
 ``Phi(x + lambda d_x, s + lambda d_s) <= Phi(x, s) + sigma lambda Delta_k``
-holds.  The first trial, ``lambda = 1``, is the prox point ``y`` itself with
-its values already in hand; each ``lambda < 1`` evaluates ``x + lambda d_x``
-once, as the search hands back the point it accepts with its values.  The
-pair ``(y, x)`` is accepted instead of the line-search point whenever it
-satisfies the same inequality, which turns the following iteration into an
-actual inertial step.
+holds.  The first trial, ``lambda = 1``, is the prox point ``y`` itself,
+which ``fb.prox`` evaluated once with its step; each ``lambda < 1``
+evaluates ``x + lambda d_x`` once, as the search hands back the point it
+accepts with its values.  The pair ``(y, x)`` is accepted instead of the
+line-search point whenever it satisfies the same inequality, which turns
+the following iteration into an actual inertial step.
 
 Two parameter policies are provided.  ``strict-alg3`` keeps ``alpha_k =
 alpha_max``, ``beta_k = beta_max``, ``gamma_k = gamma`` constant and
@@ -165,61 +165,54 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
         alpha, beta = cfg.alpha_max, cfg.beta_max
     gamma_k = cfg.gamma
 
-    res = fb.prox(problem, state, cfg, alpha, beta,
+    new = fb.prox(problem, state, cfg, alpha, beta,
                   problem.f0.grad(x, state.f0_fwd), engine)
-    new = state.after_prox(res, alpha, beta)
     new.lambda_k, new.backtracks = 1.0, 0
     if not practical:
         new.L_k = gamma_k  # strict never reads L_k; its trace shows gamma_k
-    y_step, anchor = res.y_tilde - x, x - s
-    new.y_step_sq = float(np.dot(y_step, y_step))
+    anchor = x - s
     anchor_sq = float(np.dot(anchor, anchor))
     new.delta_k = compute_delta(new.h_val, gamma_k, anchor_sq)
     if new.delta_k == 0.0:
         # the pair (x, s) stays put
+        new.move_to(x, s, state.f0_fwd, state.f0_val, state.f1_val)
         new.delta_k, new.accepted_branch = 0.0, "stationary"
     else:
-        _accept(problem, state, new, cfg, practical, gamma_k, res.f1_y,
-                y_step, anchor, anchor_sq)
+        _accept(problem, state, new, cfg, practical, gamma_k, anchor,
+                anchor_sq)
     # max keeps its first argument on a tie, so a stationary row gets +0.0
     new.d_k = float(np.sqrt(max(0.0, -new.delta_k)))
     return new
 
 
-def _accept(problem, state, new, cfg, practical, gamma_k, f1_y, y_step,
-            anchor, anchor_sq):
-    """Move ``new`` to ``(y, x)`` or to the Armijo point from ``state``;
-    ``y_step = y - x`` and ``anchor = x - s`` with its squared norm."""
-    x, y = state.x_curr, new.y_tilde
+def _accept(problem, state, new, cfg, practical, gamma_k, anchor, anchor_sq):
+    """Keep ``new`` at ``(y, x)`` or move it to the Armijo point from
+    ``state``; ``anchor = x - s`` with its squared norm."""
     alpha, beta, delta_k = new.alpha_k, new.beta_k, new.delta_k
-    y_step_sq = new.y_step_sq
-    fwd_y = problem.f0.forward(y)
-    f0_y = problem.f0.value(y, fwd_y)
-    phi_yx = f0_y + f1_y + 0.5 * y_step_sq
+    phi_yx = new.f_val + 0.5 * new.y_step_sq
 
     # practical: lambda = 1 acceptance test, tried before any line search
     inertial = practical and phi_yx <= state.phi_val + cfg.sigma * delta_k
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
-    d_x, d_s = descent_direction(y_step, anchor, alpha, beta, gamma_k)
+    d_x, d_s = descent_direction(new.y_step, anchor, alpha, beta, gamma_k)
     # the direction's norm bound; fb.run checks the step's other
     # inequalities on its trace row
     a, dbar = cfg.theta / (2.0 * alpha), 1.0 + beta / alpha
     cap = max((1.0 + dbar * dbar + dbar * gamma_k) / a, gamma_k + dbar)
     if (float(np.dot(d_x, d_x) + np.dot(d_s, d_s))
-            > cap * (a * y_step_sq + gamma_k * anchor_sq)
+            > cap * (a * new.y_step_sq + gamma_k * anchor_sq)
             + 1e-9 * (1.0 + abs(state.phi_val))):
         raise SolverError("direction norm exceeds its theoretical bound")
     if not inertial:
         lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
-            problem, x, state.s_curr, state.phi_val, d_x, d_s, delta_k,
-            cfg.sigma, cfg.ls_shrink, cfg.max_halvings, y=y, fwd_y=fwd_y,
-            f0_y=f0_y, f1_y=f1_y)
+            problem, state.x_curr, state.s_curr, state.phi_val, d_x, d_s,
+            delta_k, cfg.sigma, cfg.ls_shrink, cfg.max_halvings,
+            y=new.x_curr, fwd_y=new.f0_fwd, f0_y=new.f0_val, f1_y=new.f1_val)
         new.lambda_k, new.backtracks = lam, evals - 1
         inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
 
     if inertial:
-        new.move_to(y, x, fwd_y, f0_y, f1_y)
         new.phi_val, new.accepted_branch = phi_yx, "inertial"
     else:
         new.move_to(ls_x, ls_s, fwd, f0, f1)

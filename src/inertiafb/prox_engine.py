@@ -25,9 +25,12 @@ free of the cancellation in ``(||xbar||^2 - ||q||^2) / (2 alpha)`` at small
 alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
 ``M^T w`` per dual iterate, and only FISTA's extrapolated point takes its q
 from the last two iterates by linearity.
-Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query; the
-result returns ``f1(y_tilde)`` and ``M^T w_tilde``, which the next warm
-start reuses for iterate 0 (``M^T w`` does not depend on the query).
+Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query.  One
+code path evaluates iterate 0 and every FISTA iterate into a record, and
+the result is the record with the best psi: with ``f1(y_tilde)``, the step
+``y_tilde - x`` and its squared norm as ``h(y_tilde)`` used them, and
+``M^T w_tilde``, which the next warm start reuses for iterate 0 (``M^T w``
+does not depend on the query).
 Iterate 0 (any warm start) checks ``g*(w)`` for a finite value; later
 iterates are projections onto the domain of ``g*`` by the block's
 ``conjugate_prox``, which ``conjugate_at_prox`` values without the test.
@@ -79,6 +82,8 @@ class ProxQuery:
 
 @dataclass
 class ProxResult:
+    """A dual iterate ``w_tilde`` and its primal candidate ``y_tilde``, or a
+    copy of ``x`` with a zero step where the ``abs`` branch stays there."""
     y_tilde: np.ndarray
     h_value: float
     psi_value: float
@@ -87,6 +92,8 @@ class ProxResult:
     converged: str  # "gap" | "abs" | "maxiter"
     f1_y: float  # f1(y_tilde)
     mtw_tilde: np.ndarray  # M^T w_tilde, the next call's warm_mtw
+    y_step: np.ndarray  # y_tilde - x, as h(y_tilde) used it
+    y_step_sq: float  # ||y_tilde - x||^2
 
     @property
     def ok(self) -> bool:
@@ -112,13 +119,15 @@ class _DualProblem:
         self.c = -0.5 * self.alpha * float(self.v.dot(self.v)) - f1x
 
     def h(self, y: np.ndarray, xi_y: Optional[float] = None):
-        """``(h(y), f1(y))``; ``xi_y``, when given, is ``xi(y)``."""
+        """``(h(y), f1(y), y - x, ||y - x||^2)``; ``xi_y``, when given, is
+        ``xi(y)``."""
         f1y = self.f1.value(y, xi_y)
-        if not math.isfinite(f1y):
-            return np.inf, f1y
         d = y - self.x
-        return float(f1y - self.f1x + self.v.dot(d)
-                     + d.dot(d) / (2.0 * self.alpha)), f1y
+        d_sq = float(d.dot(d))
+        if not math.isfinite(f1y):
+            return np.inf, f1y, d, d_sq
+        return (float(f1y - self.f1x + self.v.dot(d)
+                      + d_sq / (2.0 * self.alpha)), f1y, d, d_sq)
 
     def psi(self, w: np.ndarray, mtw: np.ndarray, at_prox: bool = False):
         """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
@@ -152,7 +161,8 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``, and
     any such stop with ``|h| <= abs_tol`` stays at a copy of ``x``, so
     every zero decrease comes with a zero step.
-    ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
+    ``inner_hook(l, h, psi)``, when given, observes every inner iterate;
+    ``warm_start`` is never written to, and may come back as ``w_tilde``.
     An inner iteration applies ``M`` twice (on FISTA's ``z_u``, and in
     ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once, in
     ``f1(y)``, and ``M^T`` only when no ``warm_mtw = M^T warm_start`` is
@@ -168,7 +178,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
 
     m = problem.f1.out_dim
     if warm_start is not None and warm_start.shape == (m,):
-        w = np.array(warm_start, dtype=float)
+        w = np.asarray(warm_start, dtype=float)
     else:
         w, warm_mtw = np.zeros(m), None
     mtw = problem.f1.rmatvec(w) if warm_mtw is None else warm_mtw
@@ -177,41 +187,37 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     # cancellation noise is relative to that scale, not to |h|
     guard_tol = 1e-10 * (1.0 + abs(dp.c) + abs(dp.f1x))
 
-    def duality_guard(h_val, psi_val):
-        if psi_val > h_val + guard_tol * (1.0 + abs(h_val)):
-            raise EngineError(
-                f"weak duality violated: psi={psi_val!r} > h={h_val!r}")
+    def evaluate(it, w, mtw, at_prox=False):
+        """``(record, q)`` of the dual iterate ``it``, checked and observed;
+        ``finish`` sets the record's ``inner_iters`` and ``converged``."""
+        psi, y, q, xi_y = dp.psi(w, mtw, at_prox)
+        h, f1_y, step, step_sq = dp.h(y, xi_y)
+        if inner_hook is not None:
+            inner_hook(it, h, psi)
+        if psi > h + guard_tol * (1.0 + abs(h)):
+            raise EngineError(f"weak duality violated: psi={psi!r} > h={h!r}")
+        return ProxResult(y, h, psi, w, it, "", f1_y, mtw, step, step_sq), q
 
     def finish(iters, branch):
-        y, h, psi, f1_y = y_best, h_best, psi_best, f1_best
-        if branch == "abs" and abs(h) <= abs_tol:
+        best.inner_iters, best.converged = iters, branch
+        if branch == "abs" and abs(best.h_value) <= abs_tol:
             # x is an abs_tol-minimiser of h: stay there, with h(x) = 0
-            y, h, psi, f1_y = dp.x.copy(), 0.0, min(psi, 0.0), dp.f1x
-        return ProxResult(y_tilde=y, h_value=h, psi_value=psi, w_tilde=w_best,
-                          inner_iters=iters, converged=branch, f1_y=f1_y,
-                          mtw_tilde=mtw_best)
-
-    # evaluate the starting dual point (iterate 0)
-    psi_best, y_best, q, xi_y = dp.psi(w, mtw)
-    h_best, f1_best = dp.h(y_best, xi_y)
-    w_best, mtw_best = w, mtw
-    if inner_hook is not None:
-        inner_hook(0, h_best, psi_best)
-    duality_guard(h_best, psi_best)
+            best.y_tilde, best.y_step = dp.x.copy(), np.zeros_like(dp.x)
+            best.h_value, best.y_step_sq, best.f1_y = 0.0, 0.0, dp.f1x
+            best.psi_value = min(best.psi_value, 0.0)
+        return best
 
     def stop_branch(h_val, psi_val):
-        gap = h_val - psi_val
         # psi <= min h <= h(x) = 0 in exact arithmetic, so the cap keeps
         # a psi that cancellation left above 0 from accepting an h > 0
         if tau > 0 and h_val <= eta_gap * min(psi_val, 0.0):
             return "gap"
-        if tau == 0 and gap <= abs_tol:
-            return "abs"
-        if abs(h_val) <= abs_tol and gap <= abs_tol:
+        if h_val - psi_val <= abs_tol and (tau == 0 or abs(h_val) <= abs_tol):
             return "abs"
         return ""
 
-    branch = stop_branch(h_best, psi_best)
+    best, q = evaluate(0, w, mtw)  # the starting dual point
+    branch = stop_branch(best.h_value, best.psi_value)
     if branch or m == 0:
         # m == 0 means the primal candidate is the exact prox point
         return finish(0, branch or "gap")
@@ -237,16 +243,10 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         if np.may_share_memory(w_new, v):
             w_new = w_new.copy()
 
-        mtw_new = problem.f1.rmatvec(w_new)
-        psi_l, y_l, q_new, xi_y = dp.psi(w_new, mtw_new, at_prox=True)
-        h_l, f1_l = dp.h(y_l, xi_y)
-        if inner_hook is not None:
-            inner_hook(it, h_l, psi_l)
-        duality_guard(h_l, psi_l)
-        if psi_l > psi_best:
-            psi_best, y_best, h_best, f1_best = psi_l, y_l, h_l, f1_l
-            w_best, mtw_best = w_new, mtw_new
-        branch = stop_branch(h_best, psi_best)
+        cand, q_new = evaluate(it, w_new, problem.f1.rmatvec(w_new), True)
+        if cand.psi_value > best.psi_value:
+            best = cand
+        branch = stop_branch(best.h_value, best.psi_value)
         if branch:
             return finish(it, branch)
 

@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,10 +285,11 @@ class TestRunCommand:
 
     # finite settings whose f(x0) overflows used to end in a traceback,
     # "x0 must lie in dom(f1)", whichever term was not finite; at --rho
-    # 1e308 only f0(x0) is
+    # 1e308 only f0(x0) is.  NumPy's overflow warnings used to precede the
+    # message; --a 1e308, whose noise overflows, is now a config error
     @pytest.mark.parametrize("overrides, words", [
-        (("--problem", "gaussian-sd-tv", "--a", "1e308"),
-         r"f0\(x0\) = nan, f1\(x0\) = inf"),
+        (("--problem", "gaussian-sd-tv", "--a", "1e305"),
+         r"f0\(x0\) = inf, f1\(x0\) = [0-9.e+]+"),
         (("--problem", "gaussian-sd-tv", "--c", "1e308"),
          r"f0\(x0\) = inf, f1\(x0\) = inf"),
         (("--problem", "gaussian-sd-tv", "--rho_tv", "1e308"),
@@ -294,15 +298,35 @@ class TestRunCommand:
          r"f0\(x0\) = inf, f1\(x0\) = [0-9.]+"),
     ], ids=["a", "c", "rho_tv", "rho"])
     def test_nonfinite_f_at_x0_names_the_term(self, tmp_path, capsys,
-                                              overrides, words):
+                                              recwarn, overrides, words):
         out = tmp_path / "run"
         assert run_cli("run", *overrides, "--size", "16", "--max_outer", "3",
                        "--out", str(out)) == 3
         err = capsys.readouterr().err
-        assert re.search(rf"solver failure: f\(x0\) is not finite: {words}$",
-                         err, re.M)
-        assert "Traceback" not in err
+        assert re.fullmatch(
+            rf"solver failure: f\(x0\) is not finite: {words}\n", err)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, code, message", [
+        ("a", 2, "config error: a = 1e+308, c = 1.0: the noise variance"),
+        ("c", 3, "solver failure: f(x0) is not finite: f0(x0) = inf")],
+        ids=["a", "c"])
+    def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, key,
+                                                      code, message):
+        # --a 1e308 printed 5 NumPy RuntimeWarnings (10 lines) and --c 1e308
+        # 4 before their message; a fresh interpreter shows every warning
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "inertiafb.cli", "run", "--problem",
+             "gaussian-sd-tv", "--size", "16", f"--{key}", "1e308",
+             "--max_outer", "3", "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(message)
 
     def test_step_failing_a_certificate_exits_3(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -425,6 +449,9 @@ BAD_VALUES = {
     "nan_tau": (("--tau", "nan"), "tau must be finite"),
     # used to end in an OverflowError traceback from theta_from_tau
     "huge_tau": (("--tau", "1e308"), "tau is too large"),
+    # used to print 5 NumPy RuntimeWarnings, then exit 3 on f(x0)
+    "huge_a": (("--problem", "gaussian-sd-tv", "--size", "16", "--a",
+                "1e308"), "a = 1e\\+308, c = 1.0: the noise variance"),
     "inf_alpha_max_ipila_strict": (
         ("--solver", "ipila-strict", "--solvers", "ipila-strict",
          "--alpha_max", "inf"), "alpha_max must be finite"),
@@ -460,7 +487,8 @@ class TestBadValuesAreConfigErrors:
 
     @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
-    def test_bad_value_exits_2(self, tmp_path, capsys, command, case):
+    def test_bad_value_exits_2(self, tmp_path, capsys, recwarn, command,
+                               case):
         overrides, words = BAD_VALUES[case]
         out = tmp_path / "out"
         code = run_cli(command, "--solvers", "i2piano", "--max_outer", "3",
@@ -469,6 +497,7 @@ class TestBadValuesAreConfigErrors:
         assert code == 2
         assert re.search(f"config error: .*{words}", err)
         assert "Traceback" not in err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "suite", "fstar"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertiafb import imaging
+from inertiafb import cli, imaging
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, NonnegIndicator, ProxFunction,
                                SmoothOracle, StructuredConvexTerm,
@@ -533,3 +533,79 @@ class TestReusedBuffers:
                 assert (getattr(ra, name).tobytes()
                         == getattr(rf, name).tobytes())
             assert ra.psi_value == rf.psi_value
+
+
+def _problem_and_points(name):
+    """``(problem, x, s)``: the synthetic l1 problem, or a 16x16 imaging
+    problem as ``cli.build_problem`` makes it, at ``x0`` and an anchor off
+    it."""
+    rng = np.random.default_rng(2)
+    if name == "quadratic-l1":
+        p, _, _ = quadratic_l1_problem(n=30, seed=1)
+        return p, rng.standard_normal(30), rng.standard_normal(30)
+    p, x0, _ = cli.build_problem(dict(cli.DEFAULTS, problem=name, size="16"))
+    return p, x0, np.clip(x0 + rng.standard_normal(x0.size), 0.0, None)
+
+
+# (branch, query settings, whether the step stays at x); the quadratic's
+# identity block is solved exactly by the first FISTA iterate, so its
+# maxiter case stops before one
+STEP_CASES = {
+    "gap-fista": ("gap", dict(tau=0.01), False),
+    "gap-iterate-0": ("gap", dict(tau=1e6), False),
+    "abs-step": ("abs", dict(tau=0.0, abs_tol=1.0), False),
+    "abs-stays-at-x": ("abs", dict(tau=1.0, abs_tol=1e30), True),
+    "maxiter": ("maxiter", dict(tau=0.0, abs_tol=0.0, max_inner=3), False),
+}
+
+
+class TestResultCarriesItsStep:
+    """The step ``y_tilde - x`` and its squared norm come back from the
+    engine, as the certified ``h(y_tilde)`` used them."""
+
+    @pytest.mark.parametrize("case", sorted(STEP_CASES))
+    @pytest.mark.parametrize("name", ["quadratic-l1", "gaussian-sd-tv",
+                                      "impulse-l1"])
+    def test_step_is_y_minus_x_bit_for_bit(self, name, case):
+        branch, settings_, stays = STEP_CASES[case]
+        p, x, s = _problem_and_points(name)
+        if name == "quadratic-l1" and branch == "maxiter":
+            settings_ = dict(settings_, max_inner=0)
+        q = ProxQuery(x=x, s=s, alpha=0.5, beta=0.2, **settings_)
+        res = solve_inexact_prox(p, q)
+        assert res.converged == branch
+        assert res.y_step.tobytes() == (res.y_tilde - q.x).tobytes()
+        assert res.y_step_sq == float(np.dot(res.y_step, res.y_step))
+        assert (res.y_step_sq == 0.0) == stays
+        if stays:
+            assert res.y_tilde is not x and res.h_value == 0.0
+        elif branch != "maxiter":
+            # the step certifies the decrease it is reported with
+            assert res.h_value == eval_h(p, x, s, 0.5, 0.2, res.y_tilde)
+
+
+class TestWarmStartIsNotCopied:
+    @pytest.mark.parametrize("tau, stops_at_iterate_0", [(0.01, False),
+                                                         (1e6, True)])
+    def test_warm_start_unchanged_and_as_good_as_a_copy(self, tau,
+                                                        stops_at_iterate_0):
+        p, x, s = _problem_and_points("gaussian-sd-tv")
+        first = solve_inexact_prox(p, ProxQuery(x=x, s=s, alpha=0.5,
+                                                beta=0.2, tau=0.01))
+        warm = first.w_tilde
+        before = warm.tobytes()
+        x2 = s  # a second point, as the next outer iteration asks
+        q = ProxQuery(x=x2, s=x, alpha=0.5, beta=0.2, tau=tau)
+        res = solve_inexact_prox(p, q, warm_start=warm)
+        assert (res.inner_iters == 0) == stops_at_iterate_0
+        assert warm.tobytes() == before
+        if stops_at_iterate_0:
+            assert res.w_tilde is warm  # handed back, not a copy of it
+        ref = solve_inexact_prox(p, q, warm_start=warm.copy())
+        for field in ("y_tilde", "w_tilde", "mtw_tilde", "y_step"):
+            assert (getattr(res, field).tobytes()
+                    == getattr(ref, field).tobytes())
+        assert ((res.h_value, res.psi_value, res.y_step_sq, res.inner_iters,
+                 res.converged) == (ref.h_value, ref.psi_value,
+                                    ref.y_step_sq, ref.inner_iters,
+                                    ref.converged))
