@@ -230,8 +230,10 @@ def build_problem(cfg: dict):
 
     size = _i(cfg, "size")
     peak = _f(cfg, "peak")
-    if not peak > 0:
-        raise ConfigError("peak must be positive")
+    # the restored image is written scaled by 255/peak
+    if not (peak > 0 and math.isfinite(255.0 / peak)):
+        raise ConfigError("peak must be positive with 255/peak finite, "
+                          f"not {peak!r}")
     if "image" in cfg:
         path = cfg["image"]
         if not Path(path).exists():

@@ -29,7 +29,9 @@ from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import Trace
 
-# the backtracking step gives up once its Lipschitz estimate passes this
+# the backtracking step gives up once its Lipschitz estimate passes L_MAX;
+# i2Piano's shrink never takes it below L_MIN, and L0 lies between the two
+L_MIN = 1e-8
 L_MAX = 1e12
 
 
@@ -60,8 +62,8 @@ class Config:
             raise ValueError("max_inner must be nonnegative")
         if self.eta <= 1:
             raise ValueError("eta must exceed 1")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be positive")
+        if not L_MIN <= self.L0 <= L_MAX:
+            raise ValueError(f"L0 must lie in [{L_MIN:g}, {L_MAX:g}]")
 
     @property
     def theta(self) -> float:

@@ -14,12 +14,12 @@ decreases by at least ``d_k^2 = gamma ||x - x_prev||^2 - (1 - omega) h``
 per accepted step, which ``fb.run`` checks on every row as certify's H1.
 
 The couplings and the merit inequality hold for any accepted L_k in
-``[L_MIN, fb.L_MAX]``, so the estimate follows the local curvature both
-ways: the backtracking raises it by ``eta`` until the descent test holds,
-and after ``SHRINK_STREAK`` consecutive backtrack-free iterations it starts
-from ``max(L_MIN, L_{k-1}/eta)`` instead, which lets the step grow towards
-``(1 + theta*omega) / (4 delta - 2 gamma)`` where the local curvature is
-below the current estimate.
+``[fb.L_MIN, fb.L_MAX]``, so the estimate follows the local curvature
+both ways: the backtracking raises it by ``eta`` until the descent test
+holds, and after ``SHRINK_STREAK`` consecutive backtrack-free iterations
+it starts from ``max(fb.L_MIN, L_{k-1}/eta)`` instead, which lets the
+step grow towards ``(1 + theta*omega) / (4 delta - 2 gamma)`` where the
+local curvature is below the current estimate.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from inertiafb.trace import Trace
 # shrink that overshoots the local curvature costs one extra backtrack, and
 # trying at every iteration cost 0.66 of them per iteration on impulse-l1
 SHRINK_STREAK = 10
-# the shrink never takes the Lipschitz estimate below this
-L_MIN = 1e-8
 
 
 @dataclass(kw_only=True)
@@ -53,8 +51,6 @@ class I2PianoConfig(fb.Config):
         super().__post_init__()
         if not (self.delta >= self.gamma > 0):
             raise ValueError("need delta >= gamma > 0")
-        if not (L_MIN <= self.L0 <= fb.L_MAX):
-            raise ValueError(f"need {L_MIN:g} <= L0 <= {fb.L_MAX:g}")
         hi = 1.0 if self.tau == 0 else np.nextafter(1.0, 0.0)
         if not (0.0 <= self.omega <= hi):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")
@@ -76,7 +72,7 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
                  cfg: I2PianoConfig) -> fb.Iterate:
     L, streak = state.L_k, state.streak
     if streak >= SHRINK_STREAK:
-        L, streak = max(L_MIN, L / cfg.eta), 0
+        L, streak = max(fb.L_MIN, L / cfg.eta), 0
 
     def params(L_k):
         _, beta, alpha = compute_params(L_k, cfg)

@@ -11,7 +11,7 @@ simulation, PSNR, and 8-bit PGM image I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,7 +130,10 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
     if not sigma > 0:
         raise ValueError("blur sigma must be positive")
     r = np.arange(size) - size // 2
-    g = np.exp(-0.5 * (r / sigma) ** 2)
+    # at a tiny sigma the square overflows to inf off the centre, and
+    # exp(-inf) = 0 is the delta kernel it tends to
+    with np.errstate(over="ignore"):
+        g = np.exp(-0.5 * (r / sigma) ** 2)
     return g / g.sum()
 
 

@@ -178,33 +178,26 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
         new.move_to(x, s, state.f0_fwd, state.f0_val, state.f1_val)
         new.delta_k, new.accepted_branch = 0.0, "stationary"
     else:
-        _accept(problem, state, new, cfg, practical, gamma_k, anchor,
-                anchor_sq)
+        _accept(problem, state, new, cfg, practical, gamma_k, anchor)
     # max keeps its first argument on a tie, so a stationary row gets +0.0
     new.d_k = float(np.sqrt(max(0.0, -new.delta_k)))
     return new
 
 
-def _accept(problem, state, new, cfg, practical, gamma_k, anchor, anchor_sq):
+def _accept(problem, state, new, cfg, practical, gamma_k, anchor):
     """Keep ``new`` at ``(y, x)`` or move it to the Armijo point from
-    ``state``; ``anchor = x - s`` with its squared norm."""
-    alpha, beta, delta_k = new.alpha_k, new.beta_k, new.delta_k
+    ``state``; ``anchor = x - s``.  ``fb.run`` checks the step's
+    inequalities on its trace row."""
+    delta_k = new.delta_k
     phi_yx = new.f_val + 0.5 * new.y_step_sq
 
     # practical: lambda = 1 acceptance test, tried before any line search
     inertial = practical and phi_yx <= state.phi_val + cfg.sigma * delta_k
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
-    d_x, d_s = descent_direction(new.y_step, anchor, alpha, beta, gamma_k)
-    # the direction's norm bound; fb.run checks the step's other
-    # inequalities on its trace row
-    a, dbar = cfg.theta / (2.0 * alpha), 1.0 + beta / alpha
-    cap = max((1.0 + dbar * dbar + dbar * gamma_k) / a, gamma_k + dbar)
-    if (float(np.dot(d_x, d_x) + np.dot(d_s, d_s))
-            > cap * (a * new.y_step_sq + gamma_k * anchor_sq)
-            + 1e-9 * (1.0 + abs(state.phi_val))):
-        raise SolverError("direction norm exceeds its theoretical bound")
     if not inertial:
+        d_x, d_s = descent_direction(new.y_step, anchor, new.alpha_k,
+                                     new.beta_k, gamma_k)
         lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
             problem, state.x_curr, state.s_curr, state.phi_val, d_x, d_s,
             delta_k, cfg.sigma, cfg.ls_shrink, cfg.max_halvings,

@@ -157,7 +157,9 @@ class ProxFunction:
     ``value``, the conjugate value ``conjugate(w)``, ``conjugate_prox(v,
     sigma)``, the minimizer of ``sigma g*(w) + ||w - v||^2 / 2``, and
     ``conjugate_at_prox(w)``, ``conjugate(w)`` without the feasibility
-    test for a ``w`` that ``conjugate_prox`` returned.  Indicator-type
+    test for a ``w`` that ``conjugate_prox`` returned.  ``conjugate_prox``
+    returns a fresh array, never ``v`` or a view of it: the prox engine
+    keeps each dual iterate while it rewrites ``v``.  Indicator-type
     conjugates accept a small relative slack, so that a warm start touched
     by roundoff does not flip to ``-inf``.  An ``xi`` function exposes
     ``value`` and ``prox(u, sigma)``, the minimizer of ``value(y) +
@@ -240,45 +242,43 @@ class Block:
 
 
 class StructuredConvexTerm:
-    """``f1(x) = g(M x) + xi(x)``, or ``xi(x)`` alone without a block.
+    """``f1(x) = g(M x) + xi(x)``.
 
     The term is the operator ``M`` itself: ``in_dim``, ``out_dim`` (the
-    dual size, 0 without a block), ``matvec`` and ``rmatvec``.  A sum
-    ``sum_i g_i(M_i x)`` is one block: stack the ``M_i`` into ``M`` and let
-    ``g`` be separable.  ``op_norm_sq_bound`` must upper-bound ``||M||^2``;
-    when omitted it is estimated by 50 power iterations times a 1.05 safety
-    factor (the dual step size relies on the bound being valid).  Every
-    build calls ``power_iteration_sq_norm``, which iterates once per
-    distinct operator (the block operator's ``key``) per process, so a
-    process that builds many problems on one blur pays for it once.
+    dual size), ``matvec`` and ``rmatvec``.  A sum ``sum_i g_i(M_i x)`` is
+    one block: stack the ``M_i`` into ``M`` and let ``g`` be separable.
+    ``op_norm_sq_bound`` must upper-bound ``||M||^2`` and be positive and
+    finite; when omitted it is estimated by 50 power iterations times a
+    1.05 safety factor (the dual step size relies on the bound being
+    valid).  Every build calls ``power_iteration_sq_norm``, which iterates
+    once per distinct operator (the block operator's ``key``) per process,
+    so a process that builds many problems on one blur pays for it once.
     """
 
-    def __init__(self, block: Optional[Block], xi: ProxFunction, n: int,
+    def __init__(self, block: Block, xi: ProxFunction, n: int,
                  op_norm_sq_bound: Optional[float] = None):
         self.block = block
         self.xi = xi
         self.in_dim = int(n)
-        self.out_dim = 0 if block is None else block.op.out_dim
-        if op_norm_sq_bound is None and block is not None:
+        self.out_dim = block.op.out_dim
+        if op_norm_sq_bound is None:
             op_norm_sq_bound = 1.05 * power_iteration_sq_norm(self)
-        self.op_norm_sq_bound = float(op_norm_sq_bound or 0.0)
+        if not 0.0 < op_norm_sq_bound < math.inf:
+            raise ValueError("op_norm_sq_bound must be positive and finite")
+        self.op_norm_sq_bound = float(op_norm_sq_bound)
 
     @property
     def key(self):
-        """The block operator's ``LinearOp.key``; None without a block."""
-        return None if self.block is None else self.block.op.key
+        """The block operator's ``LinearOp.key``."""
+        return self.block.op.key
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``M x``; may be ``x`` itself (``IdentityOp``), so callers must
         not write into the result."""
-        if self.block is None:
-            return np.zeros(0)
         return self.block.op.matvec(x)
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """``M^T w``: a fresh array, never -0.0 (``LinearOp.rmatvec``)."""
-        if self.block is None:
-            return np.zeros(self.in_dim)
         return self.block.op.rmatvec(w)
 
     def value(self, x: np.ndarray, xi_x: Optional[float] = None) -> float:
@@ -286,10 +286,9 @@ class StructuredConvexTerm:
         total = self.xi.value(x) if xi_x is None else xi_x
         if not math.isfinite(total):
             return np.inf
-        if self.block is not None:
-            total += self.block.fn.value(self.block.op.matvec(x))
-            if not math.isfinite(total):
-                return np.inf
+        total += self.block.fn.value(self.block.op.matvec(x))
+        if not math.isfinite(total):
+            return np.inf
         return float(total)
 
 

@@ -25,15 +25,17 @@ free of the cancellation in ``(||xbar||^2 - ||q||^2) / (2 alpha)`` at small
 alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
 ``M^T w`` per dual iterate, and only FISTA's extrapolated point takes its q
 from the last two iterates by linearity.
-Solvers pass ``f0(x)``, ``f1(x)`` and ``grad f0(x)`` in the query.  One
-code path evaluates iterate 0 and every FISTA iterate into a record, and
-the result is the record with the best psi: with ``f1(y_tilde)``, the step
+Every query carries ``f0(x)``, ``f1(x)`` and ``grad f0(x)``, so the engine
+evaluates none of them, and every ``f1`` has a block.  One code path
+evaluates iterate 0 and every FISTA iterate into a record, and the result
+is the record with the best psi: with ``f1(y_tilde)``, the step
 ``y_tilde - x`` and its squared norm as ``h(y_tilde)`` used them, and
 ``M^T w_tilde``, which the next warm start reuses for iterate 0 (``M^T w``
 does not depend on the query).
 Iterate 0 (any warm start) checks ``g*(w)`` for a finite value; later
 iterates are projections onto the domain of ``g*`` by the block's
-``conjugate_prox``, which ``conjugate_at_prox`` values without the test.
+``conjugate_prox``, which ``conjugate_at_prox`` values without the test;
+each is a fresh array (``ProxFunction``'s contract), kept as returned.
 psi and h share each ``xi(z)``.
 """
 
@@ -64,12 +66,11 @@ class ProxQuery:
     alpha: float
     beta: float
     tau: float
+    f0_x: float  # f0(x)
+    f1_x: float  # f1(x)
+    grad_x: np.ndarray  # grad f0(x)
     max_inner: int = 2000
     abs_tol: Optional[float] = None
-    # f0(x), f1(x) and grad f0(x); the engine evaluates whichever is None
-    f0_x: Optional[float] = None
-    f1_x: Optional[float] = None
-    grad_x: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -106,15 +107,12 @@ class _DualProblem:
     def __init__(self, problem: CompositeProblem, query: ProxQuery):
         self.f1 = problem.f1
         self.alpha = query.alpha
-        x, s = query.x, query.s
-        f1x = self.f1.value(x) if query.f1_x is None else query.f1_x
+        x, s, f1x = query.x, query.s, query.f1_x
         if not math.isfinite(f1x):
             raise EngineError("prox query with x outside dom(f1)")
-        g = problem.f0.grad(x) if query.grad_x is None else query.grad_x
-        self.f0x = problem.f0.value(x) if query.f0_x is None else query.f0_x
-        self.f1x = f1x
+        self.f0x, self.f1x = query.f0_x, f1x
         self.x = x
-        self.v = g - (query.beta / query.alpha) * (x - s)
+        self.v = query.grad_x - (query.beta / query.alpha) * (x - s)
         self.xbar = x - self.alpha * self.v
         self.c = -0.5 * self.alpha * float(self.v.dot(self.v)) - f1x
 
@@ -135,10 +133,8 @@ class _DualProblem:
         q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
         xi_z = self.f1.xi.value(z)
-        conj = 0.0
-        if self.f1.block is not None:
-            g = self.f1.block.fn
-            conj += (g.conjugate_at_prox if at_prox else g.conjugate)(w)
+        g = self.f1.block.fn
+        conj = (g.conjugate_at_prox if at_prox else g.conjugate)(w)
         if not math.isfinite(conj):
             return -np.inf, z, q, xi_z
         r = z - q
@@ -218,15 +214,11 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
 
     best, q = evaluate(0, w, mtw)  # the starting dual point
     branch = stop_branch(best.h_value, best.psi_value)
-    if branch or m == 0:
-        # m == 0 means the primal candidate is the exact prox point
-        return finish(0, branch or "gap")
+    if branch:
+        return finish(0, branch)
 
     # FISTA on -psi
-    bound = problem.f1.op_norm_sq_bound
-    if bound <= 0:
-        raise EngineError("op_norm_sq_bound must be positive with a block")
-    sigma = 1.0 / (query.alpha * bound)
+    sigma = 1.0 / (query.alpha * problem.f1.op_norm_sq_bound)
     t = 1.0
     g = problem.f1.block.fn
     # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
@@ -239,9 +231,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         z_u = problem.f1.xi.prox(q_u, query.alpha)
         np.multiply(sigma, problem.f1.matvec(z_u), out=v)
         np.add(u, v, out=v)
-        w_new = g.conjugate_prox(v, sigma)
-        if np.may_share_memory(w_new, v):
-            w_new = w_new.copy()
+        w_new = g.conjugate_prox(v, sigma)  # fresh: v is rewritten
 
         cand, q_new = evaluate(it, w_new, problem.f1.rmatvec(w_new), True)
         if cand.psi_value > best.psi_value:

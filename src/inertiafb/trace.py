@@ -9,7 +9,7 @@ metadata travels as ``# key=value`` comment lines at the top of the file.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 CSV_COLUMNS = ["k", "time_s", "f", "phi", "h", "delta_k", "d_k", "alpha_k",
                "beta_k", "L_or_gamma", "lambda_k", "inner_iters", "backtracks",
@@ -36,7 +36,6 @@ class Trace:
         self.x_final = None
 
     def append(self, **row) -> dict:
-        row.setdefault("k", len(self.rows))
         self.rows.append(row)
         return row
 

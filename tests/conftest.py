@@ -5,8 +5,8 @@ import pytest
 from scipy import ndimage
 
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
-                               LinearOp, SmoothOracle, StructuredConvexTerm,
-                               ZeroFunction)
+                               LinearOp, ProxFunction, SmoothOracle,
+                               StructuredConvexTerm, ZeroFunction)
 from inertiafb.prox_engine import ProxQuery, _DualProblem
 
 
@@ -62,6 +62,39 @@ class MirrorConv2D(LinearOp):
         return fold2d_reference(full, self.shape, self.kernel.shape)
 
 
+class ZeroBlockFunction(ProxFunction):
+    """``g = 0``, whose conjugate is the indicator of ``{0}``: the dual
+    iterate stays at 0, where the primal candidate is the exact prox point
+    of ``xi``."""
+
+    def value(self, x):
+        return 0.0
+
+    def conjugate(self, w):
+        return 0.0 if not np.any(w) else np.inf
+
+    def conjugate_prox(self, v, sigma):
+        return np.zeros_like(v)
+
+    def conjugate_at_prox(self, w):
+        return 0.0
+
+
+def xi_term(xi, n):
+    """``f1 = xi`` as a structured term: the zero block ``g = 0`` on
+    ``IdentityOp(n)``, with the bound 1, plus ``xi``."""
+    return StructuredConvexTerm(Block(IdentityOp(n), ZeroBlockFunction()),
+                                xi=xi, n=n, op_norm_sq_bound=1.0)
+
+
+def prox_query(p, x, s, alpha, beta, tau, **settings):
+    """The ``ProxQuery`` at ``(x, s)`` with ``f0(x)``, ``f1(x)`` and ``grad
+    f0(x)`` evaluated on ``p``, as ``fb.prox`` passes them."""
+    return ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=tau,
+                     f0_x=p.f0.value(x), f1_x=p.f1.value(x),
+                     grad_x=p.f0.grad(x), **settings)
+
+
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):
     """f0 = 0.5||x - b||^2, f1 = weight*||x||_1; minimizer soft(b, weight)."""
     rng = np.random.default_rng(seed)
@@ -75,12 +108,11 @@ def quadratic_l1_problem(n=50, seed=0, weight=0.3):
 
 
 def smooth_only_problem(n=1, target=3.0):
-    """f0 = 0.5||x - target||^2, f1 = 0 (no block)."""
+    """f0 = 0.5||x - target||^2, f1 = 0 (the zero block)."""
     t = np.full(n, target, dtype=float)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - t, x - t)),
                       lambda x: x - t)
-    f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=n)
-    return CompositeProblem(f0, f1, n)
+    return CompositeProblem(f0, xi_term(ZeroFunction(), n), n)
 
 
 def scalar_l1_problem(weight=1.0):
@@ -94,8 +126,7 @@ def scalar_l1_problem(weight=1.0):
 
 def eval_h(p, x, s, alpha, beta, y):
     """The subproblem objective h(y; x, s), as the prox engine computes it."""
-    q = ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=0.0)
-    return _DualProblem(p, q).h(y)[0]
+    return _DualProblem(p, prox_query(p, x, s, alpha, beta, 0.0)).h(y)[0]
 
 
 def dual_objective(p, query, w):

@@ -8,7 +8,6 @@ time of this module.
 """
 
 import math
-import sys
 import time
 
 import numpy as np
@@ -20,13 +19,12 @@ from inertiafb.certify import (check_H1, check_armijo, check_duality_gap,
 from inertiafb.i2piano import I2PianoConfig, compute_params, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve, phi_value
-from inertiafb.problem import (CompositeProblem, StructuredConvexTerm,
-                               ZeroFunction, adjoint_residual, check_gradient,
+from inertiafb.problem import (CompositeProblem, ZeroFunction,
+                               adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
-from inertiafb.prox_engine import (ProxQuery, solve_inexact_prox,
-                                   theta_from_tau)
+from inertiafb.prox_engine import solve_inexact_prox, theta_from_tau
 from inertiafb.trace import Trace, csv_equal_ignoring_time
-from tests.conftest import quadratic_l1_problem
+from tests.conftest import prox_query, quadratic_l1_problem, xi_term
 
 
 def _report(capfd, num: int, ok: bool, detail: str) -> None:
@@ -84,8 +82,7 @@ def test_criterion_01_engine_matches_soft_threshold_oracle(capfd):
         p, b, _ = quadratic_l1_problem(n=100, seed=1000 + trial, weight=0.3)
         rng = np.random.default_rng(2000 + trial)
         x = rng.standard_normal(100)
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0,
-                      abs_tol=1e-10, max_inner=5000)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-10, max_inner=5000)
         res = solve_inexact_prox(p, q)
         assert res.ok
         ref = _soft(b, 0.3)  # xbar = x - (x - b) = b
@@ -106,7 +103,7 @@ def test_criterion_02_inexactness_certificates(capfd, bench, quad_traces):
         x = rng.standard_normal(40)
         s = rng.standard_normal(40)
         tau = (0.0, 1.0, 1e6)[trial % 3]
-        q = ProxQuery(x=x, s=s, alpha=0.6, beta=0.2, tau=tau, abs_tol=1e-12)
+        q = prox_query(p, x, s, 0.6, 0.2, tau, abs_tol=1e-12)
         res = solve_inexact_prox(p, q)
         theta = theta_from_tau(tau)
         d = res.y_tilde - x
@@ -141,8 +138,8 @@ def test_criterion_03_weak_duality_every_inner_iterate(capfd, bench, quad_traces
         p, _, _ = quadratic_l1_problem(n=60, seed=5000 + trial)
         rng = np.random.default_rng(6000 + trial)
         x = rng.standard_normal(60)
-        q = ProxQuery(x=x, s=x, alpha=0.8, beta=0.1,
-                      tau=(0.0, 2.0, 1e6)[trial % 3], abs_tol=1e-11)
+        q = prox_query(p, x, x, 0.8, 0.1, (0.0, 2.0, 1e6)[trial % 3],
+                       abs_tol=1e-11)
         solve_inexact_prox(p, q, inner_hook=hook)
     bad = [name for name, t in {**bench["traces"], **quad_traces}.items()
            if check_duality_gap(t).status == "fail"]
@@ -239,14 +236,14 @@ def test_criterion_07_gradient_checks(capfd):
     shape = (8, 8)
     reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), shape)
     preg = CompositeProblem(
-        reg, StructuredConvexTerm(None, xi=ZeroFunction(), n=64), 64)
+        reg, xi_term(ZeroFunction(), 64), 64)
     blur = imaging.gaussian_kernel(3, 1.0)
     op = imaging.ConvOperator(blur, blur, (5, 5))
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(25)) + 1.0
     fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
     pfid = CompositeProblem(
-        fid, StructuredConvexTerm(None, xi=ZeroFunction(), n=25), 25)
+        fid, xi_term(ZeroFunction(), 25), 25)
     worst = 0.0
     for trial in range(20):
         x = 50.0 * rng.standard_normal(64)

@@ -479,6 +479,15 @@ BAD_VALUES = {
     "inf_max_inner": (("--max_inner", "inf"), "max_inner must be finite"),
     # used to write a NaN rel_gap column and exit 0
     "nan_f_star": (("--f_star", "nan"), "f_star must be finite"),
+    # used to exit 0 with a RuntimeWarning and write a NaN-cast
+    # restored.pgm: 255/peak overflows
+    "tiny_peak": (("--problem", "impulse-l1", "--size", "16",
+                   "--peak", "5e-324"), "peak"),
+    # each solver reads L0 in [fb.L_MIN, fb.L_MAX]; iISTA used to exit 3
+    # after NumPy overflow warnings, on "weak duality violated: psi=inf"
+    **{f"tiny_L0_{solver}": (("--solver", solver, "--solvers", solver,
+                              "--L0", "1e-300"), "L0")
+       for solver in SOLVERS},
 }
 
 
@@ -496,6 +505,7 @@ class TestBadValuesAreConfigErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert re.search(f"config error: .*{words}", err)
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (out / "trace.csv").exists()

@@ -3,13 +3,14 @@ import pytest
 
 from inertiafb import fb, i2piano
 from inertiafb.certify import summarize
-from inertiafb.i2piano import (L_MIN, I2PianoConfig, compute_params,
-                               i2piano_solve, i2piano_step)
+from inertiafb.fb import L_MIN
+from inertiafb.i2piano import (I2PianoConfig, compute_params, i2piano_solve,
+                               i2piano_step)
 from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, SolverError, StructuredConvexTerm,
                                ZeroFunction, eval_f)
 from tests.conftest import (quadratic_l1_problem, scaled_h_engine,
-                            smooth_only_problem)
+                            smooth_only_problem, xi_term)
 
 
 def cfg_exact(**kw):
@@ -100,7 +101,7 @@ class TestStep:
         t = np.zeros(4)
         f0 = SmoothOracle(lambda x: 5.0 * float(np.dot(x - t, x - t)),
                           lambda x: 10.0 * (x - t))
-        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=4)
+        f1 = xi_term(ZeroFunction(), 4)
         p = CompositeProblem(f0, f1, 4)
         cfg = I2PianoConfig(L0=1.0)
         st = fb.start(p, np.ones(4), eval_f, cfg.L0)
@@ -111,7 +112,7 @@ class TestStep:
     def test_broken_gradient_hits_L_max(self):
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)),
                           lambda x: -x)  # wrong sign
-        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=2)
+        f1 = xi_term(ZeroFunction(), 2)
         p = CompositeProblem(f0, f1, 2)
         cfg = I2PianoConfig()
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)
@@ -195,7 +196,7 @@ class TestSolve:
     def test_x0_outside_domain_rejected(self):
         from inertiafb.problem import NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         with pytest.raises(ValueError):
             i2piano_solve(p, np.array([-1.0]), I2PianoConfig())

@@ -3,8 +3,8 @@ import pytest
 
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.problem import (CompositeProblem, SmoothOracle, SolverError,
-                               StructuredConvexTerm, ZeroFunction)
-from tests.conftest import quadratic_l1_problem, smooth_only_problem
+                               ZeroFunction)
+from tests.conftest import quadratic_l1_problem, smooth_only_problem, xi_term
 
 
 def soft(u, t):
@@ -43,7 +43,7 @@ class TestBacktracking:
         t = np.zeros(4)
         f0 = SmoothOracle(lambda x: 5.0 * float(np.dot(x - t, x - t)),
                           lambda x: 10.0 * (x - t))
-        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=4)
+        f1 = xi_term(ZeroFunction(), 4)
         p = CompositeProblem(f0, f1, 4)
         trace = iista_solve(p, np.ones(4), IistaConfig(L0=1.0, max_outer=5))
         assert trace.rows[0]["backtracks"] >= 1
@@ -57,7 +57,7 @@ class TestBacktracking:
 
     def test_broken_gradient_hits_L_max(self):
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)), lambda x: -x)
-        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=2)
+        f1 = xi_term(ZeroFunction(), 2)
         p = CompositeProblem(f0, f1, 2)
         with pytest.raises(SolverError):
             iista_solve(p, np.ones(2), IistaConfig())
@@ -92,7 +92,7 @@ class TestSolve:
     def test_x0_outside_domain_rejected(self):
         from inertiafb.problem import NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         with pytest.raises(ValueError):
             iista_solve(p, np.array([-1.0]))

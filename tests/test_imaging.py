@@ -11,7 +11,7 @@ from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
-from tests.conftest import MatrixOp, MirrorConv2D, fold2d_reference
+from tests.conftest import MatrixOp, MirrorConv2D, fold2d_reference, xi_term
 
 
 # Reference formulas the imaging layer must reproduce bit for bit: the
@@ -150,6 +150,12 @@ class TestConvOperator:
         assert g.tobytes() == g[::-1].tobytes()
         with pytest.raises(ValueError):
             imaging.gaussian_kernel(4, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_is_the_delta_kernel_without_warnings(self):
+        # (r / sigma)^2 used to warn "overflow encountered in square"
+        g = imaging.gaussian_kernel(5, 1e-300)
+        assert g.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_kernel_is_the_read_only_outer_product(self):
         rng = np.random.default_rng(7)
@@ -432,7 +438,6 @@ class TestNormMemo:
         term = StructuredConvexTerm(Block(ops[0], L1Norm(1.0)),
                                     xi=ZeroFunction(), n=4)
         assert term.key is None
-        assert StructuredConvexTerm(None, xi=ZeroFunction(), n=4).key is None
         assert problem._SQ_NORMS == {}
 
 
@@ -604,7 +609,7 @@ class TestRegularizerAndFidelities:
     def test_log_filter_gradient(self):
         reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), (6, 6))
         p = CompositeProblem(
-            reg, StructuredConvexTerm(None, xi=ZeroFunction(), n=36), 36)
+            reg, xi_term(ZeroFunction(), 36), 36)
         rng = np.random.default_rng(5)
         rep = check_gradient(p, 10.0 * rng.standard_normal(36))
         assert rep.max_rel_error < 1e-4
@@ -756,7 +761,7 @@ class TestRegularizerAndFidelities:
         g = np.abs(rng.standard_normal(25)) + 1.0
         fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
         p = CompositeProblem(
-            fid, StructuredConvexTerm(None, xi=ZeroFunction(), n=25), 25)
+            fid, xi_term(ZeroFunction(), 25), 25)
         rep = check_gradient(p, np.abs(rng.standard_normal(25)) + 1.0)
         assert rep.max_rel_error < 1e-4
 

@@ -17,7 +17,7 @@ from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                power_iteration_sq_norm)
 from inertiafb.prox_engine import solve_inexact_prox
 from tests.conftest import (MatrixOp, quadratic_l1_problem,
-                            smooth_only_problem)
+                            smooth_only_problem, xi_term)
 
 
 def brute_force_conjugate_prox_1d(fn, v, sigma, steps=20001):
@@ -44,7 +44,7 @@ class TestEvalF:
 
     def test_indicator_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         assert eval_f(p, np.array([-1.0])) == np.inf
         assert eval_f(p, np.array([2.0])) == 0.0
@@ -173,19 +173,26 @@ class TestStructuredTerm:
         rhs = float(np.dot(x, term.rmatvec(w)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_block_free_term_is_xi(self):
-        term = StructuredConvexTerm(None, xi=NonnegIndicator(), n=3)
-        assert term.out_dim == 0 and term.op_norm_sq_bound == 0.0
+    def test_zero_block_term_is_xi(self):
+        term = xi_term(NonnegIndicator(), 3)
+        assert term.out_dim == 3 and term.op_norm_sq_bound == 1.0
         x = np.array([1.0, 0.0, 2.0])
-        mx = term.matvec(x)
-        assert mx.shape == (0,)
-        r1, r2 = term.rmatvec(mx), term.rmatvec(mx)
-        assert r1.shape == (3,) and r1 is not r2
-        assert not np.any(r1) and not np.any(np.signbit(r1))
-        r1[0] = 5.0
-        assert not np.any(term.rmatvec(mx))
         assert term.value(x) == NonnegIndicator().value(x) == 0.0
         assert term.value(-x) == np.inf
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_op_norm_sq_bound_is_rejected(self, bound):
+        # the dual step 1/(alpha bound) needs a positive, finite bound
+        block = Block(IdentityOp(3), L1Norm(1.0))
+        with pytest.raises(ValueError, match="op_norm_sq_bound"):
+            StructuredConvexTerm(block, xi=ZeroFunction(), n=3,
+                                 op_norm_sq_bound=bound)
+
+    def test_zero_operator_estimate_is_rejected(self):
+        # power iteration on M = 0 estimates ||M||^2 = 0
+        block = Block(MatrixOp(np.zeros((2, 3))), L1Norm(1.0))
+        with pytest.raises(ValueError, match="op_norm_sq_bound"):
+            StructuredConvexTerm(block, xi=ZeroFunction(), n=3)
 
 
 class TestCheckGradient:
@@ -199,7 +206,7 @@ class TestCheckGradient:
     def test_detects_wrong_gradient(self):
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)),
                           lambda x: 2.0 * x)
-        f1 = StructuredConvexTerm(None, xi=ZeroFunction(), n=3)
+        f1 = xi_term(ZeroFunction(), 3)
         p = CompositeProblem(f0, f1, 3)
         rep = check_gradient(p, np.array([1.0, 2.0, 3.0]))
         assert rep.max_rel_error > 1e-2

@@ -10,10 +10,11 @@ from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, NonnegIndicator, ProxFunction,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction)
-from inertiafb.prox_engine import (EngineError, ProxQuery,
-                                   solve_inexact_prox, theta_from_tau)
-from tests.conftest import (MatrixOp, dual_objective, eval_h,
-                            quadratic_l1_problem, scalar_l1_problem)
+from inertiafb.prox_engine import (EngineError, solve_inexact_prox,
+                                   theta_from_tau)
+from tests.conftest import (MatrixOp, dual_objective, eval_h, prox_query,
+                            quadratic_l1_problem, scalar_l1_problem,
+                            smooth_only_problem, xi_term)
 
 
 class TestTheta:
@@ -56,14 +57,14 @@ class TestEvalH:
 
     def test_infinite_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         assert eval_h(p, np.array([1.0]), np.array([1.0]), 1.0, 0.0,
                       np.array([-1.0])) == np.inf
 
     def test_x_outside_domain_is_hard_error(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         with pytest.raises(EngineError):
             eval_h(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0,
@@ -94,7 +95,7 @@ class TestDualObjective:
     def test_w_zero_gives_c(self):
         p, b, _ = quadratic_l1_problem(n=6, weight=0.3)
         x = np.zeros(6)
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0)
         psi, cand = dual_objective(p, q, np.zeros(6))
         v = p.f0.grad(x)
         c = -0.5 * float(v @ v) - p.f1.value(x)
@@ -104,7 +105,7 @@ class TestDualObjective:
     def test_outside_dual_domain_is_minus_inf(self):
         p, _, _ = quadratic_l1_problem(n=3, weight=0.3)
         x = np.zeros(3)
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0)
         psi, _ = dual_objective(p, q, np.full(3, 10.0))
         assert psi == -np.inf
 
@@ -113,7 +114,7 @@ class TestDualObjective:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(8)
         s = rng.standard_normal(8)
-        q = ProxQuery(x=x, s=s, alpha=0.7, beta=0.2, tau=0.0)
+        q = prox_query(p, x, s, 0.7, 0.2, 0.0)
         for _ in range(20):
             w = rng.uniform(-0.3, 0.3, 8)
             psi, cand = dual_objective(p, q, w)
@@ -126,8 +127,7 @@ class TestSolveInexactProx:
         p, b, _ = quadratic_l1_problem(n=100, seed=3, weight=0.3)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(100)
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0,
-                      abs_tol=1e-10, max_inner=5000)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-10, max_inner=5000)
         res = solve_inexact_prox(p, q)
         # xbar = x - (x - b) = b; exact prox = soft(b, 0.3)
         ref = np.sign(b) * np.maximum(np.abs(b) - 0.3, 0.0)
@@ -149,8 +149,7 @@ class TestSolveInexactProx:
         p = CompositeProblem(f0, f1, n)
         x = rng.standard_normal(n)
         # at tau > 0 iterate 0 already certifies and no dual step is taken
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0,
-                      abs_tol=1e-10, max_inner=5000)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-10, max_inner=5000)
         res = solve_inexact_prox(p, q)
         assert res.ok and res.inner_iters > 0
         ref = np.sign(b) * np.maximum(np.abs(b) - 0.3, 0.0)
@@ -162,7 +161,7 @@ class TestSolveInexactProx:
     def test_stationary_point_fires_abs_branch(self):
         p = scalar_l1_problem()
         x = np.array([0.0])
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0, abs_tol=1e-12)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-12)
         res = solve_inexact_prox(p, q)
         assert res.converged == "abs"
         assert abs(res.y_tilde[0]) < 1e-10
@@ -173,7 +172,7 @@ class TestSolveInexactProx:
         # candidate y = 0 with h = -1e-13, a step the solvers took
         p = scalar_l1_problem()
         x = np.array([1e-13])
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0, abs_tol=1e-11)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-11)
         res = solve_inexact_prox(p, q)
         assert res.converged == "abs"
         assert res.y_tilde is not x and res.y_tilde[0] == x[0]
@@ -185,7 +184,7 @@ class TestSolveInexactProx:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(30)
         s = rng.standard_normal(30)
-        q = ProxQuery(x=x, s=s, alpha=0.5, beta=0.3, tau=1.0)
+        q = prox_query(p, x, s, 0.5, 0.3, 1.0)
         res = solve_inexact_prox(p, q)
         assert res.converged == "gap"
         assert res.h_value <= (2.0 / 3.0) * res.psi_value + 1e-12
@@ -195,8 +194,7 @@ class TestSolveInexactProx:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(20)
         for tau in (0.0, 1.0, 1e6):
-            q = ProxQuery(x=x, s=x, alpha=0.8, beta=0.0, tau=tau,
-                          abs_tol=1e-12)
+            q = prox_query(p, x, x, 0.8, 0.0, tau, abs_tol=1e-12)
             res = solve_inexact_prox(p, q)
             theta = theta_from_tau(tau)
             d = res.y_tilde - x
@@ -208,8 +206,7 @@ class TestSolveInexactProx:
         rng = np.random.default_rng(10)
         for i in range(10):
             x = rng.standard_normal(10)
-            q = ProxQuery(x=x, s=rng.standard_normal(10), alpha=0.3,
-                          beta=0.1, tau=10.0)
+            q = prox_query(p, x, rng.standard_normal(10), 0.3, 0.1, 10.0)
             res = solve_inexact_prox(p, q)
             assert res.h_value <= 1e-12
 
@@ -223,7 +220,7 @@ class TestSolveInexactProx:
             seen.append((l, h, psi))
             assert psi <= h + 1e-10 * (1.0 + abs(h))
 
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0, abs_tol=1e-10)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-10)
         solve_inexact_prox(p, q, inner_hook=hook)
         assert seen
 
@@ -231,8 +228,7 @@ class TestSolveInexactProx:
         p, _, _ = quadratic_l1_problem(n=30, seed=13)
         rng = np.random.default_rng(14)
         x = rng.standard_normal(30)
-        q = ProxQuery(x=x, s=x, alpha=1.0, beta=0.0, tau=0.0, abs_tol=0.0,
-                      max_inner=1)
+        q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=0.0, max_inner=1)
         res = solve_inexact_prox(p, q)
         # abs_tol=0 is unreachable in finite time here
         assert res.converged == "maxiter" and not res.ok
@@ -241,39 +237,38 @@ class TestSolveInexactProx:
         p, _, _ = quadratic_l1_problem(n=60, seed=15)
         rng = np.random.default_rng(16)
         x = rng.standard_normal(60)
-        q = ProxQuery(x=x, s=x, alpha=0.9, beta=0.0, tau=0.0, abs_tol=1e-9)
+        q = prox_query(p, x, x, 0.9, 0.0, 0.0, abs_tol=1e-9)
         cold = solve_inexact_prox(p, q)
         x2 = x + 1e-3 * rng.standard_normal(60)
-        q2 = ProxQuery(x=x2, s=x2, alpha=0.9, beta=0.0, tau=0.0, abs_tol=1e-9)
+        q2 = prox_query(p, x2, x2, 0.9, 0.0, 0.0, abs_tol=1e-9)
         warm = solve_inexact_prox(p, q2, warm_start=cold.w_tilde)
         cold2 = solve_inexact_prox(p, q2)
         assert warm.inner_iters <= cold2.inner_iters
 
-    def test_no_blocks_returns_exact_point(self):
+    def test_zero_block_returns_exact_point(self):
+        # g = 0 keeps the dual at 0, where the candidate is the exact prox
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=2)
+        f1 = xi_term(NonnegIndicator(), 2)
         p = CompositeProblem(f0, f1, 2)
         x = np.array([1.0, -0.0])
-        q = ProxQuery(x=x, s=x, alpha=0.5, beta=0.0, tau=1e6)
+        q = prox_query(p, x, x, 0.5, 0.0, 1e6)
         res = solve_inexact_prox(p, q)
         # exact projection of x - alpha*x onto the nonnegative orthant
         np.testing.assert_allclose(res.y_tilde, np.maximum(0.5 * x, 0.0))
         assert res.inner_iters == 0
 
     def test_invalid_query_rejected(self):
+        p = smooth_only_problem()
         with pytest.raises(ValueError):
-            ProxQuery(x=np.zeros(1), s=np.zeros(1), alpha=0.0, beta=0.0,
-                      tau=0.0)
+            prox_query(p, np.zeros(1), np.zeros(1), 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            ProxQuery(x=np.zeros(1), s=np.zeros(1), alpha=1.0, beta=0.0,
-                      tau=-1.0)
+            prox_query(p, np.zeros(1), np.zeros(1), 1.0, 0.0, -1.0)
 
     def test_x_outside_domain_is_engine_error(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = StructuredConvexTerm(None, xi=NonnegIndicator(), n=1)
+        f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
-        q = ProxQuery(x=np.array([-1.0]), s=np.array([0.0]), alpha=1.0,
-                      beta=0.0, tau=0.0)
+        q = prox_query(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0, 0.0)
         with pytest.raises(EngineError):
             solve_inexact_prox(p, q)
 
@@ -311,8 +306,7 @@ class TestOneAdjointPerInnerIteration:
         w, total = None, 0
         for _ in range(4):
             x = rng.uniform(0.0, 4.0, p.n)
-            q = ProxQuery(x=x, s=rng.uniform(0.0, 4.0, p.n), alpha=0.8,
-                          beta=0.2, tau=0.01)
+            q = prox_query(p, x, rng.uniform(0.0, 4.0, p.n), 0.8, 0.2, 0.01)
             op.rmatvecs = 0
             res = solve_inexact_prox(p, q, warm_start=w)
             assert res.ok
@@ -323,7 +317,7 @@ class TestOneAdjointPerInnerIteration:
     def test_certificate_is_evaluated_at_the_returned_dual_point(self):
         p, _, rng = _tv_denoising_problem(seed=1)
         x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
-        q = ProxQuery(x=x, s=s, alpha=0.6, beta=0.3, tau=0.01)
+        q = prox_query(p, x, s, 0.6, 0.3, 0.01)
         res = solve_inexact_prox(p, q)
         assert res.converged == "gap" and res.inner_iters > 1
         psi, cand = dual_objective(p, q, res.w_tilde)
@@ -369,7 +363,7 @@ class TestConjugateOfProjectedIterates:
     def test_group_l2_conjugate_checked_at_iterate_zero_only(self):
         p, _, rng = _tv_denoising_problem(seed=2)
         x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
-        q = ProxQuery(x=x, s=s, alpha=0.6, beta=0.3, tau=0.01)
+        q = prox_query(p, x, s, 0.6, 0.3, 0.01)
         _, calls = self._check(p, q)
         assert calls == 1
 
@@ -380,7 +374,7 @@ class TestConjugateOfProjectedIterates:
         if shifted:
             p.f1.block.fn.shift = rng.standard_normal(30)
         x, s = rng.standard_normal(30), rng.standard_normal(30)
-        q = ProxQuery(x=x, s=s, alpha=0.5, beta=0.3, tau=0.01)
+        q = prox_query(p, x, s, 0.5, 0.3, 0.01)
         _, calls = self._check(p, q)
         assert calls == 1
 
@@ -402,15 +396,12 @@ class TestConjugateOfProjectedIterates:
             assert math.isfinite(fn.conjugate(w))
 
 
-class _ConjugateIsIdentity(ProxFunction):
-    """Indicator of ``{0}``: ``g* = 0`` and ``prox_{sigma g*}`` returns its
-    input, the very array the engine handed it."""
+class _IndicatorOfZero(ProxFunction):
+    """Indicator of ``{0}``: ``g* = 0``, and ``prox_{sigma g*}`` returns a
+    copy of its input, as ``ProxFunction.conjugate_prox`` must."""
 
     def value(self, x):
         return 0.0 if not np.any(x) else np.inf
-
-    def prox(self, u, sigma):
-        return np.zeros_like(u)
 
     def conjugate(self, w):
         return 0.0
@@ -419,12 +410,23 @@ class _ConjugateIsIdentity(ProxFunction):
         return 0.0
 
     def conjugate_prox(self, v, sigma):
-        return v
-
-
-class _ConjugateIsCopy(_ConjugateIsIdentity):
-    def conjugate_prox(self, v, sigma):
         return v.copy()
+
+
+@pytest.mark.parametrize("fn", [
+    L1Norm(0.3), L1Norm(0.3, shift=np.linspace(-1.0, 1.0, 40)),
+    imaging.GroupL2(0.25)], ids=["l1", "l1-shifted", "group-l2"])
+@pytest.mark.parametrize("scale", [1e-3, 10.0], ids=["inside", "outside"])
+def test_conjugate_prox_returns_a_fresh_array(fn, scale):
+    # the engine writes its next dual point into v while it keeps w; at
+    # scale 1e-3 every entry of the unshifted v lies in the ball already
+    v = scale * np.random.default_rng(3).standard_normal(40)
+    for sigma in (1e-6, 1.0):
+        w = fn.conjugate_prox(v, sigma)
+        kept = w.copy()
+        assert not np.may_share_memory(w, v)
+        v += 1.0
+        assert w.tobytes() == kept.tobytes()
 
 
 def _blur(size, shape):
@@ -483,9 +485,9 @@ class TestReusedBuffers:
 
     def test_tv_results_unchanged_by_later_calls(self):
         p, _, rng = _tv_denoising_problem(seed=3)
-        queries = [ProxQuery(x=rng.uniform(0.0, 4.0, p.n),
-                             s=rng.uniform(0.0, 4.0, p.n), alpha=0.8,
-                             beta=0.2, tau=0.01) for _ in range(3)]
+        queries = [prox_query(p, rng.uniform(0.0, 4.0, p.n),
+                              rng.uniform(0.0, 4.0, p.n), 0.8, 0.2, 0.01)
+                   for _ in range(3)]
         results = self._returned_arrays_survive(p, queries)
         assert all(r.ok and r.inner_iters > 1 for r in results)
 
@@ -494,8 +496,7 @@ class TestReusedBuffers:
         # own iterate 0 after extrapolating past it three times
         p, _, rng = _tv_denoising_problem(shape=(8, 8), seed=3)
         x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
-        q = ProxQuery(x=x, s=s, alpha=0.8, beta=0.2, tau=0.0, abs_tol=0.0,
-                      max_inner=1000)
+        q = prox_query(p, x, s, 0.8, 0.2, 0.0, abs_tol=0.0, max_inner=1000)
         first = solve_inexact_prox(p, q)
         assert (first.converged, first.inner_iters) == ("maxiter", 1000)
         q.max_inner = 3
@@ -506,33 +507,22 @@ class TestReusedBuffers:
         assert (res.mtw_tilde.tobytes()
                 == p.f1.rmatvec(res.w_tilde).tobytes())
 
-    def test_aliasing_prox_results_unchanged_by_later_calls(self):
-        # xi's prox, M and the block's conjugate prox return their input
-        # here, so any reused buffer that leaks would show; the loose
-        # norm bound keeps h infinite and the dual climbing for every step
-        results = {}
-        for fn in (_ConjugateIsIdentity(), _ConjugateIsCopy()):
-            n = 12
-            b = np.linspace(-1.0, 1.0, n)
-            f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
-                              lambda x: x - b)
-            f1 = StructuredConvexTerm(Block(IdentityOp(n), fn),
-                                     xi=ZeroFunction(), n=n,
-                                     op_norm_sq_bound=4.0)
-            p = CompositeProblem(f0, f1, n)
-            queries = [ProxQuery(x=np.zeros(n), s=np.full(n, 0.1 * k),
-                                 alpha=0.5, beta=0.3, tau=0.01)
-                       for k in range(3)]
-            results[type(fn)] = self._returned_arrays_survive(p, queries,
-                                                              max_inner=6)
-        aliased, fresh = results.values()
-        for ra, rf in zip(aliased, fresh):
-            assert (ra.converged, ra.inner_iters) == ("maxiter", 6)
-            # FISTA's momentum saw the same iterates either way
-            for name in ("y_tilde", "w_tilde", "mtw_tilde"):
-                assert (getattr(ra, name).tobytes()
-                        == getattr(rf, name).tobytes())
-            assert ra.psi_value == rf.psi_value
+    def test_results_unchanged_by_later_calls_when_xi_and_m_alias(self):
+        # xi's prox and M return their input here, so any reused buffer
+        # that leaks would show; the loose norm bound keeps h infinite and
+        # the dual climbing for every step
+        n = 12
+        b = np.linspace(-1.0, 1.0, n)
+        f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
+                          lambda x: x - b)
+        f1 = StructuredConvexTerm(Block(IdentityOp(n), _IndicatorOfZero()),
+                                  xi=ZeroFunction(), n=n,
+                                  op_norm_sq_bound=4.0)
+        p = CompositeProblem(f0, f1, n)
+        queries = [prox_query(p, np.zeros(n), np.full(n, 0.1 * k), 0.5, 0.3,
+                              0.01) for k in range(3)]
+        for res in self._returned_arrays_survive(p, queries, max_inner=6):
+            assert (res.converged, res.inner_iters) == ("maxiter", 6)
 
 
 def _problem_and_points(name):
@@ -571,7 +561,7 @@ class TestResultCarriesItsStep:
         p, x, s = _problem_and_points(name)
         if name == "quadratic-l1" and branch == "maxiter":
             settings_ = dict(settings_, max_inner=0)
-        q = ProxQuery(x=x, s=s, alpha=0.5, beta=0.2, **settings_)
+        q = prox_query(p, x, s, 0.5, 0.2, **settings_)
         res = solve_inexact_prox(p, q)
         assert res.converged == branch
         assert res.y_step.tobytes() == (res.y_tilde - q.x).tobytes()
@@ -590,12 +580,11 @@ class TestWarmStartIsNotCopied:
     def test_warm_start_unchanged_and_as_good_as_a_copy(self, tau,
                                                         stops_at_iterate_0):
         p, x, s = _problem_and_points("gaussian-sd-tv")
-        first = solve_inexact_prox(p, ProxQuery(x=x, s=s, alpha=0.5,
-                                                beta=0.2, tau=0.01))
+        first = solve_inexact_prox(p, prox_query(p, x, s, 0.5, 0.2, 0.01))
         warm = first.w_tilde
         before = warm.tobytes()
         x2 = s  # a second point, as the next outer iteration asks
-        q = ProxQuery(x=x2, s=x, alpha=0.5, beta=0.2, tau=tau)
+        q = prox_query(p, x2, x, 0.5, 0.2, tau)
         res = solve_inexact_prox(p, q, warm_start=warm)
         assert (res.inner_iters == 0) == stops_at_iterate_0
         assert warm.tobytes() == before

@@ -48,7 +48,7 @@ class TestRoundTrip:
     def test_float_serialization_is_exact(self, tmp_path):
         t = Trace()
         val = 1.0 / 3.0 + 1e-17
-        t.append(time_s=0.0, f=val, phi=val, h=0.0, delta_k=0.0, d_k=0.0,
+        t.append(k=0, time_s=0.0, f=val, phi=val, h=0.0, delta_k=0.0, d_k=0.0,
                  alpha_k=val, beta_k=0.0, L_or_gamma=1.0, lambda_k=1.0,
                  inner_iters=0, backtracks=0, psi=0.0, x_step_norm=0.0,
                  y_step_norm=0.0, s_step_norm=0.0, prox_branch="abs",
@@ -145,12 +145,6 @@ class TestRelGap:
 
 
 class TestHelpers:
-    def test_append_autonumbers(self):
-        t = Trace()
-        t.append(f=1.0)
-        t.append(f=2.0)
-        assert [r["k"] for r in t.rows] == [0, 1]
-
     def test_column_missing_from_the_rows_raises(self):
         # used to return [nan]; every solver row holds every column
         t = Trace()
