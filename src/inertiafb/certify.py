@@ -4,19 +4,20 @@ Each check replays one of the inequalities the solvers are supposed to
 maintain: sufficient decrease of the merit value against the per-iteration
 quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
 gap certificates of the inexact prox engine, weak duality psi <= h, the
-algebraic couplings between alpha_k, beta_k and the Lipschitz estimate, and
-the Armijo inequality.  Each is a row function ``(meta, prev, row)`` that
-returns the residuals ``(k, r)`` of ``row``, the step after ``prev`` (None
-for the first step), and a residual passes only when it is a number ``<=
-0``.  ``fb.run`` calls these functions on every row it appends and raises
-on the first that fails, so a run that completes passes every check;
-:func:`summarize` and the ``check_*`` functions fold the same functions over
-a trace.  Rows hold every ``trace.CSV_COLUMNS`` column, whether a solver
-wrote them or ``Trace.read_csv`` read them, so ``certify trace.csv``
-reproduces every verdict of the run.  The header's ``solver`` must name one
-of ``SOLVERS``, and a check raises ValueError naming the key when the
-header lacks a value it reads or holds one that is not a number; the Armijo
-check applies to iPila traces only.
+algebraic couplings between alpha_k, beta_k and the Lipschitz estimate, the
+Armijo inequality, and the tie of the merit value to ``f``.  Each is a row
+function ``(meta, prev, row)`` that returns the residuals ``(k, r)`` of
+``row``, the step after ``prev`` (None for the first step), and a residual
+passes only when it is a number ``<= 0``.  ``fb.run`` calls these
+functions on every row it appends and raises on the first that fails, so a
+run that completes passes every check; :func:`summarize` and the
+``check_*`` functions fold the same functions over a trace.  Rows hold
+every ``trace.CSV_COLUMNS`` column, whether a solver wrote them or
+``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
+verdict of the run.  The header's ``solver`` must name one of ``SOLVERS``,
+and a check raises ValueError naming the key when the header lacks a value
+it reads or holds one that is not a number; the Armijo check applies to
+iPila traces only.
 """
 
 from __future__ import annotations
@@ -240,9 +241,21 @@ def row_armijo(meta, prev, row):
     return [(row["k"], (row["phi"] - bound - tol) / (1.0 + abs(phi0)))]
 
 
+def row_merit(meta, prev, row):
+    """The merit value reads ``f``: ``phi >= f`` on every row and ``phi ==
+    f`` on iISTA rows.  Exact, since every merit value is ``f`` plus a
+    nonnegative term (i2Piano's ``delta ||y - x||^2``, iPila's ``||x -
+    s||^2 / 2``) and iISTA's is ``f`` itself."""
+    f, phi = row["f"], row["phi"]
+    if _solver(meta) == "iista":
+        return [(row["k"], f - phi), (row["k"], phi - f)]
+    return [(row["k"], f - phi)]
+
+
 ROW_CHECKS = {"H1": row_H1, "H4": row_H4, "prox": row_prox,
               "duality-gap": row_duality_gap,
-              "param-identities": row_param_identities, "armijo": row_armijo}
+              "param-identities": row_param_identities, "armijo": row_armijo,
+              "merit": row_merit}
 
 
 def row_checks(meta: dict) -> dict:

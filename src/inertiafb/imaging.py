@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import convolve1d as _nd_convolve1d
-from scipy.ndimage import correlate1d as _nd_correlate1d
 
 from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
                                ProxFunction, SmoothOracle, L1Norm,
@@ -48,20 +46,48 @@ def _fold_plan(full: np.ndarray, shape):
     return adds, full[ph:ph + h, pw:pw + w]
 
 
+TILE = 64  # outputs per banded product: the cost stays linear in pixels
+
+
+def _mirror_matrix(factor: np.ndarray, n: int) -> np.ndarray:
+    """The ``n x n`` matrix of a 1-D correlation by ``factor`` (odd length
+    ``2 r + 1 <= n``) of the whole-sample mirrored signal: row ``i`` holds
+    ``factor[t + r]`` at column ``mirror(i + t)`` for ``|t| <= r``, the
+    taps that meet at one column added in tap order."""
+    r = factor.size // 2
+    rows = np.arange(n)[:, None]
+    # 2 r + 1 <= n: each tap index leaves [0, n) across one border at most
+    cols = (n - 1) - np.abs((n - 1) - np.abs(rows + np.arange(-r, r + 1)))
+    m = np.zeros((n, n))
+    np.add.at(m, (rows, cols), factor)
+    return m
+
+
+def _tiles(n: int, radius: int):
+    """``(out, inp)`` slice pairs that split ``n`` outputs of a band matrix
+    of half-width ``radius`` into ``TILE``-wide ranges ``out``, each with
+    the inputs ``inp`` within ``radius`` of it, the only ones it reads."""
+    return [(slice(s, min(s + TILE, n)),
+             slice(max(s - radius, 0), min(s + TILE + radius, n)))
+            for s in range(0, n, TILE)]
+
+
 class ConvOperator(LinearOp):
     """2-D convolution by the separable kernel ``outer(col, row)`` with
     whole-sample reflective boundary handling.
 
     The forward map mirrors the image across its border pixels before a
-    valid-mode correlation with the kernel, done as one 1-D pass along the
-    rows (``row``) and one along the columns (``col``).  The adjoint is the
-    exact transpose of that composition: the same two passes as full
-    convolutions on a zero-bordered copy, then the padded border folded
-    back onto its source pixels.  The factors define the operator and its
-    ``key``; ``kernel`` is their outer product at construction, read-only
-    and kept for reporting.  Both
-    maps work in arrays the instance keeps, so one instance must not run
-    concurrently; every returned array is fresh.
+    valid-mode correlation with the kernel.  Along each axis that is a
+    banded matrix, built once: ``C`` (``h x h``) from ``col`` and ``R``
+    (``w x w``) from ``row``, one matrix when the factors and the sides are
+    equal.  So ``H x = C X R^T`` and ``H^T y = C^T Y R`` (Hansen, Nagy &
+    O'Leary, *Deblurring Images*, SIAM 2006, ch. 4), run as BLAS products
+    per ``TILE x TILE`` output tile: the row pass of the tile's input rows,
+    those within the kernel radius, then the column pass.  A 64 x 64 image
+    is one tile.  The factors are read-only copies and define the operator
+    and its ``key``; ``kernel`` is their read-only outer product, kept for
+    reporting.  No state changes after construction, and every returned
+    array is fresh.
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, shape):
@@ -77,49 +103,45 @@ class ConvOperator(LinearOp):
         if kh > h or kw > w:
             raise ValueError("kernel larger than image")
         self.kernel = np.outer(self.col, self.row)
-        self.kernel.flags.writeable = False
-        # odd kh <= h implies kh // 2 <= h - 1: the mirror pad never wraps
-        ph, pw = kh // 2, kw // 2
+        for a in (self.col, self.row, self.kernel):
+            a.flags.writeable = False
         self.in_dim = self.out_dim = h * w
-        # matvec's row pass; rmatvec's zero-bordered input (only the
-        # interior is ever written), its row pass (only the interior rows)
-        # and its full-convolution output
-        self._row_pass = np.empty((h, w))
-        self._padded, self._wide, self._full = np.zeros(
-            (3, h + 2 * ph, w + 2 * pw))
-        self._interior = self._padded[ph:ph + h, pw:pw + w]
-        self._row_band = slice(ph, ph + h)
-        self._fold, self._folded = _fold_plan(self._full, self.shape)
+        # the matrix is fixed by the two factors and the image shape
+        self.key = (type(self), self.shape, self.col.tobytes(),
+                    self.row.tobytes())
+        c = _mirror_matrix(self.col, h)
+        # a square blur by equal factors has one matrix: building a second
+        # added about 8% to a 64 x 64 impulse-l1 or gaussian-sd-tv build
+        r = (c if h == w and self.col.tobytes() == self.row.tobytes()
+             else _mirror_matrix(self.row, w))
+        # (block, out, inp) per tile, each block a C-ordered copy: BLAS
+        # reads a view with a longer row stride more slowly
+        rows, cols = _tiles(h, kh // 2), _tiles(w, kw // 2)
+        tile = np.ascontiguousarray
+        self._forward = ([(tile(r.T[i, o]), o, i) for o, i in cols],
+                         [(tile(c[o, i]), o, i) for o, i in rows])
+        self._adjoint = ([(tile(r[i, o]), o, i) for o, i in cols],
+                         [(tile(c.T[o, i]), o, i) for o, i in rows])
+
+    def _apply(self, x, passes):
+        # every temporary is one tile with its halo rows: a full-size
+        # intermediate next to the fresh output made the allocator return
+        # and re-fault its pages on every call at 256 x 256
+        img = np.reshape(np.asarray(x, dtype=float), self.shape)
+        row_tiles, col_tiles = passes
+        out = np.empty(self.shape)
+        for left, rows, rows_in in col_tiles:
+            for right, cols, cols_in in row_tiles:
+                np.matmul(left, img[rows_in, cols_in] @ right,
+                          out=out[rows, cols])
+        return out.ravel()
 
     def matvec(self, x):
-        img = np.asarray(x, dtype=float).reshape(self.shape)
-        # equals valid correlation of the whole-sample mirrored image
-        _nd_correlate1d(img, self.row, axis=1, mode="mirror",
-                        output=self._row_pass)
-        return _nd_correlate1d(self._row_pass, self.col, axis=0,
-                               mode="mirror").ravel()
+        return self._apply(x, self._forward)
 
     def rmatvec(self, y):
-        # full convolution: zero-pad by the kernel radius, then 'same'; the
-        # zero border rows stay zero under the row pass, so it skips them
-        band = self._row_band
-        self._interior[...] = np.reshape(y, self.shape)
-        _nd_convolve1d(self._padded[band], self.row, axis=1, mode="constant",
-                       output=self._wide[band])
-        _nd_convolve1d(self._wide, self.col, axis=0, mode="constant",
-                       output=self._full)
-        for dst, src in self._fold:
-            dst += src
-        # a symmetric 1-D pass starts each sum from its centre product, not
-        # from +0.0, so it can leave -0.0; adding to +0.0 clears it
-        return np.add(0.0, self._folded).ravel()
-
-    @property
-    def key(self):
-        """The matrix is fixed by the two factors and the image shape; read
-        at each call, so a factor edited in place gives a new key."""
-        return (type(self), self.shape, self.col.tobytes(),
-                self.row.tobytes())
+        # each entry is a BLAS sum accumulated from +0.0: it holds no -0.0
+        return self._apply(y, self._adjoint)
 
 
 def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:

@@ -149,6 +149,28 @@ class TestCorruptionDetected:
         t.rows[6]["phi"] = t.rows[5]["phi"] + 1.0
         assert check_armijo(t).status == "fail"
 
+    @pytest.mark.parametrize("name", ["i2piano", "ipila", "ipila-strict",
+                                      "iista"])
+    def test_merit_flags_f_above_phi(self, traces, name):
+        # no check used to read f: a last row's f of 1e300 passed
+        t = self._copy(traces[name])
+        t.rows[-1]["f"] = 1e300
+        res = summarize(t).checks["merit"]
+        assert res.status == "fail"
+        assert res.worst_k == t.rows[-1]["k"]
+
+    def test_merit_is_f_itself_for_iista_only(self, traces):
+        # one ulp of f below phi breaks iISTA's phi == f, while i2Piano's
+        # and iPila's merit terms are positive on some rows
+        for name in ("i2piano", "ipila", "iista"):
+            t = self._copy(traces[name])
+            t.rows[4]["f"] = math.nextafter(t.rows[4]["phi"], -math.inf)
+            res = summarize(t).checks["merit"]
+            assert res.ok == (name != "iista"), name
+        assert any(r["phi"] > r["f"] for r in traces["i2piano"].rows)
+        assert any(r["phi"] > r["f"] for r in traces["ipila"].rows)
+        assert all(r["phi"] == r["f"] for r in traces["iista"].rows)
+
 
 class TestRunChecksEachRow:
     def test_run_and_summarize_call_the_same_row_functions(self, traces,
@@ -235,7 +257,7 @@ class TestReportFormat:
         text = report.format()
         assert text.endswith("overall=pass\n")
         for name in ("H1", "H4", "prox", "duality-gap", "param-identities",
-                     "armijo"):
+                     "armijo", "merit"):
             assert f"{name}.status=" in text
         assert "summary.rows=" in text
         for line in text.strip().splitlines():

@@ -491,6 +491,54 @@ BAD_VALUES = {
 }
 
 
+def _fresh_interpreter(code, *args, **env):
+    """Runs ``code`` in a fresh interpreter that imports this checkout,
+    with ``env`` added to the environment; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+               **env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# a 64x64 impulse-l1 run into argv[1], then the sha256 of the blur's outputs
+# on a shape of several 64-wide tiles
+RUN_AND_HASH = """
+import hashlib, sys
+import numpy as np
+from inertiafb import cli, imaging
+assert cli.main(["run", "--problem", "impulse-l1", "--max_outer", "5",
+                 "--out", sys.argv[1]]) == 0
+rng = np.random.default_rng(0)
+op = imaging.ConvOperator(rng.standard_normal(5), rng.standard_normal(3),
+                          (130, 70))
+x = rng.standard_normal(op.in_dim)
+print(hashlib.sha256(op.matvec(x).tobytes() + op.rmatvec(x).tobytes())
+      .hexdigest())
+"""
+
+
+class TestFreshInterpreter:
+    def test_the_cli_imports_no_scipy(self):
+        proc = _fresh_interpreter(
+            "import sys, inertiafb.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the CLI leaves the BLAS thread count alone, so a trace must not
+        # depend on it
+        hashes = []
+        for threads in ("1", "2"):
+            proc = _fresh_interpreter(RUN_AND_HASH, str(tmp_path / threads),
+                                      OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.splitlines()[-1])
+        assert hashes[0] == hashes[1]
+        assert csv_equal_ignoring_time(tmp_path / "1" / "trace.csv",
+                                       tmp_path / "2" / "trace.csv")
+
+
 class TestBadValuesAreConfigErrors:
     """Each used to end in a ValueError traceback."""
 
@@ -761,6 +809,22 @@ class TestCertifyCommand:
         code = run_cli("certify", str(out / "trace.csv"))
         assert code == 4
         assert "overall=fail" in capsys.readouterr().out
+
+    def test_certify_reads_f(self, tmp_path, capsys):
+        # a last row's f of 1e300 used to certify with overall=pass, exit 0,
+        # and summary.f_final=1e+300
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "3",
+                       "--out", str(out)) == 0
+        trace = Trace.read_csv(out / "trace.csv")
+        trace.rows[-1]["f"] = 1e300
+        trace.write_csv(out / "trace.csv")
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv")) == 4
+        report = capsys.readouterr().out
+        assert "merit.status=fail" in report
+        assert f"merit.worst_k={trace.rows[-1]['k']}" in report
+        assert "overall=fail" in report
 
     def test_certify_fails_on_nan_residuals(self, tmp_path, capsys):
         # a NaN residual used to pass, as nan > worst is false, and the

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from inertiafb import imaging, problem
 from inertiafb.cli import DEFAULTS, build_problem
@@ -15,17 +14,8 @@ from tests.conftest import MatrixOp, MirrorConv2D, fold2d_reference, xi_term
 
 
 # Reference formulas the imaging layer must reproduce bit for bit: the
-# blur's adjoint as np.pad, two full 1-D convolutions, two out-of-place
-# folds and a +0.0 added, the log-filter columns as a gather by precomputed
-# indices, and the phantom and the DCT filters as they were first written.
-
-def _rmatvec_reference(col, row, shape, y):
-    pads = ((col.size // 2,) * 2, (row.size // 2,) * 2)
-    full = ndimage.convolve1d(
-        ndimage.convolve1d(np.pad(np.reshape(y, shape), pads), row, axis=1,
-                           mode="constant"), col, axis=0, mode="constant")
-    return 0.0 + fold2d_reference(full, shape, (col.size, row.size))
-
+# log-filter columns as a gather by precomputed indices, and the phantom and
+# the DCT filters as they were first written.
 
 def _factors(rng, kshape):
     # random unequal factors of a kh x kw kernel
@@ -70,6 +60,12 @@ def _signed_zero_samples(rng, n):
     return [y, np.full(n, -0.0)]
 
 
+# (image shape, kernel shape) beyond one 64-wide tile: two tiles of rows
+# and of columns with short last ones, a last row tile of one row, and a
+# kernel as large as the image
+TILE_CASES = [((130, 70), (5, 3)), ((65, 64), (5, 5)), ((5, 5), (5, 5))]
+
+
 class TestConvOperator:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -98,8 +94,9 @@ class TestConvOperator:
         np.testing.assert_allclose(op.matvec(img.ravel()).reshape(9, 12), ref,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("shape,ksize", [((8, 8), 3), ((8, 8), 5),
-                                             ((7, 11), 3), ((16, 5), 5)])
+    @pytest.mark.parametrize("shape,ksize", [
+        ((8, 8), 3), ((8, 8), 5), ((7, 11), 3), ((16, 5), 5),
+        *((shape, kshape[0]) for shape, kshape in TILE_CASES)])
     def test_adjoint_exact(self, shape, ksize):
         rng = np.random.default_rng(2)
         op = imaging.ConvOperator(*_factors(rng, (ksize, ksize)), shape)
@@ -158,36 +155,47 @@ class TestConvOperator:
         assert g.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_kernel_is_the_read_only_outer_product(self):
+        # and the factors are read-only too: the band matrices and the key
+        # are fixed at construction, so an edited factor would leave them
+        # behind
         rng = np.random.default_rng(7)
         col, row = _factors(rng, (3, 5))
         op = imaging.ConvOperator(col, row, (6, 11))
+        key = op.key
         assert op.kernel.shape == (3, 5)
         assert op.kernel.tobytes() == np.outer(col, row).tobytes()
         with pytest.raises(ValueError):
             op.kernel[1, 2] = 0.0
+        for factor in (op.col, op.row):
+            with pytest.raises(ValueError):
+                factor[1] = 0.0
         col[1] = 0.0  # the operator keeps copies of its factors
         assert op.kernel.tobytes() == np.outer(op.col, op.row).tobytes()
+        assert op.key is key
+        assert key == (imaging.ConvOperator, (6, 11), op.col.tobytes(),
+                       op.row.tobytes())
 
-    @pytest.mark.parametrize("shape,kshape", [((8, 8), (5, 5)),
-                                              ((6, 11), (3, 5)),
-                                              ((17, 9), (5, 3)),
-                                              ((64, 64), (5, 5))])
+    @pytest.mark.parametrize("shape,kshape", [
+        ((8, 8), (5, 5)), ((6, 11), (3, 5)), ((17, 9), (5, 3)),
+        ((64, 64), (5, 5)), ((130, 130), (5, 5)), *TILE_CASES])
     def test_matches_the_2d_reference(self, shape, kshape):
-        # the two 1-D passes against a 2-D correlation with outer(col, row),
-        # and the adjoint against its pad-and-fold transpose
+        # the banded products against a 2-D correlation with outer(col,
+        # row), and the adjoint against its pad-and-fold transpose; equal
+        # factors on a square share one band matrix
         rng = np.random.default_rng(8)
         col, row = _factors(rng, kshape)
-        op = imaging.ConvOperator(col, row, shape)
-        ref = MirrorConv2D(np.outer(col, row), shape)
-        for _ in range(2):
-            v = rng.standard_normal(op.in_dim)
-            for got, want in ((op.matvec(v), ref.matvec(v)),
-                              (op.rmatvec(v), ref.rmatvec(v))):
-                assert np.max(np.abs(got - want)) \
-                    <= 1e-14 * np.max(np.abs(want))
+        for other in (row, col) if kshape[0] == kshape[1] else (row,):
+            op = imaging.ConvOperator(col, other, shape)
+            ref = MirrorConv2D(np.outer(col, other), shape)
+            for _ in range(2):
+                v = rng.standard_normal(op.in_dim)
+                for got, want in ((op.matvec(v), ref.matvec(v)),
+                                  (op.rmatvec(v), ref.rmatvec(v))):
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("shape,kshape", [((8, 8), (5, 5)),
-                                              ((6, 11), (3, 5))])
+                                              ((6, 11), (3, 5)), *TILE_CASES])
     def test_returned_arrays_are_fresh_and_rmatvec_holds_no_negative_zero(
             self, shape, kshape):
         rng = np.random.default_rng(9)
@@ -248,21 +256,9 @@ FOLD_CASES = [((5, 5), (5, 5)), ((17, 9), (5, 5)), ((7, 3), (3, 3)),
 
 
 class TestReusedWorkspaces:
-    """The adjoint and the log-filter oracle work in padded arrays each
-    instance keeps; their results must keep the reference bits and stay
-    fresh."""
-
-    @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
-    def test_rmatvec_bits_match_pad_and_fold(self, shape, kshape):
-        rng = np.random.default_rng(21)
-        col, row = _factors(rng, kshape)
-        op = imaging.ConvOperator(col, row, shape)
-        for _ in range(2):  # the workspaces are reused between calls
-            for y in _signed_zero_samples(rng, op.in_dim):
-                got = op.rmatvec(y)
-                want = _rmatvec_reference(col, row, shape, y)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+    """The log-filter oracle works in padded arrays each instance keeps; its
+    results must keep the reference bits, and its results and the blur's
+    must stay fresh."""
 
     @pytest.mark.parametrize("shape,kshape", FOLD_CASES)
     def test_log_filter_forward_bits_match_index_gather(self, shape, kshape):
@@ -320,8 +316,10 @@ class TestReusedWorkspaces:
         assert not np.shares_memory(kept[0], op.rmatvec(x1))
 
     def test_operators_of_different_shapes_share_no_state(self):
+        # the blur against an operator built afresh for each call, the
+        # oracle against its reference bits
         col, row = _factors(np.random.default_rng(25), (5, 5))
-        shapes = [(17, 9), (9, 17), (5, 5)]
+        shapes = [(17, 9), (9, 17), (5, 5), (130, 70)]
         ops = [imaging.ConvOperator(col, row, s) for s in shapes]
         regs = [imaging.log_filter_regularizer(_bank((5, 5)), s)
                 for s in shapes]
@@ -329,22 +327,23 @@ class TestReusedWorkspaces:
         for _ in range(2):  # interleaved calls on every instance
             for shape, op, reg in zip(shapes, ops, regs):
                 y = rng.standard_normal(op.in_dim)
-                got = op.rmatvec(y)
-                fwd = reg.forward(y)
-                assert got.tobytes() == _rmatvec_reference(
-                    col, row, shape, y).tobytes()
-                assert fwd.tobytes() == _log_filter_forward_reference(
-                    _bank((5, 5)), shape, y).tobytes()
+                fresh = imaging.ConvOperator(col, row, shape)
+                assert op.matvec(y).tobytes() == fresh.matvec(y).tobytes()
+                assert op.rmatvec(y).tobytes() == fresh.rmatvec(y).tobytes()
+                assert reg.forward(y).tobytes() == \
+                    _log_filter_forward_reference(_bank((5, 5)), shape,
+                                                  y).tobytes()
 
     def test_power_iteration_keeps_the_norm_bits(self):
-        # 50 steps on the 64x64 blur, against np.linalg.norm and v = w / lam
+        # 50 steps of the blur's own products at 64x64, against
+        # np.linalg.norm and v = w / lam
         problem._SQ_NORMS.clear()  # the iteration runs, not the memo
         op = _blur()
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.in_dim)
         v /= np.linalg.norm(v)
         for _ in range(50):
-            w = _rmatvec_reference(op.col, op.row, op.shape, op.matvec(v))
+            w = op.rmatvec(op.matvec(v))
             lam = float(np.linalg.norm(w))
             v = w / lam
         assert power_iteration_sq_norm(op).hex() == lam.hex()
@@ -410,9 +409,12 @@ class TestNormMemo:
             op = _blur((16, 16), sigma=2.0)
         elif change == "shape":
             op = _blur((16, 17))
-        elif change == "edited kernel":  # a factor edited in place
-            op = base
-            op.row[2] *= 2.0
+        elif change == "edited kernel":  # the factors are read-only
+            with pytest.raises(ValueError, match="read-only"):
+                base.row[2] *= 2.0
+            row = base.row.copy()
+            row[2] *= 2.0
+            op = imaging.ConvOperator(base.col, row, base.shape)
         else:
             op = _blur((16, 16))
         calls = _count_calls(op)

@@ -75,7 +75,7 @@ NEVER_RUN = {
 TRACED = """
 import importlib.util, json, sys
 from pathlib import Path
-import numpy, scipy.ndimage  # imported untraced, so tracing stays cheap
+import numpy  # imported untraced, so tracing stays cheap
 
 package = Path(importlib.util.find_spec("inertiafb").origin).resolve().parent
 ran, ours = set(), {}
@@ -111,15 +111,16 @@ Path(sys.argv[1], "ran.json").write_text(json.dumps(
 def run_cli(tmp_path):
     """Each problem x solver at size 8 for 3 iterations, certify on each
     trace, one short fstar, then commands that reach the rarer paths: a
-    config file with a comment, a ``--key=value`` override, a PGM header
-    comment, no impulse noise, a one-row i2Piano trace, and one command for
-    each nonzero exit code."""
+    config file with a comment, a ``--key=value`` override, a non-square
+    PGM image with a header comment, no impulse noise, a one-row i2Piano
+    trace, and one command for each nonzero exit code."""
     from inertiafb import cli, imaging
     from inertiafb.certify import SOLVERS
 
+    # a 7x8 image, so the blur builds one band matrix per axis
     image = tmp_path / "image.pgm"
-    imaging.write_pgm(image, imaging.phantom(8))
-    image.write_bytes(image.read_bytes().replace(b"P5\n", b"P5\n# 8x8\n", 1))
+    imaging.write_pgm(image, imaging.phantom(8)[:7])
+    image.write_bytes(image.read_bytes().replace(b"P5\n", b"P5\n# 7x8\n", 1))
     for problem in cli.PROBLEMS:
         config = tmp_path / f"{problem}.txt"
         config.write_text(f"# {problem}\n\nproblem={problem}\nsize=8\n"
