@@ -37,8 +37,8 @@ from inertiafb.certify import SOLVERS, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
-from inertiafb.problem import (Block, CompositeProblem, DomainError,
-                               IdentityOp, L1Norm, SmoothOracle, SolverError,
+from inertiafb.problem import (CompositeProblem, DomainError, IdentityOp,
+                               L1Norm, SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.prox_engine import EngineError
 from inertiafb.trace import Trace
@@ -224,8 +224,8 @@ def build_problem(cfg: dict):
         lam = _f(cfg, "l1_weight")
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                           lambda x: x - b)
-        f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(lam)),
-                                 xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(lam), ZeroFunction(),
+                                  op_norm_sq_bound=1.0)
         return CompositeProblem(f0, f1, n), np.zeros(n), {"b": b, "lam": lam}
 
     size = _i(cfg, "size")

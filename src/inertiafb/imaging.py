@@ -10,13 +10,14 @@ simulation, PSNR, and 8-bit PGM image I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from inertiafb.problem import (Block, DomainError, LinearOp, NonnegIndicator,
+from inertiafb.problem import (DomainError, LinearOp, NonnegIndicator,
                                ProxFunction, SmoothOracle, L1Norm,
                                StructuredConvexTerm)
 
@@ -244,9 +245,8 @@ class GroupL2(ProxFunction):
 def tv_term(rho: float, shape) -> StructuredConvexTerm:
     """Total variation plus nonnegativity as a structured convex term."""
     op = GradOp(shape)
-    return StructuredConvexTerm(Block(op, GroupL2(rho)),
-                               xi=NonnegIndicator(), n=op.in_dim,
-                               op_norm_sq_bound=8.0)
+    return StructuredConvexTerm(op, GroupL2(rho), NonnegIndicator(),
+                                op_norm_sq_bound=8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,7 @@ def l1_fidelity_term(H: ConvOperator, g: np.ndarray) -> StructuredConvexTerm:
     g = np.asarray(g, dtype=float).ravel()
     if g.size != H.out_dim:
         raise ValueError("data size does not match operator output")
-    return StructuredConvexTerm(Block(H, L1Norm(1.0, shift=g)),
-                               xi=NonnegIndicator(), n=H.in_dim,
-                               op_norm_sq_bound=None)
+    return StructuredConvexTerm(H, L1Norm(1.0, shift=g), NonnegIndicator())
 
 
 @dataclass
@@ -447,15 +445,19 @@ def impulse_noise(x: np.ndarray, fraction: float, seed: int,
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
-    """``10 log10(peak^2 n / ||x - ref||^2)`` in dB, capped at 300."""
+    """``10 log10(peak^2 n / ||x - ref||^2)`` in dB, capped at 300, summed in
+    logarithms so that no positive finite ``peak`` overflows or underflows."""
     x = np.asarray(x, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
-    err = float(np.sum((x - ref) ** 2))
-    if err == 0.0:
+    diff = (x - ref).ravel()
+    e = float(np.abs(diff).max(initial=0.0))
+    if e == 0.0:
         return 300.0
-    return min(float(10.0 * np.log10(peak * peak * x.size / err)), 300.0)
+    diff /= e  # ||diff||^2 now lies in [1, n]
+    return min(20.0 * (math.log10(peak) - math.log10(e))
+               + 10.0 * math.log10(x.size / float(diff.dot(diff))), 300.0)
 
 
 def phantom(size: int = 64, peak: float = 255.0) -> np.ndarray:

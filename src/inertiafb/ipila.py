@@ -196,12 +196,15 @@ def _accept(problem, state, new, cfg, practical, gamma_k, anchor):
     if practical and not inertial:
         new.L_k = state.L_k * cfg.eta
     if not inertial:
-        d_x, d_s = descent_direction(new.y_step, anchor, new.alpha_k,
-                                     new.beta_k, gamma_k)
-        lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
-            problem, state.x_curr, state.s_curr, state.phi_val, d_x, d_s,
-            delta_k, cfg.sigma, cfg.ls_shrink, cfg.max_halvings,
-            y=new.x_curr, fwd_y=new.f0_fwd, f0_y=new.f0_val, f1_y=new.f1_val)
+        # an overflowing trial fails its test: the search reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_x, d_s = descent_direction(new.y_step, anchor, new.alpha_k,
+                                         new.beta_k, gamma_k)
+            lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
+                problem, state.x_curr, state.s_curr, state.phi_val, d_x, d_s,
+                delta_k, cfg.sigma, cfg.ls_shrink, cfg.max_halvings,
+                y=new.x_curr, fwd_y=new.f0_fwd, f0_y=new.f0_val,
+                f1_y=new.f1_val)
         new.lambda_k, new.backtracks = lam, evals - 1
         inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
 

@@ -70,8 +70,9 @@ class SmoothOracle:
 
 class LinearOp:
     """Linear operator with an exact adjoint, acting on flat arrays.
-    ``rmatvec`` returns a fresh array (callers keep it or write into it)
-    that holds no -0.0, as a sum accumulated from +0.0 never does.
+    ``matvec`` may return ``x`` itself (``IdentityOp``): never write into
+    it.  ``rmatvec`` returns a fresh array (callers keep it or write into
+    it) that holds no -0.0, as a sum accumulated from +0.0 never does.
 
     ``key`` names the matrix for ``power_iteration_sq_norm``'s memo: a
     hashable value, read at each call, that two operators share only when
@@ -153,7 +154,7 @@ def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
 class ProxFunction:
     """Convex function with closed-form oracles, in one of two roles.
 
-    A block function ``g`` (``L1Norm``, ``imaging.GroupL2``) exposes
+    The ``g`` of ``g(M x)`` (``L1Norm``, ``imaging.GroupL2``) exposes
     ``value``, the conjugate value ``conjugate(w)``, ``conjugate_prox(v,
     sigma)``, the minimizer of ``sigma g*(w) + ||w - v||^2 / 2``, and
     ``conjugate_at_prox(w)``, ``conjugate(w)`` without the feasibility
@@ -188,7 +189,7 @@ class ZeroFunction(ProxFunction):
 
 
 class L1Norm(ProxFunction):
-    """``weight * ||u - shift||_1``, a block function.
+    """``weight * ||u - shift||_1``, a ``g`` of ``StructuredConvexTerm``.
 
     The conjugate is ``<w, shift>`` (0 without a shift) on the box
     ``|w_i| <= weight`` and ``+inf`` off it, so ``prox_{sigma g*}(v)`` is
@@ -235,58 +236,31 @@ class NonnegIndicator(ProxFunction):
 # structured convex term and composite problem
 
 
-@dataclass
-class Block:
-    op: LinearOp
-    fn: ProxFunction
-
-
 class StructuredConvexTerm:
-    """``f1(x) = g(M x) + xi(x)``.
+    """``f1(x) = g(M x) + xi(x)`` as its parts ``op`` (``M``), ``g`` and
+    ``xi``; its sizes are ``op``'s.  A sum ``sum_i g_i(M_i x)`` is one term:
+    stack the ``M_i`` into ``M`` and let ``g`` be separable.
 
-    The term is the operator ``M`` itself: ``in_dim``, ``out_dim`` (the
-    dual size), ``matvec`` and ``rmatvec``.  A sum ``sum_i g_i(M_i x)`` is
-    one block: stack the ``M_i`` into ``M`` and let ``g`` be separable.
-    ``op_norm_sq_bound`` must upper-bound ``||M||^2`` and be positive and
-    finite; when omitted it is estimated by 50 power iterations times a
-    1.05 safety factor (the dual step size relies on the bound being
-    valid).  Every build calls ``power_iteration_sq_norm``, which iterates
-    once per distinct operator (the block operator's ``key``) per process,
-    so a process that builds many problems on one blur pays for it once.
+    ``op_norm_sq_bound``, on which the dual step relies, must upper-bound
+    ``||M||^2`` and be positive and finite; when omitted it is 1.05 times
+    ``power_iteration_sq_norm(op)``, 50 power iterations once per ``op.key``.
     """
 
-    def __init__(self, block: Block, xi: ProxFunction, n: int,
+    def __init__(self, op: LinearOp, g: ProxFunction, xi: ProxFunction,
                  op_norm_sq_bound: Optional[float] = None):
-        self.block = block
-        self.xi = xi
-        self.in_dim = int(n)
-        self.out_dim = block.op.out_dim
+        self.op, self.g, self.xi = op, g, xi
         if op_norm_sq_bound is None:
-            op_norm_sq_bound = 1.05 * power_iteration_sq_norm(self)
+            op_norm_sq_bound = 1.05 * power_iteration_sq_norm(op)
         if not 0.0 < op_norm_sq_bound < math.inf:
             raise ValueError("op_norm_sq_bound must be positive and finite")
         self.op_norm_sq_bound = float(op_norm_sq_bound)
-
-    @property
-    def key(self):
-        """The block operator's ``LinearOp.key``."""
-        return self.block.op.key
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``M x``; may be ``x`` itself (``IdentityOp``), so callers must
-        not write into the result."""
-        return self.block.op.matvec(x)
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """``M^T w``: a fresh array, never -0.0 (``LinearOp.rmatvec``)."""
-        return self.block.op.rmatvec(w)
 
     def value(self, x: np.ndarray, xi_x: Optional[float] = None) -> float:
         """``f1(x)``; a caller that holds ``xi(x)`` passes it as ``xi_x``."""
         total = self.xi.value(x) if xi_x is None else xi_x
         if not math.isfinite(total):
             return np.inf
-        total += self.block.fn.value(self.block.op.matvec(x))
+        total += self.g.value(self.op.matvec(x))
         if not math.isfinite(total):
             return np.inf
         return float(total)
@@ -299,7 +273,7 @@ class CompositeProblem:
     n: int
 
     def __post_init__(self):
-        if self.f1.in_dim != self.n:
+        if self.f1.op.in_dim != self.n:
             raise ValueError("f1 dimension does not match problem dimension")
 
 

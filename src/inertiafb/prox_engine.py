@@ -26,14 +26,14 @@ alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
 ``M^T w`` per dual iterate, and only FISTA's extrapolated point takes its q
 from the last two iterates by linearity.
 Every query carries ``f0(x)``, ``f1(x)`` and ``grad f0(x)``, so the engine
-evaluates none of them, and every ``f1`` has a block.  One code path
-evaluates iterate 0 and every FISTA iterate into a record, and the result
-is the record with the best psi: with ``f1(y_tilde)``, the step
+evaluates none of them; it reads ``f1``'s parts ``op``, ``g`` and ``xi``.
+One code path evaluates iterate 0 and every FISTA iterate into a record,
+and the result is the record with the best psi: with ``f1(y_tilde)``, the step
 ``y_tilde - x`` and its squared norm as ``h(y_tilde)`` used them, and
 ``M^T w_tilde``, which the next warm start reuses for iterate 0 (``M^T w``
 does not depend on the query).
 Iterate 0 (any warm start) checks ``g*(w)`` for a finite value; later
-iterates are projections onto the domain of ``g*`` by the block's
+iterates are projections onto the domain of ``g*`` by ``g``'s
 ``conjugate_prox``, which ``conjugate_at_prox`` values without the test;
 each is a fresh array (``ProxFunction``'s contract), kept as returned.
 psi and h share each ``xi(z)``.
@@ -133,7 +133,7 @@ class _DualProblem:
         q = self.xbar - self.alpha * mtw
         z = self.f1.xi.prox(q, self.alpha)
         xi_z = self.f1.xi.value(z)
-        g = self.f1.block.fn
+        g = self.f1.g
         conj = (g.conjugate_at_prox if at_prox else g.conjugate)(w)
         if not math.isfinite(conj):
             return -np.inf, z, q, xi_z
@@ -143,6 +143,8 @@ class _DualProblem:
         return float(val), z, q, xi_z
 
 
+# an overflow leaves h or psi non-finite, which no stop test accepts: "maxiter"
+@np.errstate(over="ignore", invalid="ignore")
 def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                        warm_start: Optional[np.ndarray] = None,
                        warm_mtw: Optional[np.ndarray] = None,
@@ -157,8 +159,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``, and
     any such stop with ``|h| <= abs_tol`` stays at a copy of ``x``, so
     every zero decrease comes with a zero step.
-    ``inner_hook(l, h, psi)``, when given, observes every inner iterate;
-    ``warm_start`` is never written to, and may come back as ``w_tilde``.
+    ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
+    ``warm_start``, when given, is an earlier call's ``w_tilde`` on the
+    same problem; it is never written to, and may come back as ``w_tilde``.
     An inner iteration applies ``M`` twice (on FISTA's ``z_u``, and in
     ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once, in
     ``f1(y)``, and ``M^T`` only when no ``warm_mtw = M^T warm_start`` is
@@ -172,12 +175,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         fx = dp.f0x + dp.f1x
         abs_tol = 1e-12 * (1.0 + abs(fx))
 
-    m = problem.f1.out_dim
-    if warm_start is not None and warm_start.shape == (m,):
-        w = np.asarray(warm_start, dtype=float)
-    else:
-        w, warm_mtw = np.zeros(m), None
-    mtw = problem.f1.rmatvec(w) if warm_mtw is None else warm_mtw
+    op = problem.f1.op
+    w = np.zeros(op.out_dim) if warm_start is None else warm_start
+    mtw = op.rmatvec(w) if warm_mtw is None else warm_mtw
 
     # psi is a sum of terms on the scale of |c| and |f1(x)|, so its
     # cancellation noise is relative to that scale, not to |h|
@@ -220,20 +220,20 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     # FISTA on -psi
     sigma = 1.0 / (query.alpha * problem.f1.op_norm_sq_bound)
     t = 1.0
-    g = problem.f1.block.fn
+    g = problem.f1.g
     # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
     # w and every w_new may be returned, so none of them is ever written to
-    u, v = w.copy(), np.empty(m)
+    u, v = w.copy(), np.empty_like(w)
     w_prev = w
     q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
     q_buf = np.empty_like(q)
     for it in range(1, query.max_inner + 1):
         z_u = problem.f1.xi.prox(q_u, query.alpha)
-        np.multiply(sigma, problem.f1.matvec(z_u), out=v)
+        np.multiply(sigma, op.matvec(z_u), out=v)
         np.add(u, v, out=v)
         w_new = g.conjugate_prox(v, sigma)  # fresh: v is rewritten
 
-        cand, q_new = evaluate(it, w_new, problem.f1.rmatvec(w_new), True)
+        cand, q_new = evaluate(it, w_new, op.rmatvec(w_new), True)
         if cand.psi_value > best.psi_value:
             best = cand
         branch = stop_branch(best.h_value, best.psi_value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, ProxFunction, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.prox_engine import ProxQuery, _DualProblem
@@ -81,10 +81,10 @@ class ZeroBlockFunction(ProxFunction):
 
 
 def xi_term(xi, n):
-    """``f1 = xi`` as a structured term: the zero block ``g = 0`` on
-    ``IdentityOp(n)``, with the bound 1, plus ``xi``."""
-    return StructuredConvexTerm(Block(IdentityOp(n), ZeroBlockFunction()),
-                                xi=xi, n=n, op_norm_sq_bound=1.0)
+    """``f1 = xi`` as a structured term: ``g = 0`` on ``IdentityOp(n)``,
+    with the bound 1, plus ``xi``."""
+    return StructuredConvexTerm(IdentityOp(n), ZeroBlockFunction(), xi,
+                                op_norm_sq_bound=1.0)
 
 
 def prox_query(p, x, s, alpha, beta, tau, **settings):
@@ -101,14 +101,14 @@ def quadratic_l1_problem(n=50, seed=0, weight=0.3):
     b = rng.standard_normal(n)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                       lambda x: x - b)
-    f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(weight)),
-                             xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+    f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(weight), ZeroFunction(),
+                              op_norm_sq_bound=1.0)
     minimizer = np.sign(b) * np.maximum(np.abs(b) - weight, 0.0)
     return CompositeProblem(f0, f1, n), b, minimizer
 
 
 def smooth_only_problem(n=1, target=3.0):
-    """f0 = 0.5||x - target||^2, f1 = 0 (the zero block)."""
+    """f0 = 0.5||x - target||^2, f1 = 0 (``g = 0`` and ``xi = 0``)."""
     t = np.full(n, target, dtype=float)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - t, x - t)),
                       lambda x: x - t)
@@ -119,8 +119,8 @@ def scalar_l1_problem(weight=1.0):
     """1-D f0 = 0.5 x^2, f1 = weight*|x|."""
     f0 = SmoothOracle(lambda x: 0.5 * float(x[0] ** 2),
                       lambda x: np.asarray(x, dtype=float))
-    f1 = StructuredConvexTerm(Block(IdentityOp(1), L1Norm(weight)),
-                             xi=ZeroFunction(), n=1, op_norm_sq_bound=1.0)
+    f1 = StructuredConvexTerm(IdentityOp(1), L1Norm(weight), ZeroFunction(),
+                              op_norm_sq_bound=1.0)
     return CompositeProblem(f0, f1, 1)
 
 
@@ -133,7 +133,7 @@ def dual_objective(p, query, w):
     """``(psi(w), z)``, the dual value at ``w`` and its primal candidate, as
     the prox engine computes them; psi is ``-inf`` outside the dual domain."""
     w = np.asarray(w, dtype=float)
-    psi, z, _, _ = _DualProblem(p, query).psi(w, p.f1.rmatvec(w))
+    psi, z, _, _ = _DualProblem(p, query).psi(w, p.f1.op.rmatvec(w))
     return psi, z
 
 

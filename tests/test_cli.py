@@ -15,7 +15,7 @@ from inertiafb.cli import (SOLVERS, ConfigError, build_settings, load_config,
 from inertiafb.i2piano import I2PianoConfig
 from inertiafb.iista import IistaConfig
 from inertiafb.ipila import IPilaConfig
-from inertiafb.problem import (Block, CompositeProblem, DomainError,
+from inertiafb.problem import (CompositeProblem, DomainError,
                                IdentityOp, L1Norm, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.trace import Trace, csv_equal_ignoring_time
@@ -271,9 +271,8 @@ class TestRunCommand:
         def build(cfg):
             n = 4
             f0 = SmoothOracle(lambda x: 0.0, grad)
-            f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(1.0)),
-                                     xi=ZeroFunction(), n=n,
-                                     op_norm_sq_bound=1.0)
+            f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(1.0),
+                                      ZeroFunction(), op_norm_sq_bound=1.0)
             return CompositeProblem(f0, f1, n), np.ones(n), {}
 
         monkeypatch.setattr(cli, "build_problem", build)
@@ -308,20 +307,29 @@ class TestRunCommand:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, code, message", [
-        ("a", 2, "config error: a = 1e+308, c = 1.0: the noise variance"),
-        ("c", 3, "solver failure: f(x0) is not finite: f0(x0) = inf")],
-        ids=["a", "c"])
-    def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, key,
+    @pytest.mark.parametrize("args, code, message", [
+        ("--problem gaussian-sd-tv --size 16 --a 1e308 --max_outer 3", 2,
+         "config error: a = 1e+308, c = 1.0: the noise variance"),
+        ("--problem gaussian-sd-tv --size 16 --c 1e308 --max_outer 3", 3,
+         "solver failure: f(x0) is not finite: f0(x0) = inf"),
+        ("--problem synthetic-quadratic-l1 --solver ipila-strict "
+         "--alpha_max 1e200 --max_outer 4", 3,
+         "solver failure: prox engine hit max_inner without certificate"),
+        ("--problem gaussian-sd-tv --size 8 --solver ipila-strict "
+         "--beta_max 1e308 --max_outer 4", 3,
+         "solver failure: Armijo search exhausted max_halvings")],
+        ids=["a", "c", "alpha_max", "beta_max"])
+    def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, args,
                                                       code, message):
         # --a 1e308 printed 5 NumPy RuntimeWarnings (10 lines) and --c 1e308
-        # 4 before their message; a fresh interpreter shows every warning
+        # 4 before their message, --alpha_max 1e200 one from the prox
+        # engine and --beta_max 1e308 two from the Armijo search; a fresh
+        # interpreter shows every warning
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
         proc = subprocess.run(
-            [sys.executable, "-m", "inertiafb.cli", "run", "--problem",
-             "gaussian-sd-tv", "--size", "16", f"--{key}", "1e308",
-             "--max_outer", "3", "--out", str(tmp_path / "run")],
+            [sys.executable, "-m", "inertiafb.cli", "run", *args.split(),
+             "--out", str(tmp_path / "run")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code
         assert "RuntimeWarning" not in proc.stderr

@@ -6,7 +6,7 @@ from inertiafb.certify import summarize
 from inertiafb.fb import L_MIN
 from inertiafb.i2piano import (I2PianoConfig, compute_params, i2piano_solve,
                                i2piano_step)
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, SolverError, StructuredConvexTerm,
                                ZeroFunction, eval_f)
 from tests.conftest import (quadratic_l1_problem, scaled_h_engine,
@@ -174,9 +174,8 @@ class TestSolve:
         # test until L_MIN stops it
         c = np.full(20, 0.1)
         f0 = SmoothOracle(lambda x: float(np.dot(c, x)), lambda x: c.copy())
-        f1 = StructuredConvexTerm(Block(IdentityOp(20), L1Norm(0.01)),
-                                 xi=ZeroFunction(), n=20,
-                                 op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(IdentityOp(20), L1Norm(0.01),
+                                  ZeroFunction(), op_norm_sq_bound=1.0)
         p = CompositeProblem(f0, f1, 20)
         cfg = I2PianoConfig(max_outer=600)
         trace = i2piano_solve(p, np.zeros(20), cfg)

@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from inertiafb import imaging, problem
 from inertiafb.cli import DEFAULTS, build_problem
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
@@ -388,7 +388,7 @@ class TestNormMemo:
         problem._SQ_NORMS.clear()
         cold = imaging.l1_fidelity_term(_blur(), g)
         assert cold.op_norm_sq_bound.hex() == self.BOUND
-        assert cold.key == _blur().key
+        assert cold.op.key == _blur().key
         assert list(problem._SQ_NORMS.values())[0].hex() == self.LAM
 
     def test_an_equal_operator_applies_nothing(self):
@@ -437,9 +437,7 @@ class TestNormMemo:
             first = power_iteration_sq_norm(op, 20)
             assert power_iteration_sq_norm(op, 20) == first
             assert calls == ["matvec", "rmatvec"] * 40
-        term = StructuredConvexTerm(Block(ops[0], L1Norm(1.0)),
-                                    xi=ZeroFunction(), n=4)
-        assert term.key is None
+        StructuredConvexTerm(ops[0], L1Norm(1.0), ZeroFunction())
         assert problem._SQ_NORMS == {}
 
 
@@ -841,6 +839,12 @@ class TestNoiseAndMetrics:
             48.1308, abs=1e-4)
         off01 = np.full((10, 10), 0.1)  # MSE = 0.01
         assert imaging.psnr(base, off01, peak=1.0) == pytest.approx(20.0)
+        # peak^2 used to underflow at peak 1e-300: a NumPy warning, then
+        # -inf dB; the value does not depend on the scale
+        with np.errstate(all="raise"):
+            for peak in (1e-300, 1e300):
+                assert imaging.psnr(base, off01 * peak, peak) \
+                    == pytest.approx(20.0)
 
     def test_psnr_cap_and_errors(self):
         img = imaging.phantom(8)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inertiafb import fb, ipila
@@ -39,6 +41,9 @@ class TestDescentDirection:
                     min_size=1, max_size=8),
            st.floats(ALPHA_MIN, 1e3), st.floats(0.0, 10.0),
            st.floats(1e-8, 1.0), st.floats(0.0, 1e8))
+    # subnormal squares: ||d||^2 read 1.76e-321 against a bound of 1.75e-321
+    @example(pairs=[(1.8762809786501308e-161, 0.0)], alpha=1.0, beta=1.0,
+             gamma_k=0.03125, tau=0.0)
     @settings(max_examples=200, deadline=None)
     def test_norm_bound_holds_for_every_input(self, pairs, alpha, beta,
                                               gamma_k, tau):
@@ -52,7 +57,12 @@ class TestDescentDirection:
         cap = max((1.0 + dbar * dbar + dbar * gamma_k) / a, gamma_k + dbar)
         bound = cap * (a * float(y_step @ y_step)
                        + gamma_k * float(anchor @ anchor))
-        assert float(dx @ dx + ds @ ds) <= bound * (1.0 + 1e-12)
+        # rounding: relative in the normal range; below it each product
+        # rounds by up to ulp(0)/2 absolute, n per dot product, and the
+        # bound scales its two dot products by cap a and cap gamma
+        tiny = (math.ulp(0.0) * (len(pairs) + 1)
+                * (1.0 + cap * (1.0 + a + gamma_k)))
+        assert float(dx @ dx + ds @ ds) <= bound * (1.0 + 1e-12) + tiny
 
 
 class TestComputeDelta:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from inertiafb import i2piano, iista, ipila
 from inertiafb.cli import (DEFAULTS, PROBLEMS, SOLVERS, build_problem,
                            run_solver)
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                NonnegIndicator, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction,
                                adjoint_residual, check_gradient, eval_f,
@@ -37,8 +37,8 @@ class TestEvalF:
     def test_hand_example(self):
         n = 2
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
-        f1 = StructuredConvexTerm(Block(IdentityOp(n), L1Norm(1.0)),
-                                 xi=ZeroFunction(), n=n, op_norm_sq_bound=1.0)
+        f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(1.0), ZeroFunction(),
+                                  op_norm_sq_bound=1.0)
         p = CompositeProblem(f0, f1, n)
         assert eval_f(p, np.array([1.0, -2.0])) == pytest.approx(5.5)
 
@@ -143,39 +143,26 @@ class TestLinearOps:
     def test_default_norm_bound_is_valid(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 8))
-        term = StructuredConvexTerm(Block(MatrixOp(a), L1Norm(1.0)),
-                                   xi=ZeroFunction(), n=8)
+        term = StructuredConvexTerm(MatrixOp(a), L1Norm(1.0), ZeroFunction())
         assert term.op_norm_sq_bound >= float(np.linalg.norm(a, 2) ** 2)
 
 
 class TestStructuredTerm:
-    def test_value_sums_blocks(self):
-        # 2||a x||_1 + ||x||_1 as one stacked block: M = [2a; I], g = ||.||_1
+    def test_value_sums_stacked_terms(self):
+        # 2||a x||_1 + ||x||_1 as one stacked term: M = [2a; I], g = ||.||_1
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 5))
         term = StructuredConvexTerm(
-            Block(MatrixOp(np.vstack([2.0 * a, np.eye(5)])), L1Norm(1.0)),
-            xi=NonnegIndicator(), n=5)
+            MatrixOp(np.vstack([2.0 * a, np.eye(5)])), L1Norm(1.0),
+            NonnegIndicator())
         x = np.abs(rng.standard_normal(5))
         expected = 2.0 * np.sum(np.abs(a @ x)) + np.sum(np.abs(x))
         assert term.value(x) == pytest.approx(expected)
         assert term.value(-x) == np.inf
 
-    def test_stacked_matvec_rmatvec_adjoint(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 6))
-        term = StructuredConvexTerm(
-            Block(MatrixOp(np.vstack([a, np.eye(6)])), L1Norm(1.0)),
-            xi=ZeroFunction(), n=6)
-        x = rng.standard_normal(6)
-        w = rng.standard_normal(10)
-        lhs = float(np.dot(term.matvec(x), w))
-        rhs = float(np.dot(x, term.rmatvec(w)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_zero_block_term_is_xi(self):
+    def test_zero_g_term_is_xi(self):
         term = xi_term(NonnegIndicator(), 3)
-        assert term.out_dim == 3 and term.op_norm_sq_bound == 1.0
+        assert term.op.out_dim == 3 and term.op_norm_sq_bound == 1.0
         x = np.array([1.0, 0.0, 2.0])
         assert term.value(x) == NonnegIndicator().value(x) == 0.0
         assert term.value(-x) == np.inf
@@ -183,16 +170,25 @@ class TestStructuredTerm:
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, np.nan])
     def test_bad_op_norm_sq_bound_is_rejected(self, bound):
         # the dual step 1/(alpha bound) needs a positive, finite bound
-        block = Block(IdentityOp(3), L1Norm(1.0))
         with pytest.raises(ValueError, match="op_norm_sq_bound"):
-            StructuredConvexTerm(block, xi=ZeroFunction(), n=3,
+            StructuredConvexTerm(IdentityOp(3), L1Norm(1.0), ZeroFunction(),
                                  op_norm_sq_bound=bound)
 
     def test_zero_operator_estimate_is_rejected(self):
         # power iteration on M = 0 estimates ||M||^2 = 0
-        block = Block(MatrixOp(np.zeros((2, 3))), L1Norm(1.0))
         with pytest.raises(ValueError, match="op_norm_sq_bound"):
-            StructuredConvexTerm(block, xi=ZeroFunction(), n=3)
+            StructuredConvexTerm(MatrixOp(np.zeros((2, 3))), L1Norm(1.0),
+                                 ZeroFunction())
+
+    def test_sizes_are_the_operators(self):
+        # n = 7 against IdentityOp(5) used to build, read f = 10.5 and only
+        # fail in a solver's broadcast
+        f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
+        term = StructuredConvexTerm(IdentityOp(5), L1Norm(1.0), ZeroFunction(),
+                                    op_norm_sq_bound=1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            CompositeProblem(f0, term, 7)
+        assert CompositeProblem(f0, term, 5).n == 5
 
 
 class TestCheckGradient:
@@ -324,9 +320,9 @@ class TestOneEvaluationPerPoint:
                    solver=solver, max_outer="15", **overrides)
         p, x0, _ = build_problem(cfg)
         q, _, _ = build_problem(cfg)
-        op = p.f1.block.op
+        op = p.f1.op
         fresh = dict(f0=q.f0.value, grad=q.f0.grad, f1=q.f1.value,
-                     rmatvec=q.f1.block.op.rmatvec)
+                     rmatvec=q.f1.op.rmatvec)
         counts = collections.Counter()
         p.f0.forward = _counted(counts, "forward", p.f0.forward)
         p.f0.value = _counted(counts, "f0", p.f0.value)

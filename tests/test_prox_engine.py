@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inertiafb import cli, imaging
-from inertiafb.problem import (Block, CompositeProblem, IdentityOp, L1Norm,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, NonnegIndicator, ProxFunction,
                                SmoothOracle, StructuredConvexTerm,
                                ZeroFunction)
@@ -144,8 +144,8 @@ class TestSolveInexactProx:
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                           lambda x: x - b)
         op = MatrixOp(np.vstack([0.1 * np.eye(n), 0.2 * np.eye(n)]))
-        f1 = StructuredConvexTerm(Block(op, L1Norm(1.0)), xi=ZeroFunction(),
-                                  n=n, op_norm_sq_bound=0.05)
+        f1 = StructuredConvexTerm(op, L1Norm(1.0), ZeroFunction(),
+                                  op_norm_sq_bound=0.05)
         p = CompositeProblem(f0, f1, n)
         x = rng.standard_normal(n)
         # at tau > 0 iterate 0 already certifies and no dual step is taken
@@ -295,8 +295,8 @@ def _tv_denoising_problem(shape=(16, 16), seed=0):
     op = _CountingOp(imaging.GradOp(shape))
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                       lambda x: x - b)
-    f1 = StructuredConvexTerm(Block(op, imaging.GroupL2(0.25)),
-                             xi=NonnegIndicator(), n=n, op_norm_sq_bound=8.0)
+    f1 = StructuredConvexTerm(op, imaging.GroupL2(0.25), NonnegIndicator(),
+                              op_norm_sq_bound=8.0)
     return CompositeProblem(f0, f1, n), op, rng
 
 
@@ -349,7 +349,7 @@ class TestConjugateOfProjectedIterates:
     def _check(self, p, q):
         """Solves once; returns (inner iterations, conjugate calls), after
         checking every inner psi against ``dual_objective`` bit for bit."""
-        iterates, calls = _record_dual_iterates(p.f1.block.fn)
+        iterates, calls = _record_dual_iterates(p.f1.g)
         psis = []
         res = solve_inexact_prox(p, q, inner_hook=lambda l, h, psi:
                                  psis.append(psi) if l else None)
@@ -372,7 +372,7 @@ class TestConjugateOfProjectedIterates:
         p, _, _ = quadratic_l1_problem(n=30, seed=1)
         rng = np.random.default_rng(2)
         if shifted:
-            p.f1.block.fn.shift = rng.standard_normal(30)
+            p.f1.g.shift = rng.standard_normal(30)
         x, s = rng.standard_normal(30), rng.standard_normal(30)
         q = prox_query(p, x, s, 0.5, 0.3, 0.01)
         _, calls = self._check(p, q)
@@ -443,12 +443,9 @@ class TestReusedBuffers:
         IdentityOp(42)],
         ids=["grad", "grad-64x64", "conv", "conv-17x9", "conv-64x64",
              "identity"])
-    def test_one_block_rmatvec_is_the_zero_filled_sum(self, op):
+    def test_rmatvec_is_the_zero_filled_sum(self, op):
         # LinearOp.rmatvec returns a fresh array free of -0.0, which is
-        # what a sum accumulated from +0.0 gives, and the term passes it on
-        term = StructuredConvexTerm(Block(op, ZeroFunction()),
-                                   xi=ZeroFunction(), n=op.in_dim,
-                                   op_norm_sq_bound=8.0)
+        # what a sum accumulated from +0.0 gives
         rng = np.random.default_rng(5)
         m = op.out_dim
         mixed = rng.choice([-0.0, 0.0, 1.5, -2.25], m)
@@ -456,14 +453,11 @@ class TestReusedBuffers:
         earlier = []
         for w in (mixed, np.full(m, -0.0), np.zeros(m)):
             before = w.copy()
-            r, out = op.rmatvec(w), term.rmatvec(w)
+            r = op.rmatvec(w)
             assert not np.any((r == 0.0) & np.signbit(r))
-            assert out.tobytes() == r.tobytes()
-            assert not any(np.may_share_memory(a, b) for a in (r, out)
-                           for b in (w, *earlier))
-            assert not np.may_share_memory(r, out)
+            assert not any(np.may_share_memory(r, b) for b in (w, *earlier))
             assert w.tobytes() == before.tobytes()
-            earlier += [r, out]
+            earlier.append(r)
 
     @staticmethod
     def _returned_arrays_survive(p, queries, max_inner=2000):
@@ -473,7 +467,7 @@ class TestReusedBuffers:
             res = solve_inexact_prox(p, q, warm_start=warm, warm_mtw=warm_mtw)
             # w_tilde was not rewritten after M^T w_tilde was taken
             assert (res.mtw_tilde.tobytes()
-                    == p.f1.rmatvec(res.w_tilde).tobytes())
+                    == p.f1.op.rmatvec(res.w_tilde).tobytes())
             kept.append((res, [a.copy() for a in (res.y_tilde, res.w_tilde,
                                                   res.mtw_tilde)]))
             warm, warm_mtw = res.w_tilde, res.mtw_tilde
@@ -505,7 +499,7 @@ class TestReusedBuffers:
         assert (res.converged, res.inner_iters) == ("maxiter", 3)
         assert res.w_tilde.tobytes() == first.w_tilde.tobytes()
         assert (res.mtw_tilde.tobytes()
-                == p.f1.rmatvec(res.w_tilde).tobytes())
+                == p.f1.op.rmatvec(res.w_tilde).tobytes())
 
     def test_results_unchanged_by_later_calls_when_xi_and_m_alias(self):
         # xi's prox and M return their input here, so any reused buffer
@@ -515,9 +509,8 @@ class TestReusedBuffers:
         b = np.linspace(-1.0, 1.0, n)
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
                           lambda x: x - b)
-        f1 = StructuredConvexTerm(Block(IdentityOp(n), _IndicatorOfZero()),
-                                  xi=ZeroFunction(), n=n,
-                                  op_norm_sq_bound=4.0)
+        f1 = StructuredConvexTerm(IdentityOp(n), _IndicatorOfZero(),
+                                  ZeroFunction(), op_norm_sq_bound=4.0)
         p = CompositeProblem(f0, f1, n)
         queries = [prox_query(p, np.zeros(n), np.full(n, 0.1 * k), 0.5, 0.3,
                               0.01) for k in range(3)]
