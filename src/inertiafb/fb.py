@@ -10,8 +10,7 @@ step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
 the trace header from the solver's config, applies the stop rule and checks
 every row it appends with the row functions :mod:`inertiafb.certify`
 replays, so each inequality is written once.  A solver module is its config
-class and its step.  The prox call evaluates each prox point once for all
-three solvers.
+class and its step.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from inertiafb.certify import row_checks
 from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
-from inertiafb.trace import Trace
+from inertiafb.trace import CSV_COLUMNS, Trace
 
 # the backtracking step gives up once its Lipschitz estimate passes L_MAX;
 # i2Piano's shrink never takes it below L_MIN, and L0 lies between the two
@@ -72,53 +71,46 @@ class Config:
 
 @dataclass
 class Iterate:
+    """A point, its merit anchor and the prox call that led there; each
+    field named after a ``trace.CSV_COLUMNS`` column holds that column."""
     x_curr: np.ndarray
     # merit anchor: i2Piano's previous point, iPila's s, x itself for iISTA
     s_curr: np.ndarray
-    f_val: float
-    phi_val: float
-    f0_val: float  # f0(x_curr); f_val = f0_val + f1_val
+    f: float
+    phi: float
+    f0_val: float  # f0(x_curr); f = f0_val + f1_val
     f1_val: float
     f0_fwd: object  # problem.f0.forward(x_curr)
-    L_k: float
+    L_or_gamma: float  # L_k, or iPila strict's constant gamma_k
+    prox: ProxResult  # the step's engine result; x0's zero step at the start
     alpha_k: float = 0.0
     beta_k: float = 0.0
-    h_val: float = 0.0
-    psi_val: float = 0.0
     d_k: float = 0.0
     delta_k: float = math.nan
     lambda_k: float = math.nan
-    inner_iters: int = 0
+    inner_iters: int = 0  # summed over backtracking trials
     backtracks: int = 0
-    prox_branch: str = ""
     accepted_branch: str = ""  # iPila's "inertial", "linesearch", "stationary"
-    y_tilde: Optional[np.ndarray] = None
-    y_step: Optional[np.ndarray] = None  # y_tilde - x, x where it began
-    y_step_sq: float = 0.0  # ||y_step||^2; 0.0 at the start
-    warm_dual: Optional[np.ndarray] = None
-    warm_mtw: Optional[np.ndarray] = None
     streak: int = 0  # i2Piano: backtrack-free steps since L_k last shrank
 
     def after_prox(self, res: ProxResult, alpha: float, beta: float,
                    fwd, f0: float) -> "Iterate":
-        """A copy at ``(y_tilde, x)`` that records the prox call ``res``
-        made from this point, ``fwd`` and ``f0`` being ``y_tilde``'s forward
-        pass and ``f0`` value; its ``phi_val`` is still this iterate's."""
+        """A copy at ``(y_tilde, x)`` holding ``res``, the prox call from this
+        point, and ``y_tilde``'s forward pass ``fwd`` and ``f0``; same phi."""
         new = object.__new__(Iterate)  # a shallow copy at a third of the
         new.__dict__.update(self.__dict__)  # cost of dataclasses.replace
-        new.alpha_k, new.beta_k = alpha, beta
-        new.h_val, new.psi_val = res.h_value, res.psi_value
-        new.inner_iters, new.prox_branch = res.inner_iters, res.converged
-        new.y_tilde, new.y_step, new.y_step_sq = (res.y_tilde, res.y_step,
-                                                  res.y_step_sq)
-        new.warm_dual, new.warm_mtw = res.w_tilde, res.mtw_tilde
+        new.prox, new.alpha_k, new.beta_k = res, alpha, beta
         new.move_to(res.y_tilde, self.x_curr, fwd, f0, res.f1_y)
         return new
 
     def move_to(self, x, s, fwd, f0: float, f1: float) -> None:
         """Put this iterate at the pair ``(x, s)``; ``fwd`` is x's forward."""
         self.x_curr, self.s_curr, self.f0_fwd = x, s, fwd
-        self.f0_val, self.f1_val, self.f_val = f0, f1, f0 + f1
+        self.f0_val, self.f1_val, self.f = f0, f1, f0 + f1
+
+
+# the row fields an iterate holds under their column names
+ROW_FIELDS = [c for c in CSV_COLUMNS if c in Iterate.__dataclass_fields__]
 
 
 def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
@@ -137,8 +129,10 @@ def start(problem: CompositeProblem, x0, eval_f, L0: float) -> Iterate:
     if not np.isfinite(f):
         raise DomainError(f"f(x0) is not finite: f0(x0) = {f0!r}, "
                           f"f1(x0) = {f1!r}")
-    return Iterate(x_curr=x0, s_curr=x0.copy(), f_val=f, phi_val=f,
-                   f0_val=f0, f1_val=f1, f0_fwd=fwd, L_k=L0)
+    zero_step = ProxResult(x0, 0.0, 0.0, None, 0, "", f1, None,
+                           np.zeros_like(x0), 0.0)
+    return Iterate(x_curr=x0, s_curr=x0.copy(), f=f, phi=f, f0_val=f0,
+                   f1_val=f1, f0_fwd=fwd, L_or_gamma=L0, prox=zero_step)
 
 
 def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
@@ -149,8 +143,8 @@ def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
     query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
                       tau=cfg.tau, max_inner=cfg.max_inner, f0_x=it.f0_val,
                       f1_x=it.f1_val, grad_x=grad)
-    res = engine(problem, query, warm_start=it.warm_dual,
-                 warm_mtw=it.warm_mtw)
+    res = engine(problem, query, warm_start=it.prox.w_tilde,
+                 warm_mtw=it.prox.mtw_tilde)
     if not res.ok:
         raise SolverError("prox engine hit max_inner without certificate")
     fwd = problem.f0.forward(res.y_tilde)
@@ -167,15 +161,14 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
     y - x> + (L/2) ||y - x||^2``.  The returned iterate sits at ``(y, x)``
     with merit ``f(y)``; the caller sets its anchor, merit and ``d_k``.
     """
-    x = it.x_curr
-    g = problem.f0.grad(x, it.f0_fwd)
+    g = problem.f0.grad(it.x_curr, it.f0_fwd)
     backtracks = inner = 0
     while True:
         alpha, beta = params(L)
         new = prox(problem, it, cfg, alpha, beta, g, engine)
-        inner += new.inner_iters
-        rhs = (it.f0_val + float(np.dot(g, new.y_step))
-               + 0.5 * L * new.y_step_sq)
+        inner += new.prox.inner_iters
+        rhs = (it.f0_val + float(np.dot(g, new.prox.y_step))
+               + 0.5 * L * new.prox.y_step_sq)
         if new.f0_val <= rhs + 1e-12 * (1.0 + abs(it.f0_val)):
             break
         L *= cfg.eta
@@ -183,7 +176,7 @@ def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
         if L > L_MAX * cfg.eta:
             raise SolverError("descent test still failing at L_max; "
                               "gradient or domain broken")
-    new.phi_val, new.L_k = new.f_val, L
+    new.phi, new.L_or_gamma = new.f, L
     new.inner_iters, new.backtracks = inner, backtracks
     return new
 
@@ -194,39 +187,37 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     """Run ``solver`` from :func:`start` at ``x0``, one trace row per
     ``step(problem, state, cfg)``.
 
-    ``step`` returns an iterate made by :func:`prox`, which carries the
-    row's ``y_step_norm``.  The ``stop_reason`` is ``stationary`` after a
-    row whose accepted branch is ``stationary``, ``d_k`` once ``d_k <=
-    cfg.stop_tol``, and ``max_outer`` after ``cfg.max_outer`` steps.  The
-    meta is ``solver``, each field of ``cfg`` under its own name,
-    ``f_init``, ``phi_init``, ``f_final`` and ``stop_reason``.  Each row
-    holds every ``CSV_COLUMNS`` column, ``L_or_gamma`` being ``L_k``, and
-    is checked as it is appended, by the :mod:`certify` row functions that
-    apply to ``solver``; a positive or NaN residual raises SolverError
-    naming the check and ``k``.  ``on_step(k, before, after)`` observes
-    each transition.
+    ``step`` returns an iterate made by :func:`prox`.  The ``stop_reason``
+    is ``stationary`` after a row whose accepted branch is ``stationary``,
+    ``d_k`` once ``d_k <= cfg.stop_tol``, and ``max_outer`` after
+    ``cfg.max_outer`` steps.  The meta is ``solver``, each field of
+    ``cfg`` under its own name, ``f_init``, ``phi_init``, ``f_final`` and
+    ``stop_reason``.  Each row holds every ``CSV_COLUMNS`` column: the
+    iterate's ``ROW_FIELDS``, its prox result's ``h``, ``psi`` and branch,
+    and the three step norms.  It is checked as it is appended, by the
+    :mod:`certify` row functions that apply to ``solver``; a positive or
+    NaN residual raises SolverError naming the check and ``k``.
+    ``on_step(k, before, after)`` observes each transition.
     """
     state = start(problem, x0, eval_f, cfg.L0)
     trace = Trace(meta={"solver": solver, **dataclasses.asdict(cfg),
-                        "f_init": state.f_val, "phi_init": state.phi_val})
+                        "f_init": state.f, "phi_init": state.phi})
     checks, prev = row_checks(trace.meta), None
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
         new = step(problem, state, cfg)
+        res = new.prox
         # sqrt of the dot product is np.linalg.norm's own formula
-        y_step = math.sqrt(new.y_step_sq)
-        x_step = y_step if new.x_curr is new.y_tilde \
+        y_step = math.sqrt(res.y_step_sq)
+        x_step = y_step if new.x_curr is res.y_tilde \
             else math.sqrt((dx := new.x_curr - state.x_curr).dot(dx))
         ds = new.s_curr - state.s_curr
         row = trace.append(
-            k=k, time_s=time.monotonic() - t0, f=new.f_val, phi=new.phi_val,
-            h=new.h_val, delta_k=new.delta_k, d_k=new.d_k,
-            alpha_k=new.alpha_k, beta_k=new.beta_k, L_or_gamma=new.L_k,
-            lambda_k=new.lambda_k, inner_iters=new.inner_iters,
-            backtracks=new.backtracks, psi=new.psi_val, x_step_norm=x_step,
-            y_step_norm=y_step,
-            s_step_norm=math.sqrt(ds.dot(ds)),
-            prox_branch=new.prox_branch, accepted_branch=new.accepted_branch)
+            k=k, time_s=time.monotonic() - t0,
+            **{name: getattr(new, name) for name in ROW_FIELDS},
+            h=res.h_value, psi=res.psi_value, prox_branch=res.converged,
+            x_step_norm=x_step, y_step_norm=y_step,
+            s_step_norm=math.sqrt(ds.dot(ds)))
         if failed := [f"{name} at k={j} (residual {r:.3e})"
                       for name, fn in checks.items()
                       for j, r in fn(trace.meta, prev, row) if not r <= 0.0]:
@@ -240,6 +231,6 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
             break
     else:
         reason = "max_outer"
-    trace.meta["f_final"], trace.meta["stop_reason"] = state.f_val, reason
+    trace.meta["f_final"], trace.meta["stop_reason"] = state.f, reason
     trace.x_final = state.x_curr
     return trace

@@ -70,7 +70,7 @@ def compute_params(L_k: float, cfg: I2PianoConfig):
 
 def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
                  cfg: I2PianoConfig) -> fb.Iterate:
-    L, streak = state.L_k, state.streak
+    L, streak = state.L_or_gamma, state.streak
     if streak >= SHRINK_STREAK:
         L, streak = max(fb.L_MIN, L / cfg.eta), 0
 
@@ -80,8 +80,9 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
 
     new = fb.backtrack(problem, state, cfg, params, solve_inexact_prox, L)
     # ||x - s||^2: x is the last prox point and s the point its step began
-    d_sq = cfg.gamma * state.y_step_sq - (1.0 - cfg.omega) * new.h_val
-    new.phi_val = new.f_val + cfg.delta * new.y_step_sq
+    d_sq = (cfg.gamma * state.prox.y_step_sq
+            - (1.0 - cfg.omega) * new.prox.h_value)
+    new.phi = new.f + cfg.delta * new.prox.y_step_sq
     new.d_k = float(np.sqrt(max(d_sq, 0.0)))
     new.streak = streak + 1 if new.backtracks == 0 else 0
     return new

@@ -29,9 +29,9 @@ class IistaConfig(fb.Config):
 def iista_step(problem: CompositeProblem, state: fb.Iterate,
                cfg: IistaConfig) -> fb.Iterate:
     new = fb.backtrack(problem, state, cfg, lambda L: (1.0 / L, 0.0),
-                       solve_inexact_prox, state.L_k)
+                       solve_inexact_prox, state.L_or_gamma)
     new.s_curr = new.x_curr
-    new.d_k = math.sqrt(new.y_step_sq)  # x^{k+1} is the prox point
+    new.d_k = math.sqrt(new.prox.y_step_sq)  # x^{k+1} is the prox point
     return new
 
 

@@ -160,7 +160,7 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
     x, s = state.x_curr, state.s_curr
     practical = cfg.variant == "practical-sec5"
     if practical:
-        alpha, beta = _practical_params(state.L_k, cfg)
+        alpha, beta = _practical_params(state.L_or_gamma, cfg)
     else:
         alpha, beta = cfg.alpha_max, cfg.beta_max
     gamma_k = cfg.gamma
@@ -168,11 +168,12 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
     new = fb.prox(problem, state, cfg, alpha, beta,
                   problem.f0.grad(x, state.f0_fwd), engine)
     new.lambda_k, new.backtracks = 1.0, 0
+    new.inner_iters = new.prox.inner_iters
     if not practical:
-        new.L_k = gamma_k  # strict never reads L_k; its trace shows gamma_k
+        new.L_or_gamma = gamma_k  # strict never reads L_k
     anchor = x - s
     anchor_sq = float(np.dot(anchor, anchor))
-    new.delta_k = compute_delta(new.h_val, gamma_k, anchor_sq)
+    new.delta_k = compute_delta(new.prox.h_value, gamma_k, anchor_sq)
     if new.delta_k == 0.0:
         # the pair (x, s) stays put
         new.move_to(x, s, state.f0_fwd, state.f0_val, state.f1_val)
@@ -189,30 +190,30 @@ def _accept(problem, state, new, cfg, practical, gamma_k, anchor):
     ``state``; ``anchor = x - s``.  ``fb.run`` checks the step's
     inequalities on its trace row."""
     delta_k = new.delta_k
-    phi_yx = new.f_val + 0.5 * new.y_step_sq
+    phi_yx = new.f + 0.5 * new.prox.y_step_sq
 
     # practical: lambda = 1 acceptance test, tried before any line search
-    inertial = practical and phi_yx <= state.phi_val + cfg.sigma * delta_k
+    inertial = practical and phi_yx <= state.phi + cfg.sigma * delta_k
     if practical and not inertial:
-        new.L_k = state.L_k * cfg.eta
+        new.L_or_gamma = state.L_or_gamma * cfg.eta
     if not inertial:
         # an overflowing trial fails its test: the search reports that
         with np.errstate(over="ignore", invalid="ignore"):
-            d_x, d_s = descent_direction(new.y_step, anchor, new.alpha_k,
-                                         new.beta_k, gamma_k)
+            d_x, d_s = descent_direction(new.prox.y_step, anchor,
+                                         new.alpha_k, new.beta_k, gamma_k)
             lam, ls_x, ls_s, evals, fwd, f0, f1, phi = armijo_linesearch(
-                problem, state.x_curr, state.s_curr, state.phi_val, d_x, d_s,
+                problem, state.x_curr, state.s_curr, state.phi, d_x, d_s,
                 delta_k, cfg.sigma, cfg.ls_shrink, cfg.max_halvings,
                 y=new.x_curr, fwd_y=new.f0_fwd, f0_y=new.f0_val,
                 f1_y=new.f1_val)
         new.lambda_k, new.backtracks = lam, evals - 1
-        inertial = phi_yx <= state.phi_val + cfg.sigma * lam * delta_k
+        inertial = phi_yx <= state.phi + cfg.sigma * lam * delta_k
 
     if inertial:
-        new.phi_val, new.accepted_branch = phi_yx, "inertial"
+        new.phi, new.accepted_branch = phi_yx, "inertial"
     else:
         new.move_to(ls_x, ls_s, fwd, f0, f1)
-        new.phi_val, new.accepted_branch = phi, "linesearch"
+        new.phi, new.accepted_branch = phi, "linesearch"
 
 
 def ipila_solve(problem: CompositeProblem, x0: np.ndarray,

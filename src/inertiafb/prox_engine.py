@@ -88,11 +88,11 @@ class ProxResult:
     y_tilde: np.ndarray
     h_value: float
     psi_value: float
-    w_tilde: np.ndarray
+    w_tilde: Optional[np.ndarray]
     inner_iters: int
     converged: str  # "gap" | "abs" | "maxiter"
     f1_y: float  # f1(y_tilde)
-    mtw_tilde: np.ndarray  # M^T w_tilde, the next call's warm_mtw
+    mtw_tilde: Optional[np.ndarray]  # M^T w_tilde, the next warm_mtw
     y_step: np.ndarray  # y_tilde - x, as h(y_tilde) used it
     y_step_sq: float  # ||y_tilde - x||^2
 
@@ -143,7 +143,7 @@ class _DualProblem:
         return float(val), z, q, xi_z
 
 
-# an overflow leaves h or psi non-finite, which no stop test accepts: "maxiter"
+# an overflow leaves h or psi non-finite, which no stop test accepts
 @np.errstate(over="ignore", invalid="ignore")
 def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
                        warm_start: Optional[np.ndarray] = None,
@@ -159,6 +159,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``, and
     any such stop with ``|h| <= abs_tol`` stays at a copy of ``x``, so
     every zero decrease comes with a zero step.
+    A candidate whose ``h`` is not finite, from a dual iterate equal bit
+    for bit to the two before it, raises EngineError: FISTA is then at a
+    fixed point, so no later iterate can certify.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
     ``warm_start``, when given, is an earlier call's ``w_tilde`` on the
     same problem; it is never written to, and may come back as ``w_tilde``.
@@ -224,7 +227,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
     # w and every w_new may be returned, so none of them is ever written to
     u, v = w.copy(), np.empty_like(w)
-    w_prev = w
+    w_prev2 = w_prev = w
     q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
     q_buf = np.empty_like(q)
     for it in range(1, query.max_inner + 1):
@@ -234,6 +237,9 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         w_new = g.conjugate_prox(v, sigma)  # fresh: v is rewritten
 
         cand, q_new = evaluate(it, w_new, op.rmatvec(w_new), True)
+        if not math.isfinite(cand.h_value) and it > 1 and all(
+                a.tobytes() == w_new.tobytes() for a in (w_prev, w_prev2)):
+            raise EngineError("prox engine at a fixed point with h not finite")
         if cand.psi_value > best.psi_value:
             best = cand
         branch = stop_branch(best.h_value, best.psi_value)
@@ -248,7 +254,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
             np.multiply(mom, out, out=out)
             np.add(new_, out, out=out)
         q_u = q_buf
-        w_prev, q_prev = w_new, q_new
+        w_prev2, w_prev, q_prev = w_prev, w_new, q_new
         t = t_new
 
     return finish(query.max_inner, "maxiter")

@@ -223,8 +223,8 @@ def test_criterion_06_armijo_soundness(capfd, bench, quad_traces):
         if new.accepted_branch == "stationary":
             continue
         lhs = phi_value(p, new.x_curr, new.s_curr)
-        rhs = st.phi_val + 1e-4 * new.lambda_k * new.delta_k
-        worst = max(worst, (lhs - rhs) / (1.0 + abs(st.phi_val)))
+        rhs = st.phi + 1e-4 * new.lambda_k * new.delta_k
+        worst = max(worst, (lhs - rhs) / (1.0 + abs(st.phi)))
     ok = (not failures and lam_min > 0.0 and bt_max <= 60
           and worst <= 1e-9)
     _report(capfd, 6, ok, f"min lambda {lam_min:.3g}, max halvings {bt_max}, "

@@ -26,6 +26,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the CLI's main on argv, printing how many dual iterates iPila's prox
+# engine evaluated
+COUNTING_CLI = """
+import sys
+from inertiafb import cli, ipila
+evals = []
+def engine(problem, query, **kw):
+    return ipila.solve_inexact_prox(problem, query, **kw,
+                                    inner_hook=lambda *a: evals.append(a))
+step = ipila.ipila_step
+ipila.ipila_step = lambda p, state, cfg: step(p, state, cfg, engine=engine)
+code = cli.main(sys.argv[1:])
+print(len(evals))
+sys.exit(code)
+"""
+
+
 class TestConfigHandling:
     def test_load_config_parses_flat_key_value(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -307,34 +324,39 @@ class TestRunCommand:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not out.exists()
 
-    @pytest.mark.parametrize("args, code, message", [
+    @pytest.mark.parametrize("args, code, message, max_evals", [
         ("--problem gaussian-sd-tv --size 16 --a 1e308 --max_outer 3", 2,
-         "config error: a = 1e+308, c = 1.0: the noise variance"),
+         "config error: a = 1e+308, c = 1.0: the noise variance", None),
         ("--problem gaussian-sd-tv --size 16 --c 1e308 --max_outer 3", 3,
-         "solver failure: f(x0) is not finite: f0(x0) = inf"),
+         "solver failure: f(x0) is not finite: f0(x0) = inf", None),
         ("--problem synthetic-quadratic-l1 --solver ipila-strict "
          "--alpha_max 1e200 --max_outer 4", 3,
-         "solver failure: prox engine hit max_inner without certificate"),
+         "solver failure: prox engine at a fixed point with h not finite",
+         10),
         ("--problem gaussian-sd-tv --size 8 --solver ipila-strict "
          "--beta_max 1e308 --max_outer 4", 3,
-         "solver failure: Armijo search exhausted max_halvings")],
+         "solver failure: Armijo search exhausted max_halvings", None)],
         ids=["a", "c", "alpha_max", "beta_max"])
     def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, args,
-                                                      code, message):
+                                                      code, message,
+                                                      max_evals):
         # --a 1e308 printed 5 NumPy RuntimeWarnings (10 lines) and --c 1e308
         # 4 before their message, --alpha_max 1e200 one from the prox
         # engine and --beta_max 1e308 two from the Armijo search; a fresh
-        # interpreter shows every warning
+        # interpreter shows every warning.  --alpha_max 1e200 also spent
+        # all max_inner iterations: 2001 dual iterates, each with h = inf
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
         proc = subprocess.run(
-            [sys.executable, "-m", "inertiafb.cli", "run", *args.split(),
+            [sys.executable, "-c", COUNTING_CLI, "run", *args.split(),
              "--out", str(tmp_path / "run")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code
         assert "RuntimeWarning" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(message)
+        if max_evals is not None:
+            assert int(proc.stdout) <= max_evals
 
     def test_step_failing_a_certificate_exits_3(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -94,7 +94,7 @@ class TestStep:
         st = fb.start(p, np.zeros(10), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
         assert new.backtracks == 0
-        assert new.L_k == 2.0
+        assert new.L_or_gamma == 2.0
 
     def test_backtracking_raises_L(self):
         # gradient Lipschitz constant 10, L0 = 1 forces increases
@@ -107,7 +107,7 @@ class TestStep:
         st = fb.start(p, np.ones(4), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
         assert new.backtracks >= 1
-        assert new.L_k >= 1.5
+        assert new.L_or_gamma >= 1.5
 
     def test_broken_gradient_hits_L_max(self):
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)),
@@ -126,9 +126,9 @@ class TestStep:
         for _ in range(30):
             new = i2piano_step(p, st, cfg)
             dstep = np.dot(st.x_curr - st.s_curr, st.x_curr - st.s_curr)
-            bound = (st.phi_val - cfg.gamma * dstep
-                     + (1 - cfg.omega) * new.h_val)
-            assert new.phi_val <= bound + 1e-9 * (1 + abs(st.phi_val))
+            bound = (st.phi - cfg.gamma * dstep
+                     + (1 - cfg.omega) * new.prox.h_value)
+            assert new.phi <= bound + 1e-9 * (1 + abs(st.phi))
             st = new
 
     def test_merit_descent_violation_is_hard_error(self, monkeypatch):

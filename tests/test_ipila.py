@@ -189,7 +189,7 @@ class TestStep:
         assert len(set(seen)) == len(seen)
         assert seen[-1] == new.x_curr.tobytes()
         assert new.f0_val == p.f0.value(new.x_curr)
-        assert new.phi_val == phi_value(p, new.x_curr, new.s_curr)
+        assert new.phi == phi_value(p, new.x_curr, new.s_curr)
 
     def test_stationary_short_circuit(self):
         p = smooth_only_problem(n=2, target=0.0)
@@ -205,7 +205,7 @@ class TestStep:
                           alpha_max=0.5, tau=0.0)
         st = fb.start(p, np.zeros(1), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)
-        assert new.phi_val < st.phi_val
+        assert new.phi < st.phi
         assert new.lambda_k > 0.0
 
     def test_both_decrease_conditions_hold(self):
@@ -217,10 +217,10 @@ class TestStep:
                 new = ipila_step(p, st, cfg)
                 if new.accepted_branch == "stationary":
                     break
-                lhs = new.phi_val
-                assert lhs <= (st.phi_val + cfg.sigma * new.lambda_k
-                               * new.delta_k + 1e-9 * (1 + abs(st.phi_val)))
-                phi_yx = phi_value(p, new.y_tilde, st.x_curr) \
+                lhs = new.phi
+                assert lhs <= (st.phi + cfg.sigma * new.lambda_k
+                               * new.delta_k + 1e-9 * (1 + abs(st.phi)))
+                phi_yx = phi_value(p, new.prox.y_tilde, st.x_curr) \
                     if new.accepted_branch == "linesearch" else np.inf
                 if new.accepted_branch == "linesearch":
                     assert lhs <= phi_yx + 1e-9 * (1 + abs(phi_yx))
@@ -236,7 +236,7 @@ class TestStep:
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)
         if new.backtracks > 0 or new.accepted_branch == "linesearch":
-            assert new.L_k == pytest.approx(st.L_k * cfg.eta)
+            assert new.L_or_gamma == pytest.approx(st.L_or_gamma * cfg.eta)
 
 
 class TestStepChecks:

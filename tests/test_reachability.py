@@ -113,7 +113,8 @@ def run_cli(tmp_path):
     trace, one short fstar, then commands that reach the rarer paths: a
     config file with a comment, a ``--key=value`` override, a non-square
     PGM image with a header comment, no impulse noise, a one-row i2Piano
-    trace, and one command for each nonzero exit code."""
+    trace, one command for each nonzero exit code, and a prox engine at a
+    fixed point of a subproblem that overflows."""
     from inertiafb import cli, imaging
     from inertiafb.certify import SOLVERS
 
@@ -150,6 +151,10 @@ def run_cli(tmp_path):
     assert cli.main(["run", "--tau", "-1", "--out", str(bad)]) == 2
     assert cli.main(["certify", str(bad / "trace.csv")]) == 2
     assert cli.main(["run", "--tau", "0", "--max_inner", "0",
+                     "--out", str(bad)]) == 3
+    # every candidate's h overflows, and the dual iterates repeat
+    assert cli.main(["run", "--solver", "ipila-strict", "--alpha_max",
+                     "1e200", "--max_outer", "4", "--max_inner", "10",
                      "--out", str(bad)]) == 3
     # an iPila row whose lambda_k is NaN, after a blank line
     good = tmp_path / "synthetic-quadratic-l1" / "ipila-strict" / "trace.csv"
