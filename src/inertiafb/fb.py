@@ -140,9 +140,13 @@ def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
     """``it.after_prox`` of the engine's certified prox point ``y`` from
     ``(it.x_curr, it.s_curr)``, with ``y``'s forward pass and ``f0(y)``:
     every solver's one evaluation of a prox point."""
-    query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
-                      tau=cfg.tau, max_inner=cfg.max_inner, f0_x=it.f0_val,
-                      f1_x=it.f1_val, grad_x=grad)
+    try:  # an overflowed coupling (--delta 1e308) is NaN, which is rejected
+        query = ProxQuery(x=it.x_curr, s=it.s_curr, alpha=alpha, beta=beta,
+                          tau=cfg.tau, max_inner=cfg.max_inner,
+                          f0_x=it.f0_val, f1_x=it.f1_val, grad_x=grad)
+    except ValueError as exc:
+        raise SolverError(f"prox step rejected: {exc}: alpha = {alpha!r}, "
+                          f"beta = {beta!r}") from None
     res = engine(problem, query, warm_start=it.prox.w_tilde,
                  warm_mtw=it.prox.mtw_tilde)
     if not res.ok:

@@ -389,8 +389,8 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float = 0.01,
     ``1/2 sum ((Hx)_i - g_i)^2 / (a (Hx)_i + c) + log(a (Hx)_i + c)``.
 
     Scalars ``a, c`` are positive and finite.  The value is ``+inf`` where
-    a denominator is not positive, and the gradient raises there; forward
-    pass ``H x``.
+    a denominator is not positive, and the gradient raises there and where
+    it is not finite; forward pass ``H x``.
     """
     g = np.asarray(g, dtype=float).ravel()
     a, c = float(a), float(c)
@@ -409,7 +409,10 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float = 0.01,
         if np.min(den) <= 0:
             raise DomainError("point outside the open domain of the fidelity")
         r = t - g
-        dt = r / den - 0.5 * a * r * r / (den * den) + a / den
+        with np.errstate(all="ignore"):  # den * den underflows at tiny a, c
+            dt = r / den - 0.5 * a * r * r / (den * den) + a / den
+        if not np.isfinite(dt).all():
+            raise DomainError("gradient of the fidelity is not finite")
         return H.rmatvec(dt)
 
     # looked up per call, so wrappers on ConvOperator.matvec see it

@@ -27,11 +27,11 @@ alpha.  Each inner iteration applies ``M^T`` once: psi, y and h use a fresh
 from the last two iterates by linearity.
 Every query carries ``f0(x)``, ``f1(x)`` and ``grad f0(x)``, so the engine
 evaluates none of them; it reads ``f1``'s parts ``op``, ``g`` and ``xi``.
-One code path evaluates iterate 0 and every FISTA iterate into a record,
-and the result is the record with the best psi: with ``f1(y_tilde)``, the step
-``y_tilde - x`` and its squared norm as ``h(y_tilde)`` used them, and
-``M^T w_tilde``, which the next warm start reuses for iterate 0 (``M^T w``
-does not depend on the query).
+The query holds ``h`` and ``psi``; one loop body evaluates iterate 0 and
+every FISTA iterate through them, and the result is the record with the
+best psi: with ``f1(y_tilde)``, the step ``y_tilde - x`` and its squared
+norm as ``h(y_tilde)`` used them, and ``M^T w_tilde``, which the next warm
+start reuses for iterate 0 (``M^T w`` does not depend on the query).
 Iterate 0 (any warm start) checks ``g*(w)`` for a finite value; later
 iterates are projections onto the domain of ``g*`` by ``g``'s
 ``conjugate_prox``, which ``conjugate_at_prox`` values without the test;
@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from inertiafb.problem import CompositeProblem
+from inertiafb.problem import CompositeProblem, StructuredConvexTerm
 
 
 class EngineError(RuntimeError):
@@ -61,6 +61,8 @@ def theta_from_tau(tau: float) -> float:
 
 @dataclass
 class ProxQuery:
+    """One subproblem instance: its inputs, and the ``v``, ``xbar`` and
+    ``c`` of h and psi, which every dual iterate shares."""
     x: np.ndarray
     s: np.ndarray
     alpha: float
@@ -72,13 +74,45 @@ class ProxQuery:
     max_inner: int = 2000
     abs_tol: Optional[float] = None
 
+    # an overflow leaves v, xbar or c non-finite, which no stop test accepts
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 <= self.tau < np.inf:
+            raise ValueError("tau must be nonnegative and finite")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be nonnegative and finite")
+        self.v = self.grad_x - (self.beta / self.alpha) * (self.x - self.s)
+        self.xbar = self.x - self.alpha * self.v
+        self.c = -0.5 * self.alpha * float(self.v.dot(self.v)) - self.f1_x
+
+    def h(self, f1: StructuredConvexTerm, y: np.ndarray,
+          xi_y: Optional[float] = None):
+        """``(h(y), f1(y), y - x, ||y - x||^2)``; ``xi_y``, when given, is
+        ``xi(y)``."""
+        f1y = f1.value(y, xi_y)
+        d = y - self.x
+        d_sq = float(d.dot(d))
+        if not math.isfinite(f1y):
+            return np.inf, f1y, d, d_sq
+        return (float(f1y - self.f1_x + self.v.dot(d)
+                      + d_sq / (2.0 * self.alpha)), f1y, d, d_sq)
+
+    def psi(self, f1: StructuredConvexTerm, w: np.ndarray, mtw: np.ndarray,
+            at_prox: bool = False):
+        """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
+        mtw, z = prox(q); ``at_prox``: ``w`` came from ``conjugate_prox``."""
+        q = self.xbar - self.alpha * mtw
+        z = f1.xi.prox(q, self.alpha)
+        xi_z = f1.xi.value(z)
+        conj = (f1.g.conjugate_at_prox if at_prox else f1.g.conjugate)(w)
+        if not math.isfinite(conj):
+            return -np.inf, z, q, xi_z
+        r = z - q
+        val = (xi_z + r.dot(r) / (2.0 * self.alpha)
+               + 0.5 * mtw.dot(self.xbar + q) - conj + self.c)
+        return float(val), z, q, xi_z
 
 
 @dataclass
@@ -99,48 +133,6 @@ class ProxResult:
     @property
     def ok(self) -> bool:
         return self.converged != "maxiter"
-
-
-class _DualProblem:
-    """Quantities of one subproblem instance, shared across inner iterates."""
-
-    def __init__(self, problem: CompositeProblem, query: ProxQuery):
-        self.f1 = problem.f1
-        self.alpha = query.alpha
-        x, s, f1x = query.x, query.s, query.f1_x
-        if not math.isfinite(f1x):
-            raise EngineError("prox query with x outside dom(f1)")
-        self.f0x, self.f1x = query.f0_x, f1x
-        self.x = x
-        self.v = query.grad_x - (query.beta / query.alpha) * (x - s)
-        self.xbar = x - self.alpha * self.v
-        self.c = -0.5 * self.alpha * float(self.v.dot(self.v)) - f1x
-
-    def h(self, y: np.ndarray, xi_y: Optional[float] = None):
-        """``(h(y), f1(y), y - x, ||y - x||^2)``; ``xi_y``, when given, is
-        ``xi(y)``."""
-        f1y = self.f1.value(y, xi_y)
-        d = y - self.x
-        d_sq = float(d.dot(d))
-        if not math.isfinite(f1y):
-            return np.inf, f1y, d, d_sq
-        return (float(f1y - self.f1x + self.v.dot(d)
-                      + d_sq / (2.0 * self.alpha)), f1y, d, d_sq)
-
-    def psi(self, w: np.ndarray, mtw: np.ndarray, at_prox: bool = False):
-        """``(psi(w), z, q, xi(z))`` given ``mtw = M^T w``: q = xbar - alpha
-        mtw, z = prox(q); ``at_prox``: ``w`` came from ``conjugate_prox``."""
-        q = self.xbar - self.alpha * mtw
-        z = self.f1.xi.prox(q, self.alpha)
-        xi_z = self.f1.xi.value(z)
-        g = self.f1.g
-        conj = (g.conjugate_at_prox if at_prox else g.conjugate)(w)
-        if not math.isfinite(conj):
-            return -np.inf, z, q, xi_z
-        r = z - q
-        val = (xi_z + r.dot(r) / (2.0 * self.alpha)
-               + 0.5 * mtw.dot(self.xbar + q) - conj + self.c)
-        return float(val), z, q, xi_z
 
 
 # an overflow leaves h or psi non-finite, which no stop test accepts
@@ -166,95 +158,77 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     ``warm_start``, when given, is an earlier call's ``w_tilde`` on the
     same problem; it is never written to, and may come back as ``w_tilde``.
     An inner iteration applies ``M`` twice (on FISTA's ``z_u``, and in
-    ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once, in
-    ``f1(y)``, and ``M^T`` only when no ``warm_mtw = M^T warm_start`` is
-    given.
+    ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once,
+    in ``f1(y)``, and ``M^T`` unless ``warm_mtw = M^T warm_start`` is given.
     """
-    dp = _DualProblem(problem, query)
-    tau = query.tau
+    if not math.isfinite(query.f1_x):
+        raise EngineError("prox query with x outside dom(f1)")
+    tau, alpha = query.tau, query.alpha
     eta_gap = 2.0 / (2.0 + tau)
-    abs_tol = query.abs_tol
-    if abs_tol is None:
-        fx = dp.f0x + dp.f1x
-        abs_tol = 1e-12 * (1.0 + abs(fx))
+    abs_tol = (1e-12 * (1.0 + abs(query.f0_x + query.f1_x))
+               if query.abs_tol is None else query.abs_tol)
 
-    op = problem.f1.op
+    f1, op = problem.f1, problem.f1.op
     w = np.zeros(op.out_dim) if warm_start is None else warm_start
     mtw = op.rmatvec(w) if warm_mtw is None else warm_mtw
 
     # psi is a sum of terms on the scale of |c| and |f1(x)|, so its
     # cancellation noise is relative to that scale, not to |h|
-    guard_tol = 1e-10 * (1.0 + abs(dp.c) + abs(dp.f1x))
+    guard_tol = 1e-10 * (1.0 + abs(query.c) + abs(query.f1_x))
 
-    def evaluate(it, w, mtw, at_prox=False):
-        """``(record, q)`` of the dual iterate ``it``, checked and observed;
-        ``finish`` sets the record's ``inner_iters`` and ``converged``."""
-        psi, y, q, xi_y = dp.psi(w, mtw, at_prox)
-        h, f1_y, step, step_sq = dp.h(y, xi_y)
+    # iterate 0 is the starting dual point, each later one a FISTA step on
+    # -psi from u; u, u + sigma M z_u and q_u live in buffers rewritten every
+    # step, and every w may be returned, so none is ever written to
+    for it in range(query.max_inner + 1):
+        if it:
+            z_u = f1.xi.prox(q_u, alpha)
+            np.multiply(sigma, op.matvec(z_u), out=v)
+            np.add(u, v, out=v)
+            w = f1.g.conjugate_prox(v, sigma)  # fresh: v is rewritten
+            mtw = op.rmatvec(w)
+        psi, y, q, xi_y = query.psi(f1, w, mtw, at_prox=it > 0)
+        h, f1_y, d, d_sq = query.h(f1, y, xi_y)
         if inner_hook is not None:
             inner_hook(it, h, psi)
         if psi > h + guard_tol * (1.0 + abs(h)):
             raise EngineError(f"weak duality violated: psi={psi!r} > h={h!r}")
-        return ProxResult(y, h, psi, w, it, "", f1_y, mtw, step, step_sq), q
-
-    def finish(iters, branch):
-        best.inner_iters, best.converged = iters, branch
-        if branch == "abs" and abs(best.h_value) <= abs_tol:
-            # x is an abs_tol-minimiser of h: stay there, with h(x) = 0
-            best.y_tilde, best.y_step = dp.x.copy(), np.zeros_like(dp.x)
-            best.h_value, best.y_step_sq, best.f1_y = 0.0, 0.0, dp.f1x
-            best.psi_value = min(best.psi_value, 0.0)
-        return best
-
-    def stop_branch(h_val, psi_val):
+        if not math.isfinite(h) and it > 1 and all(
+                a.tobytes() == w.tobytes() for a in (w_prev, w_prev2)):
+            raise EngineError("prox engine at a fixed point with h not finite")
+        if not it or psi > best.psi_value:
+            best = ProxResult(y, h, psi, w, it, "maxiter", f1_y, mtw, d, d_sq)
         # psi <= min h <= h(x) = 0 in exact arithmetic, so the cap keeps
         # a psi that cancellation left above 0 from accepting an h > 0
-        if tau > 0 and h_val <= eta_gap * min(psi_val, 0.0):
-            return "gap"
-        if h_val - psi_val <= abs_tol and (tau == 0 or abs(h_val) <= abs_tol):
-            return "abs"
-        return ""
+        if tau > 0 and best.h_value <= eta_gap * min(best.psi_value, 0.0):
+            best.converged = "gap"
+            break
+        if best.h_value - best.psi_value <= abs_tol and (
+                tau == 0 or abs(best.h_value) <= abs_tol):
+            best.converged = "abs"
+            break
 
-    best, q = evaluate(0, w, mtw)  # the starting dual point
-    branch = stop_branch(best.h_value, best.psi_value)
-    if branch:
-        return finish(0, branch)
-
-    # FISTA on -psi
-    sigma = 1.0 / (query.alpha * problem.f1.op_norm_sq_bound)
-    t = 1.0
-    g = problem.f1.g
-    # u, u + sigma M z_u and q_u live in buffers rewritten every iteration;
-    # w and every w_new may be returned, so none of them is ever written to
-    u, v = w.copy(), np.empty_like(w)
-    w_prev2 = w_prev = w
-    q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
-    q_buf = np.empty_like(q)
-    for it in range(1, query.max_inner + 1):
-        z_u = problem.f1.xi.prox(q_u, query.alpha)
-        np.multiply(sigma, op.matvec(z_u), out=v)
-        np.add(u, v, out=v)
-        w_new = g.conjugate_prox(v, sigma)  # fresh: v is rewritten
-
-        cand, q_new = evaluate(it, w_new, op.rmatvec(w_new), True)
-        if not math.isfinite(cand.h_value) and it > 1 and all(
-                a.tobytes() == w_new.tobytes() for a in (w_prev, w_prev2)):
-            raise EngineError("prox engine at a fixed point with h not finite")
-        if cand.psi_value > best.psi_value:
-            best = cand
-        branch = stop_branch(best.h_value, best.psi_value)
-        if branch:
-            return finish(it, branch)
-
+        if not it:
+            sigma, t = 1.0 / (alpha * f1.op_norm_sq_bound), 1.0
+            u, v = w.copy(), np.empty_like(w)
+            w_prev2 = w_prev = w
+            q_u = q_prev = q  # xbar - alpha M^T u, kept by linearity
+            q_buf = np.empty_like(q)
+            continue
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        # u = w_new + mom * (w_new - w_prev), q_u likewise, in that order
-        for new_, prev, out in ((w_new, w_prev, u), (q_new, q_prev, q_buf)):
+        # u = w + mom * (w - w_prev), q_u likewise, in that order
+        for new_, prev, out in ((w, w_prev, u), (q, q_prev, q_buf)):
             np.subtract(new_, prev, out=out)
             np.multiply(mom, out, out=out)
             np.add(new_, out, out=out)
         q_u = q_buf
-        w_prev2, w_prev, q_prev = w_prev, w_new, q_new
+        w_prev2, w_prev, q_prev = w_prev, w, q
         t = t_new
 
-    return finish(query.max_inner, "maxiter")
+    best.inner_iters = it
+    if best.converged == "abs" and abs(best.h_value) <= abs_tol:
+        # x is an abs_tol-minimiser of h: stay there, with h(x) = 0
+        best.y_tilde, best.y_step = query.x.copy(), np.zeros_like(query.x)
+        best.h_value, best.y_step_sq, best.f1_y = 0.0, 0.0, query.f1_x
+        best.psi_value = min(best.psi_value, 0.0)
+    return best

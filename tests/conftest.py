@@ -7,7 +7,7 @@ from scipy import ndimage
 from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, ProxFunction, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
-from inertiafb.prox_engine import ProxQuery, _DualProblem
+from inertiafb.prox_engine import ProxQuery
 
 
 class MatrixOp(LinearOp):
@@ -126,14 +126,14 @@ def scalar_l1_problem(weight=1.0):
 
 def eval_h(p, x, s, alpha, beta, y):
     """The subproblem objective h(y; x, s), as the prox engine computes it."""
-    return _DualProblem(p, prox_query(p, x, s, alpha, beta, 0.0)).h(y)[0]
+    return prox_query(p, x, s, alpha, beta, 0.0).h(p.f1, y)[0]
 
 
 def dual_objective(p, query, w):
     """``(psi(w), z)``, the dual value at ``w`` and its primal candidate, as
     the prox engine computes them; psi is ``-inf`` outside the dual domain."""
     w = np.asarray(w, dtype=float)
-    psi, z, _, _ = _DualProblem(p, query).psi(w, p.f1.op.rmatvec(w))
+    psi, z, _, _ = query.psi(p.f1, w, p.f1.op.rmatvec(w))
     return psi, z
 
 

@@ -335,8 +335,15 @@ class TestRunCommand:
          10),
         ("--problem gaussian-sd-tv --size 8 --solver ipila-strict "
          "--beta_max 1e308 --max_outer 4", 3,
-         "solver failure: Armijo search exhausted max_halvings", None)],
-        ids=["a", "c", "alpha_max", "beta_max"])
+         "solver failure: Armijo search exhausted max_halvings", None),
+        ("--problem gaussian-sd-tv --size 8 --solver ipila-strict "
+         "--a 1e-300 --c 1e-300 --max_outer 4", 3,
+         "solver failure: gradient of the fidelity is not finite", None),
+        ("--problem gaussian-sd-tv --size 8 --solver i2piano "
+         "--delta 1e308 --max_outer 4", 3,
+         "solver failure: prox step rejected: alpha must be positive and "
+         "finite: alpha = nan, beta = nan", None)],
+        ids=["a", "c", "alpha_max", "beta_max", "tiny_noise", "delta"])
     def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, args,
                                                       code, message,
                                                       max_evals):
@@ -344,7 +351,10 @@ class TestRunCommand:
         # 4 before their message, --alpha_max 1e200 one from the prox
         # engine and --beta_max 1e308 two from the Armijo search; a fresh
         # interpreter shows every warning.  --alpha_max 1e200 also spent
-        # all max_inner iterations: 2001 dual iterates, each with h = inf
+        # all max_inner iterations: 2001 dual iterates, each with h = inf.
+        # --a 1e-300 --c 1e-300 printed two (den * den underflows in the
+        # fidelity's gradient) and then blamed the prox engine; --delta
+        # 1e308 makes i2Piano's coupling NaN, which the query rejects
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
         proc = subprocess.run(

@@ -62,14 +62,6 @@ class TestEvalH:
         assert eval_h(p, np.array([1.0]), np.array([1.0]), 1.0, 0.0,
                       np.array([-1.0])) == np.inf
 
-    def test_x_outside_domain_is_hard_error(self):
-        f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
-        f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
-        with pytest.raises(EngineError):
-            eval_h(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0,
-                   np.array([1.0]))
-
 
 class TestConjugateProx:
     def test_abs_projects_onto_interval(self):
@@ -257,29 +249,37 @@ class TestSolveInexactProx:
         np.testing.assert_allclose(res.y_tilde, np.maximum(0.5 * x, 0.0))
         assert res.inner_iters == 0
 
-    def test_invalid_query_rejected(self):
+    @pytest.mark.parametrize("alpha, beta, tau", [
+        (0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (1.0, -1.0, 0.0),
+        (np.nan, 0.0, 0.0), (1.0, np.nan, 0.0), (1.0, 0.0, np.nan),
+        (np.inf, 0.0, 0.0), (1.0, np.inf, 0.0), (1.0, 0.0, np.inf)])
+    def test_invalid_query_rejected(self, alpha, beta, tau):
+        # NaN used to pass every test; tau = NaN then ran all max_inner
+        # iterations, and alpha = NaN failed inside the engine
         p = smooth_only_problem()
         with pytest.raises(ValueError):
-            prox_query(p, np.zeros(1), np.zeros(1), 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            prox_query(p, np.zeros(1), np.zeros(1), 1.0, 0.0, -1.0)
+            prox_query(p, np.zeros(1), np.zeros(1), alpha, beta, tau)
 
     def test_x_outside_domain_is_engine_error(self):
+        # raised before any dual iterate, by the engine and not the query
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1, 1)
         q = prox_query(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0, 0.0)
-        with pytest.raises(EngineError):
-            solve_inexact_prox(p, q)
+        seen = []
+        with pytest.raises(EngineError, match="outside dom"):
+            solve_inexact_prox(p, q, inner_hook=lambda *a: seen.append(a))
+        assert seen == []
 
 
 class _CountingOp(LinearOp):
     def __init__(self, op):
         self.op = op
         self.in_dim, self.out_dim = op.in_dim, op.out_dim
-        self.rmatvecs = 0
+        self.matvecs = self.rmatvecs = 0
 
     def matvec(self, x):
+        self.matvecs += 1
         return self.op.matvec(x)
 
     def rmatvec(self, y):
@@ -301,6 +301,39 @@ def _tv_denoising_problem(shape=(16, 16), seed=0):
 
 
 class TestOneAdjointPerInnerIteration:
+    @pytest.mark.parametrize("branch, tau, settings", [
+        ("gap", 0.01, {}), ("abs", 0.0, {"abs_tol": 1e-6}),
+        ("maxiter", 0.0, {"abs_tol": 0.0, "max_inner": 7})])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_operator_counts_on_every_stop(self, branch, tau, settings,
+                                           warm):
+        # M once per iterate for h and once per FISTA step, M^T once per
+        # FISTA step and once for a cold iterate 0: no step after the last
+        # iterate, and none before iterate 0's stop test
+        p, op, rng = _tv_denoising_problem(seed=3)
+        x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
+        q = prox_query(p, x, s, 0.8, 0.2, tau, **settings)
+        kw = {}
+        if warm:
+            prev = solve_inexact_prox(p, prox_query(p, s, s, 0.8, 0.2, 0.01))
+            kw = {"warm_start": prev.w_tilde, "warm_mtw": prev.mtw_tilde}
+        op.matvecs = op.rmatvecs = 0
+        res = solve_inexact_prox(p, q, **kw)
+        assert res.converged == branch and res.inner_iters > 0
+        assert op.matvecs == 2 * res.inner_iters + 1
+        assert op.rmatvecs == res.inner_iters + (not warm)
+
+    def test_stop_at_iterate_zero_applies_m_once(self):
+        p, op, rng = _tv_denoising_problem(seed=3)
+        x, s = rng.uniform(0.0, 4.0, p.n), rng.uniform(0.0, 4.0, p.n)
+        q = prox_query(p, x, s, 0.8, 0.2, 0.01)
+        first = solve_inexact_prox(p, q)
+        op.matvecs = op.rmatvecs = 0
+        res = solve_inexact_prox(p, q, warm_start=first.w_tilde,
+                                 warm_mtw=first.mtw_tilde)
+        assert (res.converged, res.inner_iters) == ("gap", 0)
+        assert (op.matvecs, op.rmatvecs) == (1, 0)
+
     def test_rmatvec_calls_are_inner_iters_plus_one(self):
         p, op, rng = _tv_denoising_problem()
         w, total = None, 0

@@ -59,8 +59,7 @@ NEVER_RUN = {
     ("fb", "run", "on_step(k, state, new)"):
         "the transition observer ipila_solve takes; criterion 6 replays the "
         "Armijo inequality through it",
-    ("prox_engine", "solve_inexact_prox.<locals>.evaluate",
-     "inner_hook(it, h, psi)"):
+    ("prox_engine", "solve_inexact_prox", "inner_hook(it, h, psi)"):
         "the inner-iterate observer; criterion 3 checks weak duality at "
         "every inner iterate through it",
     ("problem", "power_iteration_sq_norm", "break"):
