@@ -16,8 +16,10 @@ every ``trace.CSV_COLUMNS`` column, whether a solver wrote them or
 ``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
 verdict of the run.  The header's ``solver`` must name one of ``SOLVERS``,
 and a check raises ValueError naming the key when the header lacks a value
-it reads or holds one that is not a number; the Armijo check applies to
-iPila traces only.
+it reads or holds one that is not a number; a key no check reads may be
+missing.  The checks derive ``theta`` from the header's ``tau``, as the
+solvers do, and the header holds no ``theta``, so a ``# theta=`` line
+cannot loosen a check.  The Armijo check applies to iPila traces only.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def row_duality_gap(meta, prev, row):
 def row_param_identities(meta, prev, row):
     """Replays the algebraic coupling between alpha_k, beta_k and L_k;
     iPila-practical's step reads the ``L_k`` that ``prev`` left, or the
-    header's ``L0``."""
+    header's ``L0``, with the ``ALPHA_MIN`` floor and the ``alpha_max``
+    clamp, so every row is checked, also where every ``beta_k`` is 0."""
     kind = _solver(meta)
     L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
     if kind == "i2piano":

@@ -12,9 +12,13 @@ Subcommands:
 * ``certify``  replay the certifier over an existing trace.csv.
 
 Configs are flat ``key=value`` text files; any ``--key value`` pair on the
-command line overrides the file.  Exit codes: 0 ok, 2 config error, 3 solver
-failure (a step that fails a certificate during the run included), 4
-certification failure of ``certify``.
+command line overrides the file.  Exit codes: 0 ok; 2 config error, found
+before any solve (a config or image file that cannot be read, a key that is
+not a setting, a value that is not a finite number or that the problem or
+solver rejects, an output path that cannot be written), or a trace.csv that
+``certify`` cannot read or parse; 3 solver failure (a step that fails a
+certificate during the run included); 4 certification failure of
+``certify``.  Each failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -107,16 +111,20 @@ def _config_values(build):
 
 
 def load_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     cfg = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        cfg[key.strip()] = val.strip()
     return cfg
 
 
@@ -143,8 +151,6 @@ def parse_overrides(extra) -> dict:
 def build_settings(args, extra) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
         cfg.update(load_config(args.config))
     cfg.update(parse_overrides(extra))
     if unknown := sorted(cfg.keys() - DEFAULTS.keys() - SOLVER_KEYS.keys()
@@ -236,9 +242,11 @@ def build_problem(cfg: dict):
                           f"not {peak!r}")
     if "image" in cfg:
         path = cfg["image"]
-        if not Path(path).exists():
-            raise ConfigError(f"image file not found: {path}")
-        truth = imaging.read_pgm(path) * (peak / 255.0)
+        try:
+            truth = imaging.read_pgm(path) * (peak / 255.0)
+        except OSError as exc:  # missing, a directory
+            raise ConfigError(f"cannot read image file {path}: {exc}") \
+                from None
     else:
         truth = imaging.phantom(size, peak=peak)
     shape = truth.shape

@@ -10,7 +10,10 @@ step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
 the trace header from the solver's config, applies the stop rule and checks
 every row it appends with the row functions :mod:`inertiafb.certify`
 replays, so each inequality is written once.  A solver module is its config
-class and its step.
+class and its step.  Each solver evaluates ``f0``, ``grad f0`` and ``f1``
+once per point and computes each step once: iPila's line search adds its
+trial points, each evaluated once, and iPila's ``stationary`` row, a run's
+last, evaluates ``f0`` at a prox point it does not take.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -37,7 +41,10 @@ L_MAX = 1e12
 @dataclass(kw_only=True)
 class Config:
     """Settings every solver reads; each solver's config adds its policy
-    fields.  ``tau`` and ``max_inner`` go to the prox engine."""
+    fields.  ``tau`` and ``max_inner`` go to the prox engine.  Every float
+    setting must be finite, ``tau`` nonnegative with a finite ``theta``,
+    ``max_outer`` at least 1, ``max_inner`` nonnegative, ``eta`` above 1
+    and ``L0`` in ``[L_MIN, L_MAX]``."""
     tau: float = 1e6
     L0: float = 1.0
     eta: float = 1.5
@@ -67,6 +74,26 @@ class Config:
     @property
     def theta(self) -> float:
         return theta_from_tau(self.tau)
+
+
+def check_coupling(alpha_at: Callable, cfg: Config, *Ls: float) -> None:
+    """Raise ValueError unless ``alpha_at(L, cfg)``, the step a policy
+    couples to ``L_k = L``, is positive at each of ``Ls`` with every value
+    it computes on the way finite.  It runs on NumPy scalars, whose overflow
+    or invalid operation (``inf - inf``, say) raises here."""
+    probe = SimpleNamespace(theta=np.float64(cfg.theta), **{
+        k: np.float64(v) if isinstance(v, float) else v
+        for k, v in vars(cfg).items()})
+    for L in Ls:
+        setting = (f"delta = {cfg.delta!r}, gamma = {cfg.gamma!r}: the "
+                   f"coupling at L_k = {L:g}")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                alpha = alpha_at(np.float64(L), probe)
+        except FloatingPointError as exc:
+            raise ValueError(f"{setting} is not finite ({exc})") from None
+        if not alpha > 0:
+            raise ValueError(f"{setting} gives alpha_k = {float(alpha)!r}")
 
 
 @dataclass

@@ -12,6 +12,8 @@ parameter policy, which couples L_k to the step size and inertial weight,
 and the merit: ``Phi(x, x_prev) = f(x) + delta ||x - x_prev||^2``
 decreases by at least ``d_k^2 = gamma ||x - x_prev||^2 - (1 - omega) h``
 per accepted step, which ``fb.run`` checks on every row as certify's H1.
+``||x_k - x_{k-1}||^2`` is the last prox result's ``y_step_sq``, which
+``fb.start``'s zero step sets to 0.
 
 The couplings and the merit inequality hold for any accepted L_k in
 ``[fb.L_MIN, fb.L_MAX]``, so the estimate follows the local curvature
@@ -54,6 +56,10 @@ class I2PianoConfig(fb.Config):
         hi = 1.0 if self.tau == 0 else np.nextafter(1.0, 0.0)
         if not (0.0 <= self.omega <= hi):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")
+        # L_k lies in [fb.L_MIN, fb.L_MAX]: the coupling's sums grow with
+        # L_k, and its cancellation in top - 2 beta worsens as L_k falls
+        fb.check_coupling(lambda L, cfg: compute_params(L, cfg)[2], self,
+                          fb.L_MIN, fb.L_MAX)
 
 
 def compute_params(L_k: float, cfg: I2PianoConfig):

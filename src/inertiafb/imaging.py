@@ -87,8 +87,9 @@ class ConvOperator(LinearOp):
     those within the kernel radius, then the column pass.  A 64 x 64 image
     is one tile.  The factors are read-only copies and define the operator
     and its ``key``; ``kernel`` is their read-only outer product, kept for
-    reporting.  No state changes after construction, and every returned
-    array is fresh.
+    reporting.  No state changes after construction, so one instance may
+    serve concurrent callers, and every returned array is fresh.  The bits
+    do not depend on the BLAS thread count.
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, shape):

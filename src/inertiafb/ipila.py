@@ -76,9 +76,13 @@ class IPilaConfig(fb.Config):
             raise ValueError("gamma must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        # the practical coupling's beta is nonnegative only for these
-        if self.variant == "practical-sec5" and self.delta < self.gamma:
-            raise ValueError("practical-sec5 needs delta >= gamma")
+        if self.variant == "practical-sec5":
+            # the practical coupling's beta is nonnegative only for these
+            if self.delta < self.gamma:
+                raise ValueError("practical-sec5 needs delta >= gamma")
+            # L_k >= L0, where b_k is largest
+            fb.check_coupling(lambda L, cfg: _practical_params(L, cfg)[0],
+                              self, self.L0)
 
 
 def phi_value(problem: CompositeProblem, x: np.ndarray,
@@ -90,7 +94,9 @@ def phi_value(problem: CompositeProblem, x: np.ndarray,
 def descent_direction(y_step: np.ndarray, anchor: np.ndarray, alpha: float,
                       beta: float, gamma_k: float):
     """Search direction ``(d_x, d_s)`` in the joint ``(x, s)`` space from
-    ``y_step = y - x`` and ``anchor = x - s``; ``d_x`` is ``y_step``."""
+    ``y_step = y - x`` and ``anchor = x - s``; ``d_x`` is ``y_step``.  Its
+    norm bound holds for every input, so it is a property test of this
+    function, not a check on each trace row."""
     return y_step, (1.0 + beta / alpha) * y_step + gamma_k * anchor
 
 

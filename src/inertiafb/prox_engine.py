@@ -158,8 +158,11 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     ``warm_start``, when given, is an earlier call's ``w_tilde`` on the
     same problem; it is never written to, and may come back as ``w_tilde``.
     An inner iteration applies ``M`` twice (on FISTA's ``z_u``, and in
-    ``f1(y)`` for ``h``) and ``M^T`` once; iterate 0 applies ``M`` once,
-    in ``f1(y)``, and ``M^T`` unless ``warm_mtw = M^T warm_start`` is given.
+    ``f1(y)`` for ``h``; the prox of ``xi`` is not linear, so no linearity
+    saves one) and ``M^T`` once; iterate 0 applies ``M`` once, in
+    ``f1(y)``, and ``M^T`` unless ``warm_mtw = M^T warm_start`` is given.
+    The FISTA buffers are allocated only once iterate 0 fails its stop
+    test.  ``abs_tol`` defaults to ``1e-12 (1 + |f(x)|)``.
     """
     if not math.isfinite(query.f1_x):
         raise EngineError("prox query with x outside dom(f1)")

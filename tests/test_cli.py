@@ -104,6 +104,24 @@ class TestConfigHandling:
         assert csv_equal_ignoring_time(trace["joined"], trace["file"])
         assert not csv_equal_ignoring_time(trace["flag"], trace["default"])
 
+    # each used to end in a traceback and exit 1
+    @pytest.mark.parametrize("argv, words", [
+        ("run -c DIR", "cannot read config file .*Is a directory"),
+        ("run --problem impulse-l1 --image DIR",
+         "cannot read image file .*Is a directory"),
+        ("run -c LATIN1", "cannot read config file .*can't decode byte 0xff"),
+    ], ids=["config_dir", "image_dir", "config_not_utf8"])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, argv,
+                                             words):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"max_outer=3\nsize=\xff\n")
+        paths = {"DIR": tmp_path / "dir", "LATIN1": tmp_path / "latin1.txt"}
+        code = run_cli(*[str(paths.get(a, a)) for a in argv.split()],
+                       "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(f"config error: {words}.*\n", err)
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         class Args:
             config = str(tmp_path / "nope.cfg")
@@ -169,6 +187,17 @@ class TestSolverSettings:
         assert ("config error: practical-sec5 needs delta >= gamma"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("solver, delta", [
+        ("ipila-practical", "1e300"), ("ipila-practical", "8e307"),
+        ("ipila-practical", "4e307"), ("ipila-strict", "1e308"),
+        ("iista", "1e308")])
+    def test_huge_delta_a_solver_survives_exits_0(self, tmp_path,
+                                                  solver, delta):
+        # iPila-practical clamps alpha_k at ALPHA_MIN, and iPila-strict and
+        # iISTA never read delta
+        assert run_cli("run", "--solver", solver, "--delta", delta,
+                       "--max_outer", "3", "--out", str(tmp_path)) == 0
 
 
 class TestUnusableOutputPath:
@@ -338,12 +367,8 @@ class TestRunCommand:
          "solver failure: Armijo search exhausted max_halvings", None),
         ("--problem gaussian-sd-tv --size 8 --solver ipila-strict "
          "--a 1e-300 --c 1e-300 --max_outer 4", 3,
-         "solver failure: gradient of the fidelity is not finite", None),
-        ("--problem gaussian-sd-tv --size 8 --solver i2piano "
-         "--delta 1e308 --max_outer 4", 3,
-         "solver failure: prox step rejected: alpha must be positive and "
-         "finite: alpha = nan, beta = nan", None)],
-        ids=["a", "c", "alpha_max", "beta_max", "tiny_noise", "delta"])
+         "solver failure: gradient of the fidelity is not finite", None)],
+        ids=["a", "c", "alpha_max", "beta_max", "tiny_noise"])
     def test_overflowing_noise_writes_one_stderr_line(self, tmp_path, args,
                                                       code, message,
                                                       max_evals):
@@ -353,8 +378,7 @@ class TestRunCommand:
         # interpreter shows every warning.  --alpha_max 1e200 also spent
         # all max_inner iterations: 2001 dual iterates, each with h = inf.
         # --a 1e-300 --c 1e-300 printed two (den * den underflows in the
-        # fidelity's gradient) and then blamed the prox engine; --delta
-        # 1e308 makes i2Piano's coupling NaN, which the query rejects
+        # fidelity's gradient) and then blamed the prox engine
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
         proc = subprocess.run(
@@ -486,6 +510,19 @@ BAD_VALUES = {
     "inf_L0_iista": (("--solver", "iista", "--solvers", "iista",
                       "--L0", "inf"), "L0 must be finite"),
     "inf_delta": (("--delta", "inf"), "delta must be finite"),
+    # i2Piano's coupling at L_k in [fb.L_MIN, fb.L_MAX] used to exit 3: at
+    # 1e308 on "alpha = nan", at 8e307 (4 delta overflows) on "certificate
+    # failed: H1 at k=0", at 1e300 (top - 2 beta cancels) on "alpha = 0.0"
+    "huge_delta": (("--delta", "1e308"),
+                   r"delta = 1e\+308.* L_k = 1e-08 is not finite"),
+    "overflowing_delta": (("--delta", "8e307"),
+                          r"delta = 8e\+307.* is not finite"),
+    "cancelling_delta": (("--delta", "1e300"),
+                         r"delta = 1e\+300.* gives alpha_k = 0.0"),
+    # iPila-practical's coupling at L0 used to exit 3 on "alpha = nan"
+    "huge_delta_ipila_practical": (
+        ("--solver", "ipila-practical", "--solvers", "ipila-practical",
+         "--delta", "1e308"), r"delta = 1e\+308.* L_k = 1 is not finite"),
     "nan_tau": (("--tau", "nan"), "tau must be finite"),
     # used to end in an OverflowError traceback from theta_from_tau
     "huge_tau": (("--tau", "1e308"), "tau is too large"),

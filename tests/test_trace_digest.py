@@ -1,5 +1,4 @@
 import importlib.util
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,44 @@ def test_digests_repeat_and_cover_every_run():
     assert len({d for _, _, d in first}) == 26
 
 
-def test_runs_reach_every_stop_reason_and_branch(tmp_path):
-    runs = trace_digest.traces()
+@pytest.fixture(scope="module")
+def runs():
+    """The 32 runs ``tools/trace_digest.py`` digests."""
+    return trace_digest.traces()
+
+
+def test_digests_match_the_committed_file(runs):
+    # a change that moves bits by design regenerates the file with
+    # tools/trace_digest.py --write
+    platform, *lines = trace_digest.DIGEST_FILE.read_text().splitlines()
+    committed = {}
+    for line in lines:
+        *label, solver, digest = line.split()
+        committed[(" ".join(label), solver)] = digest
+    ours = {(label, solver): trace_digest.trace_digest(t)
+            for label, solver, t in runs}
+    differ = [f"{label} {solver}" for label, solver in {**committed, **ours}
+              if committed.get((label, solver)) != ours.get((label, solver))]
+    here = trace_digest.platform()
+    assert not differ, "\n".join(
+        [f"{len(differ)} of {len(ours)} runs differ:", *differ]
+        + ([f"file: {platform}", f"here: {here}"] if platform != here else []))
+
+
+def test_write_puts_the_platform_above_the_printed_lines(monkeypatch,
+                                                         tmp_path, capsys):
+    fake = [("synthetic-quadratic-l1 k=80", "iista", "0" * 64)]
+    monkeypatch.setattr(trace_digest, "digests", lambda: fake)
+    monkeypatch.setattr(trace_digest, "DIGEST_FILE", tmp_path / "d.txt")
+    monkeypatch.setattr(trace_digest.sys, "path", list(trace_digest.sys.path))
+    assert trace_digest.main([]) == 0
+    printed = capsys.readouterr().out
+    assert trace_digest.main(["--write"]) == 0
+    assert (tmp_path / "d.txt").read_text() \
+        == f"{trace_digest.platform()}\n{printed}"
+
+
+def test_runs_reach_every_stop_reason_and_branch(tmp_path, runs):
     # each row is the trace.csv schema, and the file gets the same verdicts
     for label, solver, t in runs:
         assert all(r.keys() == set(CSV_COLUMNS) for r in t.rows), solver
@@ -122,38 +157,3 @@ def test_changed_meta_changes_the_digest():
     before = trace_digest.trace_digest(trace)
     trace.meta["stop_reason"] = "d_k"
     assert trace_digest.trace_digest(trace) != before
-
-
-def test_against_prints_each_differing_run(monkeypatch, capsys):
-    # the subprocess digests this checkout, so only the altered run differs
-    real = trace_digest.digests()
-    label, solver, _ = real[3]
-    monkeypatch.setattr(trace_digest, "digests", lambda: [
-        *real[:3], (label, solver, "0" * 64), *real[4:]])
-    assert trace_digest.main(["--against", str(_PATH.parent.parent)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        f"differs: {label} {solver}", "31 of 32 runs equal"]
-
-
-def test_against_stops_the_other_side_when_this_side_fails(monkeypatch):
-    # an error in this side's digests used to leave the child that digests
-    # the other checkout running to its end
-    children, popen = [], subprocess.Popen
-
-    def spawn(*args, **kwargs):
-        children.append(popen(*args, **kwargs))
-        return children[-1]
-
-    def broken():
-        raise RuntimeError("this side failed")
-
-    monkeypatch.setattr(trace_digest.subprocess, "Popen", spawn)
-    monkeypatch.setattr(trace_digest, "digests", broken)
-    try:
-        with pytest.raises(RuntimeError, match="this side failed"):
-            trace_digest.main(["--against", str(_PATH.parent.parent)])
-        assert [child.poll() is not None for child in children] == [True]
-    finally:
-        for child in children:
-            child.kill()
-            child.wait(timeout=10)

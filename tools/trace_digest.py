@@ -6,28 +6,28 @@ but ``time_s`` (floats by their exact hex form), then its ``meta`` (sorted
 keys, floats by hex), then the bytes of ``x_final``, then the ``trace.csv``
 the trace writes with ``f_star = f_final`` (so with a ``rel_gap`` column)
 and its ``time_s`` fields blanked, so that the CSV writer's formatting is
-gated too.  Compare a checkout
-with a clone of its parent commit::
+gated too.
 
-    python3 tools/trace_digest.py --against /path/to/parent-clone
+``tests/trace_digests.txt`` holds the digests of the committed code, one
+line per run as this script prints them, after a first line that names
+NumPy's version and its OpenBLAS configuration: a ``DYNAMIC_ARCH``
+OpenBLAS picks its kernels by CPU, so bits may differ between machines.
+``tests/test_trace_digest.py`` recomputes the digests and fails on any
+that differs from the file.  ``--write`` regenerates the file; a change
+that moves bits by design does so and names the runs that moved.
 
-``--against`` computes that checkout's digests in a subprocess (this
-script with ``--src``, so both sides run this script's ``RUNS``) while this
-one computes its own, prints each run whose digest differs and how many are
-equal, and exits 1 if any differs.  Without it the script prints one line
-per run.  ``--src`` names a checkout or its ``src`` directory; the package
-is imported from there.  The runs are the 4
-solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0, gaussian-sd-tv at
-``tau`` 0.01 (also with ``alpha_max`` 5) and synthetic-quadratic-l1 for 80
-outer iterations, then synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.
-The 200-iteration runs reach what the others never do: every stop reason
-(both iPila variants stop ``stationary``, i2Piano and iISTA on ``d_k``)
-and, at ``L0 = 0.1``, backtracking in i2Piano and iISTA.  At
-``alpha_max`` 5, iPila's line search steps short of ``y`` on a problem with
-a forward pass.  The last run, synthetic-quadratic-l1 for 80 outer
-iterations with every other solver setting off its default, comes near
-stationarity with ``tau`` 2, where the prox engine must stay at ``x``
-rather than step to a point whose certified decrease is zero.
+The runs are the 4 solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0,
+gaussian-sd-tv at ``tau`` 0.01 (also with ``alpha_max`` 5) and
+synthetic-quadratic-l1 for 80 outer iterations, then
+synthetic-quadratic-l1 for 200, at ``L0`` 1 and 0.1.  The 200-iteration
+runs reach what the others never do: every stop reason (both iPila
+variants stop ``stationary``, i2Piano and iISTA on ``d_k``) and, at ``L0 =
+0.1``, backtracking in i2Piano and iISTA.  At ``alpha_max`` 5, iPila's
+line search steps short of ``y`` on a problem with a forward pass.  The
+last run, synthetic-quadratic-l1 for 80 outer iterations with every other
+solver setting off its default, comes near stationarity with ``tau`` 2,
+where the prox engine must stay at ``x`` rather than step to a point whose
+certified decrease is zero.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import numbers
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST_FILE = ROOT / "tests" / "trace_digests.txt"
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
 # (label, CLI overrides, outer iterations)
 RUNS = (
@@ -125,46 +126,32 @@ def digests(size: int = 64, iters=None):
             for label, solver, trace in traces(size, iters)]
 
 
+def platform() -> str:
+    """The digest file's first line: NumPy's version and its OpenBLAS
+    configuration, on which the bits depend."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy before 1.26 prints its configuration only
+        blas = {}
+    return (f"# numpy {np.__version__}; "
+            f"{blas.get('openblas configuration', blas.get('name'))}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve()
-                                             .parent.parent / "src"),
-                        help="checkout or src directory to import from")
-    parser.add_argument("--against", metavar="PATH",
-                        help="checkout to compare with; exit 1 if any "
-                             "digest differs")
+    parser.add_argument("--write", action="store_true",
+                        help=f"write the digests to {DIGEST_FILE.name}")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    if (src / "src" / "inertiafb").is_dir():
-        src = src / "src"
-    if not (src / "inertiafb").is_dir():
-        parser.error(f"no inertiafb package under {src}")
-    sys.path.insert(0, str(src))
-    if args.against is None:
-        for label, solver, digest in digests():
-            print(f"{label:36s} {solver:16s} {digest}")
-        return 0
-
-    with subprocess.Popen([sys.executable, __file__, "--src", args.against],
-                          stdout=subprocess.PIPE, text=True) as other:
-        try:
-            ours = {(label, solver): digest
-                    for label, solver, digest in digests()}
-            out, _ = other.communicate()
-        finally:
-            other.kill()  # a no-op once it has exited; the exit waits for it
-    if other.returncode:
-        return other.returncode
-    theirs = {}
-    for line in out.splitlines():
-        *label, solver, digest = line.split()
-        theirs[(" ".join(label), solver)] = digest
-    differ = [run for run in {**ours, **theirs}
-              if ours.get(run) != theirs.get(run)]
-    for label, solver in differ:
-        print(f"differs: {label} {solver}")
-    print(f"{len(ours) - len(differ)} of {len(ours)} runs equal")
-    return 1 if differ else 0
+    sys.path.insert(0, str(ROOT / "src"))
+    lines = [f"{label:36s} {solver:16s} {digest}"
+             for label, solver, digest in digests()]
+    if args.write:
+        DIGEST_FILE.write_text("\n".join([platform(), *lines]) + "\n")
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":
