@@ -10,8 +10,8 @@ function ``(meta, prev, row)`` that returns the residuals ``(k, r)`` of
 ``row``, the step after ``prev`` (None for the first step), and a residual
 passes only when it is a number ``<= 0``.  ``fb.run`` calls these
 functions on every row it appends and raises on the first that fails, so a
-run that completes passes every check; :func:`summarize` and the
-``check_*`` functions fold the same functions over a trace.  Rows hold
+run that completes passes every check; :func:`summarize` and
+:func:`check` fold the same functions over a trace.  Rows hold
 every ``trace.CSV_COLUMNS`` column, whether a solver wrote them or
 ``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
 verdict of the run.  The header's ``solver`` must name one of ``SOLVERS``,
@@ -269,38 +269,14 @@ def row_checks(meta: dict) -> dict:
     return {n: f for n, f in ROW_CHECKS.items() if n != "armijo"}
 
 
-def _fold(trace: Trace, name: str) -> CheckResult:
-    """The check ``name``, its row function run on each row of ``trace``."""
+def check(trace: Trace, name: str) -> CheckResult:
+    """The check ``name`` of ``ROW_CHECKS``, its row function run on each
+    row of ``trace``."""
     if not trace.rows:
         raise ValueError("empty trace")
     fn, rows = ROW_CHECKS[name], trace.rows
     return _worst(name, (kr for prev, row in zip([None, *rows], rows)
                          for kr in fn(trace.meta, prev, row)))
-
-
-# each check over a whole trace, by the names the acceptance criteria call
-def check_H1(trace: Trace) -> CheckResult:
-    return _fold(trace, "H1")
-
-
-def check_H4(trace: Trace) -> CheckResult:
-    return _fold(trace, "H4")
-
-
-def check_prox_certificates(trace: Trace) -> CheckResult:
-    return _fold(trace, "prox")
-
-
-def check_duality_gap(trace: Trace) -> CheckResult:
-    return _fold(trace, "duality-gap")
-
-
-def check_param_identities(trace: Trace) -> CheckResult:
-    return _fold(trace, "param-identities")
-
-
-def check_armijo(trace: Trace) -> CheckResult:
-    return _fold(trace, "armijo")
 
 
 def summarize(trace: Trace) -> CertReport:
@@ -310,7 +286,7 @@ def summarize(trace: Trace) -> CertReport:
         raise ValueError("empty trace")
     report = CertReport()
     for name in row_checks(trace.meta):
-        report.checks[name] = _fold(trace, name)
+        report.checks[name] = check(trace, name)
 
     d = trace.column("d_k")
     lams = [v for v in trace.column("lambda_k") if math.isfinite(v)]

@@ -15,10 +15,12 @@ Configs are flat ``key=value`` text files; any ``--key value`` pair on the
 command line overrides the file.  Exit codes: 0 ok; 2 config error, found
 before any solve (a config or image file that cannot be read, a key that is
 not a setting, a value that is not a finite number or that the problem or
-solver rejects, an output path that cannot be written), or a trace.csv that
-``certify`` cannot read or parse; 3 solver failure (a step that fails a
-certificate during the run included); 4 certification failure of
-``certify``.  Each failure prints one stderr line.
+solver rejects, a problem too large for memory, an output path that cannot
+be written), or a trace.csv that ``certify`` cannot read or parse; 3 solver
+failure (a step that fails a certificate during the run, or memory running
+out during a solve, included), which ``suite`` and ``fstar`` prefix with the
+solver's name; 4 certification failure of ``certify``.  Each failure prints
+one stderr line.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFY = 4
+# a failure of a solve, once the problem is built: exit 3
+SOLVE_ERRORS = (SolverError, EngineError, DomainError)
 
 # suite workers start from a fresh interpreter and import this module by
 # name, so nothing they compute depends on the parent process's state
@@ -98,7 +102,8 @@ class ConfigError(ValueError):
 
 def _config_values(build):
     """Wraps ``build(cfg)`` so that a ValueError from checking the configured
-    values is a ConfigError; a DomainError stays a solver failure."""
+    values, or a MemoryError from sizes too large to build, is a
+    ConfigError; a DomainError stays a solver failure."""
     @functools.wraps(build)
     def checked(cfg):
         try:
@@ -107,6 +112,8 @@ def _config_values(build):
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(f"out of memory: {exc}") from None
     return checked
 
 
@@ -220,6 +227,8 @@ def build_problem(cfg: dict):
     value the problem rejects (an even ``blur_size``, say) is a ConfigError.
     """
     name = cfg["problem"]
+    if name not in PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}; choose from {PROBLEMS}")
     seed = _i(cfg, "seed")
     if name == "synthetic-quadratic-l1":
         n = _i(cfg, "n")
@@ -232,7 +241,7 @@ def build_problem(cfg: dict):
                           lambda x: x - b)
         f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(lam), ZeroFunction(),
                                   op_norm_sq_bound=1.0)
-        return CompositeProblem(f0, f1, n), np.zeros(n), {"b": b, "lam": lam}
+        return CompositeProblem(f0, f1), np.zeros(n), {"b": b, "lam": lam}
 
     size = _i(cfg, "size")
     peak = _f(cfg, "peak")
@@ -259,14 +268,9 @@ def build_problem(cfg: dict):
         g = imaging.impulse_noise(blurred.reshape(shape),
                                   _f(cfg, "noise_fraction"), seed,
                                   peak=peak).ravel()
-        f0 = imaging.log_filter_regularizer(
-            imaging.dct_filter_bank(_f(cfg, "rho")), shape)
+        f0 = imaging.log_filter_regularizer(_f(cfg, "rho"), shape)
         f1 = imaging.l1_fidelity_term(H, g)
-        x0 = np.clip(g, 0.0, None)
-        return (CompositeProblem(f0, f1, H.in_dim), x0,
-                {"truth": truth, "g": g, "shape": shape, "peak": peak})
-
-    if name == "gaussian-sd-tv":
+    else:  # gaussian-sd-tv
         a, c = _f(cfg, "a"), _f(cfg, "c")
         if not math.isfinite(a * float(np.max(blurred)) + c):
             raise ConfigError(f"a = {a!r}, c = {c!r}: the noise variance "
@@ -276,11 +280,8 @@ def build_problem(cfg: dict):
         g = blurred + std * rng.standard_normal(blurred.size)
         f0 = imaging.gaussian_sd_fidelity(H, g, a=a, c=c)
         f1 = imaging.tv_term(_f(cfg, "rho_tv"), shape)
-        x0 = np.clip(g, 0.0, None)
-        return (CompositeProblem(f0, f1, H.in_dim), x0,
-                {"truth": truth, "g": g, "shape": shape, "peak": peak})
-
-    raise ConfigError(f"unknown problem {name!r}; choose from {PROBLEMS}")
+    return (CompositeProblem(f0, f1), np.clip(g, 0.0, None),
+            {"truth": truth, "g": g, "shape": shape, "peak": peak})
 
 
 @_config_values
@@ -304,7 +305,10 @@ def _solver_config(cfg: dict):
 
 def run_solver(problem, x0, cfg: dict) -> Trace:
     solve, config = _solver_config(cfg)
-    return solve(problem, x0, cfg=config)
+    try:
+        return solve(problem, x0, cfg=config)
+    except MemoryError as exc:
+        raise SolverError(f"out of memory: {exc}") from None
 
 
 def _solve_and_write(cfg: dict, outdir: Path) -> Trace:
@@ -344,13 +348,18 @@ def cmd_run(cfg: dict) -> int:
 
 def _suite_worker(item):
     cfg, outdir = item
-    trace = _solve_and_write(cfg, outdir)
+    try:
+        trace = _solve_and_write(cfg, outdir)
+    except SOLVE_ERRORS as exc:
+        raise SolverError(f"{cfg['solver']}: {exc}") from None
     return cfg["solver"], float(trace.meta["f_final"])
 
 
 def cmd_suite(cfg: dict) -> int:
     base = Path(cfg["out"])
     jobs = [(dict(cfg, solver=s), base / s) for s in _solver_names(cfg)]
+    for job, _ in jobs:  # each solver's settings, checked before any solve
+        _solver_config(job)
     # one worker process per GIL-bound solver run, at most one per CPU
     with ProcessPoolExecutor(
             max_workers=min(len(jobs), os.cpu_count() or 1),
@@ -369,7 +378,9 @@ def cmd_suite(cfg: dict) -> int:
 
 
 def cmd_fstar(cfg: dict) -> int:
-    return cmd_suite(dict(cfg, max_outer=str(_i(cfg, "fstar_iters"))))
+    if _i(cfg, "fstar_iters") < 1:
+        raise ConfigError("fstar_iters must be at least 1")
+    return cmd_suite(dict(cfg, max_outer=cfg["fstar_iters"]))
 
 
 def cmd_certify(path: Path) -> int:
@@ -417,7 +428,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, EngineError, DomainError) as exc:
+    except SOLVE_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -4,15 +4,13 @@ Provides the pieces of the benchmark problems: separable convolution with
 whole-sample reflective boundaries and its exact adjoint, a forward
 difference gradient with Neumann boundaries for total variation, an l1 data
 fidelity with a nonnegativity constraint, a smooth log-filter regularizer on
-a small DCT filter bank, a signal-dependent Gaussian fidelity, impulse noise
+the 3x3 DCT filter bank, a signal-dependent Gaussian fidelity, impulse noise
 simulation, PSNR, and 8-bit PGM image I/O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,27 +22,6 @@ from inertiafb.problem import (DomainError, LinearOp, NonnegIndicator,
 
 # ---------------------------------------------------------------------------
 # convolution with reflective boundaries
-
-
-def _fold_plan(full: np.ndarray, shape):
-    """Transpose of whole-sample mirror padding of a ``shape`` image into
-    ``full``, as views of ``full`` made once.
-
-    Returns ``(adds, interior)``: running ``dst += src`` over ``adds`` in
-    order adds each border row, then each border column of the padded
-    ``full`` onto its mirror source, and ``interior`` views the result.
-    """
-    h, w = shape
-    ph, pw = (full.shape[0] - h) // 2, (full.shape[1] - w) // 2
-    adds = []
-    if ph:
-        adds += [(full[ph + 1:2 * ph + 1], full[:ph][::-1]),
-                 (full[h - 1:h + ph - 1], full[h + ph:][::-1])]
-    if pw:
-        rows = full[ph:ph + h]
-        adds += [(rows[:, pw + 1:2 * pw + 1], rows[:, :pw][:, ::-1]),
-                 (rows[:, w - 1:w + pw - 1], rows[:, w + pw:][:, ::-1])]
-    return adds, full[ph:ph + h, pw:pw + w]
 
 
 TILE = 64  # outputs per banded product: the cost stays linear in pixels
@@ -146,7 +123,7 @@ class ConvOperator(LinearOp):
         return self._apply(y, self._adjoint)
 
 
-def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Normalized truncated 1-D Gaussian of odd ``size``: the factor ``g``
     of the blur kernel ``outer(g, g)``."""
     if size % 2 == 0:
@@ -262,75 +239,42 @@ def l1_fidelity_term(H: ConvOperator, g: np.ndarray) -> StructuredConvexTerm:
     return StructuredConvexTerm(H, L1Norm(1.0, shift=g), NonnegIndicator())
 
 
-@dataclass
-class FilterBank:
-    """Finite filter kernels with finite positive weights and a finite
-    positive global weight rho."""
-
-    filters: Sequence  # (kernel, weight) pairs
-    rho: float = 0.08
-
-    def __post_init__(self):
-        if not self.filters:
-            raise ValueError("filter bank must be nonempty")
-        # written so that NaN fails: every weight enters every tap row
-        if not all(0 < w < np.inf for _, w in self.filters):
-            raise ValueError("filter weights must be positive and finite")
-        if not 0 < self.rho < np.inf:
-            raise ValueError("rho must be positive and finite")
-        kshape, *others = {np.shape(k) for k, _ in self.filters}
-        if others or len(kshape) != 2 or not all(d % 2 for d in kshape):
-            raise ValueError("filter kernels must share one odd 2-D shape")
-        if not all(np.isfinite(k).all() for k, _ in self.filters):
-            raise ValueError("filter kernels must be finite")
-
-
-def dct_filter_bank(rho: float = 0.08) -> FilterBank:
-    """The 8 non-constant 3x3 DCT-II basis filters with equal weights.
+def log_filter_regularizer(rho: float, shape) -> SmoothOracle:
+    """Smooth edge-preserving regularizer ``rho sum_l w_l sum_i
+    log(1 + (K_l x)_i^2)`` over the 8 non-constant 3x3 DCT-II basis
+    filters ``K_l``, each at weight ``w_l = 1/8``.
 
     Filter ``(p, q)`` is the outer product of 1-D basis rows ``p`` and
-    ``q``, taken from one broadcast product, in row-major order of
-    ``(p, q)`` without ``(0, 0)``.
+    ``q``, taken from one broadcast product, in row-major order of ``(p,
+    q)`` without ``(0, 0)``.  The forward pass mirror-pads the image into a
+    workspace and copies its ``(taps, pixels)`` windows into columns, and
+    one ``(filters, taps) @ (taps, pixels)`` product gives every filter
+    response.  The gradient writes the quotients ``u / (1 + u u)`` into
+    rows of the padded width, whose extra columns hold +0.0, and one
+    product with the transposed filters, each scaled by twice its weight,
+    gives the tap rows at the padded width.  It adds each tap row in tap
+    order into the flat padded array as one contiguous slice, and folds the
+    border.  Forward, value and gradient write their large temporaries into
+    the oracle's own workspace, so one instance must not run concurrently.
     """
-    c = np.sqrt(np.array([1.0, 2.0, 2.0]) / 3.0)
-    p = np.arange(3)[:, None]
-    basis = c[:, None] * np.cos(np.pi * (2.0 * np.arange(3) + 1.0) * p / 6.0)
-    kernels = basis[:, None, :, None] * basis[None, :, None, :]
-    return FilterBank(filters=[(k, 1.0 / 8.0)
-                               for k in kernels.reshape(9, 3, 3)[1:]],
-                      rho=rho)
-
-
-def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
-    """Smooth edge-preserving regularizer ``rho sum_l w_l sum_i
-    log(1 + (K_l x)_i^2)`` over a filter bank.
-
-    The forward pass mirror-pads the image into a workspace and copies its
-    ``(taps, pixels)`` windows into columns, and one ``(filters, taps) @
-    (taps, pixels)`` product gives every filter response.  The gradient
-    writes the quotients ``u / (1 + u u)`` into rows of the padded width,
-    whose extra columns hold +0.0, and one product with the transposed
-    filters, each scaled by twice its weight, gives the tap rows at the
-    padded width.  It adds each tap row in tap order into the flat padded
-    array as one contiguous slice, and folds the border.  Forward, value
-    and gradient write their large temporaries into the oracle's own
-    workspace, so one instance must not run concurrently.
-    """
+    if not 0 < rho < np.inf:
+        raise ValueError("rho must be positive and finite")
     h, w = shape = (int(shape[0]), int(shape[1]))
-    kh, kw = np.shape(bank.filters[0][0])  # odd, as FilterBank checks
+    kh = kw = 3
     if kh > h or kw > w:
         raise ValueError("kernel larger than image")
     ph, pw = kh // 2, kw // 2
-    kmat = np.stack([np.asarray(k, dtype=float).ravel()
-                     for k, _ in bank.filters])
-    wts = np.array([wt for _, wt in bank.filters], dtype=float)
-    # the filters scaled by twice their weights, transposed: for the DCT
-    # bank's 2 w = 1/4 the scaling is exact, so the gradient keeps the bits
-    # of K^T (w (2 u / (1 + u u)))
+    c = np.sqrt(np.array([1.0, 2.0, 2.0]) / 3.0)
+    p = np.arange(3)[:, None]
+    basis = c[:, None] * np.cos(np.pi * (2.0 * np.arange(3) + 1.0) * p / 6.0)
+    kmat = (basis[:, None, :, None]
+            * basis[None, :, None, :]).reshape(9, 9)[1:]
+    wts = np.full(8, 1.0 / 8.0)
+    # the filters scaled by twice their weights, transposed: 2 w = 1/4 is
+    # exact, so the gradient keeps the bits of K^T (w (2 u / (1 + u u)))
     kt = (kmat * (2.0 * wts)[:, None]).T
     nf, nt = len(kmat), kh * kw
     hp, wp = h + kh - 1, w + kw - 1
-    rho = bank.rho
     padded = np.empty((hp, wp))
     img = padded[ph:ph + h, pw:pw + w]
     windows = sliding_window_view(padded, (h, w))  # (kh, kw, h, w) view
@@ -347,10 +291,18 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     cols = taps_wide.reshape(-1)[:nt * h * w].reshape(nt, h * w)
     full = np.empty(hp * wp)
     span = (h - 1) * wp + w
-    scatter = [(full[i * wp + j:i * wp + j + span], row[:span])
-               for (i, j), row in zip(np.ndindex(kh, kw), taps_wide)]
-    fold, interior = _fold_plan(full.reshape(hp, wp), shape)
-    adds = scatter + fold
+    # each tap row's slice of the flat padded array, then the transpose of
+    # the mirror padding: each border row, then each border column across
+    # every row, added onto its mirror source
+    grid = full.reshape(hp, wp)
+    rows = grid[ph:ph + h]
+    adds = [(full[i * wp + j:i * wp + j + span], row[:span])
+            for (i, j), row in zip(np.ndindex(kh, kw), taps_wide)] + [
+        (grid[ph + 1:2 * ph + 1], grid[:ph][::-1]),
+        (grid[h - 1:h + ph - 1], grid[h + ph:][::-1]),
+        (rows[:, pw + 1:2 * pw + 1], rows[:, :pw][:, ::-1]),
+        (rows[:, w - 1:w + pw - 1], rows[:, w + pw:][:, ::-1])]
+    interior = grid[ph:ph + h, pw:pw + w]
 
     def forward(x):
         # whole-sample mirror: rows first, then columns across every row
@@ -384,8 +336,8 @@ def log_filter_regularizer(bank: FilterBank, shape) -> SmoothOracle:
     return SmoothOracle(value, grad, forward)
 
 
-def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float = 0.01,
-                         c: float = 1.0) -> SmoothOracle:
+def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float,
+                         c: float) -> SmoothOracle:
     """Signal-dependent Gaussian discrepancy
     ``1/2 sum ((Hx)_i - g_i)^2 / (a (Hx)_i + c) + log(a (Hx)_i + c)``.
 
@@ -425,7 +377,7 @@ def gaussian_sd_fidelity(H: ConvOperator, g: np.ndarray, a: float = 0.01,
 
 
 def impulse_noise(x: np.ndarray, fraction: float, seed: int,
-                  peak: float = 255.0) -> np.ndarray:
+                  peak: float) -> np.ndarray:
     """Salt-and-pepper corruption of ``round(fraction * n)`` pixels.
 
     Half the corrupted pixels go to ``peak`` and half to 0 (odd counts favor
@@ -464,7 +416,7 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
                + 10.0 * math.log10(x.size / float(diff.dot(diff))), 300.0)
 
 
-def phantom(size: int = 64, peak: float = 255.0) -> np.ndarray:
+def phantom(size: int, peak: float) -> np.ndarray:
     """Piecewise-smooth synthetic test image in ``[0, peak]``."""
     j = np.linspace(-1, 1, size)
     i = j[:, None]  # row coordinate; j broadcasts along the columns
@@ -477,7 +429,7 @@ def phantom(size: int = 64, peak: float = 255.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # image I/O
 
-def write_pgm(path, img: np.ndarray, peak: float = 255.0) -> None:
+def write_pgm(path, img: np.ndarray, peak: float) -> None:
     """8-bit binary PGM (P5, maxval 255); values scaled from [0, peak]."""
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:

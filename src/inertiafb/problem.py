@@ -268,13 +268,14 @@ class StructuredConvexTerm:
 
 @dataclass
 class CompositeProblem:
+    """``f = f0 + f1``; its size ``n`` is ``f1``'s, ``f1.op.in_dim``."""
+
     f0: SmoothOracle
     f1: StructuredConvexTerm
-    n: int
 
-    def __post_init__(self):
-        if self.f1.op.in_dim != self.n:
-            raise ValueError("f1 dimension does not match problem dimension")
+    @property
+    def n(self) -> int:
+        return self.f1.op.in_dim
 
 
 def eval_f(problem: CompositeProblem, x: np.ndarray) -> float:

@@ -1,9 +1,9 @@
 import dataclasses
 
 import numpy as np
-import pytest
 from scipy import ndimage
 
+from inertiafb.cli import build_problem
 from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, ProxFunction, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
@@ -96,15 +96,15 @@ def prox_query(p, x, s, alpha, beta, tau, **settings):
 
 
 def quadratic_l1_problem(n=50, seed=0, weight=0.3):
-    """f0 = 0.5||x - b||^2, f1 = weight*||x||_1; minimizer soft(b, weight)."""
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(n)
-    f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - b, x - b)),
-                      lambda x: x - b)
-    f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(weight), ZeroFunction(),
-                              op_norm_sq_bound=1.0)
+    """The CLI's synthetic-quadratic-l1 problem, f0 = 0.5||x - b||^2 and
+    f1 = weight*||x||_1, as ``(problem, b, minimizer)``; the minimizer is
+    soft(b, weight)."""
+    p, _, context = build_problem({"problem": "synthetic-quadratic-l1",
+                                   "n": str(n), "seed": str(seed),
+                                   "l1_weight": str(weight)})
+    b = context["b"]
     minimizer = np.sign(b) * np.maximum(np.abs(b) - weight, 0.0)
-    return CompositeProblem(f0, f1, n), b, minimizer
+    return p, b, minimizer
 
 
 def smooth_only_problem(n=1, target=3.0):
@@ -112,7 +112,7 @@ def smooth_only_problem(n=1, target=3.0):
     t = np.full(n, target, dtype=float)
     f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x - t, x - t)),
                       lambda x: x - t)
-    return CompositeProblem(f0, xi_term(ZeroFunction(), n), n)
+    return CompositeProblem(f0, xi_term(ZeroFunction(), n))
 
 
 def scalar_l1_problem(weight=1.0):
@@ -121,7 +121,7 @@ def scalar_l1_problem(weight=1.0):
                       lambda x: np.asarray(x, dtype=float))
     f1 = StructuredConvexTerm(IdentityOp(1), L1Norm(weight), ZeroFunction(),
                               op_norm_sq_bound=1.0)
-    return CompositeProblem(f0, f1, 1)
+    return CompositeProblem(f0, f1)
 
 
 def eval_h(p, x, s, alpha, beta, y):
@@ -145,7 +145,3 @@ def scaled_h_engine(engine, factor):
         return dataclasses.replace(res, h_value=factor * res.h_value)
     return scaled
 
-
-@pytest.fixture
-def quad_l1():
-    return quadratic_l1_problem()

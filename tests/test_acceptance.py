@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from inertiafb import cli, imaging
-from inertiafb.certify import (check_H1, check_armijo, check_duality_gap,
-                               check_prox_certificates)
+from inertiafb.certify import check
 from inertiafb.i2piano import I2PianoConfig, compute_params, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve, phi_value
@@ -116,7 +115,7 @@ def test_criterion_02_inexactness_certificates(capfd, bench, quad_traces):
     # trace-level replay on every accepted point of the long and smoke runs
     bad = []
     for name, trace in {**bench["traces"], **quad_traces}.items():
-        r = check_prox_certificates(trace)
+        r = check(trace, "prox")
         if r.status != "pass":
             bad.append(f"{name}:{r.status}@k={r.worst_k}")
     ok = worst <= 1e-10 and not bad
@@ -142,7 +141,7 @@ def test_criterion_03_weak_duality_every_inner_iterate(capfd, bench, quad_traces
                        abs_tol=1e-11)
         solve_inexact_prox(p, q, inner_hook=hook)
     bad = [name for name, t in {**bench["traces"], **quad_traces}.items()
-           if check_duality_gap(t).status == "fail"]
+           if check(t, "duality-gap").status == "fail"]
     ok = worst <= 1e-10 and count > 0 and not bad
     _report(capfd, 3, ok, f"{count} inner iterates, worst psi-h residual "
             f"{worst:.2e}; trace replays " +
@@ -187,9 +186,9 @@ def test_criterion_05_merit_certification_on_benchmark(capfd, bench):
     for name in ("i2piano", "ipila-strict", "ipila-practical"):
         trace = bench["traces"][name]
         assert len(trace) >= 2000
-        for check in (check_H1(trace), check_prox_certificates(trace)):
-            if check.status != "pass":
-                failures.append(f"{name}:{check.name}@k={check.worst_k}")
+        for r in (check(trace, "H1"), check(trace, "prox")):
+            if r.status != "pass":
+                failures.append(f"{name}:{r.name}@k={r.worst_k}")
         phis = trace.column("phi")
         drops = [b - a - 1e-9 * (1 + abs(a)) for a, b in zip(phis, phis[1:])]
         if drops and max(drops) > 0:
@@ -210,7 +209,7 @@ def test_criterion_06_armijo_soundness(capfd, bench, quad_traces):
             if lams:
                 lam_min = min(lam_min, min(lams))
             bt_max = max(bt_max, max(trace.column("backtracks")))
-            r = check_armijo(trace)
+            r = check(trace, "armijo")
             if r.status != "pass":
                 failures.append(f"{name}:{r.status}")
     # direct re-evaluation of the accepted inequality on a fresh run
@@ -234,16 +233,16 @@ def test_criterion_06_armijo_soundness(capfd, bench, quad_traces):
 
 def test_criterion_07_gradient_checks(capfd):
     shape = (8, 8)
-    reg = imaging.log_filter_regularizer(imaging.dct_filter_bank(), shape)
+    reg = imaging.log_filter_regularizer(0.08, shape)
     preg = CompositeProblem(
-        reg, xi_term(ZeroFunction(), 64), 64)
+        reg, xi_term(ZeroFunction(), 64))
     blur = imaging.gaussian_kernel(3, 1.0)
     op = imaging.ConvOperator(blur, blur, (5, 5))
     rng = np.random.default_rng(8)
     g = np.abs(rng.standard_normal(25)) + 1.0
     fid = imaging.gaussian_sd_fidelity(op, g, a=0.01, c=1.0)
     pfid = CompositeProblem(
-        fid, xi_term(ZeroFunction(), 25), 25)
+        fid, xi_term(ZeroFunction(), 25))
     worst = 0.0
     for trial in range(20):
         x = 50.0 * rng.standard_normal(64)

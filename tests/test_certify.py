@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from inertiafb import certify
-from inertiafb.certify import (CertReport, check_H1, check_H4, check_armijo,
-                               check_duality_gap, check_param_identities,
-                               check_prox_certificates, h4_constants,
-                               summarize)
+from inertiafb.certify import CertReport, check, h4_constants, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
@@ -72,14 +69,14 @@ class TestCorruptionDetected:
     def test_H1_flags_merit_increase_at_row(self, traces):
         t = self._copy(traces["i2piano"])
         t.rows[7]["phi"] += 1.0
-        res = check_H1(t)
+        res = check(t, "H1")
         assert res.status == "fail"
         assert res.worst_k == 7
 
     def test_H4_flags_overlong_step(self, traces):
         t = self._copy(traces["i2piano"])
         t.rows[4]["x_step_norm"] *= 1e6
-        res = check_H4(t)
+        res = check(t, "H4")
         assert res.status == "fail"
         assert res.worst_k == 4
 
@@ -87,14 +84,14 @@ class TestCorruptionDetected:
         t = self._copy(traces["ipila"])
         t.rows[3]["h"] = -1e-12
         t.rows[3]["x_step_norm"] = 10.0
-        res = check_prox_certificates(t)
+        res = check(t, "prox")
         assert res.status == "fail"
         assert res.worst_k == t.rows[3]["k"]
 
     def test_duality_gap_flags_psi_above_h(self, traces):
         t = self._copy(traces["iista"])
         t.rows[5]["psi"] = t.rows[5]["h"] + 1.0
-        res = check_duality_gap(t)
+        res = check(t, "duality-gap")
         assert res.status == "fail"
         assert res.worst_k == 5
 
@@ -102,22 +99,22 @@ class TestCorruptionDetected:
         for name in ("i2piano", "ipila", "iista"):
             t = self._copy(traces[name])
             t.rows[2]["alpha_k"] *= 1.5
-            assert check_param_identities(t).status == "fail", name
+            assert check(t, "param-identities").status == "fail", name
 
-    @pytest.mark.parametrize("check,name,key", [
-        (check_prox_certificates, "ipila", "psi"),
-        (check_param_identities, "i2piano", "alpha_k"),
-        (check_param_identities, "ipila", "beta_k"),
-        (check_param_identities, "ipila-strict", "beta_k"),
-        (check_param_identities, "iista", "beta_k"),
+    @pytest.mark.parametrize("check_name,name,key", [
+        ("prox", "ipila", "psi"),
+        ("param-identities", "i2piano", "alpha_k"),
+        ("param-identities", "ipila", "beta_k"),
+        ("param-identities", "ipila-strict", "beta_k"),
+        ("param-identities", "iista", "beta_k"),
     ])
-    def test_nan_in_any_residual_of_a_row_fails(self, traces, check, name,
-                                                key):
+    def test_nan_in_any_residual_of_a_row_fails(self, traces, check_name,
+                                                name, key):
         # a NaN that is not the first of a row's residuals used to vanish
         # in the row's max(), and a NaN worst residual passed
         t = self._copy(traces[name])
         t.rows[3][key] = math.nan
-        res = check(t)
+        res = check(t, check_name)
         assert res.status == "fail"
         assert res.worst_k == t.rows[3]["k"]
         assert math.isnan(res.worst_residual)
@@ -125,7 +122,7 @@ class TestCorruptionDetected:
     def test_armijo_flags_nonpositive_lambda(self, traces):
         t = self._copy(traces["ipila"])
         t.rows[6]["lambda_k"] = 0.0
-        res = check_armijo(t)
+        res = check(t, "armijo")
         assert res.status == "fail"
         assert res.worst_k == t.rows[6]["k"]
         assert math.isnan(res.worst_residual)
@@ -140,14 +137,14 @@ class TestCorruptionDetected:
         d = t.rows[i]["d_k"]
         t.rows[i]["phi"] = (t.rows[i - 1]["phi"]
                             - float(t.meta["sigma"]) * lam_min * d * d)
-        res = check_H1(t)
+        res = check(t, "H1")
         assert res.status == "fail"
         assert res.worst_k == t.rows[i]["k"]
 
     def test_armijo_flags_insufficient_decrease(self, traces):
         t = self._copy(traces["ipila"])
         t.rows[6]["phi"] = t.rows[5]["phi"] + 1.0
-        assert check_armijo(t).status == "fail"
+        assert check(t, "armijo").status == "fail"
 
     @pytest.mark.parametrize("name", ["i2piano", "ipila", "ipila-strict",
                                       "iista"])
@@ -196,7 +193,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             summarize(Trace())
         with pytest.raises(ValueError):
-            check_H1(Trace())
+            check(Trace(), "H1")
 
     def test_missing_phi_init_reports_incomplete(self, traces):
         # a header without a value a check reads is a bad trace, not a
@@ -204,7 +201,7 @@ class TestEdgeCases:
         t = Trace(meta={"solver": "i2piano"})
         t.rows = [dict(r) for r in traces["i2piano"].rows]
         with pytest.raises(ValueError, match="header lacks phi_init"):
-            check_H1(t)
+            check(t, "H1")
         with pytest.raises(ValueError, match="header lacks phi_init"):
             summarize(t)
 
@@ -212,7 +209,7 @@ class TestEdgeCases:
         # summarize runs armijo on iPila traces only
         for name in ("i2piano", "iista"):
             with pytest.raises(ValueError, match="iPila"):
-                check_armijo(traces[name])
+                check(traces[name], "armijo")
             assert "armijo" not in summarize(traces[name]).checks, name
         for name in ("ipila", "ipila-strict"):
             assert summarize(traces[name]).checks["armijo"].ok, name

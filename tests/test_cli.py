@@ -319,7 +319,7 @@ class TestRunCommand:
             f0 = SmoothOracle(lambda x: 0.0, grad)
             f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(1.0),
                                       ZeroFunction(), op_norm_sq_bound=1.0)
-            return CompositeProblem(f0, f1, n), np.ones(n), {}
+            return CompositeProblem(f0, f1), np.ones(n), {}
 
         monkeypatch.setattr(cli, "build_problem", build)
         for solver in SOLVERS:
@@ -448,9 +448,15 @@ class TestRunCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_unknown_problem_exit_code(self, tmp_path):
+    def test_unknown_problem_exit_code(self, tmp_path, capsys):
         assert run_cli("run", "--problem", "bogus",
                        "--out", str(tmp_path)) == 2
+        # the name is checked before any image is built: at size 1 the
+        # blur used to be rejected first, as "kernel larger than image"
+        assert run_cli("run", "--problem", "bogus", "--size", "1",
+                       "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "config error: unknown problem 'bogus'")
 
     def test_missing_image_path_names_it(self, tmp_path, capsys):
         missing = tmp_path / "absent.pgm"
@@ -462,7 +468,7 @@ class TestRunCommand:
     def test_run_from_image_file(self, tmp_path):
         from inertiafb import imaging
         src = tmp_path / "truth.pgm"
-        imaging.write_pgm(src, imaging.phantom(16), peak=255.0)
+        imaging.write_pgm(src, imaging.phantom(16, 255.0), peak=255.0)
         out = tmp_path / "img"
         code = run_cli("run", "--problem", "gaussian-sd-tv",
                        "--image", str(src), "--max_outer", "3",
@@ -488,9 +494,10 @@ BAD_VALUES = {
                                 "kernel larger"),
     # used to end in "math domain error" or "tau must be nonnegative"
     "negative_tau": (("--tau", "-1"), "tau"),
-    # used to end in "empty trace" from summarize
+    # used to end in "empty trace" from summarize; fstar names fstar_iters,
+    # which it reads in place of max_outer
     "zero_max_outer": (("--max_outer", "0", "--fstar_iters", "0"),
-                       "max_outer"),
+                       "(max_outer|fstar_iters) must be at least 1"),
     # used to run until a prox call needed an inner iteration, then exit 3
     "negative_max_inner": (("--max_inner", "-1"), "max_inner"),
     # used to end in ZeroDivisionError
@@ -614,6 +621,54 @@ class TestFreshInterpreter:
         assert hashes[0] == hashes[1]
         assert csv_equal_ignoring_time(tmp_path / "1" / "trace.csv",
                                        tmp_path / "2" / "trace.csv")
+
+
+# the CLI's main on argv[2:] in an address space limited to what the
+# interpreter holds once the package is imported, plus argv[1] bytes
+LIMITED_CLI = """
+import resource, sys
+from inertiafb import cli
+with open("/proc/self/statm") as fh:
+    held = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (held + int(sys.argv[1]), hard))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the address space size from /proc")
+class TestOutOfMemory:
+    """A problem too large for memory used to end in NumPy's
+    _ArrayMemoryError traceback and exit 1.  Each command runs in a fresh
+    interpreter whose address space limit acts on it alone."""
+
+    MARGIN = 48 * 2 ** 20  # six vectors of 10^6 floats
+
+    def limited_run(self, tmp_path, *argv):
+        proc = _fresh_interpreter(LIMITED_CLI, str(self.MARGIN), "run",
+                                  *argv, "--out", str(tmp_path / "run"),
+                                  OPENBLAS_NUM_THREADS="1")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "run").exists()
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("argv", [("--n", "1000000000"),
+                                      ("--problem", "impulse-l1",
+                                       "--size", "40000")])
+    def test_a_problem_too_large_to_build_is_a_config_error(self, tmp_path,
+                                                            argv):
+        code, err = self.limited_run(tmp_path, *argv)
+        assert code == 2
+        assert err.startswith("config error: out of memory: ")
+
+    def test_memory_running_out_in_the_solve_is_a_solver_failure(
+            self, tmp_path):
+        # the build holds two vectors of n = 10^6 floats, and the solve's
+        # first step needs more than the four left
+        code, err = self.limited_run(tmp_path, "--n", "1000000")
+        assert code == 3
+        assert err.startswith("solver failure: out of memory: ")
 
 
 class TestBadValuesAreConfigErrors:
@@ -784,15 +839,42 @@ class TestSuiteAndFstar:
                 tmp_path / "one" / name / "trace.csv",
                 tmp_path / "many" / name / "trace.csv"), name
 
-    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("command", ["run", "suite", "fstar"])
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_solver_failure_exits_3(self, tmp_path, capsys, command, solver):
-        # max_inner=0 leaves the prox engine without a certificate
+        # max_inner=0 leaves the prox engine without a certificate; suite
+        # and fstar used to leave out which solver failed
         flag = "--solver" if command == "run" else "--solvers"
         code = run_cli(command, flag, solver, "--max_inner", "0",
                        "--out", str(tmp_path))
         assert code == 3
-        assert "solver failure" in capsys.readouterr().err
+        named = "" if command == "run" else f"{solver}: "
+        assert capsys.readouterr().err == (
+            f"solver failure: {named}prox engine hit max_inner without "
+            "certificate\n")
+
+    @pytest.mark.parametrize("command", ["suite", "fstar"])
+    def test_a_solver_config_error_stops_the_suite_before_any_solve(
+            self, tmp_path, capsys, command):
+        # iISTA never reads delta: it used to solve and write its run
+        # directory before i2Piano's worker rejected the coupling
+        out = tmp_path / "out"
+        assert run_cli(command, "--delta", "1e308", "--solvers",
+                       "iista,i2piano", "--max_outer", "3", "--fstar_iters",
+                       "3", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("config error: delta = ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-2"])
+    def test_fstar_iters_below_one_names_fstar_iters(self, tmp_path, capsys,
+                                                     iters):
+        # used to read "max_outer must be at least 1", a key not set
+        out = tmp_path / "out"
+        assert run_cli("fstar", "--fstar_iters", iters, "--solvers", "iista",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err \
+            == "config error: fstar_iters must be at least 1\n"
+        assert not out.exists()
 
 
 class TestNearStationarity:
@@ -997,9 +1079,6 @@ class TestCertifyCommand:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    CHECKS = {"H4": certify.check_H4, "prox": certify.check_prox_certificates,
-              "param-identities": certify.check_param_identities}
-
     @pytest.mark.parametrize("solver,key,checks", [
         ("i2piano", "gamma", ("H4", "param-identities")),
         ("i2piano", "delta", ("param-identities",)),
@@ -1020,9 +1099,9 @@ class TestCertifyCommand:
         assert f"bad trace file: header lacks {key}" in err
         assert "Traceback" not in err
         trace = Trace.read_csv(path)
-        for check in checks:
+        for name in checks:
             with pytest.raises(ValueError, match=f"header lacks {key}"):
-                self.CHECKS[check](trace)
+                certify.check(trace, name)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_certify_without_any_header_key_keeps_report_or_exits_2(

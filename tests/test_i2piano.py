@@ -102,7 +102,7 @@ class TestStep:
         f0 = SmoothOracle(lambda x: 5.0 * float(np.dot(x - t, x - t)),
                           lambda x: 10.0 * (x - t))
         f1 = xi_term(ZeroFunction(), 4)
-        p = CompositeProblem(f0, f1, 4)
+        p = CompositeProblem(f0, f1)
         cfg = I2PianoConfig(L0=1.0)
         st = fb.start(p, np.ones(4), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
@@ -113,7 +113,7 @@ class TestStep:
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)),
                           lambda x: -x)  # wrong sign
         f1 = xi_term(ZeroFunction(), 2)
-        p = CompositeProblem(f0, f1, 2)
+        p = CompositeProblem(f0, f1)
         cfg = I2PianoConfig()
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)
         with pytest.raises(SolverError):
@@ -176,7 +176,7 @@ class TestSolve:
         f0 = SmoothOracle(lambda x: float(np.dot(c, x)), lambda x: c.copy())
         f1 = StructuredConvexTerm(IdentityOp(20), L1Norm(0.01),
                                   ZeroFunction(), op_norm_sq_bound=1.0)
-        p = CompositeProblem(f0, f1, 20)
+        p = CompositeProblem(f0, f1)
         cfg = I2PianoConfig(max_outer=600)
         trace = i2piano_solve(p, np.zeros(20), cfg)
         Ls = trace.column("L_or_gamma")
@@ -196,7 +196,7 @@ class TestSolve:
         from inertiafb.problem import NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         with pytest.raises(ValueError):
             i2piano_solve(p, np.array([-1.0]), I2PianoConfig())
 

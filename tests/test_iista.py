@@ -44,7 +44,7 @@ class TestBacktracking:
         f0 = SmoothOracle(lambda x: 5.0 * float(np.dot(x - t, x - t)),
                           lambda x: 10.0 * (x - t))
         f1 = xi_term(ZeroFunction(), 4)
-        p = CompositeProblem(f0, f1, 4)
+        p = CompositeProblem(f0, f1)
         trace = iista_solve(p, np.ones(4), IistaConfig(L0=1.0, max_outer=5))
         assert trace.rows[0]["backtracks"] >= 1
         assert trace.rows[0]["L_or_gamma"] >= 1.5
@@ -58,7 +58,7 @@ class TestBacktracking:
     def test_broken_gradient_hits_L_max(self):
         f0 = SmoothOracle(lambda x: float(np.sum(x ** 2)), lambda x: -x)
         f1 = xi_term(ZeroFunction(), 2)
-        p = CompositeProblem(f0, f1, 2)
+        p = CompositeProblem(f0, f1)
         with pytest.raises(SolverError):
             iista_solve(p, np.ones(2), IistaConfig())
 
@@ -93,7 +93,7 @@ class TestSolve:
         from inertiafb.problem import NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         with pytest.raises(ValueError):
             iista_solve(p, np.array([-1.0]))
 

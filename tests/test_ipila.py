@@ -112,7 +112,7 @@ class TestArmijo:
         f0 = SmoothOracle(lambda x: 8.0 * float(x[0] ** 2),
                           lambda x: 16.0 * np.asarray(x, dtype=float))
         f1 = xi_term(ZeroFunction(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         x = np.array([1.0])
         s = x.copy()
         alpha = 0.12
@@ -137,7 +137,7 @@ class TestArmijo:
         calls = []
         f0 = SmoothOracle(lambda x: (calls.append(1), 0.5 * float(x @ x))[1],
                           lambda x: x)
-        p = CompositeProblem(f0, xi_term(ZeroFunction(), 1), 1)
+        p = CompositeProblem(f0, xi_term(ZeroFunction(), 1))
         x, y = np.array([0.4]), np.array([0.1])
         d = y - x
         assert (x + d).tobytes() != y.tobytes()
@@ -176,7 +176,7 @@ class TestStep:
                           lambda v: 16.0 * v,
                           forward_fn=lambda x: (seen.append(x.tobytes()),
                                                 x.copy())[1])
-        p = CompositeProblem(f0, xi_term(ZeroFunction(), 1), 1)
+        p = CompositeProblem(f0, xi_term(ZeroFunction(), 1))
         cfg = IPilaConfig(variant="strict-alg3", alpha_max=0.5, beta_max=0.0,
                           tau=0.0)
         st = fb.start(p, np.ones(1), eval_f, cfg.L0)
@@ -231,7 +231,7 @@ class TestStep:
         f0 = SmoothOracle(lambda x: 20.0 * float(np.dot(x, x)),
                           lambda x: 40.0 * np.asarray(x, dtype=float))
         f1 = xi_term(ZeroFunction(), 2)
-        p = CompositeProblem(f0, f1, 2)
+        p = CompositeProblem(f0, f1)
         cfg = IPilaConfig(variant="practical-sec5", L0=1.0, tau=0.0)
         st = fb.start(p, np.ones(2), eval_f, cfg.L0)
         new = ipila_step(p, st, cfg)

@@ -39,13 +39,13 @@ class TestEvalF:
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
         f1 = StructuredConvexTerm(IdentityOp(n), L1Norm(1.0), ZeroFunction(),
                                   op_norm_sq_bound=1.0)
-        p = CompositeProblem(f0, f1, n)
+        p = CompositeProblem(f0, f1)
         assert eval_f(p, np.array([1.0, -2.0])) == pytest.approx(5.5)
 
     def test_indicator_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         assert eval_f(p, np.array([-1.0])) == np.inf
         assert eval_f(p, np.array([2.0])) == 0.0
 
@@ -181,14 +181,13 @@ class TestStructuredTerm:
                                  ZeroFunction())
 
     def test_sizes_are_the_operators(self):
-        # n = 7 against IdentityOp(5) used to build, read f = 10.5 and only
-        # fail in a solver's broadcast
+        # a problem size of 7 against IdentityOp(5) used to build, read
+        # f = 10.5 and only fail in a solver's broadcast; the size is now
+        # the operator's
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
         term = StructuredConvexTerm(IdentityOp(5), L1Norm(1.0), ZeroFunction(),
                                     op_norm_sq_bound=1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            CompositeProblem(f0, term, 7)
-        assert CompositeProblem(f0, term, 5).n == 5
+        assert CompositeProblem(f0, term).n == 5
 
 
 class TestCheckGradient:
@@ -203,7 +202,7 @@ class TestCheckGradient:
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)),
                           lambda x: 2.0 * x)
         f1 = xi_term(ZeroFunction(), 3)
-        p = CompositeProblem(f0, f1, 3)
+        p = CompositeProblem(f0, f1)
         rep = check_gradient(p, np.array([1.0, 2.0, 3.0]))
         assert rep.max_rel_error > 1e-2
 

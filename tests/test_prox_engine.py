@@ -58,7 +58,7 @@ class TestEvalH:
     def test_infinite_outside_domain(self):
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         assert eval_h(p, np.array([1.0]), np.array([1.0]), 1.0, 0.0,
                       np.array([-1.0])) == np.inf
 
@@ -138,7 +138,7 @@ class TestSolveInexactProx:
         op = MatrixOp(np.vstack([0.1 * np.eye(n), 0.2 * np.eye(n)]))
         f1 = StructuredConvexTerm(op, L1Norm(1.0), ZeroFunction(),
                                   op_norm_sq_bound=0.05)
-        p = CompositeProblem(f0, f1, n)
+        p = CompositeProblem(f0, f1)
         x = rng.standard_normal(n)
         # at tau > 0 iterate 0 already certifies and no dual step is taken
         q = prox_query(p, x, x, 1.0, 0.0, 0.0, abs_tol=1e-10, max_inner=5000)
@@ -241,7 +241,7 @@ class TestSolveInexactProx:
         # g = 0 keeps the dual at 0, where the candidate is the exact prox
         f0 = SmoothOracle(lambda x: 0.5 * float(np.dot(x, x)), lambda x: x)
         f1 = xi_term(NonnegIndicator(), 2)
-        p = CompositeProblem(f0, f1, 2)
+        p = CompositeProblem(f0, f1)
         x = np.array([1.0, -0.0])
         q = prox_query(p, x, x, 0.5, 0.0, 1e6)
         res = solve_inexact_prox(p, q)
@@ -264,7 +264,7 @@ class TestSolveInexactProx:
         # raised before any dual iterate, by the engine and not the query
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
-        p = CompositeProblem(f0, f1, 1)
+        p = CompositeProblem(f0, f1)
         q = prox_query(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0, 0.0)
         seen = []
         with pytest.raises(EngineError, match="outside dom"):
@@ -297,7 +297,7 @@ def _tv_denoising_problem(shape=(16, 16), seed=0):
                       lambda x: x - b)
     f1 = StructuredConvexTerm(op, imaging.GroupL2(0.25), NonnegIndicator(),
                               op_norm_sq_bound=8.0)
-    return CompositeProblem(f0, f1, n), op, rng
+    return CompositeProblem(f0, f1), op, rng
 
 
 class TestOneAdjointPerInnerIteration:
@@ -544,7 +544,7 @@ class TestReusedBuffers:
                           lambda x: x - b)
         f1 = StructuredConvexTerm(IdentityOp(n), _IndicatorOfZero(),
                                   ZeroFunction(), op_norm_sq_bound=4.0)
-        p = CompositeProblem(f0, f1, n)
+        p = CompositeProblem(f0, f1)
         queries = [prox_query(p, np.zeros(n), np.full(n, 0.1 * k), 0.5, 0.3,
                               0.01) for k in range(3)]
         for res in self._returned_arrays_survive(p, queries, max_inner=6):
