@@ -20,6 +20,9 @@ it reads or holds one that is not a number; a key no check reads may be
 missing.  The checks derive ``theta`` from the header's ``tau``, as the
 solvers do, and the header holds no ``theta``, so a ``# theta=`` line
 cannot loosen a check.  The Armijo check applies to iPila traces only.
+Each solver's coupling of ``(alpha_k, beta_k)`` to ``L_k`` and iPila's
+Armijo bound are written here once, and the steps call them, so the checks
+``param-identities`` and ``armijo`` replay them with no tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +38,34 @@ _REL_TOL = 1e-9
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
 # iPila's practical coupling never takes alpha_k below this
 ALPHA_MIN = 1e-12
+
+
+def coupling(solver: str, L, cfg):
+    """``(alpha_k, beta_k)`` of ``solver``'s step at ``L_k = L`` from the
+    settings ``cfg``, read as given, so NumPy scalars stay NumPy scalars:
+    the one copy of each policy, which the steps, their config checks and
+    :func:`row_param_identities` call.  iPila-strict's ignores ``L``."""
+    if solver == "i2piano":
+        top = 1.0 + cfg.theta * cfg.omega
+        # the direct form (b-1)/(b-1/2) cancels catastrophically when L_k
+        # dwarfs delta
+        beta = 2.0 * top * (cfg.delta - cfg.gamma) \
+            / (L + 4.0 * cfg.delta - 2.0 * cfg.gamma)
+        return (top - 2.0 * beta) / (L + 2.0 * cfg.gamma), beta
+    if solver == "ipila-practical":
+        b = (L + 2.0 * cfg.delta) / (L + 2.0 * cfg.gamma)
+        beta = (b - 1.0) / (b - 0.5)
+        alpha = 2.0 * (1.0 - beta) / (L + 2.0 * cfg.gamma)
+        return min(max(alpha, ALPHA_MIN), cfg.alpha_max), beta
+    if solver == "ipila-strict":
+        return cfg.alpha_max, cfg.beta_max
+    return 1.0 / L, 0.0
+
+
+def armijo_bound(phi0, sigma, lam, delta_k):
+    """iPila's bound ``phi0 + sigma lambda Delta_k`` on the merit of a step
+    of length ``lambda`` from merit ``phi0``, the one copy."""
+    return phi0 + sigma * lam * delta_k
 
 
 @dataclass
@@ -79,6 +110,15 @@ def _meta(meta: dict, key: str) -> float:
         return float(meta[key])
     except ValueError:
         raise ValueError(f"bad {key} value {meta[key]!r}") from None
+
+
+@dataclass
+class _Header:
+    """The header's values as config attributes, ``theta`` from ``tau``."""
+    meta: dict
+
+    def __getattr__(self, key: str) -> float:
+        return _theta(self.meta) if key == "theta" else _meta(self.meta, key)
 
 
 def _theta(meta: dict) -> float:
@@ -194,54 +234,29 @@ def row_duality_gap(meta, prev, row):
 
 
 def row_param_identities(meta, prev, row):
-    """Replays the algebraic coupling between alpha_k, beta_k and L_k;
-    iPila-practical's step reads the ``L_k`` that ``prev`` left, or the
-    header's ``L0``, with the ``ALPHA_MIN`` floor and the ``alpha_max``
-    clamp, so every row is checked, also where every ``beta_k`` is 0."""
-    kind = _solver(meta)
-    L, a, bta = row["L_or_gamma"], row["alpha_k"], row["beta_k"]
-    if kind == "i2piano":
-        delta, gamma = _meta(meta, "delta"), _meta(meta, "gamma")
-        top = 1.0 + _theta(meta) * _meta(meta, "omega")
-        b = (L + 2.0 * delta) / (L + 2.0 * gamma)
-        beta_e = 0.5 * top * (b - 1.0) / (b - 0.5)
-        alpha_e = (top - 2.0 * beta_e) / (L + 2.0 * gamma)
-        # identity chain: (1+theta*omega)/(2a) - L/2 - beta/(2a) = delta
-        lhs = top / (2.0 * a) - L / 2.0 - bta / (2.0 * a)
-        errors = (abs(bta - beta_e) / (1.0 + abs(beta_e)),
-                  abs(a - alpha_e) / (1.0 + abs(alpha_e)),
-                  abs(lhs - delta) / (1.0 + abs(delta)),
-                  abs(delta - bta / (2.0 * a) - gamma) / (1.0 + gamma))
-    elif kind == "ipila-practical":
-        gamma, delta = _meta(meta, "gamma"), _meta(meta, "delta")
+    """``|alpha_k - alpha|`` and ``|beta_k - beta|``, the :func:`coupling`
+    at the row's ``L_or_gamma`` replayed; iPila-practical's step reads the
+    ``L_k`` that ``prev`` left, or the header's ``L0``."""
+    kind, L = _solver(meta), row["L_or_gamma"]
+    if kind == "ipila-practical":
         L = _meta(meta, "L0") if prev is None else prev["L_or_gamma"]
-        b = (L + 2.0 * delta) / (L + 2.0 * gamma)
-        beta_e = (b - 1.0) / (b - 0.5)
-        alpha_e = min(max(2.0 * (1.0 - beta_e) / (L + 2.0 * gamma),
-                          ALPHA_MIN), _meta(meta, "alpha_max"))
-        errors = (abs(a - alpha_e) / (1.0 + alpha_e),
-                  abs(bta - beta_e) / (1.0 + abs(beta_e)))
-    elif kind == "ipila-strict":
-        a_max, b_max = _meta(meta, "alpha_max"), _meta(meta, "beta_max")
-        errors = (abs(a - a_max) / (1.0 + a_max),
-                  abs(bta - b_max) / (1.0 + b_max))
-    else:
-        errors = (abs(a * L - 1.0), abs(bta))
-    return [(row["k"], e - _REL_TOL) for e in errors]
+    alpha, beta = coupling(kind, L, _Header(meta))
+    return [(row["k"], abs(row["alpha_k"] - alpha)),
+            (row["k"], abs(row["beta_k"] - beta))]
 
 
 def row_armijo(meta, prev, row):
-    """Merit Armijo inequality on an accepted iPila step; a lambda_k that
-    is not a positive number gives a NaN residual."""
+    """Merit Armijo inequality ``phi <=`` :func:`armijo_bound` on an
+    accepted iPila step; a lambda_k that is not a positive number gives a
+    NaN residual."""
     if not _solver(meta).startswith("ipila"):
         raise ValueError("armijo applies to iPila traces only")
-    phi0 = _phi_before(meta, prev)
     lam = row["lambda_k"]
     if not (math.isfinite(lam) and lam > 0.0):
         return [(row["k"], math.nan)]
-    bound = phi0 + _meta(meta, "sigma") * lam * row["delta_k"]
-    tol = _REL_TOL * (1.0 + abs(phi0))
-    return [(row["k"], (row["phi"] - bound - tol) / (1.0 + abs(phi0)))]
+    bound = armijo_bound(_phi_before(meta, prev), _meta(meta, "sigma"), lam,
+                         row["delta_k"])
+    return [(row["k"], row["phi"] - bound)]
 
 
 def row_merit(meta, prev, row):

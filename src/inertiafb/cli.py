@@ -6,7 +6,7 @@ Subcommands:
                report.txt, summary.txt and restored images.
 * ``suite``    run several solvers on the same problem concurrently (one
                worker process each, at most the CPU count at once), each
-               writing a ``run`` directory.
+               writing a ``run`` directory; none starts after a failure.
 * ``fstar``    long suite run that records the smallest final objective
                value, for later relative-gap reporting.
 * ``certify``  replay the certifier over an existing trace.csv.
@@ -33,7 +33,7 @@ import multiprocessing
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from inertiafb import imaging
 from inertiafb.certify import SOLVERS, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
-from inertiafb.ipila import IPilaConfig, ipila_solve
+from inertiafb.ipila import VARIANTS, IPilaConfig, ipila_solve
 from inertiafb.problem import (CompositeProblem, DomainError, IdentityOp,
                                L1Norm, SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
@@ -298,8 +298,7 @@ def _solver_config(cfg: dict):
     values = {f.name: _number(cfg, f.name) for f in dataclasses.fields(cls)
               if f.name in cfg and f.name in SOLVER_KEYS}
     if cls is IPilaConfig:
-        values["variant"] = ("strict-alg3" if name == "ipila-strict"
-                             else "practical-sec5")
+        values["variant"] = next(v for v, s in VARIANTS.items() if s == name)
     return solve, cls(**values)
 
 
@@ -360,11 +359,19 @@ def cmd_suite(cfg: dict) -> int:
     jobs = [(dict(cfg, solver=s), base / s) for s in _solver_names(cfg)]
     for job, _ in jobs:  # each solver's settings, checked before any solve
         _solver_config(job)
-    # one worker process per GIL-bound solver run, at most one per CPU
+    # one worker process per GIL-bound solver run, at most one per CPU; a
+    # job starts only on a free worker while no solve has failed
+    workers, futures = min(len(jobs), os.cpu_count() or 1), []
     with ProcessPoolExecutor(
-            max_workers=min(len(jobs), os.cpu_count() or 1),
+            max_workers=workers,
             mp_context=multiprocessing.get_context(START_METHOD)) as pool:
-        results = list(pool.map(_suite_worker, jobs))
+        for job in jobs:
+            if len(busy := [f for f in futures if not f.done()]) == workers:
+                wait(busy, return_when=FIRST_COMPLETED)
+            if any(f.done() and f.exception() for f in futures):
+                break
+            futures.append(pool.submit(_suite_worker, job))
+    results = [f.result() for f in futures]
     best = min(f for _, f in results)
     base.mkdir(parents=True, exist_ok=True)
     with open(base / "fstar.txt", "w") as fh:

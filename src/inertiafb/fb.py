@@ -9,11 +9,13 @@ the start at ``x0``, the certified prox call, the Lipschitz backtracking
 step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
 the trace header from the solver's config, applies the stop rule and checks
 every row it appends with the row functions :mod:`inertiafb.certify`
-replays, so each inequality is written once.  A solver module is its config
-class and its step.  Each solver evaluates ``f0``, ``grad f0`` and ``f1``
-once per point and computes each step once: iPila's line search adds its
-trial points, each evaluated once, and iPila's ``stationary`` row, a run's
-last, evaluates ``f0`` at a prox point it does not take.
+replays, so each inequality is written once, and so is each solver's
+coupling of ``(alpha_k, beta_k)`` to ``L_k``: ``certify.coupling``.  A
+solver module is its config class and its step.  Each solver evaluates
+``f0``, ``grad f0`` and ``f1`` once per point and computes each step once:
+iPila's line search adds its trial points, each evaluated once, and iPila's
+``stationary`` row, a run's last, evaluates ``f0`` at a prox point it does
+not take.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from inertiafb.certify import row_checks
+from inertiafb.certify import coupling, row_checks
 from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import CSV_COLUMNS, Trace
@@ -76,11 +78,11 @@ class Config:
         return theta_from_tau(self.tau)
 
 
-def check_coupling(alpha_at: Callable, cfg: Config, *Ls: float) -> None:
-    """Raise ValueError unless ``alpha_at(L, cfg)``, the step a policy
-    couples to ``L_k = L``, is positive at each of ``Ls`` with every value
-    it computes on the way finite.  It runs on NumPy scalars, whose overflow
-    or invalid operation (``inf - inf``, say) raises here."""
+def check_coupling(solver: str, cfg: Config, *Ls: float) -> None:
+    """Raise ValueError unless ``certify.coupling(solver, L, cfg)``'s
+    ``alpha_k`` is positive at each of ``Ls`` with every value it computes
+    on the way finite.  It runs on NumPy scalars, whose overflow or invalid
+    operation (``inf - inf``, say) raises here."""
     probe = SimpleNamespace(theta=np.float64(cfg.theta), **{
         k: np.float64(v) if isinstance(v, float) else v
         for k, v in vars(cfg).items()})
@@ -89,7 +91,7 @@ def check_coupling(alpha_at: Callable, cfg: Config, *Ls: float) -> None:
                    f"coupling at L_k = {L:g}")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                alpha = alpha_at(np.float64(L), probe)
+                alpha, _ = coupling(solver, np.float64(L), probe)
         except FloatingPointError as exc:
             raise ValueError(f"{setting} is not finite ({exc})") from None
         if not alpha > 0:
@@ -184,18 +186,19 @@ def prox(problem: CompositeProblem, it: Iterate, cfg: Config, alpha: float,
 
 
 def backtrack(problem: CompositeProblem, it: Iterate, cfg: Config,
-              params: Callable[[float], tuple], engine, L: float) -> Iterate:
+              solver: str, engine, L: float) -> Iterate:
     """The step from ``it`` accepted by the local descent test.
 
-    Starting from the estimate ``L``, ``params(L)`` gives ``(alpha, beta)``
-    and ``L`` grows by ``cfg.eta`` until ``f0(y) <= f0(x) + <grad f0(x),
-    y - x> + (L/2) ||y - x||^2``.  The returned iterate sits at ``(y, x)``
-    with merit ``f(y)``; the caller sets its anchor, merit and ``d_k``.
+    Starting from the estimate ``L``, ``certify.coupling(solver, L, cfg)``
+    gives ``(alpha, beta)`` and ``L`` grows by ``cfg.eta`` until ``f0(y) <=
+    f0(x) + <grad f0(x), y - x> + (L/2) ||y - x||^2``.  The returned
+    iterate sits at ``(y, x)`` with merit ``f(y)``; the caller sets its
+    anchor, merit and ``d_k``.
     """
     g = problem.f0.grad(it.x_curr, it.f0_fwd)
     backtracks = inner = 0
     while True:
-        alpha, beta = params(L)
+        alpha, beta = coupling(solver, L, cfg)
         new = prox(problem, it, cfg, alpha, beta, g, engine)
         inner += new.prox.inner_iters
         rhs = (it.f0_val + float(np.dot(g, new.prox.y_step))

@@ -2,8 +2,9 @@
 
 The prox step, its backtracking on the Lipschitz estimate L_k and the
 driver, with its stop rule and trace header, are the shared core
-(:mod:`inertiafb.fb`).  What stays here is the config and the step: the
-parameter policy, which couples L_k to the step size and inertial weight,
+(:mod:`inertiafb.fb`).  What stays here is the config and the step.  The
+parameter policy, ``certify.coupling``, which certify's ``param-identities``
+replays, couples L_k to the step size and inertial weight,
 
     b_k     = (L_k + 2 delta) / (L_k + 2 gamma)
     beta_k  = (1 + theta*omega)/2 * (b_k - 1) / (b_k - 1/2)
@@ -58,20 +59,7 @@ class I2PianoConfig(fb.Config):
             raise ValueError("omega in [0,1) for tau>0, [0,1] for tau=0")
         # L_k lies in [fb.L_MIN, fb.L_MAX]: the coupling's sums grow with
         # L_k, and its cancellation in top - 2 beta worsens as L_k falls
-        fb.check_coupling(lambda L, cfg: compute_params(L, cfg)[2], self,
-                          fb.L_MIN, fb.L_MAX)
-
-
-def compute_params(L_k: float, cfg: I2PianoConfig):
-    """Per-iteration couplings ``(b_k, beta_k, alpha_k)`` from ``L_k``."""
-    top = 1.0 + cfg.theta * cfg.omega
-    b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma)
-    # (b-1)/(b-1/2) rewritten over the common denominator; the direct form
-    # cancels catastrophically when L_k dwarfs delta
-    beta = 2.0 * top * (cfg.delta - cfg.gamma) \
-        / (L_k + 4.0 * cfg.delta - 2.0 * cfg.gamma)
-    alpha = (top - 2.0 * beta) / (L_k + 2.0 * cfg.gamma)
-    return b, beta, alpha
+        fb.check_coupling("i2piano", self, fb.L_MIN, fb.L_MAX)
 
 
 def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
@@ -79,12 +67,7 @@ def i2piano_step(problem: CompositeProblem, state: fb.Iterate,
     L, streak = state.L_or_gamma, state.streak
     if streak >= SHRINK_STREAK:
         L, streak = max(fb.L_MIN, L / cfg.eta), 0
-
-    def params(L_k):
-        _, beta, alpha = compute_params(L_k, cfg)
-        return alpha, beta
-
-    new = fb.backtrack(problem, state, cfg, params, solve_inexact_prox, L)
+    new = fb.backtrack(problem, state, cfg, "i2piano", solve_inexact_prox, L)
     # ||x - s||^2: x is the last prox point and s the point its step began
     d_sq = (cfg.gamma * state.prox.y_step_sq
             - (1.0 - cfg.omega) * new.prox.h_value)

@@ -3,10 +3,10 @@
 Plain proximal-gradient iteration without inertia on the shared core
 (:mod:`inertiafb.fb`): the same inexact prox engine, local descent test and
 driver as i2Piano, with backtracking that keeps ``L_k`` nondecreasing
-(i2Piano's also shrinks it).  What stays here is the step: the parameter
-policy ``alpha_k = 1/L_k``, ``beta_k = 0``, with ``f`` as merit and
-``||x^{k+1} - x^k||`` as ``d_k``.  Serves as the comparator against the two
-inertial solvers.
+(i2Piano's also shrinks it), and the parameter policy ``alpha_k = 1/L_k``,
+``beta_k = 0`` is ``certify.coupling``'s.  What stays here is the step,
+with ``f`` as merit and ``||x^{k+1} - x^k||`` as ``d_k``.  Serves as the
+comparator against the two inertial solvers.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class IistaConfig(fb.Config):
 
 def iista_step(problem: CompositeProblem, state: fb.Iterate,
                cfg: IistaConfig) -> fb.Iterate:
-    new = fb.backtrack(problem, state, cfg, lambda L: (1.0 / L, 0.0),
-                       solve_inexact_prox, state.L_or_gamma)
+    new = fb.backtrack(problem, state, cfg, "iista", solve_inexact_prox,
+                       state.L_or_gamma)
     new.s_curr = new.x_curr
     new.d_k = math.sqrt(new.prox.y_step_sq)  # x^{k+1} is the prox point
     return new

@@ -28,9 +28,11 @@ to a running Lipschitz estimate ``L_k``, tests acceptance of ``(y, x)`` with
 that test fails (without recomputing ``y`` in the same iteration).
 
 The prox call, the iterate and the driver, with its stop rule and trace
-header, are the shared core (:mod:`inertiafb.fb`); this module keeps the
-config and the step: the two parameter policies, the merit, the Armijo
-search and the choice between its branches.
+header, are the shared core (:mod:`inertiafb.fb`), and the two parameter
+policies and the Armijo bound are ``certify.coupling`` and
+``certify.armijo_bound``, which certify replays; this module keeps the
+config and the step: the merit, the Armijo search and the choice between
+its branches.
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from inertiafb import fb
-from inertiafb.certify import ALPHA_MIN
+from inertiafb.certify import ALPHA_MIN, armijo_bound, coupling
 from inertiafb.problem import CompositeProblem, SolverError, eval_f
 from inertiafb.prox_engine import ProxResult, solve_inexact_prox
 from inertiafb.trace import Trace
 
-VARIANTS = ("strict-alg3", "practical-sec5")
+# each variant's solver name, which the trace header, the coupling and the
+# CLI read
+VARIANTS = {"strict-alg3": "ipila-strict", "practical-sec5": "ipila-practical"}
 
 
 @dataclass(kw_only=True)
@@ -75,14 +79,13 @@ class IPilaConfig(fb.Config):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if self.variant == "practical-sec5":
             # the practical coupling's beta is nonnegative only for these
             if self.delta < self.gamma:
                 raise ValueError("practical-sec5 needs delta >= gamma")
             # L_k >= L0, where b_k is largest
-            fb.check_coupling(lambda L, cfg: _practical_params(L, cfg)[0],
-                              self, self.L0)
+            fb.check_coupling("ipila-practical", self, self.L0)
 
 
 def phi_value(problem: CompositeProblem, x: np.ndarray,
@@ -145,19 +148,11 @@ def armijo_linesearch(problem: CompositeProblem, x: np.ndarray, s: np.ndarray,
         evals += 1
         d = xt - st
         phi_t = f0 + f1 + 0.5 * float(np.dot(d, d))
-        if phi_t <= phi0 + sigma * lam * delta_k:
+        if phi_t <= armijo_bound(phi0, sigma, lam, delta_k):
             return lam, xt, st, evals, fwd, f0, f1, phi_t
         lam *= ls_shrink
     raise SolverError("Armijo search exhausted max_halvings; gradient or "
                       "subproblem value is inconsistent")
-
-
-def _practical_params(L_k: float, cfg: IPilaConfig):
-    b = (L_k + 2.0 * cfg.delta) / (L_k + 2.0 * cfg.gamma)
-    beta = (b - 1.0) / (b - 0.5)
-    alpha = 2.0 * (1.0 - beta) / (L_k + 2.0 * cfg.gamma)
-    alpha = min(max(alpha, ALPHA_MIN), cfg.alpha_max)
-    return alpha, beta
 
 
 def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
@@ -165,10 +160,7 @@ def ipila_step(problem: CompositeProblem, state: fb.Iterate, cfg: IPilaConfig,
                ) -> fb.Iterate:
     x, s = state.x_curr, state.s_curr
     practical = cfg.variant == "practical-sec5"
-    if practical:
-        alpha, beta = _practical_params(state.L_or_gamma, cfg)
-    else:
-        alpha, beta = cfg.alpha_max, cfg.beta_max
+    alpha, beta = coupling(VARIANTS[cfg.variant], state.L_or_gamma, cfg)
     gamma_k = cfg.gamma
 
     new = fb.prox(problem, state, cfg, alpha, beta,
@@ -199,7 +191,8 @@ def _accept(problem, state, new, cfg, practical, gamma_k, anchor):
     phi_yx = new.f + 0.5 * new.prox.y_step_sq
 
     # practical: lambda = 1 acceptance test, tried before any line search
-    inertial = practical and phi_yx <= state.phi + cfg.sigma * delta_k
+    inertial = practical and phi_yx <= armijo_bound(state.phi, cfg.sigma,
+                                                    1.0, delta_k)
     if practical and not inertial:
         new.L_or_gamma = state.L_or_gamma * cfg.eta
     if not inertial:
@@ -213,7 +206,7 @@ def _accept(problem, state, new, cfg, practical, gamma_k, anchor):
                 y=new.x_curr, fwd_y=new.f0_fwd, f0_y=new.f0_val,
                 f1_y=new.f1_val)
         new.lambda_k, new.backtracks = lam, evals - 1
-        inertial = phi_yx <= state.phi + cfg.sigma * lam * delta_k
+        inertial = phi_yx <= armijo_bound(state.phi, cfg.sigma, lam, delta_k)
 
     if inertial:
         new.phi, new.accepted_branch = phi_yx, "inertial"
@@ -230,6 +223,5 @@ def ipila_solve(problem: CompositeProblem, x0: np.ndarray,
     after)``, when given, observes each accepted transition.
     """
     cfg = cfg or IPilaConfig()
-    solver = ("ipila-strict" if cfg.variant == "strict-alg3"
-              else "ipila-practical")
-    return fb.run(problem, x0, eval_f, cfg, solver, ipila_step, on_step)
+    return fb.run(problem, x0, eval_f, cfg, VARIANTS[cfg.variant], ipila_step,
+                  on_step)

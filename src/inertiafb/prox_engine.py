@@ -71,7 +71,7 @@ class ProxQuery:
     f0_x: float  # f0(x)
     f1_x: float  # f1(x)
     grad_x: np.ndarray  # grad f0(x)
-    max_inner: int = 2000
+    max_inner: int
     abs_tol: Optional[float] = None
 
     # an overflow leaves v, xbar or c non-finite, which no stop test accepts

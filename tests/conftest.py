@@ -4,6 +4,7 @@ import numpy as np
 from scipy import ndimage
 
 from inertiafb.cli import build_problem
+from inertiafb.fb import Config
 from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, ProxFunction, SmoothOracle,
                                StructuredConvexTerm, ZeroFunction)
@@ -89,7 +90,9 @@ def xi_term(xi, n):
 
 def prox_query(p, x, s, alpha, beta, tau, **settings):
     """The ``ProxQuery`` at ``(x, s)`` with ``f0(x)``, ``f1(x)`` and ``grad
-    f0(x)`` evaluated on ``p``, as ``fb.prox`` passes them."""
+    f0(x)`` evaluated on ``p``, as ``fb.prox`` passes them; ``max_inner``
+    is ``fb.Config``'s unless ``settings`` holds one."""
+    settings.setdefault("max_inner", Config.max_inner)
     return ProxQuery(x=x, s=s, alpha=alpha, beta=beta, tau=tau,
                      f0_x=p.f0.value(x), f1_x=p.f1.value(x),
                      grad_x=p.f0.grad(x), **settings)

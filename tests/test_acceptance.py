@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from inertiafb import cli, imaging
-from inertiafb.certify import check
-from inertiafb.i2piano import I2PianoConfig, compute_params, i2piano_solve
+from inertiafb.certify import check, coupling
+from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve, phi_value
 from inertiafb.problem import (CompositeProblem, ZeroFunction,
@@ -160,7 +160,7 @@ def test_criterion_04_parameter_identities_random_tuples(capfd):
         omega = rng.uniform(0.0, 1.0) if tau > 0 else rng.uniform(0.0, 1.0001)
         omega = min(omega, 1.0 if tau == 0 else 0.999999)
         cfg = I2PianoConfig(delta=delta, gamma=gamma, tau=tau, omega=omega)
-        b, beta, alpha = compute_params(L, cfg)
+        alpha, beta = coupling("i2piano", L, cfg)
         top = 1.0 + cfg.theta * omega
         # residuals measured relative to the magnitude of the terms in the
         # identity; the terms scale with L, so an absolute reading of the

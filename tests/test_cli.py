@@ -865,6 +865,22 @@ class TestSuiteAndFstar:
         assert capsys.readouterr().err.startswith("config error: delta = ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["suite", "fstar"])
+    def test_a_solver_failure_starts_no_other_solver(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # with one worker, iista used to be solved and written after
+        # ipila-strict had failed
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        out = tmp_path / "out"
+        assert run_cli(command, "--problem", "synthetic-quadratic-l1",
+                       "--alpha_max", "1e200", "--max_outer", "4",
+                       "--fstar_iters", "4", "--solvers", "ipila-strict,iista",
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: ipila-strict: prox engine at a fixed point with "
+            "h not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("iters", ["0", "-2"])
     def test_fstar_iters_below_one_names_fstar_iters(self, tmp_path, capsys,
                                                      iters):
@@ -1027,6 +1043,53 @@ class TestCertifyCommand:
         report = capsys.readouterr().out
         assert "param-identities.status=fail" in report
         assert "param-identities.worst_k=0" in report
+
+    @pytest.mark.parametrize("key", ["alpha_k", "beta_k"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_certify_replays_the_coupling_to_the_bit(self, tmp_path, capsys,
+                                                     solver, key):
+        # param-identities allowed a relative slack of 1e-9, so a row one
+        # ulp off its solver's coupling certified; it now replays the
+        # solvers' own coupling with no tolerance
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--max_outer", "30",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        trace = Trace.read_csv(path)
+        row = trace.rows[1]
+        row[key] = math.nextafter(row[key], math.inf)
+        trace.write_csv(path)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 4
+        report = capsys.readouterr().out
+        assert "param-identities.status=fail" in report
+        assert f"param-identities.worst_k={row['k']}" in report
+
+    @pytest.mark.parametrize("solver", ["ipila-strict", "ipila-practical"])
+    def test_certify_replays_the_armijo_bound_to_the_bit(self, tmp_path,
+                                                         capsys, solver):
+        # armijo allowed a slack of 1e-9 (1 + |phi_{k-1}|); a last row's
+        # phi at phi_{k-1} + sigma lambda_k Delta_k passes it, one ulp
+        # above fails it
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--max_outer", "30",
+                       "--out", str(out)) == 0
+        path = out / "trace.csv"
+        trace = Trace.read_csv(path)
+        prev, row = trace.rows[-2], trace.rows[-1]
+        bound = (prev["phi"] + float(trace.meta["sigma"]) * row["lambda_k"]
+                 * row["delta_k"])
+        row["phi"] = bound
+        trace.write_csv(path)
+        capsys.readouterr()
+        run_cli("certify", str(path))
+        assert "armijo.status=pass" in capsys.readouterr().out
+        row["phi"] = math.nextafter(bound, math.inf)
+        trace.write_csv(path)
+        assert run_cli("certify", str(path)) == 4
+        report = capsys.readouterr().out
+        assert "armijo.status=fail" in report
+        assert f"armijo.worst_k={row['k']}" in report
 
     def test_certify_unparsable_value_exits_2(self, tmp_path, capsys):
         # used to end in "could not convert string to float"

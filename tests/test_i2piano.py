@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from inertiafb import fb, i2piano
-from inertiafb.certify import summarize
-from inertiafb.fb import L_MIN
-from inertiafb.i2piano import (I2PianoConfig, compute_params, i2piano_solve,
-                               i2piano_step)
+from inertiafb.certify import coupling, summarize
+from inertiafb.fb import L_MAX, L_MIN
+from inertiafb.i2piano import I2PianoConfig, i2piano_solve, i2piano_step
 from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                SmoothOracle, SolverError, StructuredConvexTerm,
                                ZeroFunction, eval_f)
@@ -19,21 +18,20 @@ def cfg_exact(**kw):
     return I2PianoConfig(**kw)
 
 
-class TestComputeParams:
+class TestCoupling:
     def test_theta_one_at_tau_zero(self):
         assert cfg_exact().theta == pytest.approx(1.0, abs=1e-15)
 
     def test_delta_equals_gamma_kills_inertia(self):
         cfg = I2PianoConfig(delta=1e-3, gamma=1e-3)
-        b, beta, alpha = compute_params(2.0, cfg)
-        assert b == pytest.approx(1.0)
-        assert beta == pytest.approx(0.0)
+        alpha, beta = coupling("i2piano", 2.0, cfg)
+        assert beta == 0.0
         assert alpha == pytest.approx((1 + cfg.theta * cfg.omega) / (2 + 2e-3))
 
     def test_worked_example(self):
         cfg = cfg_exact(delta=0.5, gamma=1e-5)
-        b, beta, alpha = compute_params(1.0, cfg)
-        assert b == pytest.approx(2.0 / 1.00002, rel=1e-9)
+        alpha, beta = coupling("i2piano", 1.0, cfg)
+        b = 2.0 / 1.00002
         assert beta == pytest.approx((b - 1.0) / (b - 0.5), rel=1e-9)
         assert beta == pytest.approx(0.66666, abs=1e-4)
         assert alpha == pytest.approx(0.66667, abs=1e-4)
@@ -42,7 +40,7 @@ class TestComputeParams:
     @pytest.mark.parametrize("tau,omega", [(0.0, 1.0), (1e6, 0.95), (2.0, 0.5)])
     def test_identities(self, L, tau, omega):
         cfg = I2PianoConfig(tau=tau, omega=omega)
-        b, beta, alpha = compute_params(L, cfg)
+        alpha, beta = coupling("i2piano", L, cfg)
         top = 1.0 + cfg.theta * omega
         # merit coupling and its two consequences
         assert top / (2 * alpha) - L / 2 - beta / (2 * alpha) == \
@@ -51,6 +49,26 @@ class TestComputeParams:
             pytest.approx(cfg.gamma, rel=1e-12, abs=1e-12)
         assert alpha == pytest.approx((top - beta) / (L + 2 * cfg.delta),
                                       rel=1e-12)
+        assert 0.0 <= beta <= top / 2
+
+    # at the ends of the L range the absolute reading above fails: at L_MAX
+    # the delta identity cancels to about 5e-5 absolute against terms near
+    # 5e11, and at L_MIN top - 2 beta cancels, so alpha carries a relative
+    # error near 1e-11.  These residuals are criterion 4's, relative to the
+    # magnitude of the terms; measured worst 2.6e-12 at L_MIN (tau = 2,
+    # omega = 0.5) and 5e-17 at L_MAX
+    @pytest.mark.parametrize("L,bound", [(L_MIN, 1e-11), (L_MAX, 1e-12)])
+    @pytest.mark.parametrize("tau,omega", [(0.0, 1.0), (1e6, 0.95), (2.0, 0.5)])
+    def test_identities_at_the_ends_of_the_L_range(self, L, bound, tau, omega):
+        cfg = I2PianoConfig(tau=tau, omega=omega)
+        alpha, beta = coupling("i2piano", L, cfg)
+        top = 1.0 + cfg.theta * omega
+        r1 = abs(top / (2 * alpha) - L / 2 - beta / (2 * alpha) - cfg.delta) \
+            / (1.0 + top / (2 * alpha) + L / 2)
+        r2 = abs(cfg.delta - beta / (2 * alpha) - cfg.gamma) \
+            / (1.0 + cfg.delta + beta / (2 * alpha))
+        r3 = abs(alpha - (top - 2 * beta) / (L + 2 * cfg.gamma)) / (1.0 + alpha)
+        assert max(r1, r2, r3) <= bound
         assert 0.0 <= beta <= top / 2
 
 
@@ -83,7 +101,7 @@ class TestStep:
         cfg = cfg_exact(delta=0.5, gamma=1e-5, L0=1.0)
         st = fb.start(p, np.array([1.0]), eval_f, cfg.L0)
         new = i2piano_step(p, st, cfg)
-        _, _, alpha = compute_params(1.0, cfg)
+        alpha, _ = coupling("i2piano", 1.0, cfg)
         assert new.x_curr[0] == pytest.approx(1.0 - alpha, abs=1e-8)
         assert new.x_curr[0] == pytest.approx(0.33333, abs=1e-4)
         assert new.backtracks == 0

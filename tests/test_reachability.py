@@ -39,6 +39,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -106,11 +107,12 @@ Path(sys.argv[1], "ran.json").write_text(json.dumps(
 
 def run_cli(tmp_path):
     """Each problem x solver at size 8 for 3 iterations, certify on each
-    trace, one short fstar, then commands that reach the rarer paths: a
-    config file with a comment, a ``--key=value`` override, a non-square
-    PGM image with a header comment, no impulse noise, a one-row i2Piano
-    trace, one command for each nonzero exit code, and a prox engine at a
-    fixed point of a subproblem that overflows."""
+    trace, one short fstar, one suite on one worker whose first solver
+    fails, then commands that reach the rarer paths: a config file with a
+    comment, a ``--key=value`` override, a non-square PGM image with a
+    header comment, no impulse noise, a one-row i2Piano trace, one command
+    for each nonzero exit code, and a prox engine at a fixed point of a
+    subproblem that overflows."""
     from inertiafb import cli, imaging
     from inertiafb.certify import SOLVERS
 
@@ -134,6 +136,12 @@ def run_cli(tmp_path):
             assert cli.main(["certify", str(out / "trace.csv")]) == 0
     assert cli.main(["fstar", "--fstar_iters", "2", "--solvers", "iista",
                      "--out", str(tmp_path / "fstar")]) == 0
+    # the second job waits for the one worker, and the first one's failure
+    # keeps it from starting
+    with mock.patch.object(cli.os, "cpu_count", return_value=1):
+        assert cli.main(["suite", "--solvers", "ipila-strict,iista",
+                         "--alpha_max", "1e200", "--max_outer", "4",
+                         "--out", str(tmp_path / "suite")]) == 3
     assert cli.main(["run", "--problem", "impulse-l1", "--size", "8",
                      "--noise_fraction", "0", "--max_outer", "1",
                      "--out", str(tmp_path / "clean")]) == 0
