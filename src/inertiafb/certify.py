@@ -6,31 +6,30 @@ quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
 gap certificates of the inexact prox engine, weak duality psi <= h, the
 algebraic couplings between alpha_k, beta_k and the Lipschitz estimate, the
 Armijo inequality, and the tie of the merit value to ``f``.  Each is a row
-function ``(meta, prev, row)`` that returns the residuals ``(k, r)`` of
+function ``(hdr, prev, row)`` that returns the residuals ``(k, r)`` of
 ``row``, the step after ``prev`` (None for the first step), and a residual
-passes only when it is a number ``<= 0``.  ``fb.run`` calls these
-functions on every row it appends and raises on the first that fails, so a
-run that completes passes every check; :func:`summarize` and
-:func:`check` fold the same functions over a trace.  Rows hold
-every ``trace.CSV_COLUMNS`` column, whether a solver wrote them or
-``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
-verdict of the run.  The header's ``solver`` must name one of ``SOLVERS``,
-and a check raises ValueError naming the key when the header lacks a value
-it reads or holds one that is not a number; a key no check reads may be
-missing.  The checks derive ``theta`` from the header's ``tau``, as the
-solvers do, and the header holds no ``theta``, so a ``# theta=`` line
-cannot loosen a check.  The Armijo check applies to iPila traces only.
-Each solver's coupling of ``(alpha_k, beta_k)`` to ``L_k`` and iPila's
-Armijo bound are written here once, and the steps call them, so the checks
+passes only when it is a number ``<= 0``.  ``hdr`` is a :class:`Header`:
+the solver, its config and ``f_init``, the merit at ``x0`` from which the
+first step starts.  ``fb.run`` calls these functions on every row it
+appends, with the config it runs, and raises on the first that fails, so a
+run that completes passes every check; :func:`summarize` and :func:`check`
+fold the same functions over a trace, with the config that :func:`header`
+builds from the trace's header through the solver's own config class, so a
+header value the solver would reject is a bad trace, not a looser check.
+Rows hold every ``trace.CSV_COLUMNS`` column, whether a solver wrote them
+or ``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
+verdict of the run.  The Armijo check applies to iPila traces only.  Each
+solver's coupling of ``(alpha_k, beta_k)`` to ``L_k`` and iPila's Armijo
+bound are written here once, and the steps call them, so the checks
 ``param-identities`` and ``armijo`` replay them with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
-from inertiafb.prox_engine import theta_from_tau
 from inertiafb.trace import Trace
 
 _REL_TOL = 1e-9
@@ -102,43 +101,54 @@ class CertReport:
         return "\n".join(lines) + "\n"
 
 
-def _meta(meta: dict, key: str) -> float:
-    """The header value ``key`` as a float."""
+class Header(typing.NamedTuple):
+    """A run's solver, its config and ``f_init``, the merit at ``x0``."""
+    solver: str
+    cfg: typing.Any
+    f_init: float
+
+
+def _meta(meta: dict, key: str, typ=float):
+    """The header value ``key`` as a ``typ``; an int is written as one."""
     if key not in meta:
         raise ValueError(f"header lacks {key}")
+    value = meta[key]
     try:
-        return float(meta[key])
+        if typ is int and not isinstance(value, int):
+            raise ValueError
+        return typ(value)
     except ValueError:
-        raise ValueError(f"bad {key} value {meta[key]!r}") from None
+        raise ValueError(f"bad {key} value {value!r}") from None
 
 
-@dataclass
-class _Header:
-    """The header's values as config attributes, ``theta`` from ``tau``."""
-    meta: dict
-
-    def __getattr__(self, key: str) -> float:
-        return _theta(self.meta) if key == "theta" else _meta(self.meta, key)
-
-
-def _theta(meta: dict) -> float:
-    """``theta`` from the header's ``tau``."""
-    return theta_from_tau(_meta(meta, "tau"))
-
-
-def _solver(meta: dict) -> str:
-    """The header's ``solver``, one of ``SOLVERS``."""
-    if "solver" not in meta:
-        raise ValueError("header lacks solver")
-    name = meta["solver"]
-    if name not in SOLVERS:
-        raise ValueError(f"bad solver value {name!r}")
-    return name
+def solver_config(solver: str, read):
+    """``solver``'s config, each field from ``read(key, default)`` and
+    iPila's ``variant`` from the name: the one map from the ``SOLVERS`` to
+    their config classes."""
+    # the solver modules import this one, so it imports them when called
+    from inertiafb.i2piano import I2PianoConfig
+    from inertiafb.iista import IistaConfig
+    from inertiafb.ipila import VARIANTS, IPilaConfig
+    cls = {"i2piano": I2PianoConfig, "iista": IistaConfig}.get(solver,
+                                                               IPilaConfig)
+    values = {f.name: read(f.name, f.default)
+              for f in fields(cls) if f.name != "variant"}
+    if cls is IPilaConfig:
+        values["variant"] = next(v for v, s in VARIANTS.items() if s == solver)
+    return cls(**values)
 
 
-def _phi_before(meta: dict, prev) -> float:
-    """The merit value the step after ``prev`` starts from."""
-    return _meta(meta, "phi_init") if prev is None else prev["phi"]
+def header(meta: dict) -> Header:
+    """The :class:`Header` of a trace's ``meta``, which must hold, in this
+    order, ``solver``, one of ``SOLVERS``, ``f_init`` and each field of the
+    solver's config but iPila's ``variant``, of its default's type; a value
+    the config class rejects raises its message.  ``phi_init`` is unread."""
+    solver = _meta(meta, "solver", str)
+    if solver not in SOLVERS:
+        raise ValueError(f"bad solver value {solver!r}")
+    f_init = _meta(meta, "f_init")
+    return Header(solver, solver_config(
+        solver, lambda key, default: _meta(meta, key, type(default))), f_init)
 
 
 def _worst(name: str, residuals) -> CheckResult:
@@ -157,43 +167,41 @@ def _worst(name: str, residuals) -> CheckResult:
                        worst_k=worst_k)
 
 
-def row_H1(meta, prev, row):
+def row_H1(hdr, prev, row):
     """Sufficient decrease: ``phi_{k+1} + a_k d_{k+1}^2 <= phi_k``.
 
     The constant a_k follows the solver: 1 for the backtracking solver,
     sigma times the row's lambda_k for the line-search solver, 0 for the
     baseline, whose d_k is a plain step norm.
     """
-    kind = _solver(meta)
     a_k = 0.0
-    if kind == "i2piano":
+    if hdr.solver == "i2piano":
         a_k = 1.0
-    elif kind.startswith("ipila"):
-        a_k = _meta(meta, "sigma") * row["lambda_k"]
-    phi0 = _phi_before(meta, prev)
+    elif hdr.solver.startswith("ipila"):
+        a_k = hdr.cfg.sigma * row["lambda_k"]
+    phi0 = hdr.f_init if prev is None else prev["phi"]
     d = row["d_k"]
     lhs = row["phi"] + a_k * d * d
     tol = _REL_TOL * (1.0 + abs(phi0))
     return [(row["k"], (lhs - phi0 - tol) / (1.0 + abs(phi0)))]
 
 
-def h4_constants(meta, row):
+def h4_constants(hdr, row):
     """Solver-specific ``(p, k_shift)`` of the step-norm bound read on
     ``row``; iPila's ``p`` takes the row's ``alpha_k``."""
-    kind = _solver(meta)
-    if kind == "i2piano":
-        return 1.0 / math.sqrt(_meta(meta, "gamma")), 1
-    if kind.startswith("ipila"):
-        return math.sqrt(2.0 * row["alpha_k"] / _theta(meta)), 0
+    if hdr.solver == "i2piano":
+        return 1.0 / math.sqrt(hdr.cfg.gamma), 1
+    if hdr.solver.startswith("ipila"):
+        return math.sqrt(2.0 * row["alpha_k"] / hdr.cfg.theta), 0
     return 1.0, 0
 
 
-def row_H4(meta, prev, row):
+def row_H4(hdr, prev, row):
     """Step-norm relates to d: ``||x^{k+1} - x^k|| <= p * d_{k+k'}``, with
     ``(p, k')`` from :func:`h4_constants`.  With ``k' = 1`` the row checks
     the step of ``prev`` against its own d_k, so a trace's last step goes
     unchecked."""
-    p, k_shift = h4_constants(meta, row)
+    p, k_shift = h4_constants(hdr, row)
     stepped = prev if k_shift else row
     if stepped is None:
         return []
@@ -203,69 +211,68 @@ def row_H4(meta, prev, row):
     return [(stepped["k"], (step - bound - tol) / (1.0 + bound))]
 
 
-def row_prox(meta, prev, row):
+def row_prox(hdr, prev, row):
     """Distance and gap certificates of the inexact prox computation:
     ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 / (2 + tau))
     psi`` up to the absolute slack that the engine's stationary branch is
     allowed; ``||y - x||`` is the row's ``y_step_norm``.
     """
-    tau = _meta(meta, "tau")
-    slack = 1e-10 * (1.0 + abs(_meta(meta, "f_init")))
+    slack = 1e-10 * (1.0 + abs(hdr.f_init))
     h = row["h"]
     step = row["y_step_norm"]
-    dist = (_theta(meta) / (2.0 * row["alpha_k"])) * step * step
+    dist = (hdr.cfg.theta / (2.0 * row["alpha_k"])) * step * step
     tol = _REL_TOL * (1.0 + abs(h))
     return [(row["k"], (dist - (-h) - tol) / (1.0 + abs(h))),
-            (row["k"], (h - 2.0 / (2.0 + tau) * row["psi"] - slack - tol)
-             / (1.0 + abs(h)))]
+            (row["k"], (h - 2.0 / (2.0 + hdr.cfg.tau) * row["psi"]
+                        - slack - tol) / (1.0 + abs(h)))]
 
 
-def row_duality_gap(meta, prev, row):
+def row_duality_gap(hdr, prev, row):
     """Weak duality: ``psi <= h``.
 
     The recorded psi carries cancellation noise proportional to the
     objective magnitude, so the check allows the same absolute slack as the
     gap certificate.
     """
-    slack = 1e-10 * (1.0 + abs(_meta(meta, "f_init")))
+    slack = 1e-10 * (1.0 + abs(hdr.f_init))
     h, psi = row["h"], row["psi"]
     tol = slack + 1e-10 * (1.0 + abs(h))
     return [(row["k"], (psi - h - tol) / (1.0 + abs(h)))]
 
 
-def row_param_identities(meta, prev, row):
+def row_param_identities(hdr, prev, row):
     """``|alpha_k - alpha|`` and ``|beta_k - beta|``, the :func:`coupling`
-    at the row's ``L_or_gamma`` replayed; iPila-practical's step reads the
-    ``L_k`` that ``prev`` left, or the header's ``L0``."""
-    kind, L = _solver(meta), row["L_or_gamma"]
-    if kind == "ipila-practical":
-        L = _meta(meta, "L0") if prev is None else prev["L_or_gamma"]
-    alpha, beta = coupling(kind, L, _Header(meta))
+    at the row's ``L_or_gamma`` replayed on the run's config;
+    iPila-practical's step reads the ``L_k`` that ``prev`` left, or ``L0``."""
+    L = row["L_or_gamma"]
+    if hdr.solver == "ipila-practical":
+        L = hdr.cfg.L0 if prev is None else prev["L_or_gamma"]
+    alpha, beta = coupling(hdr.solver, L, hdr.cfg)
     return [(row["k"], abs(row["alpha_k"] - alpha)),
             (row["k"], abs(row["beta_k"] - beta))]
 
 
-def row_armijo(meta, prev, row):
+def row_armijo(hdr, prev, row):
     """Merit Armijo inequality ``phi <=`` :func:`armijo_bound` on an
     accepted iPila step; a lambda_k that is not a positive number gives a
     NaN residual."""
-    if not _solver(meta).startswith("ipila"):
+    if not hdr.solver.startswith("ipila"):
         raise ValueError("armijo applies to iPila traces only")
     lam = row["lambda_k"]
     if not (math.isfinite(lam) and lam > 0.0):
         return [(row["k"], math.nan)]
-    bound = armijo_bound(_phi_before(meta, prev), _meta(meta, "sigma"), lam,
-                         row["delta_k"])
+    phi0 = hdr.f_init if prev is None else prev["phi"]
+    bound = armijo_bound(phi0, hdr.cfg.sigma, lam, row["delta_k"])
     return [(row["k"], row["phi"] - bound)]
 
 
-def row_merit(meta, prev, row):
+def row_merit(hdr, prev, row):
     """The merit value reads ``f``: ``phi >= f`` on every row and ``phi ==
     f`` on iISTA rows.  Exact, since every merit value is ``f`` plus a
     nonnegative term (i2Piano's ``delta ||y - x||^2``, iPila's ``||x -
     s||^2 / 2``) and iISTA's is ``f`` itself."""
     f, phi = row["f"], row["phi"]
-    if _solver(meta) == "iista":
+    if hdr.solver == "iista":
         return [(row["k"], f - phi), (row["k"], phi - f)]
     return [(row["k"], f - phi)]
 
@@ -276,10 +283,10 @@ ROW_CHECKS = {"H1": row_H1, "H4": row_H4, "prox": row_prox,
               "merit": row_merit}
 
 
-def row_checks(meta: dict) -> dict:
-    """The ``ROW_CHECKS`` that apply to ``meta``'s solver: armijo on iPila
+def row_checks(hdr: Header) -> dict:
+    """The ``ROW_CHECKS`` that apply to ``hdr``'s solver: armijo on iPila
     traces only."""
-    if _solver(meta).startswith("ipila"):
+    if hdr.solver.startswith("ipila"):
         return ROW_CHECKS
     return {n: f for n, f in ROW_CHECKS.items() if n != "armijo"}
 
@@ -289,9 +296,9 @@ def check(trace: Trace, name: str) -> CheckResult:
     row of ``trace``."""
     if not trace.rows:
         raise ValueError("empty trace")
-    fn, rows = ROW_CHECKS[name], trace.rows
+    fn, rows, hdr = ROW_CHECKS[name], trace.rows, header(trace.meta)
     return _worst(name, (kr for prev, row in zip([None, *rows], rows)
-                         for kr in fn(trace.meta, prev, row)))
+                         for kr in fn(hdr, prev, row)))
 
 
 def summarize(trace: Trace) -> CertReport:
@@ -300,7 +307,7 @@ def summarize(trace: Trace) -> CertReport:
     if not trace.rows:
         raise ValueError("empty trace")
     report = CertReport()
-    for name in row_checks(trace.meta):
+    for name in row_checks(header(trace.meta)):
         report.checks[name] = check(trace, name)
 
     d = trace.column("d_k")

@@ -26,7 +26,6 @@ one stderr line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import multiprocessing
@@ -39,14 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from inertiafb import imaging
-from inertiafb.certify import SOLVERS, summarize
+from inertiafb.certify import SOLVERS, solver_config, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
-from inertiafb.ipila import VARIANTS, IPilaConfig, ipila_solve
+from inertiafb.ipila import IPilaConfig, ipila_solve
 from inertiafb.problem import (CompositeProblem, DomainError, IdentityOp,
                                L1Norm, SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
-from inertiafb.prox_engine import EngineError
 from inertiafb.trace import Trace
 
 PROBLEMS = ("impulse-l1", "gaussian-sd-tv", "synthetic-quadratic-l1")
@@ -56,7 +54,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFY = 4
 # a failure of a solve, once the problem is built: exit 3
-SOLVE_ERRORS = (SolverError, EngineError, DomainError)
+SOLVE_ERRORS = (SolverError, DomainError)
 
 # suite workers start from a fresh interpreter and import this module by
 # name, so nothing they compute depends on the parent process's state
@@ -286,20 +284,16 @@ def build_problem(cfg: dict):
 
 @_config_values
 def _solver_config(cfg: dict):
-    """``(solve, config)`` for the configured solver; each config field
-    ``cfg`` holds is read from it, the others keep their defaults.  The
-    solve functions are looked up here at call time."""
+    """``(solve, config)`` for the configured solver; ``solver_config``
+    reads each config field ``cfg`` holds, the others keep their defaults.
+    The solve functions are looked up here at call time."""
     name = cfg["solver"]
     if name not in SOLVERS:
         raise ConfigError(f"unknown solver {name!r}; choose from {SOLVERS}")
-    solve, cls = {"i2piano": (i2piano_solve, I2PianoConfig),
-                  "iista": (iista_solve, IistaConfig)}.get(
-                      name, (ipila_solve, IPilaConfig))
-    values = {f.name: _number(cfg, f.name) for f in dataclasses.fields(cls)
-              if f.name in cfg and f.name in SOLVER_KEYS}
-    if cls is IPilaConfig:
-        values["variant"] = next(v for v, s in VARIANTS.items() if s == name)
-    return solve, cls(**values)
+    solve = {"i2piano": i2piano_solve, "iista": iista_solve}.get(name,
+                                                                 ipila_solve)
+    return solve, solver_config(name, lambda key, default: (
+        _number(cfg, key) if key in cfg else default))
 
 
 def run_solver(problem, x0, cfg: dict) -> Trace:
@@ -391,13 +385,11 @@ def cmd_fstar(cfg: dict) -> int:
 
 
 def cmd_certify(path: Path) -> int:
-    if not path.exists():
-        print(f"trace file not found: {path}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         report = summarize(Trace.read_csv(path))
     except (OSError, ValueError, ArithmeticError) as exc:
-        # an unreadable path, a malformed or empty file, or a bad header
+        # a missing or unreadable path, a malformed or empty file, or a
+        # header the solver's config rejects
         print(f"bad trace file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sys.stdout.write(report.format())

@@ -9,9 +9,10 @@ the start at ``x0``, the certified prox call, the Lipschitz backtracking
 step of i2Piano and iISTA, and the one driver, :func:`run`, which writes
 the trace header from the solver's config, applies the stop rule and checks
 every row it appends with the row functions :mod:`inertiafb.certify`
-replays, so each inequality is written once, and so is each solver's
-coupling of ``(alpha_k, beta_k)`` to ``L_k``: ``certify.coupling``.  A
-solver module is its config class and its step.  Each solver evaluates
+replays, handing them a ``certify.Header`` of the config it runs, so each
+inequality is written once, and so is each solver's coupling of
+``(alpha_k, beta_k)`` to ``L_k``: ``certify.coupling``.  A solver module
+is its config class and its step.  Each solver evaluates
 ``f0``, ``grad f0`` and ``f1`` once per point and computes each step once:
 iPila's line search adds its trial points, each evaluated once, and iPila's
 ``stationary`` row, a run's last, evaluates ``f0`` at a prox point it does
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from inertiafb.certify import coupling, row_checks
+from inertiafb.certify import Header, coupling, row_checks
 from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import CSV_COLUMNS, Trace
@@ -236,7 +237,8 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     state = start(problem, x0, eval_f, cfg.L0)
     trace = Trace(meta={"solver": solver, **dataclasses.asdict(cfg),
                         "f_init": state.f, "phi_init": state.phi})
-    checks, prev = row_checks(trace.meta), None
+    hdr = Header(solver, cfg, state.f)
+    checks, prev = row_checks(hdr), None
     t0 = time.monotonic()
     for k in range(cfg.max_outer):
         new = step(problem, state, cfg)
@@ -254,7 +256,7 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
             s_step_norm=math.sqrt(ds.dot(ds)))
         if failed := [f"{name} at k={j} (residual {r:.3e})"
                       for name, fn in checks.items()
-                      for j, r in fn(trace.meta, prev, row) if not r <= 0.0]:
+                      for j, r in fn(hdr, prev, row) if not r <= 0.0]:
             raise SolverError(f"certificate failed: {', '.join(failed)}")
         prev = row
         if on_step is not None:

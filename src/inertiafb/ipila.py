@@ -48,8 +48,8 @@ from inertiafb.problem import CompositeProblem, SolverError, eval_f
 from inertiafb.prox_engine import ProxResult, solve_inexact_prox
 from inertiafb.trace import Trace
 
-# each variant's solver name, which the trace header, the coupling and the
-# CLI read
+# each variant's solver name, which the trace header, the coupling and
+# certify.solver_config read
 VARIANTS = {"strict-alg3": "ipila-strict", "practical-sec5": "ipila-practical"}
 
 
@@ -105,12 +105,11 @@ def descent_direction(y_step: np.ndarray, anchor: np.ndarray, alpha: float,
 
 def compute_delta(h_val: float, gamma_k: float, anchor_sq: float) -> float:
     """Predicted merit decrease ``Delta_k = h - gamma_k ||x-s||^2 <= 0``
-    from ``anchor_sq = ||x - s||^2``."""
+    from ``anchor_sq = ||x - s||^2``; ``IPilaConfig`` keeps ``gamma_k``
+    positive."""
     if h_val > 0:
         raise SolverError(f"subproblem value h={h_val} > 0 breaks the "
                           "engine contract")
-    if gamma_k <= 0:
-        raise ValueError("gamma_k must be positive")
     return float(h_val - gamma_k * anchor_sq)
 
 

@@ -14,7 +14,10 @@ which certifies ``0 in eps-subdiff of h`` at y with
 ``eps = -(tau/2) h(y)``; psi is capped at 0 there, as ``psi <= h(x) = 0``.
 An absolute stop with ``|h| <= abs_tol`` certifies x itself, and the result
 stays at x with ``h = 0``.  Weak duality ``psi <= h`` is asserted at every
-inner iterate.  With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
+inner iterate.  A broken contract (weak duality, an ``x`` outside the
+domain of ``f1``, a fixed point with ``h`` not finite) raises
+``problem.SolverError``, as every step that cannot be certified does.
+With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
 ``xbar = x - alpha v`` (v the linear coefficient of h) and
 ``c = -(alpha/2) ||v||^2 - f1(x)``, the dual objective is
 
@@ -47,11 +50,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from inertiafb.problem import CompositeProblem, StructuredConvexTerm
-
-
-class EngineError(RuntimeError):
-    """Inner solver contract violation (weak duality broken, bad query)."""
+from inertiafb.problem import (CompositeProblem, SolverError,
+                               StructuredConvexTerm)
 
 
 def theta_from_tau(tau: float) -> float:
@@ -152,7 +152,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     any such stop with ``|h| <= abs_tol`` stays at a copy of ``x``, so
     every zero decrease comes with a zero step.
     A candidate whose ``h`` is not finite, from a dual iterate equal bit
-    for bit to the two before it, raises EngineError: FISTA is then at a
+    for bit to the two before it, raises SolverError: FISTA is then at a
     fixed point, so no later iterate can certify.
     ``inner_hook(l, h, psi)``, when given, observes every inner iterate.
     ``warm_start``, when given, is an earlier call's ``w_tilde`` on the
@@ -165,7 +165,7 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     test.  ``abs_tol`` defaults to ``1e-12 (1 + |f(x)|)``.
     """
     if not math.isfinite(query.f1_x):
-        raise EngineError("prox query with x outside dom(f1)")
+        raise SolverError("prox query with x outside dom(f1)")
     tau, alpha = query.tau, query.alpha
     eta_gap = 2.0 / (2.0 + tau)
     abs_tol = (1e-12 * (1.0 + abs(query.f0_x + query.f1_x))
@@ -194,10 +194,10 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         if inner_hook is not None:
             inner_hook(it, h, psi)
         if psi > h + guard_tol * (1.0 + abs(h)):
-            raise EngineError(f"weak duality violated: psi={psi!r} > h={h!r}")
+            raise SolverError(f"weak duality violated: psi={psi!r} > h={h!r}")
         if not math.isfinite(h) and it > 1 and all(
                 a.tobytes() == w.tobytes() for a in (w_prev, w_prev2)):
-            raise EngineError("prox engine at a fixed point with h not finite")
+            raise SolverError("prox engine at a fixed point with h not finite")
         if not it or psi > best.psi_value:
             best = ProxResult(y, h, psi, w, it, "maxiter", f1_y, mtw, d, d_sq)
         # psi <= min h <= h(x) = 0 in exact arithmetic, so the cap keeps

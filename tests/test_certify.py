@@ -200,9 +200,9 @@ class TestEdgeCases:
         # third verdict
         t = Trace(meta={"solver": "i2piano"})
         t.rows = [dict(r) for r in traces["i2piano"].rows]
-        with pytest.raises(ValueError, match="header lacks phi_init"):
+        with pytest.raises(ValueError, match="header lacks f_init"):
             check(t, "H1")
-        with pytest.raises(ValueError, match="header lacks phi_init"):
+        with pytest.raises(ValueError, match="header lacks f_init"):
             summarize(t)
 
     def test_armijo_not_applicable_to_backtracking_solver(self, traces):
@@ -234,15 +234,15 @@ class TestEdgeCases:
 
     def test_h4_constants_per_solver(self, traces):
         t = traces["i2piano"]
-        p, shift = h4_constants(t.meta, t.rows[3])
+        p, shift = h4_constants(certify.header(t.meta), t.rows[3])
         gamma = float(t.meta["gamma"])
         assert p == pytest.approx(1.0 / math.sqrt(gamma))
         assert shift == 1
         t = traces["iista"]
-        assert h4_constants(t.meta, t.rows[3]) == (1.0, 0)
+        assert h4_constants(certify.header(t.meta), t.rows[3]) == (1.0, 0)
         # iPila's p reads the row's own alpha_k
         t = traces["ipila"]
-        p, shift = h4_constants(t.meta, t.rows[3])
+        p, shift = h4_constants(certify.header(t.meta), t.rows[3])
         assert p == math.sqrt(2.0 * t.rows[3]["alpha_k"]
                               / theta_from_tau(t.meta["tau"]))
         assert shift == 0

@@ -172,6 +172,14 @@ class TestSolverSettings:
             # a key the settings leave out keeps the class's default
             assert getattr(default, field.name) == field.default
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_each_default_has_its_field_type(self, solver):
+        # certify reads a header setting as the type of the field's default
+        config = certify.solver_config(solver, lambda key, default: default)
+        for field in dataclasses.fields(config):
+            if field.name != "variant":
+                assert type(field.default) is cli.SOLVER_KEYS[field.name]
+
     def test_gamma_reaches_ipila(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--solver", "ipila-strict", "--gamma", "2e-5",
@@ -1217,6 +1225,90 @@ class TestCertifyCommand:
         report = capsys.readouterr().out
         assert "H4.status=fail" in report and "H4.worst_k=2" in report
 
+    @pytest.mark.parametrize("tau", [None, "inf", "-1"])
+    def test_certify_header_tau_cannot_void_prox(self, tmp_path, capsys,
+                                                  tau):
+        # "# tau=inf" made theta and the gap weight 0, so the prox check
+        # passed a row that claims 1000 times less decrease than its step
+        # (exit 0), and "# tau=-1" ended in "math domain error"
+        def edit(trace):
+            trace.rows[2]["h"] *= 1e-3
+            if tau is not None:
+                trace.meta["tau"] = float(tau)
+        code, out, err = self._certify_edited(
+            tmp_path, capsys, edit, "--solver", "iista", "--problem",
+            "gaussian-sd-tv", "--size", "16", "--tau", "0.01",
+            "--max_outer", "5")
+        if tau is None:
+            assert code == 4
+            assert "prox.status=fail" in out and "prox.worst_k=2" in out
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("bad trace file: tau must be ")
+
+    @pytest.mark.parametrize("sigma", [None, -1, 0, 1])
+    def test_certify_header_sigma_must_lie_in_0_1(self, tmp_path, capsys,
+                                                   sigma):
+        # "# sigma=-1" turned the decrease terms of H1 and armijo into
+        # allowances, so a last step whose merit rises passed (exit 0)
+        def edit(trace):
+            trace.rows[-1]["phi"] = trace.rows[-2]["phi"] * (1 + 1e-6)
+            if sigma is not None:
+                trace.meta["sigma"] = sigma
+        code, out, err = self._certify_edited(
+            tmp_path, capsys, edit, "--solver", "ipila-strict", "--problem",
+            "impulse-l1", "--size", "16", "--max_outer", "6")
+        if sigma is None:
+            assert code == 4
+            assert "H1.status=fail" in out and "armijo.status=fail" in out
+        else:
+            assert (code, out) == (2, "")
+            assert err == "bad trace file: sigma must lie in (0,1)\n"
+
+    def test_certify_first_step_starts_from_f_init(self, tmp_path, capsys):
+        # H1 and armijo read the merit at x0 from "# phi_init=", so raising
+        # it passed a first step whose merit rises (exit 0)
+        def edit(trace):
+            phi0 = trace.meta["phi_init"]
+            assert phi0 == trace.meta["f_init"]
+            trace.rows[0]["phi"] = phi0 * (1 + 1e-6)
+            trace.meta["phi_init"] = phi0 * (1 + 1e-5)
+        code, out, _ = self._certify_edited(
+            tmp_path, capsys, edit, "--solver", "ipila-strict", "--problem",
+            "impulse-l1", "--size", "16", "--max_outer", "6")
+        assert code == 4
+        for name in ("H1", "armijo"):
+            assert f"{name}.status=fail\n{name}.worst_residual=" in out
+            assert f"{name}.worst_k=0\n" in out
+
+    @pytest.mark.parametrize("solver,key,value,message", [
+        ("i2piano", "eta", "1", "eta must exceed 1"),
+        ("iista", "L0", "0", "L0 must lie in [1e-08, 1e+12]"),
+        ("ipila-strict", "ls_shrink", "1.5", "ls_shrink must lie in (0,1)"),
+        ("ipila-practical", "max_halvings", "-1",
+         "max_halvings must be nonnegative"),
+    ])
+    def test_certify_header_value_the_config_rejects_exits_2(
+            self, tmp_path, capsys, solver, key, value, message):
+        # no check reads these keys, so each edit used to certify (exit 0)
+        path = self._run_and_edit_header(tmp_path, solver, key, value)
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        assert capsys.readouterr() == ("", f"bad trace file: {message}\n")
+
+    @staticmethod
+    def _certify_edited(tmp_path, capsys, edit, *args):
+        """``certify``'s exit code, stdout and stderr on the trace.csv of
+        ``run *args`` after ``edit(trace)``."""
+        out = tmp_path / "run"
+        assert run_cli("run", *args, "--out", str(out)) == 0
+        path = out / "trace.csv"
+        trace = Trace.read_csv(path)
+        edit(trace)
+        trace.write_csv(path)
+        capsys.readouterr()
+        return (run_cli("certify", str(path)), *capsys.readouterr())
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_certify_unusable_header_value_exits_2(self, tmp_path, capsys,
                                                    value):
@@ -1249,9 +1341,12 @@ class TestCertifyCommand:
         return path
 
     def test_certify_missing_file(self, tmp_path, capsys):
-        code = run_cli("certify", str(tmp_path / "none.csv"))
+        path = tmp_path / "none.csv"
+        code = run_cli("certify", str(path))
         assert code == 2
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "bad trace file: [Errno 2] No such file or directory: "
+            f"{str(path)!r}\n")
 
     def test_certify_empty_trace(self, tmp_path):
         empty = tmp_path / "empty.csv"

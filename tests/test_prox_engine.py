@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from inertiafb import cli, imaging
 from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
                                LinearOp, NonnegIndicator, ProxFunction,
-                               SmoothOracle, StructuredConvexTerm,
-                               ZeroFunction)
-from inertiafb.prox_engine import (EngineError, solve_inexact_prox,
-                                   theta_from_tau)
+                               SmoothOracle, SolverError,
+                               StructuredConvexTerm, ZeroFunction)
+from inertiafb.prox_engine import solve_inexact_prox, theta_from_tau
 from tests.conftest import (MatrixOp, dual_objective, eval_h, prox_query,
                             quadratic_l1_problem, scalar_l1_problem,
                             smooth_only_problem, xi_term)
@@ -267,7 +266,7 @@ class TestSolveInexactProx:
         p = CompositeProblem(f0, f1)
         q = prox_query(p, np.array([-1.0]), np.array([0.0]), 1.0, 0.0, 0.0)
         seen = []
-        with pytest.raises(EngineError, match="outside dom"):
+        with pytest.raises(SolverError, match="outside dom"):
             solve_inexact_prox(p, q, inner_hook=lambda *a: seen.append(a))
         assert seen == []
 
