@@ -16,6 +16,8 @@ run that completes passes every check; :func:`summarize` and :func:`check`
 fold the same functions over a trace, with the config that :func:`header`
 builds from the trace's header through the solver's own config class, so a
 header value the solver would reject is a bad trace, not a looser check.
+They read only rows that a run can write, one to ``max_outer`` of them with
+each ``k`` its position; a row missing, added or renumbered is a bad trace.
 Rows hold every ``trace.CSV_COLUMNS`` column, whether a solver wrote them
 or ``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
 verdict of the run.  The Armijo check applies to iPila traces only.  Each
@@ -291,12 +293,25 @@ def row_checks(hdr: Header) -> dict:
     return {n: f for n, f in ROW_CHECKS.items() if n != "armijo"}
 
 
+def _run_rows(trace: Trace):
+    """``(hdr, rows)`` of a trace that ``fb.run`` could write: its
+    :func:`header`, and 1 to ``max_outer`` rows, each ``k`` its position."""
+    rows = trace.rows
+    if not rows:
+        raise ValueError("empty trace")
+    hdr = header(trace.meta)
+    if len(rows) > hdr.cfg.max_outer:
+        raise ValueError(f"{len(rows)} rows, max_outer is {hdr.cfg.max_outer}")
+    for k, row in enumerate(rows):
+        if row["k"] != k:
+            raise ValueError(f"row {k} has k = {row['k']}")
+    return hdr, rows
+
+
 def check(trace: Trace, name: str) -> CheckResult:
     """The check ``name`` of ``ROW_CHECKS``, its row function run on each
     row of ``trace``."""
-    if not trace.rows:
-        raise ValueError("empty trace")
-    fn, rows, hdr = ROW_CHECKS[name], trace.rows, header(trace.meta)
+    fn, (hdr, rows) = ROW_CHECKS[name], _run_rows(trace)
     return _worst(name, (kr for prev, row in zip([None, *rows], rows)
                          for kr in fn(hdr, prev, row)))
 
@@ -304,10 +319,8 @@ def check(trace: Trace, name: str) -> CheckResult:
 def summarize(trace: Trace) -> CertReport:
     """Runs every check that applies to the trace's solver, the Armijo
     check on iPila traces only, and aggregates convergence statistics."""
-    if not trace.rows:
-        raise ValueError("empty trace")
     report = CertReport()
-    for name in row_checks(header(trace.meta)):
+    for name in row_checks(_run_rows(trace)[0]):
         report.checks[name] = check(trace, name)
 
     d = trace.column("d_k")

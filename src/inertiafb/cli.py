@@ -16,11 +16,12 @@ command line overrides the file.  Exit codes: 0 ok; 2 config error, found
 before any solve (a config or image file that cannot be read, a key that is
 not a setting, a value that is not a finite number or that the problem or
 solver rejects, a problem too large for memory, an output path that cannot
-be written), or a trace.csv that ``certify`` cannot read or parse; 3 solver
-failure (a step that fails a certificate during the run, or memory running
-out during a solve, included), which ``suite`` and ``fstar`` prefix with the
-solver's name; 4 certification failure of ``certify``.  Each failure prints
-one stderr line.
+be written), an output file that cannot be written after the solve (a full
+disk), or a trace.csv that ``certify`` cannot read or parse; 3 solver
+failure, any ``SolverError`` (a point outside a smooth oracle's domain, a
+step that fails a certificate during the run, or memory running out during
+a solve), which ``suite`` and ``fstar`` prefix with the solver's name; 4
+certification failure of ``certify``.  Each failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from inertiafb.certify import SOLVERS, solver_config, summarize
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
-from inertiafb.problem import (CompositeProblem, DomainError, IdentityOp,
-                               L1Norm, SmoothOracle, SolverError,
+from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
+                               SmoothOracle, SolverError,
                                StructuredConvexTerm, ZeroFunction)
 from inertiafb.trace import Trace
 
@@ -53,8 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFY = 4
-# a failure of a solve, once the problem is built: exit 3
-SOLVE_ERRORS = (SolverError, DomainError)
 
 # suite workers start from a fresh interpreter and import this module by
 # name, so nothing they compute depends on the parent process's state
@@ -100,14 +99,12 @@ class ConfigError(ValueError):
 
 def _config_values(build):
     """Wraps ``build(cfg)`` so that a ValueError from checking the configured
-    values, or a MemoryError from sizes too large to build, is a
-    ConfigError; a DomainError stays a solver failure."""
+    values (a ConfigError included, rewrapped under its own message), or a
+    MemoryError from sizes too large to build, is a ConfigError."""
     @functools.wraps(build)
     def checked(cfg):
         try:
             return build(cfg)
-        except (ConfigError, DomainError):
-            raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except MemoryError as exc:
@@ -343,7 +340,7 @@ def _suite_worker(item):
     cfg, outdir = item
     try:
         trace = _solve_and_write(cfg, outdir)
-    except SOLVE_ERRORS as exc:
+    except SolverError as exc:
         raise SolverError(f"{cfg['solver']}: {exc}") from None
     return cfg["solver"], float(trace.meta["f_final"])
 
@@ -424,10 +421,10 @@ def main(argv=None) -> int:
             return cmd_certify(Path(args.trace))
         handlers = {"run": cmd_run, "suite": cmd_suite, "fstar": cmd_fstar}
         return handlers[args.command](build_settings(args, extra))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SOLVE_ERRORS as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -390,8 +390,6 @@ def impulse_noise(x: np.ndarray, fraction: float, seed: int,
     n = x.size
     m = int(round(fraction * n))
     out = x.copy().ravel()
-    if m == 0:
-        return out.reshape(x.shape)
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=m, replace=False)
     n_salt = (m + 1) // 2

@@ -19,12 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class DomainError(ValueError):
-    """A point lies outside the open set where a smooth oracle is defined."""
-
-
 class SolverError(RuntimeError):
     """A solver could not produce a certified step (shared by all solvers)."""
+
+
+class DomainError(SolverError):
+    """A point lies outside the open set where a smooth oracle is defined:
+    a solver failure, like every ``SolverError``."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +84,6 @@ class LinearOp:
     in_dim: int
     out_dim: int
     key = None
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 class IdentityOp(LinearOp):
@@ -169,15 +164,6 @@ class ProxFunction:
 
     #: relative feasibility slack for indicator-type conjugates
     feas_rtol = 1e-9
-
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def prox(self, u: np.ndarray, sigma: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def conjugate(self, w: np.ndarray) -> float:
-        raise NotImplementedError(f"{type(self).__name__} has no conjugate oracle")
 
 
 class ZeroFunction(ProxFunction):

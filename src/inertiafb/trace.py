@@ -63,7 +63,8 @@ class Trace:
     @classmethod
     def read_csv(cls, path) -> "Trace":
         """Raises ValueError, naming the line, on a header without every
-        ``CSV_COLUMNS`` column, a row of the wrong width or a bad number."""
+        ``CSV_COLUMNS`` column or with a column named twice, a row of the
+        wrong width or a bad number."""
         trace = cls()
         header: Optional[list] = None
         with open(path) as fh:
@@ -81,6 +82,10 @@ class Trace:
                     if missing:
                         raise ValueError(f"{path}:{lineno}: header lacks "
                                          f"{', '.join(missing)}")
+                    if twice := sorted({c for c in parts
+                                        if parts.count(c) > 1}):
+                        raise ValueError(f"{path}:{lineno}: header names "
+                                         f"{', '.join(twice)} twice")
                     header = parts
                     continue
                 if len(parts) != len(header):

@@ -265,6 +265,22 @@ class TestUnusableOutputPath:
         assert "Traceback" not in err
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # a full disk under the run directory (trace.csv or report.txt a
+        # link to /dev/full) used to end in an OSError traceback (exit 1)
+        def full(trace, path, f_star=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Trace, "write_csv", full)
+        # forked workers inherit the patch
+        monkeypatch.setattr(cli, "START_METHOD", "fork")
+        code = run_cli(command, "--solvers", "iista,i2piano", "--max_outer",
+                       "3", "--out", str(tmp_path))
+        assert (code, capsys.readouterr().err) == (
+            2, "config error: [Errno 28] No space left on device\n")
+
     def test_run_ignores_solver_directories(self, tmp_path):
         (tmp_path / "iista").write_text("")
         assert run_cli("run", "--solver", "iista", "--max_outer", "3",
@@ -1295,6 +1311,53 @@ class TestCertifyCommand:
         capsys.readouterr()
         assert run_cli("certify", str(path)) == 2
         assert capsys.readouterr() == ("", f"bad trace file: {message}\n")
+
+    ROWS_RUN = ("--problem", "impulse-l1", "--size", "16", "--solver",
+                "i2piano", "--max_outer", "12")
+
+    @pytest.mark.parametrize("tamper,message", [
+        ("row-5-deleted", "row 5 has k = 6"),
+        ("every-k-0", "row 1 has k = 0"),
+        ("max_outer-6", "12 rows, max_outer is 6"),
+    ])
+    def test_certify_rows_a_run_cannot_write_exit_2(self, tmp_path, capsys,
+                                                    tamper, message):
+        # each used to certify (exit 0): no run skips, renumbers or adds a
+        # row, as fb.run writes k from range(max_outer)
+        def edit(trace):
+            if tamper == "row-5-deleted":
+                del trace.rows[5]
+            elif tamper == "every-k-0":
+                for row in trace.rows:
+                    row["k"] = 0
+            else:
+                trace.meta["max_outer"] = 6
+        code, out, err = self._certify_edited(tmp_path, capsys, edit,
+                                              *self.ROWS_RUN)
+        assert (code, out, err) == (2, "", f"bad trace file: {message}\n")
+
+    def test_certify_header_naming_a_column_twice_exits_2(self, tmp_path,
+                                                          capsys):
+        # the reader kept the last of two phi columns, so a first one whose
+        # merit rises at k=5 certified (exit 0) beside an honest second one
+        out = tmp_path / "run"
+        assert run_cli("run", *self.ROWS_RUN, "--out", str(out)) == 0
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        header = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        col = lines[header].split(",").index("phi")
+        for i in range(header, len(lines)):
+            parts = lines[i].split(",")
+            first = parts[col]
+            if i == header + 6:
+                first = repr(float(first) * (1 + 1e-3))
+            lines[i] = ",".join([first, *parts])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("certify", str(path)) == 2
+        assert capsys.readouterr() == (
+            "", f"bad trace file: {path}:{header + 1}: header names phi "
+            "twice\n")
 
     @staticmethod
     def _certify_edited(tmp_path, capsys, edit, *args):

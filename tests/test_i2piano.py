@@ -211,11 +211,11 @@ class TestSolve:
         assert summarize(trace).ok
 
     def test_x0_outside_domain_rejected(self):
-        from inertiafb.problem import NonnegIndicator
+        from inertiafb.problem import DomainError, NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             i2piano_solve(p, np.array([-1.0]), I2PianoConfig())
 
     def test_trace_meta_and_final_value(self):

@@ -90,11 +90,11 @@ class TestSolve:
         assert len(capped) == 3
 
     def test_x0_outside_domain_rejected(self):
-        from inertiafb.problem import NonnegIndicator
+        from inertiafb.problem import DomainError, NonnegIndicator
         f0 = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x))
         f1 = xi_term(NonnegIndicator(), 1)
         p = CompositeProblem(f0, f1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             iista_solve(p, np.array([-1.0]))
 
     def test_config_validation(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inertiafb import fb, ipila
+from inertiafb import certify, fb, ipila
 from inertiafb.certify import ALPHA_MIN
 from inertiafb.ipila import (IPilaConfig, SolverError, armijo_linesearch,
                              compute_delta, descent_direction, ipila_solve,
@@ -78,9 +78,17 @@ class TestComputeDelta:
             compute_delta(0.1, 1.0, 0.0)
 
     def test_dist33_bound_example(self):
-        # h = -1.5, theta = 1 (tau=0), alpha = 1, ||y-x||^2 = 1:
-        # required (theta/2 alpha)*1 = 0.5 <= 1.5
-        assert 0.5 <= 1.5
+        # h = -1.5, theta = 1 (tau=0), alpha = 1: the distance certificate
+        # needs (theta/2 alpha) ||y-x||^2 <= -h, so a step norm of 1 (0.5)
+        # passes and sqrt(3.5) (1.75) fails; psi = h passes the gap half
+        hdr = certify.Header("ipila-strict", IPilaConfig(tau=0.0), 0.0)
+        assert hdr.cfg.theta == pytest.approx(1.0)
+        for step, passes in ((1.0, True), (math.sqrt(3.5), False)):
+            row = {"k": 0, "h": -1.5, "psi": -1.5, "alpha_k": 1.0,
+                   "y_step_norm": step}
+            (_, dist), (_, gap) = certify.row_prox(hdr, None, row)
+            assert (dist <= 0.0) is passes
+            assert gap <= 0.0
 
 
 def _at_y(p, y):

@@ -14,8 +14,8 @@ when a line event fell on one of its lines.  A statement that never ran is
 code the program does not need, unless one of these rules covers it:
 
 1. it lies in a function that ``NOT_ENTERED`` names: the helpers the
-   acceptance criteria call, abstract methods, and the suite worker, which
-   runs in a child process of its own.  No statement of such a function
+   acceptance criteria call, and the suite worker, which runs in a child
+   process of its own.  No statement of such a function
    may run;
 2. it is a ``raise`` statement: an error path;
 3. it returns ``np.inf`` or ``-np.inf``, alone or first in a tuple: the
@@ -46,9 +46,6 @@ REPO = Path(__file__).resolve().parent.parent
 NOT_ENTERED = {
     "ipila.phi_value", "problem.check_gradient", "problem.adjoint_residual",
     "trace.csv_equal_ignoring_time", "trace._strip_time",
-    "problem.LinearOp.matvec", "problem.LinearOp.rmatvec",
-    "problem.ProxFunction.value", "problem.ProxFunction.prox",
-    "problem.ProxFunction.conjugate",
     "cli._suite_worker",
 }
 
