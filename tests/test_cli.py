@@ -501,6 +501,63 @@ class TestRunCommand:
         assert (out / "restored.pgm").exists()
 
 
+class TestSharedScene:
+    """The phantom, its blur ``H`` and ``H x_true`` do not depend on the
+    seed, so a process makes them once and every build shares them."""
+
+    @staticmethod
+    def _cfg(name, **overrides):
+        return dict(cli.DEFAULTS, problem=name, size="16", max_outer="10",
+                    solver="ipila-practical", **overrides)
+
+    def test_builds_share_one_read_only_scene(self):
+        (p, _, a), (q, _, b) = (cli.build_problem(self._cfg(
+            "impulse-l1", seed=seed)) for seed in ("0", "1"))
+        truth, H, blurred = cli._phantom_scene(16, 255.0, 5, 1.0)
+        assert p.f1.op is q.f1.op is H
+        assert a["truth"] is b["truth"] is truth
+        assert not np.array_equal(a["g"], b["g"])
+        for arr in (truth, blurred):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["impulse-l1", "gaussian-sd-tv"])
+    def test_shared_scene_builds_the_problem_bit_for_bit(self, tmp_path,
+                                                         monkeypatch, name):
+        cfg = self._cfg(name, seed="2")
+        shared = cli.build_problem(cfg)
+        monkeypatch.setattr(cli, "_phantom_scene",
+                            cli._phantom_scene.__wrapped__)
+        fresh = cli.build_problem(cfg)
+        assert fresh[2]["truth"] is not shared[2]["truth"]
+        assert fresh[2]["g"].tobytes() == shared[2]["g"].tobytes()
+        assert fresh[1].tobytes() == shared[1].tobytes()
+        for label, (problem_, x0, _) in (("shared", shared),
+                                         ("fresh", fresh)):
+            cli.run_solver(problem_, x0, cfg).write_csv(tmp_path / label)
+        assert csv_equal_ignoring_time(tmp_path / "shared",
+                                       tmp_path / "fresh")
+
+    def test_image_file_is_read_on_every_build(self, tmp_path):
+        image = tmp_path / "truth.pgm"
+        cfg = self._cfg("gaussian-sd-tv", image=str(image))
+        imaging.write_pgm(image, imaging.phantom(16, 255.0), peak=255.0)
+        _, _, first = cli.build_problem(cfg)
+        imaging.write_pgm(image, 255.0 - imaging.phantom(16, 255.0),
+                          peak=255.0)
+        _, _, second = cli.build_problem(cfg)
+        for key in ("truth", "g"):
+            assert not np.array_equal(first[key], second[key]), key
+
+    def test_even_blur_size_exits_2_on_every_call(self, tmp_path, capsys):
+        # the memo keeps no exception, so no call returns a stale scene
+        for _ in range(2):
+            assert run_cli("run", "--problem", "impulse-l1", "--size", "16",
+                           "--blur_size", "4", "--out", str(tmp_path)) == 2
+            assert "odd" in capsys.readouterr().err
+
+
 # values the problem or solver rejects: (overrides, a pattern the message
 # matches after "config error:")
 BAD_VALUES = {
