@@ -225,11 +225,11 @@ def _blur(truth, blur_size: int, blur_sigma: float):
 
 @functools.lru_cache(maxsize=1)
 def _phantom_scene(size: int, peak: float, blur_size: int, blur_sigma: float):
-    """``(truth, H, blurred)`` for the built-in phantom, made once per
-    process for the last settings: none of them depends on the seed, so a
-    process that builds the same scene again (perfbench, the digest and
-    ensemble tools, the tests) takes them from here.  Both arrays are
-    read-only and ``H`` is immutable, so every build may share them."""
+    """``(truth, H, blurred)`` for the built-in phantom.  None of them
+    depends on the seed, so a process that builds the same scene again
+    (perfbench, the digest and ensemble tools, the tests) makes them once.
+    Both arrays are read-only and ``H`` is immutable, so builds share them;
+    the memo keeps one scene."""
     truth = imaging.phantom(size, peak=peak)
     H, blurred = _blur(truth, blur_size, blur_sigma)
     truth.flags.writeable = blurred.flags.writeable = False

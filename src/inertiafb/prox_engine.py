@@ -13,10 +13,12 @@ candidate ``y = prox_{alpha xi}(xbar - alpha M^T w)`` closes the gap test
 which certifies ``0 in eps-subdiff of h`` at y with
 ``eps = -(tau/2) h(y)``; psi is capped at 0 there, as ``psi <= h(x) = 0``.
 An absolute stop with ``|h| <= abs_tol`` certifies x itself, and the result
-stays at x with ``h = 0``.  Weak duality ``psi <= h`` is asserted at every
-inner iterate.  A broken contract (weak duality, an ``x`` outside the
-domain of ``f1``, a fixed point with ``h`` not finite) raises
-``problem.SolverError``, as every step that cannot be certified does.
+stays at x with ``h = 0``; so does a gap stop whose ``|h|`` lies below
+``h_err``, the rounding error of the computed h, where the sign of h is
+noise.  Weak duality ``psi <= h`` is asserted at every inner iterate.  A
+broken contract (weak duality, an ``x`` outside the domain of ``f1``, a
+fixed point with ``h`` not finite) raises ``problem.SolverError``, as every
+step that cannot be certified does.
 With ``q = xbar - alpha M^T w``, ``z = prox_{alpha xi}(q)``,
 ``xbar = x - alpha v`` (v the linear coefficient of h) and
 ``c = -(alpha/2) ||v||^2 - f1(x)``, the dual objective is
@@ -149,8 +151,12 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
     primal candidate.  When ``tau == 0`` the gap test degenerates, so the
     engine instead requires ``h - psi <= abs_tol``; the same absolute branch
     also catches the stationary case ``h(yhat) = 0`` for ``tau > 0``, and
-    any such stop with ``|h| <= abs_tol`` stays at a copy of ``x``, so
-    every zero decrease comes with a zero step.
+    any such stop with ``|h| <= max(abs_tol, h_err)`` stays at a copy of
+    ``x``, so every zero decrease comes with a zero step.  ``h_err =
+    gamma_n (|f1(y)| + |f1(x)| + |<v, y - x>| + ||y - x||^2 / (2 alpha))``
+    bounds the rounding error of the computed ``h(y)``, with ``gamma_n = n
+    u / (1 - n u)``, ``u = 2^-53`` and ``n = in_dim + out_dim + 4``; a gap
+    stop with ``|h| <= h_err`` is an ``abs`` stop.
     A candidate whose ``h`` is not finite, from a dual iterate equal bit
     for bit to the two before it, raises SolverError: FISTA is then at a
     fixed point, so no later iterate can certify.
@@ -229,8 +235,18 @@ def solve_inexact_prox(problem: CompositeProblem, query: ProxQuery,
         t = t_new
 
     best.inner_iters = it
-    if best.converged == "abs" and abs(best.h_value) <= abs_tol:
-        # x is an abs_tol-minimiser of h: stay there, with h(x) = 0
+    # h_err bounds the rounding error of the computed h (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2002, sec. 3.1): below it, the
+    # sign of h that the gap test read is noise
+    n_u = (op.in_dim + op.out_dim + 4) * 2.0 ** -53
+    h_err = n_u / (1.0 - n_u) * (
+        abs(best.f1_y) + abs(query.f1_x)
+        + abs(float(query.v.dot(best.y_step)))
+        + best.y_step_sq / (2.0 * alpha))
+    if best.converged == "gap" and abs(best.h_value) <= h_err:
+        best.converged = "abs"
+    if best.converged == "abs" and abs(best.h_value) <= max(abs_tol, h_err):
+        # x is a max(abs_tol, h_err)-minimiser of h: stay there, h(x) = 0
         best.y_tilde, best.y_step = query.x.copy(), np.zeros_like(query.x)
         best.h_value, best.y_step_sq, best.f1_y = 0.0, 0.0, query.f1_x
         best.psi_value = min(best.psi_value, 0.0)

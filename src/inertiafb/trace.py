@@ -62,9 +62,9 @@ class Trace:
 
     @classmethod
     def read_csv(cls, path) -> "Trace":
-        """Raises ValueError, naming the line, on a header without every
-        ``CSV_COLUMNS`` column or with a column named twice, a row of the
-        wrong width or a bad number."""
+        """Raises ValueError, naming the line, on a second ``# key=`` line
+        for one key, a header without every ``CSV_COLUMNS`` column or with a
+        column named twice, a row of the wrong width or a bad number."""
         trace = cls()
         header: Optional[list] = None
         with open(path) as fh:
@@ -74,7 +74,11 @@ class Trace:
                     continue
                 if line.startswith("#"):
                     key, _, val = line[1:].strip().partition("=")
-                    trace.meta[key.strip()] = _parse_meta(val)
+                    key = key.strip()
+                    if key in trace.meta:
+                        raise ValueError(f"{path}:{lineno}: a second "
+                                         f"# {key}= line")
+                    trace.meta[key] = _parse_meta(val)
                     continue
                 parts = line.split(",")
                 if header is None:

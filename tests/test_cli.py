@@ -1416,6 +1416,25 @@ class TestCertifyCommand:
             "", f"bad trace file: {path}:{header + 1}: header names phi "
             "twice\n")
 
+    def test_certify_a_second_header_line_for_one_key_exits_2(self, tmp_path,
+                                                              capsys):
+        # the reader kept the last of two "# tau=" lines, so a large tau
+        # appended under the rows loosened both halves of prox: a tampered
+        # h that fails certify (exit 4) then certified (exit 0)
+        code, _, _ = self._certify_edited(
+            tmp_path, capsys,
+            lambda trace: trace.rows[2].update(h=trace.rows[2]["h"] * 1e-3),
+            "--solver", "iista", "--problem", "gaussian-sd-tv", "--size",
+            "16", "--tau", "0.01", "--max_outer", "5")
+        assert code == 4
+        path = tmp_path / "run" / "trace.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, "# tau=1000000.0"]) + "\n")
+        assert run_cli("certify", str(path)) == 2
+        assert capsys.readouterr() == (
+            "", f"bad trace file: {path}:{len(lines) + 1}: a second # tau= "
+            "line\n")
+
     @staticmethod
     def _certify_edited(tmp_path, capsys, edit, *args):
         """``certify``'s exit code, stdout and stderr on the trace.csv of

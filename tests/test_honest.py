@@ -9,9 +9,6 @@ its marker, since an unexpected pass fails the suite.
   ``param-identities`` at k=0 while certify kept a second copy of the
   coupling that cancels at large ``L_k``; they certify and are unmarked.
 
-- Seven synthetic-quadratic-l1 iPila runs fail ``H4`` near stationarity,
-  at k = 28-64: the computed ``h`` lies below its own rounding error
-  there, so the sign of the prox distance test is noise.
 - Five gaussian-sd-tv runs at size 32 and ``tau`` 0.01 end in ``prox
   engine hit max_inner without certificate`` near stationarity, where the
   dual iterates' primal candidate does not reach the gap test in time.
@@ -21,8 +18,6 @@ import pytest
 
 from inertiafb import cli
 
-H4 = pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="certificate failed: H4")
 MAX_INNER = pytest.mark.xfail(strict=True, raises=AssertionError,
                               reason="prox engine hit max_inner")
 
@@ -30,7 +25,7 @@ CASES = [
     # (n, l1_weight, seed, tau, solver)
     pytest.param(("synthetic-quadratic-l1", "--n", n, "--l1_weight", weight,
                   "--seed", seed, "--tau", tau, "--solver", solver),
-                 marks=H4, id=f"synthetic-{n}-{weight}-{seed}-{tau}-{solver}")
+                 id=f"synthetic-{n}-{weight}-{seed}-{tau}-{solver}")
     for n, weight, seed, tau, solver in [
         ("10", "0.3", "0", "0.01", "ipila-strict"),
         ("10", "0.3", "0", "0.01", "ipila-practical"),

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,32 @@ def test_write_puts_the_platform_above_the_printed_lines(monkeypatch,
     assert trace_digest.main(["--write"]) == 0
     assert (tmp_path / "d.txt").read_text() \
         == f"{trace_digest.platform()}\n{printed}"
+
+
+def _platform_fields(line):
+    """``(the line up to the kernel, the kernel, the dispatch targets)``."""
+    rest, _, dispatch = line.rpartition("; dispatch ")
+    head, _, kernel = rest.rpartition("; kernel ")
+    return head, kernel, dispatch.split()
+
+
+def test_platform_names_the_kernel_and_the_dispatch_targets():
+    # the OpenBLAS build string names the kernel it was built for, and
+    # NumPy's version no SIMD target, yet both settings below move digests
+    head, kernel, dispatch = _platform_fields(trace_digest.platform())
+    assert head and kernel and dispatch
+    # every dispatch target but the lowest turned off, OpenBLAS made to
+    # run its Haswell kernel
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               NPY_DISABLE_CPU_FEATURES=" ".join(dispatch[1:]))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import trace_digest; print(trace_digest.platform())")
+    proc = subprocess.run([sys.executable, "-c", code, str(_PATH.parent)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _platform_fields(proc.stdout.strip()) == (
+        head, "unknown" if kernel == "unknown" else "Haswell", dispatch[:1])
 
 
 def test_runs_reach_every_stop_reason_and_branch(tmp_path, runs):

@@ -10,8 +10,11 @@ gated too.
 
 ``tests/trace_digests.txt`` holds the digests of the committed code, one
 line per run as this script prints them, after a first line that names
-NumPy's version and its OpenBLAS configuration: a ``DYNAMIC_ARCH``
-OpenBLAS picks its kernels by CPU, so bits may differ between machines.
+NumPy's version, its OpenBLAS configuration, the OpenBLAS kernel that runs
+and the SIMD targets NumPy's loops dispatch to: a ``DYNAMIC_ARCH``
+OpenBLAS picks its kernel by CPU (``OPENBLAS_CORETYPE`` overrides it), as
+NumPy picks its loops (``NPY_DISABLE_CPU_FEATURES`` turns targets off), so
+bits may differ between machines.
 ``tests/test_trace_digest.py`` recomputes the digests and fails on any
 that differs from the file.  ``--write`` regenerates the file; a change
 that moves bits by design does so and names the runs that moved.
@@ -127,16 +130,36 @@ def digests(size: int = 64, iters=None):
 
 
 def platform() -> str:
-    """The digest file's first line: NumPy's version and its OpenBLAS
-    configuration, on which the bits depend."""
+    """The digest file's first line: NumPy's version, its OpenBLAS
+    configuration, the OpenBLAS kernel that runs (``unknown`` without
+    NumPy's bundled OpenBLAS) and the enabled SIMD dispatch targets, on
+    which the bits depend."""
+    import ctypes
+
     import numpy as np
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1
+        from numpy.core import _multiarray_umath as umath
 
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # NumPy before 1.26 prints its configuration only
         blas = {}
+    # the build string names the kernel OpenBLAS was built for, not the
+    # one it picked at load time
+    kernel = "unknown"
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            kernel = corename().decode()
+    dispatch = [target for target in umath.__cpu_dispatch__
+                if umath.__cpu_features__.get(target)]
     return (f"# numpy {np.__version__}; "
-            f"{blas.get('openblas configuration', blas.get('name'))}")
+            f"{blas.get('openblas configuration', blas.get('name'))}; "
+            f"kernel {kernel}; dispatch {' '.join(dispatch) or 'none'}")
 
 
 def main(argv=None) -> int:
