@@ -240,6 +240,8 @@ def _phantom_scene(size: int, peak: float, blur_size: int, blur_sigma: float):
 def build_problem(cfg: dict):
     """Returns ``(problem, x0, context)`` for the configured benchmark; a
     value the problem rejects (an even ``blur_size``, say) is a ConfigError.
+    On the phantom path, ``context["truth"]`` and the blur are the shared,
+    read-only ``_phantom_scene``.
     """
     name = cfg["problem"]
     if name not in PROBLEMS:

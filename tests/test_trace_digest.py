@@ -79,10 +79,11 @@ def test_platform_names_the_kernel_and_the_dispatch_targets():
     # NumPy's version no SIMD target, yet both settings below move digests
     head, kernel, dispatch = _platform_fields(trace_digest.platform())
     assert head and kernel and dispatch
-    # every dispatch target but the lowest turned off, OpenBLAS made to
-    # run its Haswell kernel
+    # every dispatch target but the lowest turned off, on top of those this
+    # process runs without, and OpenBLAS made to run its Haswell kernel
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               NPY_DISABLE_CPU_FEATURES=" ".join(dispatch[1:]))
+               NPY_DISABLE_CPU_FEATURES=" ".join(off + dispatch[1:]))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import trace_digest; print(trace_digest.platform())")
     proc = subprocess.run([sys.executable, "-c", code, str(_PATH.parent)],
