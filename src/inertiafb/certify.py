@@ -4,8 +4,8 @@ Each check replays one of the inequalities the solvers are supposed to
 maintain: sufficient decrease of the merit value against the per-iteration
 quantity d_k (H1), the step-norm bound through d_k (H4), the distance and
 gap certificates of the inexact prox engine, weak duality psi <= h, the
-algebraic couplings between alpha_k, beta_k and the Lipschitz estimate, the
-Armijo inequality, and the tie of the merit value to ``f``.  Each is a row
+algebraic identities that define alpha_k, beta_k and d_k, the Armijo
+inequality, and the tie of the merit value to ``f``.  Each is a row
 function ``(hdr, prev, row)`` that returns the residuals ``(k, r)`` of
 ``row``, the step after ``prev`` (None for the first step), and a residual
 passes only when it is a number ``<= 0``.  ``hdr`` is a :class:`Header`:
@@ -23,7 +23,7 @@ or ``Trace.read_csv`` read them, so ``certify trace.csv`` reproduces every
 verdict of the run.  The Armijo check applies to iPila traces only.  Each
 solver's coupling of ``(alpha_k, beta_k)`` to ``L_k`` and iPila's Armijo
 bound are written here once, and the steps call them, so the checks
-``param-identities`` and ``armijo`` replay them with no tolerance.
+``param-identities`` and ``armijo`` replay them, and ``d_k``, exactly.
 """
 
 from __future__ import annotations
@@ -245,13 +245,19 @@ def row_duality_gap(hdr, prev, row):
 def row_param_identities(hdr, prev, row):
     """``|alpha_k - alpha|`` and ``|beta_k - beta|``, the :func:`coupling`
     at the row's ``L_or_gamma`` replayed on the run's config;
-    iPila-practical's step reads the ``L_k`` that ``prev`` left, or ``L0``."""
+    iPila-practical's step reads the ``L_k`` that ``prev`` left, or ``L0``;
+    then ``d_k``'s tie to ``delta_k`` (iPila) or ``y_step_norm`` (iISTA)."""
     L = row["L_or_gamma"]
     if hdr.solver == "ipila-practical":
         L = hdr.cfg.L0 if prev is None else prev["L_or_gamma"]
     alpha, beta = coupling(hdr.solver, L, hdr.cfg)
-    return [(row["k"], abs(row["alpha_k"] - alpha)),
-            (row["k"], abs(row["beta_k"] - beta))]
+    out = [(row["k"], abs(row["alpha_k"] - alpha)),
+           (row["k"], abs(row["beta_k"] - beta))]
+    if hdr.solver == "i2piano":
+        return out
+    d = row["y_step_norm"] if hdr.solver == "iista" \
+        else math.sqrt(max(0.0, -row["delta_k"]))
+    return out + [(row["k"], abs(row["d_k"] - d))]
 
 
 def row_armijo(hdr, prev, row):

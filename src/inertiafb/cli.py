@@ -228,8 +228,8 @@ def _phantom_scene(size: int, peak: float, blur_size: int, blur_sigma: float):
     """``(truth, H, blurred)`` for the built-in phantom.  None of them
     depends on the seed, so a process that builds the same scene again
     (perfbench, the digest and ensemble tools, the tests) makes them once.
-    Both arrays are read-only and ``H`` is immutable, so builds share them;
-    the memo keeps one scene."""
+    Both arrays are read-only and ``H`` is immutable, so builds share them
+    and ``H``'s norm bound; the memo keeps one scene."""
     truth = imaging.phantom(size, peak=peak)
     H, blurred = _blur(truth, blur_size, blur_sigma)
     truth.flags.writeable = blurred.flags.writeable = False

@@ -57,16 +57,16 @@ class ConvOperator(LinearOp):
     The forward map mirrors the image across its border pixels before a
     valid-mode correlation with the kernel.  Along each axis that is a
     banded matrix, built once: ``C`` (``h x h``) from ``col`` and ``R``
-    (``w x w``) from ``row``, one matrix when the factors and the sides are
-    equal.  So ``H x = C X R^T`` and ``H^T y = C^T Y R`` (Hansen, Nagy &
-    O'Leary, *Deblurring Images*, SIAM 2006, ch. 4), run as BLAS products
-    per ``TILE x TILE`` output tile: the row pass of the tile's input rows,
-    those within the kernel radius, then the column pass.  A 64 x 64 image
-    is one tile.  The factors are read-only copies and define the operator
-    and its ``key``; ``kernel`` is their read-only outer product, kept for
-    reporting.  No state changes after construction, so one instance may
-    serve concurrent callers, and every returned array is fresh.  The bits
-    do not depend on the BLAS thread count.
+    (``w x w``) from ``row``.  So ``H x = C X R^T`` and ``H^T y = C^T Y R``
+    (Hansen, Nagy & O'Leary, *Deblurring Images*, SIAM 2006, ch. 4), run as
+    BLAS products per ``TILE x TILE`` output tile: the row pass of the
+    tile's input rows, those within the kernel radius, then the column
+    pass.  A 64 x 64 image is one tile.  The factors are read-only copies
+    and define the operator; ``kernel`` is their read-only outer product,
+    kept for reporting.  No state changes after construction, so one
+    instance may serve concurrent callers and keep one norm bound, and
+    every returned array is fresh.  The bits do not depend on the BLAS
+    thread count.
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, shape):
@@ -85,14 +85,7 @@ class ConvOperator(LinearOp):
         for a in (self.col, self.row, self.kernel):
             a.flags.writeable = False
         self.in_dim = self.out_dim = h * w
-        # the matrix is fixed by the two factors and the image shape
-        self.key = (type(self), self.shape, self.col.tobytes(),
-                    self.row.tobytes())
-        c = _mirror_matrix(self.col, h)
-        # a square blur by equal factors has one matrix: building a second
-        # added about 8% to a 64 x 64 impulse-l1 or gaussian-sd-tv build
-        r = (c if h == w and self.col.tobytes() == self.row.tobytes()
-             else _mirror_matrix(self.row, w))
+        c, r = _mirror_matrix(self.col, h), _mirror_matrix(self.row, w)
         # (block, out, inp) per tile, each block a C-ordered copy: BLAS
         # reads a view with a longer row stride more slowly
         rows, cols = _tiles(h, kh // 2), _tiles(w, kw // 2)

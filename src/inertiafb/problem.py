@@ -12,6 +12,7 @@ extended-real values use ``numpy.inf``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -74,16 +75,13 @@ class LinearOp:
     ``matvec`` may return ``x`` itself (``IdentityOp``): never write into
     it.  ``rmatvec`` returns a fresh array (callers keep it or write into
     it) that holds no -0.0, as a sum accumulated from +0.0 never does.
-
-    ``key`` names the matrix for ``power_iteration_sq_norm``'s memo: a
-    hashable value, read at each call, that two operators share only when
-    their matrices are equal.  The default ``None`` means the operator is
-    never memoised.
+    An operator's matrix never changes after construction, and operators
+    hash by identity, so ``power_iteration_sq_norm`` keeps one bound per
+    operator object.
     """
 
     in_dim: int
     out_dim: int
-    key = None
 
 
 class IdentityOp(LinearOp):
@@ -109,25 +107,17 @@ def adjoint_residual(op: LinearOp, rng: np.random.Generator) -> float:
     return worst
 
 
-# (op.key, iters) -> lambda: one float per distinct operator and step count
-_SQ_NORMS = {}
-
-
+@functools.lru_cache(maxsize=1)
 def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
     """Estimate of lambda_max(M^T M) by power iteration.
 
     Each ``M^T M v`` is normalised in place, as ``LinearOp.rmatvec``
     allows; ``sqrt(w.w)`` is ``np.linalg.norm``'s own formula.  The
-    iteration is deterministic, so an operator whose ``key`` is not None
-    runs it once per process: a later call with an equal key and ``iters``
-    returns the stored value, bit for bit.  Processes that build many
-    problems on one blur gain (perfbench, ``tools/trace_digest.py``, the
-    tests, a ``suite`` worker that runs more than one solver); a single
-    ``run`` does not.
+    iteration is deterministic and an operator fixed, so the last ``(op,
+    iters)`` is kept: the builds that share ``cli._phantom_scene``'s blur
+    share its bound, bit for bit, and an equal operator built anew runs
+    the iteration again.
     """
-    key = op.key
-    if key is not None and (key, iters) in _SQ_NORMS:
-        return _SQ_NORMS[key, iters]
     v = np.random.default_rng(0).standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -137,8 +127,6 @@ def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
         if lam == 0.0:
             break
         v /= lam
-    if key is not None:
-        _SQ_NORMS[key, iters] = lam
     return lam
 
 
@@ -229,7 +217,7 @@ class StructuredConvexTerm:
 
     ``op_norm_sq_bound``, on which the dual step relies, must upper-bound
     ``||M||^2`` and be positive and finite; when omitted it is 1.05 times
-    ``power_iteration_sq_norm(op)``, 50 power iterations once per ``op.key``.
+    ``power_iteration_sq_norm(op)``, 50 power iterations once per ``op``.
     """
 
     def __init__(self, op: LinearOp, g: ProxFunction, xi: ProxFunction,

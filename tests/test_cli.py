@@ -440,18 +440,20 @@ class TestRunCommand:
 
     def test_cold_and_warm_norm_memo_write_equal_traces(self, tmp_path,
                                                         monkeypatch):
-        # the second build takes impulse-l1's ||H||^2 from the memo, so its
-        # run applies H^T 50 times less than the first
+        # the second build shares the first one's H, and so takes
+        # impulse-l1's ||H||^2 from the memo: its run applies H^T 50 times
+        # less than the first
         args = ("run", "--problem", "impulse-l1", "--size", "16",
                 "--solver", "ipila-practical", "--max_outer", "20")
         calls = []
         rmatvec = imaging.ConvOperator.rmatvec
         monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
                             lambda op, y: calls.append(1) or rmatvec(op, y))
-        problem._SQ_NORMS.clear()
+        cli._phantom_scene.cache_clear()
+        problem.power_iteration_sq_norm.cache_clear()
         assert run_cli(*args, "--out", str(tmp_path / "cold")) == 0
         cold_calls = len(calls)
-        assert len(problem._SQ_NORMS) == 1
+        assert problem.power_iteration_sq_norm.cache_info().currsize == 1
         assert run_cli(*args, "--out", str(tmp_path / "warm")) == 0
         assert len(calls) - cold_calls == cold_calls - 50
         assert csv_equal_ignoring_time(tmp_path / "cold" / "trace.csv",
@@ -1081,6 +1083,27 @@ class TestCertifyCommand:
         assert "merit.status=fail" in report
         assert f"merit.worst_k={trace.rows[-1]['k']}" in report
         assert "overall=fail" in report
+
+    @pytest.mark.parametrize("solver,column,factor", [
+        ("ipila-strict", "delta_k", 1 - 1e-6),
+        ("iista", "y_step_norm", 1 + 1e-6),
+        ("iista", "d_k", 1 + 1e-6)])
+    def test_certify_replays_d_k(self, tmp_path, capsys, solver, column,
+                                 factor):
+        # d_k is sqrt(max(0, -delta_k)) for iPila and y_step_norm for
+        # iISTA; each bump used to pass within the margins of H1 and H4
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", solver, "--problem",
+                       "gaussian-sd-tv", "--size", "16", "--tau", "0.01",
+                       "--max_outer", "5", "--out", str(out)) == 0
+        trace = Trace.read_csv(out / "trace.csv")
+        trace.rows[2][column] *= factor
+        trace.write_csv(out / "trace.csv")
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv")) == 4
+        report = capsys.readouterr().out
+        assert "param-identities.status=fail" in report
+        assert "param-identities.worst_k=2" in report
 
     def test_certify_fails_on_nan_residuals(self, tmp_path, capsys):
         # a NaN residual used to pass, as nan > worst is false, and the

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from inertiafb import imaging, problem
+from inertiafb import cli, imaging
 from inertiafb.cli import DEFAULTS, build_problem
-from inertiafb.problem import (CompositeProblem, IdentityOp, L1Norm,
-                               StructuredConvexTerm, ZeroFunction,
+from inertiafb.problem import (CompositeProblem, ZeroFunction,
                                adjoint_residual, check_gradient,
                                power_iteration_sq_norm)
-from tests.conftest import MatrixOp, MirrorConv2D, fold2d_reference, xi_term
+from tests.conftest import MirrorConv2D, fold2d_reference, xi_term
 
 
 # Reference formulas the imaging layer must reproduce bit for bit: the
@@ -157,13 +156,12 @@ class TestConvOperator:
         assert g.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_kernel_is_the_read_only_outer_product(self):
-        # and the factors are read-only too: the band matrices and the key
-        # are fixed at construction, so an edited factor would leave them
-        # behind
+        # and the factors are read-only too: the band matrices, and the norm
+        # bound kept for the object, are fixed at construction, so an edited
+        # factor would leave them behind
         rng = np.random.default_rng(7)
         col, row = _factors(rng, (3, 5))
         op = imaging.ConvOperator(col, row, (6, 11))
-        key = op.key
         assert op.kernel.shape == (3, 5)
         assert op.kernel.tobytes() == np.outer(col, row).tobytes()
         with pytest.raises(ValueError):
@@ -173,9 +171,6 @@ class TestConvOperator:
                 factor[1] = 0.0
         col[1] = 0.0  # the operator keeps copies of its factors
         assert op.kernel.tobytes() == np.outer(op.col, op.row).tobytes()
-        assert op.key is key
-        assert key == (imaging.ConvOperator, (6, 11), op.col.tobytes(),
-                       op.row.tobytes())
 
     @pytest.mark.parametrize("shape,kshape", [
         ((8, 8), (5, 5)), ((6, 11), (3, 5)), ((17, 9), (5, 3)),
@@ -314,8 +309,7 @@ class TestReusedWorkspaces:
 
     def test_power_iteration_keeps_the_norm_bits(self):
         # 50 steps of the blur's own products at 64x64, against
-        # np.linalg.norm and v = w / lam
-        problem._SQ_NORMS.clear()  # the iteration runs, not the memo
+        # np.linalg.norm and v = w / lam; a fresh operator runs the iteration
         op = _blur()
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.in_dim)
@@ -345,37 +339,36 @@ def _count_calls(op):
 
 
 class TestNormMemo:
-    """``power_iteration_sq_norm`` runs once per operator key and step
-    count, and returns what a fresh iteration returns, bit for bit."""
+    """``power_iteration_sq_norm`` keeps the last ``(op, iters)``: the same
+    operator object asked again applies nothing, and any other operator or
+    step count runs the iteration, bit for bit as a fresh one."""
 
     LAM = "0x1.033cd4dfbad93p+0"  # 50 steps on the 5x5 sigma=1 64x64 blur
     BOUND = "0x1.103312b7b7641p+0"  # impulse-l1's 1.05 * LAM at 64x64
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        problem._SQ_NORMS.clear()
+        power_iteration_sq_norm.cache_clear()
 
-    def test_a_stored_bound_has_the_bits_of_a_fresh_one(self):
+    def test_the_same_operator_applies_nothing_the_second_time(self):
         op = _blur()
         calls = _count_calls(op)
         assert power_iteration_sq_norm(op).hex() == self.LAM
         assert calls == ["matvec", "rmatvec"] * 50
-        g = np.zeros(64 * 64)
-        assert imaging.l1_fidelity_term(_blur(), g).op_norm_sq_bound.hex() \
-            == self.BOUND
-        problem._SQ_NORMS.clear()
-        cold = imaging.l1_fidelity_term(_blur(), g)
-        assert cold.op_norm_sq_bound.hex() == self.BOUND
-        assert cold.op.key == _blur().key
-        assert list(problem._SQ_NORMS.values())[0].hex() == self.LAM
+        assert power_iteration_sq_norm(op).hex() == self.LAM
+        assert len(calls) == 100
+        term = imaging.l1_fidelity_term(op, np.zeros(64 * 64))
+        assert term.op_norm_sq_bound.hex() == self.BOUND
+        assert len(calls) == 100
 
-    def test_an_equal_operator_applies_nothing(self):
+    def test_a_fresh_equal_operator_recomputes_the_same_bits(self):
         power_iteration_sq_norm(_blur())
         again = _blur()
         calls = _count_calls(again)
         assert power_iteration_sq_norm(again).hex() == self.LAM
-        assert calls == []
-        assert len(problem._SQ_NORMS) == 1
+        assert calls == ["matvec", "rmatvec"] * 50
+        assert imaging.l1_fidelity_term(_blur(), np.zeros(64 * 64)) \
+            .op_norm_sq_bound.hex() == self.BOUND
 
     @pytest.mark.parametrize("change", ["kernel", "shape", "iters",
                                         "edited kernel"])
@@ -394,29 +387,32 @@ class TestNormMemo:
             row[2] *= 2.0
             op = imaging.ConvOperator(base.col, row, base.shape)
         else:
-            op = _blur((16, 16))
+            op = base
         calls = _count_calls(op)
         got = power_iteration_sq_norm(op, iters)
         assert calls == ["matvec", "rmatvec"] * iters
-        assert len(problem._SQ_NORMS) == 2
         if change != "iters":
             assert got != lam
-        # the new value is stored under its own key
+        # the new value is kept for its own (op, iters)
         assert power_iteration_sq_norm(op, iters) == got
         assert len(calls) == 2 * iters
 
-    def test_operators_without_a_key_are_never_stored(self):
-        rng = np.random.default_rng(5)
-        ops = [MatrixOp(rng.standard_normal((6, 4))),
-               imaging.GradOp((8, 8)), IdentityOp(5)]
-        for op in ops:
-            assert op.key is None
-            calls = _count_calls(op)
-            first = power_iteration_sq_norm(op, 20)
-            assert power_iteration_sq_norm(op, 20) == first
-            assert calls == ["matvec", "rmatvec"] * 40
-        StructuredConvexTerm(ops[0], L1Norm(1.0), ZeroFunction())
-        assert problem._SQ_NORMS == {}
+    def test_builds_at_two_seeds_apply_the_shared_blur_once(self,
+                                                           monkeypatch):
+        # every impulse-l1 build of a process takes H from the scene memo,
+        # so the second build's bound comes from the norm memo
+        calls = []
+        rmatvec = imaging.ConvOperator.rmatvec
+        monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
+                            lambda op, y: calls.append(1) or rmatvec(op, y))
+        cli._phantom_scene.cache_clear()
+        cfg = dict(DEFAULTS, problem="impulse-l1", size="64")
+        first, _, _ = build_problem(dict(cfg, seed="0"))
+        second, _, _ = build_problem(dict(cfg, seed="1"))
+        assert second.f1.op is first.f1.op
+        assert len(calls) == 50
+        for built in (first, second):
+            assert built.f1.op_norm_sq_bound.hex() == self.BOUND
 
 
 class TestTotalVariation:
