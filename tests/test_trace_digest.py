@@ -21,13 +21,27 @@ trace_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trace_digest)
 
 
+def _moved(before, after):
+    """The parts whose digests differ between two ``trace_digest`` dicts."""
+    return sorted(part for part in before.keys() | after.keys()
+                  if before.get(part) != after.get(part))
+
+
 def test_digests_repeat_and_cover_every_run():
     first = trace_digest.digests(size=16, iters=5)
     assert first == trace_digest.digests(size=16, iters=5)
-    assert len(first) == 32
+    # a rows and a meta part per run: no column is newer than the split
+    assert [part for _, _, part, _ in first] == ["rows", "meta"] * 32
+    runs, parts = {}, {}
+    for label, solver, part, digest in first:
+        runs.setdefault((label, solver), []).append(digest)
+        parts.setdefault(part, set()).add(digest)
     # cut to 5 iterations, the 80- and 200-iteration synthetic runs coincide,
-    # and i2Piano and iISTA do not read alpha_max
-    assert len({d for _, _, d in first}) == 26
+    # and i2Piano and iISTA do not read alpha_max; in 5 rows neither
+    # iPila-practical's cap alpha_max 5 nor iPila-strict's L0 moves a row
+    assert len({tuple(d) for d in runs.values()}) == 26
+    assert {part: len(d) for part, d in parts.items()} \
+        == {"rows": 24, "meta": 26}
 
 
 @pytest.fixture(scope="module")
@@ -42,21 +56,21 @@ def test_digests_match_the_committed_file(runs):
     platform, *lines = trace_digest.DIGEST_FILE.read_text().splitlines()
     committed = {}
     for line in lines:
-        *label, solver, digest = line.split()
-        committed[(" ".join(label), solver)] = digest
-    ours = {(label, solver): trace_digest.trace_digest(t)
-            for label, solver, t in runs}
-    differ = [f"{label} {solver}" for label, solver in {**committed, **ours}
-              if committed.get((label, solver)) != ours.get((label, solver))]
+        *label, solver, part, digest = line.split()
+        committed[(" ".join(label), solver, part)] = digest
+    ours = {(label, solver, part): digest for label, solver, t in runs
+            for part, digest in trace_digest.trace_digest(t).items()}
+    differ = [" ".join(key) for key in {**committed, **ours}
+              if committed.get(key) != ours.get(key)]
     here = trace_digest.platform()
     assert not differ, "\n".join(
-        [f"{len(differ)} of {len(ours)} runs differ:", *differ]
+        [f"{len(differ)} of {len(ours)} run parts differ:", *differ]
         + ([f"file: {platform}", f"here: {here}"] if platform != here else []))
 
 
 def test_write_puts_the_platform_above_the_printed_lines(monkeypatch,
                                                          tmp_path, capsys):
-    fake = [("synthetic-quadratic-l1 k=80", "iista", "0" * 64)]
+    fake = [("synthetic-quadratic-l1 k=80", "iista", "rows", "0" * 64)]
     monkeypatch.setattr(trace_digest, "digests", lambda: fake)
     monkeypatch.setattr(trace_digest, "DIGEST_FILE", tmp_path / "d.txt")
     monkeypatch.setattr(trace_digest.sys, "path", list(trace_digest.sys.path))
@@ -167,7 +181,7 @@ def test_changed_f_changes_the_digest():
     trace.rows[2]["time_s"] += 1.0
     assert trace_digest.trace_digest(trace) == before
     trace.rows[2]["f"] = np.nextafter(trace.rows[2]["f"], np.inf)
-    assert trace_digest.trace_digest(trace) != before
+    assert _moved(before, trace_digest.trace_digest(trace)) == ["rows"]
 
 
 def test_changed_float_format_changes_the_digest(monkeypatch):
@@ -181,9 +195,30 @@ def test_changed_float_format_changes_the_digest(monkeypatch):
 
 
 def test_changed_meta_changes_the_digest():
+    # a header-only edit moves the meta part alone: rel_gap is read from the
+    # last row's f, so not even f_final moves the rows
     cfg = dict(cli.DEFAULTS, size="16", max_outer="5", solver="i2piano")
     problem, x0, _ = cli.build_problem(cfg)
     trace = cli.run_solver(problem, x0, cfg)
     before = trace_digest.trace_digest(trace)
-    trace.meta["stop_reason"] = "d_k"
-    assert trace_digest.trace_digest(trace) != before
+    for key, value in (("stop_reason", "d_k"), ("variant", "x"),
+                       ("f_final", np.nextafter(trace.meta["f_final"], 0))):
+        trace.meta[key] = value
+        after = trace_digest.trace_digest(trace)
+        assert _moved(before, after) == ["meta"], key
+        before = after
+
+
+def test_a_new_column_gets_its_own_part(monkeypatch):
+    # a change that adds a column shows every old byte unchanged
+    cfg = dict(cli.DEFAULTS, size="16", max_outer="5", solver="iista")
+    problem, x0, _ = cli.build_problem(cfg)
+    trace = cli.run_solver(problem, x0, cfg)
+    before = trace_digest.trace_digest(trace)
+    monkeypatch.setattr(trace_module, "CSV_COLUMNS", [*CSV_COLUMNS, "extra"])
+    for row in trace.rows:
+        row["extra"] = 0.5 * row["f"]
+    after = trace_digest.trace_digest(trace)
+    assert _moved(before, after) == ["col:extra"]
+    trace.rows[2]["extra"] = 1.0
+    assert _moved(after, trace_digest.trace_digest(trace)) == ["col:extra"]

@@ -1,23 +1,32 @@
-"""Print one sha256 per solver run: the byte-identity gate for refactors.
+"""Print the sha256 digests of each solver run: the byte-identity gate for
+refactors.
 
 A change that must not move any arithmetic should leave every digest
-unchanged.  Each digest covers the run's in-memory trace rows, every field
-but ``time_s`` (floats by their exact hex form), then its ``meta`` (sorted
-keys, floats by hex), then the bytes of ``x_final``, then the ``trace.csv``
-the trace writes with ``f_star = f_final`` (so with a ``rel_gap`` column)
-and its ``time_s`` fields blanked, so that the CSV writer's formatting is
-gated too.
+unchanged.  Each run gets one digest per part, so a change that adds a
+column or edits the header shows every other byte unchanged:
+
+- ``rows``: every in-memory trace row restricted to ``BASE_COLUMNS``
+  without ``time_s`` (floats by their exact hex form), then the bytes of
+  ``x_final``, then the column line and row lines of the ``trace.csv`` the
+  trace writes with ``f_star`` the last row's ``f`` (so with a ``rel_gap``
+  column), restricted the same way and with ``time_s`` blanked, so that
+  the CSV writer's formatting is gated too;
+- ``meta``: the trace's ``meta`` (sorted keys, floats by hex), then the
+  CSV's ``# key=value`` lines;
+- ``col:NAME``: for each column not in ``BASE_COLUMNS``, its in-memory
+  values and its CSV fields.
 
 ``tests/trace_digests.txt`` holds the digests of the committed code, one
-line per run as this script prints them, after a first line that names
-NumPy's version, its OpenBLAS configuration, the OpenBLAS kernel that runs
-and the SIMD targets NumPy's loops dispatch to: a ``DYNAMIC_ARCH``
+line per run and part as this script prints them, after a first line that
+names NumPy's version, its OpenBLAS configuration, the OpenBLAS kernel that
+runs and the SIMD targets NumPy's loops dispatch to: a ``DYNAMIC_ARCH``
 OpenBLAS picks its kernel by CPU (``OPENBLAS_CORETYPE`` overrides it), as
 NumPy picks its loops (``NPY_DISABLE_CPU_FEATURES`` turns targets off), so
 bits may differ between machines.
 ``tests/test_trace_digest.py`` recomputes the digests and fails on any
-that differs from the file.  ``--write`` regenerates the file; a change
-that moves bits by design does so and names the runs that moved.
+that differs from the file, naming the run and the part.  ``--write``
+regenerates the file; a change that moves bits by design does so and names
+the runs and parts that moved.
 
 The runs are the 4 solvers at 64x64 on impulse-l1 at ``tau`` 1e6 and 1.0,
 gaussian-sd-tv at ``tau`` 0.01 (also with ``alpha_max`` 5) and
@@ -45,6 +54,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = ROOT / "tests" / "trace_digests.txt"
 SOLVERS = ("i2piano", "ipila-strict", "ipila-practical", "iista")
+# trace.CSV_COLUMNS when the digests were split into parts, frozen: a column
+# added later gets a part of its own
+BASE_COLUMNS = ("k", "time_s", "f", "phi", "h", "delta_k", "d_k", "alpha_k",
+                "beta_k", "L_or_gamma", "lambda_k", "inner_iters",
+                "backtracks", "psi", "x_step_norm", "y_step_norm",
+                "s_step_norm", "prox_branch", "accepted_branch")
 # (label, CLI overrides, outer iterations)
 RUNS = (
     ("impulse-l1 tau=1e6", {"problem": "impulse-l1", "tau": "1e6"}, 80),
@@ -73,35 +88,52 @@ def _encode(value) -> str:
     return repr(value)
 
 
-def _fields(mapping, skip=()) -> bytes:
-    return (";".join(f"{k}={_encode(v)}" for k, v in sorted(mapping.items())
-                     if k not in skip) + "\n").encode()
+def _fields(mapping) -> bytes:
+    return (";".join(f"{k}={_encode(v)}" for k, v in sorted(mapping.items()))
+            + "\n").encode()
 
 
-def csv_without_time(trace) -> bytes:
-    """The ``trace.csv`` that ``trace`` writes with ``f_star = f_final``,
-    its ``time_s`` fields blanked as ``csv_equal_ignoring_time`` does."""
+def _csv(trace):
+    """The ``trace.csv`` that ``trace`` writes with ``f_star`` the last
+    row's ``f``, its ``time_s`` fields blanked as
+    ``csv_equal_ignoring_time`` does: ``(# key=value lines, [column line,
+    *row lines] split into fields)``."""
     from inertiafb.trace import _strip_time
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        trace.write_csv(path, f_star=trace.meta["f_final"])
-        return "\n".join(_strip_time(path)).encode()
+        trace.write_csv(path, f_star=trace.rows[-1]["f"])
+        lines = _strip_time(path)
+    return ([line for line in lines if line.startswith("#")],
+            [line.split(",") for line in lines if not line.startswith("#")])
 
 
-def trace_digest(trace) -> str:
-    """sha256 of the trace rows without ``time_s``, its meta, ``x_final``
-    and its written CSV without ``time_s``."""
+def trace_digest(trace) -> dict:
+    """``{part: sha256}`` of the trace's parts ``rows``, ``meta`` and one
+    ``col:NAME`` per column not in ``BASE_COLUMNS``."""
     import numpy as np
 
-    sha = hashlib.sha256()
+    header, table = _csv(trace)
+    rows, meta = hashlib.sha256(), hashlib.sha256()
+    base = [c for c in BASE_COLUMNS if c != "time_s"]
     for row in trace.rows:
-        sha.update(_fields(row, skip=("time_s",)))
-    sha.update(_fields(trace.meta))
+        rows.update(_fields({c: row[c] for c in base}))
     if trace.x_final is not None:
-        sha.update(np.ascontiguousarray(trace.x_final, dtype="<f8").tobytes())
-    sha.update(csv_without_time(trace))
-    return sha.hexdigest()
+        rows.update(np.ascontiguousarray(trace.x_final, dtype="<f8").tobytes())
+    kept = [i for i, c in enumerate(table[0])
+            if c in BASE_COLUMNS or c == "rel_gap"]
+    for fields in table:
+        rows.update((",".join(fields[i] for i in kept) + "\n").encode())
+    meta.update(_fields(trace.meta))
+    meta.update("".join(line + "\n" for line in header).encode())
+    out = {"rows": rows.hexdigest(), "meta": meta.hexdigest()}
+    for i, name in enumerate(table[0]):
+        if i not in kept:
+            col = hashlib.sha256()
+            for row, fields in zip(trace.rows, table[1:]):
+                col.update(_fields({name: row[name]}) + fields[i].encode())
+            out[f"col:{name}"] = col.hexdigest()
+    return out
 
 
 def traces(size: int = 64, iters=None):
@@ -124,9 +156,10 @@ def traces(size: int = 64, iters=None):
 
 
 def digests(size: int = 64, iters=None):
-    """``[(run label, solver, digest)]``, one per run."""
-    return [(label, solver, trace_digest(trace))
-            for label, solver, trace in traces(size, iters)]
+    """``[(run label, solver, part, digest)]``, one per run and part."""
+    return [(label, solver, part, digest)
+            for label, solver, trace in traces(size, iters)
+            for part, digest in trace_digest(trace).items()]
 
 
 def platform() -> str:
@@ -168,8 +201,8 @@ def main(argv=None) -> int:
                         help=f"write the digests to {DIGEST_FILE.name}")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    lines = [f"{label:36s} {solver:16s} {digest}"
-             for label, solver, digest in digests()]
+    lines = [f"{label:36s} {solver:16s} {part:5s} {digest}"
+             for label, solver, part, digest in digests()]
     if args.write:
         DIGEST_FILE.write_text("\n".join([platform(), *lines]) + "\n")
     else:
