@@ -1,5 +1,4 @@
-"""Print the sha256 digests of each solver run: the byte-identity gate for
-refactors.
+"""Print each run's sha256 per part: the byte-identity gate for refactors.
 
 A change that must not move any arithmetic should leave every digest
 unchanged.  Each run gets one digest per part, so a change that adds a
