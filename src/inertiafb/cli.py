@@ -216,22 +216,22 @@ def _solver_names(cfg) -> list:
     return solvers
 
 
-def _blur(truth, blur_size: int, blur_sigma: float):
-    """``(H, H truth)`` for the Gaussian blur ``H`` of ``truth``'s shape."""
+@functools.lru_cache(maxsize=1)
+def _scene(pgm, size: int, peak: float, blur_size: int, blur_sigma: float):
+    """``(truth, H, blurred)``: the image scaled to ``peak``, its Gaussian
+    blur ``H`` and ``H truth``.  The image is the built-in phantom of side
+    ``size`` when ``pgm`` is None, else the binary PGM file whose bytes are
+    ``pgm``.  None of them depends on the seed, so a process that builds
+    the same scene again (perfbench, the digest and ensemble tools, the
+    tests, a ``suite`` worker that runs more than one solver) makes them
+    once; an edited file has other bytes and makes a new scene.  Both
+    arrays are read-only and ``H`` is immutable, so builds share them and
+    ``H``'s norm bound; the memo keeps one scene."""
+    truth = (imaging.phantom(size, peak=peak) if pgm is None
+             else imaging.parse_pgm(pgm) * (peak / 255.0))
     kernel = imaging.gaussian_kernel(blur_size, blur_sigma)
     H = imaging.ConvOperator(kernel, kernel, truth.shape)
-    return H, H.matvec(truth.ravel())
-
-
-@functools.lru_cache(maxsize=1)
-def _phantom_scene(size: int, peak: float, blur_size: int, blur_sigma: float):
-    """``(truth, H, blurred)`` for the built-in phantom.  None of them
-    depends on the seed, so a process that builds the same scene again
-    (perfbench, the digest and ensemble tools, the tests) makes them once.
-    Both arrays are read-only and ``H`` is immutable, so builds share them
-    and ``H``'s norm bound; the memo keeps one scene."""
-    truth = imaging.phantom(size, peak=peak)
-    H, blurred = _blur(truth, blur_size, blur_sigma)
+    blurred = H.matvec(truth.ravel())
     truth.flags.writeable = blurred.flags.writeable = False
     return truth, H, blurred
 
@@ -240,8 +240,7 @@ def _phantom_scene(size: int, peak: float, blur_size: int, blur_sigma: float):
 def build_problem(cfg: dict):
     """Returns ``(problem, x0, context)`` for the configured benchmark; a
     value the problem rejects (an even ``blur_size``, say) is a ConfigError.
-    On the phantom path, ``context["truth"]`` and the blur are the shared,
-    read-only ``_phantom_scene``.
+    ``context["truth"]`` and the blur are the shared, read-only ``_scene``.
     """
     name = cfg["problem"]
     if name not in PROBLEMS:
@@ -267,17 +266,17 @@ def build_problem(cfg: dict):
         raise ConfigError("peak must be positive with 255/peak finite, "
                           f"not {peak!r}")
     blur = (_i(cfg, "blur_size"), _f(cfg, "blur_sigma"))
+    pgm = None
     if "image" in cfg:
-        # the file may change between builds, so each build reads it
+        # the file may change between builds, so each build reads it and
+        # the scene memo keys it by its bytes
         path = cfg["image"]
         try:
-            truth = imaging.read_pgm(path) * (peak / 255.0)
+            pgm = Path(path).read_bytes()
         except OSError as exc:  # missing, a directory
             raise ConfigError(f"cannot read image file {path}: {exc}") \
                 from None
-        H, blurred = _blur(truth, *blur)
-    else:
-        truth, H, blurred = _phantom_scene(size, peak, *blur)
+    truth, H, blurred = _scene(pgm, size, peak, *blur)
     shape = truth.shape
 
     if name == "impulse-l1":

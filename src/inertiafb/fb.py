@@ -244,13 +244,16 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
         new = step(problem, state, cfg)
         res = new.prox
         # sqrt of the dot product is np.linalg.norm's own formula
-        dx, ds = new.x_curr - state.x_curr, new.s_curr - state.s_curr
+        y_step = math.sqrt(res.y_step_sq)
+        # x_{k+1} = y_tilde moved by y_step: no second pass over x
+        x_step = y_step if new.x_curr is res.y_tilde \
+            else math.sqrt((dx := new.x_curr - state.x_curr).dot(dx))
+        ds = new.s_curr - state.s_curr
         row = trace.append(
             k=k, time_s=time.monotonic() - t0,
             **{name: getattr(new, name) for name in ROW_FIELDS},
             h=res.h_value, psi=res.psi_value, prox_branch=res.converged,
-            x_step_norm=math.sqrt(dx.dot(dx)),
-            y_step_norm=math.sqrt(res.y_step_sq),
+            x_step_norm=x_step, y_step_norm=y_step,
             s_step_norm=math.sqrt(ds.dot(ds)))
         if failed := [f"{name} at k={j} (residual {r:.3e})"
                       for name, fn in checks.items()

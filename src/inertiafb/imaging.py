@@ -431,9 +431,8 @@ def write_pgm(path, img: np.ndarray, peak: float) -> None:
         fh.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def parse_pgm(raw: bytes) -> np.ndarray:
+    """The pixels of the binary PGM file whose bytes are ``raw``."""
     fields = []
     pos = 0
     while len(fields) < 4:

@@ -114,9 +114,9 @@ def power_iteration_sq_norm(op: LinearOp, iters: int = 50) -> float:
     Each ``M^T M v`` is normalised in place, as ``LinearOp.rmatvec``
     allows; ``sqrt(w.w)`` is ``np.linalg.norm``'s own formula.  The
     iteration is deterministic and an operator fixed, so the last ``(op,
-    iters)`` is kept: the builds that share ``cli._phantom_scene``'s blur
-    share its bound, bit for bit, and an equal operator built anew runs
-    the iteration again.
+    iters)`` is kept: the builds that share ``cli._scene``'s blur share
+    its bound, bit for bit, and an equal operator built anew runs the
+    iteration again.
     """
     v = np.random.default_rng(0).standard_normal(op.in_dim)
     v /= np.linalg.norm(v)
@@ -217,7 +217,10 @@ class StructuredConvexTerm:
 
     ``op_norm_sq_bound``, on which the dual step relies, must upper-bound
     ``||M||^2`` and be positive and finite; when omitted it is 1.05 times
-    ``power_iteration_sq_norm(op)``, 50 power iterations once per ``op``.
+    ``power_iteration_sq_norm(op)``, 50 power iterations once per ``op``
+    object.  That bound holds only while ``op``'s matrix stays as it was
+    when first asked, as ``LinearOp`` requires: an operator edited after
+    its bound was kept would get the stale bound.
     """
 
     def __init__(self, op: LinearOp, g: ProxFunction, xi: ProxFunction,

@@ -12,10 +12,12 @@ from inertiafb.prox_engine import ProxQuery
 
 
 class MatrixOp(LinearOp):
-    """A dense matrix as a linear operator."""
+    """A dense matrix as a linear operator: a read-only copy of ``a``, as
+    ``LinearOp`` requires a matrix that never changes."""
 
     def __init__(self, a: np.ndarray):
-        self.a = np.asarray(a, dtype=float)
+        self.a = np.array(a, dtype=float)
+        self.a.flags.writeable = False
         self.out_dim, self.in_dim = self.a.shape
 
     def matvec(self, x):

@@ -449,7 +449,7 @@ class TestRunCommand:
         rmatvec = imaging.ConvOperator.rmatvec
         monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
                             lambda op, y: calls.append(1) or rmatvec(op, y))
-        cli._phantom_scene.cache_clear()
+        cli._scene.cache_clear()
         problem.power_iteration_sq_norm.cache_clear()
         assert run_cli(*args, "--out", str(tmp_path / "cold")) == 0
         cold_calls = len(calls)
@@ -504,8 +504,9 @@ class TestRunCommand:
 
 
 class TestSharedScene:
-    """The phantom, its blur ``H`` and ``H x_true`` do not depend on the
-    seed, so a process makes them once and every build shares them."""
+    """The phantom or an image file, its blur ``H`` and ``H x_true`` do not
+    depend on the seed, so a process makes them once and every build
+    shares them."""
 
     @staticmethod
     def _cfg(name, **overrides):
@@ -515,7 +516,7 @@ class TestSharedScene:
     def test_builds_share_one_read_only_scene(self):
         (p, _, a), (q, _, b) = (cli.build_problem(self._cfg(
             "impulse-l1", seed=seed)) for seed in ("0", "1"))
-        truth, H, blurred = cli._phantom_scene(16, 255.0, 5, 1.0)
+        truth, H, blurred = cli._scene(None, 16, 255.0, 5, 1.0)
         assert p.f1.op is q.f1.op is H
         assert a["truth"] is b["truth"] is truth
         assert not np.array_equal(a["g"], b["g"])
@@ -529,8 +530,7 @@ class TestSharedScene:
                                                          monkeypatch, name):
         cfg = self._cfg(name, seed="2")
         shared = cli.build_problem(cfg)
-        monkeypatch.setattr(cli, "_phantom_scene",
-                            cli._phantom_scene.__wrapped__)
+        monkeypatch.setattr(cli, "_scene", cli._scene.__wrapped__)
         fresh = cli.build_problem(cfg)
         assert fresh[2]["truth"] is not shared[2]["truth"]
         assert fresh[2]["g"].tobytes() == shared[2]["g"].tobytes()
@@ -551,6 +551,24 @@ class TestSharedScene:
         _, _, second = cli.build_problem(cfg)
         for key in ("truth", "g"):
             assert not np.array_equal(first[key], second[key]), key
+
+    def test_builds_of_one_image_file_share_its_blur_and_norm(
+            self, tmp_path, monkeypatch):
+        # a suite worker builds the same --image for each of its solvers;
+        # an H made afresh for each build ran the 50 power iterations again
+        image = tmp_path / "truth.pgm"
+        imaging.write_pgm(image, imaging.phantom(16, 255.0), peak=255.0)
+        calls = []
+        rmatvec = imaging.ConvOperator.rmatvec
+        monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
+                            lambda op, y: calls.append(1) or rmatvec(op, y))
+        cli._scene.cache_clear()
+        cfg = self._cfg("impulse-l1", image=str(image))
+        (p, _, a), (q, _, b) = (cli.build_problem(cfg) for _ in range(2))
+        assert p.f1.op is q.f1.op
+        assert a["truth"] is b["truth"]
+        assert p.f1.op_norm_sq_bound == q.f1.op_norm_sq_bound
+        assert len(calls) == 50
 
     def test_even_blur_size_exits_2_on_every_call(self, tmp_path, capsys):
         # the memo keeps no exception, so no call returns a stale scene

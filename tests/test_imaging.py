@@ -405,7 +405,7 @@ class TestNormMemo:
         rmatvec = imaging.ConvOperator.rmatvec
         monkeypatch.setattr(imaging.ConvOperator, "rmatvec",
                             lambda op, y: calls.append(1) or rmatvec(op, y))
-        cli._phantom_scene.cache_clear()
+        cli._scene.cache_clear()
         cfg = dict(DEFAULTS, problem="impulse-l1", size="64")
         first, _, _ = build_problem(dict(cfg, seed="0"))
         second, _, _ = build_problem(dict(cfg, seed="1"))
@@ -798,17 +798,18 @@ class TestImageIO:
         img = rng.integers(0, 256, size=(9, 13)).astype(float)
         path = tmp_path / "img.pgm"
         imaging.write_pgm(path, img, peak=255.0)
-        np.testing.assert_array_equal(imaging.read_pgm(path), img)
+        np.testing.assert_array_equal(imaging.parse_pgm(path.read_bytes()),
+                                      img)
 
     def test_pgm_scales_by_peak(self, tmp_path):
         img = np.array([[0.0, 0.5, 1.0]])
         path = tmp_path / "img.pgm"
         imaging.write_pgm(path, img, peak=1.0)
-        np.testing.assert_allclose(imaging.read_pgm(path),
+        np.testing.assert_allclose(imaging.parse_pgm(path.read_bytes()),
                                    [[0.0, 128.0, 255.0]])
 
     def test_pgm_rejects_other_formats(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ValueError):
-            imaging.read_pgm(path)
+            imaging.parse_pgm(path.read_bytes())
