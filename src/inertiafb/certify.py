@@ -123,18 +123,24 @@ def _meta(meta: dict, key: str, typ=float):
         raise ValueError(f"bad {key} value {value!r}") from None
 
 
+def setting_fields(cls) -> list:
+    """The fields of the solver config class ``cls`` that are settings:
+    every one but iPila's ``variant``, which the solver name fixes.  A
+    trace header and the CLI keys hold these, each as its default's type."""
+    return [f for f in fields(cls) if f.name != "variant"]
+
+
 def solver_config(solver: str, read):
-    """``solver``'s config, each field from ``read(key, default)`` and
-    iPila's ``variant`` from the name: the one map from the ``SOLVERS`` to
-    their config classes."""
+    """``solver``'s config, each of its :func:`setting_fields` from
+    ``read(key, default)`` and iPila's ``variant`` from the name: the one
+    map from the ``SOLVERS`` to their config classes."""
     # the solver modules import this one, so it imports them when called
     from inertiafb.i2piano import I2PianoConfig
     from inertiafb.iista import IistaConfig
     from inertiafb.ipila import VARIANTS, IPilaConfig
     cls = {"i2piano": I2PianoConfig, "iista": IistaConfig}.get(solver,
                                                                IPilaConfig)
-    values = {f.name: read(f.name, f.default)
-              for f in fields(cls) if f.name != "variant"}
+    values = {f.name: read(f.name, f.default) for f in setting_fields(cls)}
     if cls is IPilaConfig:
         values["variant"] = next(v for v, s in VARIANTS.items() if s == solver)
     return cls(**values)
@@ -142,9 +148,9 @@ def solver_config(solver: str, read):
 
 def header(meta: dict) -> Header:
     """The :class:`Header` of a trace's ``meta``, which must hold, in this
-    order, ``solver``, one of ``SOLVERS``, ``f_init`` and each field of the
-    solver's config but iPila's ``variant``, of its default's type; a value
-    the config class rejects raises its message.  ``phi_init`` is unread."""
+    order, ``solver``, one of ``SOLVERS``, ``f_init`` and each of the
+    :func:`setting_fields` of the solver's config, of its default's type; a
+    value the config class rejects raises its message."""
     solver = _meta(meta, "solver", str)
     if solver not in SOLVERS:
         raise ValueError(f"bad solver value {solver!r}")

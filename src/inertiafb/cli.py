@@ -32,14 +32,14 @@ import math
 import multiprocessing
 import os
 import sys
-import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
 from inertiafb import imaging
-from inertiafb.certify import SOLVERS, solver_config, summarize
+from inertiafb.certify import (SOLVERS, setting_fields, solver_config,
+                               summarize)
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
@@ -79,11 +79,11 @@ DEFAULTS = {
     "solvers": "i2piano,ipila-practical,ipila-strict,iista",
     "fstar_iters": "20000",
 }
-# the solver settings and their types: the fields of the solver config
-# classes, which hold their defaults; the solver name sets iPila's variant
-SOLVER_KEYS = {key: typ for cls in (I2PianoConfig, IPilaConfig, IistaConfig)
-               for key, typ in typing.get_type_hints(cls).items()
-               if key != "variant"}
+# the solver settings, each typed by its default: the setting fields of the
+# solver config classes, which hold their defaults
+SOLVER_KEYS = {f.name: type(f.default)
+               for cls in (I2PianoConfig, IPilaConfig, IistaConfig)
+               for f in setting_fields(cls)}
 # the files _solve_and_write writes into each run directory
 RUN_FILES = ("trace.csv", "report.txt", "summary.txt", "restored.pgm",
              "restored.npy")
@@ -362,7 +362,7 @@ def _suite_worker(item):
         trace = _solve_and_write(cfg, outdir)
     except SolverError as exc:
         raise SolverError(f"{cfg['solver']}: {exc}") from None
-    return cfg["solver"], float(trace.meta["f_final"])
+    return cfg["solver"], float(trace.rows[-1]["f"])
 
 
 def cmd_suite(cfg: dict) -> int:

@@ -21,7 +21,6 @@ not take.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from inertiafb.certify import Header, coupling, row_checks
+from inertiafb.certify import Header, coupling, row_checks, setting_fields
 from inertiafb.problem import CompositeProblem, DomainError, SolverError
 from inertiafb.prox_engine import ProxQuery, ProxResult, theta_from_tau
 from inertiafb.trace import CSV_COLUMNS, Trace
@@ -225,9 +224,9 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     ``step`` returns an iterate made by :func:`prox`.  The ``stop_reason``
     is ``stationary`` after a row whose accepted branch is ``stationary``,
     ``d_k`` once ``d_k <= cfg.stop_tol``, and ``max_outer`` after
-    ``cfg.max_outer`` steps.  The meta is ``solver``, each field of
-    ``cfg`` under its own name, ``f_init``, ``phi_init``, ``f_final`` and
-    ``stop_reason``.  Each row holds every ``CSV_COLUMNS`` column: the
+    ``cfg.max_outer`` steps.  The meta is ``solver``, ``f_init``, each of
+    ``cfg``'s ``certify.setting_fields`` under its own name and
+    ``stop_reason``: the last row holds the final ``f``.  Each row holds every ``CSV_COLUMNS`` column: the
     iterate's ``ROW_FIELDS``, its prox result's ``h``, ``psi`` and branch,
     and the three step norms.  It is checked as it is appended, by the
     :mod:`certify` row functions that apply to ``solver``; a positive or
@@ -235,8 +234,8 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     ``on_step(k, before, after)`` observes each transition.
     """
     state = start(problem, x0, eval_f, cfg.L0)
-    trace = Trace(meta={"solver": solver, **dataclasses.asdict(cfg),
-                        "f_init": state.f, "phi_init": state.phi})
+    trace = Trace(meta={"solver": solver, "f_init": state.f, **{
+        f.name: getattr(cfg, f.name) for f in setting_fields(type(cfg))}})
     hdr = Header(solver, cfg, state.f)
     checks, prev = row_checks(hdr), None
     t0 = time.monotonic()
@@ -268,6 +267,6 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
             break
     else:
         reason = "max_outer"
-    trace.meta["f_final"], trace.meta["stop_reason"] = state.f, reason
+    trace.meta["stop_reason"] = reason
     trace.x_final = state.x_curr
     return trace

@@ -195,7 +195,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             check(Trace(), "H1")
 
-    def test_missing_phi_init_reports_incomplete(self, traces):
+    def test_header_lacking_f_init_is_a_bad_trace(self, traces):
         # a header without a value a check reads is a bad trace, not a
         # third verdict
         t = Trace(meta={"solver": "i2piano"})

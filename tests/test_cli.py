@@ -1380,13 +1380,10 @@ class TestCertifyCommand:
             assert err == "bad trace file: sigma must lie in (0,1)\n"
 
     def test_certify_first_step_starts_from_f_init(self, tmp_path, capsys):
-        # H1 and armijo read the merit at x0 from "# phi_init=", so raising
-        # it passed a first step whose merit rises (exit 0)
+        # H1 and armijo read the merit at x0 from "# f_init=", the header's
+        # one value of it, so a first step whose merit rises fails at k=0
         def edit(trace):
-            phi0 = trace.meta["phi_init"]
-            assert phi0 == trace.meta["f_init"]
-            trace.rows[0]["phi"] = phi0 * (1 + 1e-6)
-            trace.meta["phi_init"] = phi0 * (1 + 1e-5)
+            trace.rows[0]["phi"] = trace.meta["f_init"] * (1 + 1e-6)
         code, out, _ = self._certify_edited(
             tmp_path, capsys, edit, "--solver", "ipila-strict", "--problem",
             "impulse-l1", "--size", "16", "--max_outer", "6")

@@ -68,8 +68,8 @@ def test_draws_follow_criterion_9s_rules(crit9_ensemble):
             t = traces[solver]
             assert f.tobytes() == np.array(t.column("f")).tobytes()
             assert inner.tolist() == t.column("inner_iters")
-            assert f_final == t.meta["f_final"]
-        f_min = min(t.meta["f_final"] for t in traces.values())
+            assert f_final == t.rows[-1]["f"]
+        f_min = min(t.rows[-1]["f"] for t in traces.values())
         assert crit9_ensemble.judge(runs) == _criterion_9(traces, f_min)
         # at this size iISTA outpaces i2Piano, so clause b also runs on the
         # solvers relabelled: i2Piano's run in iISTA's place

@@ -202,7 +202,7 @@ class TestSolve:
         assert min(Ls) == L_MIN
         assert Ls[-1] == L_MIN
         # merit descent inequality replayed row by row from the trace
-        phi_prev, step_prev = trace.meta["phi_init"], 0.0
+        phi_prev, step_prev = trace.meta["f_init"], 0.0
         for row in trace.rows:
             bound = (phi_prev - cfg.gamma * step_prev ** 2
                      + (1 - cfg.omega) * row["h"])
@@ -222,5 +222,5 @@ class TestSolve:
         p, _, _ = quadratic_l1_problem(n=10, seed=8)
         trace = i2piano_solve(p, np.zeros(10), I2PianoConfig(max_outer=20))
         assert trace.meta["solver"] == "i2piano"
-        assert trace.meta["f_final"] == pytest.approx(
+        assert trace.rows[-1]["f"] == pytest.approx(
             eval_f(p, trace.x_final))

@@ -84,8 +84,8 @@ class TestComputeDelta:
         hdr = certify.Header("ipila-strict", IPilaConfig(tau=0.0), 0.0)
         assert hdr.cfg.theta == pytest.approx(1.0)
         for step, passes in ((1.0, True), (math.sqrt(3.5), False)):
-            row = {"k": 0, "h": -1.5, "psi": -1.5, "alpha_k": 1.0,
-                   "y_step_norm": step}
+            row = {"k": 0, "f": 0.0, "h": -1.5, "psi": -1.5,
+                   "alpha_k": 1.0, "y_step_norm": step}
             (_, dist), (_, gap) = certify.row_prox(hdr, None, row)
             assert (dist <= 0.0) is passes
             assert gap <= 0.0

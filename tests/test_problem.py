@@ -402,5 +402,5 @@ class TestOneEvaluationPerPoint:
         # and the carried one at the initial point
         assert counts["forward"] == counts["f0"]
         x = tr.x_final
-        assert tr.meta["f_final"] == fresh["f0"](x) + fresh["f1"](x)
+        assert tr.rows[-1]["f"] == fresh["f0"](x) + fresh["f1"](x)
         return rows

@@ -1,9 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from inertiafb import certify
 from inertiafb.i2piano import I2PianoConfig, i2piano_solve
 from inertiafb.iista import IistaConfig, iista_solve
 from inertiafb.ipila import IPilaConfig, ipila_solve
@@ -13,7 +13,7 @@ from tests.conftest import quadratic_l1_problem
 
 def small_trace():
     t = Trace(meta={"solver": "iista", "tau": 1e6, "note": "smoke",
-                    "L0": 1.0, "phi_init": 3.5})
+                    "L0": 1.0, "f_init": 3.5})
     rng = np.random.default_rng(0)
     for k in range(5):
         t.append(k=k, time_s=0.01 * k, f=3.5 - k, phi=3.5 - k,
@@ -36,7 +36,7 @@ class TestRoundTrip:
         assert back.meta["solver"] == "iista"
         assert back.meta["tau"] == 1e6
         assert back.meta["note"] == "smoke"
-        assert back.meta["phi_init"] == 3.5
+        assert back.meta["f_init"] == 3.5
         for a, b in zip(t.rows, back.rows):
             for col in CSV_COLUMNS:
                 va, vb = a[col], b[col]
@@ -100,20 +100,23 @@ SOLVES = {
 
 class TestSolverHeader:
     @pytest.mark.parametrize("solver", sorted(SOLVES))
-    def test_header_is_the_config_under_its_own_names(self, tmp_path,
-                                                       solver):
+    def test_header_is_the_settings_under_their_own_names(self, tmp_path,
+                                                           solver):
+        # each fact once: no phi_init (f_init), f_final (the last row's f)
+        # or variant (the solver name)
         solve, cfg = SOLVES[solver]
         p, _, _ = quadratic_l1_problem(n=20, seed=2)
         trace = solve(p, np.ones(20), cfg)
         trace.write_csv(tmp_path / "trace.csv")
         meta = Trace.read_csv(tmp_path / "trace.csv").meta
-        fields = dataclasses.asdict(cfg)
-        assert meta.keys() == {"solver", *fields, "f_init", "phi_init",
-                               "f_final", "stop_reason"}
-        run = ("f_init", "phi_init", "f_final", "stop_reason")
-        assert meta == {"solver": solver, **fields,
-                        **{key: trace.meta[key] for key in run}}
-        assert meta["f_final"] == trace.rows[-1]["f"]
+        settings = {f.name: getattr(cfg, f.name)
+                    for f in certify.setting_fields(type(cfg))}
+        assert meta.keys() == {"solver", "f_init", "stop_reason", *settings}
+        assert meta == {"solver": solver, **settings,
+                        **{key: trace.meta[key]
+                           for key in ("f_init", "stop_reason")}}
+        # the header rebuilds the run's config, variant included
+        assert certify.header(meta) == (solver, cfg, trace.meta["f_init"])
 
 
 class TestRelGap:

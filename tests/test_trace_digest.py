@@ -196,13 +196,13 @@ def test_changed_float_format_changes_the_digest(monkeypatch):
 
 def test_changed_meta_changes_the_digest():
     # a header-only edit moves the meta part alone: rel_gap is read from the
-    # last row's f, so not even f_final moves the rows
+    # last row's f, so not even f_init moves the rows
     cfg = dict(cli.DEFAULTS, size="16", max_outer="5", solver="i2piano")
     problem, x0, _ = cli.build_problem(cfg)
     trace = cli.run_solver(problem, x0, cfg)
     before = trace_digest.trace_digest(trace)
-    for key, value in (("stop_reason", "d_k"), ("variant", "x"),
-                       ("f_final", np.nextafter(trace.meta["f_final"], 0))):
+    for key, value in (("stop_reason", "d_k"), ("tau", 2.0),
+                       ("f_init", np.nextafter(trace.meta["f_init"], 0))):
         trace.meta[key] = value
         after = trace_digest.trace_digest(trace)
         assert _moved(before, after) == ["meta"], key

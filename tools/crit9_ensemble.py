@@ -63,7 +63,7 @@ def _solve(job):
     trace = cli.run_solver(problem, x0 * (1.0 + j * STEP), cfg)
     return (j, solver, np.array(trace.column("f")),
             np.array(trace.column("inner_iters")),
-            float(trace.meta["f_final"]))
+            float(trace.rows[-1]["f"]))
 
 
 def ensemble(draws: int, src: str, size: int = SIZE, iters: int = ITERS):
