@@ -223,9 +223,10 @@ def row_prox(hdr, prev, row):
     """Distance and gap certificates of the inexact prox computation:
     ``(theta / 2 alpha_k) ||y - x||^2 <= -h`` and ``h <= (2 / (2 + tau))
     psi`` up to the absolute slack that the engine's stationary branch is
-    allowed; ``||y - x||`` is the row's ``y_step_norm``.
+    allowed, ``1e-10 (1 + |f|)`` at the row's own ``f``; ``||y - x||`` is
+    the row's ``y_step_norm``.
     """
-    slack = 1e-10 * (1.0 + abs(hdr.f_init))
+    slack = 1e-10 * (1.0 + abs(row["f"]))
     h = row["h"]
     step = row["y_step_norm"]
     dist = (hdr.cfg.theta / (2.0 * row["alpha_k"])) * step * step
@@ -240,9 +241,9 @@ def row_duality_gap(hdr, prev, row):
 
     The recorded psi carries cancellation noise proportional to the
     objective magnitude, so the check allows the same absolute slack as the
-    gap certificate.
+    gap certificate, at the row's own ``f``.
     """
-    slack = 1e-10 * (1.0 + abs(hdr.f_init))
+    slack = 1e-10 * (1.0 + abs(row["f"]))
     h, psi = row["h"], row["psi"]
     tol = slack + 1e-10 * (1.0 + abs(h))
     return [(row["k"], (psi - h - tol) / (1.0 + abs(h)))]

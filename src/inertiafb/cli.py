@@ -17,11 +17,12 @@ before any solve (a config or image file that cannot be read, a key that is
 not a setting, a value that is not a finite number or that the problem or
 solver rejects, a problem too large for memory, an output path that cannot
 be written), an output file that cannot be written after the solve (a full
-disk), or a trace.csv that ``certify`` cannot read or parse; 3 solver
-failure, any ``SolverError`` (a point outside a smooth oracle's domain, a
-step that fails a certificate during the run, or memory running out during
-a solve), which ``suite`` and ``fstar`` prefix with the solver's name; 4
-certification failure of ``certify``.  Each failure prints one stderr line.
+disk), a trace.csv that ``certify`` cannot read or parse, or a second
+``certify`` argument; 3 solver failure, any ``SolverError`` (a point outside
+a smooth oracle's domain, a step that fails a certificate during the run, or
+memory running out during a solve), which ``suite`` and ``fstar`` prefix
+with the solver's name; 4 certification failure of ``certify``.  Each
+failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -438,6 +439,8 @@ def main(argv=None) -> int:
     args, extra = make_parser().parse_known_args(argv)
     try:
         if args.command == "certify":
+            if extra:
+                raise ConfigError(f"unexpected argument {extra[0]!r}")
             return cmd_certify(Path(args.trace))
         handlers = {"run": cmd_run, "suite": cmd_suite, "fstar": cmd_fstar}
         return handlers[args.command](build_settings(args, extra))

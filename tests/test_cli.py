@@ -1360,6 +1360,34 @@ class TestCertifyCommand:
             assert (code, out) == (2, "")
             assert err.startswith("bad trace file: tau must be ")
 
+    @pytest.mark.parametrize("f_init", [None, 1e300])
+    def test_certify_header_f_init_cannot_loosen_prox(self, tmp_path, capsys,
+                                                      f_init):
+        # prox and duality-gap took their absolute slack from "# f_init=",
+        # so raising it to 1e300 passed a row whose psi claims half as much
+        # again (exit 0); the slack is now read at the row's own f
+        def edit(trace):
+            trace.rows[2]["psi"] *= 1.5
+            if f_init is not None:
+                trace.meta["f_init"] = f_init
+        code, out, _ = self._certify_edited(
+            tmp_path, capsys, edit, "--solver", "iista", "--problem",
+            "gaussian-sd-tv", "--size", "16", "--tau", "0.01",
+            "--max_outer", "5")
+        assert code == 4
+        assert "prox.status=fail" in out and "prox.worst_k=2" in out
+
+    @pytest.mark.parametrize("extra", [["/nonexistent.csv"], ["--size", "5"]])
+    def test_certify_refuses_a_stray_argument(self, tmp_path, capsys, extra):
+        # certify judged the first trace alone and dropped the rest (exit 0)
+        out = tmp_path / "run"
+        assert run_cli("run", "--solver", "iista", "--max_outer", "5",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("certify", str(out / "trace.csv"), *extra) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: unexpected argument {extra[0]!r}\n")
+
     @pytest.mark.parametrize("sigma", [None, -1, 0, 1])
     def test_certify_header_sigma_must_lie_in_0_1(self, tmp_path, capsys,
                                                    sigma):
