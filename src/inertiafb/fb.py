@@ -226,11 +226,12 @@ def run(problem: CompositeProblem, x0, eval_f, cfg: Config, solver: str,
     ``d_k`` once ``d_k <= cfg.stop_tol``, and ``max_outer`` after
     ``cfg.max_outer`` steps.  The meta is ``solver``, ``f_init``, each of
     ``cfg``'s ``certify.setting_fields`` under its own name and
-    ``stop_reason``: the last row holds the final ``f``.  Each row holds every ``CSV_COLUMNS`` column: the
-    iterate's ``ROW_FIELDS``, its prox result's ``h``, ``psi`` and branch,
-    and the three step norms.  It is checked as it is appended, by the
-    :mod:`certify` row functions that apply to ``solver``; a positive or
-    NaN residual raises SolverError naming the check and ``k``.
+    ``stop_reason``: the last row holds the final ``f``.  Each row holds
+    every ``CSV_COLUMNS`` column: the iterate's ``ROW_FIELDS``, its prox
+    result's ``h``, ``psi`` and branch, and the three step norms.  It is
+    checked as it is appended, by the :mod:`certify` row functions that
+    apply to ``solver``; a positive or NaN residual raises SolverError
+    naming the check and ``k``.
     ``on_step(k, before, after)`` observes each transition.
     """
     state = start(problem, x0, eval_f, cfg.L0)

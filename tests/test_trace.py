@@ -100,8 +100,8 @@ SOLVES = {
 
 class TestSolverHeader:
     @pytest.mark.parametrize("solver", sorted(SOLVES))
-    def test_header_is_the_settings_under_their_own_names(self, tmp_path,
-                                                           solver):
+    def test_header_is_the_config_under_its_own_names(self, tmp_path,
+                                                       solver):
         # each fact once: no phi_init (f_init), f_final (the last row's f)
         # or variant (the solver name)
         solve, cfg = SOLVES[solver]
